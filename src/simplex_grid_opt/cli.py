@@ -23,12 +23,12 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import identities as ident_mod
-from .combin import composition_count
 from .grid import (
     DEFAULT_GRID_GUARD,
     GridTooLargeError,
     grid_maximize,
     grid_minimize,
+    range_enclosures,
 )
 from .hypergeom import HypergeomParams, bernstein_approximation, expectation
 from .poly import HomogeneousPolynomial, load_polynomial, random_polynomial
@@ -358,13 +358,7 @@ def cmd_stable_set(args: argparse.Namespace) -> int:
 def cmd_enclose(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     f = _load_poly(args)
-    total = composition_count(f.n, args.r)
-    if config.guard is not None and total > config.guard:
-        raise GridTooLargeError(f"grid has {total} points, budget is {config.guard}")
-    assumptions = bounds_mod.RangeAssumptions(elevation=args.elevation)
-    lo_enc = bounds_mod.min_enclosure(f, args.r, assumptions,
-                                      threads=config.threads, max_points=config.guard)
-    hi_enc = bounds_mod.max_enclosure(f, args.r, assumptions,
+    lo_enc, hi_enc = range_enclosures(f, args.r, args.elevation,
                                       threads=config.threads, max_points=config.guard)
     obj = {
         "command": "enclose",
@@ -395,7 +389,8 @@ def cmd_enclose(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser, *, poly: bool = False, r: bool = False) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for grid sweeps; never changes the output")
+                     help="worker threads for grid sweeps, capped at the CPU count; "
+                     "never changes the output, and gives no speed-up under the GIL")
     sub.add_argument("--force", action="store_true",
                      help="bypass the grid size guard (SGO_MAX_GRID, default 1e8)")
     if poly:

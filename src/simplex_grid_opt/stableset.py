@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable
 
-from .grid import grid_minimize
+from .grid import DEFAULT_GRID_GUARD, grid_minimize
 from .poly import HomogeneousPolynomial
 
 
@@ -112,7 +112,7 @@ class StableSetBound:
 
 
 def alpha_lower_bound(
-    g: Graph, r: int, *, threads: int = 1, max_points: "int | None" = None
+    g: Graph, r: int, *, threads: int = 1, max_points: "int | None" = DEFAULT_GRID_GUARD
 ) -> StableSetBound:
     """Minimize the vertex-form quadratic over the grid and round up its reciprocal."""
     result = grid_minimize(motzkin_straus_form(g), r, threads=threads, max_points=max_points)

@@ -228,6 +228,16 @@ def test_enclose_outputs_nested_intervals(capsys):
     assert obj["fmax"]["lo"] == "1" and obj["fmax"]["hi"] == "1"
 
 
+def test_enclose_size_guard_and_threads(capsys, monkeypatch):
+    argv = ("enclose", "--poly", SOS4, "--r", "6", "--elevation", "1")
+    outputs = [run(capsys, *argv, "--threads", threads)[1] for threads in ("1", "8")]
+    assert outputs[0] == outputs[1]
+    monkeypatch.setenv("SGO_MAX_GRID", "10")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_SIZE_GUARD
+    assert out == "" and "error" in err
+
+
 def test_size_guard_env_and_force(capsys, monkeypatch):
     monkeypatch.setenv("SGO_MAX_GRID", "10")
     code, _, err = run(capsys, "grid-min", "--poly", SOS4, "--r", "8")

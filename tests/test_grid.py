@@ -5,16 +5,22 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from simplex_grid_opt import (
+    Graph,
     GridSpec,
     GridTooLargeError,
     HomogeneousPolynomial,
+    alpha_lower_bound,
     composition_count,
+    compositions,
     enumerate_grid,
     evaluate,
     grid_maximize,
     grid_minimize,
+    multinomial,
+    poly_scale,
     range_enclosures,
 )
+from simplex_grid_opt import grid
 from strats import polynomials, strict_gap_poly, sum_of_squares
 
 
@@ -161,3 +167,146 @@ def test_range_enclosures_are_ordered_and_consistent(f, r, k):
 def test_grid_min_at_least_bernstein_lower_bound(f, r, k):
     lo_enc, _ = range_enclosures(f, r, elevation=k)
     assert grid_minimize(f, r).value >= lo_enc.lo
+
+
+# --- the sweep engine against a naive oracle ------------------------------------
+
+
+def naive_extremes(f, r, cap):
+    """(value, lex-first points up to cap, tie count) of the minimum and maximum,
+    from poly.evaluate at every point of combin.compositions."""
+    values = [
+        (evaluate(f, [Fraction(a, r) for a in alpha]), alpha) for alpha in compositions(f.n, r)
+    ]
+    out = []
+    for pick in (min, max):
+        best = pick(v for v, _ in values)
+        hits = [alpha for v, alpha in values if v == best]
+        out.append((best, tuple(hits[:cap]), len(hits)))
+    return out
+
+
+def power_of_sum(n: int, d: int, c) -> HomogeneousPolynomial:
+    """c * (x_1 + ... + x_n)^d, constant c on the simplex: every point ties."""
+    return HomogeneousPolynomial(n, d, {a: c * multinomial(d, a) for a in compositions(n, d)})
+
+
+@st.composite
+def engine_cases(draw):
+    """(f, r) with n 1-6, d 1-4, r 1-12, tie-heavy forms included; r is kept
+    where the Fraction oracle stays fast."""
+    kind = draw(st.sampled_from(("sparse", "sparse", "sparse", "zero", "power_of_sum")))
+    if kind == "sparse":
+        f = draw(polynomials(max_n=6, max_d=4))
+        f = poly_scale(f, draw(st.sampled_from((1, 1, Fraction(-1, 3), Fraction(5, 2)))))
+    else:
+        n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        if kind == "zero":
+            f = HomogeneousPolynomial(n, d, {})
+        else:
+            f = power_of_sum(n, d, draw(st.sampled_from((1, -2, Fraction(3, 2)))))
+    work = max(1, len(f.coeffs))  # oracle cost per point
+    r = draw(st.integers(1, 12).filter(lambda r: composition_count(f.n, r) * work <= 20000))
+    return f, r
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_cases(), st.sampled_from((1, 16)))
+def test_engine_matches_naive_oracle(case, cap):
+    f, r = case
+    (lo, lo_hits, lo_ties), (hi, hi_hits, hi_ties) = naive_extremes(f, r, cap)
+    for threads in (1, 3):
+        low = grid_minimize(f, r, threads=threads, minimizer_cap=cap)
+        high = grid_maximize(f, r, threads=threads, minimizer_cap=cap)
+        assert (low.value, low.minimizers, low.tie_count) == (lo, lo_hits, lo_ties)
+        assert (high.value, high.minimizers, high.tie_count) == (hi, hi_hits, hi_ties)
+        assert low.evaluations == high.evaluations == composition_count(f.n, r)
+    enc_lo, enc_hi = range_enclosures(f, r)
+    assert (enc_lo.hi, enc_hi.lo) == (lo, hi)
+
+
+def test_rows_longer_than_degree_use_differences():
+    # n = 2 is a single row of length r + 1; r = 12 runs the difference path at d = 4
+    f = HomogeneousPolynomial(2, 4, {(4, 0): 3, (3, 1): -7, (1, 3): 5, (0, 4): -1, (2, 2): 2})
+    expected = naive_extremes(f, 12, 16)
+    low, high = grid_minimize(f, 12), grid_maximize(f, 12)
+    assert [(x.value, x.minimizers, x.tie_count) for x in (low, high)] == expected
+
+
+def test_polynomials_sharing_a_support_sweep_independently():
+    # the engine reuses its tables per (support, r); coefficients must not leak between calls
+    f = HomogeneousPolynomial(4, 3, {(3, 0, 0, 0): 2, (1, 1, 1, 0): -9, (0, 0, 1, 2): 5})
+    g = poly_scale(f, Fraction(-3, 7))
+    for r in (2, 6):
+        for h in (f, g, f):
+            expected = naive_extremes(h, r, 16)
+            got = [grid_minimize(h, r), grid_maximize(h, r)]
+            assert [(x.value, x.minimizers, x.tie_count) for x in got] == expected
+
+
+def test_power_of_sum_ties_everywhere():
+    f = power_of_sum(5, 3, Fraction(-1, 2))
+    for cap in (1, 16):
+        for res in (grid_minimize(f, 6, minimizer_cap=cap), grid_maximize(f, 6, minimizer_cap=cap)):
+            assert res.value == Fraction(-1, 2)
+            assert res.tie_count == res.evaluations == composition_count(5, 6)
+            assert res.minimizers == tuple(list(compositions(5, 6))[:cap])
+
+
+# --- workers and guards -----------------------------------------------------------
+
+
+class RecordingExecutor:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs jobs inline."""
+
+    created: "list[int]" = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_workers_capped_at_chunks_and_cpu_count(monkeypatch):
+    monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingExecutor)
+    f = sum_of_squares(3)
+    expected = grid_minimize(f, 5)
+    for cpus, want in ((4, 4), (64, 5)):  # r = 5 splits alpha_0 into 5 chunks here
+        RecordingExecutor.created = []
+        monkeypatch.setattr(grid.os, "cpu_count", lambda: cpus)
+        assert grid_minimize(f, 5, threads=10**6) == expected
+        assert RecordingExecutor.created == [want]
+
+
+def test_single_cpu_runs_without_a_pool(monkeypatch):
+    monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(grid.os, "cpu_count", lambda: 1)
+    RecordingExecutor.created = []
+    assert grid_minimize(sum_of_squares(4), 6, threads=8) == grid_minimize(sum_of_squares(4), 6)
+    assert RecordingExecutor.created == []
+
+
+def test_default_guard_refuses_huge_grids_at_once():
+    f = sum_of_squares(12)
+    assert composition_count(12, 200) > grid.DEFAULT_GRID_GUARD
+    for sweep in (grid_minimize, grid_maximize, range_enclosures):
+        with pytest.raises(GridTooLargeError):
+            sweep(f, 200)
+    with pytest.raises(GridTooLargeError):
+        alpha_lower_bound(Graph.from_edges(12, []), 200)
+
+
+def test_range_enclosures_checks_guard_before_building_the_table(monkeypatch):
+    def fail(_):
+        raise AssertionError("Bernstein table built before the guard check")
+
+    monkeypatch.setattr(grid, "bernstein_table", fail)
+    with pytest.raises(GridTooLargeError):
+        range_enclosures(sum_of_squares(4), 10, elevation=2, max_points=50)
