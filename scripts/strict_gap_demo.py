@@ -21,7 +21,9 @@ from simplex_grid_opt import (
     RangeAssumptions,
     bernstein_approximation,
     expectation,
+    grid_extrema,
     grid_minimize,
+    range_enclosures,
     rho_interval,
 )
 from simplex_grid_opt.poly import HomogeneousPolynomial
@@ -34,13 +36,15 @@ def main() -> int:
 
     f = HomogeneousPolynomial(2, 2, {(2, 0): 2, (0, 2): 1, (1, 1): -5})
     minimizer = (Fraction(7, 16), Fraction(9, 16))
-    assumptions = RangeAssumptions(assume_min_denominator=16, assume_max_denominator=1)
+    fmin, fmax = range_enclosures(
+        f, RangeAssumptions(assume_min_denominator=16, assume_max_denominator=1)
+    )
 
     print("r  grid_min      minimizers            rho_interval")
     for r in range(1, args.r_max + 1):
-        res = grid_minimize(f, r)
+        res, high = grid_extrema(f, r)
         points = " ".join(",".join(str(Fraction(a, r)) for a in alpha) for alpha in res.minimizers)
-        rho = rho_interval(f, r, assumptions)
+        rho = rho_interval(fmin, fmax, res.value, high.value)
         rho_txt = str(rho.lo) if rho.is_point else f"[{rho.lo}, {rho.hi}]"
         print(f"{r:<2} {str(res.value):<13} {points:<21} {rho_txt}")
 

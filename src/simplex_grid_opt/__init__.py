@@ -17,9 +17,7 @@ from .bounds import (
     bound_coefficient,
     check_bound,
     cubic_threshold_reached,
-    max_enclosure,
-    min_enclosure,
-    range_upper_bound,
+    range_enclosures,
     rho_interval,
 )
 from .combin import (
@@ -34,12 +32,10 @@ from .combin import (
 )
 from .grid import (
     GridMinResult,
-    GridSpec,
     GridTooLargeError,
-    enumerate_grid,
+    grid_extrema,
     grid_maximize,
     grid_minimize,
-    range_enclosures,
 )
 from .hypergeom import (
     HypergeomParams,
@@ -65,7 +61,6 @@ from .identities import (
 from .poly import (
     BernsteinTable,
     HomogeneousPolynomial,
-    bernstein_enclosure,
     bernstein_table,
     elevate,
     evaluate,

@@ -2,8 +2,9 @@
 
 Every bound is reported as an exact rational coefficient of the (generally
 unknown) range of function values: grid error <= coefficient * (fmax - fmin).
-Absolute statements are derived on demand through certified range enclosures,
-so every emitted inequality stays certified.  Inapplicability (wrong degree,
+Absolute statements are derived on demand through the certified enclosures of
+fmin and fmax from range_enclosures, so every emitted inequality stays
+certified.  Inapplicability (wrong degree,
 r out of range, m too small) is data, not an error.
 
 Kinds and their coefficients, for degree d, grid denominator r, and reference
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combin import binomial, falling, falling_poly_coeffs
-from .grid import DEFAULT_GRID_GUARD, grid_maximize, grid_minimize
+from .grid import DEFAULT_GRID_GUARD, grid_extrema, grid_minimize
 from .poly import HomogeneousPolynomial, bernstein_table, elevate, is_square_free
 from .rational import Enclosure
 
@@ -244,8 +245,9 @@ class RangeAssumptions:
     max) asserts that the simplex minimum (maximum) is attained on the grid
     with that denominator, collapsing that side of the enclosure to an exact
     grid value; results derived from an assumption are only as good as the
-    assumption.  grid picks the sampling denominator used for the inner
-    enclosure endpoints (defaults to the r of the operation).
+    assumption.  grid names a sampling denominator for the inner endpoints of
+    the unassumed sides; without one they are the opposite Bernstein
+    extremes, which rho_interval tightens with the grid values at its r.
     """
 
     elevation: int = 0
@@ -254,97 +256,83 @@ class RangeAssumptions:
     assume_max_denominator: "int | None" = None
 
 
-def min_enclosure(
-    f: HomogeneousPolynomial,
-    r: int,
-    params: RangeAssumptions = RangeAssumptions(),
-    *,
-    threads: int = 1,
-    max_points: "int | None" = DEFAULT_GRID_GUARD,
-) -> Enclosure:
-    """Certified enclosure of the simplex minimum of f."""
-    if params.assume_min_denominator is not None:
-        v = grid_minimize(
-            f, params.assume_min_denominator, threads=threads, max_points=max_points
-        ).value
-        return Enclosure(v, v)
-    table = bernstein_table(elevate(f, params.elevation))
-    sample_r = params.grid if params.grid is not None else r
-    hi = grid_minimize(f, sample_r, threads=threads, max_points=max_points).value
-    if sample_r != r:
-        hi = min(hi, grid_minimize(f, r, threads=threads, max_points=max_points).value)
-    return Enclosure(table.min_coeff, hi)
-
-
-def max_enclosure(
-    f: HomogeneousPolynomial,
-    r: int,
-    params: RangeAssumptions = RangeAssumptions(),
-    *,
-    threads: int = 1,
-    max_points: "int | None" = DEFAULT_GRID_GUARD,
-) -> Enclosure:
-    """Certified enclosure of the simplex maximum of f."""
-    if params.assume_max_denominator is not None:
-        v = grid_maximize(
-            f, params.assume_max_denominator, threads=threads, max_points=max_points
-        ).value
-        return Enclosure(v, v)
-    table = bernstein_table(elevate(f, params.elevation))
-    sample_r = params.grid if params.grid is not None else r
-    lo = grid_maximize(f, sample_r, threads=threads, max_points=max_points).value
-    if sample_r != r:
-        lo = max(lo, grid_maximize(f, r, threads=threads, max_points=max_points).value)
-    return Enclosure(lo, table.max_coeff)
-
-
-def range_upper_bound(
+def range_enclosures(
     f: HomogeneousPolynomial,
     params: RangeAssumptions = RangeAssumptions(),
     *,
     threads: int = 1,
     max_points: "int | None" = DEFAULT_GRID_GUARD,
-) -> Fraction:
-    """Certified upper bound on fmax - fmin."""
-    lo = min_enclosure(f, 1, params, threads=threads, max_points=max_points).lo
-    hi = max_enclosure(f, 1, params, threads=threads, max_points=max_points).hi
-    return hi - lo
+) -> "tuple[Enclosure, Enclosure]":
+    """Certified enclosures (of fmin, of fmax) of the simplex extrema of f.
+
+    A side with an assumed denominator is that grid's exact extremum.  An
+    unassumed side runs from the extreme Bernstein coefficient of f elevated
+    by params.elevation (outer endpoint) to the grid extremum at params.grid,
+    or to the opposite Bernstein extreme when no grid is named (inner
+    endpoint).  Each named denominator is swept once for both sides, before
+    the one Bernstein table is built; none is built when both sides are
+    assumed.
+    """
+    lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
+    bernstein = lo_m is None or hi_m is None
+    # the grid serves only unassumed sides; dict.fromkeys sweeps a repeated denominator once
+    named = dict.fromkeys((params.grid if bernstein else None, lo_m, hi_m))
+    elevated = elevate(f, params.elevation) if bernstein else None  # rejects a bad elevation first
+    extrema = {
+        m: grid_extrema(f, m, threads=threads, max_points=max_points)
+        for m in named if m is not None
+    }
+    if bernstein:
+        table = bernstein_table(elevated)
+        if params.grid is None:
+            inner_min, inner_max = table.max_coeff, table.min_coeff
+        else:
+            inner_min, inner_max = (res.value for res in extrema[params.grid])
+    if lo_m is None:
+        fmin = Enclosure(table.min_coeff, inner_min)
+    else:
+        fmin = Enclosure(extrema[lo_m][0].value, extrema[lo_m][0].value)
+    if hi_m is None:
+        fmax = Enclosure(inner_max, table.max_coeff)
+    else:
+        fmax = Enclosure(extrema[hi_m][1].value, extrema[hi_m][1].value)
+    return fmin, fmax
 
 
 def rho_interval(
-    f: HomogeneousPolynomial,
-    r: int,
-    params: RangeAssumptions = RangeAssumptions(),
-    *,
-    threads: int = 1,
-    max_points: "int | None" = DEFAULT_GRID_GUARD,
+    fmin: Enclosure, fmax: Enclosure, grid_min: Fraction, grid_max: Fraction
 ) -> Enclosure:
-    """Certified interval for the normalized grid error at denominator r.
+    """Certified interval for the normalized grid error at one denominator r.
 
-    The normalized error is (grid minimum - simplex minimum) / (fmax - fmin);
-    it always lies in [0, 1].  Raises DegenerateRangeError when the enclosures
-    cannot separate fmax from fmin (for instance the zero polynomial).  The
-    interval collapses to a point when the numerator is certified zero (the
-    minimizer lies on the grid) or when both extrema are pinned by assumed
-    denominators.
+    The normalized error is (grid_min - fmin) / (fmax - fmin), where grid_min
+    and grid_max are the exact grid extrema at r and fmin, fmax are enclosed
+    as by range_enclosures; it always lies in [0, 1].  Grid values refute an
+    assumed side when they fall outside it (ValueError); otherwise they
+    tighten the inner endpoints.  Raises DegenerateRangeError when the
+    enclosures cannot separate fmax from fmin (for instance the zero
+    polynomial).  The interval collapses to a point when the numerator is
+    certified zero (the minimizer lies on the grid) or when both extrema are
+    pinned by assumed denominators.
     """
-    g_r = grid_minimize(f, r, threads=threads, max_points=max_points).value
-    lo_enc = min_enclosure(f, r, params, threads=threads, max_points=max_points)
-    hi_enc = max_enclosure(f, r, params, threads=threads, max_points=max_points)
-    den_lo = hi_enc.lo - lo_enc.hi
-    den_hi = hi_enc.hi - lo_enc.lo
+    if grid_min < fmin.lo:
+        raise ValueError(
+            "assumed minimizer denominator is inconsistent: its grid value "
+            "exceeds the grid minimum at r"
+        )
+    if grid_max > fmax.hi:
+        raise ValueError(
+            "assumed maximizer denominator is inconsistent: its grid value "
+            "is below the grid maximum at r"
+        )
+    min_hi = min(fmin.hi, grid_min)
+    den_lo = max(fmax.lo, grid_max) - min_hi
+    den_hi = fmax.hi - fmin.lo
     if den_lo <= 0:
         raise DegenerateRangeError(
             "degenerate range: cannot certify that fmax exceeds fmin "
             f"(range enclosure gap is [{den_lo}, {den_hi}])"
         )
-    num_hi = g_r - lo_enc.lo
-    if num_hi < 0:
-        raise ValueError(
-            "assumed minimizer denominator is inconsistent: its grid value "
-            "exceeds the grid minimum at r"
-        )
-    num_lo = max(Fraction(0), g_r - lo_enc.hi)
+    num_lo, num_hi = grid_min - min_hi, grid_min - fmin.lo
     return Enclosure(num_lo / den_hi, min(Fraction(1), num_hi / den_lo))
 
 
@@ -394,7 +382,8 @@ def check_bound(
         grid_minimize(f, r, threads=threads, max_points=max_points).value
         - grid_minimize(f, m, threads=threads, max_points=max_points).value
     )
-    range_bound = range_upper_bound(f, params, threads=threads, max_points=max_points)
+    fmin, fmax = range_enclosures(f, params, threads=threads, max_points=max_points)
+    range_bound = fmax.hi - fmin.lo
     rhs = report.coefficient * range_bound
     return BoundWitness(
         kind=kind, d=f.d, r=r, m=m, applicable=True, reason="",

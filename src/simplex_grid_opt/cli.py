@@ -26,9 +26,9 @@ from . import identities as ident_mod
 from .grid import (
     DEFAULT_GRID_GUARD,
     GridTooLargeError,
+    grid_extrema,
     grid_maximize,
     grid_minimize,
-    range_enclosures,
 )
 from .hypergeom import HypergeomParams, bernstein_approximation, expectation
 from .poly import HomogeneousPolynomial, load_polynomial, random_polynomial
@@ -245,13 +245,16 @@ def cmd_converge(args: argparse.Namespace) -> int:
     m_for_kinds = args.assume_min_denominator
     kind_names = [kind.value for kind in bounds_mod.ALL_KINDS]
     header = ["r", "grid_min", "grid_min_decimal", "rho_lo", "rho_hi"] + kind_names
+    r_values = _parse_range(args.r_range)
+    fmin, fmax = bounds_mod.range_enclosures(
+        f, assumptions, threads=config.threads, max_points=config.guard
+    )
     rows = []
-    for r in _parse_range(args.r_range):
-        value = grid_minimize(f, r, threads=config.threads, max_points=config.guard).value
+    for r in r_values:
+        low, high = grid_extrema(f, r, threads=config.threads, max_points=config.guard)
+        value = low.value
         try:
-            rho = bounds_mod.rho_interval(
-                f, r, assumptions, threads=config.threads, max_points=config.guard
-            )
+            rho = bounds_mod.rho_interval(fmin, fmax, value, high.value)
             rho_lo, rho_hi = fraction_str(rho.lo), fraction_str(rho.hi)
         except bounds_mod.DegenerateRangeError:
             rho_lo = rho_hi = "degenerate"
@@ -358,8 +361,10 @@ def cmd_stable_set(args: argparse.Namespace) -> int:
 def cmd_enclose(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     f = _load_poly(args)
-    lo_enc, hi_enc = range_enclosures(f, args.r, args.elevation,
-                                      threads=config.threads, max_points=config.guard)
+    lo_enc, hi_enc = bounds_mod.range_enclosures(
+        f, bounds_mod.RangeAssumptions(elevation=args.elevation, grid=args.r),
+        threads=config.threads, max_points=config.guard,
+    )
     obj = {
         "command": "enclose",
         "r": args.r,

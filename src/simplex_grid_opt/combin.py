@@ -69,8 +69,6 @@ def stirling2(a: int, b: int) -> int:
 
 # --- index sets I(n, total) in lexicographic order ---------------------------
 
-ExponentTuple = tuple
-
 
 def composition_count(n: int, total: int) -> int:
     """|I(n, total)| = C(total + n - 1, n - 1)."""

@@ -1,4 +1,4 @@
-"""Enumeration of the rational simplex grid and exact optimization over it.
+"""Exact optimization over the rational simplex grid.
 
 The grid with denominator r is the set of simplex points x with r*x integral;
 it is in bijection with I(n, r) via alpha <-> alpha/r, so a full sweep covers
@@ -7,8 +7,9 @@ sweep compares the integers L*f(alpha), where L clears the denominators of the
 coefficients once; the reported value is reconstructed as a Fraction at the
 end.  Every step below is integer arithmetic, so the engine is exact.
 
-One engine serves grid_minimize, grid_maximize and range_enclosures: a single
-lex-order pass that tracks the minimum and the maximum together.
+One engine serves grid_extrema: a single lex-order pass that tracks the
+minimum and the maximum together.  grid_minimize and grid_maximize are views
+of it, and bounds.range_enclosures takes its grid values from it.
 
 - Prefix tree.  The leading coordinates alpha_0..alpha_{n-3} are fixed
   depth-first, in ascending order.  With a prefix fixed, L*f restricted to the
@@ -26,7 +27,7 @@ lex-order pass that tracks the minimum and the maximum together.
   all-zero suffix.
 - The suffix, power and row tables depend only on f's support and on r, not
   on its coefficients, so the few most recently used are kept: bound checks
-  and enclosures sweep the same support at the same denominators many times.
+  sweep the same support at the same denominators many times.
 
 Rows arrive in lex order, so the lex-first minimizers (capped) and exact tie
 counts fall out of min, max, count and index on each row.  With threads > 1
@@ -46,11 +47,9 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, inf, lcm
 from operator import gt, lt, mul, sub
-from typing import Iterator
 
-from .combin import composition_count, composition_successor
-from .poly import HomogeneousPolynomial, bernstein_table, elevate
-from .rational import Enclosure
+from .combin import composition_count
+from .poly import HomogeneousPolynomial
 
 MINIMIZER_CAP = 16
 DEFAULT_GRID_GUARD = 10**8
@@ -58,30 +57,6 @@ DEFAULT_GRID_GUARD = 10**8
 
 class GridTooLargeError(RuntimeError):
     """Raised when a grid sweep would exceed the configured point budget."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """The grid on the standard simplex with n coordinates and denominator r."""
-
-    n: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.r < 1:
-            raise ValueError(f"need n >= 1 and r >= 1, got n={self.n}, r={self.r}")
-
-    @property
-    def size(self) -> int:
-        return composition_count(self.n, self.r)
-
-
-def enumerate_grid(spec: GridSpec) -> "Iterator[tuple[int, ...]]":
-    """Yield the numerator tuple alpha of every grid point alpha/r, in lex order."""
-    cur: "tuple[int, ...] | None" = (0,) * (spec.n - 1) + (spec.r,)
-    while cur is not None:
-        yield cur
-        cur = composition_successor(cur)
 
 
 @dataclass(frozen=True)
@@ -331,6 +306,27 @@ def _result(ext: _Extreme, denominator: int, r: int, total: int) -> GridMinResul
     )
 
 
+def grid_extrema(
+    f: HomogeneousPolynomial,
+    r: int,
+    *,
+    threads: int = 1,
+    minimizer_cap: int = MINIMIZER_CAP,
+    max_points: "int | None" = DEFAULT_GRID_GUARD,
+) -> "tuple[GridMinResult, GridMinResult]":
+    """Exact (minimum, maximum) of f over the grid with denominator r, from one pass.
+
+    The sweep is exhaustive and deterministic: threads split the range of
+    alpha_0 into contiguous chunks whose partial results merge independently
+    of the partition, so the outcome never depends on threading.  Workers are
+    capped at the CPU count; under the GIL they give no speed-up.  The
+    maximum's minimizers field holds the lex-first maximizers.
+    """
+    total = _grid_size(f.n, r, max_points)
+    low, high, denominator = _sweep(f, r, threads, minimizer_cap)
+    return _result(low, denominator, r, total), _result(high, denominator, r, total)
+
+
 def grid_minimize(
     f: HomogeneousPolynomial,
     r: int,
@@ -339,16 +335,8 @@ def grid_minimize(
     minimizer_cap: int = MINIMIZER_CAP,
     max_points: "int | None" = DEFAULT_GRID_GUARD,
 ) -> GridMinResult:
-    """Exact minimum of f over the grid with denominator r.
-
-    The sweep is exhaustive and deterministic: threads split the range of
-    alpha_0 into contiguous chunks whose partial results merge independently
-    of the partition, so the outcome never depends on threading.  Workers are
-    capped at the CPU count; under the GIL they give no speed-up.
-    """
-    total = _grid_size(f.n, r, max_points)
-    low, _, denominator = _sweep(f, r, threads, minimizer_cap)
-    return _result(low, denominator, r, total)
+    """Exact minimum of f over the grid with denominator r; see grid_extrema."""
+    return grid_extrema(f, r, threads=threads, minimizer_cap=minimizer_cap, max_points=max_points)[0]
 
 
 def grid_maximize(
@@ -359,33 +347,5 @@ def grid_maximize(
     minimizer_cap: int = MINIMIZER_CAP,
     max_points: "int | None" = DEFAULT_GRID_GUARD,
 ) -> GridMinResult:
-    """Exact maximum of f over the grid; mirror of grid_minimize.
-
-    minimizers then holds the lex-first maximizers.
-    """
-    total = _grid_size(f.n, r, max_points)
-    _, high, denominator = _sweep(f, r, threads, minimizer_cap)
-    return _result(high, denominator, r, total)
-
-
-def range_enclosures(
-    f: HomogeneousPolynomial,
-    r: int,
-    elevation: int = 0,
-    *,
-    threads: int = 1,
-    max_points: "int | None" = DEFAULT_GRID_GUARD,
-) -> "tuple[Enclosure, Enclosure]":
-    """Certified enclosures of the simplex minimum and maximum of f.
-
-    The minimum lies in [min Bernstein coefficient at the given elevation,
-    grid minimum at denominator r]; the maximum symmetrically.  One sweep
-    gives both grid values.
-    """
-    _grid_size(f.n, r, max_points)
-    table = bernstein_table(elevate(f, elevation))
-    low, high, denominator = _sweep(f, r, threads, MINIMIZER_CAP)
-    return (
-        Enclosure(table.min_coeff, Fraction(low.value, denominator)),
-        Enclosure(Fraction(high.value, denominator), table.max_coeff),
-    )
+    """Exact maximum of f over the grid with denominator r; see grid_extrema."""
+    return grid_extrema(f, r, threads=threads, minimizer_cap=minimizer_cap, max_points=max_points)[1]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .combin import compositions, multinomial
-from .rational import Enclosure, as_rational
+from .rational import as_rational
 
 ExponentTuple = tuple  # tuple[int, ...]; one entry per variable
 CoefLike = Union[int, str, Fraction]
@@ -168,29 +168,6 @@ def bernstein_table(f: HomogeneousPolynomial) -> BernsteinTable:
         entries[beta] = f.coeffs.get(beta, Fraction(0)) / multinomial(f.d, beta)
     values = entries.values()
     return BernsteinTable(entries=entries, min_coeff=min(values), max_coeff=max(values))
-
-
-def bernstein_enclosure(
-    f: HomogeneousPolynomial, elevation: int = 0, *, cap: int = DEFAULT_ELEVATION_CAP
-) -> "tuple[Enclosure, Enclosure]":
-    """Certified enclosures of the simplex minimum and maximum of f.
-
-    Returns (enclosure of the minimum, enclosure of the maximum).  The outer
-    endpoints are the extreme Bernstein coefficients of f elevated by the
-    given amount; the inner endpoints evaluate f on the control net, i.e. the
-    grid points b/(d+elevation).  Raising the elevation never loosens the
-    Bernstein side.
-    """
-    g = elevate(f, elevation, cap=cap)
-    table = bernstein_table(g)
-    deg = g.d
-    samples = [
-        evaluate(f, tuple(Fraction(a, deg) for a in gamma)) for gamma in compositions(f.n, deg)
-    ]
-    return (
-        Enclosure(table.min_coeff, min(samples)),
-        Enclosure(max(samples), table.max_coeff),
-    )
 
 
 def is_square_free(f: HomogeneousPolynomial) -> bool:

@@ -79,7 +79,3 @@ class Enclosure:
 
     def contains(self, value: Rational) -> bool:
         return self.lo <= Fraction(value) <= self.hi
-
-    def intersect(self, other: "Enclosure") -> "Enclosure":
-        """Intersection of two enclosures of the same quantity (never empty)."""
-        return Enclosure(max(self.lo, other.lo), min(self.hi, other.hi))

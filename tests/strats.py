@@ -7,7 +7,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 
-from simplex_grid_opt import Graph, HomogeneousPolynomial
+from simplex_grid_opt import Graph, HomogeneousPolynomial, compositions, evaluate
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -68,3 +68,17 @@ def simplex_points(draw, n: int):
     )
     total = sum(weights)
     return tuple(Fraction(w, total) for w in weights)
+
+
+def naive_extremes(f, r, cap):
+    """(value, lex-first points up to cap, tie count) of the minimum and maximum,
+    from poly.evaluate at every point of combin.compositions."""
+    values = [
+        (evaluate(f, [Fraction(a, r) for a in alpha]), alpha) for alpha in compositions(f.n, r)
+    ]
+    out = []
+    for pick in (min, max):
+        best = pick(v for v, _ in values)
+        hits = [alpha for v, alpha in values if v == best]
+        out.append((best, tuple(hits[:cap]), len(hits)))
+    return out

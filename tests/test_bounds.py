@@ -11,13 +11,18 @@ from simplex_grid_opt import (
     DegenerateRangeError,
     HomogeneousPolynomial,
     RangeAssumptions,
+    bernstein_table,
     bound_coefficient,
     check_bound,
     cubic_threshold_reached,
+    elevate,
+    grid_extrema,
+    multinomial,
     random_polynomial,
+    range_enclosures,
     rho_interval,
 )
-from strats import strict_gap_poly, sum_of_squares
+from strats import naive_extremes, polynomials, strict_gap_poly, sum_of_squares
 
 
 def test_frozen_coefficient_examples():
@@ -136,19 +141,25 @@ def test_cubic_rho_dominates_refined_on_its_window():
             assert refined <= rho
 
 
+def rho_at(f, r, params=RangeAssumptions()):
+    fmin, fmax = range_enclosures(f, params)
+    low, high = grid_extrema(f, r)
+    return rho_interval(fmin, fmax, low.value, high.value)
+
+
 def test_rho_interval_point_cases():
     f = sum_of_squares(4)
-    rho = rho_interval(f, 2, RangeAssumptions(assume_min_denominator=4, assume_max_denominator=1))
+    rho = rho_at(f, 2, RangeAssumptions(assume_min_denominator=4, assume_max_denominator=1))
     assert rho.lo == rho.hi == Fraction(1, 3)
 
     gap = strict_gap_poly()
-    rho = rho_interval(gap, 16, RangeAssumptions(assume_min_denominator=16))
+    rho = rho_at(gap, 16, RangeAssumptions(assume_min_denominator=16))
     assert rho.lo == rho.hi == 0
 
 
 def test_rho_interval_unassumed_contains_truth():
     f = sum_of_squares(4)
-    rho = rho_interval(f, 2, RangeAssumptions(elevation=3, grid=4))
+    rho = rho_at(f, 2, RangeAssumptions(elevation=3, grid=4))
     assert rho.lo <= Fraction(1, 3) <= rho.hi
     assert 0 <= rho.lo and rho.hi <= 1
 
@@ -156,11 +167,85 @@ def test_rho_interval_unassumed_contains_truth():
 def test_rho_interval_degenerate_range():
     z = HomogeneousPolynomial(2, 2, {})
     with pytest.raises(DegenerateRangeError):
-        rho_interval(z, 2)
+        rho_at(z, 2)
     # constant-on-simplex polynomial is also degenerate
     const = HomogeneousPolynomial(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
     with pytest.raises(DegenerateRangeError):
-        rho_interval(const, 3, RangeAssumptions(elevation=4))
+        rho_at(const, 3, RangeAssumptions(elevation=4))
+
+
+def test_rho_interval_refutes_false_assumptions_on_either_side():
+    # grid maximum 3 at r = 2 lies above the assumed fmax 2 (the vertex grid's maximum)
+    f = HomogeneousPolynomial(3, 2, {
+        (0, 0, 2): 2, (0, 1, 1): 9, (0, 2, 0): 1, (1, 0, 1): 1, (1, 1, 0): -7, (2, 0, 0): -2,
+    })
+    params = RangeAssumptions(assume_min_denominator=3, assume_max_denominator=1)
+    assert range_enclosures(f, params)[1].hi == 2
+    assert grid_extrema(f, 2)[1].value == 3
+    with pytest.raises(ValueError, match="maximizer") as raised:
+        rho_at(f, 2, params)
+    assert not isinstance(raised.value, DegenerateRangeError)
+    # grid minimum -17/32 at r = 16 lies below the assumed fmin -1/2 (the r = 2 grid's minimum)
+    with pytest.raises(ValueError, match="minimizer") as raised:
+        rho_at(strict_gap_poly(), 16, RangeAssumptions(assume_min_denominator=2))
+    assert not isinstance(raised.value, DegenerateRangeError)
+
+
+# --- the enclosure path ------------------------------------------------------------
+
+
+def bernstein_enclosure(f, k):
+    """Bernstein extremes at elevation k, with f sampled on the control net b/(d+k)."""
+    return range_enclosures(f, RangeAssumptions(elevation=k, grid=f.d + k))
+
+
+def test_bernstein_enclosure_elevation_examples():
+    f = HomogeneousPolynomial(2, 2, {(2, 0): 1, (0, 2): 1})
+    enc0, _ = bernstein_enclosure(f, 0)
+    assert enc0.lo == 0
+    enc2, _ = bernstein_enclosure(f, 2)
+    # elevated table min computed by hand: coefficients 1, 1/2, 1/3, 1/2, 1
+    assert enc2.lo == Fraction(1, 3)
+    assert 0 <= enc2.lo <= Fraction(1, 2)
+    assert enc2.contains(Fraction(1, 2))
+
+
+def test_single_monomial_enclosure_brackets_its_coefficient_unelevated():
+    for n, beta, c in [(2, (2, 0), 3), (2, (1, 1), -4), (3, (1, 2, 0), 5)]:
+        f = HomogeneousPolynomial(n, sum(beta), {beta: c})
+        coeff = Fraction(c, multinomial(sum(beta), beta))  # c * beta!/d!
+        lo_enc, hi_enc = bernstein_enclosure(f, 0)
+        assert lo_enc.lo <= coeff <= hi_enc.hi
+
+
+def test_elevation_can_tighten_past_a_raw_coefficient():
+    # For a mixed monomial the raw coefficient c*beta!/d! lies outside the
+    # true value range, so elevated tables legitimately exclude it: the k=0
+    # bracket above does not extend to k >= 1.
+    f = HomogeneousPolynomial(2, 2, {(1, 1): -4})
+    lo_enc, _ = bernstein_enclosure(f, 1)
+    assert lo_enc.lo == Fraction(-4, 3)  # already above c*beta!/d! = -2
+    # still a valid enclosure of the true minimum -1, attained at (1/2, 1/2)
+    assert lo_enc.contains(Fraction(-1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(max_n=3, max_d=3), st.integers(0, 3), st.data())
+def test_range_enclosures_match_an_independent_construction(f, k, data):
+    grid_r, lo_m, hi_m = (data.draw(st.none() | st.integers(1, 6)) for _ in range(3))
+    table = bernstein_table(elevate(f, k))
+
+    def naive(r):
+        (lo, _, _), (hi, _, _) = naive_extremes(f, r, 1)
+        return lo, hi
+
+    inner_min, inner_max = (table.max_coeff, table.min_coeff) if grid_r is None else naive(grid_r)
+    want_min = (table.min_coeff, inner_min) if lo_m is None else (naive(lo_m)[0],) * 2
+    want_max = (inner_max, table.max_coeff) if hi_m is None else (naive(hi_m)[1],) * 2
+    fmin, fmax = range_enclosures(f, RangeAssumptions(
+        elevation=k, grid=grid_r, assume_min_denominator=lo_m, assume_max_denominator=hi_m,
+    ))
+    assert ((fmin.lo, fmin.hi), (fmax.lo, fmax.hi)) == (want_min, want_max)
 
 
 def test_check_bound_equality_witness():

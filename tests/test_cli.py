@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from simplex_grid_opt import bounds, grid
 from simplex_grid_opt.cli import (
     CSV_VERSION_LINE,
     EXIT_CONFIG,
@@ -178,6 +179,74 @@ def test_converge_rho_r_squared_bounded_by_m(capsys):
         r = int(row[header.index("r")])
         rho_hi = Fraction(row[header.index("rho_hi")])
         assert rho_hi * r * r <= 4
+
+
+def test_converge_refutes_a_false_max_assumption(capsys, tmp_path):
+    poly = tmp_path / "false_max.json"
+    poly.write_text(json.dumps({"n": 3, "degree": 2, "terms": [
+        {"alpha": [0, 0, 2], "coef": "2"}, {"alpha": [0, 1, 1], "coef": "9"},
+        {"alpha": [0, 2, 0], "coef": "1"}, {"alpha": [1, 0, 1], "coef": "1"},
+        {"alpha": [1, 1, 0], "coef": "-7"}, {"alpha": [2, 0, 0], "coef": "-2"},
+    ]}))
+    code, out, _ = run(capsys, "grid-max", "--poly", str(poly), "--r", "2")
+    assert code == EXIT_OK and json.loads(out)["value"] == "3"  # above the assumed fmax 2
+    code, out, err = run(
+        capsys, "converge", "--poly", str(poly), "--r-range", "2:2",
+        "--assume-min-denominator", "3", "--assume-max-denominator", "1",
+    )
+    assert code == EXIT_CONFIG
+    assert out == "" and "maximizer denominator is inconsistent" in err
+
+
+@pytest.mark.parametrize(
+    "fault, guard, want",
+    [
+        ((), "2000", EXIT_OK),
+        (("--elevation", "9"), None, EXIT_CONFIG),
+        (("--r-range", "0:3"), None, EXIT_CONFIG),
+        (("--grid", "40"), "2000", EXIT_SIZE_GUARD),
+        (("--r-range", "2:40"), "2000", EXIT_SIZE_GUARD),
+        (("--assume-min-denominator", "40"), "2000", EXIT_SIZE_GUARD),
+    ],
+    ids=["none", "elevation", "r-range", "grid", "r-range-guard", "assumed-guard"],
+)
+def test_converge_exit_codes(capsys, monkeypatch, fault, guard, want):
+    if guard is not None:
+        monkeypatch.setenv("SGO_MAX_GRID", guard)
+    code, out, err = run(capsys, "converge", "--poly", SOS4, "--r-range", "2:5", *fault)
+    assert code == want
+    assert (out == "" and "error" in err) if want else err == ""
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_sweep_and_table_is_computed_once(capsys, monkeypatch):
+    sweeps = count_calls(monkeypatch, grid, "_sweep")
+    tables = count_calls(monkeypatch, bounds, "bernstein_table")
+    cases = [
+        # 11 values of r plus the named grid; one table
+        (("converge", "--r-range", "2:12", "--grid", "6", "--elevation", "2"), 12, 1),
+        # 11 values of r plus the two assumed denominators; both sides pinned, no table
+        (("converge", "--r-range", "2:12",
+          "--assume-min-denominator", "4", "--assume-max-denominator", "1"), 13, 0),
+        (("enclose", "--r", "6", "--elevation", "2"), 1, 1),
+    ]
+    for argv, most_sweeps, want_tables in cases:
+        sweeps.clear()
+        tables.clear()
+        assert run(capsys, *argv, "--poly", SOS4)[0] == EXIT_OK
+        assert len(sweeps) <= most_sweeps, argv
+        assert len(tables) == want_tables, argv
 
 
 def test_verify_small_sweep_passes(capsys):

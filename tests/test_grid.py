@@ -6,35 +6,22 @@ import hypothesis.strategies as st
 
 from simplex_grid_opt import (
     Graph,
-    GridSpec,
     GridTooLargeError,
     HomogeneousPolynomial,
+    RangeAssumptions,
     alpha_lower_bound,
     composition_count,
     compositions,
-    enumerate_grid,
     evaluate,
+    grid_extrema,
     grid_maximize,
     grid_minimize,
     multinomial,
     poly_scale,
     range_enclosures,
 )
-from simplex_grid_opt import grid
-from strats import polynomials, strict_gap_poly, sum_of_squares
-
-
-def test_enumerate_grid_examples():
-    assert len(list(enumerate_grid(GridSpec(3, 4)))) == 15
-    assert list(enumerate_grid(GridSpec(2, 2))) == [(0, 2), (1, 1), (2, 0)]
-    assert list(enumerate_grid(GridSpec(1, 7))) == [(7,)]
-
-
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(0, 3)
-    with pytest.raises(ValueError):
-        GridSpec(2, 0)
+from simplex_grid_opt import bounds, grid
+from strats import naive_extremes, polynomials, strict_gap_poly, sum_of_squares
 
 
 def test_grid_minimize_paper_values():
@@ -105,7 +92,7 @@ def test_minimizer_cap_and_exact_tie_count():
 def test_bruteforce_oracle_equality(f, r):
     # independent route: Fraction evaluation at every grid point
     expected = min(
-        evaluate(f, tuple(Fraction(a, r) for a in alpha)) for alpha in enumerate_grid(GridSpec(f.n, r))
+        evaluate(f, tuple(Fraction(a, r) for a in alpha)) for alpha in compositions(f.n, r)
     )
     assert grid_minimize(f, r).value == expected
 
@@ -137,15 +124,17 @@ def test_parallel_merge_preserves_lex_first_ties():
 def test_max_points_guard():
     with pytest.raises(GridTooLargeError):
         grid_minimize(sum_of_squares(4), 10, max_points=50)
+    with pytest.raises(ValueError):
+        grid_extrema(sum_of_squares(4), 0)
 
 
 def test_range_enclosures_examples():
     f = sum_of_squares(2)
-    lo_enc, hi_enc = range_enclosures(f, 2, elevation=0)
+    lo_enc, hi_enc = range_enclosures(f, RangeAssumptions(elevation=0, grid=2))
     assert (lo_enc.lo, lo_enc.hi) == (0, Fraction(1, 2))
     assert hi_enc.lo <= 1 <= hi_enc.hi
 
-    lo4, _ = range_enclosures(f, 4, elevation=4)
+    lo4, _ = range_enclosures(f, RangeAssumptions(elevation=4, grid=4))
     assert (lo4.lo, lo4.hi) == (Fraction(2, 5), Fraction(1, 2))  # elevated table min is 2/5
     assert lo4.contains(Fraction(1, 2))
     assert lo4.width < Fraction(1, 2)
@@ -154,7 +143,7 @@ def test_range_enclosures_examples():
 @settings(max_examples=25)
 @given(polynomials(max_n=3, max_d=3), st.integers(1, 4), st.integers(0, 3))
 def test_range_enclosures_are_ordered_and_consistent(f, r, k):
-    lo_enc, hi_enc = range_enclosures(f, r, elevation=k)
+    lo_enc, hi_enc = range_enclosures(f, RangeAssumptions(elevation=k, grid=r))
     assert lo_enc.lo <= lo_enc.hi
     assert hi_enc.lo <= hi_enc.hi
     # grid values sit inside the certified global range
@@ -165,25 +154,11 @@ def test_range_enclosures_are_ordered_and_consistent(f, r, k):
 @settings(max_examples=20)
 @given(polynomials(max_n=3, max_d=3), st.integers(1, 4), st.integers(0, 3))
 def test_grid_min_at_least_bernstein_lower_bound(f, r, k):
-    lo_enc, _ = range_enclosures(f, r, elevation=k)
+    lo_enc, _ = range_enclosures(f, RangeAssumptions(elevation=k, grid=r))
     assert grid_minimize(f, r).value >= lo_enc.lo
 
 
 # --- the sweep engine against a naive oracle ------------------------------------
-
-
-def naive_extremes(f, r, cap):
-    """(value, lex-first points up to cap, tie count) of the minimum and maximum,
-    from poly.evaluate at every point of combin.compositions."""
-    values = [
-        (evaluate(f, [Fraction(a, r) for a in alpha]), alpha) for alpha in compositions(f.n, r)
-    ]
-    out = []
-    for pick in (min, max):
-        best = pick(v for v, _ in values)
-        hits = [alpha for v, alpha in values if v == best]
-        out.append((best, tuple(hits[:cap]), len(hits)))
-    return out
 
 
 def power_of_sum(n: int, d: int, c) -> HomogeneousPolynomial:
@@ -221,7 +196,8 @@ def test_engine_matches_naive_oracle(case, cap):
         assert (low.value, low.minimizers, low.tie_count) == (lo, lo_hits, lo_ties)
         assert (high.value, high.minimizers, high.tie_count) == (hi, hi_hits, hi_ties)
         assert low.evaluations == high.evaluations == composition_count(f.n, r)
-    enc_lo, enc_hi = range_enclosures(f, r)
+        assert grid_extrema(f, r, threads=threads, minimizer_cap=cap) == (low, high)
+    enc_lo, enc_hi = range_enclosures(f, RangeAssumptions(grid=r))
     assert (enc_lo.hi, enc_hi.lo) == (lo, hi)
 
 
@@ -296,9 +272,11 @@ def test_single_cpu_runs_without_a_pool(monkeypatch):
 def test_default_guard_refuses_huge_grids_at_once():
     f = sum_of_squares(12)
     assert composition_count(12, 200) > grid.DEFAULT_GRID_GUARD
-    for sweep in (grid_minimize, grid_maximize, range_enclosures):
+    for sweep in (grid_minimize, grid_maximize, grid_extrema):
         with pytest.raises(GridTooLargeError):
             sweep(f, 200)
+    with pytest.raises(GridTooLargeError):
+        range_enclosures(f, RangeAssumptions(grid=200))
     with pytest.raises(GridTooLargeError):
         alpha_lower_bound(Graph.from_edges(12, []), 200)
 
@@ -307,6 +285,6 @@ def test_range_enclosures_checks_guard_before_building_the_table(monkeypatch):
     def fail(_):
         raise AssertionError("Bernstein table built before the guard check")
 
-    monkeypatch.setattr(grid, "bernstein_table", fail)
+    monkeypatch.setattr(bounds, "bernstein_table", fail)
     with pytest.raises(GridTooLargeError):
-        range_enclosures(sum_of_squares(4), 10, elevation=2, max_points=50)
+        range_enclosures(sum_of_squares(4), RangeAssumptions(elevation=2, grid=10), max_points=50)

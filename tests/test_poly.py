@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 
 from simplex_grid_opt import (
     HomogeneousPolynomial,
-    bernstein_enclosure,
     bernstein_table,
     composition_count,
     elevate,
@@ -17,7 +16,6 @@ from simplex_grid_opt import (
     homogenize,
     is_square_free,
     load_polynomial,
-    multinomial,
     poly_add,
     poly_mul,
     poly_scale,
@@ -93,36 +91,6 @@ def test_bernstein_sandwich_on_simplex_points(data):
     x = data.draw(simplex_points(f.n))
     table = bernstein_table(f)
     assert table.min_coeff <= evaluate(f, x) <= table.max_coeff
-
-
-def test_bernstein_enclosure_elevation_examples():
-    f = HomogeneousPolynomial(2, 2, {(2, 0): 1, (0, 2): 1})
-    enc0, _ = bernstein_enclosure(f, 0)
-    assert enc0.lo == 0
-    enc2, _ = bernstein_enclosure(f, 2)
-    # elevated table min computed by hand: coefficients 1, 1/2, 1/3, 1/2, 1
-    assert enc2.lo == Fraction(1, 3)
-    assert 0 <= enc2.lo <= Fraction(1, 2)
-    assert enc2.contains(Fraction(1, 2))
-
-
-def test_single_monomial_enclosure_brackets_its_coefficient_unelevated():
-    for n, beta, c in [(2, (2, 0), 3), (2, (1, 1), -4), (3, (1, 2, 0), 5)]:
-        f = HomogeneousPolynomial(n, sum(beta), {beta: c})
-        coeff = Fraction(c, multinomial(sum(beta), beta))  # c * beta!/d!
-        lo_enc, hi_enc = bernstein_enclosure(f, 0)
-        assert lo_enc.lo <= coeff <= hi_enc.hi
-
-
-def test_elevation_can_tighten_past_a_raw_coefficient():
-    # For a mixed monomial the raw coefficient c*beta!/d! lies outside the
-    # true value range, so elevated tables legitimately exclude it: the k=0
-    # bracket above does not extend to k >= 1.
-    f = HomogeneousPolynomial(2, 2, {(1, 1): -4})
-    lo_enc, _ = bernstein_enclosure(f, 1)
-    assert lo_enc.lo == Fraction(-4, 3)  # already above c*beta!/d! = -2
-    # still a valid enclosure of the true minimum -1, attained at (1/2, 1/2)
-    assert lo_enc.contains(Fraction(-1))
 
 
 @given(polynomials(max_n=3, max_d=3))
