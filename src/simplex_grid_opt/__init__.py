@@ -15,7 +15,7 @@ from .bounds import (
     DegenerateRangeError,
     RangeAssumptions,
     bound_coefficient,
-    check_bound,
+    check_bounds,
     cubic_threshold_reached,
     range_enclosures,
     rho_interval,

@@ -271,7 +271,8 @@ def range_enclosures(
     or to the opposite Bernstein extreme when no grid is named (inner
     endpoint).  Each named denominator is swept once for both sides, before
     the one Bernstein table is built; none is built when both sides are
-    assumed.
+    assumed.  An assumed side is refuted (ValueError) when another grid swept
+    here has a more extreme value.
     """
     lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
     bernstein = lo_m is None or hi_m is None
@@ -292,10 +293,22 @@ def range_enclosures(
         fmin = Enclosure(table.min_coeff, inner_min)
     else:
         fmin = Enclosure(extrema[lo_m][0].value, extrema[lo_m][0].value)
+        lower = [q for q, (low, _) in extrema.items() if low.value < fmin.lo]
+        if lower:
+            raise ValueError(
+                "assumed minimizer denominator is inconsistent: its grid value "
+                f"exceeds the grid minimum at {lower[0]}"
+            )
     if hi_m is None:
         fmax = Enclosure(inner_max, table.max_coeff)
     else:
         fmax = Enclosure(extrema[hi_m][1].value, extrema[hi_m][1].value)
+        higher = [q for q, (_, high) in extrema.items() if high.value > fmax.hi]
+        if higher:
+            raise ValueError(
+                "assumed maximizer denominator is inconsistent: its grid value "
+                f"is below the grid maximum at {higher[0]}"
+            )
     return fmin, fmax
 
 
@@ -358,38 +371,52 @@ class BoundWitness:
     holds: "bool | None"
 
 
-def check_bound(
+def check_bounds(
     f: HomogeneousPolynomial,
-    kind: "BoundKind | str",
-    r: int,
-    m: int,
+    pairs: "Sequence[tuple[int, int]]",
     params: RangeAssumptions = RangeAssumptions(),
     *,
     threads: int = 1,
     max_points: "int | None" = DEFAULT_GRID_GUARD,
-) -> BoundWitness:
-    """Witness the inequality grid_min(r) - grid_min(m) <= coefficient * range."""
-    kind = BoundKind(kind)
-    report = bound_coefficient(kind, d=f.d, r=r, m=m)
-    if report.applicable and kind in SQUARE_FREE_KINDS and not is_square_free(f):
-        report = _not_applicable(kind, f.d, r, m, "polynomial is not square-free")
-    if not report.applicable:
-        return BoundWitness(
-            kind=kind, d=f.d, r=r, m=m, applicable=False, reason=report.reason,
-            lhs=None, coefficient=None, range_bound=None, rhs=None, holds=None,
-        )
-    lhs = (
-        grid_minimize(f, r, threads=threads, max_points=max_points).value
-        - grid_minimize(f, m, threads=threads, max_points=max_points).value
-    )
-    fmin, fmax = range_enclosures(f, params, threads=threads, max_points=max_points)
-    range_bound = fmax.hi - fmin.lo
-    rhs = report.coefficient * range_bound
-    return BoundWitness(
-        kind=kind, d=f.d, r=r, m=m, applicable=True, reason="",
-        lhs=lhs, coefficient=report.coefficient, range_bound=range_bound,
-        rhs=rhs, holds=lhs <= rhs,
-    )
+) -> "list[BoundWitness]":
+    """Witness grid_min(r) - grid_min(m) <= coefficient * range for every kind.
+
+    Returns one witness per (r, m) in pairs and kind in ALL_KINDS, pair by
+    pair.  Each denominator is swept at most once and range_enclosures runs
+    at most once, and only for witnesses whose kind applies.
+    """
+    square_free = is_square_free(f)
+    minima: "dict[int, Fraction]" = {}
+    range_bound: "Fraction | None" = None
+
+    def grid_min(q: int) -> Fraction:
+        if q not in minima:
+            minima[q] = grid_minimize(f, q, threads=threads, max_points=max_points).value
+        return minima[q]
+
+    out = []
+    for r, m in pairs:
+        for kind in ALL_KINDS:
+            report = bound_coefficient(kind, d=f.d, r=r, m=m)
+            if report.applicable and kind in SQUARE_FREE_KINDS and not square_free:
+                report = _not_applicable(kind, f.d, r, m, "polynomial is not square-free")
+            if not report.applicable:
+                out.append(BoundWitness(
+                    kind=kind, d=f.d, r=r, m=m, applicable=False, reason=report.reason,
+                    lhs=None, coefficient=None, range_bound=None, rhs=None, holds=None,
+                ))
+                continue
+            lhs = grid_min(r) - grid_min(m)
+            if range_bound is None:
+                fmin, fmax = range_enclosures(f, params, threads=threads, max_points=max_points)
+                range_bound = fmax.hi - fmin.lo
+            rhs = report.coefficient * range_bound
+            out.append(BoundWitness(
+                kind=kind, d=f.d, r=r, m=m, applicable=True, reason="",
+                lhs=lhs, coefficient=report.coefficient, range_bound=range_bound,
+                rhs=rhs, holds=lhs <= rhs,
+            ))
+    return out
 
 
 def bound_table(

@@ -272,6 +272,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    for option in ("samples", "witness_polys", "max_k", "max_r"):
+        if getattr(args, option) < 0:
+            raise ValueError(f"--{option.replace('_', '-')} must be nonnegative")
     checks = []
     if args.max_n >= 1 and args.max_d >= 1 and args.max_m >= 1:
         checks = ident_mod.run_default_sweeps(
@@ -322,17 +325,13 @@ def _bound_witnesses(args: argparse.Namespace) -> "list[bounds_mod.BoundWitness]
     if min(args.max_n, args.max_d, args.max_m) < 1:
         return []
     rng = random.Random(args.seed)
+    pairs = [(r, m) for m in range(1, min(5, args.max_m) + 1) for r in range(1, m + 1)]
     out = []
     for _ in range(args.witness_polys):
         n = rng.randint(1, min(3, args.max_n))
         d = rng.randint(1, min(3, args.max_d))
         f = random_polynomial(rng, n, d)
-        for m in range(1, min(5, args.max_m) + 1):
-            for r in range(1, m + 1):
-                for kind in bounds_mod.ALL_KINDS:
-                    witness = bounds_mod.check_bound(f, kind, r, m)
-                    if witness.applicable:
-                        out.append(witness)
+        out += [w for w in bounds_mod.check_bounds(f, pairs) if w.applicable]
     return out
 
 

@@ -69,37 +69,48 @@ def pmf(p: HypergeomParams, alpha: Sequence[int]) -> Fraction:
     return Fraction(num, binomial(p.m, p.r))
 
 
+def _moment_terms(p: HypergeomParams, beta: "tuple[int, ...]") -> "tuple[int, int]":
+    """(numerator, denominator) of E[prod Y_i^beta_i]; see moment."""
+    if len(beta) != p.n:
+        raise ValueError(f"moment index has {len(beta)} entries, expected {p.n}")
+    if any(b < 0 for b in beta):
+        raise ValueError(f"negative entry in {beta}")
+    top = min(sum(beta), p.r)
+    # rows[i][a] = falling(counts_i, a) * S(beta_i, a)
+    rows = [
+        [falling(mi, a) * stirling2(bi, a) for a in range(bi + 1)]
+        for mi, bi in zip(p.counts, beta)
+    ]
+    total = 0
+    for alpha in product(*(range(b + 1) for b in beta)):
+        k = sum(alpha)
+        if k > top:
+            continue
+        num = falling(p.r, k) * falling(p.m - k, top - k)
+        for row, ai in zip(rows, alpha):
+            num *= row[ai]
+        total += num
+    return total, falling(p.m, top)
+
+
 def moment(p: HypergeomParams, beta: Sequence[int]) -> Fraction:
     """Raw moment E[prod Y_i^beta_i] via the Stirling-number expansion.
 
     Sums falling(r,|a|)/falling(m,|a|) * prod falling(counts_i, a_i) * S(beta_i, a_i)
     over all a <= beta componentwise.  Terms with |a| > r vanish because
     falling(r, |a|) = 0, and |a| <= r <= m keeps every denominator nonzero,
-    so zero color counts need no special casing.
+    so zero color counts need no special casing.  The sum is accumulated in
+    integers over the common denominator falling(m, K), K = min(|beta|, r):
+    falling(m, K)/falling(m, |a|) = falling(m - |a|, K - |a|) for |a| <= K.
     """
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != p.n:
-        raise ValueError(f"moment index has {len(beta)} entries, expected {p.n}")
-    if any(b < 0 for b in beta):
-        raise ValueError(f"negative entry in {beta}")
-    total = Fraction(0)
-    for alpha in product(*(range(b + 1) for b in beta)):
-        k = sum(alpha)
-        if k > p.r:
-            continue
-        num = falling(p.r, k)
-        for mi, ai, bi in zip(p.counts, alpha, beta):
-            num *= falling(mi, ai) * stirling2(bi, ai)
-            if num == 0:
-                break
-        if num:
-            total += Fraction(num, falling(p.m, k))
-    return total
+    return Fraction(*_moment_terms(p, tuple(int(b) for b in beta)))
 
 
 def scaled_moment(p: HypergeomParams, beta: Sequence[int]) -> Fraction:
     """Raw moment E[prod X_i^beta_i] of the grid point X = Y/r."""
-    return moment(p, beta) / Fraction(p.r) ** sum(beta)
+    beta = tuple(int(b) for b in beta)
+    num, den = _moment_terms(p, beta)
+    return Fraction(num, den * p.r ** sum(beta))
 
 
 def moment_bruteforce(

@@ -6,6 +6,19 @@ the nonnegative correction term A_beta appearing in the moment decomposition
 E[X^beta] = (counts/m)^beta * (r falling d)(m^d) / (r^d)(m falling d) + A_beta / (r^d (m falling d)),
 whose multinomial-weighted sum collapses to r^d*(m falling d) - (r falling d)*m^d.
 
+A_beta is computed grouped by |alpha|.  With d = |beta| and
+
+  c_k(beta, counts) = sum over alpha <= beta, |alpha| = k of
+                      prod falling(counts_i, alpha_i) * S(beta_i, alpha_i),
+
+built by convolving one short row per coordinate,
+
+  A_beta = sum_k c_k * (r falling k) * falling(m - k, d - k) - (r falling d) * prod counts_i^beta_i.
+
+Only the falling factorials of r depend on r, so the sweeps build the
+coefficients of A_beta in the falling-factorial basis of r once per
+(counts, beta) and reuse them for every r.
+
 Sweeps are bounded by explicit caps so they can run exhaustively in CI.
 """
 
@@ -15,7 +28,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate
+from math import prod
+from operator import mul
 from typing import Sequence
 
 from .combin import (
@@ -70,15 +85,52 @@ def _check(name: IdentityName, relation: str, lhs, rhs, **params) -> IdentityChe
     )
 
 
+def _falling_row(x: int, d: int) -> "list[int]":
+    """[falling(x, 0), falling(x, 1), ..., falling(x, d)]."""
+    return list(accumulate(range(x, x - d, -1), mul, initial=1))
+
+
+def _a_beta_coeffs(beta: "tuple[int, ...]", m: int, counts: "tuple[int, ...]") -> "list[int]":
+    """a_0..a_d with A_beta = sum_k a_k * (r falling k) for every 1 <= r <= m.
+
+    a_k = c_k * falling(m - k, d - k) for k < d.  The only alpha <= beta with
+    |alpha| = d is beta itself, so c_d = prod falling(counts_i, beta_i) and
+    a_d = c_d - prod counts_i^beta_i.
+    """
+    c = [1]
+    for mi, bi in zip(counts, beta):
+        if bi == 0:
+            continue
+        row = [falling(mi, a) * stirling2(bi, a) for a in range(bi + 1)]
+        nxt = [0] * (len(c) + bi)
+        for j, cj in enumerate(c):
+            for a, ra in enumerate(row):
+                nxt[j + a] += cj * ra
+        c = nxt
+    d = len(c) - 1
+    coeffs = [ck * falling(m - k, d - k) for k, ck in enumerate(c)]
+    coeffs[d] -= prod(map(pow, counts, beta))
+    return coeffs
+
+
+def _a_beta_at(coeffs: "list[int]", falls: "list[int]") -> int:
+    """sum_k coeffs[k] * falls[k]: A_beta at the r whose falling row is falls."""
+    return sum(map(mul, coeffs, falls))
+
+
 def a_beta(beta: Sequence[int], r: int, m: int, counts: Sequence[int]) -> int:
     """The correction term of the moment decomposition; nonnegative by theory.
 
-    A_beta = (r falling d) * (prod falling(counts_i, beta_i) - prod counts_i^beta_i)
-           + sum over a <= beta, a != beta of
-             (r falling |a|) * falling(m - |a|, d - |a|) * prod falling(counts_i, a_i) * S(beta_i, a_i)
+    Grouped by k = |alpha| over alpha <= beta, with d = |beta|:
 
-    using that (m falling d)/(m falling |a|) = falling(m - |a|, d - |a|) is an
-    integer for |a| <= d <= m, so the whole quantity is integer-valued.
+      A_beta = sum_k c_k * (r falling k) * falling(m - k, d - k)
+               - (r falling d) * prod counts_i^beta_i,
+      c_k    = sum over |alpha| = k of prod falling(counts_i, alpha_i) * S(beta_i, alpha_i).
+
+    The alpha = beta term (k = d) carries the (r falling d) * prod
+    falling(counts_i, beta_i) part.  falling(m - k, d - k) is
+    (m falling d)/(m falling k), an integer for k <= d <= m, so the whole
+    quantity is integer-valued.
     """
     beta = tuple(int(b) for b in beta)
     counts = tuple(int(c) for c in counts)
@@ -95,47 +147,35 @@ def a_beta(beta: Sequence[int], r: int, m: int, counts: Sequence[int]) -> int:
         raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
     if m < d:
         raise ValueError(f"need m >= total degree, got m={m}, degree={d}")
+    return _a_beta_at(_a_beta_coeffs(beta, m, counts), _falling_row(r, d))
 
-    prod_falling = 1
-    prod_power = 1
-    for mi, bi in zip(counts, beta):
-        prod_falling *= falling(mi, bi)
-        prod_power *= mi**bi
-    total = falling(r, d) * (prod_falling - prod_power)
-    for alpha in product(*(range(b + 1) for b in beta)):
-        if alpha == beta:
-            continue
-        k = sum(alpha)
-        term = falling(r, k) * falling(m - k, d - k)
-        for mi, ai, bi in zip(counts, alpha, beta):
-            term *= falling(mi, ai) * stirling2(bi, ai)
-            if term == 0:
-                break
-        total += term
-    return total
+
+def _a_beta_sum_check(
+    r: int, m: int, d: int, counts: "tuple[int, ...]", lhs: int
+) -> IdentityCheck:
+    """A_BETA_SUM with lhs = sum over I(n, d) of (d!/beta!) A_beta."""
+    rhs = r**d * falling(m, d) - falling(r, d) * m**d
+    return _check(IdentityName.A_BETA_SUM, "eq", lhs, rhs, n=len(counts), d=d, r=r, m=m, counts=counts)
 
 
 def a_beta_sum_identity(r: int, m: int, d: int, counts: Sequence[int]) -> IdentityCheck:
     """sum over beta in I(n,d) of (d!/beta!) A_beta == r^d (m falling d) - (r falling d) m^d."""
     counts = tuple(int(c) for c in counts)
-    lhs = 0
-    for beta in compositions(len(counts), d):
-        lhs += multinomial(d, beta) * a_beta(beta, r, m, counts)
-    rhs = r**d * falling(m, d) - falling(r, d) * m**d
-    return _check(IdentityName.A_BETA_SUM, "eq", lhs, rhs, n=len(counts), d=d, r=r, m=m, counts=counts)
-
-
-def moment_decomposition_check(p: HypergeomParams, beta: Sequence[int]) -> IdentityCheck:
-    """E[X^beta] must equal (counts/m)^beta * scaling + A_beta correction, exactly."""
-    beta = tuple(int(b) for b in beta)
-    d = sum(beta)
-    point_power = Fraction(1)
-    for mi, bi in zip(p.counts, beta):
-        point_power *= Fraction(mi, p.m) ** bi
-    scale = Fraction(falling(p.r, d) * p.m**d, p.r**d * falling(p.m, d))
-    rhs = point_power * scale + Fraction(
-        a_beta(beta, p.r, p.m, p.counts), p.r**d * falling(p.m, d)
+    lhs = sum(
+        multinomial(d, beta) * a_beta(beta, r, m, counts) for beta in compositions(len(counts), d)
     )
+    return _a_beta_sum_check(r, m, d, counts, lhs)
+
+
+def _moment_decomposition(p: HypergeomParams, beta: "tuple[int, ...]", a_value: int) -> IdentityCheck:
+    """Compare scaled_moment with the point term plus A_beta, both over r^d (m falling d).
+
+    The point term (counts/m)^beta * (r falling d) m^d is
+    prod counts_i^beta_i * (r falling d).
+    """
+    d = sum(beta)
+    point = prod(map(pow, p.counts, beta)) * falling(p.r, d)
+    rhs = Fraction(point + a_value, p.r**d * falling(p.m, d))
     lhs = scaled_moment(p, beta)
     return _check(
         IdentityName.MOMENT_DECOMPOSITION,
@@ -147,6 +187,12 @@ def moment_decomposition_check(p: HypergeomParams, beta: Sequence[int]) -> Ident
         r=p.r,
         beta=beta,
     )
+
+
+def moment_decomposition_check(p: HypergeomParams, beta: Sequence[int]) -> IdentityCheck:
+    """E[X^beta] must equal (counts/m)^beta * scaling + A_beta correction, exactly."""
+    beta = tuple(int(b) for b in beta)
+    return _moment_decomposition(p, beta, a_beta(beta, p.r, p.m, p.counts))
 
 
 def verify_identity(name: "IdentityName | str", **params) -> IdentityCheck:
@@ -335,20 +381,26 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "list[Identi
     For each n <= max_n, degree d <= max_d, m between d and max_m, every
     composition of m into n color counts, and every 1 <= r <= m: all A_beta
     over I(n, d) must be nonnegative (reported as one aggregated check via
-    their minimum) and their weighted sum must match the closed form.
+    their minimum) and their weighted sum must match the closed form.  Both
+    checks read the same A_beta values, whose coefficients in r are built
+    once per (counts, beta).
     """
     out = []
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
+            betas = list(compositions(n, d))
+            multis = [multinomial(d, beta) for beta in betas]
             for m in range(d, max_m + 1):
                 for counts in compositions(n, m):
+                    table = [_a_beta_coeffs(beta, m, counts) for beta in betas]
                     for r in range(1, m + 1):
-                        worst = min(a_beta(beta, r, m, counts) for beta in compositions(n, d))
+                        falls = _falling_row(r, d)
+                        values = [_a_beta_at(coeffs, falls) for coeffs in table]
                         out.append(
                             _check(
                                 IdentityName.A_BETA_NONNEG,
                                 "ge",
-                                worst,
+                                min(values),
                                 0,
                                 n=n,
                                 d=d,
@@ -357,7 +409,8 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "list[Identi
                                 counts=counts,
                             )
                         )
-                        out.append(a_beta_sum_identity(r, m, d, counts))
+                        lhs = sum(map(mul, multis, values))
+                        out.append(_a_beta_sum_check(r, m, d, counts, lhs))
     return out
 
 
@@ -367,12 +420,15 @@ def sweep_moment_decomposition(
     out = []
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
+            betas = list(compositions(n, d))
             for m in range(d, max_m + 1):
                 for counts in compositions(n, m):
+                    table = [_a_beta_coeffs(beta, m, counts) for beta in betas]
                     for r in range(1, m + 1):
                         p = HypergeomParams(m=m, counts=counts, r=r)
-                        for beta in compositions(n, d):
-                            out.append(moment_decomposition_check(p, beta))
+                        falls = _falling_row(r, d)
+                        for beta, coeffs in zip(betas, table):
+                            out.append(_moment_decomposition(p, beta, _a_beta_at(coeffs, falls)))
     return out
 
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import hypothesis.strategies as st
 
-from simplex_grid_opt import Graph, HomogeneousPolynomial, compositions, evaluate
+from simplex_grid_opt import Graph, HomogeneousPolynomial, compositions, evaluate, falling, stirling2
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -82,3 +83,28 @@ def naive_extremes(f, r, cap):
         hits = [alpha for v, alpha in values if v == best]
         out.append((best, tuple(hits[:cap]), len(hits)))
     return out
+
+
+def naive_a_beta(beta, r, m, counts):
+    """A_beta term by term over every alpha <= beta:
+
+    (r falling d) * (prod falling(counts_i, beta_i) - prod counts_i^beta_i)
+    + sum over alpha != beta of (r falling |alpha|) * falling(m - |alpha|, d - |alpha|)
+      * prod falling(counts_i, alpha_i) * S(beta_i, alpha_i).
+    """
+    d = sum(beta)
+    prod_falling = 1
+    prod_power = 1
+    for mi, bi in zip(counts, beta):
+        prod_falling *= falling(mi, bi)
+        prod_power *= mi**bi
+    total = falling(r, d) * (prod_falling - prod_power)
+    for alpha in product(*(range(b + 1) for b in beta)):
+        if alpha == tuple(beta):
+            continue
+        k = sum(alpha)
+        term = falling(r, k) * falling(m - k, d - k)
+        for mi, ai, bi in zip(counts, alpha, beta):
+            term *= falling(mi, ai) * stirling2(bi, ai)
+        total += term
+    return total

@@ -13,7 +13,7 @@ from simplex_grid_opt import (
     RangeAssumptions,
     bernstein_table,
     bound_coefficient,
-    check_bound,
+    check_bounds,
     cubic_threshold_reached,
     elevate,
     grid_extrema,
@@ -179,7 +179,7 @@ def test_rho_interval_refutes_false_assumptions_on_either_side():
     f = HomogeneousPolynomial(3, 2, {
         (0, 0, 2): 2, (0, 1, 1): 9, (0, 2, 0): 1, (1, 0, 1): 1, (1, 1, 0): -7, (2, 0, 0): -2,
     })
-    params = RangeAssumptions(assume_min_denominator=3, assume_max_denominator=1)
+    params = RangeAssumptions(assume_max_denominator=1)
     assert range_enclosures(f, params)[1].hi == 2
     assert grid_extrema(f, 2)[1].value == 3
     with pytest.raises(ValueError, match="maximizer") as raised:
@@ -189,6 +189,27 @@ def test_rho_interval_refutes_false_assumptions_on_either_side():
     with pytest.raises(ValueError, match="minimizer") as raised:
         rho_at(strict_gap_poly(), 16, RangeAssumptions(assume_min_denominator=2))
     assert not isinstance(raised.value, DegenerateRangeError)
+
+
+def test_range_enclosures_refute_an_assumption_with_another_swept_grid():
+    gap = strict_gap_poly()  # simplex minimum -17/32; the r = 2 grid's minimum is -1/2
+    assert range_enclosures(gap, RangeAssumptions(assume_min_denominator=2))[0].lo == Fraction(-1, 2)
+    with pytest.raises(ValueError, match="minimizer denominator is inconsistent") as raised:
+        range_enclosures(gap, RangeAssumptions(grid=16, assume_min_denominator=2))
+    assert not isinstance(raised.value, DegenerateRangeError)
+    neg = HomogeneousPolynomial(2, 2, {alpha: -c for alpha, c in gap.coeffs.items()})
+    with pytest.raises(ValueError, match="maximizer denominator is inconsistent"):
+        range_enclosures(neg, RangeAssumptions(grid=16, assume_max_denominator=2))
+    # with both sides assumed the two assumed grids check each other: the grid
+    # at 3 has a maximum above the vertex grid's 2
+    f = HomogeneousPolynomial(3, 2, {
+        (0, 0, 2): 2, (0, 1, 1): 9, (0, 2, 0): 1, (1, 0, 1): 1, (1, 1, 0): -7, (2, 0, 0): -2,
+    })
+    with pytest.raises(ValueError, match="maximizer denominator is inconsistent"):
+        range_enclosures(f, RangeAssumptions(assume_min_denominator=3, assume_max_denominator=1))
+    # a true assumption survives the named grid
+    fmin, _ = range_enclosures(gap, RangeAssumptions(grid=2, assume_min_denominator=16))
+    assert fmin.lo == fmin.hi == Fraction(-17, 32)
 
 
 # --- the enclosure path ------------------------------------------------------------
@@ -242,15 +263,33 @@ def test_range_enclosures_match_an_independent_construction(f, k, data):
     inner_min, inner_max = (table.max_coeff, table.min_coeff) if grid_r is None else naive(grid_r)
     want_min = (table.min_coeff, inner_min) if lo_m is None else (naive(lo_m)[0],) * 2
     want_max = (inner_max, table.max_coeff) if hi_m is None else (naive(hi_m)[1],) * 2
-    fmin, fmax = range_enclosures(f, RangeAssumptions(
+    params = RangeAssumptions(
         elevation=k, grid=grid_r, assume_min_denominator=lo_m, assume_max_denominator=hi_m,
-    ))
+    )
+    # the grid is swept only for an unassumed side; a swept grid beyond an assumed side refutes it
+    swept = {q for q in (lo_m, hi_m) if q is not None}
+    if grid_r is not None and None in (lo_m, hi_m):
+        swept.add(grid_r)
+    refuted = (lo_m is not None and min(naive(q)[0] for q in swept) < want_min[0]) or (
+        hi_m is not None and max(naive(q)[1] for q in swept) > want_max[1]
+    )
+    if refuted:
+        with pytest.raises(ValueError, match="inconsistent"):
+            range_enclosures(f, params)
+        return
+    fmin, fmax = range_enclosures(f, params)
     assert ((fmin.lo, fmin.hi), (fmax.lo, fmax.hi)) == (want_min, want_max)
+
+
+def witness_for(f, kind, r, m, params=RangeAssumptions()):
+    """The one witness of `kind` at (r, m) among those check_bounds returns."""
+    (witness,) = [w for w in check_bounds(f, [(r, m)], params) if w.kind.value == kind]
+    return witness
 
 
 def test_check_bound_equality_witness():
     f = sum_of_squares(4)
-    witness = check_bound(
+    witness = witness_for(
         f, "QUAD_REFINED", 2, 4, RangeAssumptions(assume_min_denominator=4, assume_max_denominator=1)
     )
     assert witness.lhs == Fraction(1, 4)
@@ -260,22 +299,21 @@ def test_check_bound_equality_witness():
 
 def test_check_bound_gap_example():
     gap = strict_gap_poly()
-    witness = check_bound(gap, "QUAD_DENOM", 2, 16)
+    witness = witness_for(gap, "QUAD_DENOM", 2, 16)
     assert witness.lhs == Fraction(-1, 2) - Fraction(-17, 32) == Fraction(1, 32)
     assert witness.holds
 
 
 def test_check_bound_r_equals_m_is_trivially_sound():
     gap = strict_gap_poly()
-    for kind in ALL_KINDS:
-        witness = check_bound(gap, kind, 3, 3)
+    for witness in check_bounds(gap, [(3, 3)]):
         if witness.applicable:
             assert witness.lhs == 0
             assert witness.holds
 
 
 def test_check_bound_skips_square_free_kinds_for_squares():
-    witness = check_bound(sum_of_squares(3), "SQFREE_KLS", 2, 4)
+    witness = witness_for(sum_of_squares(3), "SQFREE_KLS", 2, 4)
     assert not witness.applicable
     assert "square-free" in witness.reason
 
@@ -287,7 +325,6 @@ def test_check_bound_sound_on_random_polynomials(seed, r, m):
     n = rng.randint(1, 3)
     d = rng.randint(1, 3)
     f = random_polynomial(rng, n, d)
-    for kind in ALL_KINDS:
-        witness = check_bound(f, kind, r, m)
+    for witness in check_bounds(f, [(r, m)]):
         if witness.applicable:
-            assert witness.holds, (kind, f.coeffs, r, m)
+            assert witness.holds, (witness.kind, f.coeffs, r, m)

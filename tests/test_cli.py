@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -198,6 +199,22 @@ def test_converge_refutes_a_false_max_assumption(capsys, tmp_path):
     assert out == "" and "maximizer denominator is inconsistent" in err
 
 
+@pytest.mark.parametrize("sign, side", [(1, "min"), (-1, "max")], ids=["min", "max"])
+def test_converge_refutes_an_assumption_with_the_named_grid(capsys, tmp_path, sign, side):
+    # ±(2x1^2 + x2^2 - 5x1x2): the r = 2 grid's extremum ∓1/2 is not the simplex
+    # extremum ∓17/32, which the named grid 16 reaches; r = 2, 3 alone cannot tell
+    poly = tmp_path / "gap.json"
+    poly.write_text(json.dumps({"n": 2, "degree": 2, "terms": [
+        {"alpha": [2, 0], "coef": str(2 * sign)}, {"alpha": [0, 2], "coef": str(sign)},
+        {"alpha": [1, 1], "coef": str(-5 * sign)},
+    ]}))
+    argv = ("converge", "--poly", str(poly), "--r-range", "2:3")
+    assert run(capsys, *argv, f"--assume-{side}-denominator", "2")[0] == EXIT_OK
+    code, out, err = run(capsys, *argv, "--grid", "16", f"--assume-{side}-denominator", "2")
+    assert code == EXIT_CONFIG
+    assert out == "" and f"{side}imizer denominator is inconsistent" in err
+
+
 @pytest.mark.parametrize(
     "fault, guard, want",
     [
@@ -276,6 +293,39 @@ def test_verify_empty_sweep_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "0", "--witness-polys", "0")
     assert code == EXIT_CONFIG
     assert "no checks run" in err
+
+
+@pytest.mark.parametrize("option", ["--samples", "--witness-polys", "--max-k", "--max-r"])
+def test_verify_rejects_negative_sizes(capsys, option):
+    code, out, err = run(capsys, "verify", "--max-m", "3", "--max-d", "2", option, "-5")
+    assert code == EXIT_CONFIG
+    assert out == "" and f"{option} must be nonnegative" in err
+
+
+# SHA-256 of the stdout of `sgo verify --seed 1 --max-m 5 --max-d 3`, recorded
+# before A_beta was grouped by |alpha|, moments were accumulated in integers
+# and the bound witnesses were swept once per polynomial
+VERIFY_DIGESTS = {
+    "json": "deccf9c959620df8953b520c8fe0a8c72b1791614b7a20e2d535e531e29d2ae8",
+    "csv": "f6c42e0477581d7d28719cfddd09e8ddffa2785d54c154e05233c26f5d7c4fed",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_DIGESTS))
+def test_verify_output_bytes_are_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "verify", "--seed", "1", "--max-m", "5", "--max-d", "3",
+                       "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[fmt]
+
+
+def test_verify_sweeps_each_witness_grid_once(capsys, monkeypatch):
+    sweeps = count_calls(monkeypatch, grid, "_sweep")
+    tables = count_calls(monkeypatch, bounds, "bernstein_table")
+    assert run(capsys, "verify")[0] == EXIT_OK
+    # 8 witness polynomials, each swept at denominators 1..5 and enclosed once
+    assert len(sweeps) <= 40
+    assert len(tables) <= 8
 
 
 def test_stable_set_petersen(capsys):

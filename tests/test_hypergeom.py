@@ -127,6 +127,18 @@ def test_scaled_moment_matches_bruteforce(p, data):
     assert scaled_moment(p, tuple(beta)) == scaled_moment_bruteforce(p, tuple(beta))
 
 
+def test_moment_matches_bruteforce_exhaustively_small():
+    # covers r < |beta|, where the common denominator is falling(m, r)
+    for n in range(1, 4):
+        for m in range(1, 6):
+            for counts in compositions(n, m):
+                for r in range(1, m + 1):
+                    p = HypergeomParams(m=m, counts=counts, r=r)
+                    for d in range(0, 5):
+                        for beta in compositions(n, d):
+                            assert moment(p, beta) == moment_bruteforce(p, beta), (p, beta)
+
+
 def test_moment_at_full_draw_is_deterministic():
     p = HypergeomParams(m=6, counts=(1, 2, 3), r=6)
     for beta in ((2, 0, 0), (1, 1, 1), (0, 3, 1)):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from simplex_grid_opt import (
     HypergeomParams,
@@ -15,6 +17,7 @@ from simplex_grid_opt import (
     stirling2,
     verify_identity,
 )
+from strats import naive_a_beta
 from simplex_grid_opt.identities import (
     run_default_sweeps,
     sweep_a_beta,
@@ -185,3 +188,53 @@ def test_a_beta_nonneg_exhaustive_small():
         r = rng.randint(1, m)
         for beta in compositions(n, d):
             assert a_beta(beta, r, m, counts) >= 0
+
+
+def test_grouped_a_beta_equals_term_by_term_exhaustively():
+    cases = 0
+    for n in range(1, 4):
+        for d in range(1, 5):
+            betas = list(compositions(n, d))
+            for m in range(d, 7):
+                for counts in compositions(n, m):
+                    for r in range(1, m + 1):
+                        for beta in betas:
+                            assert a_beta(beta, r, m, counts) == naive_a_beta(beta, r, m, counts)
+                            cases += 1
+    assert cases > 10_000
+
+
+@st.composite
+def urns_and_betas(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(d, 8))
+    # compositions of m including zero counts
+    cuts = sorted(draw(st.lists(st.integers(0, m), min_size=n - 1, max_size=n - 1)))
+    counts = tuple(b - a for a, b in zip([0, *cuts], [*cuts, m]))
+    betas = list(compositions(n, d))
+    beta = betas[draw(st.integers(0, len(betas) - 1))]
+    return beta, draw(st.integers(1, m)), m, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(urns_and_betas())
+def test_grouped_a_beta_equals_term_by_term(case):
+    beta, r, m, counts = case
+    assert a_beta(beta, r, m, counts) == naive_a_beta(beta, r, m, counts)
+
+
+def test_sweeps_report_the_a_beta_values_of_the_public_function():
+    # every A_BETA_NONNEG minimum and A_BETA_SUM lhs is the one a_beta gives
+    checks = sweep_a_beta(max_n=2, max_d=3, max_m=5)
+    for nonneg, total in zip(checks[::2], checks[1::2]):
+        params = dict(nonneg.params)
+        assert dict(total.params) == params
+        n, d, r, m, counts = (params[key] for key in ("n", "d", "r", "m", "counts"))
+        values = [a_beta(beta, r, m, counts) for beta in compositions(n, d)]
+        assert nonneg.lhs == min(values)
+        assert total.lhs == a_beta_sum_identity(r, m, d, counts).lhs
+    for check in sweep_moment_decomposition(max_n=2, max_d=3, max_m=5):
+        params = dict(check.params)
+        p = HypergeomParams(m=params["m"], counts=params["counts"], r=params["r"])
+        assert check == moment_decomposition_check(p, params["beta"])
