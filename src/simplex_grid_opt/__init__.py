@@ -74,7 +74,7 @@ from .poly import (
     random_polynomial,
     to_json_dict,
 )
-from .rational import Enclosure, Rational, as_rational, decimal_str, fraction_str
+from .rational import Enclosure, as_rational, decimal_str, fraction_str
 from .stableset import (
     Graph,
     StableSetBound,

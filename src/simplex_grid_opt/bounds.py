@@ -76,9 +76,6 @@ M_DEPENDENT_KINDS = frozenset(
     }
 )
 
-# kinds proved by passing through the grid at denominator km, so valid for r > m
-KM_CHAIN_KINDS = frozenset({BoundKind.QUAD_DENOM, BoundKind.CUBIC_RHO, BoundKind.GENERAL_RHO})
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -375,9 +372,6 @@ def check_bounds(
     f: HomogeneousPolynomial,
     pairs: "Sequence[tuple[int, int]]",
     params: RangeAssumptions = RangeAssumptions(),
-    *,
-    threads: int = 1,
-    max_points: "int | None" = DEFAULT_GRID_GUARD,
 ) -> "list[BoundWitness]":
     """Witness grid_min(r) - grid_min(m) <= coefficient * range for every kind.
 
@@ -391,7 +385,7 @@ def check_bounds(
 
     def grid_min(q: int) -> Fraction:
         if q not in minima:
-            minima[q] = grid_minimize(f, q, threads=threads, max_points=max_points).value
+            minima[q] = grid_minimize(f, q).value
         return minima[q]
 
     out = []
@@ -408,7 +402,7 @@ def check_bounds(
                 continue
             lhs = grid_min(r) - grid_min(m)
             if range_bound is None:
-                fmin, fmax = range_enclosures(f, params, threads=threads, max_points=max_points)
+                fmin, fmax = range_enclosures(f, params)
                 range_bound = fmax.hi - fmin.lo
             rhs = report.coefficient * range_bound
             out.append(BoundWitness(

@@ -2,8 +2,14 @@
 
 Verbs: grid-min, grid-max, expect, bounds, converge, verify, stable-set,
 enclose.  Exact values are printed as reduced fractions; decimal renderings
-are advisory (20 significant digits, round-half-even).  CSV output starts
-with the version comment line "# simplex-grid-opt v1".
+are advisory (20 significant digits, round-half-even).  Every verb prints one
+JSON document, or CSV that starts with the version comment line
+"# simplex-grid-opt v1".
+
+The verbs that sweep a grid (grid-min, grid-max, converge, enclose,
+stable-set) take --threads and --force; expect takes --force, which its
+--bernstein sum over the grid obeys.  The grid size guard is 10^8 points,
+or SGO_MAX_GRID when set.
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  Output is byte-identical for any
@@ -18,7 +24,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -32,7 +37,7 @@ from .grid import (
 )
 from .hypergeom import HypergeomParams, bernstein_approximation, expectation
 from .poly import HomogeneousPolynomial, load_polynomial, random_polynomial
-from .rational import as_rational, decimal_str, fraction_str
+from .rational import Enclosure, as_rational, decimal_str, fraction_str
 from .stableset import alpha_lower_bound, load_graph
 
 CSV_VERSION_LINE = "# simplex-grid-opt v1"
@@ -44,20 +49,8 @@ EXIT_SIZE_GUARD = 3
 EXIT_VERIFY_FAILED = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared, resolved options for one CLI invocation."""
-
-    verb: str
-    fmt: str
-    threads: int
-    guard: "int | None"  # None disables the grid size guard
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        raise ValueError("--threads must be at least 1")
+def _grid_guard(args: argparse.Namespace) -> "int | None":
+    """The grid point budget: SGO_MAX_GRID or 10^8, and None (no guard) under --force."""
     guard: "int | None" = DEFAULT_GRID_GUARD
     env = os.environ.get("SGO_MAX_GRID")
     if env is not None:
@@ -65,10 +58,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             guard = int(env)
         except ValueError as exc:
             raise ValueError(f"SGO_MAX_GRID must be an integer, got {env!r}") from exc
-    if getattr(args, "force", False):
-        guard = None
-    return RunConfig(verb=args.verb, fmt=getattr(args, "format", "json"),
-                     threads=threads, guard=guard)
+    return None if args.force else guard
 
 
 # --- small parsers -------------------------------------------------------------
@@ -97,23 +87,16 @@ def _parse_counts(text: str) -> "tuple[int, ...]":
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_point(text: str) -> "tuple[Fraction, ...]":
-    return tuple(as_rational(tok) for tok in text.split(","))
-
-
-def _point_str(alpha: "tuple[int, ...]", r: int) -> str:
-    return ",".join(str(Fraction(a, r)) for a in alpha)
-
-
 def _load_poly(args: argparse.Namespace) -> HomogeneousPolynomial:
-    return load_polynomial(args.poly, homogenize_terms=getattr(args, "homogenize", False))
+    return load_polynomial(args.poly, homogenize_terms=args.homogenize)
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def _emit_csv(header: "list[str]", rows: "list[list]", *, decimal_note: bool = False) -> None:
+def _emit(args: argparse.Namespace, obj, header: "list[str]", rows: "list[list]", *,
+          decimal_note: bool = False) -> None:
+    """Print obj as indented JSON, or header and rows as versioned CSV (--format)."""
+    if args.format == "json":
+        print(json.dumps(obj, indent=2))
+        return
     print(CSV_VERSION_LINE)
     if decimal_note:
         print(CSV_DECIMAL_NOTE)
@@ -122,41 +105,42 @@ def _emit_csv(header: "list[str]", rows: "list[list]", *, decimal_note: bool = F
     writer.writerows(rows)
 
 
+def _emit_record(args: argparse.Namespace, obj: dict, *, omit: "tuple[str, ...]" = ()) -> None:
+    """One-record output: the CSV row is obj without "command" and omit, lists joined by ';'."""
+    header = [k for k in obj if k != "command" and k not in omit]
+    row = [";".join(map(str, obj[k])) if isinstance(obj[k], list) else obj[k] for k in header]
+    _emit(args, obj, header, [row], decimal_note=True)
+
+
 # --- verbs ---------------------------------------------------------------------
 
 
 def cmd_grid_extremum(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+    guard = _grid_guard(args)
     f = _load_poly(args)
     op = grid_minimize if args.verb == "grid-min" else grid_maximize
-    result = op(f, args.r, threads=config.threads, max_points=config.guard)
-    points = [_point_str(alpha, args.r) for alpha in result.minimizers]
-    if config.fmt == "json":
-        _emit_json(
-            {
-                "command": args.verb,
-                "n": f.n,
-                "degree": f.d,
-                "r": args.r,
-                "value": fraction_str(result.value),
-                "value_decimal": decimal_str(result.value),
-                "tie_count": result.tie_count,
-                "evaluations": result.evaluations,
-                "minimizers": points,
-            }
-        )
-    else:
-        _emit_csv(
-            ["r", "value", "value_decimal", "tie_count", "evaluations", "minimizers"],
-            [[args.r, fraction_str(result.value), decimal_str(result.value),
-              result.tie_count, result.evaluations, ";".join(points)]],
-            decimal_note=True,
-        )
+    result = op(f, args.r, threads=args.threads, max_points=guard)
+    _emit_record(
+        args,
+        {
+            "command": args.verb,
+            "n": f.n,
+            "degree": f.d,
+            "r": args.r,
+            "value": fraction_str(result.value),
+            "value_decimal": decimal_str(result.value),
+            "tie_count": result.tie_count,
+            "evaluations": result.evaluations,
+            "minimizers": [",".join(str(Fraction(a, args.r)) for a in alpha)
+                           for alpha in result.minimizers],
+        },
+        omit=("n", "degree"),
+    )
     return EXIT_OK
 
 
 def cmd_expect(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+    guard = _grid_guard(args)
     f = _load_poly(args)
     urn_mode = args.m is not None or args.counts is not None
     if urn_mode and (args.m is None or args.counts is None):
@@ -175,31 +159,22 @@ def cmd_expect(args: argparse.Namespace) -> int:
         )
     if args.bernstein:
         if args.x is not None:
-            point = _parse_point(args.x)
+            point = tuple(as_rational(tok) for tok in args.x.split(","))
         elif urn_mode:
             point = params.mean_point()
         else:
             raise ValueError("--bernstein needs --x when no urn is given")
-        bval = bernstein_approximation(f, point, args.r)
+        bval = bernstein_approximation(f, point, args.r, max_points=guard)
         row.update(
             bernstein_point=",".join(str(v) for v in point),
             bernstein=fraction_str(bval),
             bernstein_decimal=decimal_str(bval),
         )
-    if config.fmt == "json":
-        _emit_json(row)
-    else:
-        header = [k for k in row if k != "command"]
-        _emit_csv(
-            header,
-            [[";".join(map(str, row[k])) if isinstance(row[k], list) else row[k] for k in header]],
-            decimal_note=True,
-        )
+    _emit_record(args, row)
     return EXIT_OK
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     r_values = _parse_range(args.r_range)
     m_values: "list[int | None]" = [None] if args.m_range is None else list(_parse_range(args.m_range))
     reports = bounds_mod.bound_table(args.d, r_values, m_values)
@@ -216,25 +191,21 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         ]
         for report in reports
     ]
-    if config.fmt == "json":
-        _emit_json(
-            [
-                {
-                    "kind": row[0], "d": row[1], "r": row[2],
-                    "m": row[3] or None, "k": row[4] or None,
-                    "coefficient": row[5] or None,
-                    "applicable": row[6] == "true", "reason": row[7],
-                }
-                for row in rows
-            ]
-        )
-    else:
-        _emit_csv(["kind", "d", "r", "m", "k", "coefficient", "applicable", "reason"], rows)
+    obj = [
+        {
+            "kind": row[0], "d": row[1], "r": row[2],
+            "m": row[3] or None, "k": row[4] or None,
+            "coefficient": row[5] or None,
+            "applicable": row[6] == "true", "reason": row[7],
+        }
+        for row in rows
+    ]
+    _emit(args, obj, ["kind", "d", "r", "m", "k", "coefficient", "applicable", "reason"], rows)
     return EXIT_OK
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+    guard = _grid_guard(args)
     f = _load_poly(args)
     assumptions = bounds_mod.RangeAssumptions(
         elevation=args.elevation,
@@ -246,12 +217,10 @@ def cmd_converge(args: argparse.Namespace) -> int:
     kind_names = [kind.value for kind in bounds_mod.ALL_KINDS]
     header = ["r", "grid_min", "grid_min_decimal", "rho_lo", "rho_hi"] + kind_names
     r_values = _parse_range(args.r_range)
-    fmin, fmax = bounds_mod.range_enclosures(
-        f, assumptions, threads=config.threads, max_points=config.guard
-    )
+    fmin, fmax = bounds_mod.range_enclosures(f, assumptions, threads=args.threads, max_points=guard)
     rows = []
     for r in r_values:
-        low, high = grid_extrema(f, r, threads=config.threads, max_points=config.guard)
+        low, high = grid_extrema(f, r, threads=args.threads, max_points=guard)
         value = low.value
         try:
             rho = bounds_mod.rho_interval(fmin, fmax, value, high.value)
@@ -263,15 +232,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
             report = bounds_mod.bound_coefficient(kind, d=f.d, r=r, m=m_for_kinds)
             row.append("" if report.coefficient is None else fraction_str(report.coefficient))
         rows.append(row)
-    if config.fmt == "json":
-        _emit_json([dict(zip(header, row)) for row in rows])
-    else:
-        _emit_csv(header, rows, decimal_note=True)
+    _emit(args, [dict(zip(header, row)) for row in rows], header, rows, decimal_note=True)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     for option in ("samples", "witness_polys", "max_k", "max_r"):
         if getattr(args, option) < 0:
             raise ValueError(f"--{option.replace('_', '-')} must be nonnegative")
@@ -291,30 +256,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
          fraction_str(check.rhs), check.relation, str(check.holds).lower()]
         for check in checks
     ]
-    witnesses = _bound_witnesses(args)
     rows += [
         ["bound-witness", w.kind.value, f"d={w.d};r={w.r};m={w.m}",
          fraction_str(w.lhs), fraction_str(w.rhs), "le", str(w.holds).lower()]
-        for w in witnesses
+        for w in _bound_witnesses(args)
     ]
     if args.inject_fault:
         rows.append(["identity", "INJECTED_FAULT", "", "0", "1", "eq", "false"])
     if not rows:
         raise ValueError("no checks run: sweep ranges are empty")
     failures = sum(1 for row in rows if row[6] != "true")
-    if config.fmt == "json":
-        _emit_json(
-            {
-                "checks": [
-                    dict(zip(["check", "name", "params", "lhs", "rhs", "relation", "holds"], row))
-                    for row in rows
-                ],
-                "total": len(rows),
-                "failures": failures,
-            }
-        )
-    else:
-        _emit_csv(["check", "name", "params", "lhs", "rhs", "relation", "holds"], rows)
+    header = ["check", "name", "params", "lhs", "rhs", "relation", "holds"]
+    obj = {
+        "checks": [dict(zip(header, row)) for row in rows],
+        "total": len(rows),
+        "failures": failures,
+    }
+    _emit(args, obj, header, rows)
     if failures:
         print(f"verification failed: {failures} of {len(rows)} checks", file=sys.stderr)
         return EXIT_VERIFY_FAILED
@@ -336,67 +294,62 @@ def _bound_witnesses(args: argparse.Namespace) -> "list[bounds_mod.BoundWitness]
 
 
 def cmd_stable_set(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+    guard = _grid_guard(args)
     graph = load_graph(args.graph)
-    bound = alpha_lower_bound(graph, args.r, threads=config.threads, max_points=config.guard)
-    obj = {
-        "command": "stable-set",
-        "n": graph.n,
-        "edges": len(graph.edges),
-        "r": args.r,
-        "grid_value": fraction_str(bound.grid_value),
-        "grid_value_decimal": decimal_str(bound.grid_value),
-        "alpha_lb": bound.alpha_lb,
-        "evaluations": bound.evaluations,
-    }
-    if config.fmt == "json":
-        _emit_json(obj)
-    else:
-        header = [k for k in obj if k != "command"]
-        _emit_csv(header, [[obj[k] for k in header]], decimal_note=True)
+    bound = alpha_lower_bound(graph, args.r, threads=args.threads, max_points=guard)
+    _emit_record(
+        args,
+        {
+            "command": "stable-set",
+            "n": graph.n,
+            "edges": len(graph.edges),
+            "r": args.r,
+            "grid_value": fraction_str(bound.grid_value),
+            "grid_value_decimal": decimal_str(bound.grid_value),
+            "alpha_lb": bound.alpha_lb,
+            "evaluations": bound.evaluations,
+        },
+    )
     return EXIT_OK
 
 
+def _interval(enc: Enclosure) -> "dict[str, str]":
+    return {"lo": fraction_str(enc.lo), "hi": fraction_str(enc.hi),
+            "lo_decimal": decimal_str(enc.lo), "hi_decimal": decimal_str(enc.hi)}
+
+
 def cmd_enclose(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+    guard = _grid_guard(args)
     f = _load_poly(args)
-    lo_enc, hi_enc = bounds_mod.range_enclosures(
+    fmin, fmax = bounds_mod.range_enclosures(
         f, bounds_mod.RangeAssumptions(elevation=args.elevation, grid=args.r),
-        threads=config.threads, max_points=config.guard,
+        threads=args.threads, max_points=guard,
     )
     obj = {
         "command": "enclose",
         "r": args.r,
         "elevation": args.elevation,
-        "fmin": {"lo": fraction_str(lo_enc.lo), "hi": fraction_str(lo_enc.hi),
-                 "lo_decimal": decimal_str(lo_enc.lo), "hi_decimal": decimal_str(lo_enc.hi)},
-        "fmax": {"lo": fraction_str(hi_enc.lo), "hi": fraction_str(hi_enc.hi),
-                 "lo_decimal": decimal_str(hi_enc.lo), "hi_decimal": decimal_str(hi_enc.hi)},
+        "fmin": _interval(fmin),
+        "fmax": _interval(fmax),
     }
-    if config.fmt == "json":
-        _emit_json(obj)
-    else:
-        _emit_csv(
-            ["quantity", "lo", "hi", "lo_decimal", "hi_decimal"],
-            [["fmin", obj["fmin"]["lo"], obj["fmin"]["hi"],
-              obj["fmin"]["lo_decimal"], obj["fmin"]["hi_decimal"]],
-             ["fmax", obj["fmax"]["lo"], obj["fmax"]["hi"],
-              obj["fmax"]["lo_decimal"], obj["fmax"]["hi_decimal"]]],
-            decimal_note=True,
-        )
+    rows = [[quantity, *obj[quantity].values()] for quantity in ("fmin", "fmax")]
+    _emit(args, obj, ["quantity", *obj["fmin"]], rows, decimal_note=True)
     return EXIT_OK
 
 
 # --- parser --------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, poly: bool = False, r: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, poly: bool = False, r: bool = False,
+                threads: bool = False, force: bool = False) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for grid sweeps, capped at the CPU count; "
-                     "never changes the output, and gives no speed-up under the GIL")
-    sub.add_argument("--force", action="store_true",
-                     help="bypass the grid size guard (SGO_MAX_GRID, default 1e8)")
+    if threads:
+        sub.add_argument("--threads", type=int, default=1,
+                         help="worker threads for grid sweeps, capped at the CPU count; "
+                         "never changes the output, and gives no speed-up under the GIL")
+    if force:
+        sub.add_argument("--force", action="store_true",
+                         help="bypass the grid size guard (SGO_MAX_GRID, default 1e8)")
     if poly:
         sub.add_argument("--poly", required=True, help="polynomial JSON file")
         sub.add_argument("--homogenize", action="store_true",
@@ -415,12 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for verb in ("grid-min", "grid-max"):
         sub = subs.add_parser(verb, help=f"exact grid {verb.split('-')[1]}imum")
-        _add_common(sub, poly=True, r=True)
+        _add_common(sub, poly=True, r=True, threads=True, force=True)
         sub.set_defaults(func=cmd_grid_extremum)
 
     sub = subs.add_parser("expect", help="urn-model expectation of f, and the "
                           "with-replacement comparison value")
-    _add_common(sub, poly=True, r=True)
+    _add_common(sub, poly=True, r=True, force=True)
     sub.add_argument("--m", type=int, help="total balls in the urn")
     sub.add_argument("--counts", help="comma-separated balls per color, summing to m")
     sub.add_argument("--bernstein", action="store_true",
@@ -437,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("converge", help="grid values, normalized-error intervals, "
                           "and bound coefficients over a range of r")
-    _add_common(sub, poly=True)
+    _add_common(sub, poly=True, threads=True, force=True)
     sub.add_argument("--r-range", required=True)
     sub.add_argument("--elevation", type=int, default=0)
     sub.add_argument("--grid", type=int, help="extra enclosure grid denominator")
@@ -465,13 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("stable-set", help="certified stability-number lower bound")
-    _add_common(sub)
+    _add_common(sub, threads=True, force=True)
     sub.add_argument("--graph", required=True, help="edge list file, one 'u v' per line")
     sub.add_argument("--r", type=int, required=True)
     sub.set_defaults(func=cmd_stable_set)
 
     sub = subs.add_parser("enclose", help="certified enclosures of the simplex extrema")
-    _add_common(sub, poly=True, r=True)
+    _add_common(sub, poly=True, r=True, threads=True, force=True)
     sub.add_argument("--elevation", type=int, default=0)
     sub.set_defaults(func=cmd_enclose)
 
@@ -481,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("--threads must be at least 1")
         return args.func(args)
     except GridTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ from itertools import product
 from typing import Sequence
 
 from .combin import binomial, composition_count, compositions, falling, multinomial, stirling2
+from .grid import DEFAULT_GRID_GUARD, _grid_size
 from .poly import HomogeneousPolynomial, evaluate
 from .rational import as_rational
 
@@ -213,13 +214,19 @@ def expectation(f: HomogeneousPolynomial, p: HypergeomParams) -> Fraction:
 
 
 def bernstein_approximation(
-    f: HomogeneousPolynomial, x: Sequence, r: int
+    f: HomogeneousPolynomial,
+    x: Sequence,
+    r: int,
+    *,
+    max_points: "int | None" = DEFAULT_GRID_GUARD,
 ) -> Fraction:
     """Order-r Bernstein approximation of f at the simplex point x.
 
     Equals E[f(W/r)] for W the color counts of r draws *with* replacement
     from color distribution x: sum over alpha in I(n, r) of
     f(alpha/r) * (r!/alpha!) * x^alpha.  At least the grid minimum at r.
+    Raises GridTooLargeError before the sum when I(n, r) has more than
+    max_points points (None disables the guard).
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -228,6 +235,7 @@ def bernstein_approximation(
     point = [as_rational(v) for v in x]
     if any(v < 0 for v in point) or sum(point) != 1:
         raise ValueError("point must lie on the standard simplex")
+    _grid_size(f.n, r, max_points)
     total = Fraction(0)
     for alpha in compositions(f.n, r):
         weight = Fraction(multinomial(r, alpha))

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
-from operator import mul
+from operator import eq, ge, le, mul
 from typing import Sequence
 
 from .combin import (
@@ -62,8 +62,8 @@ class IdentityCheck:
 
     name: str
     params: "tuple[tuple[str, object], ...]"
-    lhs: Fraction
-    rhs: Fraction
+    lhs: "Fraction | int"
+    rhs: "Fraction | int"
     relation: str  # "eq", "le", or "ge"
     holds: bool
 
@@ -71,17 +71,17 @@ class IdentityCheck:
         return ";".join(f"{k}={v}" for k, v in self.params)
 
 
+_RELATIONS = {"eq": eq, "le": le, "ge": ge}
+
+
 def _check(name: IdentityName, relation: str, lhs, rhs, **params) -> IdentityCheck:
-    lhs = Fraction(lhs)
-    rhs = Fraction(rhs)
-    holds = {"eq": lhs == rhs, "le": lhs <= rhs, "ge": lhs >= rhs}[relation]
     return IdentityCheck(
         name=name.value,
-        params=tuple((k, v) for k, v in params.items()),
+        params=tuple(params.items()),
         lhs=lhs,
         rhs=rhs,
         relation=relation,
-        holds=holds,
+        holds=_RELATIONS[relation](lhs, rhs),
     )
 
 

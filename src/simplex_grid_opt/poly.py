@@ -76,10 +76,6 @@ class HomogeneousPolynomial:
             d = max(sum(alpha) for alpha in merged)
         return cls(n=n, d=d, coeffs=merged)
 
-    @property
-    def terms(self) -> "tuple[tuple[tuple[int, ...], Fraction], ...]":
-        return tuple(self.coeffs.items())
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -13,8 +13,6 @@ from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from numbers import Rational as _RationalABC
 
-Rational = Fraction
-
 DECIMAL_DIGITS = 20
 
 
@@ -42,12 +40,12 @@ def as_rational(value: object) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
 
 
-def fraction_str(value: Rational) -> str:
+def fraction_str(value: Fraction) -> str:
     """Render a rational as a reduced fraction "p/q" (or "p" when integral)."""
     return str(Fraction(value))
 
 
-def decimal_str(value: Rational, digits: int = DECIMAL_DIGITS) -> str:
+def decimal_str(value: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     """Advisory decimal rendering: `digits` significant digits, round-half-even."""
     q = Fraction(value)
     with localcontext() as ctx:
@@ -77,5 +75,5 @@ class Enclosure:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, value: Rational) -> bool:
+    def contains(self, value: Fraction) -> bool:
         return self.lo <= Fraction(value) <= self.hi

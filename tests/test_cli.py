@@ -319,6 +319,53 @@ def test_verify_output_bytes_are_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[fmt]
 
 
+# SHA-256 of the stdout of one invocation per verb, recorded before the verbs
+# shared one JSON/CSV emitter
+OUTPUT_DIGESTS = {
+    ("grid-min", "csv"): "7e451231628eee86b91b1fad6481fdc1540be108917ad65b5db80cb674fd6277",
+    ("grid-min", "json"): "d98e6dea2adc04a3d24450a30683496999ffff6ae50030e4a37203629aa714e5",
+    ("grid-max", "csv"): "a6688978fe0c9e687100988e37d428f6a89d5115ea3510f1e06c235272ef6708",
+    ("grid-max", "json"): "06169fea32c42943e698b3f6c9c37be1a485b593b1c84eb61d7fcba120858c1f",
+    ("expect-urn", "csv"): "35955f869ac40a55c9f024bb65e5ce8a695c816a247aa0375dcf857dc4d910d5",
+    ("expect-urn", "json"): "458ae98966c0f5e4c19580983a55e8e9c1742dafd9b087c25458907eb07e0a15",
+    ("expect-bernstein", "csv"): "4f8408566e3cf8cf13ef63b655ba1ae7fcd30aaba55f73aa71747936521f1afb",
+    ("expect-bernstein", "json"): "f8676023b8a0a267617be75357a708776ce845c22430c849f5edd7f8416bd1ef",
+    ("bounds", "csv"): "a006b0772fd0bb4e342c13afde4f71a68c1d01242cc1e3b9ff6f20e1530da50d",
+    ("bounds", "json"): "bd5cda009ff0ec730229883c8b3ed28308934410bab17454bf90a58c1a7f6f20",
+    ("bounds-m-range", "csv"): "7647ed9d491114940d42b737bdabd5090a6128093a3cf11935dfe90b66ae7f4e",
+    ("bounds-m-range", "json"): "8b087726957dd66f8f333b4fdd50208b6a4788c380c63be676a5d963261cef20",
+    ("converge-assumed", "csv"): "6b30c7b58e67e3b644d2c5f04a7bdf8ab5f52f6578ca3553e92b0f58b991608d",
+    ("converge-assumed", "json"): "e7a3013f4868c8bd78eb97cb1b6074c3cc49a201e6381fff2e7ea5ef991c906e",
+    ("converge-grid", "csv"): "07f74b0a6adb56a74f3d0367c5e6e4ebf6658555699e3f5eade16f065a40281c",
+    ("converge-grid", "json"): "afcff86ad28c257e2aa2ed630cc6852f7496dbccbd95614026187a225d308a44",
+    ("enclose", "csv"): "e0603a01101992d8dbedd3110e90c87dec1e308089cc033577aa106c636eb45a",
+    ("enclose", "json"): "8639d00cd87fca3306f59bb9424a36f92a3f640599e7bfb0f5920c3ffbba95df",
+    ("stable-set", "csv"): "9cf8e62e0975f98c8bb9f7a5078c0f8bb1287b794fc90a078d49dca635e60e2f",
+    ("stable-set", "json"): "11f9d8c799df7ec829a5cc8c033d37b784ccdcd5a67942ce6ac8ccbfffaeaf6d",
+}
+PINNED_ARGV = {
+    "grid-min": ("grid-min", "--poly", GAP, "--r", "16"),
+    "grid-max": ("grid-max", "--poly", SOS4, "--r", "4"),
+    "expect-urn": ("expect", "--poly", GAP, "--r", "3", "--m", "16", "--counts", "7,9"),
+    "expect-bernstein": ("expect", "--poly", GAP, "--r", "5", "--bernstein", "--x", "1/3,2/3"),
+    "bounds": ("bounds", "--d", "3", "--r-range", "2:5"),
+    "bounds-m-range": ("bounds", "--d", "3", "--r-range", "2:5", "--m-range", "2:4"),
+    "converge-assumed": ("converge", "--poly", SOS4, "--r-range", "2:6",
+                         "--assume-min-denominator", "4", "--assume-max-denominator", "1"),
+    "converge-grid": ("converge", "--poly", GAP, "--r-range", "2:8", "--grid", "16",
+                      "--elevation", "2"),
+    "enclose": ("enclose", "--poly", SOS4, "--r", "6", "--elevation", "2"),
+    "stable-set": ("stable-set", "--graph", PETERSEN, "--r", "4"),
+}
+
+
+@pytest.mark.parametrize("case, fmt", sorted(OUTPUT_DIGESTS), ids="-".join)
+def test_output_bytes_are_pinned(capsys, case, fmt):
+    code, out, err = run(capsys, *PINNED_ARGV[case], "--format", fmt)
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[case, fmt]
+
+
 def test_verify_sweeps_each_witness_grid_once(capsys, monkeypatch):
     sweeps = count_calls(monkeypatch, grid, "_sweep")
     tables = count_calls(monkeypatch, bounds, "bernstein_table")
@@ -355,6 +402,47 @@ def test_enclose_size_guard_and_threads(capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_SIZE_GUARD
     assert out == "" and "error" in err
+
+
+def test_expect_bernstein_obeys_the_size_guard(capsys, monkeypatch):
+    monkeypatch.setenv("SGO_MAX_GRID", "5")
+    argv = ("expect", "--poly", GAP, "--r", "16", "--bernstein", "--x", "1/2,1/2")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_SIZE_GUARD
+    assert out == "" and "error" in err
+    code, out, _ = run(capsys, *argv, "--force")
+    assert code == EXIT_OK and json.loads(out)["bernstein"] == "-3/8"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--d", "2", "--r-range", "2"),
+        ("verify", "--max-n", "1", "--max-d", "1", "--max-m", "2", "--witness-polys", "1"),
+    ],
+    ids=["bounds", "verify"],
+)
+def test_verbs_that_sweep_no_grid_ignore_the_size_guard(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SGO_MAX_GRID", "not-a-number")
+    assert run(capsys, *argv)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--d", "2", "--r-range", "2", "--threads", "1"),
+        ("bounds", "--d", "2", "--r-range", "2", "--force"),
+        ("verify", "--threads", "1"),
+        ("verify", "--force"),
+        ("expect", "--poly", GAP, "--r", "2", "--m", "16", "--counts", "7,9", "--threads", "1"),
+    ],
+    ids=["bounds-threads", "bounds-force", "verify-threads", "verify-force", "expect-threads"],
+)
+def test_flags_a_verb_would_ignore_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_size_guard_env_and_force(capsys, monkeypatch):
