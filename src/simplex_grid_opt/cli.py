@@ -7,9 +7,10 @@ JSON document, or CSV that starts with the version comment line
 "# simplex-grid-opt v1".
 
 The verbs that sweep a grid (grid-min, grid-max, converge, enclose,
-stable-set) take --threads and --force; expect takes --force, which its
---bernstein sum over the grid obeys.  The grid size guard is 10^8 points,
-or SGO_MAX_GRID when set.
+stable-set) take --threads and --force.  expect takes --force too: its
+--bernstein value is closed form and sums no grid, but it keeps obeying the
+guard for compatibility.  The grid size guard is 10^8 points, or
+SGO_MAX_GRID when set; stable-set also counts the vertex form's table.
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  Output is byte-identical for any
@@ -373,7 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("expect", help="urn-model expectation of f, and the "
                           "with-replacement comparison value")
-    _add_common(sub, poly=True, r=True, force=True)
+    _add_common(sub, poly=True, r=True)
+    sub.add_argument("--force", action="store_true",
+                     help="bypass the grid size guard (SGO_MAX_GRID, default 1e8), which "
+                     "--bernstein keeps for compatibility although its value sums no grid")
     sub.add_argument("--m", type=int, help="total balls in the urn")
     sub.add_argument("--counts", help="comma-separated balls per color, summing to m")
     sub.add_argument("--bernstein", action="store_true",

@@ -54,17 +54,16 @@ def falling(x: IntOrFraction, d: int) -> IntOrFraction:
 def stirling2(a: int, b: int) -> int:
     """Number of partitions of an a-element set into b nonempty blocks.
 
-    S(0,0) = 1, S(a,0) = 0 for a > 0, S(a,b) = 0 for b > a, and otherwise
-    S(a,b) = b*S(a-1,b) + S(a-1,b-1).  Memoized; thread-safe because the
-    result for a key never changes.
+    S(a,b) = sum over j = 0..b of (-1)^(b-j) C(b,j) j^a / b!, which is 1 at
+    S(0,0), 0 at S(a,0) for a > 0 and 0 for b > a.  The explicit sum has no
+    recursion, so a large a cannot exhaust the stack.  Memoized; thread-safe
+    because the result for a key never changes.
     """
     if a < 0 or b < 0:
         raise ValueError(f"Stirling numbers need nonnegative arguments, got ({a}, {b})")
-    if a == b:
-        return 1
-    if b == 0 or b > a:
+    if b > a:
         return 0
-    return b * stirling2(a - 1, b) + stirling2(a - 1, b - 1)
+    return sum((-1) ** (b - j) * math.comb(b, j) * j**a for j in range(b + 1)) // math.factorial(b)
 
 
 # --- index sets I(n, total) in lexicographic order ---------------------------

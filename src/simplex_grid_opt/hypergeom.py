@@ -3,27 +3,29 @@
 An urn holds m balls, counts[i] of color i; drawing r balls without
 replacement makes the color-count vector Y a lattice point of I(n, r), and
 X = Y/r a random point of the simplex grid with denominator r.  This module
-computes the pmf, raw moments of Y and X through a Stirling-number expansion,
-closed forms for the degree-2 and degree-3 moments, exact expectations E[f(X)]
-for polynomial f, and the draws-with-replacement counterpart of E[f(X)] (the
-order-r Bernstein approximation of f).
+computes the pmf, closed forms for the degree-2 and degree-3 moments, and,
+through one Stirling-number expansion shared by both urns, the raw moments of
+Y and X, exact expectations E[f(X)] for polynomial f, and the
+draws-with-replacement counterpart of E[f(X)] (the order-r Bernstein
+approximation of f) in closed form, without a sum over the grid.
 
-Everything is exact summation; nothing is sampled.
+Everything is exact; nothing is sampled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
+from math import lcm, prod
+from typing import Callable, Sequence
 
-from .combin import binomial, composition_count, compositions, falling, multinomial, stirling2
+from .combin import binomial, composition_count, compositions, falling, stirling2
 from .grid import DEFAULT_GRID_GUARD, _grid_size
-from .poly import HomogeneousPolynomial, evaluate
+from .poly import HomogeneousPolynomial
 from .rational import as_rational
 
 BRUTE_FORCE_GATE = 10**4
+Power = Callable[[int, int], int]  # falling (draws without replacement) or pow (with)
 
 
 @dataclass(frozen=True)
@@ -62,54 +64,58 @@ def pmf(p: HypergeomParams, alpha: Sequence[int]) -> Fraction:
         raise ValueError(f"negative count in {tuple(alpha)}")
     if sum(alpha) != p.r:
         raise ValueError(f"outcome {tuple(alpha)} must sum to the draw count {p.r}")
-    num = 1
-    for mi, ai in zip(p.counts, alpha):
-        num *= binomial(mi, ai)
-        if num == 0:
-            return Fraction(0)
-    return Fraction(num, binomial(p.m, p.r))
+    return Fraction(prod(map(binomial, p.counts, alpha)), binomial(p.m, p.r))
 
 
-def _moment_terms(p: HypergeomParams, beta: "tuple[int, ...]") -> "tuple[int, int]":
+def _stirling_terms(
+    beta: "tuple[int, ...]", r: int, colors: Sequence[int], total: int, power: Power
+) -> "tuple[int, int]":
+    """(numerator, denominator) of E[prod Z_i^beta_i] for Z the color counts of r
+    draws from an urn of `total` balls, colors[i] of color i: without replacement
+    when power is falling, with replacement when power is pow.
+
+    Both laws expand as the sum over a <= beta of falling(r, |a|) *
+    prod S(beta_i, a_i) * power(colors_i, a_i) / power(total, |a|).  One
+    convolution of the rows S(beta_i, a) * power(colors_i, a) groups the terms
+    by k = |a|; they vanish for k > r, so the sum is taken in integers over
+    power(total, K), K = min(|beta|, r), which each power(total, k <= K) divides.
+    """
+    top = min(sum(beta), r)
+    grouped = [1]  # grouped[k]: sum over |a| = k of the row products so far
+    for c, b in zip(colors, beta):
+        if b:
+            row = [stirling2(b, a) * power(c, a) for a in range(min(b, top) + 1)]
+            nxt = [0] * min(len(grouped) + b, top + 1)
+            for j, g in enumerate(grouped):
+                for a, w in enumerate(row[: len(nxt) - j]):
+                    nxt[j + a] += g * w
+            grouped = nxt
+    den = power(total, top)
+    return sum(falling(r, k) * (den // power(total, k)) * g for k, g in enumerate(grouped)), den
+
+
+def _moment_terms(p: HypergeomParams, beta: Sequence[int]) -> "tuple[int, int]":
     """(numerator, denominator) of E[prod Y_i^beta_i]; see moment."""
+    beta = tuple(int(b) for b in beta)
     if len(beta) != p.n:
         raise ValueError(f"moment index has {len(beta)} entries, expected {p.n}")
     if any(b < 0 for b in beta):
         raise ValueError(f"negative entry in {beta}")
-    top = min(sum(beta), p.r)
-    # rows[i][a] = falling(counts_i, a) * S(beta_i, a)
-    rows = [
-        [falling(mi, a) * stirling2(bi, a) for a in range(bi + 1)]
-        for mi, bi in zip(p.counts, beta)
-    ]
-    total = 0
-    for alpha in product(*(range(b + 1) for b in beta)):
-        k = sum(alpha)
-        if k > top:
-            continue
-        num = falling(p.r, k) * falling(p.m - k, top - k)
-        for row, ai in zip(rows, alpha):
-            num *= row[ai]
-        total += num
-    return total, falling(p.m, top)
+    return _stirling_terms(beta, p.r, p.counts, p.m, falling)
 
 
 def moment(p: HypergeomParams, beta: Sequence[int]) -> Fraction:
     """Raw moment E[prod Y_i^beta_i] via the Stirling-number expansion.
 
     Sums falling(r,|a|)/falling(m,|a|) * prod falling(counts_i, a_i) * S(beta_i, a_i)
-    over all a <= beta componentwise.  Terms with |a| > r vanish because
-    falling(r, |a|) = 0, and |a| <= r <= m keeps every denominator nonzero,
-    so zero color counts need no special casing.  The sum is accumulated in
-    integers over the common denominator falling(m, K), K = min(|beta|, r):
-    falling(m, K)/falling(m, |a|) = falling(m - |a|, K - |a|) for |a| <= K.
+    over all a <= beta componentwise, in integers (see _stirling_terms); zero
+    color counts need no special casing.
     """
-    return Fraction(*_moment_terms(p, tuple(int(b) for b in beta)))
+    return Fraction(*_moment_terms(p, beta))
 
 
 def scaled_moment(p: HypergeomParams, beta: Sequence[int]) -> Fraction:
     """Raw moment E[prod X_i^beta_i] of the grid point X = Y/r."""
-    beta = tuple(int(b) for b in beta)
     num, den = _moment_terms(p, beta)
     return Fraction(num, den * p.r ** sum(beta))
 
@@ -130,17 +136,9 @@ def moment_bruteforce(
         raise ValueError(f"brute force over {size} outcomes exceeds the gate {max_points}")
     num = 0
     for alpha in compositions(p.n, p.r):
-        weight = 1
-        for mi, ai in zip(p.counts, alpha):
-            weight *= binomial(mi, ai)
-            if weight == 0:
-                break
-        if weight == 0:
-            continue
-        value = 1
-        for ai, bi in zip(alpha, beta):
-            value *= ai**bi
-        num += value * weight
+        weight = prod(map(binomial, p.counts, alpha))
+        if weight:
+            num += weight * prod(map(pow, alpha, beta))
     return Fraction(num, binomial(p.m, p.r))
 
 
@@ -203,14 +201,21 @@ def cubic_moments_closed(p: HypergeomParams) -> "dict[tuple[int, int, int], Frac
     return out
 
 
+def _expected_value(
+    f: HomogeneousPolynomial, r: int, colors: Sequence[int], total: int, power: Power
+) -> Fraction:
+    """E[f(Z/r)] = sum over beta of f_beta * E[Z^beta] / r^d; see _stirling_terms."""
+    value = Fraction(0)
+    for beta, coef in f.coeffs.items():
+        value += coef * Fraction(*_stirling_terms(beta, r, colors, total, power))
+    return value / r**f.d
+
+
 def expectation(f: HomogeneousPolynomial, p: HypergeomParams) -> Fraction:
     """E[f(X)], exactly.  Always an upper bound on the grid minimum at r = p.r."""
     if f.n != p.n:
         raise ValueError(f"polynomial has {f.n} variables, urn has {p.n} colors")
-    return sum(
-        (coef * scaled_moment(p, beta) for beta, coef in f.coeffs.items()),
-        start=Fraction(0),
-    )
+    return _expected_value(f, p.r, p.counts, p.m, falling)
 
 
 def bernstein_approximation(
@@ -223,10 +228,11 @@ def bernstein_approximation(
     """Order-r Bernstein approximation of f at the simplex point x.
 
     Equals E[f(W/r)] for W the color counts of r draws *with* replacement
-    from color distribution x: sum over alpha in I(n, r) of
-    f(alpha/r) * (r!/alpha!) * x^alpha.  At least the grid minimum at r.
-    Raises GridTooLargeError before the sum when I(n, r) has more than
-    max_points points (None disables the guard).
+    from color distribution x = p/q (an urn of q balls, p_i of color i).  At
+    least the grid minimum at r.  Closed form: sum over beta of
+    f_beta * E[W^beta] / r^d costs O(terms * d^2), independent of r.  No grid
+    is summed, but the guard is kept for compatibility: GridTooLargeError when
+    I(n, r) has more than max_points points (None disables it).
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -236,12 +242,5 @@ def bernstein_approximation(
     if any(v < 0 for v in point) or sum(point) != 1:
         raise ValueError("point must lie on the standard simplex")
     _grid_size(f.n, r, max_points)
-    total = Fraction(0)
-    for alpha in compositions(f.n, r):
-        weight = Fraction(multinomial(r, alpha))
-        for xi, ai in zip(point, alpha):
-            if ai:
-                weight *= xi**ai
-        if weight:
-            total += evaluate(f, tuple(Fraction(a, r) for a in alpha)) * weight
-    return total
+    q = lcm(*(v.denominator for v in point))
+    return _expected_value(f, r, [v.numerator * (q // v.denominator) for v in point], q, pow)

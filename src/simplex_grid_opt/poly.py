@@ -220,34 +220,44 @@ def random_polynomial(rng, n: int, d: int, coef_lo: int = -9, coef_hi: int = 9) 
 # {"n": int, "terms": [{"alpha": [int, ...], "coef": "p/q" | "int" | "decimal"}],
 #  "degree": optional int}
 #
-# The degree is inferred as max |alpha| when absent.  Terms of lower degree are
-# rejected unless homogenization is requested.
+# n, degree and the exponents must be JSON integers: a float or a bool there is
+# refused, not truncated.  The degree is inferred as max |alpha| when absent.
+# Terms of lower degree are rejected unless homogenization is requested, and
+# terms that repeat an exponent are summed.
+
+
+def _json_int(value: object, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(
+            f"{what} must be a JSON integer (no point, exponent or quotes), got {value}"
+        )
+    return value
 
 
 def from_json_dict(obj: Mapping, *, homogenize_terms: bool = False) -> HomogeneousPolynomial:
     if not isinstance(obj, Mapping):
         raise ValueError("polynomial JSON must be an object")
-    try:
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("polynomial JSON needs an integer field 'n'") from exc
+    if "n" not in obj:
+        raise ValueError("polynomial JSON needs an integer field 'n'")
+    n = _json_int(obj["n"], "'n'")
     raw_terms = obj.get("terms", [])
     if not isinstance(raw_terms, list):
         raise ValueError("'terms' must be a list")
     pairs = []
     for entry in raw_terms:
         try:
-            alpha = tuple(int(a) for a in entry["alpha"])
-            coef = entry["coef"]
-        except (KeyError, TypeError, ValueError) as exc:
+            alpha, coef = entry["alpha"], entry["coef"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"bad term {entry!r}: need 'alpha' and 'coef'") from exc
-        pairs.append((alpha, as_rational(coef)))
+        if not isinstance(alpha, (list, tuple)):
+            raise ValueError(f"bad term {entry!r}: 'alpha' must be a list")
+        pairs.append((tuple(_json_int(a, "exponent") for a in alpha), as_rational(coef)))
     degree = obj.get("degree")
     if degree is None:
         if not pairs:
             raise ValueError("empty polynomial needs an explicit 'degree'")
         degree = max(sum(alpha) for alpha, _ in pairs)
-    degree = int(degree)
+    degree = _json_int(degree, "'degree'")
     if homogenize_terms:
         return homogenize(pairs, n, degree)
     return HomogeneousPolynomial.from_terms(n, pairs, d=degree)
@@ -264,5 +274,5 @@ def to_json_dict(f: HomogeneousPolynomial) -> dict:
 def load_polynomial(path: str, *, homogenize_terms: bool = False) -> HomogeneousPolynomial:
     """Read a polynomial JSON file; decimal literals are parsed exactly."""
     with open(path, "r", encoding="utf-8") as fp:
-        obj = json.load(fp, parse_float=Fraction, parse_int=int)
+        obj = json.load(fp, parse_float=as_rational, parse_int=int)
     return from_json_dict(obj, homogenize_terms=homogenize_terms)

@@ -14,6 +14,9 @@ from fractions import Fraction
 from numbers import Rational as _RationalABC
 
 DECIMAL_DIGITS = 20
+# CPython's default limit on the digits of an int built from a string; a decimal
+# exponent beyond it would build a power of ten far larger than any such int.
+MAX_DECIMAL_EXPONENT = 4300
 
 
 def as_rational(value: object) -> Fraction:
@@ -21,14 +24,21 @@ def as_rational(value: object) -> Fraction:
 
     Strings may be fraction literals ("-17/32"), integers ("3"), or decimal
     literals ("0.1", "1.25e3"); decimals are converted exactly, so "0.1"
-    becomes 1/10.  Binary floats are rejected: they generally do not equal
-    the decimal the user wrote down.
+    becomes 1/10, and a decimal exponent above MAX_DECIMAL_EXPONENT in
+    magnitude is refused before any power of ten is built.  Binary floats are
+    rejected: they generally do not equal the decimal the user wrote down.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rational coefficients")
     if isinstance(value, _RationalABC):
         return Fraction(value)
     if isinstance(value, str):
+        _, e, exponent = value.strip().lower().partition("e")
+        digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (
+            len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
+        ):
+            raise ValueError(f"decimal exponent in {value[:40]!r} exceeds {MAX_DECIMAL_EXPONENT}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable
 
-from .grid import DEFAULT_GRID_GUARD, grid_minimize
+from .grid import DEFAULT_GRID_GUARD, GridTooLargeError, _grid_size, grid_minimize
 from .poly import HomogeneousPolynomial
 
 
@@ -114,7 +114,17 @@ class StableSetBound:
 def alpha_lower_bound(
     g: Graph, r: int, *, threads: int = 1, max_points: "int | None" = DEFAULT_GRID_GUARD
 ) -> StableSetBound:
-    """Minimize the vertex-form quadratic over the grid and round up its reciprocal."""
+    """Minimize the vertex-form quadratic over the grid and round up its reciprocal.
+
+    Raises GridTooLargeError before building the form when the work estimate,
+    the larger of the form's table size n * (n + |E|) and the grid size,
+    exceeds max_points (None disables the guard).  The table size is compared
+    first, so a huge vertex count never reaches the grid-size binomial.
+    """
+    table = g.n * (g.n + len(g.edges))
+    if max_points is not None and table > max_points:
+        raise GridTooLargeError(f"the vertex form has {table} table entries, budget is {max_points}")
+    _grid_size(g.n, r, max_points)
     result = grid_minimize(motzkin_straus_form(g), r, threads=threads, max_points=max_points)
     # the quadratic dominates sum x_i^2 > 0 on the simplex, so the value is positive
     return StableSetBound(

@@ -8,7 +8,15 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 
-from simplex_grid_opt import Graph, HomogeneousPolynomial, compositions, evaluate, falling, stirling2
+from simplex_grid_opt import (
+    Graph,
+    HomogeneousPolynomial,
+    compositions,
+    evaluate,
+    falling,
+    multinomial,
+    stirling2,
+)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -107,4 +115,17 @@ def naive_a_beta(beta, r, m, counts):
         for mi, ai, bi in zip(counts, alpha, beta):
             term *= falling(mi, ai) * stirling2(bi, ai)
         total += term
+    return total
+
+
+def naive_bernstein(f, x, r):
+    """The order-r Bernstein value of f at the simplex point x, summed over the grid:
+    sum over alpha in I(n, r) of f(alpha/r) * (r!/alpha!) * x^alpha."""
+    total = Fraction(0)
+    for alpha in compositions(f.n, r):
+        weight = Fraction(multinomial(r, alpha))
+        for xi, ai in zip(x, alpha):
+            weight *= Fraction(xi) ** ai
+        if weight:
+            total += evaluate(f, tuple(Fraction(a, r) for a in alpha)) * weight
     return total

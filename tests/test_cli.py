@@ -1,9 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from simplex_grid_opt import bounds, grid
+from simplex_grid_opt import bounds, grid, load_polynomial, to_json_dict
 from simplex_grid_opt.cli import (
     CSV_VERSION_LINE,
     EXIT_CONFIG,
@@ -12,7 +21,7 @@ from simplex_grid_opt.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from strats import DATA_DIR
+from strats import DATA_DIR, naive_bernstein, naive_extremes, polynomials, simplex_points
 
 GAP = str(DATA_DIR / "strict_gap_quadratic.json")
 SOS4 = str(DATA_DIR / "sum_of_squares_n4.json")
@@ -465,6 +474,94 @@ def test_parse_failure_exits_2(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, _, _ = run(capsys, "grid-min", "--poly", str(missing), "--r", "2")
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "terms": [{"alpha": [1.5, 0.5], "coef": "1"}]}',
+        '{"n": 2, "terms": [{"alpha": [true, 1], "coef": "1"}]}',
+        '{"n": 2.7, "terms": [{"alpha": [1, 1], "coef": "1"}]}',
+        '{"n": 2, "terms": [{"alpha": [1, 1], "coef": "1e999999999"}]}',
+        '{"n": 2, "terms": [{"alpha": [1, 1], "coef": 1e999999999}]}',
+    ],
+    ids=["float-alpha", "bool-alpha", "float-n", "huge-exponent-string", "huge-exponent-number"],
+)
+def test_malformed_polynomial_files_exit_2(capsys, tmp_path, text):
+    poly = tmp_path / "poly.json"
+    poly.write_text(text)
+    code, out, err = run(capsys, "grid-min", "--poly", str(poly), "--r", "4")
+    assert code == EXIT_CONFIG
+    assert out == "" and "error" in err
+
+
+def test_stable_set_bounds_the_vertex_form(capsys, monkeypatch, tmp_path):
+    huge = tmp_path / "huge.edges"
+    huge.write_text("p edge 100000000 0\n")
+    code, out, err = run(capsys, "stable-set", "--graph", str(huge), "--r", "1")
+    assert code == EXIT_SIZE_GUARD
+    assert out == "" and "table entries" in err
+    monkeypatch.setenv("SGO_MAX_GRID", "100")  # Petersen: 10 grid points at r = 1, 250 table entries
+    assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "1")[0] == EXIT_SIZE_GUARD
+    assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "1", "--force")[0] == EXIT_OK
+
+
+# Values a hand-written or generated polynomial file may put where an integer or
+# an exact coefficient belongs.
+JSON_JUNK = st.one_of(
+    st.integers(-2, 5),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from(["1e999999999", "-7E-4301", "1e4_301", "2/3", "0.5", "x"]),
+)
+
+
+@st.composite
+def polynomial_files(draw):
+    """(JSON object, variable count of the polynomial it started from): a valid
+    polynomial file with up to two of n, degree, an exponent or a coefficient
+    replaced by junk."""
+    f = draw(polynomials(max_n=3, max_d=3))
+    obj = to_json_dict(f)
+    for _ in range(draw(st.integers(0, 2))):
+        field = draw(st.sampled_from(["n", "degree", "alpha", "coef"]))
+        term = draw(st.sampled_from(obj["terms"]))
+        if field in ("n", "degree"):
+            obj[field] = draw(JSON_JUNK)
+        elif field == "alpha":
+            term["alpha"][draw(st.integers(0, f.n - 1))] = draw(JSON_JUNK)
+        else:
+            term["coef"] = draw(JSON_JUNK)
+    return obj, f.n
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_files(), st.integers(1, 4), st.booleans(), st.sampled_from([None, "4"]), st.data())
+def test_cli_fuzz_polynomial_files(file, r, bernstein, guard, data):
+    obj, n = file
+    x = data.draw(simplex_points(n))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "poly.json")
+        Path(path).write_text(json.dumps(obj))
+        argv = ["grid-min", "--poly", path, "--r", str(r)]
+        if bernstein:
+            point = ",".join(map(str, x))
+            argv = ["expect", "--poly", path, "--r", str(r), "--bernstein", "--x", point]
+        env = {} if guard is None else {"SGO_MAX_GRID": guard}
+        with (
+            mock.patch.dict(os.environ, env),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIZE_GUARD), err.getvalue()
+        if code != EXIT_OK:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+            return
+        f = load_polynomial(path)
+    printed = Fraction(json.loads(out.getvalue())["bernstein" if bernstein else "value"])
+    assert printed == (naive_bernstein(f, x, r) if bernstein else naive_extremes(f, r, 1)[0][0])
 
 
 def test_homogenize_flag(capsys, tmp_path):

@@ -27,7 +27,7 @@ from simplex_grid_opt import (
     scaled_moment,
     scaled_moment_bruteforce,
 )
-from strats import polynomials, strict_gap_poly
+from strats import naive_bernstein, polynomials, simplex_points, strict_gap_poly
 
 PAPER_URN = HypergeomParams(m=16, counts=(7, 9), r=2)
 
@@ -249,6 +249,19 @@ def test_grid_minimum_below_expectation_100_random_instances():
         assert grid_minimize(f, r).value <= expectation(f, p)
 
 
+@settings(max_examples=60)
+@given(polynomials(max_n=3, max_d=3), st.data())
+def test_expectation_equals_the_sum_over_outcomes(f, data):
+    counts = data.draw(
+        st.lists(st.integers(0, 8), min_size=f.n, max_size=f.n).filter(lambda c: 0 < sum(c) <= 8)
+    )
+    p = HypergeomParams(m=sum(counts), counts=tuple(counts), r=data.draw(st.integers(1, sum(counts))))
+    want = Fraction(0)
+    for alpha in compositions(p.n, p.r):
+        want += pmf(p, alpha) * evaluate(f, [Fraction(a, p.r) for a in alpha])
+    assert expectation(f, p) == want
+
+
 def test_bernstein_approximation_examples():
     f = HomogeneousPolynomial(2, 2, {(2, 0): 1})
     assert bernstein_approximation(f, (Fraction(1, 2), Fraction(1, 2)), 2) == Fraction(3, 8)
@@ -284,6 +297,20 @@ def test_bernstein_approximation_equals_sequence_enumeration():
             alpha = tuple(seq.count(i) for i in range(n))
             total += prob * evaluate(f, tuple(Fraction(a, r) for a in alpha))
         assert bernstein_approximation(f, x, r) == total
+
+
+@settings(max_examples=80)
+@given(polynomials(max_n=4, max_d=4), st.integers(1, 8), st.data())
+def test_bernstein_approximation_equals_the_grid_sum(f, r, data):
+    x = data.draw(simplex_points(f.n))
+    assert bernstein_approximation(f, x, r) == naive_bernstein(f, x, r)
+
+
+def test_bernstein_approximation_does_not_sum_the_grid():
+    # E[(W_1/r)^2] = x_1^2 + x_1(1 - x_1)/r for W ~ Multinomial(r, x); the grid has 10^6 + 1 points
+    f, r = HomogeneousPolynomial(2, 2, {(2, 0): 1}), 10**6
+    for x1 in (Fraction(0), Fraction(1, 3), Fraction(7, 16), Fraction(1)):
+        assert bernstein_approximation(f, (x1, 1 - x1), r) == x1**2 + x1 * (1 - x1) / r
 
 
 def test_bernstein_approximation_rejects_off_simplex_points():

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from simplex_grid_opt import (
     HomogeneousPolynomial,
+    as_rational,
     bernstein_table,
     composition_count,
     elevate,
@@ -217,3 +218,48 @@ def test_json_validation_errors(tmp_path):
         homogenize_terms=True,
     )
     assert f.coeffs == {(2, 0): 1, (1, 1): 1}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "terms": [{"alpha": [1.5, 0.5], "coef": "1"}]}',
+        '{"n": 2, "terms": [{"alpha": [true, 1], "coef": "1"}]}',
+        '{"n": 2, "terms": [{"alpha": "11", "coef": "1"}]}',
+        '{"n": 2.7, "terms": [{"alpha": [1, 1], "coef": "1"}]}',
+        '{"n": 2.0, "terms": [{"alpha": [1, 1], "coef": "1"}]}',
+        '{"n": "2", "terms": [{"alpha": [1, 1], "coef": "1"}]}',
+        '{"n": true, "terms": [{"alpha": [2], "coef": "1"}]}',
+        '{"n": 2, "degree": 2.5, "terms": [{"alpha": [1, 1], "coef": "1"}]}',
+        '{"n": 2, "degree": false, "terms": [{"alpha": [1, 1], "coef": "1"}]}',
+    ],
+    ids=["float-alpha", "bool-alpha", "string-alpha", "float-n", "integral-float-n", "string-n",
+         "bool-n", "float-degree", "bool-degree"],
+)
+def test_json_integer_fields_accept_only_json_integers(tmp_path, text):
+    path = tmp_path / "poly.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="JSON integer|must be a list"):
+        load_polynomial(str(path))
+
+
+def test_json_terms_that_repeat_an_exponent_are_summed():
+    terms = [{"alpha": [1, 1], "coef": "1/2"}, {"alpha": [1, 1], "coef": 1}]
+    f = from_json_dict({"n": 2, "terms": terms})
+    assert f.coeffs == {(1, 1): Fraction(3, 2)}
+
+
+@pytest.mark.parametrize(
+    "coef", ['"1e999999999"', "1e999999999", '"-2.5E-999999999"', '"1e4_301"', "1e4301"]
+)
+def test_json_refuses_a_huge_decimal_exponent_before_building_it(tmp_path, coef):
+    path = tmp_path / "poly.json"
+    path.write_text('{"n": 1, "terms": [{"alpha": [1], "coef": %s}]}' % coef)
+    with pytest.raises(ValueError, match="decimal exponent"):
+        load_polynomial(str(path))
+
+
+def test_decimal_exponents_up_to_the_limit_are_exact():
+    assert as_rational("1e4300") == 10**4300
+    assert as_rational(" -25E-0004300 ") == Fraction(-25, 10**4300)
+    assert as_rational("1.5e1_0") == 15 * 10**9

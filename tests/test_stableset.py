@@ -5,6 +5,7 @@ import pytest
 
 from simplex_grid_opt import (
     Graph,
+    GridTooLargeError,
     alpha_lower_bound,
     evaluate,
     exact_alpha,
@@ -77,6 +78,19 @@ def test_alpha_lower_bound_examples():
         bound = alpha_lower_bound(complete_graph(n), 3)
         assert bound.grid_value == 1
         assert bound.alpha_lb == 1
+
+
+def test_alpha_lower_bound_bounds_the_form_before_building_it():
+    # 10^8 vertices: the grid at r = 1 is within the default budget, the form's table is not
+    with pytest.raises(GridTooLargeError, match="table entries"):
+        alpha_lower_bound(Graph.from_edges(10**8, []), 1)
+    g = petersen()  # table 10 * (10 + 15) = 250 entries, 10 grid points at r = 1
+    with pytest.raises(GridTooLargeError):
+        alpha_lower_bound(g, 1, max_points=249)
+    assert alpha_lower_bound(g, 1, max_points=250).alpha_lb == 1
+    with pytest.raises(GridTooLargeError):
+        alpha_lower_bound(g, 4, max_points=714)  # 715 grid points
+    assert alpha_lower_bound(g, 4, max_points=715).alpha_lb == 4
 
 
 def test_petersen_bound_matches_exact_alpha():
