@@ -10,7 +10,8 @@ The verbs that sweep a grid (grid-min, grid-max, converge, enclose,
 stable-set) take --threads and --force.  expect takes --force too: its
 --bernstein value is closed form and sums no grid, but it keeps obeying the
 guard for compatibility.  The grid size guard is 10^8 points, or
-SGO_MAX_GRID when set; stable-set also counts the vertex form's table.
+SGO_MAX_GRID when set; stable-set also counts the vertex form's table, and
+converge compares the total of all the grids it sweeps before the first one.
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  Output is byte-identical for any
@@ -29,6 +30,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import identities as ident_mod
+from .combin import composition_count
 from .grid import (
     DEFAULT_GRID_GUARD,
     GridTooLargeError,
@@ -65,17 +67,17 @@ def _grid_guard(args: argparse.Namespace) -> "int | None":
 # --- small parsers -------------------------------------------------------------
 
 
-def _parse_range(text: str) -> "list[int]":
+def _parse_range(text: str) -> range:
     """Accept "7" or "2:16" (inclusive)."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return [int(parts[0])]
+            return range(int(parts[0]), int(parts[0]) + 1)
         if len(parts) == 2:
             lo, hi = int(parts[0]), int(parts[1])
             if lo > hi:
                 raise ValueError
-            return list(range(lo, hi + 1))
+            return range(lo, hi + 1)
     except ValueError:
         pass
     raise ValueError(f"expected an integer or 'lo:hi' range, got {text!r}")
@@ -218,6 +220,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     kind_names = [kind.value for kind in bounds_mod.ALL_KINDS]
     header = ["r", "grid_min", "grid_min_decimal", "rho_lo", "rho_hi"] + kind_names
     r_values = _parse_range(args.r_range)
+    _converge_guard(f.n, r_values, assumptions, guard)
     fmin, fmax = bounds_mod.range_enclosures(f, assumptions, threads=args.threads, max_points=guard)
     rows = []
     for r in r_values:
@@ -235,6 +238,32 @@ def cmd_converge(args: argparse.Namespace) -> int:
         rows.append(row)
     _emit(args, [dict(zip(header, row)) for row in rows], header, rows, decimal_note=True)
     return EXIT_OK
+
+
+def _converge_guard(n: int, r_values: range, params: bounds_mod.RangeAssumptions,
+                    guard: "int | None") -> None:
+    """Refuse, before any sweep, a converge run whose grids hold more than guard
+    points in total: every r of the range, plus each denominator that
+    range_enclosures sweeps (the assumed ones, and --grid unless both sides
+    are assumed).
+
+    The range is summed in closed form (hockey stick): sum over r = lo..hi of
+    |I(n, r)| = |I(n + 1, hi)| - |I(n + 1, lo - 1)|, so a huge range costs
+    nothing.
+    """
+    lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
+    grid = params.grid if lo_m is None or hi_m is None else None
+    named = {grid, lo_m, hi_m} - {None}
+    lo, hi = r_values[0], r_values[-1]
+    for r in (lo, *named):
+        if r < 1:
+            raise ValueError(f"need r >= 1, got {r}")
+    if guard is None:
+        return
+    total = composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)
+    total += sum(composition_count(n, q) for q in named)
+    if total > guard:
+        raise GridTooLargeError(f"the grids to sweep have {total} points in all, budget is {guard}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

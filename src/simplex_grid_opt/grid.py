@@ -7,9 +7,9 @@ sweep compares the integers L*f(alpha), where L clears the denominators of the
 coefficients once; the reported value is reconstructed as a Fraction at the
 end.  Every step below is integer arithmetic, so the engine is exact.
 
-One engine serves grid_extrema: a single lex-order pass that tracks the
-minimum and the maximum together.  grid_minimize and grid_maximize are views
-of it, and bounds.range_enclosures takes its grid values from it.
+One engine serves every sweep: a single lex-order pass that tracks the sides
+its caller needs, the minimum (grid_minimize), the maximum (grid_maximize) or
+both (grid_extrema, from which bounds.range_enclosures takes its grid values).
 
 - Prefix tree.  The leading coordinates alpha_0..alpha_{n-3} are fixed
   depth-first, in ascending order.  With a prefix fixed, L*f restricted to the
@@ -25,34 +25,56 @@ of it, and bounds.range_enclosures takes its grid values from it.
   rebuild h(0..s).  Shorter rows are evaluated directly.
 - A node whose budget reaches 0 is a single point: the coefficient of the
   all-zero suffix.
+- Pruning.  A node at depth k >= 1 holds L*f on the face of the m = n - k
+  coordinates y left, with budget s = sum y, as one integer c_i per suffix
+  sigma_i.  Homogenized by (sum y)^(d - |sigma_i|) and scaled by
+  s^|sigma_i|, it has the simplicial Bernstein coefficients
+  p_g / multinomial(d, g), g in I(m, d), with p_g = sum over sigma_i <= g of
+  c_i s^|sigma_i| multinomial(d - |sigma_i|, g - sigma_i); every value under
+  the node lies between their min and max (Leroy, Reliable Computing 17,
+  2012).  The node is skipped when, on every tracked side, p_g is strictly
+  worse than the running extreme times multinomial(d, g) for every g: the
+  running extreme is attained, so minimizers and tie counts stay exact.  Only
+  nodes of depth 1..n-3 whose subtree has at least one point per
+  _BOUND_ENTRIES_PER_POINT entries of the (index, weight) table are bounded.
+  evaluations still counts every grid point, evaluated or certified.
 - The suffix, power and row tables depend only on f's support and on r, not
   on its coefficients, so the few most recently used are kept: bound checks
-  sweep the same support at the same denominators many times.
+  sweep the same support at the same denominators many times.  The Bernstein
+  tables do not depend on r either; they are built on first use and shared by
+  every r.
 
 Rows arrive in lex order, so the lex-first minimizers (capped) and exact tie
 counts fall out of min, max, count and index on each row.  With threads > 1
 the range of alpha_0 is split into contiguous chunks whose partial results
-merge in lex order, so the outcome never depends on threading.
+merge in lex order, so the outcome never depends on threading; each chunk
+prunes against its own running extremes, which changes only what it skips.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, inf, lcm
-from operator import gt, lt, mul, sub
+from math import comb, inf, lcm, prod
+from operator import add, gt, lt, mul, sub
 
-from .combin import composition_count
+from .combin import composition_count, compositions
 from .poly import HomogeneousPolynomial
 
 MINIMIZER_CAP = 16
 DEFAULT_GRID_GUARD = 10**8
+
+# The pruning gate (see _gates): a node is bounded only when its Bernstein
+# table has at most this many entries per grid point below it.  Chosen by timing
+# the sweep workload; the bound exits at the first row that fails, so it costs
+# far less than its table on average.
+_BOUND_ENTRIES_PER_POINT = 4
 
 
 class GridTooLargeError(RuntimeError):
@@ -123,54 +145,123 @@ class _Extreme:
         self.points.extend(points[: self.cap - len(self.points)])
 
 
+def _suffix_orders(support: "tuple[tuple[int, ...], ...]", rows: "list[tuple[int, int]]", n: int):
+    """The coefficient lists of the prefix tree, from depth n - 3 up to the root.
+
+    At depth n - 2 the list holds one entry per row suffix (b, c) in `rows`.
+    Each depth k <= n - 3 yields (lead, child, degrees, width, extras, slot): entry i
+    stands for the suffix (lead[i],) + (suffix child[i] of depth k + 1), of
+    degree degrees[i]; the first `width` entries have child[i] = i, and
+    extras lists the (child, entry) pairs of the rest.  slot[t] is the entry
+    of support[t].  Suffixes are tracked by index, so a depth costs time linear
+    in the support, whatever n is.
+    """
+    index = {suffix: j for j, suffix in enumerate(rows)}
+    slot = [index[alpha[-2:]] for alpha in support]
+    degrees = [b + c for b, c in rows]
+    for k in range(n - 3, -1, -1):
+        found = defaultdict(set)
+        for alpha, j in zip(support, slot):
+            found[j].add(alpha[k])
+        width = len(degrees)
+        exponents = [sorted(found[j]) for j in range(width)]
+        lead = [bs[0] for bs in exponents]
+        child = list(range(width))
+        extras = []
+        for j, bs in enumerate(exponents):
+            for b in bs[1:]:
+                extras.append((j, len(lead)))
+                lead.append(b)
+                child.append(j)
+        index = {(b, j): i for i, (b, j) in enumerate(zip(lead, child))}
+        slot = [index[alpha[k], j] for alpha, j in zip(support, slot)]
+        degrees = [b + degrees[j] for b, j in zip(lead, child)]
+        yield lead, child, degrees, width, tuple(extras), slot
+
+
+def _table_entries(m: int, d: int, degrees: "list[int]") -> int:
+    """Size of the Bernstein table of a node with m coordinates left: a suffix
+    of degree e takes part in C(m - 1 + d - e, m - 1) of its rows."""
+    return sum(count * comb(m - 1 + d - e, m - 1) for e, count in Counter(degrees).items())
+
+
+def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple[tuple, ...]":
+    """The Bernstein table of a node with m coordinates left whose coefficients
+    are indexed by `suffixes`.
+
+    One row per g in I(m, d), the vertices d*e_j first: the entries i with
+    suffixes[i] <= g, their weights multinomial(d - |suffixes[i]|,
+    g - suffixes[i]), and multinomial(d, g).  It depends only on the suffixes
+    and d, not on the coefficients, the budget or r.
+    """
+    factorial = list(accumulate(range(1, d + 1), mul, initial=1))
+    hits = {g: ([], []) for g in compositions(m, d)}
+    for i, sigma in enumerate(suffixes):
+        e = d - sum(sigma)
+        for h in compositions(m, e):
+            index, weights = hits[tuple(map(add, sigma, h))]
+            index.append(i)
+            weights.append(factorial[e] // prod(map(factorial.__getitem__, h)))
+    rows = [
+        (tuple(index), tuple(weights), factorial[d] // prod(map(factorial.__getitem__, g)))
+        for g, (index, weights) in hits.items()
+    ]
+    rows.sort(key=lambda row: row[2] != 1)  # a vertex row is a grid value: it fails first
+    return tuple(rows)
+
+
 class _Shape:
     """Integer tables for sweeping any polynomial with a given support over
     the grid with denominator r.  They do not depend on the coefficients.
 
     At depth k of the prefix tree (alpha_0..alpha_{k-1} fixed), L*f is held
-    as one coefficient per distinct exponent suffix beta[k:].  The suffixes
-    are listed so that the first `width` of them have one per child suffix
-    beta[k+1:], in the child's order; fixing alpha_k = a then scales every
-    coefficient by a^b, adds each later entry into its child's slot, and cuts
-    the list to `width`.  levels[k] = (powers, width, extras, zero) holds the
-    powers a^b per a = 0..r, the child count, the (child, entry) pairs to add,
-    and the entries whose child suffix is all zero (the point reached when the
-    budget runs out).  `order` lists the monomials in root order.
+    as one coefficient per distinct exponent suffix beta[k:], listed as in
+    _suffix_orders; fixing alpha_k = a then scales every coefficient by a^b,
+    adds each later entry into its child's slot, and cuts the list to `width`.
+    levels[k] = (powers, width, extras, zero) holds the powers a^b per
+    a = 0..r, the child count, the (child, entry) pairs to add, and the
+    entries whose child suffix is all zero (the point reached when the budget
+    runs out).  `order` lists the monomials in root order.
 
     rows[s] holds, for each row suffix (b, c), the values of v^b (s - v)^c at
     v = 0..s when s <= e, and otherwise its forward differences of order
     0..e at v = 0, where e is the largest b + c.
+
+    entries[k] is the size of the Bernstein table of depth k = 1..n-3 (rows
+    are never bounded: prefix sums make their points cheap); the table itself
+    is built when the gate first admits a node of that depth (beaten).
     """
 
     def __init__(self, support: "tuple[tuple[int, ...], ...]", n: int, d: int, r: int) -> None:
         # power[v][b] = v^b for v = 0..r, b = 0..d
         power = [tuple(accumulate(repeat(v, d), mul, initial=1)) for v in range(r + 1)]
-        levels = []
-        order = sorted({alpha[-2:] for alpha in support})  # row suffixes (b, c)
-        row_suffixes = order
-        for k in range(n - 3, -1, -1):
-            found = defaultdict(set)
-            for alpha in support:
-                found[alpha[k + 1 :]].add(alpha[k])
-            exponents = {child: sorted(found[child]) for child in order}
-            parents = [(exponents[child][0],) + child for child in order]
-            extras = []
-            for j, child in enumerate(order):
-                for b in exponents[child][1:]:
-                    extras.append((j, len(parents)))
-                    parents.append((b,) + child)
-            lead = [suffix[0] for suffix in parents]
+        self.n, self.d = n, d
+        self.row_suffixes = row_suffixes = sorted({alpha[-2:] for alpha in support})
+        self.e = e = max((b + c for b, c in row_suffixes), default=0)
+        levels, links, entries = [], [], [0] * (n - 1)
+        order = row_suffixes  # n = 2: the row suffixes are the monomials
+        for k, (lead, child, degrees, width, extras, slot) in zip(
+            range(n - 3, -1, -1), _suffix_orders(support, row_suffixes, n)
+        ):
             levels.append((
                 tuple(tuple(map(power[a].__getitem__, lead)) for a in range(r + 1)),
-                len(order),
-                tuple(extras),
-                tuple(i for i, suffix in enumerate(parents) if not any(suffix[1:])),
+                width,
+                extras,
+                tuple(i for i, b in enumerate(lead) if b == degrees[i]),
             ))
-            order = parents
+            links.append((lead, child))
+            if k:
+                entries[k] = _table_entries(n - k, d, degrees)
+            else:
+                order = [()] * len(support)
+                for alpha, i in zip(support, slot):
+                    order[i] = alpha
         self.levels = tuple(reversed(levels))
+        self.links = tuple(reversed(links))
         self.order = tuple(order)
+        self.entries = tuple(entries)
+        self.tables = _tables(support, n, d)
 
-        self.e = e = max((b + c for b, c in row_suffixes), default=0)
         rows: "list[tuple[tuple[int, ...], ...] | None]" = [None] * (r + 1)
         for s in range(1, r + 1) if n > 2 else (r,):
             values = []
@@ -197,65 +288,141 @@ class _Shape:
             values = accumulate(values, initial=table[k])
         return list(values)
 
+    def beaten(self, k: int, coeffs: "list[int]", s: int, low: "_Extreme | None",
+               high: "_Extreme | None") -> bool:
+        """Whether every grid point under the depth-k node with budget s and
+        these coefficients is strictly worse than the running extremes, whose
+        values are attained.
+
+        The node's L*f is sum c_i y^sigma_i over the m = n - k coordinates y
+        left, with sum y = s.  Homogenizing each term by (sum y)^(d - |sigma_i|)
+        and scaling it by s^|sigma_i| gives a form of degree d in t = y/s whose
+        coefficients in the Bernstein basis are p_g / multinomial(d, g), with
+        p_g = sum over sigma_i <= g of c_i s^|sigma_i| multinomial(d -
+        |sigma_i|, g - sigma_i), g in I(m, d).  Every value of the subtree is a
+        convex combination of them (Leroy, Reliable Computing 17, 2012).  The
+        node is beaten when p_g > low * multinomial(d, g) for every g (min
+        side; low is None when not tracked), and p_g < high * multinomial(d, g)
+        (max side).  Both are strict: a beaten subtree holds no point equal to
+        an attained extreme, so minimizers and ties stay exact.  The test is
+        all integer and stops at the first g that fails.
+        """
+        lo = None if low is None else low.value
+        hi = None if high is None else high.value
+        degrees, rows = self.tables[k] or self._build_table(k)
+        power = list(accumulate(repeat(s, self.d), mul, initial=1))
+        scaled = list(map(mul, coeffs, map(power.__getitem__, degrees)))
+        for index, weights, size in rows:
+            p = sum(map(mul, map(scaled.__getitem__, index), weights))
+            if lo is not None and p <= lo * size or hi is not None and p >= hi * size:
+                return False
+        return True
+
+    def _build_table(self, k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...]]":
+        """The suffix degrees and Bernstein rows of depth k, kept in self.tables."""
+        suffixes = self.row_suffixes
+        for lead, child in reversed(self.links[k:]):
+            suffixes = [(b,) + suffixes[j] for b, j in zip(lead, child)]
+        table = (tuple(map(sum, suffixes)), _bernstein_rows(suffixes, self.n - k, self.d))
+        self.tables[k] = table  # idempotent, so threads may race here
+        return table
+
+
+@lru_cache(maxsize=8)
+def _tables(support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> "list[tuple | None]":
+    """The Bernstein tables of a support per depth, shared by its shapes for
+    every r (they do not depend on r) and filled in on first use."""
+    return [None] * (n - 1)
+
 
 @lru_cache(maxsize=8)
 def _shape(support: "tuple[tuple[int, ...], ...]", n: int, d: int, r: int) -> _Shape:
     """The tables for (support, r), kept for the few most recent shapes.
 
     Callers such as bound checks and enclosures sweep the same support at the
-    same few denominators many times; the tables are immutable, so reuse is
-    safe across calls and threads.
+    same few denominators many times; the tables are immutable (the Bernstein
+    tables are filled in once, on first use), so reuse is safe across calls
+    and threads.
     """
     return _Shape(support, n, d, r)
 
 
+def _gates(shape: _Shape, n: int, r: int) -> "list[int]":
+    """The smallest budget at which a node of each depth is bounded; r + 1 for never.
+
+    A depth-k node (1 <= k <= n - 3) with budget s covers C(s + m - 1, m - 1)
+    points, m = n - k; it is bounded only when its table has at most
+    _BOUND_ENTRIES_PER_POINT entries per point.  The root has no incumbent to
+    beat, and rows are not bounded.
+    """
+    gates = [r + 1] * (n - 1)
+    for k in range(1, n - 2):
+        m = n - k
+        target = -(-shape.entries[k] // _BOUND_ENTRIES_PER_POINT)  # points needed
+        if comb(r + m - 1, m - 1) >= target:
+            gates[k] = bisect_left(range(r + 1), target, key=lambda s: comb(s + m - 1, m - 1))
+    return gates
+
+
 def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int, stop: int,
-          cap: int) -> "tuple[_Extreme, _Extreme]":
-    """Extremes (low, high) of L*f over the grid points with first <= alpha_0 < stop.
+          cap: int, picks: tuple, gates: "list[int] | None") -> "tuple[list[_Extreme], int]":
+    """Running extremes (one per pick, min and/or max) of L*f over the grid
+    points with first <= alpha_0 < stop, and the number of points pruned.
 
     root holds L*f's coefficients in shape.order; for n = 1 it holds the one
-    coefficient of x^d times r^d, or nothing for the zero polynomial.
+    coefficient of x^d times r^d, or nothing for the zero polynomial.  The
+    prefix tree is walked depth-first with an explicit stack, so n is not
+    limited by the recursion limit.  A node that passes gates is skipped when
+    shape.beaten says no point below it can reach a tracked extreme.
     """
-    low, high = _Extreme(min, cap), _Extreme(max, cap)
+    tracked = [_Extreme(pick, cap) for pick in picks]
     if n == 1:
         value = root[0] if root else 0
-        low.absorb(value, 1, [(r,)])
-        high.absorb(value, 1, [(r,)])
-        return low, high
+        for ext in tracked:
+            ext.absorb(value, 1, [(r,)])
+        return tracked, 0
     if n == 2:
         values = shape.row(root, r)
-        low.add_row(values, (), r)
-        high.add_row(values, (), r)
-        return low, high
+        for ext in tracked:
+            ext.add_row(values, (), r)
+        return tracked, 0
 
-    levels, row_depth = shape.levels, n - 2
-
-    def node(k: int, coeffs: "list[int]", s: int, prefix: "tuple[int, ...]", alphas: range) -> None:
-        powers, width, extras, zero = levels[k]
-        zeros = (0,) * (n - k - 1)
+    low = tracked[0] if picks[0] is min else None
+    high = tracked[-1] if picks[-1] is max else None
+    frames = [level + (gates[k + 1],) for k, level in enumerate(shape.levels)]  # + children's gate
+    row_parent, pruned = n - 3, 0
+    stack = [(0, root, r, (), iter(range(first, stop)))]
+    while stack:
+        k, coeffs, s, prefix, alphas = stack[-1]
+        powers, width, extras, zero, gate = frames[k]
         for a in alphas:
             rest = s - a
             here = prefix + (a,)
             power = powers[a]
             if rest == 0:
                 value = sum(map(mul, map(coeffs.__getitem__, zero), map(power.__getitem__, zero)))
-                low.absorb(value, 1, [here + zeros])
-                high.absorb(value, 1, [here + zeros])
+                point = here + (0,) * (n - k - 1)
+                for ext in tracked:
+                    ext.absorb(value, 1, [point])
                 continue
             child = list(map(mul, coeffs, power))
             if extras:
                 for j, i in extras:
                     child[j] += child[i]
                 del child[width:]
-            if k + 1 == row_depth:
+            if k == row_parent:
                 values = shape.row(child, rest)
-                low.add_row(values, here, rest)
-                high.add_row(values, here, rest)
-            else:
-                node(k + 1, child, rest, here, range(rest + 1))
-
-    node(0, root, r, (), range(first, stop))
-    return low, high
+                for ext in tracked:
+                    ext.add_row(values, here, rest)
+            # ties > 0 once any point is seen: then every tracked extreme is attained
+            elif rest >= gate and tracked[0].ties and shape.beaten(k + 1, child, rest, low, high):
+                pruned += comb(rest + n - k - 2, n - k - 2)
+            else:  # descend; this level resumes from `alphas` once the child is done
+                stack.append((k + 1, child, rest, here, iter(range(rest + 1))))
+                break
+        else:
+            stack.pop()
+    return tracked, pruned
 
 
 def _alpha0_chunks(n: int, r: int, threads: int) -> "list[tuple[int, int]]":
@@ -272,38 +439,52 @@ def _alpha0_chunks(n: int, r: int, threads: int) -> "list[tuple[int, int]]":
 
 
 def _sweep(
-    f: HomogeneousPolynomial, r: int, threads: int, cap: int
-) -> "tuple[_Extreme, _Extreme, int]":
-    """Extremes (low, high) of L*f over the grid from one lex-order pass, and L*r^d."""
+    f: HomogeneousPolynomial, r: int, threads: int, cap: int, picks: tuple = (min, max)
+) -> "tuple[list[_Extreme], int, int]":
+    """Extremes of L*f over the grid from one lex-order pass, one per pick (min
+    and/or max, in that order); L*r^d; and the number of points pruned."""
     scale = lcm(*(c.denominator for c in f.coeffs.values()))
     coeffs = {alpha: c.numerator * (scale // c.denominator) for alpha, c in f.coeffs.items()}
     if f.n == 1:
-        shape, root = None, [c * r**f.d for c in coeffs.values()]
+        shape, root, gates = None, [c * r**f.d for c in coeffs.values()], None
     else:
         shape = _shape(tuple(coeffs), f.n, f.d, r)
         root = [coeffs[alpha] for alpha in shape.order]
+        gates = _gates(shape, f.n, r)
     chunks = _alpha0_chunks(f.n, r, threads)
     workers = min(len(chunks), os.cpu_count() or 1) if len(chunks) > 1 else 1
+
+    def scan(chunk: "tuple[int, int]") -> "tuple[list[_Extreme], int]":
+        return _scan(shape, root, f.n, r, *chunk, cap, picks, gates)
+
     if workers == 1:
-        partials = [_scan(shape, root, f.n, r, first, stop, cap) for first, stop in chunks]
+        partials = [scan(chunk) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda chunk: _scan(shape, root, f.n, r, *chunk, cap), chunks))
-    low, high = partials[0]
-    for later_low, later_high in partials[1:]:  # chunks arrive in lex order
-        low.absorb(later_low.value, later_low.ties, later_low.points)
-        high.absorb(later_high.value, later_high.ties, later_high.points)
-    return low, high, scale * r**f.d
+            partials = list(pool.map(scan, chunks))
+    extremes, pruned = partials[0]
+    for later, later_pruned in partials[1:]:  # chunks arrive in lex order
+        for ext, part in zip(extremes, later):
+            ext.absorb(part.value, part.ties, part.points)
+        pruned += later_pruned
+    return extremes, scale * r**f.d, pruned
 
 
-def _result(ext: _Extreme, denominator: int, r: int, total: int) -> GridMinResult:
-    return GridMinResult(
-        value=Fraction(ext.value, denominator),
-        r=r,
-        minimizers=tuple(ext.points),
-        tie_count=ext.ties,
-        evaluations=total,
-    )
+def _grid_extremes(f: HomogeneousPolynomial, r: int, picks: tuple, threads: int, cap: int,
+                   max_points: "int | None") -> "list[GridMinResult]":
+    """One result per pick; only the picked sides are tracked and bound."""
+    total = _grid_size(f.n, r, max_points)
+    extremes, denominator, _ = _sweep(f, r, threads, cap, picks)
+    return [
+        GridMinResult(
+            value=Fraction(ext.value, denominator),
+            r=r,
+            minimizers=tuple(ext.points),
+            tie_count=ext.ties,
+            evaluations=total,
+        )
+        for ext in extremes
+    ]
 
 
 def grid_extrema(
@@ -320,11 +501,12 @@ def grid_extrema(
     alpha_0 into contiguous chunks whose partial results merge independently
     of the partition, so the outcome never depends on threading.  Workers are
     capped at the CPU count; under the GIL they give no speed-up.  The
-    maximum's minimizers field holds the lex-first maximizers.
+    maximum's minimizers field holds the lex-first maximizers.  evaluations
+    counts the grid points covered, whether evaluated or certified by the
+    pruning bound.
     """
-    total = _grid_size(f.n, r, max_points)
-    low, high, denominator = _sweep(f, r, threads, minimizer_cap)
-    return _result(low, denominator, r, total), _result(high, denominator, r, total)
+    low, high = _grid_extremes(f, r, (min, max), threads, minimizer_cap, max_points)
+    return low, high
 
 
 def grid_minimize(
@@ -335,8 +517,11 @@ def grid_minimize(
     minimizer_cap: int = MINIMIZER_CAP,
     max_points: "int | None" = DEFAULT_GRID_GUARD,
 ) -> GridMinResult:
-    """Exact minimum of f over the grid with denominator r; see grid_extrema."""
-    return grid_extrema(f, r, threads=threads, minimizer_cap=minimizer_cap, max_points=max_points)[0]
+    """Exact minimum of f over the grid with denominator r; see grid_extrema.
+
+    Only the minimum is tracked, so the pruning bound serves that side alone.
+    """
+    return _grid_extremes(f, r, (min,), threads, minimizer_cap, max_points)[0]
 
 
 def grid_maximize(
@@ -347,5 +532,8 @@ def grid_maximize(
     minimizer_cap: int = MINIMIZER_CAP,
     max_points: "int | None" = DEFAULT_GRID_GUARD,
 ) -> GridMinResult:
-    """Exact maximum of f over the grid with denominator r; see grid_extrema."""
-    return grid_extrema(f, r, threads=threads, minimizer_cap=minimizer_cap, max_points=max_points)[1]
+    """Exact maximum of f over the grid with denominator r; see grid_extrema.
+
+    Only the maximum is tracked, so the pruning bound serves that side alone.
+    """
+    return _grid_extremes(f, r, (max,), threads, minimizer_cap, max_points)[0]

@@ -32,6 +32,15 @@ def strict_gap_poly() -> HomogeneousPolynomial:
     return HomogeneousPolynomial(2, 2, {(2, 0): 2, (0, 2): 1, (1, 1): -5})
 
 
+def fixed_quartic() -> HomogeneousPolynomial:
+    """A dense n = 4, d = 4 polynomial on which the sweep engine's default gate
+    prunes at r = 80."""
+    coeffs = {
+        alpha: Fraction((7 * i) % 11 - 5, 1 + i % 3) for i, alpha in enumerate(compositions(4, 4))
+    }
+    return HomogeneousPolynomial(4, 4, coeffs)
+
+
 def petersen() -> Graph:
     outer = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
     spokes = [(i, i + 5) for i in range(1, 6)]

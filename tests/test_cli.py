@@ -21,7 +21,14 @@ from simplex_grid_opt.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from strats import DATA_DIR, naive_bernstein, naive_extremes, polynomials, simplex_points
+from strats import (
+    DATA_DIR,
+    fixed_quartic,
+    naive_bernstein,
+    naive_extremes,
+    polynomials,
+    simplex_points,
+)
 
 GAP = str(DATA_DIR / "strict_gap_quadratic.json")
 SOS4 = str(DATA_DIR / "sum_of_squares_n4.json")
@@ -273,6 +280,82 @@ def test_each_sweep_and_table_is_computed_once(capsys, monkeypatch):
         assert run(capsys, *argv, "--poly", SOS4)[0] == EXIT_OK
         assert len(sweeps) <= most_sweeps, argv
         assert len(tables) == want_tables, argv
+
+
+def test_default_verify_builds_no_bound_table(capsys, monkeypatch):
+    grid._shape.cache_clear()
+    grid._tables.cache_clear()
+    tables = count_calls(monkeypatch, grid, "_bernstein_rows")
+    bound_checks = count_calls(monkeypatch, grid._Shape, "beaten")
+    assert run(capsys, "verify")[0] == EXIT_OK
+    assert tables == [] and bound_checks == []
+
+
+def test_threads_keep_the_bytes_of_a_pruned_sweep(capsys, monkeypatch, tmp_path):
+    poly = tmp_path / "quartic.json"
+    poly.write_text(json.dumps(to_json_dict(fixed_quartic())))
+    pruned = []
+    sweep = grid._sweep
+
+    def counted(*args):
+        result = sweep(*args)
+        pruned.append(result[2])
+        return result
+
+    monkeypatch.setattr(grid, "_sweep", counted)
+    outputs = []
+    for threads in ("1", "8"):
+        code, out, _ = run(capsys, "grid-min", "--poly", str(poly), "--r", "80", "--threads", threads)
+        assert code == EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["evaluations"] == 91881  # C(83, 3)
+    assert len(pruned) == 2 and min(pruned) > 0
+
+
+def test_many_variables_sweep_without_a_recursion_limit(capsys, tmp_path):
+    # the prefix tree is n - 2 deep; these ran into Python's recursion limit before
+    poly = tmp_path / "x1.json"
+    poly.write_text(json.dumps({"n": 3000, "terms": [{"alpha": [1] + [0] * 2999, "coef": "1"}]}))
+    code, out, _ = run(capsys, "grid-min", "--poly", str(poly), "--r", "1")
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert (obj["value"], obj["tie_count"], obj["evaluations"]) == ("0", 2999, 3000)
+    graph = tmp_path / "empty.edges"
+    graph.write_text("p edge 1200 0\n")
+    code, out, _ = run(capsys, "stable-set", "--graph", str(graph), "--r", "1")
+    assert code == EXIT_OK
+    assert json.loads(out)["alpha_lb"] == 1
+
+
+def test_converge_guards_the_total_of_its_grids(capsys, monkeypatch):
+    # SOS4 grids r = 2..6 hold 10 + 20 + 35 + 56 + 84 = 205 points, each within 100
+    monkeypatch.setenv("SGO_MAX_GRID", "100")
+    code, out, err = run(capsys, "converge", "--poly", SOS4, "--r-range", "2:6")
+    assert code == EXIT_SIZE_GUARD
+    assert out == "" and "205 points in all" in err
+    assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:6", "--force")[0] == EXIT_OK
+    # r = 2..5 holds 121; --grid 2 adds 10, but only while a side is unassumed
+    monkeypatch.setenv("SGO_MAX_GRID", "130")
+    assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:5")[0] == EXIT_OK
+    assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:5",
+               "--grid", "2")[0] == EXIT_SIZE_GUARD
+    assumed = ("--assume-min-denominator", "4", "--assume-max-denominator", "1", "--grid", "2")
+    monkeypatch.setenv("SGO_MAX_GRID", "160")  # 121 + 35 + 4
+    assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:5", *assumed)[0] == EXIT_OK
+    monkeypatch.setenv("SGO_MAX_GRID", "159")
+    assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:5",
+               *assumed)[0] == EXIT_SIZE_GUARD
+
+
+def test_converge_refuses_a_huge_range_at_once(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("a grid was swept before the guard")
+
+    monkeypatch.setattr(grid, "_sweep", fail)
+    code, out, err = run(capsys, "converge", "--poly", SOS4, "--r-range", "1:100000000")
+    assert code == EXIT_SIZE_GUARD
+    assert out == "" and "budget is 100000000" in err
 
 
 def test_verify_small_sweep_passes(capsys):

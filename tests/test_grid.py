@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import ceil, floor, prod
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from simplex_grid_opt import (
     range_enclosures,
 )
 from simplex_grid_opt import bounds, grid
-from strats import naive_extremes, polynomials, strict_gap_poly, sum_of_squares
+from strats import fixed_quartic, naive_extremes, polynomials, strict_gap_poly, sum_of_squares
 
 
 def test_grid_minimize_paper_values():
@@ -189,6 +190,14 @@ def engine_cases(draw):
 @given(engine_cases(), st.sampled_from((1, 16)))
 def test_engine_matches_naive_oracle(case, cap):
     f, r = case
+    lo, hi = _check_against_naive_oracle(f, r, cap)
+    enc_lo, enc_hi = range_enclosures(f, RangeAssumptions(grid=r))
+    assert (enc_lo.hi, enc_hi.lo) == (lo, hi)
+
+
+def _check_against_naive_oracle(f, r, cap):
+    """Compare the three sweeps, serial and threaded, with naive_extremes;
+    return the grid minimum and maximum."""
     (lo, lo_hits, lo_ties), (hi, hi_hits, hi_ties) = naive_extremes(f, r, cap)
     for threads in (1, 3):
         low = grid_minimize(f, r, threads=threads, minimizer_cap=cap)
@@ -197,8 +206,7 @@ def test_engine_matches_naive_oracle(case, cap):
         assert (high.value, high.minimizers, high.tie_count) == (hi, hi_hits, hi_ties)
         assert low.evaluations == high.evaluations == composition_count(f.n, r)
         assert grid_extrema(f, r, threads=threads, minimizer_cap=cap) == (low, high)
-    enc_lo, enc_hi = range_enclosures(f, RangeAssumptions(grid=r))
-    assert (enc_lo.hi, enc_hi.lo) == (lo, hi)
+    return lo, hi
 
 
 def test_rows_longer_than_degree_use_differences():
@@ -227,6 +235,101 @@ def test_power_of_sum_ties_everywhere():
             assert res.value == Fraction(-1, 2)
             assert res.tie_count == res.evaluations == composition_count(5, 6)
             assert res.minimizers == tuple(list(compositions(5, 6))[:cap])
+
+
+# --- certified pruning ------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_cases(), st.sampled_from((1, 16)))
+def test_pruned_engine_matches_naive_oracle_with_every_node_bounded(case, cap):
+    # the gate admits every node of depth 1..n-3; the results must not change
+    f, r = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid, "_BOUND_ENTRIES_PER_POINT", 10**9)
+        _check_against_naive_oracle(f, r, cap)
+        for picks in ((min,), (max,), (min, max)):
+            evaluated, pruned = _evaluated_and_pruned(f, r, cap, picks)
+            assert evaluated + pruned == composition_count(f.n, r)
+
+
+def _evaluated_and_pruned(f, r, cap, picks):
+    """Points the engine evaluated (rows and single points) and points it pruned,
+    for one serial sweep."""
+    evaluated = []
+    add_row, absorb = grid._Extreme.add_row, grid._Extreme.absorb
+
+    def counted_row(ext, values, prefix, s):
+        if ext.pick is picks[0]:
+            evaluated.append(len(values))
+        add_row(ext, values, prefix, s)
+
+    def counted_point(ext, value, ties, points):
+        if ext.pick is picks[0]:
+            evaluated.append(ties)
+        absorb(ext, value, ties, points)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid._Extreme, "add_row", counted_row)
+        patch.setattr(grid._Extreme, "absorb", counted_point)
+        _, _, pruned = grid._sweep(f, r, 1, cap, picks)
+    return sum(evaluated), pruned
+
+
+def test_default_gate_prunes_and_keeps_the_count():
+    f = fixed_quartic()
+    for picks in ((min,), (max,), (min, max)):
+        evaluated, pruned = _evaluated_and_pruned(f, 80, 16, picks)
+        assert pruned > 0, picks
+        assert evaluated + pruned == composition_count(4, 80)
+    # a spot check of the pruned sweep against the naive oracle, at a smaller r
+    assert [(x.value, x.minimizers, x.tie_count) for x in grid_extrema(f, 24)] == \
+        naive_extremes(f, 24, 16)
+
+
+@st.composite
+def bernstein_nodes(draw):
+    """(suffixes, coefficients, m, d, s) of a node: distinct exponent vectors of
+    length m and degree at most d, not necessarily homogeneous."""
+    m, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pool = [alpha for e in range(d + 1) for alpha in compositions(m, e)]
+    suffixes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=len(suffixes), max_size=len(suffixes)))
+    return suffixes, coeffs, m, d, draw(st.integers(1, 8))
+
+
+class _Incumbent:
+    def __init__(self, value):
+        self.value = value
+
+
+@settings(max_examples=300, deadline=None)
+@given(bernstein_nodes())
+def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
+    suffixes, coeffs, m, d, s = node
+    rows = grid._bernstein_rows(suffixes, m, d)
+    assert sorted(multinomial(d, g) for g in compositions(m, d)) == sorted(row[2] for row in rows)
+    quotients = [
+        Fraction(sum(coeffs[i] * s ** sum(suffixes[i]) * w for i, w in zip(index, weights)), size)
+        for index, weights, size in rows
+    ]
+    values = [
+        sum(c * prod(y_j**a for y_j, a in zip(y, sigma)) for c, sigma in zip(coeffs, suffixes))
+        for y in compositions(m, s)
+    ]
+    assert min(quotients) <= min(values) and max(values) <= max(quotients)
+
+    shape = object.__new__(grid._Shape)  # only what beaten reads
+    shape.d, shape.tables = d, [(tuple(map(sum, suffixes)), rows)]
+    beaten = lambda low, high: shape.beaten(0, coeffs, s, low, high)
+    # an attained value is never beaten, on either side
+    assert not beaten(_Incumbent(min(values)), None)
+    assert not beaten(None, _Incumbent(max(values)))
+    assert not beaten(_Incumbent(min(values)), _Incumbent(max(values)))
+    # and an incumbent strictly beyond every quotient is
+    below, above = floor(min(quotients)) - 1, ceil(max(quotients)) + 1
+    assert beaten(_Incumbent(below), None) and beaten(None, _Incumbent(above))
+    assert beaten(_Incumbent(below), _Incumbent(above))
 
 
 # --- workers and guards -----------------------------------------------------------
