@@ -253,6 +253,14 @@ class RangeAssumptions:
     assume_max_denominator: "int | None" = None
 
 
+def swept_denominators(params: RangeAssumptions) -> "list[int]":
+    """The grid denominators range_enclosures sweeps, each once: params.grid
+    while a side is unassumed (it serves only those), then the assumed ones."""
+    lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
+    grid = params.grid if lo_m is None or hi_m is None else None
+    return [m for m in dict.fromkeys((grid, lo_m, hi_m)) if m is not None]
+
+
 def range_enclosures(
     f: HomogeneousPolynomial,
     params: RangeAssumptions = RangeAssumptions(),
@@ -273,12 +281,10 @@ def range_enclosures(
     """
     lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
     bernstein = lo_m is None or hi_m is None
-    # the grid serves only unassumed sides; dict.fromkeys sweeps a repeated denominator once
-    named = dict.fromkeys((params.grid if bernstein else None, lo_m, hi_m))
     elevated = elevate(f, params.elevation) if bernstein else None  # rejects a bad elevation first
     extrema = {
         m: grid_extrema(f, m, threads=threads, max_points=max_points)
-        for m in named if m is not None
+        for m in swept_denominators(params)
     }
     if bernstein:
         table = bernstein_table(elevated)

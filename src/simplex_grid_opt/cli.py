@@ -34,6 +34,7 @@ from .combin import composition_count
 from .grid import (
     DEFAULT_GRID_GUARD,
     GridTooLargeError,
+    _grid_size,
     grid_extrema,
     grid_maximize,
     grid_minimize,
@@ -242,27 +243,19 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def _converge_guard(n: int, r_values: range, params: bounds_mod.RangeAssumptions,
                     guard: "int | None") -> None:
-    """Refuse, before any sweep, a converge run whose grids hold more than guard
-    points in total: every r of the range, plus each denominator that
-    range_enclosures sweeps (the assumed ones, and --grid unless both sides
-    are assumed).
+    """Refuse, before any sweep, a converge run with an r < 1 or whose grids
+    hold more than guard points in total: every r of the range, plus the
+    denominators that range_enclosures sweeps (bounds.swept_denominators).
 
     The range is summed in closed form (hockey stick): sum over r = lo..hi of
     |I(n, r)| = |I(n + 1, hi)| - |I(n + 1, lo - 1)|, so a huge range costs
     nothing.
     """
-    lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
-    grid = params.grid if lo_m is None or hi_m is None else None
-    named = {grid, lo_m, hi_m} - {None}
     lo, hi = r_values[0], r_values[-1]
-    for r in (lo, *named):
-        if r < 1:
-            raise ValueError(f"need r >= 1, got {r}")
-    if guard is None:
-        return
+    _grid_size(n, lo, None)  # refuses lo < 1
     total = composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)
-    total += sum(composition_count(n, q) for q in named)
-    if total > guard:
+    total += sum(_grid_size(n, q, None) for q in bounds_mod.swept_denominators(params))
+    if guard is not None and total > guard:
         raise GridTooLargeError(f"the grids to sweep have {total} points in all, budget is {guard}")
 
 

@@ -34,9 +34,11 @@ both (grid_extrema, from which bounds.range_enclosures takes its grid values).
   the node lies between their min and max (Leroy, Reliable Computing 17,
   2012).  The node is skipped when, on every tracked side, p_g is strictly
   worse than the running extreme times multinomial(d, g) for every g: the
-  running extreme is attained, so minimizers and tie counts stay exact.  Only
-  nodes of depth 1..n-3 whose subtree has at least one point per
-  _BOUND_ENTRIES_PER_POINT entries of the (index, weight) table are bounded.
+  running extreme is attained, so minimizers and tie counts stay exact.  The
+  table keeps a row only for the g that some sigma_i lies under, plus one
+  flag for the rest, whose p_g are 0; its size is its (index, weight) entry
+  count, however large I(m, d) is.  Only nodes of depth 1..n-3 whose subtree
+  has at least one point per _BOUND_ENTRIES_PER_POINT entries are bounded.
   evaluations still counts every grid point, evaluated or certified.
 - The suffix, power and row tables depend only on f's support and on r, not
   on its coefficients, so the few most recently used are kept: bound checks
@@ -185,17 +187,19 @@ def _table_entries(m: int, d: int, degrees: "list[int]") -> int:
     return sum(count * comb(m - 1 + d - e, m - 1) for e, count in Counter(degrees).items())
 
 
-def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple[tuple, ...]":
+def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple[tuple, bool]":
     """The Bernstein table of a node with m coordinates left whose coefficients
-    are indexed by `suffixes`.
+    are indexed by `suffixes`, and whether some g in I(m, d) has no row.
 
-    One row per g in I(m, d), the vertices d*e_j first: the entries i with
-    suffixes[i] <= g, their weights multinomial(d - |suffixes[i]|,
-    g - suffixes[i]), and multinomial(d, g).  It depends only on the suffixes
-    and d, not on the coefficients, the budget or r.
+    One row per g in I(m, d) that some suffix lies under, the vertices d*e_j
+    first: the entries i with suffixes[i] <= g, their weights
+    multinomial(d - |suffixes[i]|, g - suffixes[i]), and multinomial(d, g).
+    A g without a row has p_g = 0, so the table costs its entry count
+    (_table_entries), not |I(m, d)|.  It depends only on the suffixes and d,
+    not on the coefficients, the budget or r.
     """
     factorial = list(accumulate(range(1, d + 1), mul, initial=1))
-    hits = {g: ([], []) for g in compositions(m, d)}
+    hits = defaultdict(lambda: ([], []))
     for i, sigma in enumerate(suffixes):
         e = d - sum(sigma)
         for h in compositions(m, e):
@@ -207,7 +211,7 @@ def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple
         for g, (index, weights) in hits.items()
     ]
     rows.sort(key=lambda row: row[2] != 1)  # a vertex row is a grid value: it fails first
-    return tuple(rows)
+    return tuple(rows), len(rows) < composition_count(m, d)
 
 
 class _Shape:
@@ -309,7 +313,10 @@ class _Shape:
         """
         lo = None if low is None else low.value
         hi = None if high is None else high.value
-        degrees, rows = self.tables[k] or self._build_table(k)
+        degrees, rows, zero_row = self.tables[k] or self._build_table(k)
+        # a g without a row has p_g = 0, beaten only by low < 0 and high > 0
+        if zero_row and (lo is not None and lo >= 0 or hi is not None and hi <= 0):
+            return False
         power = list(accumulate(repeat(s, self.d), mul, initial=1))
         scaled = list(map(mul, coeffs, map(power.__getitem__, degrees)))
         for index, weights, size in rows:
@@ -318,12 +325,13 @@ class _Shape:
                 return False
         return True
 
-    def _build_table(self, k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...]]":
-        """The suffix degrees and Bernstein rows of depth k, kept in self.tables."""
+    def _build_table(self, k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...], bool]":
+        """The suffix degrees, Bernstein rows and empty-row flag of depth k,
+        kept in self.tables."""
         suffixes = self.row_suffixes
         for lead, child in reversed(self.links[k:]):
             suffixes = [(b,) + suffixes[j] for b, j in zip(lead, child)]
-        table = (tuple(map(sum, suffixes)), _bernstein_rows(suffixes, self.n - k, self.d))
+        table = (tuple(map(sum, suffixes)), *_bernstein_rows(suffixes, self.n - k, self.d))
         self.tables[k] = table  # idempotent, so threads may race here
         return table
 

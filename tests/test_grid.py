@@ -307,12 +307,16 @@ class _Incumbent:
 @given(bernstein_nodes())
 def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     suffixes, coeffs, m, d, s = node
-    rows = grid._bernstein_rows(suffixes, m, d)
-    assert sorted(multinomial(d, g) for g in compositions(m, d)) == sorted(row[2] for row in rows)
+    rows, zero_row = grid._bernstein_rows(suffixes, m, d)
+    hit = [g for g in compositions(m, d) if any(all(map(int.__le__, sigma, g)) for sigma in suffixes)]
+    assert sorted(multinomial(d, g) for g in hit) == sorted(row[2] for row in rows)
+    assert zero_row == (len(hit) < composition_count(m, d))
+    assert sum(len(index) for index, _, _ in rows) == \
+        grid._table_entries(m, d, list(map(sum, suffixes)))
     quotients = [
         Fraction(sum(coeffs[i] * s ** sum(suffixes[i]) * w for i, w in zip(index, weights)), size)
         for index, weights, size in rows
-    ]
+    ] + [Fraction(0)] * zero_row  # every g without a row has p_g = 0
     values = [
         sum(c * prod(y_j**a for y_j, a in zip(y, sigma)) for c, sigma in zip(coeffs, suffixes))
         for y in compositions(m, s)
@@ -320,7 +324,7 @@ def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     assert min(quotients) <= min(values) and max(values) <= max(quotients)
 
     shape = object.__new__(grid._Shape)  # only what beaten reads
-    shape.d, shape.tables = d, [(tuple(map(sum, suffixes)), rows)]
+    shape.d, shape.tables = d, [(tuple(map(sum, suffixes)), rows, zero_row)]
     beaten = lambda low, high: shape.beaten(0, coeffs, s, low, high)
     # an attained value is never beaten, on either side
     assert not beaten(_Incumbent(min(values)), None)
@@ -330,6 +334,21 @@ def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     below, above = floor(min(quotients)) - 1, ceil(max(quotients)) + 1
     assert beaten(_Incumbent(below), None) and beaten(None, _Incumbent(above))
     assert beaten(_Incumbent(below), _Incumbent(above))
+
+
+def test_sparse_many_variable_table_costs_its_entries():
+    # x_40^6: at depth 1 one suffix of degree 6 lies under one g of the
+    # C(44, 6) in I(39, 6); the table keeps that row and a flag for the rest
+    f = HomogeneousPolynomial(40, 6, {(0,) * 39 + (6,): Fraction(1)})
+    assert _check_against_naive_oracle(f, 2, 16) == (0, 1)
+    tables = grid._tables(tuple(f.coeffs), 40, 6)
+    built = [k for k, table in enumerate(tables) if table is not None]
+    assert built
+    shape = grid._shape(tuple(f.coeffs), 40, 6, 2)
+    for k in built:
+        _, rows, zero_row = tables[k]
+        assert len(rows) == sum(len(index) for index, _, _ in rows) == shape.entries[k] == 1
+        assert zero_row
 
 
 # --- workers and guards -----------------------------------------------------------
