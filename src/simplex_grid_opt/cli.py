@@ -12,6 +12,7 @@ stable-set) take --threads and --force.  expect takes --force too: its
 guard for compatibility.  The grid size guard is 10^8 points, or
 SGO_MAX_GRID when set; stable-set also counts the vertex form's table, and
 converge compares the total of all the grids it sweeps before the first one.
+bounds refuses, before any work, a table of more than 10^5 rows (exit 2).
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  Output is byte-identical for any
@@ -26,7 +27,10 @@ import json
 import os
 import random
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from . import bounds as bounds_mod
 from . import identities as ident_mod
@@ -51,6 +55,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SIZE_GUARD = 3
 EXIT_VERIFY_FAILED = 4
+
+# Most rows `bounds` prints: r values * m values * kinds, checked before any
+# work.  At this maximum its JSON is 19 MB, made in about 1.5 s with a peak
+# RSS of 130 MB on a 2-vCPU Xeon VM.
+_MAX_BOUND_ROWS = 10**5
 
 
 def _grid_guard(args: argparse.Namespace) -> "int | None":
@@ -95,11 +104,82 @@ def _load_poly(args: argparse.Namespace) -> HomogeneousPolynomial:
     return load_polynomial(args.poly, homogenize_terms=args.homogenize)
 
 
-def _emit(args: argparse.Namespace, obj, header: "list[str]", rows: "list[list]", *,
+class _Records(NamedTuple):
+    """A JSON list of objects, one per row, each with these keys in this order."""
+
+    keys: "Sequence[str]"
+    rows: "Sequence[Sequence]"
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+_CONTAINERS = (dict, list, tuple)  # json.dumps writes a tuple as a list
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2) byte for byte, its lines indented by `indent`.
+
+    Any indent makes json.dumps run its pure-Python encoder, so large tables
+    are passed as _Records.  A _Records value is written through one template
+    that holds its keys and layout, filled with strings from the C string
+    encoder; the containers around it are written here, and every other
+    container goes to json.dumps.  Splicing is sound because ensure_ascii
+    escapes every control character inside a string, so each newline in a
+    dump is layout.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)  # as json.dumps writes an int
+    if kind is bool or obj is None:
+        return _LITERALS[obj]
+    if kind is _Records:
+        return _records_json(obj, indent)
+    if not (isinstance(obj, _CONTAINERS) and obj):
+        return json.dumps(obj)  # other scalars and empty containers have no layout
+    if not _holds_records(obj):
+        text = json.dumps(obj, indent=2)
+        return text if indent == "\n" else text.replace("\n", indent)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return "[" + inner + ("," + inner).join(_json(v, inner) for v in obj) + indent + "]"
+
+
+def _holds_records(obj) -> bool:
+    values = obj.values() if isinstance(obj, dict) else obj
+    return any(isinstance(v, _Records) or (isinstance(v, _CONTAINERS) and _holds_records(v))
+               for v in values)
+
+
+def _records_json(records: _Records, indent: str) -> str:
+    if not records.rows:
+        return "[]"
+    inner = indent + "  "
+    field = inner + "  "
+    if not records.keys:
+        template = "{}"
+    else:
+        template = "{" + field + ("," + field).join(
+            encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in records.keys
+        ) + inner + "}"
+    try:  # rows of strings only, as verify's, fill the template in C
+        body = [template % tuple(map(encode_basestring_ascii, row)) for row in records.rows]
+    except TypeError:  # some value is not a string
+        body = [template % tuple([_json(v, field) for v in row]) for row in records.rows]
+    return "[" + inner + ("," + inner).join(body) + indent + "]"
+
+
+def _emit(args: argparse.Namespace, obj, header: "list[str]", rows: "Sequence[Sequence]", *,
           decimal_note: bool = False) -> None:
-    """Print obj as indented JSON, or header and rows as versioned CSV (--format)."""
+    """Print obj as indented JSON, or header and rows as versioned CSV (--format).
+
+    The JSON is the bytes of json.dumps(obj, indent=2), where each _Records in
+    obj stands for its list of objects.
+    """
     if args.format == "json":
-        print(json.dumps(obj, indent=2))
+        print(_json(obj))
         return
     print(CSV_VERSION_LINE)
     if decimal_note:
@@ -180,7 +260,10 @@ def cmd_expect(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     r_values = _parse_range(args.r_range)
-    m_values: "list[int | None]" = [None] if args.m_range is None else list(_parse_range(args.m_range))
+    m_values: "Sequence[int | None]" = (None,) if args.m_range is None else _parse_range(args.m_range)
+    count = len(r_values) * len(m_values) * len(bounds_mod.ALL_KINDS)
+    if count > _MAX_BOUND_ROWS:
+        raise ValueError(f"bounds would print {count} rows, more than {_MAX_BOUND_ROWS}")
     reports = bounds_mod.bound_table(args.d, r_values, m_values)
     rows = [
         [
@@ -195,16 +278,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         ]
         for report in reports
     ]
-    obj = [
-        {
-            "kind": row[0], "d": row[1], "r": row[2],
-            "m": row[3] or None, "k": row[4] or None,
-            "coefficient": row[5] or None,
-            "applicable": row[6] == "true", "reason": row[7],
-        }
+    records = [
+        (row[0], row[1], row[2], row[3] or None, row[4] or None, row[5] or None,
+         row[6] == "true", row[7])
         for row in rows
     ]
-    _emit(args, obj, ["kind", "d", "r", "m", "k", "coefficient", "applicable", "reason"], rows)
+    header = ["kind", "d", "r", "m", "k", "coefficient", "applicable", "reason"]
+    _emit(args, _Records(header, records), header, rows)
     return EXIT_OK
 
 
@@ -237,7 +317,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
             report = bounds_mod.bound_coefficient(kind, d=f.d, r=r, m=m_for_kinds)
             row.append("" if report.coefficient is None else fraction_str(report.coefficient))
         rows.append(row)
-    _emit(args, [dict(zip(header, row)) for row in rows], header, rows, decimal_note=True)
+    _emit(args, _Records(header, rows), header, rows, decimal_note=True)
     return EXIT_OK
 
 
@@ -275,26 +355,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     rows = [
-        ["identity", check.name, check.params_str(), fraction_str(check.lhs),
-         fraction_str(check.rhs), check.relation, str(check.holds).lower()]
+        ("identity", check.name, check.params_str(), fraction_str(check.lhs),
+         fraction_str(check.rhs), check.relation, "true" if check.holds else "false")
         for check in checks
     ]
     rows += [
-        ["bound-witness", w.kind.value, f"d={w.d};r={w.r};m={w.m}",
-         fraction_str(w.lhs), fraction_str(w.rhs), "le", str(w.holds).lower()]
+        ("bound-witness", w.kind.value, f"d={w.d};r={w.r};m={w.m}",
+         fraction_str(w.lhs), fraction_str(w.rhs), "le", "true" if w.holds else "false")
         for w in _bound_witnesses(args)
     ]
     if args.inject_fault:
-        rows.append(["identity", "INJECTED_FAULT", "", "0", "1", "eq", "false"])
+        rows.append(("identity", "INJECTED_FAULT", "", "0", "1", "eq", "false"))
     if not rows:
         raise ValueError("no checks run: sweep ranges are empty")
     failures = sum(1 for row in rows if row[6] != "true")
     header = ["check", "name", "params", "lhs", "rhs", "relation", "holds"]
-    obj = {
-        "checks": [dict(zip(header, row)) for row in rows],
-        "total": len(rows),
-        "failures": failures,
-    }
+    obj = {"checks": _Records(header, rows), "total": len(rows), "failures": failures}
     _emit(args, obj, header, rows)
     if failures:
         print(f"verification failed: {failures} of {len(rows)} checks", file=sys.stderr)

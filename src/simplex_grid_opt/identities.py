@@ -68,7 +68,7 @@ class IdentityCheck:
     holds: bool
 
     def params_str(self) -> str:
-        return ";".join(f"{k}={v}" for k, v in self.params)
+        return ";".join([f"{k}={v}" for k, v in self.params])
 
 
 _RELATIONS = {"eq": eq, "le": le, "ge": ge}

@@ -50,9 +50,18 @@ def as_rational(value: object) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
 
 
-def fraction_str(value: Fraction) -> str:
-    """Render a rational as a reduced fraction "p/q" (or "p" when integral)."""
-    return str(Fraction(value))
+def fraction_str(value: "Fraction | int") -> str:
+    """Render a rational as a reduced fraction "p/q" (or "p" when integral).
+
+    Any length prints: past the interpreter's int-to-str digit limit the
+    numerator and denominator go through `Decimal`, whose conversion from int
+    is exact and unlimited, so the process-wide limit is never changed.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        num, den = Decimal(value.numerator), Decimal(value.denominator)
+        return f"{num}/{den}" if den != 1 else str(num)
 
 
 def decimal_str(value: Fraction, digits: int = DECIMAL_DIGITS) -> str:

@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from simplex_grid_opt import bounds, grid, load_polynomial, to_json_dict
+from simplex_grid_opt import bounds, cli, grid, load_polynomial, to_json_dict
 from simplex_grid_opt.cli import (
     CSV_VERSION_LINE,
     EXIT_CONFIG,
@@ -21,6 +23,7 @@ from simplex_grid_opt.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from simplex_grid_opt.rational import fraction_str
 from strats import (
     DATA_DIR,
     fixed_quartic,
@@ -129,6 +132,40 @@ def test_expect_bernstein_at_explicit_point(capsys):
     assert "expectation" not in json.loads(out)
 
 
+@pytest.mark.parametrize("mode", [("--bernstein", "--x", "1/2,1/2"), ("--m", "4", "--counts", "2,2")])
+def test_expect_prints_an_answer_of_any_length(capsys, tmp_path, mode):
+    poly = tmp_path / "x1_100000.json"
+    poly.write_text(json.dumps({"n": 2, "terms": [{"alpha": [100000, 0], "coef": "1"}]}))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "expect", "--poly", str(poly), "--r", "3", *mode)
+    assert code == EXIT_OK, err
+    assert sys.get_int_max_str_digits() == limit
+    # E[(Z/3)^100000] with Z the first color's count in 3 draws
+    if mode[0] == "--bernstein":
+        key, p = "bernstein", {k: Fraction(math.comb(3, k), 8) for k in range(4)}
+    else:
+        key, p = "expectation", {k: Fraction(math.comb(2, k) * math.comb(2, 3 - k), 4)
+                                 for k in (1, 2)}
+    want = sum(pk * Fraction(k, 3) ** 100000 for k, pk in p.items())
+    sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out)[key] == f"{want.numerator}/{want.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_fraction_str_renders_past_the_digit_limit():
+    big = 7**20000  # 16,902 digits
+    limit = sys.get_int_max_str_digits()
+    rendered = [fraction_str(v) for v in (big, -big, Fraction(-big, 3), Fraction(3, big))]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert rendered == [str(big), f"-{big}", f"-{big}/3", f"3/{big}"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert fraction_str(Fraction(-6, 4)) == "-3/2" and fraction_str(5) == "5"
+
+
 def test_expect_invalid_counts_exit_2(capsys):
     code, _, err = run(capsys, "expect", "--poly", GAP, "--r", "2", "--m", "16", "--counts", "7,8")
     assert code == EXIT_CONFIG
@@ -162,6 +199,30 @@ def test_bounds_refined_vanish_at_r_equals_m(capsys):
     assert table["QUAD_REFINED"][5] == "0"
     assert table["SQFREE_REFINED"][5] == "0"
     assert table["GENERAL_REFINED"][5] == "0"
+
+
+@pytest.mark.parametrize("maximum, want", [(44, EXIT_OK), (43, EXIT_CONFIG)])
+def test_bounds_row_maximum(capsys, monkeypatch, maximum, want):
+    # 4 values of r times 11 kinds: 44 rows, at the maximum or one row past it
+    monkeypatch.setattr(cli, "_MAX_BOUND_ROWS", maximum)
+    tables = count_calls(monkeypatch, bounds, "bound_table")
+    code, out, err = run(capsys, *PINNED_ARGV["bounds"])
+    assert code == want
+    if want == EXIT_OK:
+        assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS["bounds", "json"]
+    else:
+        assert out == "" and "44 rows, more than 43" in err and tables == []
+
+
+def test_bounds_refuses_a_huge_table_at_once(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("bound_table must not run")
+
+    monkeypatch.setattr(bounds, "bound_table", fail)
+    code, out, err = run(capsys, "bounds", "--d", "3", "--r-range", "1:1000000000",
+                         "--m-range", "1:1000000000")
+    assert code == EXIT_CONFIG
+    assert out == "" and f"more than {cli._MAX_BOUND_ROWS}" in err
 
 
 def test_converge_exact_rho_column(capsys):
@@ -456,6 +517,78 @@ def test_output_bytes_are_pinned(capsys, case, fmt):
     code, out, err = run(capsys, *PINNED_ARGV[case], "--format", fmt)
     assert code == EXIT_OK and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[case, fmt]
+
+
+@pytest.mark.parametrize("argv", [("verify",), PINNED_ARGV["converge-grid"], PINNED_ARGV["bounds"]],
+                         ids=["verify", "converge", "bounds"])
+def test_tables_never_enter_the_pure_python_encoder(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("json.dumps ran its pure-Python encoder")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json.encoder, "_make_iterencode", fail)
+        code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+JSON_TEXT = st.text(st.characters(max_codepoint=0x1F600)) | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f", "\u2028", "\U0001F600", "%s", "%%", "{}", '": "']
+)
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-(10**30), 10**30) | JSON_TEXT
+
+
+@st.composite
+def record_lists(draw, values):
+    """A list of objects over one set of keys, in one shared order or in orders that differ."""
+    keys = draw(st.lists(JSON_TEXT, max_size=4, unique=True))
+    shared = draw(st.booleans())
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        order = keys if shared else draw(st.permutations(keys))
+        records.append({k: draw(values) for k in order})
+    return records
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(JSON_TEXT, inner, max_size=4)
+        | record_lists(inner | JSON_SCALARS)
+    ),
+    max_leaves=30,
+)
+
+
+def tabulate(value):
+    """value with every nonempty list of objects that share one key order as cli._Records."""
+    if isinstance(value, dict):
+        return {k: tabulate(v) for k, v in value.items()}
+    if not isinstance(value, list):
+        return value
+    orders = {tuple(item) if isinstance(item, dict) else None for item in value}
+    if len(orders) == 1 and None not in orders:
+        keys = orders.pop()
+        return cli._Records(keys, [tuple(tabulate(v) for v in item.values()) for item in value])
+    return [tabulate(v) for v in value]
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_equals_json_dumps_indent_2(value):
+    expected = json.dumps(value, indent=2)
+    assert cli._json(value) == expected
+    assert cli._json(tabulate(value)) == expected
+
+
+def test_json_writer_empty_and_keyless_records():
+    value = {"none": [], "empty": [{}, {}], "nested": [[[{"a": []}]]],
+             "tuple": [1, [{"a": ["x", None]}]]}
+    obj = {"none": cli._Records(["a"], []), "empty": cli._Records([], [(), ()]),
+           "nested": [[cli._Records(["a"], [([],)])]],
+           "tuple": (1, cli._Records(["a"], [(("x", None),)]))}
+    assert cli._json(obj) == json.dumps(value, indent=2)
 
 
 def test_verify_sweeps_each_witness_grid_once(capsys, monkeypatch):
