@@ -12,7 +12,8 @@ stable-set) take --threads and --force.  expect takes --force too: its
 guard for compatibility.  The grid size guard is 10^8 points, or
 SGO_MAX_GRID when set; stable-set also counts the vertex form's table, and
 converge compares the total of all the grids it sweeps before the first one.
-bounds refuses, before any work, a table of more than 10^5 rows (exit 2).
+bounds refuses, before any work, a table of more than 10^5 rows, and verify a
+run of more than 3 * 10^5 checks (exit 2).
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  Output is byte-identical for any
@@ -60,6 +61,10 @@ EXIT_VERIFY_FAILED = 4
 # work.  At this maximum its JSON is 19 MB, made in about 1.5 s with a peak
 # RSS of 130 MB on a 2-vCPU Xeon VM.
 _MAX_BOUND_ROWS = 10**5
+# Most checks `verify` may run, counted before any work (_verify_check_count).
+# The default run makes about 2.3e4; --max-m 20 makes 2.5e5 in about 6.3 s
+# with a peak RSS of 410 MB on a 2-vCPU Xeon VM, about 1.6 KB per check.
+_MAX_VERIFY_CHECKS = 3 * 10**5
 
 
 def _grid_guard(args: argparse.Namespace) -> "int | None":
@@ -343,6 +348,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for option in ("samples", "witness_polys", "max_k", "max_r"):
         if getattr(args, option) < 0:
             raise ValueError(f"--{option.replace('_', '-')} must be nonnegative")
+    if _verify_check_count(args) > _MAX_VERIFY_CHECKS:
+        raise ValueError(
+            f"verify would run more than {_MAX_VERIFY_CHECKS} checks; lower --max-n, --max-d, "
+            "--max-m, --max-k, --max-r, --samples or --witness-polys"
+        )
     checks = []
     if args.max_n >= 1 and args.max_d >= 1 and args.max_m >= 1:
         checks = ident_mod.run_default_sweeps(
@@ -378,11 +388,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verify_check_count(args: argparse.Namespace) -> int:
+    """The checks verify runs: the identity sweeps' exact count (or some
+    count above _MAX_VERIFY_CHECKS once it passes that), plus at most one
+    bound witness per witness polynomial, pair and kind.  Its time does not
+    grow with the caps."""
+    if min(args.max_n, args.max_d, args.max_m) < 1:
+        return 0
+    witnesses = args.witness_polys * len(_witness_pairs(args)) * len(bounds_mod.ALL_KINDS)
+    return witnesses + ident_mod.default_sweep_count(
+        max_n=args.max_n, max_d=args.max_d, max_m=args.max_m, max_k=args.max_k,
+        max_r=args.max_r, samples=args.samples, stop=_MAX_VERIFY_CHECKS,
+    )
+
+
+def _witness_pairs(args: argparse.Namespace) -> "list[tuple[int, int]]":
+    """The (r, m) pairs of the bound witnesses: 1 <= r <= m <= min(5, max_m)."""
+    return [(r, m) for m in range(1, min(5, args.max_m) + 1) for r in range(1, m + 1)]
+
+
 def _bound_witnesses(args: argparse.Namespace) -> "list[bounds_mod.BoundWitness]":
     if min(args.max_n, args.max_d, args.max_m) < 1:
         return []
     rng = random.Random(args.seed)
-    pairs = [(r, m) for m in range(1, min(5, args.max_m) + 1) for r in range(1, m + 1)]
+    pairs = _witness_pairs(args)
     out = []
     for _ in range(args.witness_polys):
         n = rng.randint(1, min(3, args.max_n))

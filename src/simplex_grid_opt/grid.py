@@ -40,11 +40,13 @@ both (grid_extrema, from which bounds.range_enclosures takes its grid values).
   count, however large I(m, d) is.  Only nodes of depth 1..n-3 whose subtree
   has at least one point per _BOUND_ENTRIES_PER_POINT entries are bounded.
   evaluations still counts every grid point, evaluated or certified.
-- The suffix, power and row tables depend only on f's support and on r, not
-  on its coefficients, so the few most recently used are kept: bound checks
-  sweep the same support at the same denominators many times.  The Bernstein
-  tables do not depend on r either; they are built on first use and shared by
-  every r.
+- The tables depend only on f's support, not on its coefficients, and are
+  kept in one cache for the few most recently used supports (_shape):
+  converge, enclosures and bound checks sweep the same support at many
+  denominators.  The suffix orders, gate sizes and Bernstein tables do not
+  depend on r at all.  The powers a^b (a <= r) and the row tables (s <= r)
+  are grown to the largest r swept so far, adding only the missing entries,
+  so a run over r = 2..R builds each of them once.
 
 Rows arrive in lex order, so the lex-first minimizers (capped) and exact tie
 counts fall out of min, max, count and index on each row.  With threads > 1
@@ -65,6 +67,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, inf, lcm, prod
 from operator import add, gt, lt, mul, sub
+from threading import Lock
 
 from .combin import composition_count, compositions
 from .poly import HomogeneousPolynomial
@@ -215,8 +218,9 @@ def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple
 
 
 class _Shape:
-    """Integer tables for sweeping any polynomial with a given support over
-    the grid with denominator r.  They do not depend on the coefficients.
+    """Integer tables for sweeping any polynomial with a given support.  They
+    do not depend on the coefficients, and only the power and row tables
+    depend on r: grow(r) extends them to the grid with denominator r.
 
     At depth k of the prefix tree (alpha_0..alpha_{k-1} fixed), L*f is held
     as one coefficient per distinct exponent suffix beta[k:], listed as in
@@ -229,30 +233,25 @@ class _Shape:
 
     rows[s] holds, for each row suffix (b, c), the values of v^b (s - v)^c at
     v = 0..s when s <= e, and otherwise its forward differences of order
-    0..e at v = 0, where e is the largest b + c.
+    0..e at v = 0, where e is the largest b + c.  For n = 2 the only row is
+    the whole grid, so only rows[r] of the r grown to are built; the rest are
+    None.
 
     entries[k] is the size of the Bernstein table of depth k = 1..n-3 (rows
     are never bounded: prefix sums make their points cheap); the table itself
     is built when the gate first admits a node of that depth (beaten).
     """
 
-    def __init__(self, support: "tuple[tuple[int, ...], ...]", n: int, d: int, r: int) -> None:
-        # power[v][b] = v^b for v = 0..r, b = 0..d
-        power = [tuple(accumulate(repeat(v, d), mul, initial=1)) for v in range(r + 1)]
+    def __init__(self, support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> None:
         self.n, self.d = n, d
         self.row_suffixes = row_suffixes = sorted({alpha[-2:] for alpha in support})
-        self.e = e = max((b + c for b, c in row_suffixes), default=0)
+        self.e = max((b + c for b, c in row_suffixes), default=0)
         levels, links, entries = [], [], [0] * (n - 1)
         order = row_suffixes  # n = 2: the row suffixes are the monomials
         for k, (lead, child, degrees, width, extras, slot) in zip(
             range(n - 3, -1, -1), _suffix_orders(support, row_suffixes, n)
         ):
-            levels.append((
-                tuple(tuple(map(power[a].__getitem__, lead)) for a in range(r + 1)),
-                width,
-                extras,
-                tuple(i for i, b in enumerate(lead) if b == degrees[i]),
-            ))
+            levels.append(((), width, extras, tuple(i for i, b in enumerate(lead) if b == degrees[i])))
             links.append((lead, child))
             if k:
                 entries[k] = _table_entries(n - k, d, degrees)
@@ -264,22 +263,52 @@ class _Shape:
         self.links = tuple(reversed(links))
         self.order = tuple(order)
         self.entries = tuple(entries)
-        self.tables = _tables(support, n, d)
+        self.tables: "list[tuple | None]" = [None] * (n - 1)
+        self.power: "list[tuple[int, ...]]" = []  # power[v][b] = v^b, b = 0..d
+        self.rows: "tuple[tuple[tuple[int, ...], ...] | None, ...]" = (None,)
+        self._lock = Lock()
 
-        rows: "list[tuple[tuple[int, ...], ...] | None]" = [None] * (r + 1)
-        for s in range(1, r + 1) if n > 2 else (r,):
-            values = []
-            for v in range(min(s, e) + 1):
-                left, right = power[v], power[s - v]
-                values.append(tuple(left[b] * right[c] for b, c in row_suffixes))
-            if s > e:  # keep the k-th forward differences at v = 0 instead
-                deltas = []
-                while values:
-                    deltas.append(values[0])
-                    values = [tuple(map(sub, y, x)) for x, y in zip(values, values[1:])]
-                values = deltas
-            rows[s] = tuple(values)
-        self.rows = tuple(rows)
+    def grow(self, r: int) -> None:
+        """Extend the power and row tables to the grid with denominator r.
+
+        Only the entries for the a and s not covered yet are built, and those
+        for smaller r stay as they are.  levels and rows are only ever replaced
+        by longer tuples with the same entries in front, so a sweep that read
+        them after growing to its r may go on reading them while another
+        thread grows them further.
+        """
+        with self._lock:
+            if len(self.rows) > r and self.rows[r] is not None:
+                return  # for n > 2 every s < len(rows) is built
+            power, d, have = self.power, self.d, len(self.power)
+            power += [tuple(accumulate(repeat(v, d), mul, initial=1)) for v in range(have, r + 1)]
+            if len(power) > have:
+                self.levels = tuple(
+                    (powers + tuple(tuple(map(power[a].__getitem__, lead)) for a in range(have, r + 1)),
+                     width, extras, zero)
+                    for (powers, width, extras, zero), (lead, _) in zip(self.levels, self.links)
+                )
+            rows = list(self.rows)
+            rows += [None] * (r + 1 - len(rows))
+            for s in range(1, r + 1) if self.n > 2 else (r,):
+                if rows[s] is None:
+                    rows[s] = self._row_table(s)
+            self.rows = tuple(rows)
+
+    def _row_table(self, s: int) -> "tuple[tuple[int, ...], ...]":
+        """rows[s], from the powers of v = 0..s."""
+        power, e = self.power, self.e
+        values = []
+        for v in range(min(s, e) + 1):
+            left, right = power[v], power[s - v]
+            values.append(tuple(left[b] * right[c] for b, c in self.row_suffixes))
+        if s <= e:
+            return tuple(values)
+        deltas = []  # the k-th forward differences at v = 0
+        while values:
+            deltas.append(values[0])
+            values = [tuple(map(sub, y, x)) for x, y in zip(values, values[1:])]
+        return tuple(deltas)
 
     def row(self, coeffs: "list[int]", s: int) -> "list[int]":
         """Values of L*f on the row v = 0..s, given the row-suffix coefficients."""
@@ -337,22 +366,15 @@ class _Shape:
 
 
 @lru_cache(maxsize=8)
-def _tables(support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> "list[tuple | None]":
-    """The Bernstein tables of a support per depth, shared by its shapes for
-    every r (they do not depend on r) and filled in on first use."""
-    return [None] * (n - 1)
+def _shape(support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> _Shape:
+    """The tables of a support, kept for the few most recent supports.
 
-
-@lru_cache(maxsize=8)
-def _shape(support: "tuple[tuple[int, ...], ...]", n: int, d: int, r: int) -> _Shape:
-    """The tables for (support, r), kept for the few most recent shapes.
-
-    Callers such as bound checks and enclosures sweep the same support at the
-    same few denominators many times; the tables are immutable (the Bernstein
-    tables are filled in once, on first use), so reuse is safe across calls
-    and threads.
+    Converge runs, enclosures and bound checks sweep the same support at many
+    denominators; each sweep grows the shape to its r before it starts, and
+    the Bernstein tables are filled in once, on first use, so reuse is safe
+    across calls and threads.
     """
-    return _Shape(support, n, d, r)
+    return _Shape(support, n, d)
 
 
 def _gates(shape: _Shape, n: int, r: int) -> "list[int]":
@@ -456,7 +478,8 @@ def _sweep(
     if f.n == 1:
         shape, root, gates = None, [c * r**f.d for c in coeffs.values()], None
     else:
-        shape = _shape(tuple(coeffs), f.n, f.d, r)
+        shape = _shape(tuple(coeffs), f.n, f.d)
+        shape.grow(r)  # before any worker starts
         root = [coeffs[alpha] for alpha in shape.order]
         gates = _gates(shape, f.n, r)
     chunks = _alpha0_chunks(f.n, r, threads)

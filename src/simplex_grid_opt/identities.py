@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from math import prod
+from math import comb, prod
 from operator import eq, ge, le, mul
 from typing import Sequence
 
@@ -455,3 +455,47 @@ def run_default_sweeps(
         max_n=min(max_n, 3), max_d=min(max_d, 3), max_m=min(max_m, 6)
     )
     return checks
+
+
+def default_sweep_count(
+    *, max_n: int, max_d: int, max_m: int, max_k: int, max_r: int, samples: int, stop: int
+) -> int:
+    """The number of checks run_default_sweeps returns for these caps, or a
+    number above `stop` once the count passes it, computed without running any.
+
+    Each sweep is counted in closed form, from hockey-stick sums of
+    composition counts.  MOMENT_DECOMPOSITION sums at most 3 * 3 * 6 terms,
+    and the loop over n = 1..max_n stops once the count passes `stop`; every
+    n adds at least n checks, so the time does not grow with the caps.  Caps
+    below 1 count as no sweep at all, as cmd_verify runs none then.
+    """
+    if min(max_n, max_d, max_m) < 1:
+        return 0
+    d_stirling, l_kmr = max(max_d, 6), max(max_r, 40)
+    d_multi, k_phi, m_phi = max(max_d, 5), max(max_k, 5), max(max_m, 10)
+    m_sigma = max(max_m, 12)
+    e_sigma, e_beta = min(max(max_d, 5), m_sigma), min(max_d, max_m)
+    total = (
+        d_stirling * max_r  # STIRLING_SUM
+        + 2 * samples  # VANDERMONDE_CHU and MULTINOMIAL
+        + l_kmr * l_kmr  # KMR: for each m, the windows of k cover r = 1..limit once
+        # SIGMA: max_k * sum over 2 <= d <= m <= m_sigma of m
+        + max_k * ((e_sigma - 1) * m_sigma * (m_sigma + 1) // 2 - comb(e_sigma + 1, 3))
+        + (k_phi - 1) * (m_phi * (m_phi + 1) // 2 - 3)  # PHI: sum over 3 <= m <= m_phi of m
+    )
+    # MOMENT_DECOMPOSITION: at most 3 * 3 * 6 terms
+    for n in range(1, min(max_n, 3) + 1):
+        for d in range(1, min(max_d, 3) + 1):
+            total += comb(n + d - 1, d) * sum(
+                m * comb(n + m - 1, m) for m in range(d, min(max_m, 6) + 1)
+            )
+    for n in range(1, max_n + 1):
+        # STIRLING_MULTI: sum over 2 <= d <= d_multi, 1 <= k < d of |I(n, k)|
+        total += comb(n + d_multi, d_multi - 1) - d_multi
+        # A_BETA_NONNEG and A_BETA_SUM: 2 * sum over d <= e_beta, d <= m <= max_m
+        # of m * |I(n, m)|, where m * |I(n, m)| = n * C(n + m - 1, m - 1)
+        below = comb(n + e_beta, e_beta - 2) if e_beta > 1 else 0  # the m < d part
+        total += 2 * n * (e_beta * comb(n + max_m, max_m - 1) - below)
+        if total > stop:
+            break
+    return total

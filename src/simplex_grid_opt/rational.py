@@ -8,6 +8,7 @@ without losing exactness.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
@@ -23,31 +24,54 @@ def as_rational(value: object) -> Fraction:
     """Convert ints, Fractions, and numeric strings to an exact Fraction.
 
     Strings may be fraction literals ("-17/32"), integers ("3"), or decimal
-    literals ("0.1", "1.25e3"); decimals are converted exactly, so "0.1"
-    becomes 1/10, and a decimal exponent above MAX_DECIMAL_EXPONENT in
-    magnitude is refused before any power of ten is built.  Binary floats are
-    rejected: they generally do not equal the decimal the user wrote down.
+    literals ("0.1", "1.25e3"), as `Fraction` reads them, of any length;
+    decimals are converted exactly, so "0.1" becomes 1/10, and a decimal
+    exponent above MAX_DECIMAL_EXPONENT in magnitude is refused before any
+    power of ten is built.  Binary floats are rejected: they generally do not
+    equal the decimal the user wrote down.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not rational coefficients")
     if isinstance(value, _RationalABC):
         return Fraction(value)
     if isinstance(value, str):
-        _, e, exponent = value.strip().lower().partition("e")
+        text = value.strip()
+        _, e, exponent = text.lower().partition("e")
         digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
         if e and digits.isdecimal() and (
             len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
         ):
-            raise ValueError(f"decimal exponent in {value[:40]!r} exceeds {MAX_DECIMAL_EXPONENT}")
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse {value!r} as an exact rational") from exc
+            raise ValueError(f"decimal exponent in {_head(value)} exceeds {MAX_DECIMAL_EXPONENT}")
+        if _LITERAL.fullmatch(text) is None:
+            raise ValueError(f"cannot parse {_head(value)} as an exact rational")
+        # Decimal reads digit strings exactly and without the interpreter's
+        # limit on the digits of an int made from a string
+        num, slash, den = text.partition("/")
+        if not slash:
+            return Fraction(Decimal(text))
+        q = int(Decimal(den))
+        if q == 0:
+            raise ValueError(f"zero denominator in {_head(value)}")
+        return Fraction(int(Decimal(num)), q)
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: pass a string or Fraction for an exact value"
         )
     raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
+
+
+# The literals Fraction(str) reads: an integer, p/q, or a decimal with an
+# optional exponent, digits grouped by single underscores.
+_DIGITS = r"\d+(?:_\d+)*"
+_LITERAL = re.compile(
+    rf"[-+]?(?=\d|\.\d)(?:{_DIGITS})?(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:e[-+]?{_DIGITS})?)",
+    re.IGNORECASE,
+)
+
+
+def _head(text: str) -> str:
+    """The start of an input for an error message, however long the input is."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
 
 
 def fraction_str(value: "Fraction | int") -> str:

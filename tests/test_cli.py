@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from simplex_grid_opt import bounds, cli, grid, load_polynomial, to_json_dict
+from simplex_grid_opt import identities as ident_mod
 from simplex_grid_opt.cli import (
     CSV_VERSION_LINE,
     EXIT_CONFIG,
@@ -345,11 +346,31 @@ def test_each_sweep_and_table_is_computed_once(capsys, monkeypatch):
 
 def test_default_verify_builds_no_bound_table(capsys, monkeypatch):
     grid._shape.cache_clear()
-    grid._tables.cache_clear()
     tables = count_calls(monkeypatch, grid, "_bernstein_rows")
     bound_checks = count_calls(monkeypatch, grid._Shape, "beaten")
     assert run(capsys, "verify")[0] == EXIT_OK
     assert tables == [] and bound_checks == []
+
+
+def test_converge_builds_one_shape_per_support(capsys, monkeypatch):
+    # SOS4 has one support; r = 2..30 and the enclosure grid 6 all sweep it, and
+    # the elevated Bernstein table of --elevation 2 sweeps nothing
+    shapes = count_calls(monkeypatch, grid._Shape, "__init__")
+    for extra in ((), ("--elevation", "2")):
+        grid._shape.cache_clear()
+        shapes.clear()
+        argv = ("converge", "--poly", SOS4, "--r-range", "2:30", "--grid", "6", *extra)
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert len(shapes) == 1, extra
+
+
+def test_default_verify_builds_one_shape_per_witness_support(capsys, monkeypatch):
+    grid._shape.cache_clear()
+    shapes = count_calls(monkeypatch, grid._Shape, "__init__")
+    assert run(capsys, "verify")[0] == EXIT_OK
+    supports = [args[1] for args in shapes]  # (self, support, n, d)
+    assert 0 < len(supports) <= 8  # 8 witness polynomials
+    assert len(set(supports)) == len(supports)
 
 
 def test_threads_keep_the_bytes_of_a_pruned_sweep(capsys, monkeypatch, tmp_path):
@@ -453,6 +474,67 @@ def test_verify_rejects_negative_sizes(capsys, option):
     code, out, err = run(capsys, "verify", "--max-m", "3", "--max-d", "2", option, "-5")
     assert code == EXIT_CONFIG
     assert out == "" and f"{option} must be nonnegative" in err
+
+
+class _ChecksStarted(Exception):
+    pass
+
+
+def _refuse_to_check(monkeypatch):
+    def started(*args, **kwargs):
+        raise _ChecksStarted
+
+    monkeypatch.setattr(ident_mod, "run_default_sweeps", started)
+    monkeypatch.setattr(bounds, "check_bounds", started)
+
+
+def _verify_admits(capsys, *argv) -> bool:
+    """Whether verify gets past its check count to its first check."""
+    try:
+        code, out, err = run(capsys, "verify", *argv)
+    except _ChecksStarted:
+        return True
+    assert code == EXIT_CONFIG
+    assert out == "" and f"more than {cli._MAX_VERIFY_CHECKS} checks" in err
+    return False
+
+
+def test_verify_refuses_too_many_checks_before_any_work(capsys, monkeypatch):
+    # with no samples and no witnesses the default caps run `base` identity checks;
+    # each --samples adds two, so this many samples reach the maximum exactly
+    base = len(ident_mod.run_default_sweeps(samples=0))
+    samples, odd = divmod(cli._MAX_VERIFY_CHECKS - base, 2)
+    assert odd == 0
+    _refuse_to_check(monkeypatch)
+    assert _verify_admits(capsys, "--witness-polys", "0", "--samples", str(samples))
+    assert not _verify_admits(capsys, "--witness-polys", "0", "--samples", str(samples + 1))
+    # a witness polynomial may add 15 (r, m) pairs * 11 kinds = 165 checks: with
+    # 83 or 82 fewer samples, one polynomial ends 1 below or 1 above the maximum
+    assert 15 * len(bounds.ALL_KINDS) == 165
+    assert _verify_admits(capsys, "--witness-polys", "1", "--samples", str(samples - 83))
+    assert not _verify_admits(capsys, "--witness-polys", "1", "--samples", str(samples - 82))
+
+
+@pytest.mark.parametrize(
+    "option", ["--max-n", "--max-d", "--max-m", "--max-k", "--max-r", "--samples",
+               "--witness-polys"],
+)
+def test_verify_refuses_huge_caps_at_once(capsys, monkeypatch, option):
+    _refuse_to_check(monkeypatch)
+    assert not _verify_admits(capsys, option, "9" * 4000)
+
+
+def test_verify_check_count_matches_the_run(capsys):
+    # exact for the identity sweeps, an upper bound for the witnesses
+    argv = ["--max-n", "2", "--max-d", "3", "--max-m", "6", "--max-k", "2", "--max-r", "9",
+            "--samples", "4"]
+    for witnesses in ("0", "3"):
+        code, out, _ = run(capsys, "verify", *argv, "--witness-polys", witnesses)
+        assert code == EXIT_OK
+        total = json.loads(out)["total"]
+        count = cli._verify_check_count(cli.build_parser().parse_args(
+            ["verify", *argv, "--witness-polys", witnesses]))
+        assert count == total if witnesses == "0" else total <= count
 
 
 # SHA-256 of the stdout of `sgo verify --seed 1 --max-m 5 --max-d 3`, recorded
@@ -709,6 +791,22 @@ def test_malformed_polynomial_files_exit_2(capsys, tmp_path, text):
     code, out, err = run(capsys, "grid-min", "--poly", str(poly), "--r", "4")
     assert code == EXIT_CONFIG
     assert out == "" and "error" in err
+
+
+def test_coefficients_past_the_int_string_limit_are_read(capsys, tmp_path):
+    # 10^5000 (x1^2 + x2^2): at r = 2 the minimum 10^5000 / 2 sits at (1, 1)
+    big = "1" + "0" * 5000
+    poly = tmp_path / "big.json"
+    poly.write_text(json.dumps({"n": 2, "terms": [{"alpha": [2, 0], "coef": big},
+                                                  {"alpha": [0, 2], "coef": big}]}))
+    code, out, err = run(capsys, "grid-min", "--poly", str(poly), "--r", "2")
+    assert (code, err) == (EXIT_OK, "")
+    obj = json.loads(out)
+    assert obj["value"] == "5" + "0" * 4999 and obj["minimizers"] == ["1/2,1/2"]
+    poly.write_text(json.dumps({"n": 1, "terms": [{"alpha": [1], "coef": "9" * 5000 + "x"}]}))
+    code, out, err = run(capsys, "grid-min", "--poly", str(poly), "--r", "2")
+    assert code == EXIT_CONFIG and out == ""
+    assert "cannot parse" in err and len(err) < 200
 
 
 def test_stable_set_bounds_the_vertex_form(capsys, monkeypatch, tmp_path):

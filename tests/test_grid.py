@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import ceil, floor, prod
 
@@ -341,14 +343,111 @@ def test_sparse_many_variable_table_costs_its_entries():
     # C(44, 6) in I(39, 6); the table keeps that row and a flag for the rest
     f = HomogeneousPolynomial(40, 6, {(0,) * 39 + (6,): Fraction(1)})
     assert _check_against_naive_oracle(f, 2, 16) == (0, 1)
-    tables = grid._tables(tuple(f.coeffs), 40, 6)
+    shape = grid._shape(tuple(f.coeffs), 40, 6)
+    tables = shape.tables
     built = [k for k, table in enumerate(tables) if table is not None]
     assert built
-    shape = grid._shape(tuple(f.coeffs), 40, 6, 2)
     for k in built:
         _, rows, zero_row = tables[k]
         assert len(rows) == sum(len(index) for index, _, _ in rows) == shape.entries[k] == 1
         assert zero_row
+
+
+# --- one shape per support, grown across r ------------------------------------------
+
+
+@st.composite
+def grown_sweeps(draw):
+    """(f, denominators): a polynomial with n = 1..5 and the r it is swept at, in
+    increasing, decreasing or any order, ending with the same r twice."""
+    f = draw(polynomials(max_n=5, max_d=3))
+    rs = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
+    order = draw(st.sampled_from(("increasing", "decreasing", "any")))
+    if order != "any":
+        rs.sort(reverse=order == "decreasing")
+    return f, rs + rs[-1:]
+
+
+def _sweeps(f, r):
+    return grid_minimize(f, r), grid_maximize(f, r), grid_extrema(f, r)
+
+
+def _assert_grown_like_fresh(shape, f, r):
+    """For s <= r the grown shape holds the levels and rows of one built at r."""
+    fresh = grid._Shape(tuple(f.coeffs), f.n, f.d)
+    fresh.grow(r)
+    assert len(shape.levels) == len(fresh.levels) == max(f.n - 2, 0)
+    for (powers, *rest), (fresh_powers, *fresh_rest) in zip(shape.levels, fresh.levels):
+        assert powers[: r + 1] == fresh_powers and rest == fresh_rest
+    if f.n == 2:
+        assert shape.rows[r] == fresh.rows[r]
+    else:
+        assert shape.rows[: r + 1] == fresh.rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(grown_sweeps())
+def test_a_grown_shape_sweeps_as_a_fresh_one(case):
+    f, rs = case
+    fresh = {}
+    for r in rs:
+        grid._shape.cache_clear()
+        fresh[r] = _sweeps(f, r)
+    grid._shape.cache_clear()
+    for r in rs:
+        low, high, both = got = _sweeps(f, r)
+        assert got == fresh[r]
+        assert [(x.value, x.minimizers, x.tie_count) for x in (low, high)] == \
+            naive_extremes(f, r, grid.MINIMIZER_CAP)
+        assert both == (low, high)
+    if f.n > 1:
+        shape = grid._shape(tuple(f.coeffs), f.n, f.d)
+        for r in rs:
+            _assert_grown_like_fresh(shape, f, r)
+
+
+def test_two_variable_shape_keeps_the_rows_of_its_grids():
+    # n = 2: the grid is one row, so only rows[r] of each swept r is built
+    f = strict_gap_poly()
+    grid._shape.cache_clear()
+    for r in (9, 3, 9, 16, 5):
+        assert grid_extrema(f, r)[0] == grid_minimize(f, r)
+    shape = grid._shape(tuple(f.coeffs), 2, 2)
+    assert [s for s, row in enumerate(shape.rows) if row is not None] == [3, 5, 9, 16]
+    for r in (3, 5, 9, 16):
+        _assert_grown_like_fresh(shape, f, r)
+    assert grid_minimize(f, 16).minimizers == ((7, 9),)
+
+
+def test_concurrent_growth_never_shortens_a_table(monkeypatch):
+    f = fixed_quartic()
+    rs = (40, 7, 25, 3, 33, 12)
+    serial = {}
+    for r in rs:
+        grid._shape.cache_clear()
+        serial[r] = grid_extrema(f, r)
+    lengths = []
+    grow = grid._Shape.grow
+
+    def recorded(shape, r):
+        before = [len(powers) for powers, *_ in shape.levels] + [len(shape.rows)]
+        grow(shape, r)
+        after = [len(powers) for powers, *_ in shape.levels] + [len(shape.rows)]
+        lengths.append((r, before, after))
+
+    monkeypatch.setattr(grid._Shape, "grow", recorded)
+    grid._shape.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-growth too
+    try:
+        with ThreadPoolExecutor(max_workers=len(rs)) as pool:
+            results = list(pool.map(lambda r: grid_extrema(f, r, threads=2), rs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial[r] for r in rs]
+    assert len(lengths) == len(rs)
+    for r, before, after in lengths:
+        assert all(r < b_after and b_before <= b_after for b_before, b_after in zip(before, after))
 
 
 # --- workers and guards -----------------------------------------------------------

@@ -19,6 +19,7 @@ from simplex_grid_opt import (
 )
 from strats import naive_a_beta
 from simplex_grid_opt.identities import (
+    default_sweep_count,
     run_default_sweeps,
     sweep_a_beta,
     sweep_integer_point_identities,
@@ -176,6 +177,24 @@ def test_run_default_sweeps_structure():
         "MOMENT_DECOMPOSITION",
     } <= names
     assert all(c.holds for c in checks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 9), st.integers(0, 6),
+       st.integers(0, 45), st.integers(0, 4))
+def test_default_sweep_count_is_the_number_of_checks(max_n, max_d, max_m, max_k, max_r, samples):
+    caps = dict(max_n=max_n, max_d=max_d, max_m=max_m, max_k=max_k, max_r=max_r, samples=samples)
+    total = len(run_default_sweeps(**caps))
+    assert default_sweep_count(**caps, stop=10**9) == total
+    assert default_sweep_count(**caps, stop=total - 1) > total - 1  # an early stop still exceeds
+
+
+def test_default_sweep_count_of_huge_caps_stops_early():
+    huge = 10**4000
+    caps = dict(max_n=huge, max_d=huge, max_m=huge, max_k=huge, max_r=huge, samples=huge)
+    assert default_sweep_count(**caps, stop=10**6) > 10**6
+    assert default_sweep_count(**dict(caps, max_d=1, max_m=1), stop=10**6) > 10**6
+    assert default_sweep_count(**dict(caps, max_m=0), stop=10**6) == 0  # no sweep runs
 
 
 def test_a_beta_nonneg_exhaustive_small():

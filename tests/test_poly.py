@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from simplex_grid_opt import (
     HomogeneousPolynomial,
     as_rational,
+    fraction_str,
     bernstein_table,
     composition_count,
     elevate,
@@ -263,3 +264,20 @@ def test_decimal_exponents_up_to_the_limit_are_exact():
     assert as_rational("1e4300") == 10**4300
     assert as_rational(" -25E-0004300 ") == Fraction(-25, 10**4300)
     assert as_rational("1.5e1_0") == 15 * 10**9
+
+
+def test_literals_past_the_int_string_limit_are_exact():
+    # CPython refuses to build an int from more than 4300 digits of a string
+    p, q = 7 * 10**4999 + 3, 3 * 10**4999 + 1  # 7q - 3p = -2, so any common factor is 2
+    value = Fraction(p, q)
+    assert as_rational(fraction_str(value)) == value
+    assert as_rational(fraction_str(-value)) == -value
+    assert as_rational("1" + "0" * 5000) == 10**5000
+    assert as_rational("0." + "0" * 4999 + "5") == Fraction(1, 2 * 10**4999)  # 5 * 10^-5000
+
+
+@pytest.mark.parametrize("text", ["9" * 4999 + "x", "1/" + "0" * 5000, "NaN", "-Infinity", "1__0"])
+def test_unreadable_literals_are_refused_briefly(text):
+    with pytest.raises(ValueError) as exc:
+        as_rational(text)
+    assert len(str(exc.value)) < 100
