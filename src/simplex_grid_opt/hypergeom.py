@@ -9,6 +9,13 @@ Y and X, exact expectations E[f(X)] for polynomial f, and the
 draws-with-replacement counterpart of E[f(X)] (the order-r Bernstein
 approximation of f) in closed form, without a sum over the grid.
 
+The Stirling kernel has two halves: _stirling_rows, the grouped convolution,
+which does not depend on the number of draws r, and _stirling_at, its value
+at one r.  A single moment runs both once (_stirling_terms).
+_scaled_moments, which identities' MOMENT_DECOMPOSITION sweep calls once per
+(counts, beta), builds the rows and the falling factorials of m once and
+evaluates them at every r = 1..m.  Nothing is cached across calls.
+
 Everything is exact; nothing is sampled.
 """
 
@@ -67,6 +74,37 @@ def pmf(p: HypergeomParams, alpha: Sequence[int]) -> Fraction:
     return Fraction(prod(map(binomial, p.counts, alpha)), binomial(p.m, p.r))
 
 
+def _stirling_rows(
+    beta: "tuple[int, ...]", colors: Sequence[int], power: Power, top: int
+) -> "list[int]":
+    """grouped[k] for k = 0..min(|beta|, top): the sum over a <= beta with |a| = k
+    of prod S(beta_i, a_i) * power(colors_i, a_i).  Independent of r; see
+    _stirling_terms.  Entries for k <= top do not depend on top."""
+    grouped = [1]  # grouped[k]: sum over |a| = k of the row products so far
+    for c, b in zip(colors, beta):
+        if b:
+            row = [stirling2(b, a) * power(c, a) for a in range(min(b, top) + 1)]
+            nxt = [0] * min(len(grouped) + b, top + 1)
+            for j, g in enumerate(grouped):
+                for a, w in enumerate(row[: len(nxt) - j]):
+                    nxt[j + a] += g * w
+            grouped = nxt
+    return grouped
+
+
+def _stirling_at(grouped: "list[int]", r: int, powers: "list[int]") -> "tuple[int, int]":
+    """(numerator, denominator) of the grouped expansion at r draws, with
+    powers[k] = power(total, k) for k < len(grouped); see _stirling_terms."""
+    top = min(len(grouped) - 1, r)
+    den = powers[top]
+    num = 0
+    fall = 1  # falling(r, k)
+    for k in range(top + 1):
+        num += fall * (den // powers[k]) * grouped[k]
+        fall *= r - k
+    return num, den
+
+
 def _stirling_terms(
     beta: "tuple[int, ...]", r: int, colors: Sequence[int], total: int, power: Power
 ) -> "tuple[int, int]":
@@ -77,21 +115,27 @@ def _stirling_terms(
     Both laws expand as the sum over a <= beta of falling(r, |a|) *
     prod S(beta_i, a_i) * power(colors_i, a_i) / power(total, |a|).  One
     convolution of the rows S(beta_i, a) * power(colors_i, a) groups the terms
-    by k = |a|; they vanish for k > r, so the sum is taken in integers over
-    power(total, K), K = min(|beta|, r), which each power(total, k <= K) divides.
+    by k = |a| (_stirling_rows, which does not depend on r); they vanish for
+    k > r, so the sum is taken in integers over power(total, K),
+    K = min(|beta|, r), which each power(total, k <= K) divides (_stirling_at).
     """
     top = min(sum(beta), r)
-    grouped = [1]  # grouped[k]: sum over |a| = k of the row products so far
-    for c, b in zip(colors, beta):
-        if b:
-            row = [stirling2(b, a) * power(c, a) for a in range(min(b, top) + 1)]
-            nxt = [0] * min(len(grouped) + b, top + 1)
-            for j, g in enumerate(grouped):
-                for a, w in enumerate(row[: len(nxt) - j]):
-                    nxt[j + a] += g * w
-            grouped = nxt
-    den = power(total, top)
-    return sum(falling(r, k) * (den // power(total, k)) * g for k, g in enumerate(grouped)), den
+    grouped = _stirling_rows(beta, colors, power, top)
+    return _stirling_at(grouped, r, [power(total, k) for k in range(top + 1)])
+
+
+def _scaled_moments(beta: "tuple[int, ...]", counts: "tuple[int, ...]", m: int) -> "list[Fraction]":
+    """E[prod X_i^beta_i] for r = 1..m draws from the urn of m balls, counts[i] of
+    color i: the grouped rows and the falling factorials of m are built once and
+    evaluated at every r, as _stirling_terms does for one r."""
+    d = sum(beta)
+    grouped = _stirling_rows(beta, counts, falling, d)
+    powers = [falling(m, k) for k in range(d + 1)]
+    out = []
+    for r in range(1, m + 1):
+        num, den = _stirling_at(grouped, r, powers)
+        out.append(Fraction(num, den * r**d))
+    return out
 
 
 def _moment_terms(p: HypergeomParams, beta: Sequence[int]) -> "tuple[int, int]":

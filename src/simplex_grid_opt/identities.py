@@ -15,9 +15,28 @@ built by convolving one short row per coordinate,
 
   A_beta = sum_k c_k * (r falling k) * falling(m - k, d - k) - (r falling d) * prod counts_i^beta_i.
 
-Only the falling factorials of r depend on r, so the sweeps build the
-coefficients of A_beta in the falling-factorial basis of r once per
-(counts, beta) and reuse them for every r.
+Each family has one evaluator (_stirling_sum, _kmr, _a_beta_checks,
+_moment_decomposition, ...) that verify_identity, the public single-check
+functions and the sweeps all call.  It takes parameters already validated
+(by verify_identity, or by the loop bounds of a sweep, which admit no other)
+and the tables that do not depend on the one check, so a sweep builds each
+table once, in the loop that owns it:
+
+  - the rows falling(c, a) * S(b, a) of A_beta's convolution, once per
+    (c, b) in a sweep;
+  - falling(m - k, d - k), once per (m, d);
+  - A_beta's coefficients in the falling-factorial basis of r (only the
+    falling factorials of r depend on r), once per (counts, beta);
+  - MOMENT_DECOMPOSITION's left side, E[X^beta] at every r, once per
+    (counts, beta) by hypergeom._scaled_moments, which builds hypergeom's
+    grouped Stirling rows once and evaluates them at each r;
+  - d!/beta! per (n, d), and SIGMA's constant c_d per d;
+  - the rendered params: each loop level formats its own part of the
+    "key=value;..." text once, and a check joins the parts.
+
+MOMENT_DECOMPOSITION compares two independent routes: its left side reads
+only hypergeom's kernel, its right side only A_beta's coefficients; no table
+is shared between them.
 
 Sweeps are bounded by explicit caps so they can run exhaustively in CI.
 """
@@ -25,7 +44,7 @@ Sweeps are bounded by explicit caps so they can run exhaustively in CI.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -33,6 +52,7 @@ from math import comb, prod
 from operator import eq, ge, le, mul
 from typing import Sequence
 
+from . import hypergeom
 from .combin import (
     compositions,
     falling,
@@ -58,7 +78,11 @@ class IdentityName(str, Enum):
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """One verified relation: lhs RELATION rhs, exactly."""
+    """One verified relation: lhs RELATION rhs, exactly.
+
+    `rendered` is params_str(), formatted when the check was built; it is None
+    for a check built elsewhere, whose params are then formatted on demand.
+    """
 
     name: str
     params: "tuple[tuple[str, object], ...]"
@@ -66,23 +90,124 @@ class IdentityCheck:
     rhs: "Fraction | int"
     relation: str  # "eq", "le", or "ge"
     holds: bool
+    rendered: "str | None" = field(default=None, compare=False, repr=False)
 
     def params_str(self) -> str:
-        return ";".join([f"{k}={v}" for k, v in self.params])
+        if self.rendered is None:
+            return ";".join([f"{k}={v}" for k, v in self.params])
+        return self.rendered
 
 
 _RELATIONS = {"eq": eq, "le": le, "ge": ge}
 
 
-def _check(name: IdentityName, relation: str, lhs, rhs, **params) -> IdentityCheck:
-    return IdentityCheck(
-        name=name.value,
-        params=tuple(params.items()),
-        lhs=lhs,
-        rhs=rhs,
-        relation=relation,
-        holds=_RELATIONS[relation](lhs, rhs),
+def _check(name: str, params: tuple, rendered: str, relation: str, lhs, rhs) -> IdentityCheck:
+    """name is the plain string value of an IdentityName; rendered is the params'
+    "key=value;..." text."""
+    return IdentityCheck(name, params, lhs, rhs, relation, _RELATIONS[relation](lhs, rhs), rendered)
+
+
+# --- one evaluator per family ---------------------------------------------------
+
+
+def _vandermonde_chu(x: "tuple[int, ...]", d: int) -> IdentityCheck:
+    rhs = 0
+    for alpha in compositions(len(x), d):
+        term = multinomial(d, alpha)
+        for xi, ai in zip(x, alpha):
+            term *= falling(xi, ai)
+        rhs += term
+    return _check("VANDERMONDE_CHU", (("x", x), ("d", d)), f"x={x};d={d}", "eq",
+                  falling(sum(x), d), rhs)
+
+
+def _multinomial(x: "tuple[int, ...]", d: int) -> IdentityCheck:
+    rhs = 0
+    for alpha in compositions(len(x), d):
+        term = multinomial(d, alpha)
+        for xi, ai in zip(x, alpha):
+            term *= xi**ai
+        rhs += term
+    return _check("MULTINOMIAL", (("x", x), ("d", d)), f"x={x};d={d}", "eq", sum(x) ** d, rhs)
+
+
+def _stirling_sum(d: int, r: int) -> IdentityCheck:
+    lhs = sum(falling(r, k) * stirling2(d, k) for k in range(1, d))
+    return _check("STIRLING_SUM", (("d", d), ("r", r)), f"d={d};r={r}", "eq",
+                  lhs, r**d - falling(r, d))
+
+
+def _multinomial_weights(n: int, d: int) -> "list[tuple[tuple[int, ...], int]]":
+    """(beta, d!/beta!) for every beta in I(n, d), in lex order."""
+    return [(beta, multinomial(d, beta)) for beta in compositions(n, d)]
+
+
+def _stirling_multi(
+    alpha: "tuple[int, ...]", d: int, weights: "list[tuple[tuple[int, ...], int]]"
+) -> IdentityCheck:
+    """weights is _multinomial_weights(len(alpha), d)."""
+    k = sum(alpha)
+    rhs = 0
+    for beta, term in weights:
+        for bi, ai in zip(beta, alpha):
+            term *= stirling2(bi, ai)
+        rhs += term
+    return _check("STIRLING_MULTI", (("alpha", alpha), ("d", d)), f"alpha={alpha};d={d}", "eq",
+                  stirling2(d, k), Fraction(rhs, multinomial(k, alpha)))
+
+
+def _kmr(k: int, m: int, r: int) -> IdentityCheck:
+    km = k * m
+    # cross-multiplied so km = 1 (where both sides degenerate) stays exact
+    holds = r * (km - r) <= m * (km - 1)
+    lhs = Fraction(km - r, km - 1) if km > 1 else Fraction(0)
+    return IdentityCheck("KMR", (("k", k), ("m", m), ("r", r)), lhs, Fraction(m, r), "le", holds,
+                         f"k={k};m={m};r={r}")
+
+
+def _sigma(d: int, m: int, k: int, r: int, c_d: int) -> IdentityCheck:
+    """c_d is falling_poly_coeffs(d).c_d."""
+    km = k * m
+    lhs = 1 - Fraction(falling(r, d) * km**d, r**d * falling(km, d))
+    return _check("SIGMA", (("d", d), ("m", m), ("k", k), ("r", r)), f"d={d};m={m};k={k};r={r}",
+                  "le", lhs, Fraction(m, r * r) * c_d)
+
+
+def _phi(k: int, m: int, r: int) -> IdentityCheck:
+    km = k * m
+    phi = (2 * km - 1) * r * r + (4 - 6 * km) * r - km * km + 6 * km - 4
+    return _check("PHI", (("k", k), ("m", m), ("r", r)), f"k={k};m={m};r={r}", "ge", phi, 0)
+
+
+def _a_beta_checks(
+    n: int, d: int, r: int, m: int, counts: "tuple[int, ...]", tail: str,
+    values: "list[int]", multis: "list[int]",
+) -> "tuple[IdentityCheck, IdentityCheck]":
+    """A_BETA_NONNEG (the minimum of values) and A_BETA_SUM (their weighted sum)
+    for the A_beta values of every beta in I(n, d), in lex order, at one urn and
+    r; multis holds d!/beta! in the same order, and tail is f";m={m};counts={counts}"."""
+    params = (("n", n), ("d", d), ("r", r), ("m", m), ("counts", counts))
+    rendered = f"n={n};d={d};r={r}{tail}"
+    rhs = r**d * falling(m, d) - falling(r, d) * m**d
+    return (
+        _check("A_BETA_NONNEG", params, rendered, "ge", min(values), 0),
+        _check("A_BETA_SUM", params, rendered, "eq", sum(map(mul, multis, values)), rhs),
     )
+
+
+def _moment_decomposition(
+    m: int, counts: "tuple[int, ...]", r: int, beta: "tuple[int, ...]", rendered: str,
+    lhs: Fraction, point_term: int, a_value: int, scale: int,
+) -> IdentityCheck:
+    """Compare E[X^beta] (lhs, from hypergeom's kernel) with the point term plus
+    A_beta over scale = r^d (m falling d).  The point term
+    (counts/m)^beta * (r falling d) m^d is point_term = prod counts_i^beta_i * (r falling d)."""
+    params = (("m", m), ("counts", counts), ("r", r), ("beta", beta))
+    return _check("MOMENT_DECOMPOSITION", params, rendered, "eq", lhs,
+                  Fraction(point_term + a_value, scale))
+
+
+# --- A_beta ---------------------------------------------------------------------
 
 
 def _falling_row(x: int, d: int) -> "list[int]":
@@ -90,26 +215,37 @@ def _falling_row(x: int, d: int) -> "list[int]":
     return list(accumulate(range(x, x - d, -1), mul, initial=1))
 
 
-def _a_beta_coeffs(beta: "tuple[int, ...]", m: int, counts: "tuple[int, ...]") -> "list[int]":
+def _falling_tails(m: int, d: int) -> "list[int]":
+    """[falling(m - k, d - k) for k = 0..d]."""
+    return [falling(m - k, d - k) for k in range(d + 1)]
+
+
+def _a_beta_coeffs(
+    beta: "tuple[int, ...]", counts: "tuple[int, ...]", tails: "list[int]",
+    rows: "dict[tuple[int, int], list[int]]",
+) -> "list[int]":
     """a_0..a_d with A_beta = sum_k a_k * (r falling k) for every 1 <= r <= m.
 
-    a_k = c_k * falling(m - k, d - k) for k < d.  The only alpha <= beta with
-    |alpha| = d is beta itself, so c_d = prod falling(counts_i, beta_i) and
-    a_d = c_d - prod counts_i^beta_i.
+    a_k = c_k * falling(m - k, d - k) for k < d, with tails = _falling_tails(m, d).
+    The only alpha <= beta with |alpha| = d is beta itself, so
+    c_d = prod falling(counts_i, beta_i) and a_d = c_d - prod counts_i^beta_i.
+    rows maps (c, b) to the convolution row falling(c, a) * S(b, a), a = 0..b,
+    which depends on nothing else; a sweep passes one dict to every call.
     """
     c = [1]
     for mi, bi in zip(counts, beta):
         if bi == 0:
             continue
-        row = [falling(mi, a) * stirling2(bi, a) for a in range(bi + 1)]
+        row = rows.get((mi, bi))
+        if row is None:
+            row = rows[mi, bi] = [falling(mi, a) * stirling2(bi, a) for a in range(bi + 1)]
         nxt = [0] * (len(c) + bi)
         for j, cj in enumerate(c):
             for a, ra in enumerate(row):
                 nxt[j + a] += cj * ra
         c = nxt
-    d = len(c) - 1
-    coeffs = [ck * falling(m - k, d - k) for k, ck in enumerate(c)]
-    coeffs[d] -= prod(map(pow, counts, beta))
+    coeffs = list(map(mul, c, tails))
+    coeffs[-1] -= prod(map(pow, counts, beta))
     return coeffs
 
 
@@ -147,52 +283,28 @@ def a_beta(beta: Sequence[int], r: int, m: int, counts: Sequence[int]) -> int:
         raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
     if m < d:
         raise ValueError(f"need m >= total degree, got m={m}, degree={d}")
-    return _a_beta_at(_a_beta_coeffs(beta, m, counts), _falling_row(r, d))
-
-
-def _a_beta_sum_check(
-    r: int, m: int, d: int, counts: "tuple[int, ...]", lhs: int
-) -> IdentityCheck:
-    """A_BETA_SUM with lhs = sum over I(n, d) of (d!/beta!) A_beta."""
-    rhs = r**d * falling(m, d) - falling(r, d) * m**d
-    return _check(IdentityName.A_BETA_SUM, "eq", lhs, rhs, n=len(counts), d=d, r=r, m=m, counts=counts)
+    return _a_beta_at(_a_beta_coeffs(beta, counts, _falling_tails(m, d), {}), _falling_row(r, d))
 
 
 def a_beta_sum_identity(r: int, m: int, d: int, counts: Sequence[int]) -> IdentityCheck:
     """sum over beta in I(n,d) of (d!/beta!) A_beta == r^d (m falling d) - (r falling d) m^d."""
     counts = tuple(int(c) for c in counts)
-    lhs = sum(
-        multinomial(d, beta) * a_beta(beta, r, m, counts) for beta in compositions(len(counts), d)
-    )
-    return _a_beta_sum_check(r, m, d, counts, lhs)
-
-
-def _moment_decomposition(p: HypergeomParams, beta: "tuple[int, ...]", a_value: int) -> IdentityCheck:
-    """Compare scaled_moment with the point term plus A_beta, both over r^d (m falling d).
-
-    The point term (counts/m)^beta * (r falling d) m^d is
-    prod counts_i^beta_i * (r falling d).
-    """
-    d = sum(beta)
-    point = prod(map(pow, p.counts, beta)) * falling(p.r, d)
-    rhs = Fraction(point + a_value, p.r**d * falling(p.m, d))
-    lhs = scaled_moment(p, beta)
-    return _check(
-        IdentityName.MOMENT_DECOMPOSITION,
-        "eq",
-        lhs,
-        rhs,
-        m=p.m,
-        counts=p.counts,
-        r=p.r,
-        beta=beta,
-    )
+    weights = _multinomial_weights(len(counts), d)
+    values = [a_beta(beta, r, m, counts) for beta, _ in weights]
+    return _a_beta_checks(len(counts), d, r, m, counts, f";m={m};counts={counts}", values,
+                          [w for _, w in weights])[1]
 
 
 def moment_decomposition_check(p: HypergeomParams, beta: Sequence[int]) -> IdentityCheck:
     """E[X^beta] must equal (counts/m)^beta * scaling + A_beta correction, exactly."""
     beta = tuple(int(b) for b in beta)
-    return _moment_decomposition(p, beta, a_beta(beta, p.r, p.m, p.counts))
+    d = sum(beta)
+    a_value = a_beta(beta, p.r, p.m, p.counts)
+    return _moment_decomposition(
+        p.m, p.counts, p.r, beta, f"m={p.m};counts={p.counts};r={p.r};beta={beta}",
+        scaled_moment(p, beta), prod(map(pow, p.counts, beta)) * falling(p.r, d), a_value,
+        p.r**d * falling(p.m, d),
+    )
 
 
 def verify_identity(name: "IdentityName | str", **params) -> IdentityCheck:
@@ -208,75 +320,33 @@ def verify_identity(name: "IdentityName | str", **params) -> IdentityCheck:
       PHI              k >= 2, m >= 3, r with (k-1)m < r <= km
     """
     name = IdentityName(name)
-    if name is IdentityName.VANDERMONDE_CHU:
+    if name is IdentityName.VANDERMONDE_CHU or name is IdentityName.MULTINOMIAL:
         x = tuple(int(v) for v in params["x"])
         d = int(params["d"])
         if d < 0:
             raise ValueError("d must be nonnegative")
-        lhs = falling(sum(x), d)
-        rhs = 0
-        for alpha in compositions(len(x), d):
-            term = multinomial(d, alpha)
-            for xi, ai in zip(x, alpha):
-                term *= falling(xi, ai)
-            rhs += term
-        return _check(name, "eq", lhs, rhs, x=x, d=d)
-
-    if name is IdentityName.MULTINOMIAL:
-        x = tuple(int(v) for v in params["x"])
-        d = int(params["d"])
-        if d < 0:
-            raise ValueError("d must be nonnegative")
-        lhs = sum(x) ** d
-        rhs = 0
-        for alpha in compositions(len(x), d):
-            term = multinomial(d, alpha)
-            for xi, ai in zip(x, alpha):
-                term *= xi**ai
-            rhs += term
-        return _check(name, "eq", lhs, rhs, x=x, d=d)
+        return (_vandermonde_chu if name is IdentityName.VANDERMONDE_CHU else _multinomial)(x, d)
 
     if name is IdentityName.STIRLING_SUM:
         d = int(params["d"])
         r = int(params["r"])
         if d < 1 or r < 1:
             raise ValueError("need d >= 1 and r >= 1")
-        lhs = sum(falling(r, k) * stirling2(d, k) for k in range(1, d))
-        rhs = r**d - falling(r, d)
-        return _check(name, "eq", lhs, rhs, d=d, r=r)
+        return _stirling_sum(d, r)
 
     if name is IdentityName.STIRLING_MULTI:
         alpha = tuple(int(a) for a in params["alpha"])
         d = int(params["d"])
-        k = sum(alpha)
         if any(a < 0 for a in alpha):
             raise ValueError(f"negative entry in {alpha}")
-        if d <= k:
-            raise ValueError(f"need d > |alpha|, got d={d}, |alpha|={k}")
-        rhs = 0
-        for beta in compositions(len(alpha), d):
-            term = multinomial(d, beta)
-            for bi, ai in zip(beta, alpha):
-                term *= stirling2(bi, ai)
-            rhs += term
-        rhs = Fraction(rhs, multinomial(k, alpha))
-        return _check(name, "eq", stirling2(d, k), rhs, alpha=alpha, d=d)
+        if d <= sum(alpha):
+            raise ValueError(f"need d > |alpha|, got d={d}, |alpha|={sum(alpha)}")
+        return _stirling_multi(alpha, d, _multinomial_weights(len(alpha), d))
 
     if name is IdentityName.KMR:
         k, m, r = int(params["k"]), int(params["m"]), int(params["r"])
         _require_km_window(k, m, r)
-        # cross-multiplied so km = 1 (where both sides degenerate) stays exact
-        holds = r * (k * m - r) <= m * (k * m - 1)
-        lhs = Fraction(k * m - r, k * m - 1) if k * m > 1 else Fraction(0)
-        rhs = Fraction(m, r)
-        return IdentityCheck(
-            name=name.value,
-            params=(("k", k), ("m", m), ("r", r)),
-            lhs=lhs,
-            rhs=rhs,
-            relation="le",
-            holds=holds,
-        )
+        return _kmr(k, m, r)
 
     if name is IdentityName.SIGMA:
         d, m, k, r = (int(params[key]) for key in ("d", "m", "k", "r"))
@@ -285,19 +355,14 @@ def verify_identity(name: "IdentityName | str", **params) -> IdentityCheck:
         if m < d:
             raise ValueError(f"need m >= d, got m={m}, d={d}")
         _require_km_window(k, m, r)
-        km = k * m
-        lhs = 1 - Fraction(falling(r, d) * km**d, r**d * falling(km, d))
-        rhs = Fraction(m, r * r) * falling_poly_coeffs(d).c_d
-        return _check(name, "le", lhs, rhs, d=d, m=m, k=k, r=r)
+        return _sigma(d, m, k, r, falling_poly_coeffs(d).c_d)
 
     if name is IdentityName.PHI:
         k, m, r = int(params["k"]), int(params["m"]), int(params["r"])
         if m < 3 or k < 2:
             raise ValueError("need m >= 3 and k >= 2")
         _require_km_window(k, m, r)
-        km = k * m
-        phi = (2 * km - 1) * r * r + (4 - 6 * km) * r - km * km + 6 * km - 4
-        return _check(name, "ge", phi, 0, k=k, m=m, r=r)
+        return _phi(k, m, r)
 
     raise ValueError(f"{name.value} is not checked through verify_identity")
 
@@ -310,23 +375,21 @@ def _require_km_window(k: int, m: int, r: int) -> None:
 
 
 # --- bounded sweeps -----------------------------------------------------------
+# The loop bounds admit only parameters verify_identity accepts, so no check is
+# validated on its own.
 
 
 def sweep_stirling_sum(max_d: int = 6, max_r: int = 30) -> "list[IdentityCheck]":
-    return [
-        verify_identity(IdentityName.STIRLING_SUM, d=d, r=r)
-        for d in range(1, max_d + 1)
-        for r in range(1, max_r + 1)
-    ]
+    return [_stirling_sum(d, r) for d in range(1, max_d + 1) for r in range(1, max_r + 1)]
 
 
 def sweep_stirling_multi(max_n: int = 3, max_d: int = 5) -> "list[IdentityCheck]":
     out = []
     for n in range(1, max_n + 1):
         for d in range(2, max_d + 1):
+            weights = _multinomial_weights(n, d)
             for k in range(1, d):
-                for alpha in compositions(n, k):
-                    out.append(verify_identity(IdentityName.STIRLING_MULTI, alpha=alpha, d=d))
+                out += [_stirling_multi(alpha, d, weights) for alpha in compositions(n, k)]
     return out
 
 
@@ -340,8 +403,8 @@ def sweep_integer_point_identities(
         n = rng.randint(1, max_n)
         d = rng.randint(1, max_d)
         x = tuple(rng.randint(-6, 9) for _ in range(n))
-        out.append(verify_identity(IdentityName.VANDERMONDE_CHU, x=x, d=d))
-        out.append(verify_identity(IdentityName.MULTINOMIAL, x=x, d=d))
+        out.append(_vandermonde_chu(x, d))
+        out.append(_multinomial(x, d))
     return out
 
 
@@ -349,20 +412,17 @@ def sweep_kmr(limit: int = 40) -> "list[IdentityCheck]":
     out = []
     for k in range(1, limit + 1):
         for m in range(1, limit + 1):
-            lo = (k - 1) * m + 1
-            hi = min(k * m, limit)
-            for r in range(lo, hi + 1):
-                out.append(verify_identity(IdentityName.KMR, k=k, m=m, r=r))
+            out += [_kmr(k, m, r) for r in range((k - 1) * m + 1, min(k * m, limit) + 1)]
     return out
 
 
 def sweep_sigma(max_d: int = 5, max_m: int = 12, max_k: int = 4) -> "list[IdentityCheck]":
     out = []
     for d in range(2, max_d + 1):
+        c_d = falling_poly_coeffs(d).c_d
         for m in range(d, max_m + 1):
             for k in range(1, max_k + 1):
-                for r in range((k - 1) * m + 1, k * m + 1):
-                    out.append(verify_identity(IdentityName.SIGMA, d=d, m=m, k=k, r=r))
+                out += [_sigma(d, m, k, r, c_d) for r in range((k - 1) * m + 1, k * m + 1)]
     return out
 
 
@@ -370,8 +430,7 @@ def sweep_phi(max_k: int = 5, max_m: int = 10) -> "list[IdentityCheck]":
     out = []
     for k in range(2, max_k + 1):
         for m in range(3, max_m + 1):
-            for r in range((k - 1) * m + 1, k * m + 1):
-                out.append(verify_identity(IdentityName.PHI, k=k, m=m, r=r))
+            out += [_phi(k, m, r) for r in range((k - 1) * m + 1, k * m + 1)]
     return out
 
 
@@ -386,49 +445,55 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "list[Identi
     once per (counts, beta).
     """
     out = []
+    rows: "dict[tuple[int, int], list[int]]" = {}
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
-            betas = list(compositions(n, d))
-            multis = [multinomial(d, beta) for beta in betas]
+            weights = _multinomial_weights(n, d)
+            multis = [w for _, w in weights]
             for m in range(d, max_m + 1):
+                tails = _falling_tails(m, d)
                 for counts in compositions(n, m):
-                    table = [_a_beta_coeffs(beta, m, counts) for beta in betas]
+                    table = [_a_beta_coeffs(beta, counts, tails, rows) for beta, _ in weights]
+                    tail = f";m={m};counts={counts}"
                     for r in range(1, m + 1):
                         falls = _falling_row(r, d)
                         values = [_a_beta_at(coeffs, falls) for coeffs in table]
-                        out.append(
-                            _check(
-                                IdentityName.A_BETA_NONNEG,
-                                "ge",
-                                min(values),
-                                0,
-                                n=n,
-                                d=d,
-                                r=r,
-                                m=m,
-                                counts=counts,
-                            )
-                        )
-                        lhs = sum(map(mul, multis, values))
-                        out.append(_a_beta_sum_check(r, m, d, counts, lhs))
+                        out += _a_beta_checks(n, d, r, m, counts, tail, values, multis)
     return out
 
 
 def sweep_moment_decomposition(
     max_n: int = 3, max_d: int = 3, max_m: int = 6
 ) -> "list[IdentityCheck]":
+    """E[X^beta] against the point term plus A_beta for every urn with n <= max_n
+    colors and m <= max_m balls, every 1 <= r <= m and every beta in I(n, d),
+    d <= max_d.  Per (counts, beta), hypergeom's grouped Stirling rows (the left
+    side) and A_beta's coefficients (the right side) are each built once and
+    evaluated at every r."""
     out = []
+    rows: "dict[tuple[int, int], list[int]]" = {}  # A_beta's rows only
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
-            betas = list(compositions(n, d))
+            betas = [(beta, f";beta={beta}") for beta in compositions(n, d)]
             for m in range(d, max_m + 1):
+                tails = _falling_tails(m, d)  # tails[0] = falling(m, d)
                 for counts in compositions(n, m):
-                    table = [_a_beta_coeffs(beta, m, counts) for beta in betas]
+                    head = f"m={m};counts={counts};r="
+                    table = [
+                        (beta, rendered, hypergeom._scaled_moments(beta, counts, m),
+                         _a_beta_coeffs(beta, counts, tails, rows), prod(map(pow, counts, beta)))
+                        for beta, rendered in betas
+                    ]
                     for r in range(1, m + 1):
-                        p = HypergeomParams(m=m, counts=counts, r=r)
                         falls = _falling_row(r, d)
-                        for beta, coeffs in zip(betas, table):
-                            out.append(_moment_decomposition(p, beta, _a_beta_at(coeffs, falls)))
+                        scale = r**d * tails[0]
+                        out += [
+                            _moment_decomposition(
+                                m, counts, r, beta, f"{head}{r}{rendered}", moments[r - 1],
+                                point * falls[d], _a_beta_at(coeffs, falls), scale,
+                            )
+                            for beta, rendered, moments, coeffs, point in table
+                        ]
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -226,11 +227,18 @@ def random_polynomial(rng, n: int, d: int, coef_lo: int = -9, coef_hi: int = 9) 
 # terms that repeat an exponent are summed.
 
 
+# n, degree and the exponents have at most 4300 digits (CPython's default limit
+# on the digits of an int made from a string); only coefficients may be longer.
+_JSON_INT_BOUND = 10**4300
+
+
 def _json_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(
             f"{what} must be a JSON integer (no point, exponent or quotes), got {value}"
         )
+    if abs(value) >= _JSON_INT_BOUND:
+        raise ValueError(f"{what} has more than 4300 digits")
     return value
 
 
@@ -272,7 +280,16 @@ def to_json_dict(f: HomogeneousPolynomial) -> dict:
 
 
 def load_polynomial(path: str, *, homogenize_terms: bool = False) -> HomogeneousPolynomial:
-    """Read a polynomial JSON file; decimal literals are parsed exactly."""
+    """Read a polynomial JSON file; decimal literals are parsed exactly, and so
+    are integer literals of any length."""
     with open(path, "r", encoding="utf-8") as fp:
-        obj = json.load(fp, parse_float=as_rational, parse_int=int)
+        text = fp.read()
+    try:  # int runs inside the JSON scanner, with no call back into Python per literal
+        obj = json.loads(text, parse_float=as_rational, parse_int=int)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # past the interpreter's limit on the digits of an int made from a string,
+        # which Decimal does not have; an error of as_rational is raised again
+        obj = json.loads(text, parse_float=as_rational, parse_int=lambda t: int(Decimal(t)))
     return from_json_dict(obj, homogenize_terms=homogenize_terms)

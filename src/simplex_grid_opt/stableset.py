@@ -17,6 +17,11 @@ from typing import Iterable
 
 from .grid import DEFAULT_GRID_GUARD, GridTooLargeError, _grid_size, grid_minimize
 from .poly import HomogeneousPolynomial
+from .rational import _head
+
+# CPython's default limit on the digits of an int built from a string; an index
+# that long is far past any grid budget.
+_MAX_INDEX_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -47,9 +52,11 @@ def parse_graph_text(text: str) -> Graph:
     """Parse an edge list: one "u v" pair per line, vertices 1-indexed.
 
     Comment lines ("c ...") and problem lines ("p ...") in the DIMACS style
-    are tolerated; a "p" line may announce the vertex count, and edge lines
-    may carry a leading "e".  Otherwise the vertex count is the largest
-    index seen.
+    are tolerated; a "p" line may announce the vertex count (its first token
+    of digits), and edge lines may carry a leading "e".  Otherwise the vertex
+    count is the largest index seen.  Indices and counts are ASCII digits, at
+    most 4300 of them; an error names the line and quotes at most 40
+    characters of it.
     """
     n = 0
     edges = []
@@ -63,25 +70,31 @@ def parse_graph_text(text: str) -> Graph:
             continue
         if tag == "p":
             for token in parts[1:]:
-                if token.isdigit():
-                    n = max(n, int(token))
+                if token.isdigit():  # any script's digits, so that '²' is refused, not skipped
+                    n = max(n, _index(token, lineno, "vertex count"))
                     break
             continue
         if tag == "e":
             parts = parts[1:]
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer vertex in {raw!r}") from exc
+            raise ValueError(f"line {lineno}: expected 'u v', got {_head(raw)}")
+        u, v = _index(parts[0], lineno, "vertex"), _index(parts[1], lineno, "vertex")
         if u < 1 or v < 1:
-            raise ValueError(f"line {lineno}: vertices are 1-indexed, got {raw!r}")
+            raise ValueError(f"line {lineno}: vertices are 1-indexed, got {_head(line)}")
         edges.append((u, v))
         n = max(n, u, v)
     if n == 0:
         raise ValueError("graph file defines no vertices")
     return Graph.from_edges(n, edges)
+
+
+def _index(token: str, lineno: int, what: str) -> int:
+    if not (token.isascii() and token.isdigit()) or len(token) > _MAX_INDEX_DIGITS:
+        raise ValueError(
+            f"line {lineno}: {what} {_head(token)} is not an integer of at most "
+            f"{_MAX_INDEX_DIGITS} ASCII digits"
+        )
+    return int(token)
 
 
 def load_graph(path: str) -> Graph:

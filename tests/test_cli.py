@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from simplex_grid_opt import bounds, cli, grid, load_polynomial, to_json_dict
+from simplex_grid_opt.stableset import motzkin_straus_form, parse_graph_text
 from simplex_grid_opt import identities as ident_mod
 from simplex_grid_opt.cli import (
     CSV_VERSION_LINE,
@@ -782,8 +783,11 @@ def test_parse_failure_exits_2(capsys, tmp_path):
         '{"n": 2.7, "terms": [{"alpha": [1, 1], "coef": "1"}]}',
         '{"n": 2, "terms": [{"alpha": [1, 1], "coef": "1e999999999"}]}',
         '{"n": 2, "terms": [{"alpha": [1, 1], "coef": 1e999999999}]}',
+        '{"n": 1, "terms": [{"alpha": [1%s], "coef": 1}]}' % ("0" * 5000),
+        '{"n": 1%s, "terms": []}' % ("0" * 5000),
     ],
-    ids=["float-alpha", "bool-alpha", "float-n", "huge-exponent-string", "huge-exponent-number"],
+    ids=["float-alpha", "bool-alpha", "float-n", "huge-exponent-string", "huge-exponent-number",
+         "5001-digit-alpha", "5001-digit-n"],
 )
 def test_malformed_polynomial_files_exit_2(capsys, tmp_path, text):
     poly = tmp_path / "poly.json"
@@ -803,6 +807,10 @@ def test_coefficients_past_the_int_string_limit_are_read(capsys, tmp_path):
     assert (code, err) == (EXIT_OK, "")
     obj = json.loads(out)
     assert obj["value"] == "5" + "0" * 4999 and obj["minimizers"] == ["1/2,1/2"]
+    # the same 5001-digit coefficients as bare JSON integers
+    poly.write_text('{"n": 2, "terms": [{"alpha": [2, 0], "coef": %s}, '
+                    '{"alpha": [0, 2], "coef": %s}]}' % (big, big))
+    assert run(capsys, "grid-min", "--poly", str(poly), "--r", "2") == (EXIT_OK, out, "")
     poly.write_text(json.dumps({"n": 1, "terms": [{"alpha": [1], "coef": "9" * 5000 + "x"}]}))
     code, out, err = run(capsys, "grid-min", "--poly", str(poly), "--r", "2")
     assert code == EXIT_CONFIG and out == ""
@@ -876,6 +884,74 @@ def test_cli_fuzz_polynomial_files(file, r, bernstein, guard, data):
         f = load_polynomial(path)
     printed = Fraction(json.loads(out.getvalue())["bernstein" if bernstein else "value"])
     assert printed == (naive_bernstein(f, x, r) if bernstein else naive_extremes(f, r, 1)[0][0])
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("p edge \u00b2 0\n1 2\n", "line 1: vertex count '\u00b2'"),
+        ("p edge 1" + "0" * 4999 + " 0\n", "line 1: vertex count '1000"),
+        ("c x\n1 2\n1 1" + "0" * 4999 + "\n", "line 3: vertex '1000"),
+        ("1 \u0663\n", "line 1: vertex '\u0663'"),
+        ("1 2 " + "3" * 5000 + "\n", "line 1: expected 'u v'"),
+    ],
+    ids=["superscript-count", "huge-count", "huge-vertex", "arabic-indic-vertex", "long-line"],
+)
+def test_junk_graph_files_exit_2_naming_the_line(capsys, tmp_path, text, where):
+    graph = tmp_path / "junk.edges"
+    graph.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "stable-set", "--graph", str(graph), "--r", "2")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"error: {where}") and len(err) < 200, err
+
+
+# Tokens a hand-written or generated edge list may put where a vertex index belongs.
+INDEX_JUNK = st.one_of(
+    st.integers(-2, 7).map(str),
+    st.sampled_from(["\u00b2", "\u0663", "\uff13", "1" + "0" * 30, "1" + "0" * 5000, "x", "1.5", "+3", "007"]),
+)
+
+
+@st.composite
+def graph_texts(draw):
+    """Edge-list text: edge lines (with and without "e", self-loops among them),
+    "p" and "c" lines, blank lines, and lines with a token missing or extra.
+    Each file draws its tokens either from 1..6 or from INDEX_JUNK, and its
+    lines either from the well-formed kinds or from all, so that about a
+    quarter of the files are valid graphs."""
+    index = draw(st.sampled_from([st.integers(1, 6).map(str), INDEX_JUNK]))
+    well_formed = ["{u} {v}", "e {u} {v}", "p edge {u} {v}", "c {u} {v}", ""]
+    kinds = draw(st.sampled_from([well_formed, well_formed + ["{u} {u}", "{u}", "{u} {v} {u}", "e {u}"]]))
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        u, v = draw(index), draw(index)
+        lines.append(draw(st.sampled_from(kinds)).format(u=u, v=v))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_texts(), st.integers(1, 3), st.sampled_from([None, "30"]))
+def test_cli_fuzz_graph_files(text, r, guard):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.edges"
+        path.write_text(text, encoding="utf-8")
+        env = {} if guard is None else {"SGO_MAX_GRID": guard}
+        with (
+            mock.patch.dict(os.environ, env),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            code = main(["stable-set", "--graph", str(path), "--r", str(r)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIZE_GUARD), err.getvalue()
+    if code != EXIT_OK:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        return
+    graph = parse_graph_text(text)
+    obj = json.loads(out.getvalue())
+    assert (obj["n"], obj["edges"]) == (graph.n, len(graph.edges))
+    if graph.n <= 6:
+        assert Fraction(obj["grid_value"]) == naive_extremes(motzkin_straus_form(graph), r, 1)[0][0]
 
 
 def test_homogenize_flag(capsys, tmp_path):

@@ -27,7 +27,8 @@ from simplex_grid_opt import (
     scaled_moment,
     scaled_moment_bruteforce,
 )
-from strats import naive_bernstein, polynomials, simplex_points, strict_gap_poly
+from simplex_grid_opt.hypergeom import _scaled_moments, _stirling_at, _stirling_rows
+from strats import exponent_tuples, naive_bernstein, polynomials, simplex_points, strict_gap_poly
 
 PAPER_URN = HypergeomParams(m=16, counts=(7, 9), r=2)
 
@@ -138,6 +139,38 @@ def test_moment_matches_bruteforce_exhaustively_small():
                     for d in range(0, 5):
                         for beta in compositions(n, d):
                             assert moment(p, beta) == moment_bruteforce(p, beta), (p, beta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(urns(max_m=7), st.data())
+def test_rows_built_once_give_the_moment_at_every_r(p, data):
+    # rows built once for the whole index, evaluated at r = 1..m: zero counts,
+    # r < |beta| and r = m all occur
+    beta = tuple(data.draw(st.lists(st.integers(0, 3), min_size=p.n, max_size=p.n)))
+    d = sum(beta)
+    grouped = _stirling_rows(beta, p.counts, falling, d)
+    powers = [falling(p.m, k) for k in range(d + 1)]
+    scaled = _scaled_moments(beta, p.counts, p.m)
+    assert len(scaled) == p.m
+    for r in range(1, p.m + 1):
+        q = HypergeomParams(m=p.m, counts=p.counts, r=r)
+        truth = moment_bruteforce(q, beta)
+        assert Fraction(*_stirling_at(grouped, r, powers)) == truth == moment(q, beta)
+        assert scaled[r - 1] == truth / Fraction(r) ** d == scaled_moment(q, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_rows_built_once_give_the_bernstein_moment_at_every_r(n, d, data):
+    # the with-replacement urn through the same split, against the grid sum
+    x = data.draw(simplex_points(n))
+    beta = data.draw(exponent_tuples(n, d))
+    q = math.lcm(*(v.denominator for v in x))
+    grouped = _stirling_rows(beta, [v.numerator * (q // v.denominator) for v in x], pow, d)
+    monomial = HomogeneousPolynomial(n, d, {beta: 1})
+    for r in range(1, 7):
+        num, den = _stirling_at(grouped, r, [q**k for k in range(d + 1)])
+        assert Fraction(num, den * r**d) == naive_bernstein(monomial, x, r)
 
 
 def test_moment_at_full_draw_is_deterministic():

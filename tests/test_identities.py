@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from simplex_grid_opt import (
     HypergeomParams,
+    IdentityCheck,
     IdentityName,
     a_beta,
     a_beta_sum_identity,
@@ -18,6 +19,7 @@ from simplex_grid_opt import (
     verify_identity,
 )
 from strats import naive_a_beta
+from simplex_grid_opt import hypergeom, identities
 from simplex_grid_opt.identities import (
     default_sweep_count,
     run_default_sweeps,
@@ -257,3 +259,149 @@ def test_sweeps_report_the_a_beta_values_of_the_public_function():
         params = dict(check.params)
         p = HypergeomParams(m=params["m"], counts=params["counts"], r=params["r"])
         assert check == moment_decomposition_check(p, params["beta"])
+
+
+# --- every sweep against checks built one by one through the public functions --
+
+
+def _reference_stirling_sum(max_d, max_r):
+    return [verify_identity("STIRLING_SUM", d=d, r=r)
+            for d in range(1, max_d + 1) for r in range(1, max_r + 1)]
+
+
+def _reference_stirling_multi(max_n, max_d):
+    return [verify_identity("STIRLING_MULTI", alpha=alpha, d=d)
+            for n in range(1, max_n + 1) for d in range(2, max_d + 1)
+            for k in range(1, d) for alpha in compositions(n, k)]
+
+
+def _reference_integer_point_identities(samples, seed):
+    rng, out = random.Random(seed), []
+    for _ in range(samples):
+        n, d = rng.randint(1, 4), rng.randint(1, 4)
+        x = tuple(rng.randint(-6, 9) for _ in range(n))
+        out += [verify_identity("VANDERMONDE_CHU", x=x, d=d), verify_identity("MULTINOMIAL", x=x, d=d)]
+    return out
+
+
+def _reference_kmr(limit):
+    return [verify_identity("KMR", k=k, m=m, r=r)
+            for k in range(1, limit + 1) for m in range(1, limit + 1)
+            for r in range((k - 1) * m + 1, min(k * m, limit) + 1)]
+
+
+def _reference_sigma(max_d, max_m, max_k):
+    return [verify_identity("SIGMA", d=d, m=m, k=k, r=r)
+            for d in range(2, max_d + 1) for m in range(d, max_m + 1)
+            for k in range(1, max_k + 1) for r in range((k - 1) * m + 1, k * m + 1)]
+
+
+def _reference_phi(max_k, max_m):
+    return [verify_identity("PHI", k=k, m=m, r=r)
+            for k in range(2, max_k + 1) for m in range(3, max_m + 1)
+            for r in range((k - 1) * m + 1, k * m + 1)]
+
+
+def _urns(max_n, max_d, max_m):
+    for n in range(1, max_n + 1):
+        for d in range(1, max_d + 1):
+            for m in range(d, max_m + 1):
+                for counts in compositions(n, m):
+                    for r in range(1, m + 1):
+                        yield n, d, m, counts, r
+
+
+def _reference_a_beta(max_n, max_d, max_m):
+    out = []
+    for n, d, m, counts, r in _urns(max_n, max_d, max_m):
+        low = min(a_beta(beta, r, m, counts) for beta in compositions(n, d))
+        params = (("n", n), ("d", d), ("r", r), ("m", m), ("counts", counts))
+        out.append(IdentityCheck("A_BETA_NONNEG", params, low, 0, "ge", low >= 0))
+        out.append(a_beta_sum_identity(r, m, d, counts))
+    return out
+
+
+def _reference_moment_decomposition(max_n, max_d, max_m):
+    return [moment_decomposition_check(HypergeomParams(m=m, counts=counts, r=r), beta)
+            for n, d, m, counts, r in _urns(max_n, max_d, max_m)
+            for beta in compositions(n, d)]
+
+
+REFERENCES = {
+    "sweep_stirling_sum": _reference_stirling_sum,
+    "sweep_stirling_multi": _reference_stirling_multi,
+    "sweep_integer_point_identities": _reference_integer_point_identities,
+    "sweep_kmr": _reference_kmr,
+    "sweep_sigma": _reference_sigma,
+    "sweep_phi": _reference_phi,
+    "sweep_a_beta": _reference_a_beta,
+    "sweep_moment_decomposition": _reference_moment_decomposition,
+}
+# (max_m, max_d) of the benchmark's verify ops (perfbench/workloads.py VERIFY_SLOTS)
+BENCHMARK_VERIFY_CAPS = ((6, 3), (7, 3), (6, 4), (8, 3))
+
+
+def _default_sweep_calls(monkeypatch, **caps):
+    """The (sweep name, keyword arguments) pairs run_default_sweeps calls at caps."""
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in REFERENCES:
+            patch.setattr(identities, name, lambda _name=name, **kw: calls.append((_name, kw)) or [])
+        run_default_sweeps(**caps)
+    return calls
+
+
+def _fields(check):
+    return check.name, check.params, check.lhs, check.rhs, check.relation, check.holds
+
+
+def test_every_sweep_equals_its_checks_built_one_by_one(monkeypatch):
+    calls = {}
+    for max_m, max_d in BENCHMARK_VERIFY_CAPS:
+        for name, kw in _default_sweep_calls(monkeypatch, max_m=max_m, max_d=max_d, seed=5):
+            calls[name, tuple(sorted(kw.items()))] = kw
+    assert {name for name, _ in calls} == set(REFERENCES)
+    for (name, _), kw in calls.items():
+        checks = getattr(identities, name)(**kw)
+        reference = REFERENCES[name](**kw)
+        assert checks, name
+        assert [_fields(c) for c in checks] == [_fields(c) for c in reference], (name, kw)
+        assert [c.params_str() for c in checks] == [
+            ";".join(f"{k}={v}" for k, v in c.params) for c in reference
+        ], (name, kw)
+
+
+def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
+    caps = dict(max_n=2, max_d=3, max_m=5)
+    p, beta = HypergeomParams(m=5, counts=(2, 3), r=2), (1, 1)
+    honest = sweep_moment_decomposition(**caps)
+    assert all(c.holds for c in honest)
+    rows = hypergeom._stirling_rows
+
+    def off_by_one(*args):  # E[Y^beta] one too large
+        grouped = rows(*args)
+        grouped[0] += 1
+        return grouped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hypergeom, "_stirling_rows", off_by_one)
+        assert not any(c.holds for c in sweep_moment_decomposition(**caps))
+        assert not moment_decomposition_check(p, beta).holds
+        assert all(c.holds for c in sweep_a_beta(**caps))
+        assert a_beta_sum_identity(2, 5, 2, (2, 3)).holds
+    coeffs = identities._a_beta_coeffs
+
+    def perturbed(*args):  # every A_beta one too large
+        out = coeffs(*args)
+        out[0] += 1
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "_a_beta_coeffs", perturbed)
+        moments = sweep_moment_decomposition(**caps)
+        assert not any(c.holds for c in moments)
+        assert [c.lhs for c in moments] == [c.lhs for c in honest]  # the moment side never reads A_beta
+        checks = sweep_a_beta(**caps)
+        assert not any(c.holds for c in checks if c.name == "A_BETA_SUM")
+        assert not moment_decomposition_check(p, beta).holds
+        assert not a_beta_sum_identity(2, 5, 2, (2, 3)).holds
