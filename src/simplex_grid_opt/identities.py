@@ -15,7 +15,7 @@ built by convolving one short row per coordinate,
 
   A_beta = sum_k c_k * (r falling k) * falling(m - k, d - k) - (r falling d) * prod counts_i^beta_i.
 
-Each family has one evaluator (_stirling_sum, _kmr, _a_beta_checks,
+Each family has one evaluator (_stirling_sum, _kmr, _a_beta_sum,
 _moment_decomposition, ...) that verify_identity, the public single-check
 functions and the sweeps all call.  It takes parameters already validated
 (by verify_identity, or by the loop bounds of a sweep, which admit no other)
@@ -78,11 +78,7 @@ class IdentityName(str, Enum):
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """One verified relation: lhs RELATION rhs, exactly.
-
-    `rendered` is params_str(), formatted when the check was built; it is None
-    for a check built elsewhere, whose params are then formatted on demand.
-    """
+    """One verified relation: lhs RELATION rhs, exactly."""
 
     name: str
     params: "tuple[tuple[str, object], ...]"
@@ -90,21 +86,30 @@ class IdentityCheck:
     rhs: "Fraction | int"
     relation: str  # "eq", "le", or "ge"
     holds: bool
-    rendered: "str | None" = field(default=None, compare=False, repr=False)
+    # params_str() formatted in advance by this module's builders, which render
+    # the params once per loop level; None means format on demand
+    _rendered: "str | None" = field(init=False, default=None, compare=False, repr=False)
 
     def params_str(self) -> str:
-        if self.rendered is None:
+        if self._rendered is None:
             return ";".join([f"{k}={v}" for k, v in self.params])
-        return self.rendered
+        return self._rendered
 
 
 _RELATIONS = {"eq": eq, "le": le, "ge": ge}
 
 
-def _check(name: str, params: tuple, rendered: str, relation: str, lhs, rhs) -> IdentityCheck:
+def _check(
+    name: str, params: tuple, rendered: "str | None", relation: str, lhs, rhs, holds=None
+) -> IdentityCheck:
     """name is the plain string value of an IdentityName; rendered is the params'
-    "key=value;..." text."""
-    return IdentityCheck(name, params, lhs, rhs, relation, _RELATIONS[relation](lhs, rhs), rendered)
+    "key=value;..." text, or None to format it on demand; holds defaults to
+    lhs RELATION rhs."""
+    if holds is None:
+        holds = _RELATIONS[relation](lhs, rhs)
+    check = IdentityCheck(name, params, lhs, rhs, relation, holds)
+    object.__setattr__(check, "_rendered", rendered)
+    return check
 
 
 # --- one evaluator per family ---------------------------------------------------
@@ -161,8 +166,8 @@ def _kmr(k: int, m: int, r: int) -> IdentityCheck:
     # cross-multiplied so km = 1 (where both sides degenerate) stays exact
     holds = r * (km - r) <= m * (km - 1)
     lhs = Fraction(km - r, km - 1) if km > 1 else Fraction(0)
-    return IdentityCheck("KMR", (("k", k), ("m", m), ("r", r)), lhs, Fraction(m, r), "le", holds,
-                         f"k={k};m={m};r={r}")
+    return _check("KMR", (("k", k), ("m", m), ("r", r)), f"k={k};m={m};r={r}", "le",
+                  lhs, Fraction(m, r), holds)
 
 
 def _sigma(d: int, m: int, k: int, r: int, c_d: int) -> IdentityCheck:
@@ -179,32 +184,28 @@ def _phi(k: int, m: int, r: int) -> IdentityCheck:
     return _check("PHI", (("k", k), ("m", m), ("r", r)), f"k={k};m={m};r={r}", "ge", phi, 0)
 
 
-def _a_beta_checks(
-    n: int, d: int, r: int, m: int, counts: "tuple[int, ...]", tail: str,
+def _a_beta_params(n: int, d: int, r: int, m: int, counts: "tuple[int, ...]") -> tuple:
+    return (("n", n), ("d", d), ("r", r), ("m", m), ("counts", counts))
+
+
+def _a_beta_sum(
+    params: tuple, rendered: "str | None", d: int, r: int, m: int,
     values: "list[int]", multis: "list[int]",
-) -> "tuple[IdentityCheck, IdentityCheck]":
-    """A_BETA_NONNEG (the minimum of values) and A_BETA_SUM (their weighted sum)
-    for the A_beta values of every beta in I(n, d), in lex order, at one urn and
-    r; multis holds d!/beta! in the same order, and tail is f";m={m};counts={counts}"."""
-    params = (("n", n), ("d", d), ("r", r), ("m", m), ("counts", counts))
-    rendered = f"n={n};d={d};r={r}{tail}"
+) -> IdentityCheck:
+    """A_BETA_SUM: values are the A_beta of every beta in I(n, d), in lex order,
+    at one urn and r, and multis holds d!/beta! in the same order."""
     rhs = r**d * falling(m, d) - falling(r, d) * m**d
-    return (
-        _check("A_BETA_NONNEG", params, rendered, "ge", min(values), 0),
-        _check("A_BETA_SUM", params, rendered, "eq", sum(map(mul, multis, values)), rhs),
-    )
+    return _check("A_BETA_SUM", params, rendered, "eq", sum(map(mul, multis, values)), rhs)
 
 
 def _moment_decomposition(
-    m: int, counts: "tuple[int, ...]", r: int, beta: "tuple[int, ...]", rendered: str,
-    lhs: Fraction, point_term: int, a_value: int, scale: int,
+    m: int, counts: "tuple[int, ...]", r: int, beta: "tuple[int, ...]", rendered: "str | None",
+    lhs: Fraction, rhs: Fraction,
 ) -> IdentityCheck:
     """Compare E[X^beta] (lhs, from hypergeom's kernel) with the point term plus
-    A_beta over scale = r^d (m falling d).  The point term
-    (counts/m)^beta * (r falling d) m^d is point_term = prod counts_i^beta_i * (r falling d)."""
+    A_beta, (counts/m)^beta (r falling d) m^d + A_beta, over r^d (m falling d) (rhs)."""
     params = (("m", m), ("counts", counts), ("r", r), ("beta", beta))
-    return _check("MOMENT_DECOMPOSITION", params, rendered, "eq", lhs,
-                  Fraction(point_term + a_value, scale))
+    return _check("MOMENT_DECOMPOSITION", params, rendered, "eq", lhs, rhs)
 
 
 # --- A_beta ---------------------------------------------------------------------
@@ -291,20 +292,17 @@ def a_beta_sum_identity(r: int, m: int, d: int, counts: Sequence[int]) -> Identi
     counts = tuple(int(c) for c in counts)
     weights = _multinomial_weights(len(counts), d)
     values = [a_beta(beta, r, m, counts) for beta, _ in weights]
-    return _a_beta_checks(len(counts), d, r, m, counts, f";m={m};counts={counts}", values,
-                          [w for _, w in weights])[1]
+    return _a_beta_sum(_a_beta_params(len(counts), d, r, m, counts), None, d, r, m, values,
+                       [w for _, w in weights])
 
 
 def moment_decomposition_check(p: HypergeomParams, beta: Sequence[int]) -> IdentityCheck:
     """E[X^beta] must equal (counts/m)^beta * scaling + A_beta correction, exactly."""
     beta = tuple(int(b) for b in beta)
     d = sum(beta)
-    a_value = a_beta(beta, p.r, p.m, p.counts)
-    return _moment_decomposition(
-        p.m, p.counts, p.r, beta, f"m={p.m};counts={p.counts};r={p.r};beta={beta}",
-        scaled_moment(p, beta), prod(map(pow, p.counts, beta)) * falling(p.r, d), a_value,
-        p.r**d * falling(p.m, d),
-    )
+    point_term = prod(map(pow, p.counts, beta)) * falling(p.r, d)
+    rhs = Fraction(point_term + a_beta(beta, p.r, p.m, p.counts), p.r**d * falling(p.m, d))
+    return _moment_decomposition(p.m, p.counts, p.r, beta, None, scaled_moment(p, beta), rhs)
 
 
 def verify_identity(name: "IdentityName | str", **params) -> IdentityCheck:
@@ -458,7 +456,12 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "list[Identi
                     for r in range(1, m + 1):
                         falls = _falling_row(r, d)
                         values = [_a_beta_at(coeffs, falls) for coeffs in table]
-                        out += _a_beta_checks(n, d, r, m, counts, tail, values, multis)
+                        params = _a_beta_params(n, d, r, m, counts)
+                        rendered = f"n={n};d={d};r={r}{tail}"
+                        out += (
+                            _check("A_BETA_NONNEG", params, rendered, "ge", min(values), 0),
+                            _a_beta_sum(params, rendered, d, r, m, values, multis),
+                        )
     return out
 
 
@@ -490,7 +493,7 @@ def sweep_moment_decomposition(
                         out += [
                             _moment_decomposition(
                                 m, counts, r, beta, f"{head}{r}{rendered}", moments[r - 1],
-                                point * falls[d], _a_beta_at(coeffs, falls), scale,
+                                Fraction(point * falls[d] + _a_beta_at(coeffs, falls), scale),
                             )
                             for beta, rendered, moments, coeffs, point in table
                         ]

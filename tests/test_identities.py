@@ -371,6 +371,16 @@ def test_every_sweep_equals_its_checks_built_one_by_one(monkeypatch):
         ], (name, kw)
 
 
+def test_params_str_is_the_params_joined_and_not_a_constructor_argument():
+    for c in run_default_sweeps():
+        assert c.params_str() == ";".join(f"{k}={v}" for k, v in c.params), c
+    check = verify_identity("KMR", k=2, m=3, r=4)
+    with pytest.raises(TypeError):
+        IdentityCheck(*_fields(check), "k=9")
+    assert IdentityCheck(*_fields(check)) == check
+    assert IdentityCheck(*_fields(check)).params_str() == check.params_str() == "k=2;m=3;r=4"
+
+
 def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
     caps = dict(max_n=2, max_d=3, max_m=5)
     p, beta = HypergeomParams(m=5, counts=(2, 3), r=2), (1, 1)
