@@ -68,9 +68,6 @@ from .poly import (
     homogenize,
     is_square_free,
     load_polynomial,
-    poly_add,
-    poly_mul,
-    poly_scale,
     random_polynomial,
     to_json_dict,
 )
@@ -80,7 +77,6 @@ from .stableset import (
     StableSetBound,
     alpha_lower_bound,
     exact_alpha,
-    greedy_stable_set,
     load_graph,
     motzkin_straus_form,
     parse_graph_text,

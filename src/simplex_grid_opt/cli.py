@@ -7,13 +7,14 @@ JSON document, or CSV that starts with the version comment line
 "# simplex-grid-opt v1".
 
 The verbs that sweep a grid (grid-min, grid-max, converge, enclose,
-stable-set) take --threads and --force.  expect takes --force too: its
---bernstein value is closed form and sums no grid, but it keeps obeying the
-guard for compatibility.  The grid size guard is 10^8 points, or
-SGO_MAX_GRID when set; stable-set also counts the vertex form's table, and
+stable-set) take --threads and --force.  The grid size guard is 10^8 points,
+or SGO_MAX_GRID when set; stable-set also counts the vertex form's table, and
 converge compares the total of all the grids it sweeps before the first one.
-bounds refuses, before any work, a table of more than 10^5 rows, and verify a
-run of more than 3 * 10^5 checks (exit 2).
+expect sums no grid (its --bernstein value is closed form), so no guard
+applies to it.  These limits are fixed and refused before any work (exit 2):
+a sweep whose power table exceeds 10^9 bits (grid._check_degree; --force
+does not lift it), a bounds table of more than 10^5 rows, and a verify run
+of more than 3 * 10^5 checks.
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  Output is byte-identical for any
@@ -39,6 +40,7 @@ from .combin import composition_count
 from .grid import (
     DEFAULT_GRID_GUARD,
     GridTooLargeError,
+    _check_degree,
     _grid_size,
     grid_extrema,
     grid_maximize,
@@ -229,7 +231,6 @@ def cmd_grid_extremum(args: argparse.Namespace) -> int:
 
 
 def cmd_expect(args: argparse.Namespace) -> int:
-    guard = _grid_guard(args)
     f = _load_poly(args)
     urn_mode = args.m is not None or args.counts is not None
     if urn_mode and (args.m is None or args.counts is None):
@@ -253,7 +254,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
             point = params.mean_point()
         else:
             raise ValueError("--bernstein needs --x when no urn is given")
-        bval = bernstein_approximation(f, point, args.r, max_points=guard)
+        bval = bernstein_approximation(f, point, args.r)
         row.update(
             bernstein_point=",".join(str(v) for v in point),
             bernstein=fraction_str(bval),
@@ -266,7 +267,9 @@ def cmd_expect(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     r_values = _parse_range(args.r_range)
     m_values: "Sequence[int | None]" = (None,) if args.m_range is None else _parse_range(args.m_range)
-    count = len(r_values) * len(m_values) * len(bounds_mod.ALL_KINDS)
+    # len() of a range overflows past sys.maxsize; the difference of its ends does not
+    m_count = 1 if args.m_range is None else m_values.stop - m_values.start
+    count = (r_values.stop - r_values.start) * m_count * len(bounds_mod.ALL_KINDS)
     if count > _MAX_BOUND_ROWS:
         raise ValueError(f"bounds would print {count} rows, more than {_MAX_BOUND_ROWS}")
     reports = bounds_mod.bound_table(args.d, r_values, m_values)
@@ -306,7 +309,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     kind_names = [kind.value for kind in bounds_mod.ALL_KINDS]
     header = ["r", "grid_min", "grid_min_decimal", "rho_lo", "rho_hi"] + kind_names
     r_values = _parse_range(args.r_range)
-    _converge_guard(f.n, r_values, assumptions, guard)
+    _converge_guard(f, r_values, assumptions, guard)
     fmin, fmax = bounds_mod.range_enclosures(f, assumptions, threads=args.threads, max_points=guard)
     rows = []
     for r in r_values:
@@ -326,22 +329,25 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _converge_guard(n: int, r_values: range, params: bounds_mod.RangeAssumptions,
-                    guard: "int | None") -> None:
-    """Refuse, before any sweep, a converge run with an r < 1 or whose grids
-    hold more than guard points in total: every r of the range, plus the
+def _converge_guard(f: HomogeneousPolynomial, r_values: range,
+                    params: bounds_mod.RangeAssumptions, guard: "int | None") -> None:
+    """Refuse, before any sweep or Bernstein table, a converge run with an
+    r < 1, with a sweep past the degree bound (grid._check_degree), or whose
+    grids hold more than guard points in total: every r of the range, plus the
     denominators that range_enclosures sweeps (bounds.swept_denominators).
 
     The range is summed in closed form (hockey stick): sum over r = lo..hi of
     |I(n, r)| = |I(n + 1, hi)| - |I(n + 1, lo - 1)|, so a huge range costs
     nothing.
     """
-    lo, hi = r_values[0], r_values[-1]
+    n, lo, hi = f.n, r_values[0], r_values[-1]
+    swept = bounds_mod.swept_denominators(params)
     _grid_size(n, lo, None)  # refuses lo < 1
     total = composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)
-    total += sum(_grid_size(n, q, None) for q in bounds_mod.swept_denominators(params))
+    total += sum(_grid_size(n, q, None) for q in swept)
     if guard is not None and total > guard:
         raise GridTooLargeError(f"the grids to sweep have {total} points in all, budget is {guard}")
+    _check_degree(f.d, max([hi, *swept]))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -469,13 +475,12 @@ def cmd_enclose(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, *, poly: bool = False, r: bool = False,
-                threads: bool = False, force: bool = False) -> None:
+                sweeps: bool = False) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    if threads:
+    if sweeps:
         sub.add_argument("--threads", type=int, default=1,
                          help="worker threads for grid sweeps, capped at the CPU count; "
                          "never changes the output, and gives no speed-up under the GIL")
-    if force:
         sub.add_argument("--force", action="store_true",
                          help="bypass the grid size guard (SGO_MAX_GRID, default 1e8)")
     if poly:
@@ -496,15 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for verb in ("grid-min", "grid-max"):
         sub = subs.add_parser(verb, help=f"exact grid {verb.split('-')[1]}imum")
-        _add_common(sub, poly=True, r=True, threads=True, force=True)
+        _add_common(sub, poly=True, r=True, sweeps=True)
         sub.set_defaults(func=cmd_grid_extremum)
 
     sub = subs.add_parser("expect", help="urn-model expectation of f, and the "
                           "with-replacement comparison value")
     _add_common(sub, poly=True, r=True)
-    sub.add_argument("--force", action="store_true",
-                     help="bypass the grid size guard (SGO_MAX_GRID, default 1e8), which "
-                     "--bernstein keeps for compatibility although its value sums no grid")
     sub.add_argument("--m", type=int, help="total balls in the urn")
     sub.add_argument("--counts", help="comma-separated balls per color, summing to m")
     sub.add_argument("--bernstein", action="store_true",
@@ -521,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("converge", help="grid values, normalized-error intervals, "
                           "and bound coefficients over a range of r")
-    _add_common(sub, poly=True, threads=True, force=True)
+    _add_common(sub, poly=True, sweeps=True)
     sub.add_argument("--r-range", required=True)
     sub.add_argument("--elevation", type=int, default=0)
     sub.add_argument("--grid", type=int, help="extra enclosure grid denominator")
@@ -549,13 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("stable-set", help="certified stability-number lower bound")
-    _add_common(sub, threads=True, force=True)
+    _add_common(sub, sweeps=True)
     sub.add_argument("--graph", required=True, help="edge list file, one 'u v' per line")
     sub.add_argument("--r", type=int, required=True)
     sub.set_defaults(func=cmd_stable_set)
 
     sub = subs.add_parser("enclose", help="certified enclosures of the simplex extrema")
-    _add_common(sub, poly=True, r=True, threads=True, force=True)
+    _add_common(sub, poly=True, r=True, sweeps=True)
     sub.add_argument("--elevation", type=int, default=0)
     sub.set_defaults(func=cmd_enclose)
 

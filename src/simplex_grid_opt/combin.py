@@ -111,25 +111,6 @@ def compositions(n: int, total: int) -> Iterator[tuple[int, ...]]:
         cur = composition_successor(cur)
 
 
-def composition_unrank(n: int, total: int, rank: int) -> tuple[int, ...]:
-    """The rank-th element (0-based) of I(n, total) in lexicographic order."""
-    if not 0 <= rank < composition_count(n, total):
-        raise ValueError(f"rank {rank} out of range for I({n}, {total})")
-    out = []
-    for pos in range(n - 1):
-        v = 0
-        while True:
-            block = math.comb(total - v + n - pos - 2, n - pos - 2)
-            if rank < block:
-                break
-            rank -= block
-            v += 1
-        out.append(v)
-        total -= v
-    out.append(total)
-    return tuple(out)
-
-
 # --- shifted falling-factorial polynomial ------------------------------------
 
 

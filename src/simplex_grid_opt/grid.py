@@ -81,6 +81,16 @@ DEFAULT_GRID_GUARD = 10**8
 # far less than its table on average.
 _BOUND_ENTRIES_PER_POINT = 4
 
+# The most bits a sweep's power table may hold, counted as (r + 1)(d + 1)
+# integers a^b (a <= r, b <= d) of d * bit_length(r) bits each; the row tables
+# grow with the same product.  The largest sweep of the test suite (n = 4,
+# d = 4, r = 80) measures 1.1e4.  At the bound, on a 2-vCPU Xeon VM, d = 2000
+# at r = 40 peaks at 60 MB RSS and d = 300 at r = 1000 at 79 MB (n = 2) or
+# 258 MB (n = 3, 47 s); d = 10^4 at r = 40 measures 2.5e10 and peaks at 1 GB.
+# A sweep above it is refused before any table is built, whatever the grid
+# size guard allows.
+_MAX_POWER_TABLE_BITS = 10**9
+
 
 class GridTooLargeError(RuntimeError):
     """Raised when a grid sweep would exceed the configured point budget."""
@@ -110,6 +120,16 @@ def _grid_size(n: int, r: int, max_points: "int | None") -> int:
     if max_points is not None and total > max_points:
         raise GridTooLargeError(f"grid has {total} points, budget is {max_points}")
     return total
+
+
+def _check_degree(d: int, r: int) -> None:
+    """Refuse (ValueError) a sweep of degree d at denominator r whose power
+    table would exceed _MAX_POWER_TABLE_BITS."""
+    if (r + 1) * (d + 1) * d * r.bit_length() > _MAX_POWER_TABLE_BITS:
+        raise ValueError(
+            f"degree {d} is too high for a sweep at r = {r}: its power table would "
+            f"exceed {_MAX_POWER_TABLE_BITS} bits"
+        )
 
 
 class _Extreme:
@@ -505,6 +525,7 @@ def _grid_extremes(f: HomogeneousPolynomial, r: int, picks: tuple, threads: int,
                    max_points: "int | None") -> "list[GridMinResult]":
     """One result per pick; only the picked sides are tracked and bound."""
     total = _grid_size(f.n, r, max_points)
+    _check_degree(f.d, r)
     extremes, denominator, _ = _sweep(f, r, threads, cap, picks)
     return [
         GridMinResult(

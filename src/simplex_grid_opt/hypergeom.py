@@ -27,7 +27,6 @@ from math import lcm, prod
 from typing import Callable, Sequence
 
 from .combin import binomial, composition_count, compositions, falling, stirling2
-from .grid import DEFAULT_GRID_GUARD, _grid_size
 from .poly import HomogeneousPolynomial
 from .rational import as_rational
 
@@ -262,21 +261,14 @@ def expectation(f: HomogeneousPolynomial, p: HypergeomParams) -> Fraction:
     return _expected_value(f, p.r, p.counts, p.m, falling)
 
 
-def bernstein_approximation(
-    f: HomogeneousPolynomial,
-    x: Sequence,
-    r: int,
-    *,
-    max_points: "int | None" = DEFAULT_GRID_GUARD,
-) -> Fraction:
+def bernstein_approximation(f: HomogeneousPolynomial, x: Sequence, r: int) -> Fraction:
     """Order-r Bernstein approximation of f at the simplex point x.
 
     Equals E[f(W/r)] for W the color counts of r draws *with* replacement
     from color distribution x = p/q (an urn of q balls, p_i of color i).  At
     least the grid minimum at r.  Closed form: sum over beta of
-    f_beta * E[W^beta] / r^d costs O(terms * d^2), independent of r.  No grid
-    is summed, but the guard is kept for compatibility: GridTooLargeError when
-    I(n, r) has more than max_points points (None disables it).
+    f_beta * E[W^beta] / r^d costs O(terms * d^2), independent of r, and no
+    grid is summed, so no grid size guard applies.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -285,6 +277,5 @@ def bernstein_approximation(
     point = [as_rational(v) for v in x]
     if any(v < 0 for v in point) or sum(point) != 1:
         raise ValueError("point must lie on the standard simplex")
-    _grid_size(f.n, r, max_points)
     q = lcm(*(v.denominator for v in point))
     return _expected_value(f, r, [v.numerator * (q // v.denominator) for v in point], q, pow)

@@ -11,13 +11,14 @@ interchange format.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .combin import compositions, multinomial
-from .rational import as_rational
+from .rational import MAX_INT_DIGITS, as_rational
 
 ExponentTuple = tuple  # tuple[int, ...]; one entry per variable
 CoefLike = Union[int, str, Fraction]
@@ -96,32 +97,6 @@ def evaluate(f: HomogeneousPolynomial, x: Sequence[CoefLike]) -> Fraction:
     return total
 
 
-def poly_add(f: HomogeneousPolynomial, g: HomogeneousPolynomial) -> HomogeneousPolynomial:
-    if (f.n, f.d) != (g.n, g.d):
-        raise ValueError("can only add polynomials with equal variable count and degree")
-    out = dict(f.coeffs)
-    for alpha, c in g.coeffs.items():
-        out[alpha] = out.get(alpha, Fraction(0)) + c
-    return HomogeneousPolynomial(f.n, f.d, out)
-
-
-def poly_scale(f: HomogeneousPolynomial, c: CoefLike) -> HomogeneousPolynomial:
-    c = as_rational(c)
-    return HomogeneousPolynomial(f.n, f.d, {a: c * v for a, v in f.coeffs.items()})
-
-
-def poly_mul(f: HomogeneousPolynomial, g: HomogeneousPolynomial) -> HomogeneousPolynomial:
-    """Product polynomial of degree f.d + g.d."""
-    if f.n != g.n:
-        raise ValueError("variable counts differ")
-    out: "dict[tuple[int, ...], Fraction]" = {}
-    for a, ca in f.coeffs.items():
-        for b, cb in g.coeffs.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return HomogeneousPolynomial(f.n, f.d + g.d, out)
-
-
 def elevate(f: HomogeneousPolynomial, k: int, *, cap: int = DEFAULT_ELEVATION_CAP) -> HomogeneousPolynomial:
     """Multiply f by (x_1 + ... + x_n)^k, exactly.
 
@@ -135,13 +110,19 @@ def elevate(f: HomogeneousPolynomial, k: int, *, cap: int = DEFAULT_ELEVATION_CA
         raise ValueError(f"elevation {k} exceeds the cap {cap}")
     coeffs = dict(f.coeffs)
     for _ in range(k):
-        nxt: "dict[tuple[int, ...], Fraction]" = {}
-        for alpha, c in coeffs.items():
-            for i in range(f.n):
-                key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-                nxt[key] = nxt.get(key, Fraction(0)) + c
-        coeffs = nxt
+        coeffs = _times_sum(coeffs, f.n)
     return HomogeneousPolynomial(f.n, f.d + k, coeffs)
+
+
+def _times_sum(coeffs: "dict[tuple[int, ...], Fraction]", n: int) -> "dict[tuple[int, ...], Fraction]":
+    """The coefficient table multiplied by x_1 + ... + x_n: one degree of
+    elevate and of homogenize."""
+    out: "dict[tuple[int, ...], Fraction]" = {}
+    for alpha, c in coeffs.items():
+        for i in range(n):
+            key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+            out[key] = out.get(key, Fraction(0)) + c
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,28 +156,31 @@ def is_square_free(f: HomogeneousPolynomial) -> bool:
 def homogenize(terms: TermsLike, n: int, d: int) -> HomogeneousPolynomial:
     """Raise every monomial of degree e <= d to degree d.
 
-    Each term c*x^alpha is multiplied by (x_1 + ... + x_n)^(d-e) expanded via
-    the multinomial theorem, so the result agrees with the input everywhere
-    on the simplex.
+    Each term c*x^alpha is multiplied by (x_1 + ... + x_n)^(d-e), so the
+    result agrees with the input everywhere on the simplex.  The terms are
+    added Horner-style: the running sum is multiplied by the sum of the
+    variables once per degree, from the lowest degree present up to d, and
+    each degree's terms are added when the loop reaches that degree.
     """
     pairs = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
-    out: "dict[tuple[int, ...], Fraction]" = {}
+    by_degree: "dict[int, list]" = defaultdict(list)
     for alpha, coef in pairs:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != n:
             raise ValueError(f"exponent {alpha} has length {len(alpha)}, expected {n}")
         if any(a < 0 for a in alpha):
             raise ValueError(f"negative exponent in {alpha}")
-        c = as_rational(coef)
         e = sum(alpha)
         if e > d:
             raise ValueError(f"monomial {alpha} has degree {e} > target degree {d}")
-        if e == d:
+        by_degree[e].append((alpha, as_rational(coef)))
+    if n == 1:  # x_1 = 1 on the simplex: every term lands on x_1^d, whatever d is
+        by_degree = {d: [((d,), c) for level in by_degree.values() for _, c in level]}
+    out: "dict[tuple[int, ...], Fraction]" = {}
+    for e in range(min(by_degree, default=d), d + 1):
+        out = _times_sum(out, n)
+        for alpha, c in by_degree.get(e, ()):
             out[alpha] = out.get(alpha, Fraction(0)) + c
-            continue
-        for kappa in compositions(n, d - e):
-            key = tuple(a + k for a, k in zip(alpha, kappa))
-            out[key] = out.get(key, Fraction(0)) + c * multinomial(d - e, kappa)
     return HomogeneousPolynomial(n, d, out)
 
 
@@ -227,9 +211,9 @@ def random_polynomial(rng, n: int, d: int, coef_lo: int = -9, coef_hi: int = 9) 
 # terms that repeat an exponent are summed.
 
 
-# n, degree and the exponents have at most 4300 digits (CPython's default limit
-# on the digits of an int made from a string); only coefficients may be longer.
-_JSON_INT_BOUND = 10**4300
+# n, degree and the exponents have at most MAX_INT_DIGITS digits; only
+# coefficients may be longer.
+_JSON_INT_BOUND = 10**MAX_INT_DIGITS
 
 
 def _json_int(value: object, what: str) -> int:
@@ -238,7 +222,7 @@ def _json_int(value: object, what: str) -> int:
             f"{what} must be a JSON integer (no point, exponent or quotes), got {value}"
         )
     if abs(value) >= _JSON_INT_BOUND:
-        raise ValueError(f"{what} has more than 4300 digits")
+        raise ValueError(f"{what} has more than {MAX_INT_DIGITS} digits")
     return value
 
 

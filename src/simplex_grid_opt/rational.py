@@ -15,9 +15,11 @@ from fractions import Fraction
 from numbers import Rational as _RationalABC
 
 DECIMAL_DIGITS = 20
-# CPython's default limit on the digits of an int built from a string; a decimal
-# exponent beyond it would build a power of ten far larger than any such int.
-MAX_DECIMAL_EXPONENT = 4300
+# CPython's default limit on the digits of an int built from a string.  It bounds
+# every integer an input may spell out: a decimal exponent here (one beyond it
+# would build a power of ten far larger than any such int), the exponents, n and
+# degree of a polynomial file (poly) and the indices of a graph file (stableset).
+MAX_INT_DIGITS = 4300
 
 
 def as_rational(value: object) -> Fraction:
@@ -26,7 +28,7 @@ def as_rational(value: object) -> Fraction:
     Strings may be fraction literals ("-17/32"), integers ("3"), or decimal
     literals ("0.1", "1.25e3"), as `Fraction` reads them, of any length;
     decimals are converted exactly, so "0.1" becomes 1/10, and a decimal
-    exponent above MAX_DECIMAL_EXPONENT in magnitude is refused before any
+    exponent above MAX_INT_DIGITS in magnitude is refused before any
     power of ten is built.  Binary floats are rejected: they generally do not
     equal the decimal the user wrote down.
     """
@@ -39,9 +41,9 @@ def as_rational(value: object) -> Fraction:
         _, e, exponent = text.lower().partition("e")
         digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
         if e and digits.isdecimal() and (
-            len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
+            len(digits) > len(str(MAX_INT_DIGITS)) or int(digits) > MAX_INT_DIGITS
         ):
-            raise ValueError(f"decimal exponent in {_head(value)} exceeds {MAX_DECIMAL_EXPONENT}")
+            raise ValueError(f"decimal exponent in {_head(value)} exceeds {MAX_INT_DIGITS}")
         if _LITERAL.fullmatch(text) is None:
             raise ValueError(f"cannot parse {_head(value)} as an exact rational")
         # Decimal reads digit strings exactly and without the interpreter's

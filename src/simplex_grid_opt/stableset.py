@@ -17,11 +17,7 @@ from typing import Iterable
 
 from .grid import DEFAULT_GRID_GUARD, GridTooLargeError, _grid_size, grid_minimize
 from .poly import HomogeneousPolynomial
-from .rational import _head
-
-# CPython's default limit on the digits of an int built from a string; an index
-# that long is far past any grid budget.
-_MAX_INDEX_DIGITS = 4300
+from .rational import MAX_INT_DIGITS, _head
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,10 @@ def parse_graph_text(text: str) -> Graph:
 
 
 def _index(token: str, lineno: int, what: str) -> int:
-    if not (token.isascii() and token.isdigit()) or len(token) > _MAX_INDEX_DIGITS:
+    if not (token.isascii() and token.isdigit()) or len(token) > MAX_INT_DIGITS:
         raise ValueError(
             f"line {lineno}: {what} {_head(token)} is not an integer of at most "
-            f"{_MAX_INDEX_DIGITS} ASCII digits"
+            f"{MAX_INT_DIGITS} ASCII digits"
         )
     return int(token)
 
@@ -146,21 +142,6 @@ def alpha_lower_bound(
         alpha_lb=ceil(1 / result.value),
         evaluations=result.evaluations,
     )
-
-
-def greedy_stable_set(g: Graph) -> "tuple[int, ...]":
-    """A maximal (not maximum) stable set: repeatedly take a minimum-degree vertex."""
-    neighbors = {v: set() for v in range(1, g.n + 1)}
-    for u, v in g.edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    alive = set(range(1, g.n + 1))
-    chosen = []
-    while alive:
-        v = min(alive, key=lambda w: (len(neighbors[w] & alive), w))
-        chosen.append(v)
-        alive -= neighbors[v] | {v}
-    return tuple(sorted(chosen))
 
 
 def exact_alpha(g: Graph, *, max_vertices: int = 25) -> int:

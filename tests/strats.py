@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -11,6 +12,8 @@ import hypothesis.strategies as st
 from simplex_grid_opt import (
     Graph,
     HomogeneousPolynomial,
+    as_rational,
+    composition_count,
     compositions,
     evaluate,
     falling,
@@ -138,3 +141,78 @@ def naive_bernstein(f, x, r):
         if weight:
             total += evaluate(f, tuple(Fraction(a, r) for a in alpha)) * weight
     return total
+
+
+# --- oracles and helpers that only the tests use -------------------------------
+
+
+def poly_add(f, g):
+    if (f.n, f.d) != (g.n, g.d):
+        raise ValueError("can only add polynomials with equal variable count and degree")
+    out = dict(f.coeffs)
+    for alpha, c in g.coeffs.items():
+        out[alpha] = out.get(alpha, Fraction(0)) + c
+    return HomogeneousPolynomial(f.n, f.d, out)
+
+
+def poly_scale(f, c):
+    c = as_rational(c)
+    return HomogeneousPolynomial(f.n, f.d, {a: c * v for a, v in f.coeffs.items()})
+
+
+def poly_mul(f, g):
+    """Product polynomial of degree f.d + g.d."""
+    if f.n != g.n:
+        raise ValueError("variable counts differ")
+    out = {}
+    for a, ca in f.coeffs.items():
+        for b, cb in g.coeffs.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return HomogeneousPolynomial(f.n, f.d + g.d, out)
+
+
+def naive_homogenize(terms, n, d):
+    """Each term c*x^alpha of degree e times (x_1 + ... + x_n)^(d - e), expanded
+    term by term over compositions(n, d - e) with multinomial coefficients."""
+    out = {}
+    for alpha, coef in terms.items():
+        e = sum(alpha)
+        for kappa in compositions(n, d - e):
+            key = tuple(a + k for a, k in zip(alpha, kappa))
+            out[key] = out.get(key, Fraction(0)) + as_rational(coef) * multinomial(d - e, kappa)
+    return HomogeneousPolynomial(n, d, out)
+
+
+def composition_unrank(n, total, rank):
+    """The rank-th element (0-based) of I(n, total) in lexicographic order."""
+    if not 0 <= rank < composition_count(n, total):
+        raise ValueError(f"rank {rank} out of range for I({n}, {total})")
+    out = []
+    for pos in range(n - 1):
+        v = 0
+        while True:
+            block = math.comb(total - v + n - pos - 2, n - pos - 2)
+            if rank < block:
+                break
+            rank -= block
+            v += 1
+        out.append(v)
+        total -= v
+    out.append(total)
+    return tuple(out)
+
+
+def greedy_stable_set(g):
+    """A maximal (not maximum) stable set: repeatedly take a minimum-degree vertex."""
+    neighbors = {v: set() for v in range(1, g.n + 1)}
+    for u, v in g.edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    alive = set(range(1, g.n + 1))
+    chosen = []
+    while alive:
+        v = min(alive, key=lambda w: (len(neighbors[w] & alive), w))
+        chosen.append(v)
+        alive -= neighbors[v] | {v}
+    return tuple(sorted(chosen))

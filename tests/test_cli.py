@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -6,6 +7,7 @@ import math
 import os
 import sys
 import tempfile
+import types
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -225,6 +227,11 @@ def test_bounds_refuses_a_huge_table_at_once(capsys, monkeypatch):
                          "--m-range", "1:1000000000")
     assert code == EXIT_CONFIG
     assert out == "" and f"more than {cli._MAX_BOUND_ROWS}" in err
+    # ranges longer than sys.maxsize, which len() cannot measure
+    for argv in (("--r-range", "0:" + "9" * 30), ("--r-range", "2", "--m-range", "1:" + "9" * 30)):
+        code, out, err = run(capsys, "bounds", "--d", "3", *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"more than {cli._MAX_BOUND_ROWS}" in err
 
 
 def test_converge_exact_rho_column(capsys):
@@ -712,14 +719,21 @@ def test_enclose_size_guard_and_threads(capsys, monkeypatch):
     assert out == "" and "error" in err
 
 
-def test_expect_bernstein_obeys_the_size_guard(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "954470b0b37dd961630960bb1d404ae44135a14db4869677a01b192c44f633f1"),
+        ("csv", "7fcbe6427c7c7d61e0229acaedba058f6c7e51f27d3a1bba9831e4e2a696d410"),
+    ],
+)
+def test_expect_bernstein_ignores_the_size_guard(capsys, monkeypatch, fmt, digest):
+    # the closed form sums no grid: a 5-point budget does not stop r = 16 (17 points),
+    # and the bytes are those `expect ... --force` printed while a guard applied
     monkeypatch.setenv("SGO_MAX_GRID", "5")
-    argv = ("expect", "--poly", GAP, "--r", "16", "--bernstein", "--x", "1/2,1/2")
+    argv = ("expect", "--poly", GAP, "--r", "16", "--bernstein", "--x", "1/2,1/2", "--format", fmt)
     code, out, err = run(capsys, *argv)
-    assert code == EXIT_SIZE_GUARD
-    assert out == "" and "error" in err
-    code, out, _ = run(capsys, *argv, "--force")
-    assert code == EXIT_OK and json.loads(out)["bernstein"] == "-3/8"
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -743,14 +757,66 @@ def test_verbs_that_sweep_no_grid_ignore_the_size_guard(capsys, monkeypatch, arg
         ("verify", "--threads", "1"),
         ("verify", "--force"),
         ("expect", "--poly", GAP, "--r", "2", "--m", "16", "--counts", "7,9", "--threads", "1"),
+        ("expect", "--poly", GAP, "--r", "16", "--bernstein", "--x", "1/2,1/2", "--force"),
     ],
-    ids=["bounds-threads", "bounds-force", "verify-threads", "verify-force", "expect-threads"],
+    ids=["bounds-threads", "bounds-force", "verify-threads", "verify-force", "expect-threads",
+         "expect-force"],
 )
 def test_flags_a_verb_would_ignore_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+PUBLIC_NAMES = [
+    "ALL_KINDS", "BernsteinTable", "BoundKind", "BoundReport", "BoundWitness",
+    "DegenerateRangeError", "Enclosure", "FallingPolyCoeffs", "Graph", "GridMinResult",
+    "GridTooLargeError", "HomogeneousPolynomial", "HypergeomParams", "IdentityCheck",
+    "IdentityName", "RangeAssumptions", "StableSetBound", "a_beta", "a_beta_sum_identity",
+    "alpha_lower_bound", "as_rational", "bernstein_approximation", "bernstein_table", "binomial",
+    "bound_coefficient", "check_bounds", "composition_count", "compositions",
+    "cubic_moments_closed", "cubic_threshold_reached", "decimal_str", "elevate", "evaluate",
+    "exact_alpha", "expectation", "falling", "falling_poly_coeffs", "fraction_str",
+    "from_json_dict", "grid_extrema", "grid_maximize", "grid_minimize", "homogenize",
+    "is_square_free", "load_graph", "load_polynomial", "moment", "moment_bruteforce",
+    "moment_decomposition_check", "motzkin_straus_form", "multinomial", "parse_graph_text",
+    "pmf", "quadratic_moments_closed", "random_polynomial", "range_enclosures", "rho_interval",
+    "run_default_sweeps", "scaled_moment", "scaled_moment_bruteforce", "stirling2",
+    "to_json_dict", "verify_identity",
+]
+VERB_OPTIONS = [
+    "bounds --d", "bounds --format", "bounds --m-range", "bounds --r-range",
+    "converge --assume-max-denominator", "converge --assume-min-denominator",
+    "converge --elevation", "converge --force", "converge --format", "converge --grid",
+    "converge --homogenize", "converge --poly", "converge --r-range", "converge --threads",
+    "enclose --elevation", "enclose --force", "enclose --format", "enclose --homogenize",
+    "enclose --poly", "enclose --r", "enclose --threads",
+    "expect --bernstein", "expect --counts", "expect --format", "expect --homogenize",
+    "expect --m", "expect --poly", "expect --r", "expect --x",
+    "grid-max --force", "grid-max --format", "grid-max --homogenize", "grid-max --poly",
+    "grid-max --r", "grid-max --threads",
+    "grid-min --force", "grid-min --format", "grid-min --homogenize", "grid-min --poly",
+    "grid-min --r", "grid-min --threads",
+    "stable-set --force", "stable-set --format", "stable-set --graph", "stable-set --r",
+    "stable-set --threads",
+    "verify --format", "verify --inject-fault", "verify --max-d", "verify --max-k",
+    "verify --max-m", "verify --max-n", "verify --max-r", "verify --samples", "verify --seed",
+    "verify --witness-polys",
+]
+
+
+def test_public_names_and_verb_options_are_pinned():
+    # adding or dropping an exported name or a flag shows up here as a diff
+    package = sys.modules["simplex_grid_opt"]
+    names = sorted(name for name, value in vars(package).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
+    verbs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = sorted(f"{verb} {option}" for verb, sub in verbs.choices.items()
+                     for action in sub._actions if not isinstance(action, argparse._HelpAction)
+                     for option in action.option_strings)
+    assert options == VERB_OPTIONS
 
 
 def test_size_guard_env_and_force(capsys, monkeypatch):
@@ -952,6 +1018,126 @@ def test_cli_fuzz_graph_files(text, r, guard):
     assert (obj["n"], obj["edges"]) == (graph.n, len(graph.edges))
     if graph.n <= 6:
         assert Fraction(obj["grid_value"]) == naive_extremes(motzkin_straus_form(graph), r, 1)[0][0]
+
+
+# A 31-digit exponent: its sweep's power table is far past grid._MAX_POWER_TABLE_BITS.
+HUGE_DEGREE = 10**30
+
+
+@pytest.fixture(scope="module")
+def huge_degree_files(tmp_path_factory):
+    """Polynomial files of x_1^HUGE_DEGREE with n = 1 and n = 2, the exponent as a bare integer."""
+    paths = []
+    for n in (1, 2):
+        path = tmp_path_factory.mktemp("degree") / f"x1_n{n}.json"
+        alpha = ", ".join([str(HUGE_DEGREE)] + ["0"] * (n - 1))
+        path.write_text('{"n": %d, "terms": [{"alpha": [%s], "coef": 1}]}' % (n, alpha))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grid-min", "--r", "2"),
+        ("grid-max", "--r", "2"),
+        ("grid-min", "--r", "1", "--force"),
+        ("enclose", "--r", "2", "--elevation", "2"),
+        ("converge", "--r-range", "2:4"),
+    ],
+    ids=["grid-min", "grid-max", "grid-min-forced", "enclose", "converge"],
+)
+def test_degrees_past_the_power_table_bound_exit_2(capsys, huge_degree_files, n, argv):
+    code, out, err = run(capsys, *argv, "--poly", huge_degree_files[n - 1])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"error: degree {HUGE_DEGREE} is too high for a sweep at r = ")
+
+
+# Flags and values for test_cli_fuzz_flags.  FLAG marks a switch; a 30-digit
+# integer goes only to flags whose check is closed form (the grid size under
+# SGO_MAX_GRID, the verify check count), and --force is never passed.
+FLAG = None
+SMALL = st.integers(-1, 8).map(str)
+WIDE = st.one_of(SMALL, st.integers(10**29, 10**30 - 1).map(str))
+WIDE_RANGE = st.one_of(WIDE, st.tuples(WIDE, WIDE).map(":".join))
+POLY = {"--poly": FLAG, "--homogenize": FLAG}  # --poly's files depend on the verb
+COMMON = {"--format": st.sampled_from(["json", "csv"])}
+THREADS = {"--threads": st.integers(0, 8).map(str)}
+FUZZ_FLAGS = {
+    "grid-min": {**COMMON, **THREADS, **POLY, "--r": WIDE},
+    "grid-max": {**COMMON, **THREADS, **POLY, "--r": WIDE},
+    "expect": {
+        **COMMON, **POLY, "--r": WIDE,
+        # urns that fit the files' n = 2 and n = 4, besides random ones
+        "--m": st.one_of(st.sampled_from(["16", "6"]), SMALL),
+        "--counts": st.one_of(
+            st.sampled_from(["7,9", "1,2,3,0"]),
+            st.lists(st.integers(0, 9).map(str), min_size=1, max_size=4).map(",".join),
+        ),
+        "--bernstein": FLAG,
+        "--x": st.integers(1, 4).flatmap(simplex_points).map(lambda x: ",".join(map(str, x))),
+    },
+    "bounds": {
+        **COMMON, "--d": st.integers(-1, 6).map(str), "--r-range": WIDE_RANGE,
+        "--m-range": st.one_of(SMALL, st.tuples(SMALL, SMALL).map(":".join)),
+    },
+    "converge": {
+        **COMMON, **THREADS, **POLY, "--r-range": WIDE_RANGE, "--elevation": st.integers(-1, 9).map(str),
+        "--grid": SMALL, "--assume-min-denominator": SMALL, "--assume-max-denominator": SMALL,
+    },
+    "verify": {
+        **COMMON, "--seed": SMALL, "--samples": SMALL, "--witness-polys": st.integers(-1, 2).map(str),
+        "--max-n": WIDE, "--max-d": WIDE, "--max-m": WIDE, "--max-k": WIDE, "--max-r": WIDE,
+        "--inject-fault": FLAG,
+    },
+    "stable-set": {**COMMON, **THREADS, "--graph": st.just(PETERSEN), "--r": WIDE},
+    "enclose": {**COMMON, **THREADS, **POLY, "--r": WIDE, "--elevation": st.integers(-1, 9).map(str)},
+}
+REQUIRED = {"--poly", "--r", "--d", "--r-range", "--graph"}
+
+
+@st.composite
+def cli_argvs(draw, huge_degree_files):
+    """A verb and a random subset of its flags; a required flag is left out
+    one time in ten.  The verbs that sweep a polynomial also get the
+    HUGE_DEGREE files."""
+    verb = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    sweeps = verb in ("grid-min", "grid-max", "converge", "enclose")
+    polys = [GAP, SOS4] + (huge_degree_files if sweeps else [])
+    argv = [verb]
+    for flag, values in FUZZ_FLAGS[verb].items():
+        if not draw(st.integers(0, 9) if flag in REQUIRED else st.booleans()):
+            continue
+        if flag == "--poly":
+            argv += [flag, draw(st.sampled_from(polys))]
+        else:
+            argv += [flag] if values is FLAG else [flag, draw(values)]
+    return argv
+
+
+def test_cli_fuzz_flags(huge_degree_files):
+    @settings(max_examples=400, deadline=None)
+    @given(cli_argvs(huge_degree_files))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with (
+            mock.patch.dict(os.environ, {"SGO_MAX_GRID": "10000"}),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                assert exc.code == EXIT_CONFIG, err.getvalue()
+                return
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SIZE_GUARD, EXIT_VERIFY_FAILED), err.getvalue()
+        if code in (EXIT_CONFIG, EXIT_SIZE_GUARD):
+            assert out.getvalue() == "" and err.getvalue().startswith("error: "), (argv, err.getvalue())
+        else:
+            assert out.getvalue()
+
+    check()
 
 
 def test_homogenize_flag(capsys, tmp_path):

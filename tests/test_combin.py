@@ -13,7 +13,8 @@ from simplex_grid_opt import (
     multinomial,
     stirling2,
 )
-from simplex_grid_opt.combin import composition_successor, composition_unrank
+from simplex_grid_opt.combin import composition_successor
+from strats import composition_unrank
 
 
 def test_binomial_values():

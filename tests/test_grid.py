@@ -20,11 +20,17 @@ from simplex_grid_opt import (
     grid_maximize,
     grid_minimize,
     multinomial,
-    poly_scale,
     range_enclosures,
 )
 from simplex_grid_opt import bounds, grid
-from strats import fixed_quartic, naive_extremes, polynomials, strict_gap_poly, sum_of_squares
+from strats import (
+    fixed_quartic,
+    naive_extremes,
+    poly_scale,
+    polynomials,
+    strict_gap_poly,
+    sum_of_squares,
+)
 
 
 def test_grid_minimize_paper_values():
@@ -509,3 +515,22 @@ def test_range_enclosures_checks_guard_before_building_the_table(monkeypatch):
     monkeypatch.setattr(bounds, "bernstein_table", fail)
     with pytest.raises(GridTooLargeError):
         range_enclosures(sum_of_squares(4), RangeAssumptions(elevation=2, grid=10), max_points=50)
+
+
+def test_the_degree_bound_refuses_a_sweep_before_any_table(monkeypatch):
+    def fail(*args):
+        raise AssertionError("sweep tables built past the degree bound")
+
+    monkeypatch.setattr(grid, "_shape", fail)
+    d = 10**30  # a 31-digit exponent; the grid guard cannot catch it, its grids are tiny
+    for n in (1, 2, 4):
+        f = HomogeneousPolynomial(n, d, {(d,) + (0,) * (n - 1): 1})
+        for sweep in (grid_minimize, grid_maximize, grid_extrema):
+            for r in (1, 2):
+                with pytest.raises(ValueError, match="power table"):
+                    sweep(f, r, max_points=None)
+    # the largest sweep of this suite (n = 4, d = 4, r = 80) is far below the bound
+    assert 81 * 5 * 4 * (80).bit_length() < grid._MAX_POWER_TABLE_BITS // 10**4
+    grid._check_degree(2000, 40)
+    with pytest.raises(ValueError, match="power table"):
+        grid._check_degree(10**4, 40)

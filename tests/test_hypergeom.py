@@ -7,7 +7,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from simplex_grid_opt import (
-    GridTooLargeError,
     HomogeneousPolynomial,
     HypergeomParams,
     bernstein_approximation,
@@ -354,17 +353,13 @@ def test_bernstein_approximation_rejects_off_simplex_points():
         bernstein_approximation(f, (Fraction(3, 2), Fraction(-1, 2)), 2)
 
 
-def test_bernstein_approximation_guards_the_grid_size():
-    gap, x = strict_gap_poly(), (Fraction(1, 2), Fraction(1, 2))
-    with pytest.raises(GridTooLargeError):
-        bernstein_approximation(gap, x, 16, max_points=16)  # 17 grid points
-    assert bernstein_approximation(gap, x, 16, max_points=17) == bernstein_approximation(
-        gap, x, 16, max_points=None
-    )
-    # C(109, 9) > 10^8 points: the default guard refuses before summing any of them
+def test_bernstein_approximation_takes_no_grid_guard():
+    # C(109, 9) > 10^8 grid points, more than the sweeps' default guard: none is summed
     vertex = tuple(int(i == 0) for i in range(10))
-    with pytest.raises(GridTooLargeError):
-        bernstein_approximation(HomogeneousPolynomial(10, 1, {vertex: 1}), vertex, 100)
+    assert bernstein_approximation(HomogeneousPolynomial(10, 1, {vertex: 1}), vertex, 100) == 1
+    gap, x = strict_gap_poly(), (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(TypeError):
+        bernstein_approximation(gap, x, 16, max_points=16)
 
 
 @settings(max_examples=30)

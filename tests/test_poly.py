@@ -18,12 +18,19 @@ from simplex_grid_opt import (
     homogenize,
     is_square_free,
     load_polynomial,
+    to_json_dict,
+)
+from strats import (
+    exponent_tuples,
+    naive_homogenize,
     poly_add,
     poly_mul,
     poly_scale,
-    to_json_dict,
+    polynomials,
+    simplex_points,
+    strict_gap_poly,
+    sum_of_squares,
 )
-from strats import exponent_tuples, polynomials, simplex_points, strict_gap_poly, sum_of_squares
 
 
 def test_evaluate_paper_example_points():
@@ -155,6 +162,37 @@ def test_homogenize_agrees_on_simplex(data):
         start=Fraction(0),
     )
     assert evaluate(f, x) == direct
+
+
+@st.composite
+def inhomogeneous_terms(draw, max_n: int = 4, max_d: int = 5):
+    """(terms, n, d): up to 8 terms of degrees 0..d with coefficients in -5..5."""
+    n, d = draw(st.integers(1, max_n)), draw(st.integers(1, max_d))
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        alpha = draw(exponent_tuples(n, draw(st.integers(0, d))))
+        terms[alpha] = terms.get(alpha, 0) + draw(st.integers(-5, 5))
+    return terms, n, d
+
+
+@settings(max_examples=150)
+@given(inhomogeneous_terms())
+def test_homogenize_equals_the_term_by_term_expansion(case):
+    terms, n, d = case
+    assert homogenize(terms, n, d) == naive_homogenize(terms, n, d)
+
+
+@settings(max_examples=100)
+@given(polynomials(max_n=4, max_d=3), st.integers(0, 4))
+def test_elevate_equals_the_term_by_term_expansion(f, k):
+    assert elevate(f, k) == naive_homogenize(f.coeffs, f.n, f.d + k)
+
+
+def test_homogenize_one_variable_needs_no_loop_over_the_degrees():
+    # on the simplex x_1 = 1, so every term lands on x_1^d, however large d is
+    d = 10**30
+    f = homogenize({(1,): 2, (0,): Fraction(1, 3), (d,): -1}, 1, d)
+    assert (f.d, f.coeffs) == (d, {(d,): Fraction(4, 3)})
 
 
 @settings(max_examples=40)

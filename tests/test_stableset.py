@@ -9,12 +9,11 @@ from simplex_grid_opt import (
     alpha_lower_bound,
     evaluate,
     exact_alpha,
-    greedy_stable_set,
     grid_minimize,
     motzkin_straus_form,
     parse_graph_text,
 )
-from strats import petersen
+from strats import greedy_stable_set, petersen
 
 
 def complete_graph(n):
