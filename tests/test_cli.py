@@ -725,6 +725,7 @@ def test_enclose_size_guard_and_threads(capsys, monkeypatch):
         ("json", "954470b0b37dd961630960bb1d404ae44135a14db4869677a01b192c44f633f1"),
         ("csv", "7fcbe6427c7c7d61e0229acaedba058f6c7e51f27d3a1bba9831e4e2a696d410"),
     ],
+    ids=["json", "csv"],
 )
 def test_expect_bernstein_ignores_the_size_guard(capsys, monkeypatch, fmt, digest):
     # the closed form sums no grid: a 5-point budget does not stop r = 16 (17 points),
