@@ -11,7 +11,6 @@ interchange format.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -110,19 +109,13 @@ def elevate(f: HomogeneousPolynomial, k: int, *, cap: int = DEFAULT_ELEVATION_CA
         raise ValueError(f"elevation {k} exceeds the cap {cap}")
     coeffs = dict(f.coeffs)
     for _ in range(k):
-        coeffs = _times_sum(coeffs, f.n)
+        nxt: "dict[tuple[int, ...], Fraction]" = {}
+        for alpha, c in coeffs.items():
+            for i in range(f.n):
+                key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+                nxt[key] = nxt.get(key, Fraction(0)) + c
+        coeffs = nxt
     return HomogeneousPolynomial(f.n, f.d + k, coeffs)
-
-
-def _times_sum(coeffs: "dict[tuple[int, ...], Fraction]", n: int) -> "dict[tuple[int, ...], Fraction]":
-    """The coefficient table multiplied by x_1 + ... + x_n: one degree of
-    elevate and of homogenize."""
-    out: "dict[tuple[int, ...], Fraction]" = {}
-    for alpha, c in coeffs.items():
-        for i in range(n):
-            key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-            out[key] = out.get(key, Fraction(0)) + c
-    return out
 
 
 @dataclass(frozen=True)
@@ -156,31 +149,28 @@ def is_square_free(f: HomogeneousPolynomial) -> bool:
 def homogenize(terms: TermsLike, n: int, d: int) -> HomogeneousPolynomial:
     """Raise every monomial of degree e <= d to degree d.
 
-    Each term c*x^alpha is multiplied by (x_1 + ... + x_n)^(d-e), so the
-    result agrees with the input everywhere on the simplex.  The terms are
-    added Horner-style: the running sum is multiplied by the sum of the
-    variables once per degree, from the lowest degree present up to d, and
-    each degree's terms are added when the loop reaches that degree.
+    Each term c*x^alpha is multiplied by (x_1 + ... + x_n)^(d-e) expanded via
+    the multinomial theorem, so the result agrees with the input everywhere
+    on the simplex.
     """
     pairs = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
-    by_degree: "dict[int, list]" = defaultdict(list)
+    out: "dict[tuple[int, ...], Fraction]" = {}
     for alpha, coef in pairs:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != n:
             raise ValueError(f"exponent {alpha} has length {len(alpha)}, expected {n}")
         if any(a < 0 for a in alpha):
             raise ValueError(f"negative exponent in {alpha}")
+        c = as_rational(coef)
         e = sum(alpha)
         if e > d:
             raise ValueError(f"monomial {alpha} has degree {e} > target degree {d}")
-        by_degree[e].append((alpha, as_rational(coef)))
-    if n == 1:  # x_1 = 1 on the simplex: every term lands on x_1^d, whatever d is
-        by_degree = {d: [((d,), c) for level in by_degree.values() for _, c in level]}
-    out: "dict[tuple[int, ...], Fraction]" = {}
-    for e in range(min(by_degree, default=d), d + 1):
-        out = _times_sum(out, n)
-        for alpha, c in by_degree.get(e, ()):
+        if e == d:
             out[alpha] = out.get(alpha, Fraction(0)) + c
+            continue
+        for kappa in compositions(n, d - e):
+            key = tuple(a + k for a, k in zip(alpha, kappa))
+            out[key] = out.get(key, Fraction(0)) + c * multinomial(d - e, kappa)
     return HomogeneousPolynomial(n, d, out)
 
 

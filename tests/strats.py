@@ -172,18 +172,6 @@ def poly_mul(f, g):
     return HomogeneousPolynomial(f.n, f.d + g.d, out)
 
 
-def naive_homogenize(terms, n, d):
-    """Each term c*x^alpha of degree e times (x_1 + ... + x_n)^(d - e), expanded
-    term by term over compositions(n, d - e) with multinomial coefficients."""
-    out = {}
-    for alpha, coef in terms.items():
-        e = sum(alpha)
-        for kappa in compositions(n, d - e):
-            key = tuple(a + k for a, k in zip(alpha, kappa))
-            out[key] = out.get(key, Fraction(0)) + as_rational(coef) * multinomial(d - e, kappa)
-    return HomogeneousPolynomial(n, d, out)
-
-
 def composition_unrank(n, total, rank):
     """The rank-th element (0-based) of I(n, total) in lexicographic order."""
     if not 0 <= rank < composition_count(n, total):

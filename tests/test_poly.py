@@ -22,7 +22,6 @@ from simplex_grid_opt import (
 )
 from strats import (
     exponent_tuples,
-    naive_homogenize,
     poly_add,
     poly_mul,
     poly_scale,
@@ -177,15 +176,25 @@ def inhomogeneous_terms(draw, max_n: int = 4, max_d: int = 5):
 
 @settings(max_examples=150)
 @given(inhomogeneous_terms())
-def test_homogenize_equals_the_term_by_term_expansion(case):
+def test_homogenize_one_degree_higher_is_one_elevation(case):
     terms, n, d = case
-    assert homogenize(terms, n, d) == naive_homogenize(terms, n, d)
+    assert homogenize(terms, n, d + 1) == elevate(homogenize(terms, n, d), 1)
 
 
 @settings(max_examples=100)
 @given(polynomials(max_n=4, max_d=3), st.integers(0, 4))
-def test_elevate_equals_the_term_by_term_expansion(f, k):
-    assert elevate(f, k) == naive_homogenize(f.coeffs, f.n, f.d + k)
+def test_elevate_equals_homogenize_to_the_higher_degree(f, k):
+    # elevate multiplies by the sum of the variables k times; homogenize expands
+    # (x_1 + ... + x_n)^k by the multinomial theorem
+    assert elevate(f, k) == homogenize(f.coeffs, f.n, f.d + k)
+
+
+def test_homogenize_a_wide_degree_gap_gives_the_binomial_row():
+    # one multinomial product per entry of I(2, d): a sparse input raised far
+    # stays linear in d
+    d = 2000
+    f = homogenize({(0, 0): 1, (d, 0): 1}, 2, d)
+    assert f.coeffs == {(i, d - i): math.comb(d, i) + (i == d) for i in range(d + 1)}
 
 
 def test_homogenize_one_variable_needs_no_loop_over_the_degrees():
