@@ -13,8 +13,14 @@ converge compares the total of all the grids it sweeps before the first one.
 expect sums no grid (its --bernstein value is closed form), so no guard
 applies to it.  These limits are fixed and refused before any work (exit 2):
 a sweep whose power table exceeds 10^9 bits (grid._check_degree; --force
-does not lift it), a bounds table of more than 10^5 rows, and a verify run
-of more than 3 * 10^5 checks.
+does not lift it), an expectation whose Stirling rows could exceed 4 * 10^6
+bits (hypergeom._expected_value), a bounds table of more than 10^5 rows or
+whose coefficients could exceed 10^7 bits, and a verify run of more than
+3 * 10^5 checks.
+
+Tables (bounds, converge, verify) are lists of flat records, written one
+record at a time by _write_table; verify writes each check as its sweep makes
+it, after every refusal and the few bound witnesses, and keeps none.
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  Output is byte-identical for any
@@ -29,10 +35,10 @@ import json
 import os
 import random
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from . import bounds as bounds_mod
 from . import identities as ident_mod
@@ -61,11 +67,20 @@ EXIT_VERIFY_FAILED = 4
 
 # Most rows `bounds` prints: r values * m values * kinds, checked before any
 # work.  At this maximum its JSON is 19 MB, made in about 1.5 s with a peak
-# RSS of 130 MB on a 2-vCPU Xeon VM.
+# RSS of 51 MB on a 2-vCPU Xeon VM (stdout to a file).
 _MAX_BOUND_ROWS = 10**5
+# Most bits the coefficients of a `bounds` table may hold, estimated before any
+# work as rows * d * (bit_length(4d) + 2 * bit_length(r * m)), r and m the
+# largest of their ranges: no coefficient's numerator or denominator reaches
+# (4d)^d * (r * m)^(2d), since C(2d-1, d) * d^d < (4d)^d.  At this maximum,
+# d = 4 * 10^4 at one r takes 1.2 s on a 2-vCPU Xeon VM; d = 10^5 (2.5e7)
+# ran past 5 s.
+_MAX_BOUND_BITS = 10**7
 # Most checks `verify` may run, counted before any work (_verify_check_count).
-# The default run makes about 2.3e4; --max-m 20 makes 2.5e5 in about 6.3 s
-# with a peak RSS of 410 MB on a 2-vCPU Xeon VM, about 1.6 KB per check.
+# The default run makes about 2.3e4; --max-m 20 makes 2.5e5 in about 3.4 s on
+# a 2-vCPU Xeon VM.  Each check is written as it is made, so that run peaks at
+# 18 MB RSS with stdout to a file, and at 88 MB in process with its 52 MB of
+# JSON held in a StringIO.
 _MAX_VERIFY_CHECKS = 3 * 10**5
 
 
@@ -111,89 +126,57 @@ def _load_poly(args: argparse.Namespace) -> HomogeneousPolynomial:
     return load_polynomial(args.poly, homogenize_terms=args.homogenize)
 
 
-class _Records(NamedTuple):
-    """A JSON list of objects, one per row, each with these keys in this order."""
+def _write_table(keys: "Sequence[str]", rows: "Iterable[Sequence]", indent: str = "") -> None:
+    """Write rows of scalars as json.dumps(indent=2) writes a list of objects
+    with these keys, each line after the first indented by `indent`, one row
+    at a time.  sys.stdout is looked up here, as callers may swap it.
 
-    keys: "Sequence[str]"
-    rows: "Sequence[Sequence]"
-
-
-_LITERALS = {True: "true", False: "false", None: "null"}
-_CONTAINERS = (dict, list, tuple)  # json.dumps writes a tuple as a list
-
-
-def _json(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2) byte for byte, its lines indented by `indent`.
-
-    Any indent makes json.dumps run its pure-Python encoder, so large tables
-    are passed as _Records.  A _Records value is written through one template
-    that holds its keys and layout, filled with strings from the C string
-    encoder; the containers around it are written here, and every other
-    container goes to json.dumps.  Splicing is sound because ensure_ascii
-    escapes every control character inside a string, so each newline in a
-    dump is layout.
+    Any indent makes json.dumps run its pure-Python encoder, so the layout is
+    written here.  A row of strings (as verify's are) fills one template that
+    holds the keys and layout from the C string encoder; ensure_ascii escapes
+    every control character inside a string, so the template's newlines are
+    its only ones.  Any other row goes to the C encoder with no indent and the
+    layout in its item separator; its only braces are the outer pair.
     """
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)  # as json.dumps writes an int
-    if kind is bool or obj is None:
-        return _LITERALS[obj]
-    if kind is _Records:
-        return _records_json(obj, indent)
-    if not (isinstance(obj, _CONTAINERS) and obj):
-        return json.dumps(obj)  # other scalars and empty containers have no layout
-    if not _holds_records(obj):
-        text = json.dumps(obj, indent=2)
-        return text if indent == "\n" else text.replace("\n", indent)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    return "[" + inner + ("," + inner).join(_json(v, inner) for v in obj) + indent + "]"
-
-
-def _holds_records(obj) -> bool:
-    values = obj.values() if isinstance(obj, dict) else obj
-    return any(isinstance(v, _Records) or (isinstance(v, _CONTAINERS) and _holds_records(v))
-               for v in values)
-
-
-def _records_json(records: _Records, indent: str) -> str:
-    if not records.rows:
-        return "[]"
-    inner = indent + "  "
+    inner = "\n" + indent + "  "
     field = inner + "  "
-    if not records.keys:
-        template = "{}"
-    else:
-        template = "{" + field + ("," + field).join(
-            encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in records.keys
-        ) + inner + "}"
-    try:  # rows of strings only, as verify's, fill the template in C
-        body = [template % tuple(map(encode_basestring_ascii, row)) for row in records.rows]
-    except TypeError:  # some value is not a string
-        body = [template % tuple([_json(v, field) for v in row]) for row in records.rows]
-    return "[" + inner + ("," + inner).join(body) + indent + "]"
+    template = "{" + field + ("," + field).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+    ) + inner + "}"
+    encode = json.JSONEncoder(separators=("," + field, ": ")).encode
+    write, lead = sys.stdout.write, "["
+    for row in rows:
+        try:
+            text = template % tuple(map(encode_basestring_ascii, row))
+        except TypeError:  # some value is not a string
+            text = "{" + field + encode(dict(zip(keys, row)))[1:-1] + inner + "}"
+        write(lead + inner + text)
+        lead = ","
+    write("[]" if lead == "[" else "\n" + indent + "]")
 
 
-def _emit(args: argparse.Namespace, obj, header: "list[str]", rows: "Sequence[Sequence]", *,
-          decimal_note: bool = False) -> None:
-    """Print obj as indented JSON, or header and rows as versioned CSV (--format).
-
-    The JSON is the bytes of json.dumps(obj, indent=2), where each _Records in
-    obj stands for its list of objects.
-    """
-    if args.format == "json":
-        print(_json(obj))
-        return
+def _write_csv(header: "Sequence[str]", rows: "Iterable[Sequence]", *,
+               decimal_note: bool = False) -> None:
     print(CSV_VERSION_LINE)
     if decimal_note:
         print(CSV_DECIMAL_NOTE)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def _emit(args: argparse.Namespace, obj: "dict | list", header: "list[str]",
+          rows: "Sequence[Sequence]", *, decimal_note: bool = False) -> None:
+    """Print obj as JSON, or header and rows as versioned CSV (--format).  A dict
+    prints as json.dumps(obj, indent=2), a list of records in header's order as
+    a list of objects (_write_table)."""
+    if args.format == "csv":
+        _write_csv(header, rows, decimal_note=decimal_note)
+    elif isinstance(obj, dict):
+        print(json.dumps(obj, indent=2))
+    else:
+        _write_table(header, obj)
+        print()
 
 
 def _emit_record(args: argparse.Namespace, obj: dict, *, omit: "tuple[str, ...]" = ()) -> None:
@@ -272,27 +255,21 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     count = (r_values.stop - r_values.start) * m_count * len(bounds_mod.ALL_KINDS)
     if count > _MAX_BOUND_ROWS:
         raise ValueError(f"bounds would print {count} rows, more than {_MAX_BOUND_ROWS}")
-    reports = bounds_mod.bound_table(args.d, r_values, m_values)
-    rows = [
-        [
-            report.kind.value,
-            report.d,
-            report.r,
-            "" if report.m is None else report.m,
-            "" if report.k is None else report.k,
-            "" if report.coefficient is None else fraction_str(report.coefficient),
-            str(report.applicable).lower(),
-            report.reason,
-        ]
-        for report in reports
-    ]
+    bits = count * args.d * ((4 * args.d).bit_length()
+                             + 2 * (r_values[-1] * (m_values[-1] or 1)).bit_length())
+    if bits > _MAX_BOUND_BITS:
+        raise ValueError(f"bounds coefficients could hold more than {_MAX_BOUND_BITS} bits")
     records = [
-        (row[0], row[1], row[2], row[3] or None, row[4] or None, row[5] or None,
-         row[6] == "true", row[7])
-        for row in rows
+        (report.kind.value, report.d, report.r, report.m, report.k,
+         None if report.coefficient is None else fraction_str(report.coefficient),
+         report.applicable, report.reason)
+        for report in bounds_mod.bound_table(args.d, r_values, m_values)
     ]
+    # CSV writes None as an empty field and a flag as true or false
+    rows = [["" if v is None else str(v).lower() if type(v) is bool else v for v in record]
+            for record in records]
     header = ["kind", "d", "r", "m", "k", "coefficient", "applicable", "reason"]
-    _emit(args, _Records(header, records), header, rows)
+    _emit(args, records, header, rows)
     return EXIT_OK
 
 
@@ -325,7 +302,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
             report = bounds_mod.bound_coefficient(kind, d=f.d, r=r, m=m_for_kinds)
             row.append("" if report.coefficient is None else fraction_str(report.coefficient))
         rows.append(row)
-    _emit(args, _Records(header, rows), header, rows, decimal_note=True)
+    _emit(args, rows, header, rows, decimal_note=True)
     return EXIT_OK
 
 
@@ -354,42 +331,53 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for option in ("samples", "witness_polys", "max_k", "max_r"):
         if getattr(args, option) < 0:
             raise ValueError(f"--{option.replace('_', '-')} must be nonnegative")
-    if _verify_check_count(args) > _MAX_VERIFY_CHECKS:
+    count = _verify_check_count(args)
+    if count > _MAX_VERIFY_CHECKS:
         raise ValueError(
             f"verify would run more than {_MAX_VERIFY_CHECKS} checks; lower --max-n, --max-d, "
             "--max-m, --max-k, --max-r, --samples or --witness-polys"
         )
-    checks = []
-    if args.max_n >= 1 and args.max_d >= 1 and args.max_m >= 1:
-        checks = ident_mod.run_default_sweeps(
-            max_n=args.max_n,
-            max_d=args.max_d,
-            max_m=args.max_m,
-            max_k=args.max_k,
-            max_r=args.max_r,
-            samples=args.samples,
-            seed=args.seed,
-        )
-    rows = [
-        ("identity", check.name, check.params_str(), fraction_str(check.lhs),
-         fraction_str(check.rhs), check.relation, "true" if check.holds else "false")
-        for check in checks
-    ]
-    rows += [
-        ("bound-witness", w.kind.value, f"d={w.d};r={w.r};m={w.m}",
-         fraction_str(w.lhs), fraction_str(w.rhs), "le", "true" if w.holds else "false")
-        for w in _bound_witnesses(args)
-    ]
-    if args.inject_fault:
-        rows.append(("identity", "INJECTED_FAULT", "", "0", "1", "eq", "false"))
-    if not rows:
+    if count == 0 and not args.inject_fault:
         raise ValueError("no checks run: sweep ranges are empty")
-    failures = sum(1 for row in rows if row[6] != "true")
+    # count is 0 exactly when a cap is below 1, and then nothing is swept.  The
+    # witnesses are few and made before any byte is written; the identity checks
+    # are made one at a time, as they are written.
+    witnesses, checks = [], ()
+    if count:
+        witnesses = _bound_witnesses(args)
+        checks = ident_mod._default_sweeps(
+            max_n=args.max_n, max_d=args.max_d, max_m=args.max_m, max_k=args.max_k,
+            max_r=args.max_r, samples=args.samples, seed=args.seed,
+        )
+    tally = [0, 0]  # rows written, and failures among them
+
+    def rows():
+        identity_rows = (
+            ("identity", check.name, check.params_str(), fraction_str(check.lhs),
+             fraction_str(check.rhs), check.relation, "true" if check.holds else "false")
+            for check in checks
+        )
+        witness_rows = (
+            ("bound-witness", w.kind.value, f"d={w.d};r={w.r};m={w.m}", fraction_str(w.lhs),
+             fraction_str(w.rhs), "le", "true" if w.holds else "false")
+            for w in witnesses
+        )
+        fault_rows = [("identity", "INJECTED_FAULT", "", "0", "1", "eq", "false")]
+        for row in chain(identity_rows, witness_rows, fault_rows if args.inject_fault else ()):
+            tally[0] += 1
+            tally[1] += row[6] != "true"
+            yield row
+
     header = ["check", "name", "params", "lhs", "rhs", "relation", "holds"]
-    obj = {"checks": _Records(header, rows), "total": len(rows), "failures": failures}
-    _emit(args, obj, header, rows)
+    if args.format == "json":
+        sys.stdout.write('{\n  "checks": ')
+        _write_table(header, rows(), "  ")
+        print(f',\n  "total": {tally[0]},\n  "failures": {tally[1]}\n}}')
+    else:
+        _write_csv(header, rows())
+    total, failures = tally
     if failures:
-        print(f"verification failed: {failures} of {len(rows)} checks", file=sys.stderr)
+        print(f"verification failed: {failures} of {total} checks", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
@@ -414,8 +402,6 @@ def _witness_pairs(args: argparse.Namespace) -> "list[tuple[int, int]]":
 
 
 def _bound_witnesses(args: argparse.Namespace) -> "list[bounds_mod.BoundWitness]":
-    if min(args.max_n, args.max_d, args.max_m) < 1:
-        return []
     rng = random.Random(args.seed)
     pairs = _witness_pairs(args)
     out = []

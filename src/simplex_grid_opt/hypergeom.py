@@ -31,6 +31,15 @@ from .poly import HomogeneousPolynomial
 from .rational import as_rational
 
 BRUTE_FORCE_GATE = 10**4
+# Most bits _expected_value lets the Stirling rows of one term hold, bounded
+# before any row by (K + 1) * d * bit_length(r * total), K = min(d, r): a
+# coordinate's row has at most K + 1 entries S(b, a) * power(c, a) of at most
+# b * bit_length(r * total) bits, and the b sum to d.  On a 2-vCPU Xeon VM,
+# `sgo expect` takes 0.4 s at d = 10^5, r = 3 (1.6e6); near the bound, 1.4 s
+# at d = 4.4 * 10^5, r = 2 (4.0e6, mostly rendering the value) and 2.6 s at
+# d = 600, r = 590 (3.9e6, mostly Stirling sums); d = 10^6, r = 3 (1.6e7) took
+# 22 s.  The time also grows with the number of terms.
+_MAX_KERNEL_BITS = 4 * 10**6
 Power = Callable[[int, int], int]  # falling (draws without replacement) or pow (with)
 
 
@@ -247,7 +256,13 @@ def cubic_moments_closed(p: HypergeomParams) -> "dict[tuple[int, int, int], Frac
 def _expected_value(
     f: HomogeneousPolynomial, r: int, colors: Sequence[int], total: int, power: Power
 ) -> Fraction:
-    """E[f(Z/r)] = sum over beta of f_beta * E[Z^beta] / r^d; see _stirling_terms."""
+    """E[f(Z/r)] = sum over beta of f_beta * E[Z^beta] / r^d; see _stirling_terms.
+    Refuses (ValueError) a kernel past _MAX_KERNEL_BITS before any row."""
+    if (min(f.d, r) + 1) * f.d * (r * total).bit_length() > _MAX_KERNEL_BITS:
+        raise ValueError(
+            f"the degree is too high for an expectation at r = {r}: its Stirling "
+            f"rows could hold more than {_MAX_KERNEL_BITS} bits"
+        )
     value = Fraction(0)
     for beta, coef in f.coeffs.items():
         value += coef * Fraction(*_stirling_terms(beta, r, colors, total, power))

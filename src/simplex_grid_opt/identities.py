@@ -38,7 +38,10 @@ MOMENT_DECOMPOSITION compares two independent routes: its left side reads
 only hypergeom's kernel, its right side only A_beta's coefficients; no table
 is shared between them.
 
-Sweeps are bounded by explicit caps so they can run exhaustively in CI.
+Sweeps are bounded by explicit caps so they can run exhaustively in CI.  Each
+sweep is a generator that makes one check at a time; run_default_sweeps drains
+the chain of all eight (_default_sweeps) into a list, and `sgo verify` writes
+each check of that chain as it is made.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, prod
 from operator import eq, ge, le, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import hypergeom
 from .combin import (
@@ -377,62 +380,58 @@ def _require_km_window(k: int, m: int, r: int) -> None:
 # validated on its own.
 
 
-def sweep_stirling_sum(max_d: int = 6, max_r: int = 30) -> "list[IdentityCheck]":
-    return [_stirling_sum(d, r) for d in range(1, max_d + 1) for r in range(1, max_r + 1)]
+def sweep_stirling_sum(max_d: int = 6, max_r: int = 30) -> "Iterator[IdentityCheck]":
+    for d in range(1, max_d + 1):
+        for r in range(1, max_r + 1):
+            yield _stirling_sum(d, r)
 
 
-def sweep_stirling_multi(max_n: int = 3, max_d: int = 5) -> "list[IdentityCheck]":
-    out = []
+def sweep_stirling_multi(max_n: int = 3, max_d: int = 5) -> "Iterator[IdentityCheck]":
     for n in range(1, max_n + 1):
         for d in range(2, max_d + 1):
             weights = _multinomial_weights(n, d)
             for k in range(1, d):
-                out += [_stirling_multi(alpha, d, weights) for alpha in compositions(n, k)]
-    return out
+                for alpha in compositions(n, k):
+                    yield _stirling_multi(alpha, d, weights)
 
 
 def sweep_integer_point_identities(
     samples: int = 25, max_n: int = 4, max_d: int = 4, seed: int = 0
-) -> "list[IdentityCheck]":
+) -> "Iterator[IdentityCheck]":
     """Vandermonde-Chu and the multinomial theorem at random integer points."""
     rng = random.Random(seed)
-    out = []
     for _ in range(samples):
         n = rng.randint(1, max_n)
         d = rng.randint(1, max_d)
         x = tuple(rng.randint(-6, 9) for _ in range(n))
-        out.append(_vandermonde_chu(x, d))
-        out.append(_multinomial(x, d))
-    return out
+        yield _vandermonde_chu(x, d)
+        yield _multinomial(x, d)
 
 
-def sweep_kmr(limit: int = 40) -> "list[IdentityCheck]":
-    out = []
+def sweep_kmr(limit: int = 40) -> "Iterator[IdentityCheck]":
     for k in range(1, limit + 1):
         for m in range(1, limit + 1):
-            out += [_kmr(k, m, r) for r in range((k - 1) * m + 1, min(k * m, limit) + 1)]
-    return out
+            for r in range((k - 1) * m + 1, min(k * m, limit) + 1):
+                yield _kmr(k, m, r)
 
 
-def sweep_sigma(max_d: int = 5, max_m: int = 12, max_k: int = 4) -> "list[IdentityCheck]":
-    out = []
+def sweep_sigma(max_d: int = 5, max_m: int = 12, max_k: int = 4) -> "Iterator[IdentityCheck]":
     for d in range(2, max_d + 1):
         c_d = falling_poly_coeffs(d).c_d
         for m in range(d, max_m + 1):
             for k in range(1, max_k + 1):
-                out += [_sigma(d, m, k, r, c_d) for r in range((k - 1) * m + 1, k * m + 1)]
-    return out
+                for r in range((k - 1) * m + 1, k * m + 1):
+                    yield _sigma(d, m, k, r, c_d)
 
 
-def sweep_phi(max_k: int = 5, max_m: int = 10) -> "list[IdentityCheck]":
-    out = []
+def sweep_phi(max_k: int = 5, max_m: int = 10) -> "Iterator[IdentityCheck]":
     for k in range(2, max_k + 1):
         for m in range(3, max_m + 1):
-            out += [_phi(k, m, r) for r in range((k - 1) * m + 1, k * m + 1)]
-    return out
+            for r in range((k - 1) * m + 1, k * m + 1):
+                yield _phi(k, m, r)
 
 
-def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "list[IdentityCheck]":
+def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "Iterator[IdentityCheck]":
     """Exhaustive nonnegativity and sum checks over every admissible urn.
 
     For each n <= max_n, degree d <= max_d, m between d and max_m, every
@@ -442,7 +441,6 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "list[Identi
     checks read the same A_beta values, whose coefficients in r are built
     once per (counts, beta).
     """
-    out = []
     rows: "dict[tuple[int, int], list[int]]" = {}
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
@@ -458,22 +456,18 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "list[Identi
                         values = [_a_beta_at(coeffs, falls) for coeffs in table]
                         params = _a_beta_params(n, d, r, m, counts)
                         rendered = f"n={n};d={d};r={r}{tail}"
-                        out += (
-                            _check("A_BETA_NONNEG", params, rendered, "ge", min(values), 0),
-                            _a_beta_sum(params, rendered, d, r, m, values, multis),
-                        )
-    return out
+                        yield _check("A_BETA_NONNEG", params, rendered, "ge", min(values), 0)
+                        yield _a_beta_sum(params, rendered, d, r, m, values, multis)
 
 
 def sweep_moment_decomposition(
     max_n: int = 3, max_d: int = 3, max_m: int = 6
-) -> "list[IdentityCheck]":
+) -> "Iterator[IdentityCheck]":
     """E[X^beta] against the point term plus A_beta for every urn with n <= max_n
     colors and m <= max_m balls, every 1 <= r <= m and every beta in I(n, d),
     d <= max_d.  Per (counts, beta), hypergeom's grouped Stirling rows (the left
     side) and A_beta's coefficients (the right side) are each built once and
     evaluated at every r."""
-    out = []
     rows: "dict[tuple[int, int], list[int]]" = {}  # A_beta's rows only
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
@@ -490,14 +484,11 @@ def sweep_moment_decomposition(
                     for r in range(1, m + 1):
                         falls = _falling_row(r, d)
                         scale = r**d * tails[0]
-                        out += [
-                            _moment_decomposition(
+                        for beta, rendered, moments, coeffs, point in table:
+                            yield _moment_decomposition(
                                 m, counts, r, beta, f"{head}{r}{rendered}", moments[r - 1],
                                 Fraction(point * falls[d] + _a_beta_at(coeffs, falls), scale),
                             )
-                            for beta, rendered, moments, coeffs, point in table
-                        ]
-    return out
 
 
 def run_default_sweeps(
@@ -511,18 +502,24 @@ def run_default_sweeps(
     seed: int = 0,
 ) -> "list[IdentityCheck]":
     """All identity sweeps at their default (CI-sized) caps."""
-    checks: "list[IdentityCheck]" = []
-    checks += sweep_stirling_sum(max_d=max(max_d, 6), max_r=max_r)
-    checks += sweep_stirling_multi(max_n=max_n, max_d=max(max_d, 5))
-    checks += sweep_integer_point_identities(samples=samples, seed=seed)
-    checks += sweep_kmr(limit=max(max_r, 40))
-    checks += sweep_sigma(max_d=max(max_d, 5), max_m=max(max_m, 12), max_k=max_k)
-    checks += sweep_phi(max_k=max(max_k, 5), max_m=max(max_m, 10))
-    checks += sweep_a_beta(max_n=max_n, max_d=max_d, max_m=max_m)
-    checks += sweep_moment_decomposition(
+    return list(_default_sweeps(max_n=max_n, max_d=max_d, max_m=max_m, max_k=max_k,
+                                max_r=max_r, samples=samples, seed=seed))
+
+
+def _default_sweeps(
+    *, max_n: int, max_d: int, max_m: int, max_k: int, max_r: int, samples: int, seed: int
+) -> "Iterator[IdentityCheck]":
+    """The checks of run_default_sweeps, each made when it is asked for."""
+    yield from sweep_stirling_sum(max_d=max(max_d, 6), max_r=max_r)
+    yield from sweep_stirling_multi(max_n=max_n, max_d=max(max_d, 5))
+    yield from sweep_integer_point_identities(samples=samples, seed=seed)
+    yield from sweep_kmr(limit=max(max_r, 40))
+    yield from sweep_sigma(max_d=max(max_d, 5), max_m=max(max_m, 12), max_k=max_k)
+    yield from sweep_phi(max_k=max(max_k, 5), max_m=max(max_m, 10))
+    yield from sweep_a_beta(max_n=max_n, max_d=max_d, max_m=max_m)
+    yield from sweep_moment_decomposition(
         max_n=min(max_n, 3), max_d=min(max_d, 3), max_m=min(max_m, 6)
     )
-    return checks
 
 
 def default_sweep_count(

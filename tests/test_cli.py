@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from simplex_grid_opt import bounds, cli, grid, load_polynomial, to_json_dict
+from simplex_grid_opt import bounds, cli, grid, hypergeom, load_polynomial, to_json_dict
 from simplex_grid_opt.stableset import motzkin_straus_form, parse_graph_text
 from simplex_grid_opt import identities as ident_mod
 from simplex_grid_opt.cli import (
@@ -158,6 +158,27 @@ def test_expect_prints_an_answer_of_any_length(capsys, tmp_path, mode):
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("mode", [("--bernstein", "--x", "1"), ("--m", "3", "--counts", "3")])
+def test_expect_refuses_a_huge_degree_before_any_row(capsys, monkeypatch, tmp_path, mode):
+    poly = tmp_path / "x1_10_30.json"
+    poly.write_text('{"n": 1, "terms": [{"alpha": [1' + "0" * 30 + '], "coef": 1}]}')
+    rows = count_calls(monkeypatch, hypergeom, "_stirling_rows")
+    code, out, err = run(capsys, "expect", "--poly", str(poly), "--r", "2", *mode)
+    assert (code, out, rows) == (EXIT_CONFIG, "", [])
+    assert f"more than {hypergeom._MAX_KERNEL_BITS} bits" in err
+
+
+@pytest.mark.parametrize("mode", [("--bernstein", "--x", "1/3,2/3"), ("--m", "5", "--counts", "2,3")])
+def test_expect_kernel_maximum(capsys, monkeypatch, mode):
+    # degree 2 at r = 3: (min(2, 3) + 1) * 2 * bit_length(3 * total) bits, total = 3 or 5
+    bits = 3 * 2 * (3 * (3 if mode[0] == "--bernstein" else 5)).bit_length()
+    for maximum, want in ((bits, EXIT_OK), (bits - 1, EXIT_CONFIG)):
+        monkeypatch.setattr(hypergeom, "_MAX_KERNEL_BITS", maximum)
+        code, out, err = run(capsys, "expect", "--poly", GAP, "--r", "3", *mode)
+        assert code == want, err
+        assert (out == "") == (want == EXIT_CONFIG)
+
+
 def test_fraction_str_renders_past_the_digit_limit():
     big = 7**20000  # 16,902 digits
     limit = sys.get_int_max_str_digits()
@@ -216,6 +237,30 @@ def test_bounds_row_maximum(capsys, monkeypatch, maximum, want):
         assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS["bounds", "json"]
     else:
         assert out == "" and "44 rows, more than 43" in err and tables == []
+
+
+@pytest.mark.parametrize("maximum, want", [(1320, EXIT_OK), (1319, EXIT_CONFIG)])
+def test_bounds_coefficient_bits_maximum(capsys, monkeypatch, maximum, want):
+    # 44 rows * d * (bit_length(4d) + 2 * bit_length(r)) = 44 * 3 * (4 + 2 * 3) at d = 3, r <= 5
+    monkeypatch.setattr(cli, "_MAX_BOUND_BITS", maximum)
+    tables = count_calls(monkeypatch, bounds, "bound_table")
+    code, out, err = run(capsys, *PINNED_ARGV["bounds"])
+    assert code == want
+    if want == EXIT_OK:
+        assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS["bounds", "json"]
+    else:
+        assert out == "" and "more than 1319 bits" in err and tables == []
+
+
+def test_bounds_refuses_a_huge_degree_at_once(capsys, monkeypatch):
+    tables = count_calls(monkeypatch, bounds, "bound_table")
+    for argv in (("--d", "100000", "--r-range", "2"), ("--d", "9" * 4000, "--r-range", "2"),
+                 ("--d", "100", "--r-range", "9" * 4000), ("--d", "100", "--r-range", "2",
+                                                           "--m-range", "9" * 4000)):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert (code, out) == (EXIT_CONFIG, ""), argv
+        assert f"more than {cli._MAX_BOUND_BITS} bits" in err
+    assert tables == []
 
 
 def test_bounds_refuses_a_huge_table_at_once(capsys, monkeypatch):
@@ -471,6 +516,24 @@ def test_verify_inject_fault_exits_4(capsys):
     assert "verification failed" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_writes_each_check_as_it_is_made(monkeypatch, fmt):
+    built = count_calls(monkeypatch, ident_mod, "_check")
+    built_at_write = []  # identity checks built when each write reached stdout
+
+    class Spy(io.StringIO):
+        def write(self, text):
+            built_at_write.append(len(built))
+            return super().write(text)
+
+    out = Spy()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["verify", "--format", fmt]) == EXIT_OK
+    printed = out.getvalue().count('"check": "identity"' if fmt == "json" else "\nidentity,")
+    assert len(built) == printed > 0
+    assert built_at_write[0] < printed
+
+
 def test_verify_empty_sweep_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "0", "--witness-polys", "0")
     assert code == EXIT_CONFIG
@@ -492,7 +555,7 @@ def _refuse_to_check(monkeypatch):
     def started(*args, **kwargs):
         raise _ChecksStarted
 
-    monkeypatch.setattr(ident_mod, "run_default_sweeps", started)
+    monkeypatch.setattr(ident_mod, "_default_sweeps", started)
     monkeypatch.setattr(bounds, "check_bounds", started)
 
 
@@ -629,56 +692,30 @@ JSON_SCALARS = st.none() | st.booleans() | st.integers(-(10**30), 10**30) | JSON
 
 
 @st.composite
-def record_lists(draw, values):
-    """A list of objects over one set of keys, in one shared order or in orders that differ."""
-    keys = draw(st.lists(JSON_TEXT, max_size=4, unique=True))
-    shared = draw(st.booleans())
-    records = []
-    for _ in range(draw(st.integers(0, 4))):
-        order = keys if shared else draw(st.permutations(keys))
-        records.append({k: draw(values) for k in order})
-    return records
+def flat_tables(draw):
+    """Keys and rows of scalars, one value per key: all strings, or any scalars."""
+    keys = draw(st.lists(JSON_TEXT, min_size=1, max_size=4, unique=True))
+    values = draw(st.sampled_from([JSON_TEXT, JSON_SCALARS]))
+    rows = draw(st.lists(st.tuples(*[values] * len(keys)), max_size=4))
+    return keys, rows
 
 
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: (
-        st.lists(inner, max_size=4)
-        | st.dictionaries(JSON_TEXT, inner, max_size=4)
-        | record_lists(inner | JSON_SCALARS)
-    ),
-    max_leaves=30,
-)
-
-
-def tabulate(value):
-    """value with every nonempty list of objects that share one key order as cli._Records."""
-    if isinstance(value, dict):
-        return {k: tabulate(v) for k, v in value.items()}
-    if not isinstance(value, list):
-        return value
-    orders = {tuple(item) if isinstance(item, dict) else None for item in value}
-    if len(orders) == 1 and None not in orders:
-        keys = orders.pop()
-        return cli._Records(keys, [tuple(tabulate(v) for v in item.values()) for item in value])
-    return [tabulate(v) for v in value]
+def _written_table(keys, rows, indent=""):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_table(keys, iter(rows), indent)
+    return out.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
-def test_json_writer_equals_json_dumps_indent_2(value):
-    expected = json.dumps(value, indent=2)
-    assert cli._json(value) == expected
-    assert cli._json(tabulate(value)) == expected
-
-
-def test_json_writer_empty_and_keyless_records():
-    value = {"none": [], "empty": [{}, {}], "nested": [[[{"a": []}]]],
-             "tuple": [1, [{"a": ["x", None]}]]}
-    obj = {"none": cli._Records(["a"], []), "empty": cli._Records([], [(), ()]),
-           "nested": [[cli._Records(["a"], [([],)])]],
-           "tuple": (1, cli._Records(["a"], [(("x", None),)]))}
-    assert cli._json(obj) == json.dumps(value, indent=2)
+@given(flat_tables())
+def test_json_writer_equals_json_dumps_indent_2(table):
+    keys, rows = table
+    records = [dict(zip(keys, row)) for row in rows]
+    assert _written_table(keys, rows) == json.dumps(records, indent=2)
+    # verify's list sits at indent 2 inside its object
+    assert '{\n  "checks": ' + _written_table(keys, rows, "  ") + "\n}" == json.dumps(
+        {"checks": records}, indent=2)
 
 
 def test_verify_sweeps_each_witness_grid_once(capsys, monkeypatch):

@@ -158,7 +158,7 @@ def test_sweeps_all_hold_at_reduced_caps():
         sweep_a_beta(max_n=2, max_d=3, max_m=6),
         sweep_moment_decomposition(max_n=2, max_d=2, max_m=5),
     ]
-    for checks in groups:
+    for checks in map(list, groups):
         assert checks, "sweep produced no checks"
         assert all(c.holds for c in checks)
 
@@ -247,7 +247,7 @@ def test_grouped_a_beta_equals_term_by_term(case):
 
 def test_sweeps_report_the_a_beta_values_of_the_public_function():
     # every A_BETA_NONNEG minimum and A_BETA_SUM lhs is the one a_beta gives
-    checks = sweep_a_beta(max_n=2, max_d=3, max_m=5)
+    checks = list(sweep_a_beta(max_n=2, max_d=3, max_m=5))
     for nonneg, total in zip(checks[::2], checks[1::2]):
         params = dict(nonneg.params)
         assert dict(total.params) == params
@@ -362,7 +362,7 @@ def test_every_sweep_equals_its_checks_built_one_by_one(monkeypatch):
             calls[name, tuple(sorted(kw.items()))] = kw
     assert {name for name, _ in calls} == set(REFERENCES)
     for (name, _), kw in calls.items():
-        checks = getattr(identities, name)(**kw)
+        checks = list(getattr(identities, name)(**kw))
         reference = REFERENCES[name](**kw)
         assert checks, name
         assert [_fields(c) for c in checks] == [_fields(c) for c in reference], (name, kw)
@@ -384,7 +384,7 @@ def test_params_str_is_the_params_joined_and_not_a_constructor_argument():
 def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
     caps = dict(max_n=2, max_d=3, max_m=5)
     p, beta = HypergeomParams(m=5, counts=(2, 3), r=2), (1, 1)
-    honest = sweep_moment_decomposition(**caps)
+    honest = list(sweep_moment_decomposition(**caps))
     assert all(c.holds for c in honest)
     rows = hypergeom._stirling_rows
 
@@ -408,7 +408,7 @@ def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(identities, "_a_beta_coeffs", perturbed)
-        moments = sweep_moment_decomposition(**caps)
+        moments = list(sweep_moment_decomposition(**caps))
         assert not any(c.holds for c in moments)
         assert [c.lhs for c in moments] == [c.lhs for c in honest]  # the moment side never reads A_beta
         checks = sweep_a_beta(**caps)
