@@ -21,12 +21,10 @@ from .bounds import (
     rho_interval,
 )
 from .combin import (
-    FallingPolyCoeffs,
     binomial,
     composition_count,
     compositions,
     falling,
-    falling_poly_coeffs,
     multinomial,
     stirling2,
 )

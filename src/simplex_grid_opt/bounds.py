@@ -22,8 +22,8 @@ denominator m with k chosen so that (k-1)m < r <= km:
   CUBIC_RHO        m^2/(r^2(m-2)) if r <= m else 6m/r^2    (d = 3, m >= 3)
   GENERAL_RHO      (m/r^2) * c_d * C(2d-1,d) * d^d         (d >= 2, m >= d)
 
-where rfd/mfd are the falling factorials of r/m and c_d comes from
-falling_poly_coeffs.  The *_RHO and QUAD_DENOM kinds hold for every r >= 1
+where rfd/mfd are the falling factorials of r/m and c_d = (d-1)(d!-1)
+(combin.rate_constant).  The *_RHO and QUAD_DENOM kinds hold for every r >= 1
 (the analysis passes through the refined bound at denominator km).
 """
 
@@ -32,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .combin import binomial, falling, falling_poly_coeffs
+from .combin import binomial, falling, rate_constant
 from .grid import DEFAULT_GRID_GUARD, grid_extrema, grid_minimize
 from .poly import HomogeneousPolynomial, bernstein_table, elevate, is_square_free
 from .rational import Enclosure
@@ -60,22 +60,6 @@ class BoundKind(str, Enum):
 
 ALL_KINDS = tuple(BoundKind)
 
-# kinds whose statement requires the polynomial to be square-free
-SQUARE_FREE_KINDS = frozenset({BoundKind.SQFREE_KLS, BoundKind.SQFREE_REFINED})
-
-# kinds whose coefficient needs the reference denominator m
-M_DEPENDENT_KINDS = frozenset(
-    {
-        BoundKind.QUAD_REFINED,
-        BoundKind.QUAD_DENOM,
-        BoundKind.CUBIC_REFINED,
-        BoundKind.SQFREE_REFINED,
-        BoundKind.GENERAL_REFINED,
-        BoundKind.CUBIC_RHO,
-        BoundKind.GENERAL_RHO,
-    }
-)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -91,21 +75,84 @@ class BoundReport:
     reason: str = ""
 
 
-def _report(kind, d, r, m, k, coefficient) -> BoundReport:
-    return BoundReport(
-        kind=kind, d=d, r=r, m=m, k=k, coefficient=Fraction(coefficient), applicable=True
-    )
+@dataclass(frozen=True)
+class _Rule:
+    """How one kind is evaluated.  needs_m: the coefficient reads m, so the
+    report echoes k.  conditions: (holds(d, r, m), reason) pairs, tested in
+    order; the first that fails is the report's reason.  square_free: the
+    statement also needs a square-free polynomial (checked by check_bounds)."""
+
+    needs_m: bool
+    conditions: "tuple[tuple[Callable[[int, int, int], bool], str], ...]"
+    coefficient: "Callable[[int, int, int], Fraction | int]"
+    square_free: bool = False
 
 
-def _not_applicable(kind, d, r, m, reason) -> BoundReport:
-    return BoundReport(
-        kind=kind, d=d, r=r, m=m, k=None, coefficient=None, applicable=False, reason=reason
-    )
+_DEGREE_2 = (lambda d, r, m: d == 2, "stated for degree 2 only")
+_DEGREE_3 = (lambda d, r, m: d == 3, "stated for degree 3 only")
+_R_AT_MOST_M = (lambda d, r, m: r <= m, "needs r <= m")
+_M_AT_LEAST_3 = (lambda d, r, m: m >= 3, "needs m >= 3")
+_M_AT_LEAST_D = (lambda d, r, m: m >= d, "needs m >= d")
 
 
 def _bernstein_gap_factor(d: int) -> int:
     """C(2d-1, d) * d^d, the Bernstein-range-to-value-range factor."""
     return binomial(2 * d - 1, d) * d**d
+
+
+def _kls_ratio(d: int, r: int) -> Fraction:
+    """rfd/r^d."""
+    return Fraction(falling(r, d), r**d)
+
+
+def _refined_ratio(d: int, r: int, m: int) -> Fraction:
+    """(rfd m^d)/(r^d mfd)."""
+    return Fraction(falling(r, d) * m**d, r**d * falling(m, d))
+
+
+_RULES = {
+    BoundKind.KLS_QUAD: _Rule(False, (_DEGREE_2,), lambda d, r, m: Fraction(1, r)),
+    BoundKind.KLS_GENERAL: _Rule(
+        False, (), lambda d, r, m: (1 - _kls_ratio(d, r)) * _bernstein_gap_factor(d)
+    ),
+    BoundKind.QUAD_REFINED: _Rule(
+        True, (_DEGREE_2, _R_AT_MOST_M),
+        # m = 1 forces r = 1: both grids are vertices
+        lambda d, r, m: Fraction(m - r, r * (m - 1)) if m > 1 else 0,
+    ),
+    BoundKind.QUAD_DENOM: _Rule(True, (_DEGREE_2,), lambda d, r, m: Fraction(m, r * r)),
+    BoundKind.CUBIC_KLS: _Rule(
+        False, (_DEGREE_3, (lambda d, r, m: r >= 2, "needs r >= 2")),
+        lambda d, r, m: Fraction(4 * (r - 1), r * r),
+    ),
+    BoundKind.SQFREE_KLS: _Rule(
+        False, (), lambda d, r, m: 1 - _kls_ratio(d, r), square_free=True
+    ),
+    BoundKind.CUBIC_REFINED: _Rule(
+        True, (_DEGREE_3, _M_AT_LEAST_3, _R_AT_MOST_M),
+        lambda d, r, m: Fraction((m - r) * (4 * m * r - 2 * m - 2 * r),
+                                 r * r * (m - 1) * (m - 2)),
+    ),
+    BoundKind.SQFREE_REFINED: _Rule(
+        True, (_M_AT_LEAST_D, _R_AT_MOST_M), lambda d, r, m: 1 - _refined_ratio(d, r, m),
+        square_free=True,
+    ),
+    BoundKind.GENERAL_REFINED: _Rule(
+        True, (_M_AT_LEAST_D, _R_AT_MOST_M),
+        lambda d, r, m: (1 - _refined_ratio(d, r, m)) * _bernstein_gap_factor(d),
+    ),
+    BoundKind.CUBIC_RHO: _Rule(
+        True, (_DEGREE_3, _M_AT_LEAST_3),
+        lambda d, r, m: Fraction(m * m, r * r * (m - 2)) if r <= m else Fraction(6 * m, r * r),
+    ),
+    BoundKind.GENERAL_RHO: _Rule(
+        True, ((lambda d, r, m: d >= 2, "rate constant defined for degree >= 2"), _M_AT_LEAST_D),
+        lambda d, r, m: Fraction(m, r * r) * rate_constant(d) * _bernstein_gap_factor(d),
+    ),
+}
+
+# kinds whose statement requires the polynomial to be square-free
+SQUARE_FREE_KINDS = frozenset(kind for kind, rule in _RULES.items() if rule.square_free)
 
 
 def bound_coefficient(
@@ -124,98 +171,19 @@ def bound_coefficient(
     if m is not None and m < 1:
         raise ValueError(f"reference denominator must be positive, got {m}")
 
-    if kind in M_DEPENDENT_KINDS and m is None:
-        return _not_applicable(kind, d, r, m, "needs the reference denominator m")
-    k = None if m is None else -(-r // m)  # ceil(r/m), so (k-1)m < r <= km
-
-    if kind is BoundKind.KLS_QUAD:
-        if d != 2:
-            return _not_applicable(kind, d, r, m, "stated for degree 2 only")
-        return _report(kind, d, r, m, None, Fraction(1, r))
-
-    if kind is BoundKind.KLS_GENERAL:
-        return _report(
-            kind, d, r, m, None,
-            (1 - Fraction(falling(r, d), r**d)) * _bernstein_gap_factor(d),
-        )
-
-    if kind is BoundKind.QUAD_REFINED:
-        if d != 2:
-            return _not_applicable(kind, d, r, m, "stated for degree 2 only")
-        if r > m:
-            return _not_applicable(kind, d, r, m, "needs r <= m")
-        if m == 1:
-            return _report(kind, d, r, m, k, 0)  # m = 1 forces r = 1: both grids are vertices
-        return _report(kind, d, r, m, k, Fraction(m - r, r * (m - 1)))
-
-    if kind is BoundKind.QUAD_DENOM:
-        if d != 2:
-            return _not_applicable(kind, d, r, m, "stated for degree 2 only")
-        return _report(kind, d, r, m, k, Fraction(m, r * r))
-
-    if kind is BoundKind.CUBIC_KLS:
-        if d != 3:
-            return _not_applicable(kind, d, r, m, "stated for degree 3 only")
-        if r < 2:
-            return _not_applicable(kind, d, r, m, "needs r >= 2")
-        return _report(kind, d, r, m, None, Fraction(4 * (r - 1), r * r))
-
-    if kind is BoundKind.SQFREE_KLS:
-        return _report(kind, d, r, m, None, 1 - Fraction(falling(r, d), r**d))
-
-    if kind is BoundKind.CUBIC_REFINED:
-        if d != 3:
-            return _not_applicable(kind, d, r, m, "stated for degree 3 only")
-        if m < 3:
-            return _not_applicable(kind, d, r, m, "needs m >= 3")
-        if r > m:
-            return _not_applicable(kind, d, r, m, "needs r <= m")
-        return _report(
-            kind, d, r, m, k,
-            Fraction((m - r) * (4 * m * r - 2 * m - 2 * r), r * r * (m - 1) * (m - 2)),
-        )
-
-    if kind is BoundKind.SQFREE_REFINED:
-        if m < d:
-            return _not_applicable(kind, d, r, m, "needs m >= d")
-        if r > m:
-            return _not_applicable(kind, d, r, m, "needs r <= m")
-        return _report(
-            kind, d, r, m, k,
-            1 - Fraction(falling(r, d) * m**d, r**d * falling(m, d)),
-        )
-
-    if kind is BoundKind.GENERAL_REFINED:
-        if m < d:
-            return _not_applicable(kind, d, r, m, "needs m >= d")
-        if r > m:
-            return _not_applicable(kind, d, r, m, "needs r <= m")
-        return _report(
-            kind, d, r, m, k,
-            (1 - Fraction(falling(r, d) * m**d, r**d * falling(m, d)))
-            * _bernstein_gap_factor(d),
-        )
-
-    if kind is BoundKind.CUBIC_RHO:
-        if d != 3:
-            return _not_applicable(kind, d, r, m, "stated for degree 3 only")
-        if m < 3:
-            return _not_applicable(kind, d, r, m, "needs m >= 3")
-        if r <= m:
-            return _report(kind, d, r, m, k, Fraction(m * m, r * r * (m - 2)))
-        return _report(kind, d, r, m, k, Fraction(6 * m, r * r))
-
-    if kind is BoundKind.GENERAL_RHO:
-        if d < 2:
-            return _not_applicable(kind, d, r, m, "rate constant defined for degree >= 2")
-        if m < d:
-            return _not_applicable(kind, d, r, m, "needs m >= d")
-        return _report(
-            kind, d, r, m, k,
-            Fraction(m, r * r) * falling_poly_coeffs(d).c_d * _bernstein_gap_factor(d),
-        )
-
-    raise AssertionError(f"unhandled kind {kind}")
+    rule = _RULES[kind]
+    if rule.needs_m and m is None:
+        reason = "needs the reference denominator m"
+    else:
+        reason = next((reason for holds, reason in rule.conditions if not holds(d, r, m)), "")
+    if reason:
+        return BoundReport(kind=kind, d=d, r=r, m=m, k=None, coefficient=None,
+                           applicable=False, reason=reason)
+    return BoundReport(
+        kind=kind, d=d, r=r, m=m,
+        k=-(-r // m) if rule.needs_m else None,  # ceil(r/m), so (k-1)m < r <= km
+        coefficient=Fraction(rule.coefficient(d, r, m)), applicable=True,
+    )
 
 
 def cubic_threshold_reached(r: int, m: int) -> bool:
@@ -398,11 +366,12 @@ def check_bounds(
     for r, m in pairs:
         for kind in ALL_KINDS:
             report = bound_coefficient(kind, d=f.d, r=r, m=m)
-            if report.applicable and kind in SQUARE_FREE_KINDS and not square_free:
-                report = _not_applicable(kind, f.d, r, m, "polynomial is not square-free")
-            if not report.applicable:
+            reason = report.reason
+            if report.applicable and _RULES[kind].square_free and not square_free:
+                reason = "polynomial is not square-free"
+            if reason:
                 out.append(BoundWitness(
-                    kind=kind, d=f.d, r=r, m=m, applicable=False, reason=report.reason,
+                    kind=kind, d=f.d, r=r, m=m, applicable=False, reason=reason,
                     lhs=None, coefficient=None, range_bound=None, rhs=None, holds=None,
                 ))
                 continue

@@ -72,9 +72,10 @@ _MAX_BOUND_ROWS = 10**5
 # Most bits the coefficients of a `bounds` table may hold, estimated before any
 # work as rows * d * (bit_length(4d) + 2 * bit_length(r * m)), r and m the
 # largest of their ranges: no coefficient's numerator or denominator reaches
-# (4d)^d * (r * m)^(2d), since C(2d-1, d) * d^d < (4d)^d.  At this maximum,
-# d = 4 * 10^4 at one r takes 1.2 s on a 2-vCPU Xeon VM; d = 10^5 (2.5e7)
-# ran past 5 s.
+# (4d)^d * (r * m)^(2d), since C(2d-1, d) * d^d < (4d)^d.  Near this maximum,
+# on a 2-vCPU Xeon VM, d = 4 * 10^4 at one r takes 1.0-1.1 s, and
+# d = 1.8 * 10^4 at one r and m = d takes 1.1-1.3 s; d = 10^5 (2.5e7) takes
+# 6.8-7.0 s.
 _MAX_BOUND_BITS = 10**7
 # Most checks `verify` may run, counted before any work (_verify_check_count).
 # The default run makes about 2.3e4; --max-m 20 makes 2.5e5 in about 3.4 s on
@@ -254,7 +255,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     m_count = 1 if args.m_range is None else m_values.stop - m_values.start
     count = (r_values.stop - r_values.start) * m_count * len(bounds_mod.ALL_KINDS)
     if count > _MAX_BOUND_ROWS:
-        raise ValueError(f"bounds would print {count} rows, more than {_MAX_BOUND_ROWS}")
+        raise ValueError(
+            f"bounds would print {decimal_str(count)} rows, more than {_MAX_BOUND_ROWS}"
+        )
     bits = count * args.d * ((4 * args.d).bit_length()
                              + 2 * (r_values[-1] * (m_values[-1] or 1)).bit_length())
     if bits > _MAX_BOUND_BITS:
@@ -323,7 +326,9 @@ def _converge_guard(f: HomogeneousPolynomial, r_values: range,
     total = composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)
     total += sum(_grid_size(n, q, None) for q in swept)
     if guard is not None and total > guard:
-        raise GridTooLargeError(f"the grids to sweep have {total} points in all, budget is {guard}")
+        raise GridTooLargeError(
+            f"the grids to sweep have {decimal_str(total)} points in all, budget is {guard}"
+        )
     _check_degree(f.d, max([hi, *swept]))
 
 

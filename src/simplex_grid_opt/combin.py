@@ -2,14 +2,13 @@
 
 Binomials, multinomials, falling factorials, Stirling numbers of the second
 kind, lexicographic enumeration of the index sets I(n, d) (nonnegative integer
-vectors with a fixed coordinate sum), and the coefficient data of the shifted
-falling-factorial polynomial (x-1)(x-2)...(x-d+1).
+vectors with a fixed coordinate sum), and the rate constant c_d read off the
+shifted falling-factorial polynomial (x-1)(x-2)...(x-d+1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
@@ -114,34 +113,14 @@ def compositions(n: int, total: int) -> Iterator[tuple[int, ...]]:
 # --- shifted falling-factorial polynomial ------------------------------------
 
 
-@dataclass(frozen=True)
-class FallingPolyCoeffs:
-    """Expansion data of q(x) = (x-1)(x-2)...(x-d+1) for d >= 2.
+def rate_constant(d: int) -> int:
+    """c_d = (d-1) * sum(a) for d >= 2, where
+    (x-1)(x-2)...(x-d+1) = x^(d-1) + sum_{i=0}^{d-2} (-1)^(d-1-i) a_i x^i.
 
-    q(x) = x^(d-1) + sum_{i=0}^{d-2} (-1)^(d-1-i) a_i x^i with every a_i a
-    positive integer, together with the derived constant c_d = (d-1) * sum(a).
+    The signs alternate, so the absolute values of all d coefficients sum to
+    |(-1-1)(-1-2)...(-1-d+1)| = d!; dropping the leading 1 gives
+    sum(a) = d! - 1, and c_d = (d-1)(d!-1) with no expansion.
     """
-
-    d: int
-    a: tuple[int, ...]
-    c_d: int
-
-
-def falling_poly_coeffs(d: int) -> FallingPolyCoeffs:
-    """Expand (x-1)(x-2)...(x-d+1) and strip the alternating signs."""
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    coeffs = [1]  # coeffs[j] = coefficient of x^j, starting from the polynomial 1
-    for root in range(1, d):
-        nxt = [0] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j + 1] += c
-            nxt[j] -= root * c
-        coeffs = nxt
-    assert coeffs[d - 1] == 1
-    a = []
-    for i in range(d - 1):
-        ai = coeffs[i] if (d - 1 - i) % 2 == 0 else -coeffs[i]
-        assert ai > 0
-        a.append(ai)
-    return FallingPolyCoeffs(d=d, a=tuple(a), c_d=(d - 1) * sum(a))
+    return (d - 1) * (math.factorial(d) - 1)

@@ -71,6 +71,7 @@ from threading import Lock
 
 from .combin import composition_count, compositions
 from .poly import HomogeneousPolynomial
+from .rational import decimal_str
 
 MINIMIZER_CAP = 16
 DEFAULT_GRID_GUARD = 10**8
@@ -113,12 +114,14 @@ class GridMinResult:
 
 
 def _grid_size(n: int, r: int, max_points: "int | None") -> int:
-    """Number of grid points; raises before any work when it exceeds max_points."""
+    """Number of grid points; raises before any work when it exceeds max_points.
+    The message gives the count to 20 significant digits, as one of any size
+    renders (str() refuses an int of more than 4300 digits)."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     total = composition_count(n, r)
     if max_points is not None and total > max_points:
-        raise GridTooLargeError(f"grid has {total} points, budget is {max_points}")
+        raise GridTooLargeError(f"grid has {decimal_str(total)} points, budget is {max_points}")
     return total
 
 

@@ -30,7 +30,7 @@ table once, in the loop that owns it:
   - MOMENT_DECOMPOSITION's left side, E[X^beta] at every r, once per
     (counts, beta) by hypergeom._scaled_moments, which builds hypergeom's
     grouped Stirling rows once and evaluates them at each r;
-  - d!/beta! per (n, d), and SIGMA's constant c_d per d;
+  - d!/beta! per (n, d), and SIGMA's constant c_d = (d-1)(d!-1) per d;
   - the rendered params: each loop level formats its own part of the
     "key=value;..." text once, and a check joins the parts.
 
@@ -59,8 +59,8 @@ from . import hypergeom
 from .combin import (
     compositions,
     falling,
-    falling_poly_coeffs,
     multinomial,
+    rate_constant,
     stirling2,
 )
 from .hypergeom import HypergeomParams, scaled_moment
@@ -174,7 +174,7 @@ def _kmr(k: int, m: int, r: int) -> IdentityCheck:
 
 
 def _sigma(d: int, m: int, k: int, r: int, c_d: int) -> IdentityCheck:
-    """c_d is falling_poly_coeffs(d).c_d."""
+    """c_d is the rate constant (d-1)(d!-1) (combin.rate_constant)."""
     km = k * m
     lhs = 1 - Fraction(falling(r, d) * km**d, r**d * falling(km, d))
     return _check("SIGMA", (("d", d), ("m", m), ("k", k), ("r", r)), f"d={d};m={m};k={k};r={r}",
@@ -356,7 +356,7 @@ def verify_identity(name: "IdentityName | str", **params) -> IdentityCheck:
         if m < d:
             raise ValueError(f"need m >= d, got m={m}, d={d}")
         _require_km_window(k, m, r)
-        return _sigma(d, m, k, r, falling_poly_coeffs(d).c_d)
+        return _sigma(d, m, k, r, rate_constant(d))
 
     if name is IdentityName.PHI:
         k, m, r = int(params["k"]), int(params["m"]), int(params["r"])
@@ -417,7 +417,7 @@ def sweep_kmr(limit: int = 40) -> "Iterator[IdentityCheck]":
 
 def sweep_sigma(max_d: int = 5, max_m: int = 12, max_k: int = 4) -> "Iterator[IdentityCheck]":
     for d in range(2, max_d + 1):
-        c_d = falling_poly_coeffs(d).c_d
+        c_d = rate_constant(d)
         for m in range(d, max_m + 1):
             for k in range(1, max_k + 1):
                 for r in range((k - 1) * m + 1, k * m + 1):

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .grid import DEFAULT_GRID_GUARD, GridTooLargeError, _grid_size, grid_minimize
 from .poly import HomogeneousPolynomial
-from .rational import MAX_INT_DIGITS, _head
+from .rational import MAX_INT_DIGITS, _head, decimal_str
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,9 @@ def alpha_lower_bound(
     """
     table = g.n * (g.n + len(g.edges))
     if max_points is not None and table > max_points:
-        raise GridTooLargeError(f"the vertex form has {table} table entries, budget is {max_points}")
+        raise GridTooLargeError(
+            f"the vertex form has {decimal_str(table)} table entries, budget is {max_points}"
+        )
     _grid_size(g.n, r, max_points)
     result = grid_minimize(motzkin_straus_form(g), r, threads=threads, max_points=max_points)
     # the quadratic dominates sum x_i^2 > 0 on the simplex, so the value is positive

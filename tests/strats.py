@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -204,3 +205,36 @@ def greedy_stable_set(g):
         chosen.append(v)
         alive -= neighbors[v] | {v}
     return tuple(sorted(chosen))
+
+
+@dataclass(frozen=True)
+class FallingPolyCoeffs:
+    """Expansion data of q(x) = (x-1)(x-2)...(x-d+1) for d >= 2.
+
+    q(x) = x^(d-1) + sum_{i=0}^{d-2} (-1)^(d-1-i) a_i x^i with every a_i a
+    positive integer, together with the derived constant c_d = (d-1) * sum(a).
+    """
+
+    d: int
+    a: tuple[int, ...]
+    c_d: int
+
+
+def falling_poly_coeffs(d: int) -> FallingPolyCoeffs:
+    """Expand (x-1)(x-2)...(x-d+1) and strip the alternating signs."""
+    if d < 2:
+        raise ValueError(f"need d >= 2, got {d}")
+    coeffs = [1]  # coeffs[j] = coefficient of x^j, starting from the polynomial 1
+    for root in range(1, d):
+        nxt = [0] * (len(coeffs) + 1)
+        for j, c in enumerate(coeffs):
+            nxt[j + 1] += c
+            nxt[j] -= root * c
+        coeffs = nxt
+    assert coeffs[d - 1] == 1
+    a = []
+    for i in range(d - 1):
+        ai = coeffs[i] if (d - 1 - i) % 2 == 0 else -coeffs[i]
+        assert ai > 0
+        a.append(ai)
+    return FallingPolyCoeffs(d=d, a=tuple(a), c_d=(d - 1) * sum(a))

@@ -22,7 +22,14 @@ from simplex_grid_opt import (
     range_enclosures,
     rho_interval,
 )
-from strats import naive_extremes, polynomials, strict_gap_poly, sum_of_squares
+from simplex_grid_opt.combin import rate_constant
+from strats import (
+    falling_poly_coeffs,
+    naive_extremes,
+    polynomials,
+    strict_gap_poly,
+    sum_of_squares,
+)
 
 
 def test_frozen_coefficient_examples():
@@ -50,6 +57,18 @@ def test_general_rho_uses_rate_constant():
     assert report.coefficient == Fraction(3 * 2700, 25)
     assert report.k == 2
     assert bound_coefficient("GENERAL_RHO", d=1, r=3, m=3).applicable is False
+
+
+def test_rate_constant_closed_form_matches_the_expansion():
+    # (d-1)(d!-1) against c_d read off the expanded (x-1)...(x-d+1)
+    for d in range(2, 61):
+        assert rate_constant(d) == (d - 1) * (math.factorial(d) - 1) == falling_poly_coeffs(d).c_d
+    with pytest.raises(ValueError):
+        rate_constant(1)
+    d, r, m = 300, 2, 300
+    report = bound_coefficient("GENERAL_RHO", d=d, r=r, m=m)
+    assert report.coefficient == (Fraction(m, r * r) * falling_poly_coeffs(d).c_d
+                                  * math.comb(2 * d - 1, d) * d**d)
 
 
 def test_kls_general_saturates_below_degree():

@@ -493,6 +493,21 @@ def test_converge_refuses_a_huge_range_at_once(capsys, monkeypatch):
     assert out == "" and "budget is 100000000" in err
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("grid-min", "--poly", SOS4, "--r", "9" * 2200), EXIT_SIZE_GUARD),
+    (("enclose", "--poly", SOS4, "--r", "9" * 2200), EXIT_SIZE_GUARD),
+    (("stable-set", "--graph", PETERSEN, "--r", "9" * 2200), EXIT_SIZE_GUARD),
+    (("converge", "--poly", SOS4, "--r-range", "1:" + "9" * 2200), EXIT_SIZE_GUARD),
+    (("bounds", "--d", "3", "--r-range", "1:" + "9" * 4300), EXIT_CONFIG),
+], ids=["grid-min", "enclose", "stable-set", "converge", "bounds"])
+def test_guard_messages_render_counts_of_any_size(capsys, argv, want):
+    # each refused count has more than the 4300 digits str() makes of an int
+    code, out, err = run(capsys, *argv)
+    assert code == want and out == ""
+    assert "set_int_max_str_digits" not in err and err.count("\n") == 1 and len(err) < 100
+    assert ("budget is 100000000" if want == EXIT_SIZE_GUARD else "more than 100000") in err
+
+
 def test_verify_small_sweep_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "--max-n", "2", "--max-d", "2", "--max-m", "4",
@@ -672,6 +687,33 @@ def test_output_bytes_are_pinned(capsys, case, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[case, fmt]
 
 
+# SHA-256 of the stdout of `sgo bounds --d D --r-range 1:12 --m-range 1:12`, recorded
+# before the bound kinds were stated as one rule table: every kind, condition and
+# reason, in the order the table prints them
+WIDE_BOUNDS_DIGESTS = {
+    (1, "csv"): "96b201566468b38f255083fe9723ee3315172108037b863f48db38eaee211bba",
+    (1, "json"): "5920d2f66007ae2a8aad917a791584e7deb58fb77c7d80091a68b044c82725d0",
+    (2, "csv"): "d32e880dd8aac212825c2a8b2a57524ac3333332893d47054e0fcacc717cac2d",
+    (2, "json"): "8d1dddfaa2f927aa87ec22f35446ca98b5ea0eb3f293a814efce4cc01acdd980",
+    (3, "csv"): "f23e2c4041bd3c646475f51a2172cd10c3107c2564052bf02e7ee10684d0673b",
+    (3, "json"): "0ce65571025a0e5deb89d6043de1d9d07bc295c4ae12ce184ff4ced936c4c3db",
+    (4, "csv"): "89530d911cc3a1754859ccf9df469a6da9eb6df13de9fada8582e466446e1c69",
+    (4, "json"): "262054b4c905107b6e5be30a4dc7c20fa5ad0dfb9efb2201b2eb3034b6d1c8b3",
+    (5, "csv"): "4fbcf3cb048d164612a02b8b4eed77de357a43be04daf83599af1af70cfc5233",
+    (5, "json"): "7cdadd54038d6824d851f049b63dc6617dd6eff858c73925462edfa8715ee928",
+    (6, "csv"): "1cc6833208d4345a0185b897c15d6124c3da2443d351b5fcda2d370fd07603c9",
+    (6, "json"): "aa771a9d4d6f42f9782e3b5794a7db78c99e811eb3a9de2a3da67c20ec00f23f",
+}
+
+
+@pytest.mark.parametrize("d, fmt", sorted(WIDE_BOUNDS_DIGESTS))
+def test_wide_bounds_table_bytes_are_pinned(capsys, d, fmt):
+    code, out, err = run(capsys, "bounds", "--d", str(d), "--r-range", "1:12",
+                         "--m-range", "1:12", "--format", fmt)
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_BOUNDS_DIGESTS[d, fmt]
+
+
 @pytest.mark.parametrize("argv", [("verify",), PINNED_ARGV["converge-grid"], PINNED_ARGV["bounds"]],
                          ids=["verify", "converge", "bounds"])
 def test_tables_never_enter_the_pure_python_encoder(capsys, monkeypatch, argv):
@@ -809,13 +851,13 @@ def test_flags_a_verb_would_ignore_are_rejected(capsys, argv):
 
 PUBLIC_NAMES = [
     "ALL_KINDS", "BernsteinTable", "BoundKind", "BoundReport", "BoundWitness",
-    "DegenerateRangeError", "Enclosure", "FallingPolyCoeffs", "Graph", "GridMinResult",
+    "DegenerateRangeError", "Enclosure", "Graph", "GridMinResult",
     "GridTooLargeError", "HomogeneousPolynomial", "HypergeomParams", "IdentityCheck",
     "IdentityName", "RangeAssumptions", "StableSetBound", "a_beta", "a_beta_sum_identity",
     "alpha_lower_bound", "as_rational", "bernstein_approximation", "bernstein_table", "binomial",
     "bound_coefficient", "check_bounds", "composition_count", "compositions",
     "cubic_moments_closed", "cubic_threshold_reached", "decimal_str", "elevate", "evaluate",
-    "exact_alpha", "expectation", "falling", "falling_poly_coeffs", "fraction_str",
+    "exact_alpha", "expectation", "falling", "fraction_str",
     "from_json_dict", "grid_extrema", "grid_maximize", "grid_minimize", "homogenize",
     "is_square_free", "load_graph", "load_polynomial", "moment", "moment_bruteforce",
     "moment_decomposition_check", "motzkin_straus_form", "multinomial", "parse_graph_text",
@@ -923,10 +965,11 @@ def test_coefficients_past_the_int_string_limit_are_read(capsys, tmp_path):
 
 def test_stable_set_bounds_the_vertex_form(capsys, monkeypatch, tmp_path):
     huge = tmp_path / "huge.edges"
-    huge.write_text("p edge 100000000 0\n")
-    code, out, err = run(capsys, "stable-set", "--graph", str(huge), "--r", "1")
-    assert code == EXIT_SIZE_GUARD
-    assert out == "" and "table entries" in err
+    for n in ("100000000", "9" * 4300):  # the second table has 8600 digits
+        huge.write_text(f"p edge {n} 0\n")
+        code, out, err = run(capsys, "stable-set", "--graph", str(huge), "--r", "1")
+        assert code == EXIT_SIZE_GUARD
+        assert out == "" and "table entries" in err and len(err) < 100
     monkeypatch.setenv("SGO_MAX_GRID", "100")  # Petersen: 10 grid points at r = 1, 250 table entries
     assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "1")[0] == EXIT_SIZE_GUARD
     assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "1", "--force")[0] == EXIT_OK

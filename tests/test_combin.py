@@ -9,12 +9,11 @@ from simplex_grid_opt import (
     composition_count,
     compositions,
     falling,
-    falling_poly_coeffs,
     multinomial,
     stirling2,
 )
 from simplex_grid_opt.combin import composition_successor
-from strats import composition_unrank
+from strats import composition_unrank, falling_poly_coeffs
 
 
 def test_binomial_values():
