@@ -40,6 +40,14 @@ both (grid_extrema, from which bounds.range_enclosures takes its grid values).
   count, however large I(m, d) is.  Only nodes of depth 1..n-3 whose subtree
   has at least one point per _BOUND_ENTRIES_PER_POINT entries are bounded.
   evaluations still counts every grid point, evaluated or certified.
+  For d = 2 a node whose test fails only at edges g = e_i + e_j gets a
+  sharper bound.  With h the least edge coefficient and D_i = V_i - h > 0
+  over the vertex coefficients V_i, the form in t = y/s is h + sum D_i t_i^2
+  plus edge terms that are >= 0 on the face, so every value under the node
+  is >= h + 1/sum_i 1/D_i, the least of sum D_i t_i^2 on the simplex
+  (Cauchy-Schwarz); the max side is the same bound for -f.  It is exact on
+  the face for sum x_i^2, where the plain bound is h alone, and it prunes the
+  stable-set forms x^T(I + A)x, whose minimizers are interior.
 - The tables depend only on f's support, not on its coefficients, and are
   kept in one cache for the few most recently used supports (_shape):
   converge, enclosures and bound checks sweep the same support at many
@@ -79,7 +87,10 @@ DEFAULT_GRID_GUARD = 10**8
 # The pruning gate (see _gates): a node is bounded only when its Bernstein
 # table has at most this many entries per grid point below it.  Chosen by timing
 # the sweep workload; the bound exits at the first row that fails, so it costs
-# far less than its table on average.
+# far less than its table on average.  Re-timed with the quadratic node bound
+# (perfbench sweep, seeds 1-3, median work_per_s): 2, 4, 8 and 16 gave 1.92e6,
+# 1.99e6, 2.03e6 and 2.06e6 points/s, inside the spread of the seeds at 4
+# (1.97e6-2.33e6), and converge moved no more, so it stays at 4.
 _BOUND_ENTRIES_PER_POINT = 4
 
 # The most bits a sweep's power table may hold, counted as (r + 1)(d + 1)
@@ -127,11 +138,12 @@ def _grid_size(n: int, r: int, max_points: "int | None") -> int:
 
 def _check_degree(d: int, r: int) -> None:
     """Refuse (ValueError) a sweep of degree d at denominator r whose power
-    table would exceed _MAX_POWER_TABLE_BITS."""
+    table would exceed _MAX_POWER_TABLE_BITS.  The message gives d and r to 20
+    significant digits, so it stays one short line however long they are."""
     if (r + 1) * (d + 1) * d * r.bit_length() > _MAX_POWER_TABLE_BITS:
         raise ValueError(
-            f"degree {d} is too high for a sweep at r = {r}: its power table would "
-            f"exceed {_MAX_POWER_TABLE_BITS} bits"
+            f"degree {decimal_str(d)} is too high for a sweep at r = {decimal_str(r)}: "
+            f"its power table would exceed {_MAX_POWER_TABLE_BITS} bits"
         )
 
 
@@ -362,20 +374,63 @@ class _Shape:
         (max side).  Both are strict: a beaten subtree holds no point equal to
         an attained extreme, so minimizers and ties stay exact.  The test is
         all integer and stops at the first g that fails.
+
+        A vertex g = d e_i is the value at the grid point y = s e_i, so a node
+        that fails there is never beaten.  For d = 2 a node that fails at an
+        edge goes on to the sharper bound of _quadratic_beaten; every other
+        degree stops there.
         """
         lo = None if low is None else low.value
         hi = None if high is None else high.value
         degrees, rows, zero_row = self.tables[k] or self._build_table(k)
         # a g without a row has p_g = 0, beaten only by low < 0 and high > 0
+        # (the quadratic bound is not tried past this test either)
         if zero_row and (lo is not None and lo >= 0 or hi is not None and hi <= 0):
             return False
         power = list(accumulate(repeat(s, self.d), mul, initial=1))
         scaled = list(map(mul, coeffs, map(power.__getitem__, degrees)))
-        for index, weights, size in rows:
+        todo = iter(rows)
+        for index, weights, size in todo:
             p = sum(map(mul, map(scaled.__getitem__, index), weights))
             if lo is not None and p <= lo * size or hi is not None and p >= hi * size:
-                return False
+                # a vertex row is the value at a grid point of the subtree
+                return self.d == 2 and size != 1 and self._quadratic_beaten(
+                    k, rows, zero_row, scaled, p, todo, lo, hi)
         return True
+
+    def _quadratic_beaten(self, k: int, rows: tuple, zero_row: bool, scaled: "list[int]",
+                          p: int, todo, lo: "int | None", hi: "int | None") -> bool:
+        """beaten for d = 2, once every vertex row has passed and the edge row
+        with p has failed; todo yields the rows after that one.
+
+        With t = y/s, the node's form is sum_i V_i t_i^2 + sum_{i<j} p_ij t_i t_j
+        over the vertex values V_i and edge p_ij.  Since (sum t)^2 = 1, for
+        h = min p_ij / 2 it equals h + sum_i (V_i - h) t_i^2 + sum_{i<j}
+        (p_ij - 2h) t_i t_j, whose last sum is >= 0, and the least of
+        sum D_i t_i^2 over the simplex is 1/sum_i 1/D_i.  So every value under
+        the node is >= h + 1/sum_i 1/(V_i - h) once every V_i > h; the max side
+        is the same bound for -f.  It is at least the least Bernstein
+        coefficient, so it prunes every node the plain test prunes.  As
+        1/sum 1/D_i <= max D/m, an edge with (m - 1) p <= 2 (m lo - max V)
+        fails the min side before the other edges are summed (and the mirror
+        image on the max side).
+        """
+        m = self.n - k
+        vertices = [sum(map(mul, map(scaled.__getitem__, index), weights))
+                    for index, weights, size in rows[:m] if size == 1]
+        vertices += [0] * (m - len(vertices))  # a vertex without a row has p_g = 0
+        if lo is not None and (m - 1) * p <= 2 * (m * lo - max(vertices)) or \
+                hi is not None and (m - 1) * p >= 2 * (m * hi - min(vertices)):
+            return False
+        edges = [p]
+        edges += [sum(map(mul, map(scaled.__getitem__, index), weights)) for index, weights, _ in todo]
+        if zero_row:
+            edges.append(0)
+        # the edge rows before p passed both sides, so the least (greatest) p_g
+        # among p and the later rows is the least (greatest) of every edge row
+        if lo is not None and not _diagonal_beats(lo, min(edges), vertices):
+            return False
+        return hi is None or _diagonal_beats(-hi, -max(edges), [-v for v in vertices])
 
     def _build_table(self, k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...], bool]":
         """The suffix degrees, Bernstein rows and empty-row flag of depth k,
@@ -386,6 +441,23 @@ class _Shape:
         table = (tuple(map(sum, suffixes)), *_bernstein_rows(suffixes, self.n - k, self.d))
         self.tables[k] = table  # idempotent, so threads may race here
         return table
+
+
+def _diagonal_beats(lo: int, edge: int, vertices: "list[int]") -> bool:
+    """Whether lo < h + 1/sum_i 1/(V_i - h), h = edge/2, for vertex values V_i > lo.
+
+    That is N sum_i prod_{j != i} E_j < prod_i E_i, with N = 2 lo - edge and
+    E_i = 2 V_i - edge, all integers; an edge > 2 lo beats lo outright.
+    """
+    gap = 2 * lo - edge
+    if gap < 0:
+        return True
+    total, product = 0, 1
+    for v in vertices:
+        e = 2 * v - edge
+        total = total * e + product
+        product *= e
+    return gap * total < product
 
 
 @lru_cache(maxsize=8)

@@ -27,7 +27,7 @@ from simplex_grid_opt.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from simplex_grid_opt.rational import fraction_str
+from simplex_grid_opt.rational import decimal_str, fraction_str
 from strats import (
     DATA_DIR,
     fixed_quartic,
@@ -714,6 +714,76 @@ def test_wide_bounds_table_bytes_are_pinned(capsys, d, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == WIDE_BOUNDS_DIGESTS[d, fmt]
 
 
+# SHA-256 of the stdout of quadratic sweeps, recorded before the sweep gave
+# degree-2 nodes a sharper pruning bound: stable-set on the Petersen graph at
+# r = 1..10 (and r = 10 on two threads), and grid-min, grid-max and converge on
+# the two quadratic data files
+QUADRATIC_SWEEP_DIGESTS = {
+    ("stable-set", "--graph", PETERSEN, "--r", "1"):
+        "7b2938258c1dc5eff445aa4f577f369b0888059f4db51b64800dee7c0697451b",
+    ("stable-set", "--graph", PETERSEN, "--r", "2"):
+        "c254566211cdf256af119654d534d23a0ae7218b118dadbaf685bf006ffb1f34",
+    ("stable-set", "--graph", PETERSEN, "--r", "3"):
+        "41ebc7d0350668b75afff49b698e17d8c49176f9496e6505375b213f97a5ef2c",
+    ("stable-set", "--graph", PETERSEN, "--r", "4"):
+        "11f9d8c799df7ec829a5cc8c033d37b784ccdcd5a67942ce6ac8ccbfffaeaf6d",
+    ("stable-set", "--graph", PETERSEN, "--r", "5"):
+        "f71ea08e2f5a85d42bd9082c84e6cd8285cc4f04c4e4d45e5bf060861a697131",
+    ("stable-set", "--graph", PETERSEN, "--r", "6"):
+        "2309f265e6df657c37ddf49ee335ef3fcd7889564d666713c97392276c530611",
+    ("stable-set", "--graph", PETERSEN, "--r", "7"):
+        "46b7c1ba20464c8fc29aa234a716fd9a6bd1cdb481bfea5fd5d5e42e912839df",
+    ("stable-set", "--graph", PETERSEN, "--r", "8"):
+        "465ce4292ae23221554b8bef1987cd2c30482bc10aaf9a549a7374f68ec06758",
+    ("stable-set", "--graph", PETERSEN, "--r", "9"):
+        "e578294cfe2d3639f1a3df0640811106f9798f6cafe880740c802361b53f12cd",
+    ("stable-set", "--graph", PETERSEN, "--r", "10"):
+        "fa8c67469665315278149d26343124809210ff37b898cd11811f4ac4755c002b",
+    ("stable-set", "--graph", PETERSEN, "--r", "10", "--threads", "2"):
+        "fa8c67469665315278149d26343124809210ff37b898cd11811f4ac4755c002b",
+    ("grid-min", "--poly", SOS4, "--r", "5"):
+        "eb5bfe199f789ed2d8f90d9dc3e6dfa7251ac58077d07547142d0255fc0cb45b",
+    ("grid-max", "--poly", SOS4, "--r", "5"):
+        "ede2e7b8597b7399a265767ad1f4a19d8fc26211836ec07cf8f82af0043cd92d",
+    ("grid-min", "--poly", SOS4, "--r", "16"):
+        "c3757025215aacd631194251963f3eff445fb969e5a0fec1e68b788a6a6bf897",
+    ("grid-max", "--poly", SOS4, "--r", "16"):
+        "e4476584f2529d974c9321bc200e5834eaf57460c3e6f3dfe0b5b4d4daca8f7b",
+    ("grid-min", "--poly", SOS4, "--r", "30"):
+        "7023dd9ae6a040e9fd26f6297ed1ccf1d878dc7d584df93c4a95a41878b99ded",
+    ("grid-max", "--poly", SOS4, "--r", "30"):
+        "f088b00c5794acb1ea008d8e38763f1a401f9c1b72cb4f3046a31822c96f0594",
+    ("converge", "--poly", SOS4, "--r-range", "2:16"):
+        "52b70e232c0552049823ee6cff3105670ecf5f098735aadd564c1b92e50b396b",
+    ("converge", "--poly", SOS4, "--r-range", "2:16", "--format", "csv"):
+        "78538f6259e920a7bcfd2906068294a584d323dd673a1cccaeff6858ae58966e",
+    ("grid-min", "--poly", GAP, "--r", "5"):
+        "78fdcb3e91d89af12b36d563a364721a318ddc20acf9f4e8c24ebfc1cdde9b88",
+    ("grid-max", "--poly", GAP, "--r", "5"):
+        "aecb76a6def1763dc587cd1377d7c8a375ed9c94d4d65cb757cd40274e4c894d",
+    ("grid-min", "--poly", GAP, "--r", "16"):
+        "d98e6dea2adc04a3d24450a30683496999ffff6ae50030e4a37203629aa714e5",
+    ("grid-max", "--poly", GAP, "--r", "16"):
+        "5d7df1b1f27760d178596087ba6b58c47fbd8d0b145fc83c6db246e1e175f1d8",
+    ("grid-min", "--poly", GAP, "--r", "30"):
+        "98d5a46fbf2cb934f8d87e5b56d9cc95ba436e163b825d167cd8fe41673c75a4",
+    ("grid-max", "--poly", GAP, "--r", "30"):
+        "171c457e3e65b033c2dd0acca2c38fa282465110d2fd92d229b8eb898fdf06c0",
+    ("converge", "--poly", GAP, "--r-range", "2:16"):
+        "d4ef19eeb6cf568b7cd24c4d7209eb54833929ac770986110a6949ae3198782d",
+    ("converge", "--poly", GAP, "--r-range", "2:16", "--format", "csv"):
+        "4be8fdd775d619d8475a40bf2ce79c551b47e07e39a0793e6c26ee54491c9581",
+}
+
+
+@pytest.mark.parametrize("argv", list(QUADRATIC_SWEEP_DIGESTS),
+                         ids=lambda argv: "-".join(Path(a).stem.lstrip("-") for a in argv))
+def test_quadratic_sweep_bytes_are_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == QUADRATIC_SWEEP_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("argv", [("verify",), PINNED_ARGV["converge-grid"], PINNED_ARGV["bounds"]],
                          ids=["verify", "converge", "bounds"])
 def test_tables_never_enter_the_pure_python_encoder(capsys, monkeypatch, argv):
@@ -1132,7 +1202,17 @@ def huge_degree_files(tmp_path_factory):
 def test_degrees_past_the_power_table_bound_exit_2(capsys, huge_degree_files, n, argv):
     code, out, err = run(capsys, *argv, "--poly", huge_degree_files[n - 1])
     assert (code, out) == (EXIT_CONFIG, "")
-    assert err.startswith(f"error: degree {HUGE_DEGREE} is too high for a sweep at r = ")
+    assert err.startswith(f"error: degree {decimal_str(HUGE_DEGREE)} is too high for a sweep at r = ")
+
+
+@pytest.mark.parametrize("digits", [2200, 4300])
+def test_the_degree_message_renders_r_of_any_size(capsys, digits):
+    # --force lifts the grid size guard, so the power table bound refuses the sweep
+    code, out, err = run(capsys, "grid-min", "--poly", SOS4, "--r", "9" * digits, "--force")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (f"error: degree 2 is too high for a sweep at r = {decimal_str(10**digits)}: "
+                   f"its power table would exceed {grid._MAX_POWER_TABLE_BITS} bits\n")
+    assert len(err) < 130
 
 
 # Flags and values for test_cli_fuzz_flags.  FLAG marks a switch; a 30-digit

@@ -19,6 +19,7 @@ from simplex_grid_opt import (
     grid_extrema,
     grid_maximize,
     grid_minimize,
+    motzkin_straus_form,
     multinomial,
     range_enclosures,
 )
@@ -26,6 +27,8 @@ from simplex_grid_opt import bounds, grid
 from strats import (
     fixed_quartic,
     naive_extremes,
+    petersen,
+    poly_add,
     poly_scale,
     polynomials,
     strict_gap_poly,
@@ -175,14 +178,29 @@ def power_of_sum(n: int, d: int, c) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(n, d, {a: c * multinomial(d, a) for a in compositions(n, d)})
 
 
+def sum_of_squares_family(n: int, a, b) -> HomogeneousPolynomial:
+    """a * sum x_i^2 + b * (sum x_i)^2: its minimum a/n + b (a > 0) is interior."""
+    return poly_add(poly_scale(sum_of_squares(n), a), power_of_sum(n, 2, b))
+
+
 @st.composite
 def engine_cases(draw):
-    """(f, r) with n 1-6, d 1-4, r 1-12, tie-heavy forms included; r is kept
-    where the Fraction oracle stays fast."""
-    kind = draw(st.sampled_from(("sparse", "sparse", "sparse", "zero", "power_of_sum")))
+    """(f, r) with n 1-7, d 1-4, r 1-12, tie-heavy forms and quadratics with
+    interior extremes included; r is kept where the Fraction oracle stays fast."""
+    kind = draw(st.sampled_from(("sparse", "sparse", "sparse", "zero", "power_of_sum",
+                                 "stable_set", "sum_of_squares")))
     if kind == "sparse":
         f = draw(polynomials(max_n=6, max_d=4))
         f = poly_scale(f, draw(st.sampled_from((1, 1, Fraction(-1, 3), Fraction(5, 2)))))
+    elif kind == "stable_set":
+        n = draw(st.integers(4, 7))
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        f = motzkin_straus_form(Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))))
+        f = poly_scale(f, draw(st.sampled_from((1, -1))))  # -1: the max side
+    elif kind == "sum_of_squares":
+        n = draw(st.integers(4, 7))
+        a = draw(st.sampled_from((1, 3, Fraction(1, 2), -1, -2)))
+        f = sum_of_squares_family(n, a, draw(st.sampled_from((0, 1, -1, Fraction(-3, 2)))))
     else:
         n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
         if kind == "zero":
@@ -295,13 +313,30 @@ def test_default_gate_prunes_and_keeps_the_count():
         naive_extremes(f, 24, 16)
 
 
+def test_quadratic_bound_prunes_interior_minimizers():
+    # pinned pruned counts of grid_minimize; the plain Bernstein bound pruned
+    # 69688 (Petersen) and 62726 (sum x_i^2) of these grids
+    cases = ((motzkin_straus_form(petersen()), 10, Fraction(13, 50), 86093),
+             (sum_of_squares(8), 14, Fraction(13, 98), 113187))
+    for f, r, value, want in cases:
+        evaluated, pruned = _evaluated_and_pruned(f, r, 16, (min,))
+        assert pruned == want
+        assert evaluated + pruned == composition_count(f.n, r)
+        assert grid_minimize(f, r).value == value
+
+
 @st.composite
 def bernstein_nodes(draw):
     """(suffixes, coefficients, m, d, s) of a node: distinct exponent vectors of
-    length m and degree at most d, not necessarily homogeneous."""
-    m, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    length m and degree at most d, not necessarily homogeneous.  Half are
+    quadratic, with m up to 6 and up to every suffix, to reach the sharper
+    bound of degree-2 nodes."""
+    if draw(st.booleans()):
+        m, d, most = draw(st.integers(1, 6)), 2, 28
+    else:
+        m, d, most = draw(st.integers(1, 4)), draw(st.integers(1, 4)), 8
     pool = [alpha for e in range(d + 1) for alpha in compositions(m, e)]
-    suffixes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    suffixes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=most, unique=True))
     coeffs = draw(st.lists(st.integers(-20, 20), min_size=len(suffixes), max_size=len(suffixes)))
     return suffixes, coeffs, m, d, draw(st.integers(1, 8))
 
@@ -332,7 +367,7 @@ def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     assert min(quotients) <= min(values) and max(values) <= max(quotients)
 
     shape = object.__new__(grid._Shape)  # only what beaten reads
-    shape.d, shape.tables = d, [(tuple(map(sum, suffixes)), rows, zero_row)]
+    shape.n, shape.d, shape.tables = m, d, [(tuple(map(sum, suffixes)), rows, zero_row)]
     beaten = lambda low, high: shape.beaten(0, coeffs, s, low, high)
     # an attained value is never beaten, on either side
     assert not beaten(_Incumbent(min(values)), None)
@@ -342,6 +377,40 @@ def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     below, above = floor(min(quotients)) - 1, ceil(max(quotients)) + 1
     assert beaten(_Incumbent(below), None) and beaten(None, _Incumbent(above))
     assert beaten(_Incumbent(below), _Incumbent(above))
+    if d != 2:
+        return
+    # the quadratic bound lies between the least quotient and the least value,
+    # and it decides beaten, except that a missing row still fails low >= 0
+    low_bound = _diagonal_bound(suffixes, coeffs, m, s)
+    high_bound = -_diagonal_bound(suffixes, [-c for c in coeffs], m, s)
+    assert min(quotients) <= low_bound <= min(values)
+    assert max(values) <= high_bound <= max(quotients)
+    lows = {floor(low_bound) + i for i in (-1, 0, 1)} | {min(values) - 1}
+    highs = {ceil(high_bound) + i for i in (-1, 0, 1)} | {max(values) + 1}
+    for lo in lows:
+        want_lo = lo < low_bound and not (zero_row and lo >= 0)
+        assert beaten(_Incumbent(lo), None) == want_lo
+        for hi in highs:
+            want_hi = hi > high_bound and not (zero_row and hi <= 0)
+            assert beaten(None, _Incumbent(hi)) == want_hi
+            assert beaten(_Incumbent(lo), _Incumbent(hi)) == (want_lo and want_hi)
+
+
+def _diagonal_bound(suffixes, coeffs, m, s):
+    """h + 1/sum_i 1/(V_i - h) for the quadratic node, from its Bernstein
+    coefficients taken one g at a time (0 for a g no suffix lies under), where
+    h is the least edge coefficient and V_i the vertex ones; the least vertex
+    coefficient when some V_i <= h."""
+    def coefficient(g):
+        p = sum(c * s ** sum(sigma) * multinomial(2 - sum(sigma), tuple(map(int.__sub__, g, sigma)))
+                for sigma, c in zip(suffixes, coeffs) if all(map(int.__le__, sigma, g)))
+        return Fraction(p, multinomial(2, g))
+
+    vertices = [coefficient(g) for g in compositions(m, 2) if max(g) == 2]
+    h = min((coefficient(g) for g in compositions(m, 2) if max(g) == 1), default=None)
+    if h is None or min(vertices) <= h:
+        return min(vertices)
+    return h + 1 / sum(1 / (v - h) for v in vertices)
 
 
 def test_sparse_many_variable_table_costs_its_entries():
