@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combin import binomial, falling, rate_constant
-from .grid import DEFAULT_GRID_GUARD, grid_extrema, grid_minimize
+from .grid import DEFAULT_GRID_GUARD, GridMinResult, grid_extrema, grid_minimize
 from .poly import HomogeneousPolynomial, bernstein_table, elevate, is_square_free
 from .rational import Enclosure
 
@@ -247,13 +247,19 @@ def range_enclosures(
     assumed.  An assumed side is refuted (ValueError) when another grid swept
     here has a more extreme value.
     """
+    return _enclosures(f, params, {}, threads, max_points)
+
+
+def _enclosures(f: HomogeneousPolynomial, params: RangeAssumptions,
+                extrema: "dict[int, tuple[GridMinResult, GridMinResult]]", threads: int,
+                max_points: "int | None") -> "tuple[Enclosure, Enclosure]":
+    """range_enclosures, leaving in the empty dict `extrema` the grid_extrema
+    of each denominator it sweeps, for converge to read its rows from."""
     lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
     bernstein = lo_m is None or hi_m is None
     elevated = elevate(f, params.elevation) if bernstein else None  # rejects a bad elevation first
-    extrema = {
-        m: grid_extrema(f, m, threads=threads, max_points=max_points)
-        for m in swept_denominators(params)
-    }
+    for m in swept_denominators(params):
+        extrema[m] = grid_extrema(f, m, threads=threads, max_points=max_points)
     if bernstein:
         table = bernstein_table(elevated)
         if params.grid is None:

@@ -290,10 +290,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
     header = ["r", "grid_min", "grid_min_decimal", "rho_lo", "rho_hi"] + kind_names
     r_values = _parse_range(args.r_range)
     _converge_guard(f, r_values, assumptions, guard)
-    fmin, fmax = bounds_mod.range_enclosures(f, assumptions, threads=args.threads, max_points=guard)
+    extrema = {}  # each denominator the enclosures sweep, kept for the rows
+    fmin, fmax = bounds_mod._enclosures(f, assumptions, extrema, args.threads, guard)
     rows = []
     for r in r_values:
-        low, high = grid_extrema(f, r, threads=args.threads, max_points=guard)
+        low, high = extrema.get(r) or grid_extrema(f, r, threads=args.threads, max_points=guard)
         value = low.value
         try:
             rho = bounds_mod.rho_interval(fmin, fmax, value, high.value)
@@ -314,7 +315,8 @@ def _converge_guard(f: HomogeneousPolynomial, r_values: range,
     """Refuse, before any sweep or Bernstein table, a converge run with an
     r < 1, with a sweep past the degree bound (grid._check_degree), or whose
     grids hold more than guard points in total: every r of the range, plus the
-    denominators that range_enclosures sweeps (bounds.swept_denominators).
+    denominators that range_enclosures sweeps (bounds.swept_denominators)
+    outside it, each grid counted once as it is swept once.
 
     The range is summed in closed form (hockey stick): sum over r = lo..hi of
     |I(n, r)| = |I(n + 1, hi)| - |I(n + 1, lo - 1)|, so a huge range costs
@@ -324,7 +326,7 @@ def _converge_guard(f: HomogeneousPolynomial, r_values: range,
     swept = bounds_mod.swept_denominators(params)
     _grid_size(n, lo, None)  # refuses lo < 1
     total = composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)
-    total += sum(_grid_size(n, q, None) for q in swept)
+    total += sum(_grid_size(n, q, None) for q in swept if q not in r_values)
     if guard is not None and total > guard:
         raise GridTooLargeError(
             f"the grids to sweep have {decimal_str(total)} points in all, budget is {guard}"

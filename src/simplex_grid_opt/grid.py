@@ -32,22 +32,24 @@ both (grid_extrema, from which bounds.range_enclosures takes its grid values).
   p_g / multinomial(d, g), g in I(m, d), with p_g = sum over sigma_i <= g of
   c_i s^|sigma_i| multinomial(d - |sigma_i|, g - sigma_i); every value under
   the node lies between their min and max (Leroy, Reliable Computing 17,
-  2012).  The node is skipped when, on every tracked side, p_g is strictly
-  worse than the running extreme times multinomial(d, g) for every g: the
-  running extreme is attained, so minimizers and tie counts stay exact.  The
-  table keeps a row only for the g that some sigma_i lies under, plus one
-  flag for the rest, whose p_g are 0; its size is its (index, weight) entry
-  count, however large I(m, d) is.  Only nodes of depth 1..n-3 whose subtree
-  has at least one point per _BOUND_ENTRIES_PER_POINT entries are bounded.
-  evaluations still counts every grid point, evaluated or certified.
-  For d = 2 a node whose test fails only at edges g = e_i + e_j gets a
-  sharper bound.  With h the least edge coefficient and D_i = V_i - h > 0
-  over the vertex coefficients V_i, the form in t = y/s is h + sum D_i t_i^2
-  plus edge terms that are >= 0 on the face, so every value under the node
-  is >= h + 1/sum_i 1/D_i, the least of sum D_i t_i^2 on the simplex
-  (Cauchy-Schwarz); the max side is the same bound for -f.  It is exact on
-  the face for sum x_i^2, where the plain bound is h alone, and it prunes the
-  stable-set forms x^T(I + A)x, whose minimizers are interior.
+  2012).  For d != 2 the node is skipped when, on every tracked side, p_g is
+  strictly worse than the running extreme times multinomial(d, g) for every
+  g: the running extreme is attained, so minimizers and tie counts stay
+  exact.  The table holds the m vertex rows g = d e_i first, then one empty
+  row standing for every other g that no sigma_i lies under (p_g = 0), then
+  the rest; its size is its (index, weight) entry count, however large
+  I(m, d) is.  A d = 2 node runs one sharper test instead: with V_i the
+  vertex coefficients, none of them reaching the running extreme, h the least
+  edge coefficient (g = e_i + e_j) and D_i = V_i - h > 0, the form in t = y/s
+  is h + sum D_i t_i^2 plus edge terms that are >= 0 on the face, so every
+  value under the node is >= h + 1/sum_i 1/D_i, the least of sum D_i t_i^2 on
+  the simplex (Cauchy-Schwarz); the max side is the same bound for -f.  It
+  is never below the least Bernstein coefficient, it is exact on the face
+  for sum x_i^2, where that coefficient is h alone, and it prunes the
+  stable-set forms x^T(I + A)x, whose minimizers are interior.  Only nodes
+  of depth 1..n-3 whose subtree has at least one point per
+  _BOUND_ENTRIES_PER_POINT entries are bounded.  evaluations still counts
+  every grid point, evaluated or certified.
 - The tables depend only on f's support, not on its coefficients, and are
   kept in one cache for the few most recently used supports (_shape):
   converge, enclosures and bound checks sweep the same support at many
@@ -225,16 +227,20 @@ def _table_entries(m: int, d: int, degrees: "list[int]") -> int:
     return sum(count * comb(m - 1 + d - e, m - 1) for e, count in Counter(degrees).items())
 
 
-def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple[tuple, bool]":
+def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple[tuple, ...]":
     """The Bernstein table of a node with m coordinates left whose coefficients
-    are indexed by `suffixes`, and whether some g in I(m, d) has no row.
+    are indexed by `suffixes`.
 
-    One row per g in I(m, d) that some suffix lies under, the vertices d*e_j
-    first: the entries i with suffixes[i] <= g, their weights
+    A row is the entries i with suffixes[i] <= g, their weights
     multinomial(d - |suffixes[i]|, g - suffixes[i]), and multinomial(d, g).
-    A g without a row has p_g = 0, so the table costs its entry count
-    (_table_entries), not |I(m, d)|.  It depends only on the suffixes and d,
-    not on the coefficients, the budget or r.
+    The m vertices g = d*e_i come first, in coordinate order: each is the value
+    at a grid point of the subtree, so the test starts there, and a vertex no
+    suffix lies under has an empty row (p_g = 0).  Every other g without a row
+    also has p_g = 0; one empty row stands for them all (p_g = 0 fails against
+    the incumbent times any positive size alike, so it takes size 2) and comes
+    next, before the rows that cost a sum.  The table costs its entry count
+    (_table_entries) and at most m + 1 rows more, not |I(m, d)|.  It depends
+    only on the suffixes and d, not on the coefficients, the budget or r.
     """
     factorial = list(accumulate(range(1, d + 1), mul, initial=1))
     hits = defaultdict(lambda: ([], []))
@@ -244,12 +250,16 @@ def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple
             index, weights = hits[tuple(map(add, sigma, h))]
             index.append(i)
             weights.append(factorial[e] // prod(map(factorial.__getitem__, h)))
-    rows = [
-        (tuple(index), tuple(weights), factorial[d] // prod(map(factorial.__getitem__, g)))
-        for g, (index, weights) in hits.items()
-    ]
-    rows.sort(key=lambda row: row[2] != 1)  # a vertex row is a grid value: it fails first
-    return tuple(rows), len(rows) < composition_count(m, d)
+    rows, rest = [((), (), 1)] * m, []
+    for g, (index, weights) in hits.items():
+        size = factorial[d] // prod(map(factorial.__getitem__, g))
+        if size == 1:
+            rows[g.index(d)] = (tuple(index), tuple(weights), 1)
+        else:
+            rest.append((tuple(index), tuple(weights), size))
+    if len(rest) < composition_count(m, d) - m:
+        rows.append(((), (), 2))
+    return tuple(rows + rest)
 
 
 class _Shape:
@@ -349,6 +359,8 @@ class _Shape:
         """Values of L*f on the row v = 0..s, given the row-suffix coefficients."""
         table = [sum(map(mul, coeffs, w)) for w in self.rows[s]]
         e = self.e
+        # a row no longer than e + 1 is read directly: differences of order
+        # 0..min(s, e) for every s timed 1.14-1.50x slower over converge runs
         if s <= e:
             return table
         values = repeat(table[e], s + 1 - e)
@@ -373,74 +385,57 @@ class _Shape:
         side; low is None when not tracked), and p_g < high * multinomial(d, g)
         (max side).  Both are strict: a beaten subtree holds no point equal to
         an attained extreme, so minimizers and ties stay exact.  The test is
-        all integer and stops at the first g that fails.
-
-        A vertex g = d e_i is the value at the grid point y = s e_i, so a node
-        that fails there is never beaten.  For d = 2 a node that fails at an
-        edge goes on to the sharper bound of _quadratic_beaten; every other
-        degree stops there.
+        all integer and stops at the first row of the table (_bernstein_rows)
+        that fails.  A d = 2 node runs the sharper _quadratic_beaten instead.
         """
         lo = None if low is None else low.value
         hi = None if high is None else high.value
-        degrees, rows, zero_row = self.tables[k] or self._build_table(k)
-        # a g without a row has p_g = 0, beaten only by low < 0 and high > 0
-        # (the quadratic bound is not tried past this test either)
-        if zero_row and (lo is not None and lo >= 0 or hi is not None and hi <= 0):
-            return False
+        degrees, rows = self.tables[k] or self._build_table(k)
         power = list(accumulate(repeat(s, self.d), mul, initial=1))
         scaled = list(map(mul, coeffs, map(power.__getitem__, degrees)))
-        todo = iter(rows)
-        for index, weights, size in todo:
+        if self.d == 2:
+            return _quadratic_beaten(self.n - k, rows, scaled, lo, hi)
+        for index, weights, size in rows:
             p = sum(map(mul, map(scaled.__getitem__, index), weights))
             if lo is not None and p <= lo * size or hi is not None and p >= hi * size:
-                # a vertex row is the value at a grid point of the subtree
-                return self.d == 2 and size != 1 and self._quadratic_beaten(
-                    k, rows, zero_row, scaled, p, todo, lo, hi)
+                return False
         return True
 
-    def _quadratic_beaten(self, k: int, rows: tuple, zero_row: bool, scaled: "list[int]",
-                          p: int, todo, lo: "int | None", hi: "int | None") -> bool:
-        """beaten for d = 2, once every vertex row has passed and the edge row
-        with p has failed; todo yields the rows after that one.
-
-        With t = y/s, the node's form is sum_i V_i t_i^2 + sum_{i<j} p_ij t_i t_j
-        over the vertex values V_i and edge p_ij.  Since (sum t)^2 = 1, for
-        h = min p_ij / 2 it equals h + sum_i (V_i - h) t_i^2 + sum_{i<j}
-        (p_ij - 2h) t_i t_j, whose last sum is >= 0, and the least of
-        sum D_i t_i^2 over the simplex is 1/sum_i 1/D_i.  So every value under
-        the node is >= h + 1/sum_i 1/(V_i - h) once every V_i > h; the max side
-        is the same bound for -f.  It is at least the least Bernstein
-        coefficient, so it prunes every node the plain test prunes.  As
-        1/sum 1/D_i <= max D/m, an edge with (m - 1) p <= 2 (m lo - max V)
-        fails the min side before the other edges are summed (and the mirror
-        image on the max side).
-        """
-        m = self.n - k
-        vertices = [sum(map(mul, map(scaled.__getitem__, index), weights))
-                    for index, weights, size in rows[:m] if size == 1]
-        vertices += [0] * (m - len(vertices))  # a vertex without a row has p_g = 0
-        if lo is not None and (m - 1) * p <= 2 * (m * lo - max(vertices)) or \
-                hi is not None and (m - 1) * p >= 2 * (m * hi - min(vertices)):
-            return False
-        edges = [p]
-        edges += [sum(map(mul, map(scaled.__getitem__, index), weights)) for index, weights, _ in todo]
-        if zero_row:
-            edges.append(0)
-        # the edge rows before p passed both sides, so the least (greatest) p_g
-        # among p and the later rows is the least (greatest) of every edge row
-        if lo is not None and not _diagonal_beats(lo, min(edges), vertices):
-            return False
-        return hi is None or _diagonal_beats(-hi, -max(edges), [-v for v in vertices])
-
-    def _build_table(self, k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...], bool]":
-        """The suffix degrees, Bernstein rows and empty-row flag of depth k,
-        kept in self.tables."""
+    def _build_table(self, k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...]]":
+        """The suffix degrees and Bernstein rows of depth k, kept in self.tables."""
         suffixes = self.row_suffixes
         for lead, child in reversed(self.links[k:]):
             suffixes = [(b,) + suffixes[j] for b, j in zip(lead, child)]
-        table = (tuple(map(sum, suffixes)), *_bernstein_rows(suffixes, self.n - k, self.d))
+        table = (tuple(map(sum, suffixes)), _bernstein_rows(suffixes, self.n - k, self.d))
         self.tables[k] = table  # idempotent, so threads may race here
         return table
+
+
+def _quadratic_beaten(m: int, rows: tuple, scaled: "list[int]", lo: "int | None",
+                      hi: "int | None") -> bool:
+    """_Shape.beaten for d = 2, with the node's m vertex rows first in rows.
+
+    With t = y/s, the node's form is sum_i V_i t_i^2 + sum_{i<j} p_ij t_i t_j
+    over the vertex values V_i and edge p_ij (0 for an edge without a row).
+    Since (sum t)^2 = 1, for h = min p_ij / 2 it equals h + sum_i (V_i - h)
+    t_i^2 + sum_{i<j} (p_ij - 2h) t_i t_j, whose last sum is >= 0, and the
+    least of sum D_i t_i^2 over the simplex is 1/sum_i 1/D_i.  So every value
+    under the node is >= h + 1/sum_i 1/(V_i - h) once every V_i > h; the max
+    side is the same bound for -f.  It is at least the least Bernstein
+    coefficient, so it prunes every node the plain test prunes.
+    """
+    vertices = []
+    for index, weights, _ in rows[:m]:
+        v = sum(map(mul, map(scaled.__getitem__, index), weights))
+        if lo is not None and v <= lo or hi is not None and v >= hi:
+            return False  # the value at a grid point of the subtree
+        vertices.append(v)
+    edges = [sum(map(mul, map(scaled.__getitem__, index), weights)) for index, weights, _ in rows[m:]]
+    if not edges:  # m = 1: the vertex is the node's one point
+        return True
+    if lo is not None and not _diagonal_beats(lo, min(edges), vertices):
+        return False
+    return hi is None or _diagonal_beats(-hi, -max(edges), [-v for v in vertices])
 
 
 def _diagonal_beats(lo: int, edge: int, vertices: "list[int]") -> bool:

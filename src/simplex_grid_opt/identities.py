@@ -506,20 +506,32 @@ def run_default_sweeps(
                                 max_r=max_r, samples=samples, seed=seed))
 
 
+def _default_sweep_args(
+    *, max_n: int, max_d: int, max_m: int, max_k: int, max_r: int, samples: int, seed: "int | None"
+) -> "dict[str, dict]":
+    """Each default sweep's name and keyword arguments at these caps, in run order."""
+    return {
+        "sweep_stirling_sum": {"max_d": max(max_d, 6), "max_r": max_r},
+        "sweep_stirling_multi": {"max_n": max_n, "max_d": max(max_d, 5)},
+        "sweep_integer_point_identities": {"samples": samples, "seed": seed},
+        "sweep_kmr": {"limit": max(max_r, 40)},
+        "sweep_sigma": {"max_d": max(max_d, 5), "max_m": max(max_m, 12), "max_k": max_k},
+        "sweep_phi": {"max_k": max(max_k, 5), "max_m": max(max_m, 10)},
+        "sweep_a_beta": {"max_n": max_n, "max_d": max_d, "max_m": max_m},
+        "sweep_moment_decomposition": {
+            "max_n": min(max_n, 3), "max_d": min(max_d, 3), "max_m": min(max_m, 6)},
+    }
+
+
 def _default_sweeps(
     *, max_n: int, max_d: int, max_m: int, max_k: int, max_r: int, samples: int, seed: int
 ) -> "Iterator[IdentityCheck]":
-    """The checks of run_default_sweeps, each made when it is asked for."""
-    yield from sweep_stirling_sum(max_d=max(max_d, 6), max_r=max_r)
-    yield from sweep_stirling_multi(max_n=max_n, max_d=max(max_d, 5))
-    yield from sweep_integer_point_identities(samples=samples, seed=seed)
-    yield from sweep_kmr(limit=max(max_r, 40))
-    yield from sweep_sigma(max_d=max(max_d, 5), max_m=max(max_m, 12), max_k=max_k)
-    yield from sweep_phi(max_k=max(max_k, 5), max_m=max(max_m, 10))
-    yield from sweep_a_beta(max_n=max_n, max_d=max_d, max_m=max_m)
-    yield from sweep_moment_decomposition(
-        max_n=min(max_n, 3), max_d=min(max_d, 3), max_m=min(max_m, 6)
-    )
+    """The checks of run_default_sweeps, each made when it is asked for; each
+    sweep is looked up by name when it starts."""
+    args = _default_sweep_args(max_n=max_n, max_d=max_d, max_m=max_m, max_k=max_k,
+                               max_r=max_r, samples=samples, seed=seed)
+    for name, kwargs in args.items():
+        yield from globals()[name](**kwargs)
 
 
 def default_sweep_count(
@@ -529,38 +541,41 @@ def default_sweep_count(
     number above `stop` once the count passes it, computed without running any.
 
     Each sweep is counted in closed form, from hockey-stick sums of
-    composition counts.  MOMENT_DECOMPOSITION sums at most 3 * 3 * 6 terms,
-    and the loop over n = 1..max_n stops once the count passes `stop`; every
-    n adds at least n checks, so the time does not grow with the caps.  Caps
-    below 1 count as no sweep at all, as cmd_verify runs none then.
+    composition counts, at the caps _default_sweep_args gives it.
+    MOMENT_DECOMPOSITION sums at most 3 * 3 * 6 terms, and the loop over
+    n = 1..max_n stops once the count passes `stop`; every n adds at least n
+    checks, so the time does not grow with the caps.  Caps below 1 count as no
+    sweep at all, as cmd_verify runs none then.
     """
     if min(max_n, max_d, max_m) < 1:
         return 0
-    d_stirling, l_kmr = max(max_d, 6), max(max_r, 40)
-    d_multi, k_phi, m_phi = max(max_d, 5), max(max_k, 5), max(max_m, 10)
-    m_sigma = max(max_m, 12)
-    e_sigma, e_beta = min(max(max_d, 5), m_sigma), min(max_d, max_m)
+    stirling, multi, points, kmr, sigma, phi, a_beta, moments = _default_sweep_args(
+        max_n=max_n, max_d=max_d, max_m=max_m, max_k=max_k, max_r=max_r, samples=samples, seed=None,
+    ).values()
+    d_multi, m_sigma, k_phi, m_phi = multi["max_d"], sigma["max_m"], phi["max_k"], phi["max_m"]
+    e_sigma, e_beta = min(sigma["max_d"], m_sigma), min(a_beta["max_d"], a_beta["max_m"])
     total = (
-        d_stirling * max_r  # STIRLING_SUM
-        + 2 * samples  # VANDERMONDE_CHU and MULTINOMIAL
-        + l_kmr * l_kmr  # KMR: for each m, the windows of k cover r = 1..limit once
+        stirling["max_d"] * stirling["max_r"]  # STIRLING_SUM
+        + 2 * points["samples"]  # VANDERMONDE_CHU and MULTINOMIAL
+        + kmr["limit"] ** 2  # KMR: for each m, the windows of k cover r = 1..limit once
         # SIGMA: max_k * sum over 2 <= d <= m <= m_sigma of m
-        + max_k * ((e_sigma - 1) * m_sigma * (m_sigma + 1) // 2 - comb(e_sigma + 1, 3))
+        + sigma["max_k"] * ((e_sigma - 1) * m_sigma * (m_sigma + 1) // 2 - comb(e_sigma + 1, 3))
         + (k_phi - 1) * (m_phi * (m_phi + 1) // 2 - 3)  # PHI: sum over 3 <= m <= m_phi of m
     )
     # MOMENT_DECOMPOSITION: at most 3 * 3 * 6 terms
-    for n in range(1, min(max_n, 3) + 1):
-        for d in range(1, min(max_d, 3) + 1):
+    for n in range(1, moments["max_n"] + 1):
+        for d in range(1, moments["max_d"] + 1):
             total += comb(n + d - 1, d) * sum(
-                m * comb(n + m - 1, m) for m in range(d, min(max_m, 6) + 1)
+                m * comb(n + m - 1, m) for m in range(d, moments["max_m"] + 1)
             )
-    for n in range(1, max_n + 1):
+    m_beta = a_beta["max_m"]
+    for n in range(1, max_n + 1):  # STIRLING_MULTI and A_BETA both run n = 1..max_n
         # STIRLING_MULTI: sum over 2 <= d <= d_multi, 1 <= k < d of |I(n, k)|
         total += comb(n + d_multi, d_multi - 1) - d_multi
-        # A_BETA_NONNEG and A_BETA_SUM: 2 * sum over d <= e_beta, d <= m <= max_m
+        # A_BETA_NONNEG and A_BETA_SUM: 2 * sum over d <= e_beta, d <= m <= m_beta
         # of m * |I(n, m)|, where m * |I(n, m)| = n * C(n + m - 1, m - 1)
         below = comb(n + e_beta, e_beta - 2) if e_beta > 1 else 0  # the m < d part
-        total += 2 * n * (e_beta * comb(n + max_m, max_m - 1) - below)
+        total += 2 * n * (e_beta * comb(n + m_beta, m_beta - 1) - below)
         if total > stop:
             break
     return total

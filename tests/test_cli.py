@@ -382,18 +382,20 @@ def test_each_sweep_and_table_is_computed_once(capsys, monkeypatch):
     sweeps = count_calls(monkeypatch, grid, "_sweep")
     tables = count_calls(monkeypatch, bounds, "bernstein_table")
     cases = [
-        # 11 values of r plus the named grid; one table
-        (("converge", "--r-range", "2:12", "--grid", "6", "--elevation", "2"), 12, 1),
-        # 11 values of r plus the two assumed denominators; both sides pinned, no table
+        # 11 values of r, the named grid 6 among them; one table
+        (("converge", "--r-range", "2:12", "--grid", "6", "--elevation", "2"), 11, 1),
+        # 11 values of r plus the assumed denominator 1 (4 is in the range);
+        # both sides pinned, no table
         (("converge", "--r-range", "2:12",
-          "--assume-min-denominator", "4", "--assume-max-denominator", "1"), 13, 0),
+          "--assume-min-denominator", "4", "--assume-max-denominator", "1"), 12, 0),
         (("enclose", "--r", "6", "--elevation", "2"), 1, 1),
     ]
-    for argv, most_sweeps, want_tables in cases:
+    for argv, want_sweeps, want_tables in cases:
         sweeps.clear()
         tables.clear()
         assert run(capsys, *argv, "--poly", SOS4)[0] == EXIT_OK
-        assert len(sweeps) <= most_sweeps, argv
+        assert len(sweeps) == want_sweeps, argv
+        assert len({args[1] for args in sweeps}) == want_sweeps, argv  # (f, r, ...)
         assert len(tables) == want_tables, argv
 
 
@@ -470,15 +472,18 @@ def test_converge_guards_the_total_of_its_grids(capsys, monkeypatch):
     assert code == EXIT_SIZE_GUARD
     assert out == "" and "205 points in all" in err
     assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:6", "--force")[0] == EXIT_OK
-    # r = 2..5 holds 121; --grid 2 adds 10, but only while a side is unassumed
+    # r = 2..5 holds 121; a named or assumed grid in the range is swept once and
+    # counted once, and --grid 7 adds 120, but only while a side is unassumed
     monkeypatch.setenv("SGO_MAX_GRID", "130")
     assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:5")[0] == EXIT_OK
     assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:5",
-               "--grid", "2")[0] == EXIT_SIZE_GUARD
-    assumed = ("--assume-min-denominator", "4", "--assume-max-denominator", "1", "--grid", "2")
-    monkeypatch.setenv("SGO_MAX_GRID", "160")  # 121 + 35 + 4
+               "--grid", "2")[0] == EXIT_OK
+    assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:5",
+               "--grid", "7")[0] == EXIT_SIZE_GUARD
+    assumed = ("--assume-min-denominator", "4", "--assume-max-denominator", "1", "--grid", "7")
+    monkeypatch.setenv("SGO_MAX_GRID", "125")  # 121 + 4, the grid with denominator 1
     assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:5", *assumed)[0] == EXIT_OK
-    monkeypatch.setenv("SGO_MAX_GRID", "159")
+    monkeypatch.setenv("SGO_MAX_GRID", "124")
     assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:5",
                *assumed)[0] == EXIT_SIZE_GUARD
 
@@ -782,6 +787,42 @@ def test_quadratic_sweep_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_OK and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == QUADRATIC_SWEEP_DIGESTS[argv]
+
+
+# SHA-256 of the stdout of sweeps whose Bernstein tables lack rows (the sparse
+# quadratic x_0 x_1 + x_2^2 + x_3^2 + x_4^2) and of converge runs whose named or
+# assumed grid lies in --r-range, recorded before a missing row became an empty
+# row and before converge swept each denominator once; on one and two threads
+SPARSE = str(DATA_DIR / "sparse_quadratic_n5.json")
+SWEPT_ONCE_ARGV = {
+    "grid-min-sparse": ("grid-min", "--poly", SPARSE, "--r", "20"),
+    "grid-max-sparse": ("grid-max", "--poly", SPARSE, "--r", "20"),
+    "converge-sparse": ("converge", "--poly", SPARSE, "--r-range", "2:12"),
+    "converge-grid-in-range": ("converge", "--poly", SOS4, "--r-range", "2:12", "--grid", "6",
+                               "--elevation", "2"),
+    "converge-assumed-in-range": ("converge", "--poly", SOS4, "--r-range", "2:12",
+                                  "--assume-min-denominator", "4", "--assume-max-denominator", "1"),
+}
+SWEPT_ONCE_DIGESTS = {
+    ("converge-assumed-in-range", "csv"): "00f9a22e8ebdc5bfa1abef4d9cb3b2a6a0411399c575099e0e87019318a0da52",
+    ("converge-assumed-in-range", "json"): "53b80ff59a2df7ffe85ffcc97522ad030bba794b934d9e6c59b67331e4d0d6f4",
+    ("converge-grid-in-range", "csv"): "b6b20fdc1818e211e0dd2c30953ad600aca6e62375e95b42f8129ddb406e8659",
+    ("converge-grid-in-range", "json"): "2ec29482b526ebce2bc34a41e6c86e180fe15bdf15d65cfd9a86279fdacdac69",
+    ("converge-sparse", "csv"): "613fe79f26687ac7f3ad0b59132155730551ca5201f9340f0a8c33bffc4dd016",
+    ("converge-sparse", "json"): "70037955d7fe4a3e1dc9095305b5589e0e2b237d0f57545b8aa71bb5b6e6fe5a",
+    ("grid-max-sparse", "csv"): "9369eb104c5d5ab6ab014fdb3c16e2a00b0fa363f4c928ce8dbc35c81053068a",
+    ("grid-max-sparse", "json"): "484b99e59b1f915b74918714bb9925785c9bb282318c60f8d13191b4721d4226",
+    ("grid-min-sparse", "csv"): "965bcfa39783daf7f32a2bdc9efe9078f32c23b58b079d0f1dc679e628b5bfbb",
+    ("grid-min-sparse", "json"): "d2d3b53a64b5fe248cb5945c1acd42583a926dbb48d5dd59394651d4902e986b",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case, fmt", sorted(SWEPT_ONCE_DIGESTS), ids="-".join)
+def test_missing_row_and_repeated_grid_bytes_are_pinned(capsys, case, fmt, threads):
+    code, out, err = run(capsys, *SWEPT_ONCE_ARGV[case], "--format", fmt, "--threads", threads)
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEPT_ONCE_DIGESTS[case, fmt]
 
 
 @pytest.mark.parametrize("argv", [("verify",), PINNED_ARGV["converge-grid"], PINNED_ARGV["bounds"]],

@@ -1,7 +1,7 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import ceil, floor, prod
+from math import ceil, comb, floor, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +19,14 @@ from simplex_grid_opt import (
     grid_extrema,
     grid_maximize,
     grid_minimize,
+    load_polynomial,
     motzkin_straus_form,
     multinomial,
     range_enclosures,
 )
 from simplex_grid_opt import bounds, grid
 from strats import (
+    DATA_DIR,
     fixed_quartic,
     naive_extremes,
     petersen,
@@ -185,10 +187,11 @@ def sum_of_squares_family(n: int, a, b) -> HomogeneousPolynomial:
 
 @st.composite
 def engine_cases(draw):
-    """(f, r) with n 1-7, d 1-4, r 1-12, tie-heavy forms and quadratics with
-    interior extremes included; r is kept where the Fraction oracle stays fast."""
+    """(f, r) with n 1-7, d 1-4, r 1-12, tie-heavy forms, quadratics with
+    interior extremes and sparse quadratics with missing edge rows included; r
+    is kept where the Fraction oracle stays fast."""
     kind = draw(st.sampled_from(("sparse", "sparse", "sparse", "zero", "power_of_sum",
-                                 "stable_set", "sum_of_squares")))
+                                 "stable_set", "sum_of_squares", "sparse_quadratic")))
     if kind == "sparse":
         f = draw(polynomials(max_n=6, max_d=4))
         f = poly_scale(f, draw(st.sampled_from((1, 1, Fraction(-1, 3), Fraction(5, 2)))))
@@ -197,6 +200,17 @@ def engine_cases(draw):
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
         f = motzkin_straus_form(Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))))
         f = poly_scale(f, draw(st.sampled_from((1, -1))))  # -1: the max side
+    elif kind == "sparse_quadratic":
+        # squares, x_0 x_j and at most one more cross term: a node's table
+        # lacks most of its edge rows, whose p_g = 0 the quadratic bound reads
+        n = draw(st.integers(4, 7))
+        unit = lambda *ij: tuple(ij.count(t) for t in range(n))
+        squares = draw(st.lists(st.integers(1, n - 1), min_size=1, unique=True))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        cross = {(0, draw(st.integers(1, n - 1))), *draw(st.lists(st.sampled_from(pairs), max_size=1))}
+        coeffs = {unit(i, i): draw(st.integers(1, 3)) for i in squares}
+        coeffs.update({unit(i, j): draw(st.sampled_from((1, 2, -1))) for i, j in cross})
+        f = poly_scale(HomogeneousPolynomial(n, 2, coeffs), draw(st.sampled_from((1, -1))))
     elif kind == "sum_of_squares":
         n = draw(st.integers(4, 7))
         a = draw(st.sampled_from((1, 3, Fraction(1, 2), -1, -2)))
@@ -350,16 +364,30 @@ class _Incumbent:
 @given(bernstein_nodes())
 def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     suffixes, coeffs, m, d, s = node
-    rows, zero_row = grid._bernstein_rows(suffixes, m, d)
-    hit = [g for g in compositions(m, d) if any(all(map(int.__le__, sigma, g)) for sigma in suffixes)]
-    assert sorted(multinomial(d, g) for g in hit) == sorted(row[2] for row in rows)
-    assert zero_row == (len(hit) < composition_count(m, d))
+    rows = grid._bernstein_rows(suffixes, m, d)
+    under = {g: tuple(i for i, sigma in enumerate(suffixes) if all(map(int.__le__, sigma, g)))
+             for g in compositions(m, d)}
+    vertices = [tuple(d * (j == i) for j in range(m)) for i in range(m)]
+    others = [g for g in under if g not in vertices]
+    missing = any(not under[g] for g in others)
+    # the m vertex rows in coordinate order, one empty row if and only if some
+    # other g has no suffix under it, then one row per other g that has
+    assert [(index, size) for index, _, size in rows[:m]] == [(under[g], 1) for g in vertices]
+    assert [index for index, _, _ in rows[m:]].count(()) == missing
+    if missing:
+        assert rows[m] == ((), (), 2)
+    assert sorted((index, size) for index, _, size in rows[m + missing:]) == \
+        sorted((under[g], multinomial(d, g)) for g in others if under[g])
     assert sum(len(index) for index, _, _ in rows) == \
         grid._table_entries(m, d, list(map(sum, suffixes)))
     quotients = [
         Fraction(sum(coeffs[i] * s ** sum(suffixes[i]) * w for i, w in zip(index, weights)), size)
         for index, weights, size in rows
-    ] + [Fraction(0)] * zero_row  # every g without a row has p_g = 0
+    ]
+    assert sorted(quotients) == sorted(
+        [_coefficient(suffixes, coeffs, d, s, g) for g in vertices + [g for g in others if under[g]]]
+        + [Fraction(0)] * missing
+    )
     values = [
         sum(c * prod(y_j**a for y_j, a in zip(y, sigma)) for c, sigma in zip(coeffs, suffixes))
         for y in compositions(m, s)
@@ -367,7 +395,7 @@ def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     assert min(quotients) <= min(values) and max(values) <= max(quotients)
 
     shape = object.__new__(grid._Shape)  # only what beaten reads
-    shape.n, shape.d, shape.tables = m, d, [(tuple(map(sum, suffixes)), rows, zero_row)]
+    shape.n, shape.d, shape.tables = m, d, [(tuple(map(sum, suffixes)), rows)]
     beaten = lambda low, high: shape.beaten(0, coeffs, s, low, high)
     # an attained value is never beaten, on either side
     assert not beaten(_Incumbent(min(values)), None)
@@ -380,42 +408,45 @@ def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     if d != 2:
         return
     # the quadratic bound lies between the least quotient and the least value,
-    # and it decides beaten, except that a missing row still fails low >= 0
+    # and it alone decides beaten, missing rows or not
     low_bound = _diagonal_bound(suffixes, coeffs, m, s)
     high_bound = -_diagonal_bound(suffixes, [-c for c in coeffs], m, s)
     assert min(quotients) <= low_bound <= min(values)
     assert max(values) <= high_bound <= max(quotients)
-    lows = {floor(low_bound) + i for i in (-1, 0, 1)} | {min(values) - 1}
-    highs = {ceil(high_bound) + i for i in (-1, 0, 1)} | {max(values) + 1}
+    lows = {floor(low_bound) + i for i in (-1, 0, 1)} | {min(values) - 1, 0}
+    highs = {ceil(high_bound) + i for i in (-1, 0, 1)} | {max(values) + 1, 0}
     for lo in lows:
-        want_lo = lo < low_bound and not (zero_row and lo >= 0)
-        assert beaten(_Incumbent(lo), None) == want_lo
+        assert beaten(_Incumbent(lo), None) == (lo < low_bound)
         for hi in highs:
-            want_hi = hi > high_bound and not (zero_row and hi <= 0)
-            assert beaten(None, _Incumbent(hi)) == want_hi
-            assert beaten(_Incumbent(lo), _Incumbent(hi)) == (want_lo and want_hi)
+            assert beaten(None, _Incumbent(hi)) == (hi > high_bound)
+            assert beaten(_Incumbent(lo), _Incumbent(hi)) == (lo < low_bound and hi > high_bound)
+
+
+def _coefficient(suffixes, coeffs, d, s, g):
+    """The Bernstein coefficient p_g / multinomial(d, g) of a node, from the
+    definition: 0 for a g no suffix lies under."""
+    p = sum(c * s ** sum(sigma) * multinomial(d - sum(sigma), tuple(map(int.__sub__, g, sigma)))
+            for sigma, c in zip(suffixes, coeffs) if all(map(int.__le__, sigma, g)))
+    return Fraction(p, multinomial(d, g))
 
 
 def _diagonal_bound(suffixes, coeffs, m, s):
     """h + 1/sum_i 1/(V_i - h) for the quadratic node, from its Bernstein
-    coefficients taken one g at a time (0 for a g no suffix lies under), where
-    h is the least edge coefficient and V_i the vertex ones; the least vertex
-    coefficient when some V_i <= h."""
-    def coefficient(g):
-        p = sum(c * s ** sum(sigma) * multinomial(2 - sum(sigma), tuple(map(int.__sub__, g, sigma)))
-                for sigma, c in zip(suffixes, coeffs) if all(map(int.__le__, sigma, g)))
-        return Fraction(p, multinomial(2, g))
-
-    vertices = [coefficient(g) for g in compositions(m, 2) if max(g) == 2]
-    h = min((coefficient(g) for g in compositions(m, 2) if max(g) == 1), default=None)
+    coefficients taken one g at a time (_coefficient), where h is the least
+    edge coefficient and V_i the vertex ones; the least vertex coefficient
+    when some V_i <= h."""
+    vertices = [_coefficient(suffixes, coeffs, 2, s, g) for g in compositions(m, 2) if max(g) == 2]
+    h = min((_coefficient(suffixes, coeffs, 2, s, g) for g in compositions(m, 2) if max(g) == 1),
+            default=None)
     if h is None or min(vertices) <= h:
         return min(vertices)
     return h + 1 / sum(1 / (v - h) for v in vertices)
 
 
 def test_sparse_many_variable_table_costs_its_entries():
-    # x_40^6: at depth 1 one suffix of degree 6 lies under one g of the
-    # C(44, 6) in I(39, 6); the table keeps that row and a flag for the rest
+    # x_40^6: at depth k one suffix of degree 6 lies under one g of the
+    # C(45 - k, 6) in I(40 - k, 6), the last vertex; the table keeps that row,
+    # an empty row for each other vertex and one for every other g
     f = HomogeneousPolynomial(40, 6, {(0,) * 39 + (6,): Fraction(1)})
     assert _check_against_naive_oracle(f, 2, 16) == (0, 1)
     shape = grid._shape(tuple(f.coeffs), 40, 6)
@@ -423,9 +454,34 @@ def test_sparse_many_variable_table_costs_its_entries():
     built = [k for k, table in enumerate(tables) if table is not None]
     assert built
     for k in built:
-        _, rows, zero_row = tables[k]
-        assert len(rows) == sum(len(index) for index, _, _ in rows) == shape.entries[k] == 1
-        assert zero_row
+        _, rows = tables[k]
+        m = 40 - k
+        assert len(rows) == m + 1
+        assert sum(len(index) for index, _, _ in rows) == shape.entries[k] == 1
+        assert rows[m - 1][0] == (0,) and rows[m] == ((), (), 2)
+
+
+def test_sparse_quadratic_reaches_the_quadratic_bound_at_depth_1():
+    # x_0 x_1 + x_2^2 + x_3^2 + x_4^2 at r = 20, minimum 0: its depth-1 table
+    # has no row for most edges (p_g = 0), so every depth-1 node with
+    # x_0 = a >= 1 has the quadratic bound 1/(1/(a s) + 3/s^2) > 0 and goes;
+    # a test that refused any node with a missing row pruned 8835, none at depth 1
+    f = load_polynomial(str(DATA_DIR / "sparse_quadratic_n5.json"))
+    depth_1 = []
+    beaten = grid._Shape.beaten
+
+    def counted(shape, k, coeffs, s, low, high):
+        result = beaten(shape, k, coeffs, s, low, high)
+        if k == 1:
+            depth_1.append((s, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid._Shape, "beaten", counted)
+        evaluated, pruned = _evaluated_and_pruned(f, 20, 16, (min,))
+    assert (pruned, evaluated + pruned) == (8854, comb(24, 4))
+    assert depth_1 == [(20 - a, True) for a in range(1, 20)]
+    assert grid_minimize(f, 20).value == 0
 
 
 # --- one shape per support, grown across r ------------------------------------------
