@@ -6,9 +6,9 @@ are advisory (20 significant digits, round-half-even).  Every verb prints one
 JSON document, or CSV that starts with the version comment line
 "# simplex-grid-opt v1".
 
-The verbs that sweep a grid (grid-min, grid-max, converge, enclose,
-stable-set) take --threads and --force.  The grid size guard is 10^8 points,
-or SGO_MAX_GRID when set; stable-set also counts the vertex form's table, and
+The verbs that sweep a grid (grid-min, grid-max, converge, enclose) take
+--threads and --force; stable-set takes --force, as the grid size guard bounds
+its stable-set search.  The guard is 10^8 points, or SGO_MAX_GRID when set;
 converge compares the total of all the grids it sweeps before the first one.
 expect sums no grid (its --bernstein value is closed form), so no guard
 applies to it.  These limits are fixed and refused before any work (exit 2):
@@ -423,7 +423,7 @@ def _bound_witnesses(args: argparse.Namespace) -> "list[bounds_mod.BoundWitness]
 def cmd_stable_set(args: argparse.Namespace) -> int:
     guard = _grid_guard(args)
     graph = load_graph(args.graph)
-    bound = alpha_lower_bound(graph, args.r, threads=args.threads, max_points=guard)
+    bound = alpha_lower_bound(graph, args.r, max_points=guard)
     _emit_record(
         args,
         {
@@ -468,12 +468,13 @@ def cmd_enclose(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, *, poly: bool = False, r: bool = False,
-                sweeps: bool = False) -> None:
+                sweeps: bool = False, guard: bool = False) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     if sweeps:
         sub.add_argument("--threads", type=int, default=1,
                          help="worker threads for grid sweeps, capped at the CPU count; "
                          "never changes the output, and gives no speed-up under the GIL")
+    if sweeps or guard:
         sub.add_argument("--force", action="store_true",
                          help="bypass the grid size guard (SGO_MAX_GRID, default 1e8)")
     if poly:
@@ -544,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("stable-set", help="certified stability-number lower bound")
-    _add_common(sub, sweeps=True)
+    _add_common(sub, guard=True)
     sub.add_argument("--graph", required=True, help="edge list file, one 'u v' per line")
     sub.add_argument("--r", type=int, required=True)
     sub.set_defaults(func=cmd_stable_set)

@@ -1,11 +1,18 @@
-"""Stable-set lower bounds from grid minimization of a vertex-form quadratic.
+"""Stable-set lower bounds from the grid minimum of the Motzkin-Straus form.
 
-For a graph G, the reciprocal of the stability number equals the simplex
-minimum of x^T (I + A) x, with A the adjacency matrix.  Minimizing that
-quadratic over the grid with denominator r gives a value at least the true
-minimum 1/alpha, so ceil(1/grid value) is a certified lower bound on alpha;
-it is exact whenever some maximum stable set size divides r (the uniform
-point on the stable set is then a grid point).
+For a graph G with adjacency matrix A and stability number alpha, the simplex
+minimum of x^T (I + A) x is 1/alpha (Motzkin and Straus, Canad. J. Math. 17,
+1965).  Its minimum over the grid with denominator r is B(k, r)/r^2, where
+k = min(alpha, r), r = qk + t with 0 <= t < k, and B(k, r) = (k-t)q^2 + t(q+1)^2.
+Along an edge direction e_i - e_j the form is linear (its second derivative
+there is 2 - 2A_ij = 0), so moving whole units between adjacent positive
+coordinates can empty one without raising the form or leaving the grid: some
+grid minimizer has a stable support.  There the form is sum x_i^2, least for
+the most balanced spread of r units over the most vertices, k of them.
+
+So no grid is swept: one stable-set search, capped at r, finds k.  The grid
+value is at least 1/alpha, so ceil(1/grid value) is a certified lower bound on
+alpha; it is exact whenever alpha divides r.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable
 
-from .grid import DEFAULT_GRID_GUARD, GridTooLargeError, _grid_size, grid_minimize
+from .grid import DEFAULT_GRID_GUARD, _check_degree, _grid_size
 from .poly import HomogeneousPolynomial
-from .rational import MAX_INT_DIGITS, _head, decimal_str
+from .rational import MAX_INT_DIGITS, _head
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ def motzkin_straus_form(g: Graph) -> HomogeneousPolynomial:
 
 @dataclass(frozen=True)
 class StableSetBound:
-    """Certified lower bound on the stability number from a grid sweep."""
+    """Certified lower bound on the stability number from the grid value."""
 
     r: int
     grid_value: Fraction
@@ -121,68 +128,59 @@ class StableSetBound:
 
 
 def alpha_lower_bound(
-    g: Graph, r: int, *, threads: int = 1, max_points: "int | None" = DEFAULT_GRID_GUARD
+    g: Graph, r: int, *, max_points: "int | None" = DEFAULT_GRID_GUARD
 ) -> StableSetBound:
-    """Minimize the vertex-form quadratic over the grid and round up its reciprocal.
+    """The form's grid minimum B(k, r)/r^2 and the bound ceil(1/value) on alpha.
 
-    Raises GridTooLargeError before building the form when the work estimate,
-    the larger of the form's table size n * (n + |E|) and the grid size,
-    exceeds max_points (None disables the guard).  The table size is compared
-    first, so a huge vertex count never reaches the grid-size binomial.
+    Refuses what a sweep of the form would, in the same order: a grid of more
+    than max_points points, C(n + r - 1, r) (GridTooLargeError; None disables
+    the guard), then a power table past grid._check_degree's bound.  The grid
+    size also bounds the search for k = min(alpha, r), which visits at most
+    sum_{j <= r} C(n, j) <= C(n + r - 1, r) stable sets.  evaluations is the
+    grid size, every point of which the closed form covers.
     """
-    table = g.n * (g.n + len(g.edges))
-    if max_points is not None and table > max_points:
-        raise GridTooLargeError(
-            f"the vertex form has {decimal_str(table)} table entries, budget is {max_points}"
-        )
-    _grid_size(g.n, r, max_points)
-    result = grid_minimize(motzkin_straus_form(g), r, threads=threads, max_points=max_points)
-    # the quadratic dominates sum x_i^2 > 0 on the simplex, so the value is positive
-    return StableSetBound(
-        r=r,
-        grid_value=result.value,
-        alpha_lb=ceil(1 / result.value),
-        evaluations=result.evaluations,
-    )
+    total = _grid_size(g.n, r, max_points)
+    _check_degree(2, r)
+    k = _stability(g, r)
+    q, t = divmod(r, k)
+    value = Fraction((k - t) * q * q + t * (q + 1) ** 2, r * r)
+    return StableSetBound(r=r, grid_value=value, alpha_lb=ceil(1 / value), evaluations=total)
 
 
 def exact_alpha(g: Graph, *, max_vertices: int = 25) -> int:
-    """Exact stability number by branch and bound.  Exponential; test oracle only.
-
-    Branches on a maximum-degree vertex: either exclude it, or include it and
-    drop its closed neighborhood.  Vertex subsets are bitmasks.
-    """
+    """Exact stability number by the stable-set search with no cap.  Exponential."""
     if g.n > max_vertices:
         raise ValueError(f"refusing exponential search on {g.n} > {max_vertices} vertices")
-    adj = [0] * g.n
+    return _stability(g, g.n)
+
+
+def _stability(g: Graph, cap: int) -> int:
+    """min(alpha, cap) by a depth-first walk of the stable sets, each grown by
+    later vertices only, that stops at the first set of cap vertices.  It visits
+    each nonempty stable set of at most cap vertices at most once, and drops a
+    set that could not outgrow the largest found if every later vertex joined
+    it.  A vertex's neighbour mask is built when the walk first goes on past a
+    set that it joined, so a walk that stops at its first vertex builds none."""
+    neighbours: "dict[int, list[int]]" = {}
     for u, v in g.edges:
-        adj[u - 1] |= 1 << (v - 1)
-        adj[v - 1] |= 1 << (u - 1)
-
+        neighbours.setdefault(u - 1, []).append(v - 1)
+        neighbours.setdefault(v - 1, []).append(u - 1)
+    masks: "dict[int, int]" = {}
     best = 0
-
-    def search(mask: int, size: int) -> None:
-        nonlocal best
-        if size + bin(mask).count("1") <= best:
-            return  # even taking everything left cannot beat the incumbent
-        if mask == 0:
-            best = max(best, size)
-            return
-        pick = -1
-        pick_deg = -1
-        probe = mask
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            deg = bin(adj[v] & mask).count("1")
-            if deg > pick_deg:
-                pick, pick_deg = v, deg
-        if pick_deg == 0:
-            best = max(best, size + bin(mask).count("1"))
-            return
-        bit = 1 << pick
-        search(mask & ~(bit | adj[pick]), size + 1)
-        search(mask & ~bit, size)
-
-    search((1 << g.n) - 1, 0)
+    stack = [(0, (1 << g.n) - 1)]  # (size of a stable set, later vertices that may join it)
+    while stack:
+        size, later = stack.pop()
+        if size + later.bit_count() <= best:
+            continue
+        low = later & -later
+        later ^= low
+        stack.append((size, later))  # the sets that skip this vertex, after those that take it
+        if size + 1 > best:
+            best = size + 1
+            if best == cap:
+                return best
+        v = low.bit_length() - 1
+        if v not in masks:
+            masks[v] = sum(1 << w for w in neighbours.get(v, ()))
+        stack.append((size + 1, later & ~masks[v]))
     return best

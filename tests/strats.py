@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -190,6 +191,38 @@ def composition_unrank(n, total, rank):
         total -= v
     out.append(total)
     return tuple(out)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+def clique_union(cliques: int, size: int) -> Graph:
+    """Disjoint union of `cliques` copies of K_size: stability number `cliques`."""
+    return Graph.from_edges(cliques * size, [
+        (c * size + i, c * size + j)
+        for c in range(cliques) for i in range(1, size + 1) for j in range(i + 1, size + 1)
+    ])
+
+
+def random_graph(seed: int, n: int, m: int) -> Graph:
+    """m distinct edges on n vertices, drawn with random.Random(seed)."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return Graph.from_edges(n, random.Random(seed).sample(pairs, m))
+
+
+def edge_list_text(g: Graph) -> str:
+    """The graph as an edge list whose "p" line names every vertex."""
+    return f"p edge {g.n} {len(g.edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+
+
+def brute_force_alpha(g: Graph) -> int:
+    """Stability number by scanning every vertex subset, largest first."""
+    for size in range(g.n, 0, -1):
+        for subset in combinations(range(1, g.n + 1), size):
+            if not any((u, v) in g.edges for u, v in combinations(subset, 2)):
+                return size
+    return 0
 
 
 def greedy_stable_set(g):

@@ -16,7 +16,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from simplex_grid_opt import bounds, cli, grid, hypergeom, load_polynomial, to_json_dict
+from simplex_grid_opt import (
+    Graph, bounds, cli, grid, hypergeom, load_polynomial, stableset, to_json_dict,
+)
 from simplex_grid_opt.stableset import motzkin_straus_form, parse_graph_text
 from simplex_grid_opt import identities as ident_mod
 from simplex_grid_opt.cli import (
@@ -30,10 +32,15 @@ from simplex_grid_opt.cli import (
 from simplex_grid_opt.rational import decimal_str, fraction_str
 from strats import (
     DATA_DIR,
+    clique_union,
+    complete_graph,
+    edge_list_text,
     fixed_quartic,
     naive_bernstein,
     naive_extremes,
+    petersen,
     polynomials,
+    random_graph,
     simplex_points,
 )
 
@@ -721,8 +728,7 @@ def test_wide_bounds_table_bytes_are_pinned(capsys, d, fmt):
 
 # SHA-256 of the stdout of quadratic sweeps, recorded before the sweep gave
 # degree-2 nodes a sharper pruning bound: stable-set on the Petersen graph at
-# r = 1..10 (and r = 10 on two threads), and grid-min, grid-max and converge on
-# the two quadratic data files
+# r = 1..10, and grid-min, grid-max and converge on the two quadratic data files
 QUADRATIC_SWEEP_DIGESTS = {
     ("stable-set", "--graph", PETERSEN, "--r", "1"):
         "7b2938258c1dc5eff445aa4f577f369b0888059f4db51b64800dee7c0697451b",
@@ -743,8 +749,6 @@ QUADRATIC_SWEEP_DIGESTS = {
     ("stable-set", "--graph", PETERSEN, "--r", "9"):
         "e578294cfe2d3639f1a3df0640811106f9798f6cafe880740c802361b53f12cd",
     ("stable-set", "--graph", PETERSEN, "--r", "10"):
-        "fa8c67469665315278149d26343124809210ff37b898cd11811f4ac4755c002b",
-    ("stable-set", "--graph", PETERSEN, "--r", "10", "--threads", "2"):
         "fa8c67469665315278149d26343124809210ff37b898cd11811f4ac4755c002b",
     ("grid-min", "--poly", SOS4, "--r", "5"):
         "eb5bfe199f789ed2d8f90d9dc3e6dfa7251ac58077d07547142d0255fc0cb45b",
@@ -787,6 +791,210 @@ def test_quadratic_sweep_bytes_are_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_OK and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == QUADRATIC_SWEEP_DIGESTS[argv]
+
+
+# SHA-256 of the stdout of stable-set, recorded while it still swept the vertex
+# form: graphs whose stability number lies below r and at or above it, among
+# them random graphs of the benchmark's three stable-set shapes (n/|E| 12/30,
+# 10/22 and 11/27)
+STABLE_SET_GRAPHS = {
+    "K6": complete_graph(6),
+    "empty7": Graph.from_edges(7, []),
+    "4xK4": clique_union(4, 4),
+    "5xK3": clique_union(5, 3),
+    "3xK5": clique_union(3, 5),
+    "random1-n12-m30": random_graph(1, 12, 30),
+    "random2-n10-m22": random_graph(2, 10, 22),
+    "random3-n11-m27": random_graph(3, 11, 27),
+    "random4-n8-m12": random_graph(4, 8, 12),
+    "random5-n9-m24": random_graph(5, 9, 24),
+    "random6-n12-m48": random_graph(6, 12, 48),
+    "petersen": petersen(),
+}
+STABLE_SET_DIGESTS = {
+    ("K6", 1, "csv"): "68af798785c63bcfec58155d043d6d281b78cd9020b6f794c49e04f0c97357f6",
+    ("K6", 1, "json"): "7a07eb062268a1c288d8aceb540abb8fb0ecbf51a42bd4ad00ca8f9bf7230300",
+    ("K6", 2, "csv"): "343c0b7f5d6a3bb6b98f0d43ee08448021212a87ea54408cc5f20d88a7a25b8a",
+    ("K6", 2, "json"): "4689a214bd19eb767afb5c64fed328bce638ece13a657c3e91f470b87a408985",
+    ("K6", 3, "csv"): "076192a1e89c1242a56329d9d7fc326787ad416f3816bb5ccc70af6343b66b0f",
+    ("K6", 3, "json"): "821a9da90fec9099cde22590f1520ead35baecc076b1abdb5dcbe2e39ce9e68a",
+    ("K6", 4, "csv"): "af4000e53b3135c53bfb77c1b28b8262823599984e345c313d11d220871c82b4",
+    ("K6", 4, "json"): "47544390fd989d1a6017901833705740010d8fba27ba11b491cc656aa126eb9c",
+    ("K6", 5, "csv"): "4225c3eab4d13e042ac08eccf6e7e8bc01397ef27b6ec2f2c6595bc7dc8e6fd8",
+    ("K6", 5, "json"): "4642612c8f0c1d123673580a45626476bdd9f9763f5182285879dff246807440",
+    ("K6", 6, "csv"): "f63129c37a91f53d0c1d6abc0b241aff7a995c6ec798b20e6607356dd538337e",
+    ("K6", 6, "json"): "cce95b331408dbe34b99d54e042a2258e54b8f3b1911ea5fbb064381bb3020f4",
+    ("K6", 7, "csv"): "2976733221a1ffa3f92da63c25015bc4a8d9bd6b6513e8a878857fcf35c03f2d",
+    ("K6", 7, "json"): "e14cfb9a606ac1730221466c654d3a1ef9a608cb7b0c2e207970b996ff070252",
+    ("K6", 8, "csv"): "91dee00b13c8fa0bfe96d3d38c9c0b07e5ba8c040419ffc4b4b361620ded39af",
+    ("K6", 8, "json"): "476723edcf6b04e32c382f04307816d84c18c1fe12c5bf0ef46e12cf1d8f9588",
+    ("empty7", 1, "csv"): "a56b96fc8d5b01cca72a822c4d367287b8fc12cda73b04dec6f328646b2bb45b",
+    ("empty7", 1, "json"): "830f63048e9c35539e7ed1b88f07c63d080fb6ed23a4ccb88195b7034c2b4fcd",
+    ("empty7", 2, "csv"): "a267a12f3b03913edafc0e085e1a5bf5e7fce0839748163f3868a7d8f9151da3",
+    ("empty7", 2, "json"): "67e5cc6d2701cc0946f476e3bf1e5059e6f57bcf07ea40f44d1e0de3f18b5145",
+    ("empty7", 3, "csv"): "99c851fda1c4dc3ba18eddf89240abce2b15946323fc8c40e3bd2e8c60b971f3",
+    ("empty7", 3, "json"): "7c651026f2ee2de910fb0382f49b6d7dbdaf117cd62f4dabafd378d9f2d5bbd8",
+    ("empty7", 4, "csv"): "3ea77162357b7f8aab59128ef2c61872998b8014e0f49f3ad55486d130937dde",
+    ("empty7", 4, "json"): "3f0ee30d63584ec8ea3c55eb7c4cf0b4a8a7b4629eb421adc4b34993acb99474",
+    ("empty7", 5, "csv"): "37846e6948089335c38aea4bb2e3b94835d3179b06d07ca781d498fcf247ca90",
+    ("empty7", 5, "json"): "0ad5563e1d71d4d8331af901b772248658880cc282041cd8096ab661f698d35a",
+    ("empty7", 6, "csv"): "33201e593b21ef7b5e6b39bd20f18a7cb690c435f87a78343e1f4eadc8b02ae3",
+    ("empty7", 6, "json"): "a72ef35756f922442f4834ade5a8768560bc5295fc53e4b2911c992d5e0b9c03",
+    ("empty7", 7, "csv"): "fef2b58008545ff9678e7b7454a474eb5fbae038551ed6d95a5fef7c98b4d8d7",
+    ("empty7", 7, "json"): "8e08b45071d26f7a4a066d5e9a9602db7ccf1055fbc0e368dcfb55aad6118c90",
+    ("empty7", 8, "csv"): "5c58619f457566317144efb4e8d76c4603e744e1ba1e20e2e6bdc8ebf236ed05",
+    ("empty7", 8, "json"): "becc10ec0ae8682e29e4a728ab0610217ab6c60144ec1a912597bdfd733db46f",
+    ("empty7", 9, "csv"): "4041fd98a309e83925aa1cd04bf8a5cf9273c90a77ae202bb2f09d5f74f6e6ed",
+    ("empty7", 9, "json"): "bb5ce2317e54e460b398021ade668bb3ba383ac926e10a754706be184ace03de",
+    ("4xK4", 5, "csv"): "d245db332283fe7ee383216f1d6ae26ff34a1a6c17c12a09070085620f05685d",
+    ("4xK4", 5, "json"): "ccf2d23e7dab4658af5494f20536bdf31e58f144c02dbb8330ea9fdcddce5519",
+    ("4xK4", 9, "csv"): "f03158e1c559c8606922e5f606126fa7ff83d258e5ba7cb8cf729a57ac45a6fe",
+    ("4xK4", 9, "json"): "65990c763a793dd0a1df57ce04a742cd962957b7b5a67a5a9aa43bcc94c438a5",
+    ("5xK3", 6, "csv"): "1e03881fc3188dc2d3f3cc89cc5a5502ace3729f4276b94a88e9f6964a378fbb",
+    ("5xK3", 6, "json"): "e85dcf146f0cfb19b6943c7e63e5886055466c2f7b61aa248ebf859878d90630",
+    ("3xK5", 4, "csv"): "1fee20b147249a3948c27d85e8684bd4d8cf9336a4070ed2641ca3884d709d7f",
+    ("3xK5", 4, "json"): "63bb56f965799241dff6b511004b20d6b2a05a8c874bc6b8e34601ca1e7a2874",
+    ("random1-n12-m30", 1, "csv"): "a23dbc4516f29f5bd128a111c3bc73b9405049170df79d70f2d65586a6296f3d",
+    ("random1-n12-m30", 1, "json"): "79c7f17f8c4b3a18f4dfe14a2ab754f48e75314ea2a8d17503bce1d9f925bae2",
+    ("random1-n12-m30", 2, "csv"): "8176450de74269e7ff8d96a536a0ff7cb04ecb654037804113429c0f74ee4664",
+    ("random1-n12-m30", 2, "json"): "754215043abb95330ed05e96e2124b5f431b0e02c184e08d0f84f79561673ffc",
+    ("random1-n12-m30", 3, "csv"): "ed821c7fb8757a07c4786a5cf4a567e523d228f5b143bae15688cb02d6e99fbf",
+    ("random1-n12-m30", 3, "json"): "fb83244c4e9fce1e7207ce0c731b9e2fdeebd535e8cbf86f0b073f1ca8e69e72",
+    ("random1-n12-m30", 4, "csv"): "56b3b331dd413dec121a4d039a3f56c46dea76d72164fdc429c5450bc8e34df4",
+    ("random1-n12-m30", 4, "json"): "b2fe176a3fc0fef757943c3a048f3e8ca0337697312de8cbb25e900888726b6b",
+    ("random1-n12-m30", 5, "csv"): "abac0d08e12fdd4814d8d28460bae734c0836900b244220f79365949f1489e33",
+    ("random1-n12-m30", 5, "json"): "f006392e14af44054975b0041bb0e75d0321afc051e91d4a213c157f2be042d4",
+    ("random1-n12-m30", 6, "csv"): "08afd5efd00333b18d3505c4ad516c328bc598b8245403ff1cbbe52d5a0adb81",
+    ("random1-n12-m30", 6, "json"): "fa2334776ef40ab9c3cbb1fb0d13dafdbc43c24cf385a14058af1cfb97a8197d",
+    ("random1-n12-m30", 7, "csv"): "23dea3f136c0da808e2868629fa7402cd0fc9521af6be0e09c5a87ccd57b6387",
+    ("random1-n12-m30", 7, "json"): "67d825d5919f7c405c6b1595f0753ab5a81132b543d47afbdfc23cd2bda7f3d8",
+    ("random1-n12-m30", 8, "csv"): "9a7d1b228e19ccf8b17b4b0c2d16ebf2ef62673657e33f1670e6208150013a8c",
+    ("random1-n12-m30", 8, "json"): "64e47c18af8c89838e0e25a1b0e58272522fc2ce60d13f8d56e476352921566c",
+    ("random1-n12-m30", 9, "csv"): "4e547c20d540e3ec254a65cae7604f7519304c85a8ce96803765bd36b36f9dce",
+    ("random1-n12-m30", 9, "json"): "960fad27caeed7fd4aab8905f93d41a33001d6d5229b8c498f94a154ac6c1117",
+    ("random1-n12-m30", 10, "csv"): "7d4d2f01e17a23c05b27c9b353f26bd6631aa628e36339e9f72f7bfcb9d42f21",
+    ("random1-n12-m30", 10, "json"): "a64f5a5738ab16f74daea016f06319127d53787131792c03467301668ef5a1b5",
+    ("random2-n10-m22", 1, "csv"): "757d11708edb3af23542339390fff36871c659060e4236bcaf2d0d157293444f",
+    ("random2-n10-m22", 1, "json"): "980c7661416cca49ea6d594353f57b83bb2051551bcb64316f2a8e6578d4e306",
+    ("random2-n10-m22", 2, "csv"): "3a1d0b0c9aa6c4563c403ab4981677a34e78078e21a6b6f28ec6863b72c98571",
+    ("random2-n10-m22", 2, "json"): "cb0346ffbf76e3afcef74f9919b9c51c94151d5b53d95a421247f8933c80c72d",
+    ("random2-n10-m22", 3, "csv"): "2974ac804b01100480cb2d3a1bdfdcfe82f71ed9c80744d1c08857294e99bb4f",
+    ("random2-n10-m22", 3, "json"): "551ed7f244732b2d96f0b7f2d9884f4cb2062f4792332532c077f213ae3975fa",
+    ("random2-n10-m22", 4, "csv"): "7a4ccfa3d67e93c0aa316fe5f6fefb7f47061569dcbb3c7304807b0bbbeff5d0",
+    ("random2-n10-m22", 4, "json"): "81a2bd6127d8464e3ea691910f726175d5ab16653a4f06d63273fe485037542d",
+    ("random2-n10-m22", 5, "csv"): "b3c1a612164f2fdf48364e5562f9c373e33867893281fcf8ba7c9462266ea1f8",
+    ("random2-n10-m22", 5, "json"): "7a4643122877d8055a801ab0a2ed9ce5300fcc16f6740bc0ffa6d6395580b228",
+    ("random2-n10-m22", 6, "csv"): "011da0991cba96f23f420d8efd957a985e53a8410595e7e9f8da812defdc521f",
+    ("random2-n10-m22", 6, "json"): "210e099a5d8e2abf437ee0e71d1421b4ac3b1f88f0d7b0e4accd2b1d237c9ced",
+    ("random2-n10-m22", 7, "csv"): "eb14b76a9c298c860dadb51509dc6036d1342565b71989a73b454bc23cf724ee",
+    ("random2-n10-m22", 7, "json"): "c7c5858cddfbebccca3e8855dc2ea60fee1b61f58ad5a614a6d7be99e9b42124",
+    ("random2-n10-m22", 8, "csv"): "ff79098ec5fea0b3ac81740a5668763ec1dd593c2ab4b28313107077279d3163",
+    ("random2-n10-m22", 8, "json"): "9d9b8c37964c85553cc90b24deb893a965c31a529695abf0dabddddd233d2b73",
+    ("random2-n10-m22", 9, "csv"): "df7c0ca9e260debcd20fb43e36fe8842d97ad20c33bf4cbe6d1be80fe618327d",
+    ("random2-n10-m22", 9, "json"): "0c32c59b27e0610af846bbac36ed9d373ee3982c8e17949f455190b1bf4d2deb",
+    ("random2-n10-m22", 10, "csv"): "f6ed05aff54f9bf76a23e660e0a2c5ae7150522274ffebe823734150eb47bc3d",
+    ("random2-n10-m22", 10, "json"): "df0b6524b89ad549fc0b21619bfb3d91dd17c3a141add105feab73b7f39ebd71",
+    ("random3-n11-m27", 1, "csv"): "c8ca214dd79e0f32061579b890e22ec10ee1707072fe75dc9e6dbb9182a1ae6a",
+    ("random3-n11-m27", 1, "json"): "d8baf788451177d64dd6296ceaa0143d2cbd485d1f17c68fc9428291fa1d4edc",
+    ("random3-n11-m27", 2, "csv"): "1b3b2f13b012b906aa32bb129684cf8b5395ec3483d9d4430845784480df5bcd",
+    ("random3-n11-m27", 2, "json"): "f0d3a516740c1c2a65904faaec2d9a19f47e68d1aaa154c270c915d940373b14",
+    ("random3-n11-m27", 3, "csv"): "9a4539fccc357e1afd57e7a3dd1c758f3feb1d4af7a06c859f78dfa1a149376c",
+    ("random3-n11-m27", 3, "json"): "ec038b31835a5b9fe5867569e2f81e53e893fcfdc2704cf4204b1920e3d665e4",
+    ("random3-n11-m27", 4, "csv"): "ffb09960e5470ada2c7b0009c8aedc67d817b68073c87ee4b875863daeb18a89",
+    ("random3-n11-m27", 4, "json"): "d92d93ee60ea953dc0f902d404c857916c40f0d6c5cfffcf471518de4a5f6fcd",
+    ("random3-n11-m27", 5, "csv"): "89b6b2a6292c148e108549ae532adcf0bcaa14436f116bacfe79751bb961802d",
+    ("random3-n11-m27", 5, "json"): "eefd0eccdef6f7935fe87e2e439f2c1ce17430ad658c6c5c3d63c27223e11142",
+    ("random3-n11-m27", 6, "csv"): "2b03aa3760beb57924cc6cbf93ba1b2c12683acdc5d5c041404030774c04111f",
+    ("random3-n11-m27", 6, "json"): "56fd1c794c092deaef7378bc08c7cec52f7cc2740db689f197dc8a64d7c358a5",
+    ("random3-n11-m27", 7, "csv"): "aad39f5a849e361eb7a4167b3a483c8ca80a8b148eae2627c15c492de83031a8",
+    ("random3-n11-m27", 7, "json"): "25a0611d65c39201d17960d1f782a326a8f4f8f45cfbc560ed917414628a9c60",
+    ("random3-n11-m27", 8, "csv"): "badca9b8138b737d2815c8e10a449190bbb9079e60719233fd1b467d462eaee8",
+    ("random3-n11-m27", 8, "json"): "18f980bd94eab9b77acbc56b2b1b7955aa6852aea5055b285c8d7695d70a53c9",
+    ("random3-n11-m27", 9, "csv"): "1e02d55a6d9df070b571ef0e1a39e367bbc8563e4e2df59c30f99367fe5f547a",
+    ("random3-n11-m27", 9, "json"): "a6a6e56148a234c4a40af70949cb6d3e2c39b5bf7afefd1bfb12cbf796959cac",
+    ("random3-n11-m27", 10, "csv"): "44cd622c4031f930c04dbcc0e525bb27efc44aff2b2d02db92c872af24081334",
+    ("random3-n11-m27", 10, "json"): "d36ad5bdc433c55d6f25e435868bf4f7b9e2d2c77e3a95e31984a819e98abf5a",
+    ("random4-n8-m12", 1, "csv"): "738e3599122a4f2600efa135d95083dcf1b5ead29c8738ec22c3815e2434853b",
+    ("random4-n8-m12", 1, "json"): "44fc6c9848d1b8a4c7db3a348601748da95228b48c7caad7889980ee683757c8",
+    ("random4-n8-m12", 2, "csv"): "b36b330bba9ad6499f339f384438bb8791e60fbcd645ff84c4fcc921197453e2",
+    ("random4-n8-m12", 2, "json"): "28c49889a894f837cfae484cc0568d2dfa8d12e94d2a87ac2d291cc8edff8594",
+    ("random4-n8-m12", 3, "csv"): "17c5a865835493ea0521161d4f0ec1bc33a1994abb3757fb32fec389788653b5",
+    ("random4-n8-m12", 3, "json"): "61b03d202e54bc088eab5630ab54dbf694eed32219bac66e7b191d390e4a9e93",
+    ("random4-n8-m12", 4, "csv"): "630e25e9742efdfe923e4a46ed94855d170316d1732f6230e4df839ee4aa91a7",
+    ("random4-n8-m12", 4, "json"): "c2687084f6149072fe71b8f01174f2ac0158214c93ce140ca00571ee5fb1085e",
+    ("random4-n8-m12", 5, "csv"): "a4050d6571d1a5bea3f9e446363563140fdfc1b296c96b3ee1ace47ff8f94f9c",
+    ("random4-n8-m12", 5, "json"): "ae691c31171c28d0b126032824eb81f272d6fcd9fcd1a65df452a745666473f0",
+    ("random4-n8-m12", 6, "csv"): "c874a92a17327b12db2d6545b78f6e6da3b02c7126e4df15fa897ed2eee80393",
+    ("random4-n8-m12", 6, "json"): "29632535de2eab466c186c367e8c4f7494c195e5f04f119c4268a7090b86468f",
+    ("random4-n8-m12", 7, "csv"): "527b6c053566cc886349515eb14682436b661df5a4ad2da23099eabc29f6f2d7",
+    ("random4-n8-m12", 7, "json"): "e331b68831facf90ebe160a446bc2fd540072e0f719a07e02da9935746cd3455",
+    ("random4-n8-m12", 8, "csv"): "081e4fcdbd7bdead8d14bfce7cb7aa6ffd87856f974aee3ede6d56a06f3b94b2",
+    ("random4-n8-m12", 8, "json"): "11e33d504c53f0ee1ef276e3a3a73cb6f47c86ce191653fff34c5199eece7929",
+    ("random4-n8-m12", 9, "csv"): "caf3db678126296ad537ea6cc3168e64999021e9d7c63dc9fe02701fdaf26366",
+    ("random4-n8-m12", 9, "json"): "954dee4bb6325a02236ebf4060c3134c99c9c1c85b5f9b88dcbf4f1c125f09fc",
+    ("random4-n8-m12", 10, "csv"): "6f019e576aa2821628846f6ded385c8b102c3999cb800965790f3a7b9642300f",
+    ("random4-n8-m12", 10, "json"): "bc87b71b5100d036499a9b3dd06e7ba55798ecdb167faabfca4d34b641af84d1",
+    ("random5-n9-m24", 1, "csv"): "52f3150d71af6fab2b3cc47995749d8f8f56dcfd359d965fe6da13801109aec9",
+    ("random5-n9-m24", 1, "json"): "90ffec1f4d536d3611099da984dfc574cf88d4a859065b05707c9cd7dd828037",
+    ("random5-n9-m24", 2, "csv"): "0c9b4bf0b5a2ec673f464c882a32d8453a2bc79df513577b758f45871b193d69",
+    ("random5-n9-m24", 2, "json"): "ec693e232248392c9b0ba5552665801dbcac7f46772b4d4e43769ee7d0303a92",
+    ("random5-n9-m24", 3, "csv"): "b585d7c3bc5ecc9129285262df6d7b63cf8cd14be806c3a51fb154e0f820e1bd",
+    ("random5-n9-m24", 3, "json"): "59bb72b4ec6dcaec27d90d4ec3ceeb23f373344453d09f192a42147c5e757b0a",
+    ("random5-n9-m24", 4, "csv"): "8fc88a20923317e5482293b8021548230e79ff51713dd6bf42db0ff765c7084f",
+    ("random5-n9-m24", 4, "json"): "74f6c99aa51fbe52964602767e86605ea35aea3c2560da7d1850359864819f1b",
+    ("random5-n9-m24", 5, "csv"): "fb8fc85ac563e2b273fc00cba70153b556cbd2297a0e31d829d834fc0ca1ef88",
+    ("random5-n9-m24", 5, "json"): "402d7f5240df4dd8665471491c3b4c4204a3c662d5e44b0399f77b6ebb0595ae",
+    ("random5-n9-m24", 6, "csv"): "3d9680b0ea112f89df0ccfb9d601ea7197abdf0ebc0f841b443c5830ba4491b8",
+    ("random5-n9-m24", 6, "json"): "9d18fd7a4a7d21d96c1c5dc83143b189756368debe77e6b56f2c69711b107cb0",
+    ("random5-n9-m24", 7, "csv"): "5f96dfffa37a82c70793dd8a18c09ca1b4ba7bbd80102f198e947dd950082cf5",
+    ("random5-n9-m24", 7, "json"): "965d305398639cb36085b301a0688bac91ec6658d3d16a4267cf411adfd1f29e",
+    ("random5-n9-m24", 8, "csv"): "55667f51180ae6324b3607cd37283fe2fe59cd61bbc70d85030aa0a57afff609",
+    ("random5-n9-m24", 8, "json"): "5f5bf9e8673887737e1a485fd4ac5b31ac9a14f9484517163f11f675003f9ddc",
+    ("random5-n9-m24", 9, "csv"): "c486ae5b93e3d159357b8132a82b842f86f622ac71cd36e614a62f0af06d66c7",
+    ("random5-n9-m24", 9, "json"): "621f2c5732e1a35232dfcd2b9bbbd9a98a79a59df252395f18c8c96b34f75a25",
+    ("random5-n9-m24", 10, "csv"): "b8c3c74c589b32a8b34dc10276fe0b37902385568572a432f227ed2a9252e34f",
+    ("random5-n9-m24", 10, "json"): "160b599139076b7599229c9678122c63ca2c69907aeec0761571d266c8cc61a1",
+    ("random6-n12-m48", 1, "csv"): "1a989ae82b9b4102df6fa532c16827b3f9359c1975d85227c710639d9697f5c9",
+    ("random6-n12-m48", 1, "json"): "c3eadb9f45e6ff57b2aac4548afbef92c33ec0b1a63e4f5410d2cee81e3a55bf",
+    ("random6-n12-m48", 2, "csv"): "8fa072366e216417dda9daa5f3547b86eb0bcdeafb26630b890771739b5f7af0",
+    ("random6-n12-m48", 2, "json"): "7f7f8801c1feeab5c5b9eeef3c324557223932260b345bc92f9f2d4b1cf34fa3",
+    ("random6-n12-m48", 3, "csv"): "af813a6cd7983723515187bf71efb57ebb8b603b6eaeec15fa99d918756320a5",
+    ("random6-n12-m48", 3, "json"): "2c5aae50b2abe0bf9b766613ecb69a8a401b0c7bb910b0bb33a33b7b1ad7e851",
+    ("random6-n12-m48", 4, "csv"): "4d321cfdea9b48003531831def4f11248cecc37d03bde33cf7b73699c96f5ac0",
+    ("random6-n12-m48", 4, "json"): "c740103b31fc135c8024bf6274081de9b8cdcff50fb835950ac20e531ea4ded3",
+    ("random6-n12-m48", 5, "csv"): "1cd4671f3af79eee18a75f243f02a7317f9c26119ae29a929e91e91da0caafbd",
+    ("random6-n12-m48", 5, "json"): "d6b39ad3dc36281712119bb8d4217a29f09e0735493d79ec7004103bd962b802",
+    ("random6-n12-m48", 6, "csv"): "515b010e00081466d25381b927476564fb0378aafdecfba894218a6021e37c7b",
+    ("random6-n12-m48", 6, "json"): "6d289384781e87ce0632b65afe7f698ed6952ce8e7948447196e0dba8aba54cc",
+    ("random6-n12-m48", 7, "csv"): "2f3247d681a3625138b59abfe274d19b41c9be9cbc87d2e49dc6c31a1ed349e4",
+    ("random6-n12-m48", 7, "json"): "569b6bb55a79c012ec74dfa4cf4731ee65fa934cbfdd6ae6ab9a30cd2a426861",
+    ("random6-n12-m48", 8, "csv"): "64dc7a988c4af0f9f158412d46e4dbc669e7a0a7bb97a4423c4d555544f4c173",
+    ("random6-n12-m48", 8, "json"): "d637f60226f4b2e5637502474551a7eaae95b04b5bd4e346c36acbb4e46cef15",
+    ("random6-n12-m48", 9, "csv"): "c7f491b4da135089cc578e82beddc5cd719c00c072b177c04fdd1133036e8021",
+    ("random6-n12-m48", 9, "json"): "ab1a4985d98029dfbaf5de9db1c3123ce7e6d9309dd7a427af87ed5582715c6a",
+    ("random6-n12-m48", 10, "csv"): "6545ecaea7a2af8b6a5bf31ba1e51693979c44eae739be07f545fae60fcb2845",
+    ("random6-n12-m48", 10, "json"): "ccf2a64788e22187b504df70028be761d8f968a951f0772cf2d2de0f17ba621d",
+    ("petersen", 11, "csv"): "94c4d884a96af1b23aed16811660eae172ac31ce2a73b80d3a9d6b2534581fb1",
+    ("petersen", 11, "json"): "57e62b18cf608cd6d8094eccfc991c37fd57c1f340737b3b91829269b7dbe067",
+    ("petersen", 12, "csv"): "8f1090a3179a136f11d813e8303f6bd5cc83f2394bf0cdfa9c8704698c264386",
+    ("petersen", 12, "json"): "ca75665b646b7765f8e2495aae1bfcb7e506408b79b0806f2e0bfa7ef81a18d9",
+}
+
+
+@pytest.fixture(scope="module")
+def stable_set_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("graphs")
+    for name, g in STABLE_SET_GRAPHS.items():
+        (folder / f"{name}.edges").write_text(edge_list_text(g))
+    return folder
+
+
+@pytest.mark.parametrize("name, r, fmt", sorted(STABLE_SET_DIGESTS))
+def test_stable_set_bytes_are_pinned_against_the_sweep(capsys, stable_set_files, name, r, fmt):
+    path = str(stable_set_files / f"{name}.edges")
+    code, out, err = run(capsys, "stable-set", "--graph", path, "--r", str(r), "--format", fmt)
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == STABLE_SET_DIGESTS[name, r, fmt]
 
 
 # SHA-256 of the stdout of sweeps whose Bernstein tables lack rows (the sparse
@@ -949,9 +1157,10 @@ def test_verbs_that_sweep_no_grid_ignore_the_size_guard(capsys, monkeypatch, arg
         ("verify", "--force"),
         ("expect", "--poly", GAP, "--r", "2", "--m", "16", "--counts", "7,9", "--threads", "1"),
         ("expect", "--poly", GAP, "--r", "16", "--bernstein", "--x", "1/2,1/2", "--force"),
+        ("stable-set", "--graph", PETERSEN, "--r", "2", "--threads", "1"),
     ],
     ids=["bounds-threads", "bounds-force", "verify-threads", "verify-force", "expect-threads",
-         "expect-force"],
+         "expect-force", "stable-set-threads"],
 )
 def test_flags_a_verb_would_ignore_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -990,7 +1199,6 @@ VERB_OPTIONS = [
     "grid-min --force", "grid-min --format", "grid-min --homogenize", "grid-min --poly",
     "grid-min --r", "grid-min --threads",
     "stable-set --force", "stable-set --format", "stable-set --graph", "stable-set --r",
-    "stable-set --threads",
     "verify --format", "verify --inject-fault", "verify --max-d", "verify --max-k",
     "verify --max-m", "verify --max-n", "verify --max-r", "verify --samples", "verify --seed",
     "verify --witness-polys",
@@ -1075,15 +1283,39 @@ def test_coefficients_past_the_int_string_limit_are_read(capsys, tmp_path):
 
 
 def test_stable_set_bounds_the_vertex_form(capsys, monkeypatch, tmp_path):
+    # no vertex form is built, so only the grid size guard refuses
     huge = tmp_path / "huge.edges"
-    for n in ("100000000", "9" * 4300):  # the second table has 8600 digits
-        huge.write_text(f"p edge {n} 0\n")
-        code, out, err = run(capsys, "stable-set", "--graph", str(huge), "--r", "1")
-        assert code == EXIT_SIZE_GUARD
-        assert out == "" and "table entries" in err and len(err) < 100
-    monkeypatch.setenv("SGO_MAX_GRID", "100")  # Petersen: 10 grid points at r = 1, 250 table entries
-    assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "1")[0] == EXIT_SIZE_GUARD
-    assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "1", "--force")[0] == EXIT_OK
+    huge.write_text("p edge 100000000 0\n")
+    code, out, err = run(capsys, "stable-set", "--graph", str(huge), "--r", "1")
+    assert (code, err) == (EXIT_OK, "")
+    assert (json.loads(out)["alpha_lb"], json.loads(out)["evaluations"]) == (1, 10**8)
+    huge.write_text("p edge " + "9" * 4300 + " 0\n")
+    code, out, err = run(capsys, "stable-set", "--graph", str(huge), "--r", "1")
+    assert code == EXIT_SIZE_GUARD
+    assert out == "" and "grid has" in err and len(err) < 100
+    monkeypatch.setenv("SGO_MAX_GRID", "100")  # Petersen: 10 grid points at r = 1, 220 at r = 3
+    assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "1")[0] == EXIT_OK
+    assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "3")[0] == EXIT_SIZE_GUARD
+    assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "3", "--force")[0] == EXIT_OK
+
+
+def test_stable_set_sweeps_no_grid_and_builds_no_form(capsys, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise AssertionError("stable-set swept a grid or built the vertex form")
+
+    monkeypatch.setattr(grid, "_sweep", fail)
+    monkeypatch.setattr(stableset, "motzkin_straus_form", fail)
+    for r in ("1", "4", "12"):
+        code, out, err = run(capsys, "stable-set", "--graph", PETERSEN, "--r", r)
+        assert code == EXIT_OK and err == ""
+    # at r = 1 the search stops at the first vertex and builds no neighbour mask,
+    # so 10^8 vertices with edges at vertex 10^8 cost only the parse
+    huge = tmp_path / "huge.edges"
+    huge.write_text("1 100000000\n99999999 100000000\n")
+    code, out, err = run(capsys, "stable-set", "--graph", str(huge), "--r", "1")
+    assert (code, err) == (EXIT_OK, "")
+    obj = json.loads(out)
+    assert (obj["n"], obj["edges"], obj["alpha_lb"], obj["evaluations"]) == (10**8, 2, 1, 10**8)
 
 
 # Values a hand-written or generated polynomial file may put where an integer or
@@ -1293,7 +1525,7 @@ FUZZ_FLAGS = {
         "--max-n": WIDE, "--max-d": WIDE, "--max-m": WIDE, "--max-k": WIDE, "--max-r": WIDE,
         "--inject-fault": FLAG,
     },
-    "stable-set": {**COMMON, **THREADS, "--graph": st.just(PETERSEN), "--r": WIDE},
+    "stable-set": {**COMMON, "--graph": st.just(PETERSEN), "--r": WIDE},
     "enclose": {**COMMON, **THREADS, **POLY, "--r": WIDE, "--elevation": st.integers(-1, 9).map(str)},
 }
 REQUIRED = {"--poly", "--r", "--d", "--r-range", "--graph"}

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,11 +14,7 @@ from simplex_grid_opt import (
     motzkin_straus_form,
     parse_graph_text,
 )
-from strats import greedy_stable_set, petersen
-
-
-def complete_graph(n):
-    return Graph.from_edges(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+from strats import brute_force_alpha, complete_graph, greedy_stable_set, petersen, random_graph
 
 
 def test_graph_validation():
@@ -80,13 +77,12 @@ def test_alpha_lower_bound_examples():
 
 
 def test_alpha_lower_bound_bounds_the_form_before_building_it():
-    # 10^8 vertices: the grid at r = 1 is within the default budget, the form's table is not
-    with pytest.raises(GridTooLargeError, match="table entries"):
-        alpha_lower_bound(Graph.from_edges(10**8, []), 1)
-    g = petersen()  # table 10 * (10 + 15) = 250 entries, 10 grid points at r = 1
+    # no vertex form is built: 10^8 vertices make 10^8 grid points at r = 1, within the budget
+    assert alpha_lower_bound(Graph.from_edges(10**8, []), 1).alpha_lb == 1
+    g = petersen()  # 10 grid points at r = 1
+    assert alpha_lower_bound(g, 1, max_points=249).alpha_lb == 1
     with pytest.raises(GridTooLargeError):
-        alpha_lower_bound(g, 1, max_points=249)
-    assert alpha_lower_bound(g, 1, max_points=250).alpha_lb == 1
+        alpha_lower_bound(g, 1, max_points=9)
     with pytest.raises(GridTooLargeError):
         alpha_lower_bound(g, 4, max_points=714)  # 715 grid points
     assert alpha_lower_bound(g, 4, max_points=715).alpha_lb == 4
@@ -165,3 +161,34 @@ def test_uniform_point_on_stable_set_certifies_value():
     stable = (1, 3, 9, 10)  # pairwise non-adjacent in this labeling
     x = tuple(Fraction(1, 4) if v in stable else Fraction(0) for v in range(1, 11))
     assert evaluate(f, x) == Fraction(1, 4)
+
+
+def test_alpha_lower_bound_equals_the_grid_minimum_of_the_form():
+    # the closed form B(min(alpha, r), r) / r^2 against a sweep of x^T (I + A) x
+    rng = random.Random(16)
+    graphs = []
+    for seed in range(300):
+        n = rng.randint(1, 9)
+        graphs.append((random_graph(seed, n, rng.randint(0, n * (n - 1) // 2)), rng.randint(1, 12)))
+    graphs += [(petersen(), r) for r in range(1, 13)]
+    graphs += [(complete_graph(n), r) for n in (1, 2, 5, 9) for r in (1, 2, 7, 12)]
+    graphs += [(Graph.from_edges(n, []), r) for n in (1, 2, 5, 9) for r in (1, 2, 7, 12)]
+    signs = set()
+    for g, r in graphs:
+        signs.add(exact_alpha(g) < r)
+        swept = grid_minimize(motzkin_straus_form(g), r)
+        bound = alpha_lower_bound(g, r)
+        assert bound.grid_value == swept.value, (g, r)
+        assert bound.alpha_lb == math.ceil(1 / swept.value)
+        assert bound.evaluations == swept.evaluations
+    assert signs == {True, False}
+
+
+def test_exact_alpha_matches_a_subset_scan():
+    rng = random.Random(17)
+    for seed in range(200):
+        n = rng.randint(1, 10)
+        g = random_graph(seed, n, rng.randint(0, n * (n - 1) // 2))
+        assert exact_alpha(g) == brute_force_alpha(g)
+    assert [exact_alpha(complete_graph(n)) for n in (1, 4, 10)] == [1, 1, 1]
+    assert exact_alpha(Graph.from_edges(10, [])) == 10
