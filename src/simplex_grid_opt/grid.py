@@ -35,10 +35,17 @@ both (grid_extrema, from which bounds.range_enclosures takes its grid values).
   2012).  For d != 2 the node is skipped when, on every tracked side, p_g is
   strictly worse than the running extreme times multinomial(d, g) for every
   g: the running extreme is attained, so minimizers and tie counts stay
-  exact.  The table holds the m vertex rows g = d e_i first, then one empty
-  row standing for every other g that no sigma_i lies under (p_g = 0), then
-  the rest; its size is its (index, weight) entry count, however large
-  I(m, d) is.  A d = 2 node runs one sharper test instead: with V_i the
+  exact.  Each side's running extreme starts from its best vertex value,
+  L*c_i*r^d with c_i the coefficient of x_i^d (0 if absent), which the grid
+  point r e_i attains; the lex walk reaches r e_0 only at its last point, so
+  without that start nothing could be skipped before the first row.  The
+  node holding r e_i has a vertex row equal to the start, so it is never
+  skipped, and the vertex is counted when the walk gets there.  The table
+  holds the m vertex rows g = d e_i first, then one empty row standing for
+  every other g that no sigma_i lies under (p_g = 0), then the rest; its size
+  is its (index, weight) entry count, however large I(m, d) is, and the last
+  vertex row is also kept apart (tails), so a node that it keeps builds no
+  table.  A d = 2 node runs one sharper test instead: with V_i the
   vertex coefficients, none of them reaching the running extreme, h the least
   edge coefficient (g = e_i + e_j) and D_i = V_i - h > 0, the form in t = y/s
   is h + sum D_i t_i^2 plus edge terms that are >= 0 on the face, so every
@@ -62,7 +69,9 @@ Rows arrive in lex order, so the lex-first minimizers (capped) and exact tie
 counts fall out of min, max, count and index on each row.  With threads > 1
 the range of alpha_0 is split into contiguous chunks whose partial results
 merge in lex order, so the outcome never depends on threading; each chunk
-prunes against its own running extremes, which changes only what it skips.
+starts from the same vertex values and prunes against its own running
+extremes, which changes only what it skips.  A chunk that finds nothing as
+good as a start returns it with no points and 0 ties.
 """
 
 from __future__ import annotations
@@ -70,16 +79,15 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
-from math import comb, inf, lcm, prod
-from operator import add, gt, lt, mul, sub
+from itertools import accumulate, combinations_with_replacement, repeat
+from math import comb, lcm, prod
+from operator import gt, lt, mul, sub
 from threading import Lock
 
-from .combin import composition_count, compositions
+from .combin import composition_count
 from .poly import HomogeneousPolynomial
 from .rational import decimal_str
 
@@ -150,15 +158,21 @@ def _check_degree(d: int, r: int) -> None:
 
 
 class _Extreme:
-    """Running minimum (pick=min) or maximum (pick=max) of a lex-ordered sweep."""
+    """Running minimum (pick=min) or maximum (pick=max) of a lex-ordered sweep.
+
+    It starts from a value that some grid point attains, with no points and 0
+    ties: the points of that value are counted when the sweep reaches them, and
+    a better one replaces it.  So the value is always attained, and at least as
+    good as any point seen, before or after the first point.
+    """
 
     __slots__ = ("pick", "beats", "cap", "value", "points", "ties")
 
-    def __init__(self, pick, cap: int) -> None:
+    def __init__(self, pick, cap: int, value: int) -> None:
         self.pick = pick
         self.beats = lt if pick is min else gt
         self.cap = cap
-        self.value = inf if pick is min else -inf  # worse than every integer
+        self.value = value
         self.points: "list[tuple[int, ...]]" = []
         self.ties = 0
 
@@ -241,20 +255,28 @@ def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple
     next, before the rows that cost a sum.  The table costs its entry count
     (_table_entries) and at most m + 1 rows more, not |I(m, d)|.  It depends
     only on the suffixes and d, not on the coefficients, the budget or r.
+    Each g is held sparse, as its (coordinate, exponent) pairs, so an entry
+    costs O(d) and not O(m): many-variable tables stay linear in their size.
     """
     factorial = list(accumulate(range(1, d + 1), mul, initial=1))
     hits = defaultdict(lambda: ([], []))
     for i, sigma in enumerate(suffixes):
         e = d - sum(sigma)
-        for h in compositions(m, e):
-            index, weights = hits[tuple(map(add, sigma, h))]
+        base = {j: b for j, b in enumerate(sigma) if b}
+        # I(m, e) as sorted multisets of e coordinates; reversed, in compositions(m, e)'s order
+        for units in reversed(list(combinations_with_replacement(range(m), e))):
+            g, h = base.copy(), {}
+            for j in units:
+                g[j] = g.get(j, 0) + 1
+                h[j] = h.get(j, 0) + 1
+            index, weights = hits[tuple(sorted(g.items()))]
             index.append(i)
-            weights.append(factorial[e] // prod(map(factorial.__getitem__, h)))
+            weights.append(factorial[e] // prod(map(factorial.__getitem__, h.values())))
     rows, rest = [((), (), 1)] * m, []
     for g, (index, weights) in hits.items():
-        size = factorial[d] // prod(map(factorial.__getitem__, g))
-        if size == 1:
-            rows[g.index(d)] = (tuple(index), tuple(weights), 1)
+        size = factorial[d] // prod(factorial[b] for _, b in g)
+        if size == 1:  # g = d e_j
+            rows[g[0][0]] = (tuple(index), tuple(weights), 1)
         else:
             rest.append((tuple(index), tuple(weights), size))
     if len(rest) < composition_count(m, d) - m:
@@ -284,22 +306,27 @@ class _Shape:
 
     entries[k] is the size of the Bernstein table of depth k = 1..n-3 (rows
     are never bounded: prefix sums make their points cheap); the table itself
-    is built when the gate first admits a node of that depth (beaten).
+    is built when the gate first admits a node of that depth whose last vertex
+    does not keep it (beaten).  tails[k] lists the (entry, degree) pairs of the
+    suffixes at depth k that are 0 but on the last coordinate.
     """
 
     def __init__(self, support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> None:
         self.n, self.d = n, d
         self.row_suffixes = row_suffixes = sorted({alpha[-2:] for alpha in support})
         self.e = max((b + c for b, c in row_suffixes), default=0)
-        levels, links, entries = [], [], [0] * (n - 1)
+        levels, links, entries, tails = [], [], [0] * (n - 1), [()] * (n - 1)
         order = row_suffixes  # n = 2: the row suffixes are the monomials
+        tail = {j for j, (b, _) in enumerate(row_suffixes) if b == 0}
         for k, (lead, child, degrees, width, extras, slot) in zip(
             range(n - 3, -1, -1), _suffix_orders(support, row_suffixes, n)
         ):
             levels.append(((), width, extras, tuple(i for i, b in enumerate(lead) if b == degrees[i])))
             links.append((lead, child))
+            tail = {i for i, (b, j) in enumerate(zip(lead, child)) if b == 0 and j in tail}
             if k:
                 entries[k] = _table_entries(n - k, d, degrees)
+                tails[k] = tuple((i, degrees[i]) for i in sorted(tail))
             else:
                 order = [()] * len(support)
                 for alpha, i in zip(support, slot):
@@ -308,6 +335,7 @@ class _Shape:
         self.links = tuple(reversed(links))
         self.order = tuple(order)
         self.entries = tuple(entries)
+        self.tails = tuple(tails)
         self.tables: "list[tuple | None]" = [None] * (n - 1)
         self.power: "list[tuple[int, ...]]" = []  # power[v][b] = v^b, b = 0..d
         self.rows: "tuple[tuple[tuple[int, ...], ...] | None, ...]" = (None,)
@@ -387,11 +415,17 @@ class _Shape:
         an attained extreme, so minimizers and ties stay exact.  The test is
         all integer and stops at the first row of the table (_bernstein_rows)
         that fails.  A d = 2 node runs the sharper _quadratic_beaten instead.
+        Its last vertex row, the value at the node's lex-first point, is read
+        first from tails[k], so a node it keeps costs no table: a sweep of many
+        variables that goes down one node per depth builds none.
         """
         lo = None if low is None else low.value
         hi = None if high is None else high.value
-        degrees, rows = self.tables[k] or self._build_table(k)
         power = list(accumulate(repeat(s, self.d), mul, initial=1))
+        v = sum(coeffs[i] * power[e] for i, e in self.tails[k])
+        if lo is not None and v <= lo or hi is not None and v >= hi:
+            return False
+        degrees, rows = self.tables[k] or self._build_table(k)
         scaled = list(map(mul, coeffs, map(power.__getitem__, degrees)))
         if self.d == 2:
             return _quadratic_beaten(self.n - k, rows, scaled, lo, hi)
@@ -485,9 +519,11 @@ def _gates(shape: _Shape, n: int, r: int) -> "list[int]":
 
 
 def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int, stop: int,
-          cap: int, picks: tuple, gates: "list[int] | None") -> "tuple[list[_Extreme], int]":
-    """Running extremes (one per pick, min and/or max) of L*f over the grid
-    points with first <= alpha_0 < stop, and the number of points pruned.
+          cap: int, picks: tuple, starts: "list[int]",
+          gates: "list[int] | None") -> "tuple[list[_Extreme], int]":
+    """Running extremes (one per pick, min and/or max, each from its attained
+    start) of L*f over the grid points with first <= alpha_0 < stop, and the
+    number of points pruned.
 
     root holds L*f's coefficients in shape.order; for n = 1 it holds the one
     coefficient of x^d times r^d, or nothing for the zero polynomial.  The
@@ -495,7 +531,7 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
     limited by the recursion limit.  A node that passes gates is skipped when
     shape.beaten says no point below it can reach a tracked extreme.
     """
-    tracked = [_Extreme(pick, cap) for pick in picks]
+    tracked = [_Extreme(pick, cap, start) for pick, start in zip(picks, starts)]
     if n == 1:
         value = root[0] if root else 0
         for ext in tracked:
@@ -534,8 +570,7 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
                 values = shape.row(child, rest)
                 for ext in tracked:
                     ext.add_row(values, here, rest)
-            # ties > 0 once any point is seen: then every tracked extreme is attained
-            elif rest >= gate and tracked[0].ties and shape.beaten(k + 1, child, rest, low, high):
+            elif rest >= gate and shape.beaten(k + 1, child, rest, low, high):
                 pruned += comb(rest + n - k - 2, n - k - 2)
             else:  # descend; this level resumes from `alphas` once the child is done
                 stack.append((k + 1, child, rest, here, iter(range(rest + 1))))
@@ -558,15 +593,30 @@ def _alpha0_chunks(n: int, r: int, threads: int) -> "list[tuple[int, int]]":
     return list(zip(edges, edges[1:]))
 
 
+def _vertex_values(coeffs: "dict[tuple[int, ...], int]", n: int, d: int) -> "list[int]":
+    """The values of L*f at the simplex vertices e_i, each once: the integer
+    coefficient of every pure power x_i^d present, and 0 if one is absent.  One
+    pass over the support; a monomial of degree d >= 1 with an exponent d is a
+    pure power."""
+    pure = [c for alpha, c in coeffs.items() if d in alpha]
+    return pure if len(pure) == n else pure + [0]
+
+
 def _sweep(
     f: HomogeneousPolynomial, r: int, threads: int, cap: int, picks: tuple = (min, max)
 ) -> "tuple[list[_Extreme], int, int]":
     """Extremes of L*f over the grid from one lex-order pass, one per pick (min
-    and/or max, in that order); L*r^d; and the number of points pruned."""
+    and/or max, in that order); L*r^d; and the number of points pruned.
+
+    Each side starts from its best vertex value, L*f(r e_i) = L*c_i*r^d, so
+    nodes are pruned from the first one on; every chunk starts from it."""
     scale = lcm(*(c.denominator for c in f.coeffs.values()))
     coeffs = {alpha: c.numerator * (scale // c.denominator) for alpha, c in f.coeffs.items()}
+    top = r**f.d
+    vertices = _vertex_values(coeffs, f.n, f.d)
+    starts = [pick(vertices) * top for pick in picks]
     if f.n == 1:
-        shape, root, gates = None, [c * r**f.d for c in coeffs.values()], None
+        shape, root, gates = None, [c * top for c in coeffs.values()], None
     else:
         shape = _shape(tuple(coeffs), f.n, f.d)
         shape.grow(r)  # before any worker starts
@@ -576,11 +626,13 @@ def _sweep(
     workers = min(len(chunks), os.cpu_count() or 1) if len(chunks) > 1 else 1
 
     def scan(chunk: "tuple[int, int]") -> "tuple[list[_Extreme], int]":
-        return _scan(shape, root, f.n, r, *chunk, cap, picks, gates)
+        return _scan(shape, root, f.n, r, *chunk, cap, picks, starts, gates)
 
     if workers == 1:
         partials = [scan(chunk) for chunk in chunks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only here: it is slow to import
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(scan, chunks))
     extremes, pruned = partials[0]
@@ -588,7 +640,7 @@ def _sweep(
         for ext, part in zip(extremes, later):
             ext.absorb(part.value, part.ties, part.points)
         pruned += later_pruned
-    return extremes, scale * r**f.d, pruned
+    return extremes, scale * top, pruned
 
 
 def _grid_extremes(f: HomogeneousPolynomial, r: int, picks: tuple, threads: int, cap: int,

@@ -155,19 +155,31 @@ def exact_alpha(g: Graph, *, max_vertices: int = 25) -> int:
 
 
 def _stability(g: Graph, cap: int) -> int:
-    """min(alpha, cap) by a depth-first walk of the stable sets, each grown by
-    later vertices only, that stops at the first set of cap vertices.  It visits
-    each nonempty stable set of at most cap vertices at most once, and drops a
-    set that could not outgrow the largest found if every later vertex joined
-    it.  A vertex's neighbour mask is built when the walk first goes on past a
-    set that it joined, so a walk that stops at its first vertex builds none."""
+    """min(alpha, cap).  A vertex on no edge joins every maximum stable set, so
+    those are counted in closed form, and the walk covers only the vertices
+    that touch an edge, capped at what the isolated ones leave: its masks have
+    at most twice as many bits as there are edges, whatever n is.
+
+    The walk goes depth-first over the stable sets, each grown by later
+    vertices only, and stops at the first set of the cap's size.  It visits
+    each nonempty stable set of at most that many vertices at most once, and
+    drops a set that could not outgrow the largest found if every later vertex
+    joined it.  A vertex's neighbour mask is built when the walk first goes on
+    past a set that it joined, so a walk that stops at its first vertex builds
+    none."""
+    touched = sorted({v for edge in g.edges for v in edge})  # relabelled 0.. in order
+    isolated = g.n - len(touched)
+    if isolated >= cap:
+        return cap
+    label = {v: i for i, v in enumerate(touched)}
     neighbours: "dict[int, list[int]]" = {}
     for u, v in g.edges:
-        neighbours.setdefault(u - 1, []).append(v - 1)
-        neighbours.setdefault(v - 1, []).append(u - 1)
+        neighbours.setdefault(label[u], []).append(label[v])
+        neighbours.setdefault(label[v], []).append(label[u])
+    cap -= isolated
     masks: "dict[int, int]" = {}
     best = 0
-    stack = [(0, (1 << g.n) - 1)]  # (size of a stable set, later vertices that may join it)
+    stack = [(0, (1 << len(touched)) - 1)]  # (size of a stable set, later vertices that may join it)
     while stack:
         size, later = stack.pop()
         if size + later.bit_count() <= best:
@@ -178,9 +190,9 @@ def _stability(g: Graph, cap: int) -> int:
         if size + 1 > best:
             best = size + 1
             if best == cap:
-                return best
+                break
         v = low.bit_length() - 1
         if v not in masks:
-            masks[v] = sum(1 << w for w in neighbours.get(v, ()))
+            masks[v] = sum(1 << w for w in neighbours[v])
         stack.append((size + 1, later & ~masks[v]))
-    return best
+    return isolated + best

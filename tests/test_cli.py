@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import types
@@ -1297,6 +1298,30 @@ def test_stable_set_bounds_the_vertex_form(capsys, monkeypatch, tmp_path):
     assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "1")[0] == EXIT_OK
     assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "3")[0] == EXIT_SIZE_GUARD
     assert run(capsys, "stable-set", "--graph", PETERSEN, "--r", "3", "--force")[0] == EXIT_OK
+
+
+def test_stable_set_force_counts_isolated_vertices_in_closed_form(capsys, tmp_path):
+    # the guard is off, so n may be far past any mask: the vertices on no edge
+    # are counted, not walked
+    huge = tmp_path / "huge.edges"
+    n = 10**20
+    for text, r, alpha_lb in (("p edge %d 0\n" % n, "1", 1), ("p edge %d 0\n" % n, "3", 3),
+                              ("p edge %d 1\n1 %d\n" % (n, n), "3", 3)):
+        huge.write_text(text)
+        code, out, err = run(capsys, "stable-set", "--graph", str(huge), "--r", r, "--force")
+        assert (code, err) == (EXIT_OK, "")
+        obj = json.loads(out)
+        assert (obj["n"], obj["alpha_lb"]) == (n, alpha_lb)
+        assert obj["evaluations"] == math.comb(n + int(r) - 1, int(r))
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    # concurrent.futures is imported only by a sweep that starts workers
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys; import simplex_grid_opt.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_stable_set_sweeps_no_grid_and_builds_no_form(capsys, monkeypatch, tmp_path):

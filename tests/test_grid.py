@@ -1,4 +1,6 @@
+import concurrent.futures
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import ceil, comb, floor, prod
@@ -296,8 +298,17 @@ def test_pruned_engine_matches_naive_oracle_with_every_node_bounded(case, cap):
 def _evaluated_and_pruned(f, r, cap, picks):
     """Points the engine evaluated (rows and single points) and points it pruned,
     for one serial sweep."""
+    _, _, evaluated, pruned = _counted_sweep(f, r, 1, cap, picks)
+    return evaluated, pruned
+
+
+def _counted_sweep(f, r, threads, cap, picks):
+    """grid._sweep's extremes, L*r^d and pruned count, with the points its chunk
+    scans evaluated (rows and single points) counted in before the pruned
+    count; the merge of the chunks is not counted."""
     evaluated = []
-    add_row, absorb = grid._Extreme.add_row, grid._Extreme.absorb
+    scanning = threading.local()
+    add_row, absorb, scan = grid._Extreme.add_row, grid._Extreme.absorb, grid._scan
 
     def counted_row(ext, values, prefix, s):
         if ext.pick is picks[0]:
@@ -305,15 +316,23 @@ def _evaluated_and_pruned(f, r, cap, picks):
         add_row(ext, values, prefix, s)
 
     def counted_point(ext, value, ties, points):
-        if ext.pick is picks[0]:
+        if ext.pick is picks[0] and getattr(scanning, "on", False):
             evaluated.append(ties)
         absorb(ext, value, ties, points)
+
+    def counted_scan(*args):
+        scanning.on = True
+        try:
+            return scan(*args)
+        finally:
+            scanning.on = False
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grid._Extreme, "add_row", counted_row)
         patch.setattr(grid._Extreme, "absorb", counted_point)
-        _, _, pruned = grid._sweep(f, r, 1, cap, picks)
-    return sum(evaluated), pruned
+        patch.setattr(grid, "_scan", counted_scan)
+        extremes, denominator, pruned = grid._sweep(f, r, threads, cap, picks)
+    return extremes, denominator, sum(evaluated), pruned
 
 
 def test_default_gate_prunes_and_keeps_the_count():
@@ -396,6 +415,7 @@ def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
 
     shape = object.__new__(grid._Shape)  # only what beaten reads
     shape.n, shape.d, shape.tables = m, d, [(tuple(map(sum, suffixes)), rows)]
+    shape.tails = [tuple((i, sum(sigma)) for i, sigma in enumerate(suffixes) if not any(sigma[:-1]))]
     beaten = lambda low, high: shape.beaten(0, coeffs, s, low, high)
     # an attained value is never beaten, on either side
     assert not beaten(_Incumbent(min(values)), None)
@@ -461,11 +481,46 @@ def test_sparse_many_variable_table_costs_its_entries():
         assert rows[m - 1][0] == (0,) and rows[m] == ((), (), 2)
 
 
+def test_a_node_its_last_vertex_keeps_builds_no_table():
+    # x_0 at r = 1 over 300 variables: the walk goes down alpha_0 = ... = 0, one
+    # node per depth, and each node's lex-first point ties the start 0; the max
+    # side prunes everything below alpha_0 = 1 with one table, sparse in g
+    n = 300
+    f = HomogeneousPolynomial(n, 1, {(1,) + (0,) * (n - 1): 1})
+    grid._shape.cache_clear()
+    low = grid_minimize(f, 1)
+    assert (low.value, low.tie_count) == (0, n - 1)
+    shape = grid._shape(tuple(f.coeffs), n, 1)
+    assert shape.tables == [None] * (n - 1)
+    high = grid_maximize(f, 1)
+    assert (high.value, high.minimizers) == (1, ((1,) + (0,) * (n - 1),))
+    assert [k for k, table in enumerate(shape.tables) if table is not None] == [1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(max_n=6, max_d=4))
+def test_tails_are_the_last_vertex_row(f):
+    # tails[k] is the row of g = d e_{m-1} of the depth-k table, read without it
+    if f.n < 4:  # no node is bounded
+        return
+    shape = grid._Shape(tuple(f.coeffs), f.n, f.d)
+    for k in range(1, f.n - 2):
+        degrees, rows = shape._build_table(k)
+        index, weights, size = rows[f.n - k - 1]
+        assert (size, set(weights) | {1}) == (1, {1})
+        assert shape.tails[k] == tuple((i, degrees[i]) for i in index)
+
+
 def test_sparse_quadratic_reaches_the_quadratic_bound_at_depth_1():
     # x_0 x_1 + x_2^2 + x_3^2 + x_4^2 at r = 20, minimum 0: its depth-1 table
     # has no row for most edges (p_g = 0), so every depth-1 node with
     # x_0 = a >= 1 has the quadratic bound 1/(1/(a s) + 3/s^2) > 0 and goes;
-    # a test that refused any node with a missing row pruned 8835, none at depth 1
+    # a test that refused any node with a missing row pruned 8835, none at depth 1.
+    # x_0^2 is absent, so the sweep starts from the vertex value 0, the minimum:
+    # the a = 0 node holds (0, 20, 0, 0, 0) and is tested but kept, and every
+    # node without a zero point goes, so only the two zeros are evaluated and
+    # C(24, 4) - 2 = 10624 points are pruned (8854 when the sweep started from
+    # its first point)
     f = load_polynomial(str(DATA_DIR / "sparse_quadratic_n5.json"))
     depth_1 = []
     beaten = grid._Shape.beaten
@@ -479,9 +534,123 @@ def test_sparse_quadratic_reaches_the_quadratic_bound_at_depth_1():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grid._Shape, "beaten", counted)
         evaluated, pruned = _evaluated_and_pruned(f, 20, 16, (min,))
-    assert (pruned, evaluated + pruned) == (8854, comb(24, 4))
-    assert depth_1 == [(20 - a, True) for a in range(1, 20)]
-    assert grid_minimize(f, 20).value == 0
+    assert (pruned, evaluated + pruned) == (10624, comb(24, 4))
+    assert depth_1 == [(20, False)] + [(20 - a, True) for a in range(1, 20)]
+    low = grid_minimize(f, 20)
+    assert (low.value, low.minimizers, low.tie_count) == (0, ((0, 20, 0, 0, 0), (20, 0, 0, 0, 0)), 2)
+
+
+# --- the vertex start ---------------------------------------------------------------
+
+
+def _check_start(f, r, picks=(min, max)):
+    """Sweep f at r with threads 1, 2 and 8, caps 1 and 16, and the default
+    gate or every node bounded, against naive_extremes, and check that every
+    point is evaluated or pruned; return the serial pruned count at cap 16
+    with every node bounded."""
+    naive = dict(zip((min, max), naive_extremes(f, r, 16)))
+    for bounded in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if bounded:
+                patch.setattr(grid, "_BOUND_ENTRIES_PER_POINT", 10**9)
+            for threads in (1, 2, 8):
+                for cap in (1, 16):
+                    extremes, denominator, evaluated, pruned = _counted_sweep(f, r, threads, cap, picks)
+                    got = [(Fraction(x.value, denominator), tuple(x.points), x.ties) for x in extremes]
+                    assert got == [(v, hits[:cap], ties) for v, hits, ties in map(naive.get, picks)]
+                    assert evaluated + pruned == composition_count(f.n, r)
+    return pruned
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_cases(), st.sampled_from((1, 2, 8)), st.sampled_from((1, 16)),
+       st.sampled_from(((min,), (max,), (min, max))), st.booleans())
+def test_sweeps_from_the_best_vertex_match_naive_oracle(case, threads, cap, picks, bounded):
+    f, r = case
+    naive = dict(zip((min, max), naive_extremes(f, r, cap)))
+    with pytest.MonkeyPatch.context() as patch:
+        if bounded:
+            patch.setattr(grid, "_BOUND_ENTRIES_PER_POINT", 10**9)
+        extremes, denominator, evaluated, pruned = _counted_sweep(f, r, threads, cap, picks)
+    got = [(Fraction(x.value, denominator), tuple(x.points), x.ties) for x in extremes]
+    assert got == [naive[pick] for pick in picks]
+    assert evaluated + pruned == composition_count(f.n, r)
+
+
+def _unit(n, *powers):
+    """The exponent tuple with the given (coordinate, exponent) pairs."""
+    alpha = [0] * n
+    for i, b in powers:
+        alpha[i] = b
+    return tuple(alpha)
+
+
+def test_start_finds_a_unique_minimizer_at_the_lex_last_vertex():
+    # -x_0^2 + x_1^2 + x_2^2 + x_3^2 >= -x_0^2 >= -1, equal only at e_0; the
+    # lex walk reaches (r, 0, 0, 0) last, and the start prunes before it
+    f = HomogeneousPolynomial(4, 2, {_unit(4, (0, 2)): -1, **{_unit(4, (i, 2)): 1 for i in (1, 2, 3)}})
+    assert sorted(grid._vertex_values({a: int(c) for a, c in f.coeffs.items()}, 4, 2)) == [-1, 1, 1, 1]
+    assert _check_start(f, 12, (min,)) > 0
+    low = grid_minimize(f, 12)
+    assert (low.value, low.minimizers, low.tie_count) == (-1, ((12, 0, 0, 0),), 1)
+
+
+def test_start_from_a_vertex_above_the_minimum():
+    # sum x_i^2: every vertex is 1, the minimum 1/4 is interior; the max side
+    # starts at its value, attained at all four vertices
+    f = sum_of_squares(4)
+    _check_start(f, 8)
+    low, high = grid_extrema(f, 8)
+    assert (low.value, low.tie_count) == (Fraction(1, 4), 1)
+    assert (high.value, high.tie_count) == (1, 4)
+
+
+def test_start_with_every_vertex_tied_at_the_minimum():
+    f = poly_scale(sum_of_squares(4), -1)
+    _check_start(f, 9)
+    low = grid_minimize(f, 9)
+    assert low.value == -1 and low.tie_count == 4
+    assert low.minimizers == ((0, 0, 0, 9), (0, 0, 9, 0), (0, 9, 0, 0), (9, 0, 0, 0))
+
+
+def test_start_is_zero_without_a_pure_power():
+    # no x_i^d, so every vertex is 0: below the maximum and above the minimum
+    # of x_0 x_1 - x_2 x_3, and the minimum of x_0 x_1 x_2 + x_1 x_3^2, tied
+    # at many points
+    cases = (HomogeneousPolynomial(4, 2, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1}),
+             HomogeneousPolynomial(4, 3, {(1, 1, 1, 0): 1, (0, 1, 0, 2): 1}))
+    for f in cases:
+        assert grid._vertex_values({a: int(c) for a, c in f.coeffs.items()}, 4, f.d) == [0]
+        _check_start(f, 10)
+    assert grid_minimize(cases[0], 10).value == Fraction(-1, 4)
+    assert grid_maximize(cases[0], 10).value == Fraction(1, 4)
+    assert grid_minimize(cases[1], 10).tie_count > 1
+
+
+def test_a_chunk_with_nothing_as_good_as_the_start_merges_as_the_start(monkeypatch):
+    # x_0^2 + x_1^2 + x_2^2 - x_3^2: the minimum -1 is the lex-first point
+    # (0, 0, 0, r), so every --threads 8 chunk after the first finds no point as
+    # good as the start and returns it with 0 ties and no points
+    f = HomogeneousPolynomial(4, 2, {**{_unit(4, (i, 2)): 1 for i in (0, 1, 2)}, _unit(4, (3, 2)): -1})
+    r = 12
+    partials = []
+    scan = grid._scan
+
+    def recorded(*args):
+        tracked, pruned = scan(*args)
+        partials.append([(x.value, x.ties, list(x.points)) for x in tracked])
+        return tracked, pruned
+
+    monkeypatch.setattr(grid, "_scan", recorded)
+    low = grid_minimize(f, r, threads=8)
+    start = -r * r
+    assert len(partials) == len(grid._alpha0_chunks(4, r, 8)) == 7
+    assert partials[0] == [(start, 1, [(0, 0, 0, r)])]
+    assert all(part == [(start, 0, [])] for part in partials[1:])
+    assert (low.value, low.minimizers, low.tie_count) == (-1, ((0, 0, 0, r),), 1)
+    assert low == grid_minimize(f, r)
+    monkeypatch.undo()
+    _check_start(f, r)
 
 
 # --- one shape per support, grown across r ------------------------------------------
@@ -603,7 +772,7 @@ class RecordingExecutor:
 
 
 def test_workers_capped_at_chunks_and_cpu_count(monkeypatch):
-    monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     f = sum_of_squares(3)
     expected = grid_minimize(f, 5)
     for cpus, want in ((4, 4), (64, 5)):  # r = 5 splits alpha_0 into 5 chunks here
@@ -614,7 +783,7 @@ def test_workers_capped_at_chunks_and_cpu_count(monkeypatch):
 
 
 def test_single_cpu_runs_without_a_pool(monkeypatch):
-    monkeypatch.setattr(grid, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(grid.os, "cpu_count", lambda: 1)
     RecordingExecutor.created = []
     assert grid_minimize(sum_of_squares(4), 6, threads=8) == grid_minimize(sum_of_squares(4), 6)

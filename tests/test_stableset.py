@@ -13,6 +13,7 @@ from simplex_grid_opt import (
     grid_minimize,
     motzkin_straus_form,
     parse_graph_text,
+    stableset,
 )
 from strats import brute_force_alpha, complete_graph, greedy_stable_set, petersen, random_graph
 
@@ -192,3 +193,23 @@ def test_exact_alpha_matches_a_subset_scan():
         assert exact_alpha(g) == brute_force_alpha(g)
     assert [exact_alpha(complete_graph(n)) for n in (1, 4, 10)] == [1, 1, 1]
     assert exact_alpha(Graph.from_edges(10, [])) == 10
+
+
+def test_isolated_vertices_are_counted_not_walked():
+    # edges among a random subset of the vertices, the rest isolated and spread
+    # among them; min(alpha, cap) for every cap against the subset scan
+    rng = random.Random(18)
+    with_isolated = 0
+    for seed in range(150):
+        n = rng.randint(2, 11)
+        touched = sorted(rng.sample(range(1, n + 1), rng.randint(2, n)))
+        pairs = [(u, v) for i, u in enumerate(touched) for v in touched[i + 1:]]
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(1, len(pairs))))
+        with_isolated += len({v for edge in g.edges for v in edge}) < n
+        alpha = brute_force_alpha(g)
+        assert exact_alpha(g) == alpha, (seed, g)
+        for cap in range(1, n + 2):
+            assert stableset._stability(g, cap) == min(alpha, cap), (seed, g, cap)
+    assert with_isolated > 100
+    assert stableset._stability(Graph.from_edges(5, [(2, 4)]), 9) == 4
+    assert stableset._stability(Graph.from_edges(10**20, []), 7) == 7
