@@ -30,7 +30,6 @@ guard tripped, 4 verification failure.  Output is byte-identical for any
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import random
@@ -158,6 +157,8 @@ def _write_table(keys: "Sequence[str]", rows: "Iterable[Sequence]", indent: str 
 
 def _write_csv(header: "Sequence[str]", rows: "Iterable[Sequence]", *,
                decimal_note: bool = False) -> None:
+    import csv  # only --format csv writes CSV
+
     print(CSV_VERSION_LINE)
     if decimal_note:
         print(CSV_DECIMAL_NOTE)
@@ -485,38 +486,27 @@ def _add_common(sub: argparse.ArgumentParser, *, poly: bool = False, r: bool = F
         sub.add_argument("--r", type=int, required=True, help="grid denominator")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sgo",
-        description="Exact minimization of homogeneous polynomials over simplex grids, "
-        "with certified error bounds and identity verification.",
-    )
-    subs = parser.add_subparsers(dest="verb", required=True)
+def _grid_extremum_options(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, poly=True, r=True, sweeps=True)
 
-    for verb in ("grid-min", "grid-max"):
-        sub = subs.add_parser(verb, help=f"exact grid {verb.split('-')[1]}imum")
-        _add_common(sub, poly=True, r=True, sweeps=True)
-        sub.set_defaults(func=cmd_grid_extremum)
 
-    sub = subs.add_parser("expect", help="urn-model expectation of f, and the "
-                          "with-replacement comparison value")
+def _expect_options(sub: argparse.ArgumentParser) -> None:
     _add_common(sub, poly=True, r=True)
     sub.add_argument("--m", type=int, help="total balls in the urn")
     sub.add_argument("--counts", help="comma-separated balls per color, summing to m")
     sub.add_argument("--bernstein", action="store_true",
                      help="also compute the order-r with-replacement value")
     sub.add_argument("--x", help="simplex point for --bernstein, e.g. 7/16,9/16")
-    sub.set_defaults(func=cmd_expect)
 
-    sub = subs.add_parser("bounds", help="table of error-bound coefficients")
+
+def _bounds_options(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
     sub.add_argument("--d", type=int, required=True, help="polynomial degree")
     sub.add_argument("--r-range", required=True, help="grid denominator(s), e.g. 2 or 1:16")
     sub.add_argument("--m-range", help="reference denominator(s), e.g. 4 or 2:8")
-    sub.set_defaults(func=cmd_bounds)
 
-    sub = subs.add_parser("converge", help="grid values, normalized-error intervals, "
-                          "and bound coefficients over a range of r")
+
+def _converge_options(sub: argparse.ArgumentParser) -> None:
     _add_common(sub, poly=True, sweeps=True)
     sub.add_argument("--r-range", required=True)
     sub.add_argument("--elevation", type=int, default=0)
@@ -525,10 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="assert the simplex minimum is attained at this denominator")
     sub.add_argument("--assume-max-denominator", type=int,
                      help="assert the simplex maximum is attained at this denominator")
-    sub.set_defaults(func=cmd_converge)
 
-    sub = subs.add_parser("verify", help="run identity sweeps and bound witnesses; "
-                          "exit 4 on any failure")
+
+def _verify_options(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--samples", type=int, default=25,
@@ -542,24 +531,66 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--max-r", type=int, default=30)
     sub.add_argument("--inject-fault", action="store_true",
                      help="append a deliberately failing check (harness self-test)")
-    sub.set_defaults(func=cmd_verify)
 
-    sub = subs.add_parser("stable-set", help="certified stability-number lower bound")
+
+def _stable_set_options(sub: argparse.ArgumentParser) -> None:
     _add_common(sub, guard=True)
     sub.add_argument("--graph", required=True, help="edge list file, one 'u v' per line")
     sub.add_argument("--r", type=int, required=True)
-    sub.set_defaults(func=cmd_stable_set)
 
-    sub = subs.add_parser("enclose", help="certified enclosures of the simplex extrema")
+
+def _enclose_options(sub: argparse.ArgumentParser) -> None:
     _add_common(sub, poly=True, r=True, sweeps=True)
     sub.add_argument("--elevation", type=int, default=0)
-    sub.set_defaults(func=cmd_enclose)
 
+
+# verb: (help, command, options), in the order the full parser lists them
+_VERBS = {
+    "grid-min": ("exact grid minimum", cmd_grid_extremum, _grid_extremum_options),
+    "grid-max": ("exact grid maximum", cmd_grid_extremum, _grid_extremum_options),
+    "expect": ("urn-model expectation of f, and the with-replacement comparison value",
+               cmd_expect, _expect_options),
+    "bounds": ("table of error-bound coefficients", cmd_bounds, _bounds_options),
+    "converge": ("grid values, normalized-error intervals, and bound coefficients over "
+                 "a range of r", cmd_converge, _converge_options),
+    "verify": ("run identity sweeps and bound witnesses; exit 4 on any failure",
+               cmd_verify, _verify_options),
+    "stable-set": ("certified stability-number lower bound", cmd_stable_set,
+                   _stable_set_options),
+    "enclose": ("certified enclosures of the simplex extrema", cmd_enclose, _enclose_options),
+}
+
+
+def build_parser(verb: "str | None" = None) -> argparse.ArgumentParser:
+    """The `sgo` parser: with one of _VERBS, holding that verb's subparser
+    alone, and otherwise all of them."""
+    parser = argparse.ArgumentParser(
+        prog="sgo",
+        description="Exact minimization of homogeneous polynomials over simplex grids, "
+        "with certified error bounds and identity verification.",
+    )
+    subs = parser.add_subparsers(dest="verb", required=True)
+    for name in (verb,) if verb in _VERBS else _VERBS:
+        help_text, func, add_options = _VERBS[name]
+        sub = subs.add_parser(name, help=help_text)
+        add_options(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
+def _parse(argv: "list[str]") -> argparse.Namespace:
+    """Parse with the called verb's parser alone.  Anything that parser cannot
+    place, and any argv that does not start with a verb, goes to the full
+    parser, which prints the usage, help and errors."""
+    if argv and argv[0] in _VERBS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValueError("--threads must be at least 1")

@@ -70,7 +70,8 @@ class HomogeneousPolynomial:
         merged: "dict[tuple[int, ...], Fraction]" = {}
         for alpha, coef in pairs:
             key = tuple(int(a) for a in alpha)
-            merged[key] = merged.get(key, Fraction(0)) + as_rational(coef)
+            c = as_rational(coef)
+            merged[key] = merged[key] + c if key in merged else c
         if d is None:
             if not merged:
                 raise ValueError("cannot infer the degree of an empty polynomial")
@@ -255,15 +256,19 @@ def to_json_dict(f: HomogeneousPolynomial) -> dict:
 
 def load_polynomial(path: str, *, homogenize_terms: bool = False) -> HomogeneousPolynomial:
     """Read a polynomial JSON file; decimal literals are parsed exactly, and so
-    are integer literals of any length."""
+    are integer literals of any length.  A file nested deeper than the JSON
+    scanner can recurse is refused with a ValueError."""
     with open(path, "r", encoding="utf-8") as fp:
         text = fp.read()
-    try:  # int runs inside the JSON scanner, with no call back into Python per literal
-        obj = json.loads(text, parse_float=as_rational, parse_int=int)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        # past the interpreter's limit on the digits of an int made from a string,
-        # which Decimal does not have; an error of as_rational is raised again
-        obj = json.loads(text, parse_float=as_rational, parse_int=lambda t: int(Decimal(t)))
+    try:
+        try:  # int runs inside the JSON scanner, with no call back into Python per literal
+            obj = json.loads(text, parse_float=as_rational, parse_int=int)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # past the interpreter's limit on the digits of an int made from a string,
+            # which Decimal does not have; an error of as_rational is raised again
+            obj = json.loads(text, parse_float=as_rational, parse_int=lambda t: int(Decimal(t)))
+    except RecursionError:  # the scanner recurses once per nested list or object
+        raise ValueError("polynomial JSON nests too deeply") from None
     return from_json_dict(obj, homogenize_terms=homogenize_terms)

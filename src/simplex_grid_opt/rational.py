@@ -32,6 +32,8 @@ def as_rational(value: object) -> Fraction:
     power of ten is built.  Binary floats are rejected: they generally do not
     equal the decimal the user wrote down.
     """
+    if type(value) is Fraction:  # already exact; a subclass is converted below
+        return value
     if isinstance(value, bool):
         raise TypeError("booleans are not rational coefficients")
     if isinstance(value, _RationalABC):

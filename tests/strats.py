@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -146,6 +148,76 @@ def naive_bernstein(f, x, r):
 
 
 # --- oracles and helpers that only the tests use -------------------------------
+
+
+class FractionSubclass(Fraction):
+    """A Fraction subclass: the polynomial constructors store plain Fractions."""
+
+
+def coefficient_forms(q: Fraction) -> "list":
+    """q spelled as every coefficient type the loaders take: Fraction, a
+    Fraction subclass, a "p/q" string, and an int, an int string and a decimal
+    string where q has those forms."""
+    forms = [q, FractionSubclass(q), f"{q.numerator}/{q.denominator}"]
+    if q.denominator == 1:
+        forms += [q.numerator, str(q.numerator)]
+    if 10**6 % q.denominator == 0:
+        forms.append(str(Decimal(q.numerator) / Decimal(q.denominator)))
+    return forms
+
+
+@st.composite
+def term_lists(draw, max_n: int = 4, max_d: int = 3, lower_degrees: bool = False):
+    """(n, d, [(exponent, coefficient), ...]) with repeated exponents, some of
+    whose coefficients cancel to zero, in every coefficient form.  With
+    lower_degrees, terms may have any degree up to d (for homogenize)."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    degrees = st.integers(0, d) if lower_degrees else st.just(d)
+    pool = draw(st.lists(degrees.flatmap(lambda e: exponent_tuples(n, e)), min_size=1, max_size=4))
+    values = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 5, 8, 12]))
+    terms, sums = [], {}
+    for _ in range(draw(st.integers(0, 8))):
+        alpha, q = draw(st.sampled_from(pool)), draw(values)
+        terms.append((draw(st.sampled_from([alpha, list(alpha)])),
+                      draw(st.sampled_from(coefficient_forms(q)))))
+        sums[alpha] = sums.get(alpha, 0) + q
+    for alpha, total in sums.items():  # cancel some exponents to zero
+        if draw(st.booleans()):
+            terms.append((alpha, draw(st.sampled_from(coefficient_forms(-total)))))
+    return n, d, terms
+
+
+def reference_terms(n: int, d: "int | None", terms) -> "tuple[int, int, list]":
+    """(n, d, sorted (exponent, Fraction) items) of the polynomial that
+    HomogeneousPolynomial.from_terms builds from valid terms: every
+    coefficient read by as_rational and added to a Fraction(0) start, the
+    exponents sorted, and the zero sums dropped."""
+    merged = {}
+    for alpha, coef in (terms.items() if isinstance(terms, Mapping) else terms):
+        key = tuple(int(a) for a in alpha)
+        merged[key] = merged.get(key, Fraction(0)) + as_rational(coef)
+    if d is None:
+        d = max(sum(alpha) for alpha in merged)
+    return n, d, [(alpha, Fraction(c)) for alpha, c in sorted(merged.items()) if c != 0]
+
+
+def reference_homogenize(n: int, d: int, terms) -> "tuple[int, int, list]":
+    """reference_terms of each term times (x_1 + ... + x_n)^(d - |alpha|),
+    multiplied out one factor at a time."""
+    raised = []
+    for alpha, coef in terms:
+        term = {tuple(alpha): as_rational(coef)}
+        for _ in range(d - sum(alpha)):
+            nxt = {}
+            for beta, c in term.items():
+                for i in range(n):
+                    key = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    nxt[key] = nxt.get(key, Fraction(0)) + c
+            term = nxt
+        raised += term.items()
+    return reference_terms(n, d, raised)
+
 
 
 def poly_add(f, g):

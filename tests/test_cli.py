@@ -1212,11 +1212,163 @@ def test_public_names_and_verb_options_are_pinned():
     names = sorted(name for name, value in vars(package).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
-    verbs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = sorted(f"{verb} {option}" for verb, sub in verbs.choices.items()
-                     for action in sub._actions if not isinstance(action, argparse._HelpAction)
-                     for option in action.option_strings)
-    assert options == VERB_OPTIONS
+    assert _verb_options(cli.build_parser()) == VERB_OPTIONS
+    # each verb's own parser holds that verb alone, with the same options
+    one_verb = []
+    for verb in cli._VERBS:
+        parser = cli.build_parser(verb)
+        assert list(_subparsers(parser).choices) == [verb]
+        one_verb += _verb_options(parser)
+    assert sorted(one_verb) == VERB_OPTIONS
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _verb_options(parser: argparse.ArgumentParser) -> "list[str]":
+    return sorted(f"{verb} {option}" for verb, sub in _subparsers(parser).choices.items()
+                  for action in sub._actions if not isinstance(action, argparse._HelpAction)
+                  for option in action.option_strings)
+
+
+# one small run of each verb, in the order of cli._VERBS
+ENTRY_POINT_ARGV = [
+    ("grid-min", "--poly", GAP, "--r", "4"),
+    ("grid-max", "--poly", SOS4, "--r", "3", "--format", "csv"),
+    ("expect", "--poly", GAP, "--r", "3", "--m", "16", "--counts", "7,9", "--bernstein"),
+    ("bounds", "--d", "3", "--r-range", "2:3", "--format", "csv"),
+    ("converge", "--poly", GAP, "--r-range", "2:4"),
+    ("verify", "--max-n", "2", "--max-d", "2", "--max-m", "3", "--witness-polys", "1"),
+    ("stable-set", "--graph", PETERSEN, "--r", "2"),
+    ("enclose", "--poly", SOS4, "--r", "3", "--format", "csv"),
+]
+
+
+@pytest.mark.parametrize("argv", [*ENTRY_POINT_ARGV, ENTRY_POINT_ARGV[3] + ("--bogus",)],
+                         ids=[*cli._VERBS, "bogus"])
+def test_main_builds_only_the_called_verbs_parser(capsys, monkeypatch, argv):
+    # a run builds one subparser; a leftover argument builds them all, for the error
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    if "--bogus" in argv:
+        with pytest.raises(SystemExit):
+            main(list(argv))
+        assert added == [argv[0], *cli._VERBS]
+    else:
+        assert main(list(argv)) == EXIT_OK
+        assert added == [argv[0]]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", ENTRY_POINT_ARGV, ids=[argv[0] for argv in ENTRY_POINT_ARGV])
+def test_module_entry_point_prints_what_main_prints(capsys, argv):
+    # `python -m simplex_grid_opt.cli` passes no argv to main, which reads sys.argv
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "simplex_grid_opt.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == EXIT_OK
+
+
+# Each verb's arguments that parse, the required option to leave out (verify
+# has none, so an option loses its value instead) and an int option to misspell.
+_VERB_ARGS = {
+    "grid-min": (["--poly", "f.json", "--r", "2"], "--r", "--threads"),
+    "grid-max": (["--poly", "f.json", "--r", "2"], "--poly", "--threads"),
+    "expect": (["--poly", "f.json", "--r", "2"], "--r", "--m"),
+    "bounds": (["--d", "2", "--r-range", "2"], "--d", "--d"),
+    "converge": (["--poly", "f.json", "--r-range", "2"], "--r-range", "--elevation"),
+    "verify": ([], None, "--max-n"),
+    "stable-set": (["--graph", "g.edges", "--r", "2"], "--graph", "--r"),
+    "enclose": (["--poly", "f.json", "--r", "2"], "--poly", "--elevation"),
+}
+
+
+def _parser_cases() -> "dict[str, list[str]]":
+    cases = {"no-verb": [], "help": ["-h"], "unknown-verb": ["nosuch"],
+             "leading-option": ["--format", "csv", "grid-min", "--poly", "f.json", "--r", "2"]}
+    for verb, (args, required, int_option) in _VERB_ARGS.items():
+        cases[f"{verb}-help"] = [verb, "-h"]
+        cases[f"{verb}-bogus"] = [verb, *args, "--bogus"]
+        if required is None:
+            cases[f"{verb}-missing"] = [verb, "--seed"]
+        else:
+            at = args.index(required)
+            cases[f"{verb}-missing"] = [verb, *args[:at], *args[at + 2:]]
+        cases[f"{verb}-bad-int"] = [verb, *args, int_option, "x"]
+    return cases
+
+
+PARSER_CASES = _parser_cases()
+
+
+def _parse_exit(capsys, parse, argv) -> str:
+    """SHA-256 of the exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    text = json.dumps([exc.value.code, captured.out, captured.err])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of json.dumps([exit code, stdout, stderr]) of each case, at 80
+# columns, recorded under Python 3.11 while main still built every verb's parser
+PARSER_DIGESTS = {
+    "bounds-bad-int": "fdbdd266bf61cfe342d69fb4be567e688b9a9825ae1f82c2e7ba0a5d8ca9d30c",
+    "bounds-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
+    "bounds-help": "14fa5796dc06469c1fb31a1d542f9bb852e0ffc82ecbe0dd0c2d69d3fb6b07dd",
+    "bounds-missing": "a21745c6fffad814bd83d7b685bc3e237ee03d7a5d98d7e3d0590c723d2ce692",
+    "converge-bad-int": "4b763ee50d9d7edcbb34f291bc69d6ed4da44f023c4ce6dc7aff6ca36af3b951",
+    "converge-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
+    "converge-help": "a5b8db2af4de8ffac6d6db787567fe0458e2bbb269328da716e150d3e0fe28a2",
+    "converge-missing": "e8dcce08ccd725db0755cc212e4dbf52cff6520895f691b4163eec41bf652301",
+    "enclose-bad-int": "64025dea9d9705f7856d6cfcfdde7190512e10bd983e73221fd6df4dc9c9b4cd",
+    "enclose-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
+    "enclose-help": "7b4c437cb58891a749814edb2a41993aa2ad9f64f6518c951cc3b6fad8e6a7f3",
+    "enclose-missing": "100ebea0124145507b4cd3c62a34a2f36570e4bb86d1e2478d5936fdd70cdb0e",
+    "expect-bad-int": "aeb6d835607cb97cd685f25d965e90f0cd2fc960389959e3fae05143e5627d2c",
+    "expect-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
+    "expect-help": "077c81abee2a3cceb75d8afa584a49c00436be2428bad33291cf7d25790afdb8",
+    "expect-missing": "932e9fb92f1c49758906091a107db26a65199ee21918e15ef9c1474fd45b6115",
+    "grid-max-bad-int": "4bd10b3c776263d9daee21d19a8f53a92a74e9964e6b0df3c01b2a1ae9535e7d",
+    "grid-max-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
+    "grid-max-help": "75bd069caac4b0ffb9e107eef7ac885e5117ec16a082592c2adab549a071df34",
+    "grid-max-missing": "a431b3bc065b36b5ff798681e3dfd48e2d0796f50a2123731ae8594878e244a3",
+    "grid-min-bad-int": "93a686ad8026f028e541a547963575f7bec855ee42155c59f499f5262b8517d5",
+    "grid-min-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
+    "grid-min-help": "68e9568147e657053cff0197c9d6c6a5fb25af64a9b54de8d9002a84e4496f76",
+    "grid-min-missing": "d4f589ef8e00bba0e62f48417b3b253f0e04848b95dd5c897a3ea4f9e4649fe8",
+    "help": "652b5d6d1c90082729f463fa3a4f3c6b378df3391856e80ed2e0c2ab7e3e5e84",
+    "leading-option": "daeadce155c863f8adf8356aaddc8b772493e2eea14ad13104fe0be91c4000e6",
+    "no-verb": "79e8f42599f716df215b81259a316699730c79a756ef5593491763dd61752bbf",
+    "stable-set-bad-int": "fa2a9eada478da790b2ad5b25581bbe6be104f0af9537c832269258c14b88e14",
+    "stable-set-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
+    "stable-set-help": "d1a5620993d4643fd305f1f5f5cfe292e5077a32e300b3d957d4c93ab6f59208",
+    "stable-set-missing": "211be616579e802e6679944d8b01c559390e593437f1d552f45a953dc32014ea",
+    "unknown-verb": "d0b6a1ba8d6839396051683af4fceb075f698c46806502114dbfb2af9a49dee1",
+    "verify-bad-int": "8414c18527b778195e8d654539cbc24bdcdfdb8d9c1228f9ee81b3eade2769b1",
+    "verify-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
+    "verify-help": "e932c5bb5def1098003728ac20081c3244f5b80d7a9df2f94440d5b0b03dc3f3",
+    "verify-missing": "498223252329a14735d9798a5e9431d1fca4533b1337bb1bed9a5d07cb918493",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_CASES))
+def test_usage_and_parse_error_bytes_are_pinned(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = PARSER_CASES[case]
+    digest = _parse_exit(capsys, main, argv)
+    assert digest == _parse_exit(capsys, cli.build_parser().parse_args, argv)
+    if sys.version_info[:2] == (3, 11):  # argparse's layout differs between versions
+        assert digest == PARSER_DIGESTS[case]
 
 
 def test_size_guard_env_and_force(capsys, monkeypatch):
@@ -1316,12 +1468,30 @@ def test_stable_set_force_counts_isolated_vertices_in_closed_form(capsys, tmp_pa
 
 
 def test_cli_import_leaves_out_the_thread_pool():
-    # concurrent.futures is imported only by a sweep that starts workers
+    # concurrent.futures is imported only by a sweep that starts workers, csv
+    # only by --format csv
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys; import simplex_grid_opt.cli; print('concurrent.futures' in sys.modules)"
+    code = ("import sys; import simplex_grid_opt.cli; "
+            "print('concurrent.futures' in sys.modules, 'csv' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\n", "")
+
+
+def test_deeply_nested_polynomial_json_exits_2(capsys, tmp_path):
+    # the JSON scanner recurses once per level; graph files are read as text
+    deep = "[" * 10**5 + "]" * 10**5 + "\n"
+    poly, graph = tmp_path / "deep.json", tmp_path / "deep.edges"
+    poly.write_text(deep)
+    graph.write_text(deep)
+    assert run(capsys, "grid-min", "--poly", str(poly), "--r", "2") == (
+        EXIT_CONFIG, "", "error: polynomial JSON nests too deeply\n")
+    poly.write_text('{"n": 2, "terms": [{"alpha": %s, "coef": 1}]}' % deep.strip())
+    assert run(capsys, "expect", "--poly", str(poly), "--r", "2", "--bernstein",
+               "--x", "1/2,1/2") == (EXIT_CONFIG, "", "error: polynomial JSON nests too deeply\n")
+    code, out, err = run(capsys, "stable-set", "--graph", str(graph), "--r", "2")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: line 1: expected 'u v', got '[[[[") and len(err) < 100
 
 
 def test_stable_set_sweeps_no_grid_and_builds_no_form(capsys, monkeypatch, tmp_path):

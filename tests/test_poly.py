@@ -21,14 +21,18 @@ from simplex_grid_opt import (
     to_json_dict,
 )
 from strats import (
+    FractionSubclass,
     exponent_tuples,
     poly_add,
     poly_mul,
     poly_scale,
     polynomials,
+    reference_homogenize,
+    reference_terms,
     simplex_points,
     strict_gap_poly,
     sum_of_squares,
+    term_lists,
 )
 
 
@@ -328,3 +332,97 @@ def test_unreadable_literals_are_refused_briefly(text):
     with pytest.raises(ValueError) as exc:
         as_rational(text)
     assert len(str(exc.value)) < 100
+
+
+def _items(f: HomogeneousPolynomial) -> "tuple[int, int, list]":
+    """f's fields, with its coefficients in key order; every one a plain Fraction."""
+    assert all(type(c) is Fraction for c in f.coeffs.values())
+    return f.n, f.d, list(f.coeffs.items())
+
+
+def _json_coef(coef):
+    """A coefficient as JSON reads it back: ints stay ints, all else is a string."""
+    return coef if type(coef) is int else str(coef)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists(), st.booleans())
+def test_from_terms_sums_repeats_once_and_keeps_the_key_order(case, infer):
+    n, d, terms = case
+    if infer and not terms:
+        with pytest.raises(ValueError, match="cannot infer the degree"):
+            HomogeneousPolynomial.from_terms(n, terms)
+        return
+    got = HomogeneousPolynomial.from_terms(n, terms, d=None if infer else d)
+    assert _items(got) == reference_terms(n, None if infer else d, terms)
+    # the constructor reads the same table the same way
+    assert _items(HomogeneousPolynomial(n, d, dict(got.coeffs))) == _items(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_lists(lower_degrees=True), st.booleans())
+def test_load_polynomial_matches_the_reference(tmp_path_factory, case, homogenize_terms):
+    n, d, terms = case
+    if not homogenize_terms:
+        terms = [(alpha, coef) for alpha, coef in terms if sum(alpha) == d]
+    path = tmp_path_factory.mktemp("load") / "poly.json"
+    path.write_text(json.dumps({"n": n, "degree": d, "terms": [
+        {"alpha": list(alpha), "coef": _json_coef(coef)} for alpha, coef in terms]}))
+    got = load_polynomial(str(path), homogenize_terms=homogenize_terms)
+    want = (reference_homogenize if homogenize_terms else reference_terms)(n, d, terms)
+    assert _items(got) == want
+
+
+def test_a_fraction_subclass_is_stored_as_a_fraction():
+    half = FractionSubclass(1, 2)
+    for f in (HomogeneousPolynomial(1, 1, {(1,): half}),
+              HomogeneousPolynomial.from_terms(1, [((1,), half)]),
+              HomogeneousPolynomial.from_terms(1, [((1,), half), ((1,), half)])):
+        assert type(f.coeffs[(1,)]) is Fraction
+    assert HomogeneousPolynomial.from_terms(1, [((1,), half), ((1,), half)]).coeffs == {(1,): 1}
+
+
+# Files with two faults each, and the first error reported for them, recorded
+# while every coefficient was still parsed again by the constructor
+TWO_FAULT_FILES = {
+    "bad-coef-after-low-degree": (
+        '{"n": 2, "degree": 2, "terms": [{"alpha": [1, 0], "coef": "1"}, '
+        '{"alpha": [1, 1], "coef": "x"}]}',
+        False, "cannot parse 'x' as an exact rational"),
+    "long-exponent-sorts-before-negative": (
+        '{"n": 2, "terms": [{"alpha": [3, -1], "coef": 1}, {"alpha": [1, 1, 0], "coef": 1}]}',
+        False, "exponent (1, 1, 0) has length 3, expected 2"),
+    "no-variables-and-long-exponent": (
+        '{"n": 0, "terms": [{"alpha": [1, 1], "coef": "1"}]}',
+        False, "polynomial needs at least one variable"),
+    "degree-0-and-short-exponent": (
+        '{"n": 2, "degree": 0, "terms": [{"alpha": [1], "coef": "1"}]}',
+        False, "degree must be at least 1"),
+    "repeated-exponent-both-coefs-bad": (
+        '{"n": 2, "terms": [{"alpha": [1, 1], "coef": "1/0"}, {"alpha": [1, 1], "coef": "y"}]}',
+        False, "zero denominator in '1/0'"),
+    "cancelled-terms-of-the-wrong-degree": (
+        '{"n": 2, "degree": 3, "terms": [{"alpha": [1, 1], "coef": "1/2"}, '
+        '{"alpha": [1, 1], "coef": "-0.5"}, {"alpha": [3], "coef": 1}]}',
+        False, "monomial (1, 1) has degree 2, expected 3"),
+    "float-exponent-and-bad-coef": (
+        '{"n": 2, "terms": [{"alpha": [1.5, 0], "coef": "z"}]}',
+        False, "exponent must be a JSON integer (no point, exponent or quotes), got 3/2"),
+    "homogenize-high-degree-then-short": (
+        '{"n": 2, "degree": 1, "terms": [{"alpha": [2, 0], "coef": 1}, {"alpha": [1], "coef": 1}]}',
+        True, "monomial (2, 0) has degree 2 > target degree 1"),
+    "homogenize-negative-then-high-degree": (
+        '{"n": 2, "degree": 1, "terms": [{"alpha": [-1, 1], "coef": 1}, '
+        '{"alpha": [2, 0], "coef": 1}]}',
+        True, "negative exponent in (-1, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULT_FILES))
+def test_two_fault_files_report_the_first_fault(tmp_path, case):
+    text, homogenize_terms, message = TWO_FAULT_FILES[case]
+    path = tmp_path / "poly.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_polynomial(str(path), homogenize_terms=homogenize_terms)
+    assert str(exc.value) == message
