@@ -38,14 +38,9 @@ from .grid import (
 from .hypergeom import (
     HypergeomParams,
     bernstein_approximation,
-    cubic_moments_closed,
     expectation,
     moment,
-    moment_bruteforce,
-    pmf,
-    quadratic_moments_closed,
     scaled_moment,
-    scaled_moment_bruteforce,
 )
 from .identities import (
     IdentityCheck,
@@ -57,17 +52,13 @@ from .identities import (
     verify_identity,
 )
 from .poly import (
-    BernsteinTable,
     HomogeneousPolynomial,
-    bernstein_table,
-    elevate,
     evaluate,
     from_json_dict,
     homogenize,
     is_square_free,
     load_polynomial,
     random_polynomial,
-    to_json_dict,
 )
 from .rational import Enclosure, as_rational, decimal_str, fraction_str
 from .stableset import (

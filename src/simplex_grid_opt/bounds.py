@@ -4,8 +4,10 @@ Every bound is reported as an exact rational coefficient of the (generally
 unknown) range of function values: grid error <= coefficient * (fmax - fmin).
 Absolute statements are derived on demand through the certified enclosures of
 fmin and fmax from range_enclosures, so every emitted inequality stays
-certified.  Inapplicability (wrong degree,
-r out of range, m too small) is data, not an error.
+certified; their outer endpoints are the extreme simplicial Bernstein
+coefficients of f elevated by k, which the sweep engine's integer kernel
+computes (grid._bernstein_extrema).  Inapplicability (wrong degree, r out of
+range, m too small) is data, not an error.
 
 Kinds and their coefficients, for degree d, grid denominator r, and reference
 denominator m with k chosen so that (k-1)m < r <= km:
@@ -35,9 +37,20 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combin import binomial, falling, rate_constant
-from .grid import DEFAULT_GRID_GUARD, GridMinResult, grid_extrema, grid_minimize
-from .poly import HomogeneousPolynomial, bernstein_table, elevate, is_square_free
+from .grid import (
+    DEFAULT_GRID_GUARD,
+    GridMinResult,
+    _bernstein_extrema,
+    _check_enclosure_table,
+    grid_extrema,
+    grid_minimize,
+)
+from .poly import HomogeneousPolynomial, is_square_free
 from .rational import Enclosure
+
+# The highest elevation an enclosure takes: its Bernstein table grows as
+# C(n - 1 + k, n - 1) per monomial (grid._check_enclosure_table bounds it).
+_MAX_ELEVATION = 8
 
 
 class DegenerateRangeError(ValueError):
@@ -244,7 +257,9 @@ def range_enclosures(
     or to the opposite Bernstein extreme when no grid is named (inner
     endpoint).  Each named denominator is swept once for both sides, before
     the one Bernstein table is built; none is built when both sides are
-    assumed.  An assumed side is refuted (ValueError) when another grid swept
+    assumed.  An elevation outside 0..8, or a table past
+    grid._MAX_ENCLOSURE_ENTRIES entries, is refused (ValueError) before any
+    sweep.  An assumed side is refuted (ValueError) when another grid swept
     here has a more extreme value.
     """
     return _enclosures(f, params, {}, threads, max_points)
@@ -257,17 +272,23 @@ def _enclosures(f: HomogeneousPolynomial, params: RangeAssumptions,
     of each denominator it sweeps, for converge to read its rows from."""
     lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
     bernstein = lo_m is None or hi_m is None
-    elevated = elevate(f, params.elevation) if bernstein else None  # rejects a bad elevation first
+    k = params.elevation
+    if bernstein:  # refuse a bad elevation or table before any sweep
+        if k < 0:
+            raise ValueError("elevation must be nonnegative")
+        if k > _MAX_ELEVATION:
+            raise ValueError(f"elevation {k} exceeds the cap {_MAX_ELEVATION}")
+        _check_enclosure_table(f, k)
     for m in swept_denominators(params):
         extrema[m] = grid_extrema(f, m, threads=threads, max_points=max_points)
     if bernstein:
-        table = bernstein_table(elevated)
+        outer_min, outer_max = _bernstein_extrema(f, k)
         if params.grid is None:
-            inner_min, inner_max = table.max_coeff, table.min_coeff
+            inner_min, inner_max = outer_max, outer_min
         else:
             inner_min, inner_max = (res.value for res in extrema[params.grid])
     if lo_m is None:
-        fmin = Enclosure(table.min_coeff, inner_min)
+        fmin = Enclosure(outer_min, inner_min)
     else:
         fmin = Enclosure(extrema[lo_m][0].value, extrema[lo_m][0].value)
         lower = [q for q, (low, _) in extrema.items() if low.value < fmin.lo]
@@ -277,7 +298,7 @@ def _enclosures(f: HomogeneousPolynomial, params: RangeAssumptions,
                 f"exceeds the grid minimum at {lower[0]}"
             )
     if hi_m is None:
-        fmax = Enclosure(inner_max, table.max_coeff)
+        fmax = Enclosure(inner_max, outer_max)
     else:
         fmax = Enclosure(extrema[hi_m][1].value, extrema[hi_m][1].value)
         higher = [q for q, (_, high) in extrema.items() if high.value > fmax.hi]

@@ -13,10 +13,12 @@ converge compares the total of all the grids it sweeps before the first one.
 expect sums no grid (its --bernstein value is closed form), so no guard
 applies to it.  These limits are fixed and refused before any work (exit 2):
 a sweep whose power table exceeds 10^9 bits (grid._check_degree; --force
-does not lift it), an expectation whose Stirling rows could exceed 4 * 10^6
-bits (hypergeom._expected_value), a bounds table of more than 10^5 rows or
-whose coefficients could exceed 10^7 bits, and a verify run of more than
-3 * 10^5 checks.
+does not lift it), an enclosure (converge, enclose) whose Bernstein table
+would hold more than 2 * 10^5 entries (grid._check_enclosure_table), an
+expectation whose Stirling rows could exceed 4 * 10^6 bits
+(hypergeom._expected_value), a bounds table of more than 10^5 rows or whose
+coefficients could exceed 10^7 bits, and a verify run of more than 3 * 10^5
+checks.
 
 Tables (bounds, converge, verify) are lists of flat records, written one
 record at a time by _write_table; verify writes each check as its sweep makes

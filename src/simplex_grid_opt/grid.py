@@ -10,6 +10,10 @@ end.  Every step below is integer arithmetic, so the engine is exact.
 One engine serves every sweep: a single lex-order pass that tracks the sides
 its caller needs, the minimum (grid_minimize), the maximum (grid_maximize) or
 both (grid_extrema, from which bounds.range_enclosures takes its grid values).
+Its one Bernstein kernel (_bernstein_rows, see Pruning) also gives
+range_enclosures its outer endpoints: the table of the whole simplex at degree
+d + k holds the coefficients of f elevated by k, whose extremes
+_bernstein_extrema reads in integers.
 
 - Prefix tree.  The leading coordinates alpha_0..alpha_{n-3} are fixed
   depth-first, in ascending order.  With a prefix fixed, L*f restricted to the
@@ -112,6 +116,16 @@ _BOUND_ENTRIES_PER_POINT = 4
 # A sweep above it is refused before any table is built, whatever the grid
 # size guard allows.
 _MAX_POWER_TABLE_BITS = 10**9
+
+# The most entries the Bernstein table of an enclosure (_bernstein_extrema) may
+# hold, |support| * C(n - 1 + k, n - 1) at elevation k, refused before any sweep.
+# A table whose entries each make their own row costs most: on a 2-vCPU Xeon
+# VM, `sgo enclose --r 1` on x_1^4 takes 2.9 s and peaks at 236 MB RSS with 27
+# variables at k = 5 (1.7e5 entries), and 2.3 s and 197 MB with 13 at k = 8
+# (1.3e5); a dense one shares its rows, and n = 10, d = 3 (220 terms) at k = 4
+# (1.6e5) takes 0.44 s and 31 MB.  The largest table of the test suite holds
+# 660 entries, and of perfbench 525.
+_MAX_ENCLOSURE_ENTRIES = 2 * 10**5
 
 
 class GridTooLargeError(RuntimeError):
@@ -257,31 +271,89 @@ def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple
     only on the suffixes and d, not on the coefficients, the budget or r.
     Each g is held sparse, as its (coordinate, exponent) pairs, so an entry
     costs O(d) and not O(m): many-variable tables stay linear in their size.
+    With the full exponents of f as suffixes, m = n and degree d + k, it is
+    the table of f elevated by k (_bernstein_extrema).
     """
-    factorial = list(accumulate(range(1, d + 1), mul, initial=1))
+    # factorials up to the largest d - |sigma| only: a table of high degree and
+    # few entries builds no O(d) list of them
+    factorial = list(accumulate(range(1, d - min(map(sum, suffixes), default=d) + 1), mul,
+                                initial=1))
+    # offsets[e]: (kappa as (coordinate, exponent) pairs, multinomial(e, kappa)), kappa in
+    # I(m, e), built once per e however many suffixes share it
+    offsets = {}
     hits = defaultdict(lambda: ([], []))
     for i, sigma in enumerate(suffixes):
         e = d - sum(sigma)
+        if e not in offsets:
+            # I(m, e) as sorted multisets of e coordinates; reversed, in compositions(m, e)'s order
+            kappas = map(Counter, reversed(list(combinations_with_replacement(range(m), e))))
+            offsets[e] = [
+                (tuple(h.items()), factorial[e] // prod(map(factorial.__getitem__, h.values())))
+                for h in kappas
+            ]
         base = {j: b for j, b in enumerate(sigma) if b}
-        # I(m, e) as sorted multisets of e coordinates; reversed, in compositions(m, e)'s order
-        for units in reversed(list(combinations_with_replacement(range(m), e))):
-            g, h = base.copy(), {}
-            for j in units:
-                g[j] = g.get(j, 0) + 1
-                h[j] = h.get(j, 0) + 1
+        for kappa, weight in offsets[e]:
+            g = base.copy()
+            for j, b in kappa:
+                g[j] = g.get(j, 0) + b
             index, weights = hits[tuple(sorted(g.items()))]
             index.append(i)
-            weights.append(factorial[e] // prod(map(factorial.__getitem__, h.values())))
+            weights.append(weight)
     rows, rest = [((), (), 1)] * m, []
     for g, (index, weights) in hits.items():
-        size = factorial[d] // prod(factorial[b] for _, b in g)
-        if size == 1:  # g = d e_j
+        if len(g) == 1:  # g = d e_j
             rows[g[0][0]] = (tuple(index), tuple(weights), 1)
         else:
+            size, left = 1, d
+            for _, b in g:
+                size *= comb(left, b)
+                left -= b
             rest.append((tuple(index), tuple(weights), size))
     if len(rest) < composition_count(m, d) - m:
         rows.append(((), (), 2))
     return tuple(rows + rest)
+
+
+def _integer_form(f: HomogeneousPolynomial) -> "tuple[int, dict[tuple[int, ...], int]]":
+    """L and the integer coefficients of L*f, L the least common denominator of
+    f's coefficients (1 for the zero polynomial)."""
+    scale = lcm(*(c.denominator for c in f.coeffs.values()))
+    return scale, {alpha: c.numerator * (scale // c.denominator) for alpha, c in f.coeffs.items()}
+
+
+def _check_enclosure_table(f: HomogeneousPolynomial, k: int) -> None:
+    """Refuse (ValueError) an enclosure at elevation k whose Bernstein table
+    (_bernstein_extrema) would hold more than _MAX_ENCLOSURE_ENTRIES entries:
+    each monomial of f lies under C(n - 1 + k, n - 1) of its rows."""
+    entries = len(f.coeffs) * comb(f.n - 1 + k, f.n - 1)
+    if entries > _MAX_ENCLOSURE_ENTRIES:
+        raise ValueError(
+            f"the Bernstein table at elevation {k} would hold {decimal_str(entries)} "
+            f"entries, more than {_MAX_ENCLOSURE_ENTRIES}"
+        )
+
+
+def _bernstein_extrema(f: HomogeneousPolynomial, k: int) -> "tuple[Fraction, Fraction]":
+    """The least and greatest simplicial Bernstein coefficients of f times
+    (x_1 + ... + x_n)^k, which enclose f on the simplex.
+
+    They are the extremes of p_g / multinomial(d + k, g) over g in I(n, d + k),
+    p_g = sum over alpha <= g of L*f_alpha * multinomial(k, g - alpha): the
+    table of the root node at degree d + k (_bernstein_rows), in integers,
+    divided by L at the end.
+    """
+    scale, coeffs = _integer_form(f)
+    values = list(coeffs.values())
+    low = high = None
+    for index, weights, size in _bernstein_rows(list(coeffs), f.n, f.d + k):
+        p = sum(map(mul, map(values.__getitem__, index), weights))
+        if low is None:
+            low = high = (p, size)
+        elif p * low[1] < low[0] * size:
+            low = (p, size)
+        elif p * high[1] > high[0] * size:
+            high = (p, size)
+    return Fraction(low[0], low[1] * scale), Fraction(high[0], high[1] * scale)
 
 
 class _Shape:
@@ -610,8 +682,7 @@ def _sweep(
 
     Each side starts from its best vertex value, L*f(r e_i) = L*c_i*r^d, so
     nodes are pruned from the first one on; every chunk starts from it."""
-    scale = lcm(*(c.denominator for c in f.coeffs.values()))
-    coeffs = {alpha: c.numerator * (scale // c.denominator) for alpha, c in f.coeffs.items()}
+    scale, coeffs = _integer_form(f)
     top = r**f.d
     vertices = _vertex_values(coeffs, f.n, f.d)
     starts = [pick(vertices) * top for pick in picks]

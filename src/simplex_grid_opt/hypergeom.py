@@ -3,11 +3,12 @@
 An urn holds m balls, counts[i] of color i; drawing r balls without
 replacement makes the color-count vector Y a lattice point of I(n, r), and
 X = Y/r a random point of the simplex grid with denominator r.  This module
-computes the pmf, closed forms for the degree-2 and degree-3 moments, and,
-through one Stirling-number expansion shared by both urns, the raw moments of
-Y and X, exact expectations E[f(X)] for polynomial f, and the
+computes, through one Stirling-number expansion shared by both urns, the raw
+moments of Y and X, exact expectations E[f(X)] for polynomial f, and the
 draws-with-replacement counterpart of E[f(X)] (the order-r Bernstein
-approximation of f) in closed form, without a sum over the grid.
+approximation of f) in closed form, without a sum over the grid.  The pmf,
+the brute-force moments and the closed degree-2 and degree-3 moment forms
+that check it are test oracles and live with the tests.
 
 The Stirling kernel has two halves: _stirling_rows, the grouped convolution,
 which does not depend on the number of draws r, and _stirling_at, its value
@@ -23,14 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Callable, Sequence
 
-from .combin import binomial, composition_count, compositions, falling, stirling2
+from .combin import falling, stirling2
 from .poly import HomogeneousPolynomial
 from .rational import as_rational
 
-BRUTE_FORCE_GATE = 10**4
 # Most bits _expected_value lets the Stirling rows of one term hold, bounded
 # before any row by (K + 1) * d * bit_length(r * total), K = min(d, r): a
 # coordinate's row has at most K + 1 entries S(b, a) * power(c, a) of at most
@@ -69,17 +69,6 @@ class HypergeomParams:
     def mean_point(self) -> "tuple[Fraction, ...]":
         """E[X] = counts/m, a rational simplex point."""
         return tuple(Fraction(c, self.m) for c in self.counts)
-
-
-def pmf(p: HypergeomParams, alpha: Sequence[int]) -> Fraction:
-    """Probability of drawing exactly alpha[i] balls of each color i."""
-    if len(alpha) != p.n:
-        raise ValueError(f"outcome has {len(alpha)} colors, expected {p.n}")
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"negative count in {tuple(alpha)}")
-    if sum(alpha) != p.r:
-        raise ValueError(f"outcome {tuple(alpha)} must sum to the draw count {p.r}")
-    return Fraction(prod(map(binomial, p.counts, alpha)), binomial(p.m, p.r))
 
 
 def _stirling_rows(
@@ -170,87 +159,6 @@ def scaled_moment(p: HypergeomParams, beta: Sequence[int]) -> Fraction:
     """Raw moment E[prod X_i^beta_i] of the grid point X = Y/r."""
     num, den = _moment_terms(p, beta)
     return Fraction(num, den * p.r ** sum(beta))
-
-
-def moment_bruteforce(
-    p: HypergeomParams, beta: Sequence[int], *, max_points: int = BRUTE_FORCE_GATE
-) -> Fraction:
-    """Oracle: E[prod Y_i^beta_i] summed outcome by outcome from the pmf.
-
-    Independent of the Stirling-number route; gated because the outcome set
-    I(n, r) grows combinatorially.
-    """
-    beta = tuple(int(b) for b in beta)
-    if len(beta) != p.n:
-        raise ValueError(f"moment index has {len(beta)} entries, expected {p.n}")
-    size = composition_count(p.n, p.r)
-    if size > max_points:
-        raise ValueError(f"brute force over {size} outcomes exceeds the gate {max_points}")
-    num = 0
-    for alpha in compositions(p.n, p.r):
-        weight = prod(map(binomial, p.counts, alpha))
-        if weight:
-            num += weight * prod(map(pow, alpha, beta))
-    return Fraction(num, binomial(p.m, p.r))
-
-
-def scaled_moment_bruteforce(
-    p: HypergeomParams, beta: Sequence[int], *, max_points: int = BRUTE_FORCE_GATE
-) -> Fraction:
-    return moment_bruteforce(p, beta, max_points=max_points) / Fraction(p.r) ** sum(beta)
-
-
-def quadratic_moments_closed(p: HypergeomParams) -> "dict[tuple[int, int], Fraction]":
-    """Closed-form degree-2 moments E[X_i X_j], keyed by sorted index pairs.
-
-    Requires m >= 2.  The textbook form divides by counts[i]; here it is
-    multiplied through, so zero color counts are fine:
-      E[X_i^2]   = (m_i/m)^2 (1 - c) + (m_i/m) c,   c = (m-r) / (r(m-1))
-      E[X_i X_j] = (m_i m_j / m^2) (1 - c)          for i != j.
-    """
-    if p.m < 2:
-        raise ValueError("closed-form quadratic moments need m >= 2")
-    m, r = p.m, p.r
-    c = Fraction(m - r, r * (m - 1))
-    out: "dict[tuple[int, int], Fraction]" = {}
-    for i, mi in enumerate(p.counts):
-        out[(i, i)] = Fraction(mi * mi, m * m) * (1 - c) + Fraction(mi, m) * c
-        for j in range(i + 1, p.n):
-            out[(i, j)] = Fraction(mi * p.counts[j], m * m) * (1 - c)
-    return out
-
-
-def cubic_moments_closed(p: HypergeomParams) -> "dict[tuple[int, int, int], Fraction]":
-    """Closed-form degree-3 moments E[X_i X_j X_k], keyed by sorted index triples.
-
-    Requires m >= 3.  With D = r^2 (m-1)(m-2) and c = (m-r)(3mr - 2(m+r))/D,
-    the denominator-free rewrites are:
-      E[X_i^3]     = (m_i/m)^3 (1 - c) + (m_i/m)(m-r)(3(r-1)m_i + m - 2r)/D
-      E[X_i^2 X_j] = (m_i^2 m_j/m^3)(1 - c) + (m_i m_j/m)(m-r)(r-1)/D
-      E[X_i X_j X_k] = (m_i m_j m_k/m^3)(1 - c)
-    """
-    if p.m < 3:
-        raise ValueError("closed-form cubic moments need m >= 3")
-    m, r = p.m, p.r
-    den = r * r * (m - 1) * (m - 2)
-    c = Fraction((m - r) * (3 * m * r - 2 * (m + r)), den)
-    out: "dict[tuple[int, int, int], Fraction]" = {}
-    counts = p.counts
-    for i, mi in enumerate(counts):
-        out[(i, i, i)] = Fraction(mi**3, m**3) * (1 - c) + Fraction(mi, m) * Fraction(
-            (m - r) * (3 * (r - 1) * mi + m - 2 * r), den
-        )
-        for j in range(p.n):
-            if j == i:
-                continue
-            key = tuple(sorted((i, i, j)))
-            out[key] = Fraction(mi * mi * counts[j], m**3) * (1 - c) + Fraction(
-                mi * counts[j], m
-            ) * Fraction((m - r) * (r - 1), den)
-        for j in range(i + 1, p.n):
-            for k in range(j + 1, p.n):
-                out[(i, j, k)] = Fraction(mi * counts[j] * counts[k], m**3) * (1 - c)
-    return out
 
 
 def _expected_value(

@@ -1,11 +1,10 @@
 """Homogeneous polynomials with exact rational coefficients.
 
 A polynomial is a sparse table mapping exponent tuples in I(n, d) to nonzero
-Fractions.  This module provides evaluation, the simplex-Bernstein coefficient
-table whose extremes sandwich the polynomial on the simplex, degree elevation
-(multiplying by the sum of variables, which fixes values on the simplex while
-tightening the sandwich), homogenization of lower-degree inputs, and the JSON
-interchange format.
+Fractions.  This module provides evaluation, homogenization of lower-degree
+inputs, and reading the JSON interchange format.  The simplicial Bernstein
+coefficients that enclose a polynomial on the simplex are computed in
+integers by the sweep engine (grid._bernstein_extrema).
 """
 
 from __future__ import annotations
@@ -17,13 +16,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .combin import compositions, multinomial
-from .rational import MAX_INT_DIGITS, as_rational
+from .rational import MAX_INT_DIGITS, _head, as_rational
 
 ExponentTuple = tuple  # tuple[int, ...]; one entry per variable
 CoefLike = Union[int, str, Fraction]
 TermsLike = Union[Mapping[ExponentTuple, CoefLike], Iterable["tuple[Sequence[int], CoefLike]"]]
-
-DEFAULT_ELEVATION_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,7 @@ class HomogeneousPolynomial:
             raise ValueError("degree must be at least 1")
         table: "dict[tuple[int, ...], Fraction]" = {}
         for alpha, coef in sorted(self.coeffs.items()):
-            alpha = tuple(int(a) for a in alpha)
+            alpha = tuple(map(int, alpha))
             if len(alpha) != self.n:
                 raise ValueError(f"exponent {alpha} has length {len(alpha)}, expected {self.n}")
             if any(a < 0 for a in alpha):
@@ -69,7 +66,7 @@ class HomogeneousPolynomial:
         pairs = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
         merged: "dict[tuple[int, ...], Fraction]" = {}
         for alpha, coef in pairs:
-            key = tuple(int(a) for a in alpha)
+            key = tuple(alpha)  # __post_init__ converts and checks every exponent
             c = as_rational(coef)
             merged[key] = merged[key] + c if key in merged else c
         if d is None:
@@ -95,51 +92,6 @@ def evaluate(f: HomogeneousPolynomial, x: Sequence[CoefLike]) -> Fraction:
                 term *= xi**a
         total += term
     return total
-
-
-def elevate(f: HomogeneousPolynomial, k: int, *, cap: int = DEFAULT_ELEVATION_CAP) -> HomogeneousPolynomial:
-    """Multiply f by (x_1 + ... + x_n)^k, exactly.
-
-    On the simplex this leaves values unchanged while refining the Bernstein
-    coefficient table.  k is capped because the table grows as
-    C(n + d + k - 1, d + k); pass a larger cap explicitly to go beyond it.
-    """
-    if k < 0:
-        raise ValueError("elevation must be nonnegative")
-    if k > cap:
-        raise ValueError(f"elevation {k} exceeds the cap {cap}")
-    coeffs = dict(f.coeffs)
-    for _ in range(k):
-        nxt: "dict[tuple[int, ...], Fraction]" = {}
-        for alpha, c in coeffs.items():
-            for i in range(f.n):
-                key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-                nxt[key] = nxt.get(key, Fraction(0)) + c
-        coeffs = nxt
-    return HomogeneousPolynomial(f.n, f.d + k, coeffs)
-
-
-@dataclass(frozen=True)
-class BernsteinTable:
-    """Coefficients of f in the simplex Bernstein basis {(d!/b!) x^b : b in I(n,d)}.
-
-    The entry at b is f_b * b!/d!.  The table covers all of I(n, d), zeros
-    included, because the extreme entries are what certify bounds: on the
-    simplex, f(x) is a convex combination of these coefficients, so
-    min_coeff <= f(x) <= max_coeff.
-    """
-
-    entries: "dict[tuple[int, ...], Fraction]"
-    min_coeff: Fraction
-    max_coeff: Fraction
-
-
-def bernstein_table(f: HomogeneousPolynomial) -> BernsteinTable:
-    entries: "dict[tuple[int, ...], Fraction]" = {}
-    for beta in compositions(f.n, f.d):
-        entries[beta] = f.coeffs.get(beta, Fraction(0)) / multinomial(f.d, beta)
-    values = entries.values()
-    return BernsteinTable(entries=entries, min_coeff=min(values), max_coeff=max(values))
 
 
 def is_square_free(f: HomogeneousPolynomial) -> bool:
@@ -207,10 +159,21 @@ def random_polynomial(rng, n: int, d: int, coef_lo: int = -9, coef_hi: int = 9) 
 _JSON_INT_BOUND = 10**MAX_INT_DIGITS
 
 
+def _shown(value: object, render=str) -> str:
+    """render(value) for an error message: whole when short, else its start
+    (rational._head), so the message stays one short line.  A value holding an
+    int too long for str() is named by its type."""
+    try:
+        text = render(value)
+    except ValueError:  # past the interpreter's limit on the digits of an int as a string
+        return f"a {type(value).__name__} with a number too long to print"
+    return text if len(text) <= 40 else _head(text)
+
+
 def _json_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(
-            f"{what} must be a JSON integer (no point, exponent or quotes), got {value}"
+            f"{what} must be a JSON integer (no point, exponent or quotes), got {_shown(value)}"
         )
     if abs(value) >= _JSON_INT_BOUND:
         raise ValueError(f"{what} has more than {MAX_INT_DIGITS} digits")
@@ -231,9 +194,9 @@ def from_json_dict(obj: Mapping, *, homogenize_terms: bool = False) -> Homogeneo
         try:
             alpha, coef = entry["alpha"], entry["coef"]
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad term {entry!r}: need 'alpha' and 'coef'") from exc
+            raise ValueError(f"bad term {_shown(entry, repr)}: need 'alpha' and 'coef'") from exc
         if not isinstance(alpha, (list, tuple)):
-            raise ValueError(f"bad term {entry!r}: 'alpha' must be a list")
+            raise ValueError(f"bad term {_shown(entry, repr)}: 'alpha' must be a list")
         pairs.append((tuple(_json_int(a, "exponent") for a in alpha), as_rational(coef)))
     degree = obj.get("degree")
     if degree is None:
@@ -244,14 +207,6 @@ def from_json_dict(obj: Mapping, *, homogenize_terms: bool = False) -> Homogeneo
     if homogenize_terms:
         return homogenize(pairs, n, degree)
     return HomogeneousPolynomial.from_terms(n, pairs, d=degree)
-
-
-def to_json_dict(f: HomogeneousPolynomial) -> dict:
-    return {
-        "n": f.n,
-        "degree": f.d,
-        "terms": [{"alpha": list(alpha), "coef": str(c)} for alpha, c in f.coeffs.items()],
-    }
 
 
 def load_polynomial(path: str, *, homogenize_terms: bool = False) -> HomogeneousPolynomial:

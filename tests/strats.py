@@ -9,14 +9,18 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 from pathlib import Path
+from typing import Sequence
 
 import hypothesis.strategies as st
 
 from simplex_grid_opt import (
     Graph,
     HomogeneousPolynomial,
+    HypergeomParams,
     as_rational,
+    binomial,
     composition_count,
     compositions,
     evaluate,
@@ -343,3 +347,162 @@ def falling_poly_coeffs(d: int) -> FallingPolyCoeffs:
         assert ai > 0
         a.append(ai)
     return FallingPolyCoeffs(d=d, a=tuple(a), c_d=(d - 1) * sum(a))
+
+
+# --- oracles moved out of the package: only the tests call them ----------------
+#
+# The dense Fraction Bernstein table of f elevated by k, against which the
+# engine's integer enclosure (grid._bernstein_extrema) is checked; the JSON
+# writer of a polynomial; and the urn pmf, brute-force moments and closed
+# degree-2 and degree-3 moments, against which hypergeom's Stirling expansion
+# is checked.
+
+DEFAULT_ELEVATION_CAP = 8
+
+
+def elevate(f: HomogeneousPolynomial, k: int, *, cap: int = DEFAULT_ELEVATION_CAP) -> HomogeneousPolynomial:
+    """Multiply f by (x_1 + ... + x_n)^k, exactly.
+
+    On the simplex this leaves values unchanged while refining the Bernstein
+    coefficient table.  k is capped because the table grows as
+    C(n + d + k - 1, d + k); pass a larger cap explicitly to go beyond it.
+    """
+    if k < 0:
+        raise ValueError("elevation must be nonnegative")
+    if k > cap:
+        raise ValueError(f"elevation {k} exceeds the cap {cap}")
+    coeffs = dict(f.coeffs)
+    for _ in range(k):
+        nxt: "dict[tuple[int, ...], Fraction]" = {}
+        for alpha, c in coeffs.items():
+            for i in range(f.n):
+                key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+                nxt[key] = nxt.get(key, Fraction(0)) + c
+        coeffs = nxt
+    return HomogeneousPolynomial(f.n, f.d + k, coeffs)
+
+
+@dataclass(frozen=True)
+class BernsteinTable:
+    """Coefficients of f in the simplex Bernstein basis {(d!/b!) x^b : b in I(n,d)}.
+
+    The entry at b is f_b * b!/d!.  The table covers all of I(n, d), zeros
+    included, because the extreme entries are what certify bounds: on the
+    simplex, f(x) is a convex combination of these coefficients, so
+    min_coeff <= f(x) <= max_coeff.
+    """
+
+    entries: "dict[tuple[int, ...], Fraction]"
+    min_coeff: Fraction
+    max_coeff: Fraction
+
+
+def bernstein_table(f: HomogeneousPolynomial) -> BernsteinTable:
+    entries: "dict[tuple[int, ...], Fraction]" = {}
+    for beta in compositions(f.n, f.d):
+        entries[beta] = f.coeffs.get(beta, Fraction(0)) / multinomial(f.d, beta)
+    values = entries.values()
+    return BernsteinTable(entries=entries, min_coeff=min(values), max_coeff=max(values))
+
+
+def to_json_dict(f: HomogeneousPolynomial) -> dict:
+    return {
+        "n": f.n,
+        "degree": f.d,
+        "terms": [{"alpha": list(alpha), "coef": str(c)} for alpha, c in f.coeffs.items()],
+    }
+
+
+BRUTE_FORCE_GATE = 10**4
+
+
+def pmf(p: HypergeomParams, alpha: Sequence[int]) -> Fraction:
+    """Probability of drawing exactly alpha[i] balls of each color i."""
+    if len(alpha) != p.n:
+        raise ValueError(f"outcome has {len(alpha)} colors, expected {p.n}")
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"negative count in {tuple(alpha)}")
+    if sum(alpha) != p.r:
+        raise ValueError(f"outcome {tuple(alpha)} must sum to the draw count {p.r}")
+    return Fraction(prod(map(binomial, p.counts, alpha)), binomial(p.m, p.r))
+
+
+def moment_bruteforce(
+    p: HypergeomParams, beta: Sequence[int], *, max_points: int = BRUTE_FORCE_GATE
+) -> Fraction:
+    """Oracle: E[prod Y_i^beta_i] summed outcome by outcome from the pmf.
+
+    Independent of the Stirling-number route; gated because the outcome set
+    I(n, r) grows combinatorially.
+    """
+    beta = tuple(int(b) for b in beta)
+    if len(beta) != p.n:
+        raise ValueError(f"moment index has {len(beta)} entries, expected {p.n}")
+    size = composition_count(p.n, p.r)
+    if size > max_points:
+        raise ValueError(f"brute force over {size} outcomes exceeds the gate {max_points}")
+    num = 0
+    for alpha in compositions(p.n, p.r):
+        weight = prod(map(binomial, p.counts, alpha))
+        if weight:
+            num += weight * prod(map(pow, alpha, beta))
+    return Fraction(num, binomial(p.m, p.r))
+
+
+def scaled_moment_bruteforce(
+    p: HypergeomParams, beta: Sequence[int], *, max_points: int = BRUTE_FORCE_GATE
+) -> Fraction:
+    return moment_bruteforce(p, beta, max_points=max_points) / Fraction(p.r) ** sum(beta)
+
+
+def quadratic_moments_closed(p: HypergeomParams) -> "dict[tuple[int, int], Fraction]":
+    """Closed-form degree-2 moments E[X_i X_j], keyed by sorted index pairs.
+
+    Requires m >= 2.  The textbook form divides by counts[i]; here it is
+    multiplied through, so zero color counts are fine:
+      E[X_i^2]   = (m_i/m)^2 (1 - c) + (m_i/m) c,   c = (m-r) / (r(m-1))
+      E[X_i X_j] = (m_i m_j / m^2) (1 - c)          for i != j.
+    """
+    if p.m < 2:
+        raise ValueError("closed-form quadratic moments need m >= 2")
+    m, r = p.m, p.r
+    c = Fraction(m - r, r * (m - 1))
+    out: "dict[tuple[int, int], Fraction]" = {}
+    for i, mi in enumerate(p.counts):
+        out[(i, i)] = Fraction(mi * mi, m * m) * (1 - c) + Fraction(mi, m) * c
+        for j in range(i + 1, p.n):
+            out[(i, j)] = Fraction(mi * p.counts[j], m * m) * (1 - c)
+    return out
+
+
+def cubic_moments_closed(p: HypergeomParams) -> "dict[tuple[int, int, int], Fraction]":
+    """Closed-form degree-3 moments E[X_i X_j X_k], keyed by sorted index triples.
+
+    Requires m >= 3.  With D = r^2 (m-1)(m-2) and c = (m-r)(3mr - 2(m+r))/D,
+    the denominator-free rewrites are:
+      E[X_i^3]     = (m_i/m)^3 (1 - c) + (m_i/m)(m-r)(3(r-1)m_i + m - 2r)/D
+      E[X_i^2 X_j] = (m_i^2 m_j/m^3)(1 - c) + (m_i m_j/m)(m-r)(r-1)/D
+      E[X_i X_j X_k] = (m_i m_j m_k/m^3)(1 - c)
+    """
+    if p.m < 3:
+        raise ValueError("closed-form cubic moments need m >= 3")
+    m, r = p.m, p.r
+    den = r * r * (m - 1) * (m - 2)
+    c = Fraction((m - r) * (3 * m * r - 2 * (m + r)), den)
+    out: "dict[tuple[int, int, int], Fraction]" = {}
+    counts = p.counts
+    for i, mi in enumerate(counts):
+        out[(i, i, i)] = Fraction(mi**3, m**3) * (1 - c) + Fraction(mi, m) * Fraction(
+            (m - r) * (3 * (r - 1) * mi + m - 2 * r), den
+        )
+        for j in range(p.n):
+            if j == i:
+                continue
+            key = tuple(sorted((i, i, j)))
+            out[key] = Fraction(mi * mi * counts[j], m**3) * (1 - c) + Fraction(
+                mi * counts[j], m
+            ) * Fraction((m - r) * (r - 1), den)
+        for j in range(i + 1, p.n):
+            for k in range(j + 1, p.n):
+                out[(i, j, k)] = Fraction(mi * counts[j] * counts[k], m**3) * (1 - c)
+    return out

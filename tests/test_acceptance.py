@@ -13,25 +13,30 @@ from fractions import Fraction
 from simplex_grid_opt import (
     ALL_KINDS,
     HypergeomParams,
-    bernstein_table,
     bound_coefficient,
     compositions,
     expectation,
     exact_alpha,
     grid_minimize,
     alpha_lower_bound,
-    cubic_moments_closed,
-    quadratic_moments_closed,
     random_polynomial,
     run_default_sweeps,
     scaled_moment,
-    scaled_moment_bruteforce,
     Graph,
     is_square_free,
 )
 from simplex_grid_opt.bounds import SQUARE_FREE_KINDS
 from simplex_grid_opt.cli import main as cli_main
-from strats import DATA_DIR, petersen, strict_gap_poly, sum_of_squares
+from strats import (
+    DATA_DIR,
+    bernstein_table,
+    cubic_moments_closed,
+    petersen,
+    quadratic_moments_closed,
+    scaled_moment_bruteforce,
+    strict_gap_poly,
+    sum_of_squares,
+)
 
 
 def _report(number: int, description: str, started: float, budget: "float | None") -> None:

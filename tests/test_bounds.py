@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,19 +12,20 @@ from simplex_grid_opt import (
     DegenerateRangeError,
     HomogeneousPolynomial,
     RangeAssumptions,
-    bernstein_table,
     bound_coefficient,
     check_bounds,
     cubic_threshold_reached,
-    elevate,
     grid_extrema,
     multinomial,
     random_polynomial,
     range_enclosures,
     rho_interval,
 )
+from simplex_grid_opt import bounds, grid
 from simplex_grid_opt.combin import rate_constant
 from strats import (
+    bernstein_table,
+    elevate,
     falling_poly_coeffs,
     naive_extremes,
     polynomials,
@@ -298,6 +300,63 @@ def test_range_enclosures_match_an_independent_construction(f, k, data):
         return
     fmin, fmax = range_enclosures(f, params)
     assert ((fmin.lo, fmin.hi), (fmax.lo, fmax.hi)) == (want_min, want_max)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(max_n=4, max_d=4), st.integers(0, 3), st.data())
+def test_integer_bernstein_extrema_match_the_dense_table(f, k, data):
+    # coefficients over mixed denominators, so the scale L is not 1
+    dens = data.draw(st.lists(st.integers(1, 12), min_size=len(f.coeffs), max_size=len(f.coeffs)))
+    f = HomogeneousPolynomial(f.n, f.d, {
+        alpha: c / q for (alpha, c), q in zip(f.coeffs.items(), dens)})
+    table = bernstein_table(elevate(f, k))
+    assert grid._bernstein_extrema(f, k) == (table.min_coeff, table.max_coeff)
+
+
+@pytest.mark.parametrize("f, ks", [
+    (HomogeneousPolynomial(3, 2, {}), (0, 2, 8)),  # the zero polynomial
+    (HomogeneousPolynomial(1, 3, {(3,): Fraction(-5, 2)}), (0, 1, 8)),  # n = 1
+    # a sparse form in 8 variables: 3 monomials, 19305 table entries at k = 8
+    (HomogeneousPolynomial(8, 2, {(2, 0, 0, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0, 1, 0): -3,
+                                  (0, 0, 0, 0, 0, 0, 0, 2): Fraction(1, 2)}), (0, 8)),
+], ids=["zero", "one-variable", "sparse-8-variables"])
+def test_integer_bernstein_extrema_match_the_dense_table_on_edge_cases(f, ks):
+    for k in ks:
+        table = bernstein_table(elevate(f, k))
+        assert grid._bernstein_extrema(f, k) == (table.min_coeff, table.max_coeff), k
+
+
+@pytest.mark.parametrize("k", [0, 8])
+def test_a_huge_single_variable_degree_encloses_at_once(k):
+    # on the one-point simplex of n = 1 the only Bernstein coefficient is 3;
+    # no list of d factorials is built
+    f = HomogeneousPolynomial(1, 10**30, {(10**30,): 3})
+    started = time.monotonic()
+    fmin, fmax = range_enclosures(f, RangeAssumptions(elevation=k))
+    assert time.monotonic() - started < 1
+    assert (fmin.lo, fmin.hi, fmax.lo, fmax.hi) == (3, 3, 3, 3)
+
+
+def test_the_enclosure_table_bound_is_checked_before_any_sweep(monkeypatch):
+    # x_1^4 in 12 variables at k = 8: one monomial under C(19, 11) = 75582 rows
+    f = HomogeneousPolynomial(12, 4, {(4,) + (0,) * 11: 1})
+    sweeps, sweep = [], grid._sweep
+    monkeypatch.setattr(grid, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    monkeypatch.setattr(bounds, "_bernstein_extrema", lambda f, k: (-1, 2))
+    params = RangeAssumptions(elevation=8, grid=1)
+    monkeypatch.setattr(grid, "_MAX_ENCLOSURE_ENTRIES", 75581)
+    with pytest.raises(ValueError, match="^the Bernstein table at elevation 8 would hold 75582 "
+                                         "entries, more than 75581$"):
+        range_enclosures(f, params)
+    assert sweeps == []
+    monkeypatch.setattr(grid, "_MAX_ENCLOSURE_ENTRIES", 75582)
+    fmin, fmax = range_enclosures(f, params)
+    assert (fmin.lo, fmax.hi, len(sweeps)) == (-1, 2, 1)
+    # both sides assumed: no table is built, so none is bounded
+    monkeypatch.setattr(grid, "_MAX_ENCLOSURE_ENTRIES", 0)
+    fmin, fmax = range_enclosures(f, RangeAssumptions(
+        elevation=8, assume_min_denominator=1, assume_max_denominator=1))
+    assert (fmin.lo, fmax.hi, len(sweeps)) == (0, 1, 2)
 
 
 def witness_for(f, kind, r, m, params=RangeAssumptions()):

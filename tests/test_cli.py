@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 from simplex_grid_opt import (
-    Graph, bounds, cli, grid, hypergeom, load_polynomial, stableset, to_json_dict,
+    Graph, bounds, cli, grid, hypergeom, load_polynomial, stableset,
 )
 from simplex_grid_opt.stableset import motzkin_straus_form, parse_graph_text
 from simplex_grid_opt import identities as ident_mod
@@ -43,6 +44,7 @@ from strats import (
     polynomials,
     random_graph,
     simplex_points,
+    to_json_dict,
 )
 
 GAP = str(DATA_DIR / "strict_gap_quadratic.json")
@@ -388,7 +390,7 @@ def count_calls(monkeypatch, module, name) -> list:
 
 def test_each_sweep_and_table_is_computed_once(capsys, monkeypatch):
     sweeps = count_calls(monkeypatch, grid, "_sweep")
-    tables = count_calls(monkeypatch, bounds, "bernstein_table")
+    tables = count_calls(monkeypatch, bounds, "_bernstein_extrema")
     cases = [
         # 11 values of r, the named grid 6 among them; one table
         (("converge", "--r-range", "2:12", "--grid", "6", "--elevation", "2"), 11, 1),
@@ -408,11 +410,13 @@ def test_each_sweep_and_table_is_computed_once(capsys, monkeypatch):
 
 
 def test_default_verify_builds_no_bound_table(capsys, monkeypatch):
+    # the only Bernstein tables verify builds are its witnesses' enclosures
     grid._shape.cache_clear()
     tables = count_calls(monkeypatch, grid, "_bernstein_rows")
+    enclosures = count_calls(monkeypatch, bounds, "_bernstein_extrema")
     bound_checks = count_calls(monkeypatch, grid._Shape, "beaten")
     assert run(capsys, "verify")[0] == EXIT_OK
-    assert tables == [] and bound_checks == []
+    assert 0 < len(tables) == len(enclosures) and bound_checks == []
 
 
 def test_converge_builds_one_shape_per_support(capsys, monkeypatch):
@@ -1082,7 +1086,7 @@ def test_json_writer_equals_json_dumps_indent_2(table):
 
 def test_verify_sweeps_each_witness_grid_once(capsys, monkeypatch):
     sweeps = count_calls(monkeypatch, grid, "_sweep")
-    tables = count_calls(monkeypatch, bounds, "bernstein_table")
+    tables = count_calls(monkeypatch, bounds, "_bernstein_extrema")
     assert run(capsys, "verify")[0] == EXIT_OK
     # 8 witness polynomials, each swept at denominators 1..5 and enclosed once
     assert len(sweeps) <= 40
@@ -1171,20 +1175,20 @@ def test_flags_a_verb_would_ignore_are_rejected(capsys, argv):
 
 
 PUBLIC_NAMES = [
-    "ALL_KINDS", "BernsteinTable", "BoundKind", "BoundReport", "BoundWitness",
+    "ALL_KINDS", "BoundKind", "BoundReport", "BoundWitness",
     "DegenerateRangeError", "Enclosure", "Graph", "GridMinResult",
     "GridTooLargeError", "HomogeneousPolynomial", "HypergeomParams", "IdentityCheck",
     "IdentityName", "RangeAssumptions", "StableSetBound", "a_beta", "a_beta_sum_identity",
-    "alpha_lower_bound", "as_rational", "bernstein_approximation", "bernstein_table", "binomial",
+    "alpha_lower_bound", "as_rational", "bernstein_approximation", "binomial",
     "bound_coefficient", "check_bounds", "composition_count", "compositions",
-    "cubic_moments_closed", "cubic_threshold_reached", "decimal_str", "elevate", "evaluate",
+    "cubic_threshold_reached", "decimal_str", "evaluate",
     "exact_alpha", "expectation", "falling", "fraction_str",
     "from_json_dict", "grid_extrema", "grid_maximize", "grid_minimize", "homogenize",
-    "is_square_free", "load_graph", "load_polynomial", "moment", "moment_bruteforce",
+    "is_square_free", "load_graph", "load_polynomial", "moment",
     "moment_decomposition_check", "motzkin_straus_form", "multinomial", "parse_graph_text",
-    "pmf", "quadratic_moments_closed", "random_polynomial", "range_enclosures", "rho_interval",
-    "run_default_sweeps", "scaled_moment", "scaled_moment_bruteforce", "stirling2",
-    "to_json_dict", "verify_identity",
+    "random_polynomial", "range_enclosures", "rho_interval",
+    "run_default_sweeps", "scaled_moment", "stirling2",
+    "verify_identity",
 ]
 VERB_OPTIONS = [
     "bounds --d", "bounds --format", "bounds --m-range", "bounds --r-range",
@@ -1492,6 +1496,40 @@ def test_deeply_nested_polynomial_json_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "stable-set", "--graph", str(graph), "--r", "2")
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("error: line 1: expected 'u v', got '[[[[") and len(err) < 100
+
+
+@pytest.mark.parametrize("text, start", [
+    ('{"n": 1, "terms": [{"alpha": [[%s]], "coef": 1}]}' % ", ".join(["0"] * 10**5),
+     "error: exponent must be a JSON integer (no point, exponent or quotes), got '[0, 0, "),
+    ('{"n": 2, "terms": [{"alpha": [1, 1], "note": "%s"}]}' % ("y" * 10**5),
+     "error: bad term \"{'alpha': [1, 1], 'note': 'yyy"),
+    ('{"n": 0.%s1, "terms": []}' % ("0" * 5000),
+     "error: 'n' must be a JSON integer (no point, exponent or quotes), got a Fraction with"),
+    ('{"n": 2, "terms": [{"alpha": 0.%s1, "coef": 1}]}' % ("0" * 5000),
+     "error: bad term a dict with a number too long to print: 'alpha' must be a list"),
+], ids=["long-exponent", "long-term", "long-number-n", "long-number-term"])
+def test_a_long_bad_value_gives_one_short_error_line(capsys, tmp_path, text, start):
+    poly = tmp_path / "long.json"
+    poly.write_text(text)
+    code, out, err = run(capsys, "grid-min", "--poly", str(poly), "--r", "2")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(start) and err.count("\n") == 1 and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("verb", [("enclose", "--r", "1"), ("converge", "--r-range", "1")],
+                         ids=["enclose", "converge"])
+def test_an_oversized_enclosure_table_exits_2_before_any_sweep(capsys, monkeypatch, tmp_path,
+                                                                verb):
+    # x_1^4 in 20 variables at elevation 8: C(27, 19) = 2220075 entries, on a grid of 20 points
+    poly = tmp_path / "x1.json"
+    poly.write_text(json.dumps({"n": 20, "terms": [{"alpha": [4] + [0] * 19, "coef": 1}]}))
+    sweeps = count_calls(monkeypatch, grid, "_sweep")
+    started = time.monotonic()
+    code, out, err = run(capsys, *verb, "--poly", str(poly), "--elevation", "8")
+    assert time.monotonic() - started < 1
+    assert (code, out, err) == (EXIT_CONFIG, "", "error: the Bernstein table at elevation 8 "
+                                "would hold 2220075 entries, more than 200000\n")
+    assert sweeps == []
 
 
 def test_stable_set_sweeps_no_grid_and_builds_no_form(capsys, monkeypatch, tmp_path):

@@ -803,10 +803,10 @@ def test_default_guard_refuses_huge_grids_at_once():
 
 
 def test_range_enclosures_checks_guard_before_building_the_table(monkeypatch):
-    def fail(_):
+    def fail(*_):
         raise AssertionError("Bernstein table built before the guard check")
 
-    monkeypatch.setattr(bounds, "bernstein_table", fail)
+    monkeypatch.setattr(bounds, "_bernstein_extrema", fail)
     with pytest.raises(GridTooLargeError):
         range_enclosures(sum_of_squares(4), RangeAssumptions(elevation=2, grid=10), max_points=50)
 

@@ -12,22 +12,28 @@ from simplex_grid_opt import (
     bernstein_approximation,
     binomial,
     compositions,
-    cubic_moments_closed,
     expectation,
     evaluate,
     falling,
     grid_minimize,
     is_square_free,
     moment,
-    moment_bruteforce,
-    pmf,
-    quadratic_moments_closed,
     random_polynomial,
     scaled_moment,
-    scaled_moment_bruteforce,
 )
 from simplex_grid_opt.hypergeom import _scaled_moments, _stirling_at, _stirling_rows
-from strats import exponent_tuples, naive_bernstein, polynomials, simplex_points, strict_gap_poly
+from strats import (
+    cubic_moments_closed,
+    exponent_tuples,
+    moment_bruteforce,
+    naive_bernstein,
+    pmf,
+    polynomials,
+    quadratic_moments_closed,
+    scaled_moment_bruteforce,
+    simplex_points,
+    strict_gap_poly,
+)
 
 PAPER_URN = HypergeomParams(m=16, counts=(7, 9), r=2)
 

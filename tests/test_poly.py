@@ -8,20 +8,21 @@ import hypothesis.strategies as st
 
 from simplex_grid_opt import (
     HomogeneousPolynomial,
+    RangeAssumptions,
     as_rational,
     fraction_str,
-    bernstein_table,
     composition_count,
-    elevate,
     evaluate,
     from_json_dict,
     homogenize,
     is_square_free,
     load_polynomial,
-    to_json_dict,
+    range_enclosures,
 )
 from strats import (
     FractionSubclass,
+    bernstein_table,
+    elevate,
     exponent_tuples,
     poly_add,
     poly_mul,
@@ -33,6 +34,7 @@ from strats import (
     strict_gap_poly,
     sum_of_squares,
     term_lists,
+    to_json_dict,
 )
 
 
@@ -119,9 +121,12 @@ def test_elevation_never_loosens_bernstein_bounds(f):
 
 def test_elevation_cap_enforced():
     f = sum_of_squares(2)
-    with pytest.raises(ValueError):
-        elevate(f, 9)
-    assert elevate(f, 9, cap=9).d == 11
+    with pytest.raises(ValueError, match="^elevation 9 exceeds the cap 8$"):
+        range_enclosures(f, RangeAssumptions(elevation=9))
+    with pytest.raises(ValueError, match="^elevation must be nonnegative$"):
+        range_enclosures(f, RangeAssumptions(elevation=-1))
+    fmin, _ = range_enclosures(f, RangeAssumptions(elevation=8))
+    assert fmin.lo == bernstein_table(elevate(f, 8)).min_coeff
 
 
 def test_is_square_free():
