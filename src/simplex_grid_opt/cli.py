@@ -363,8 +363,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     def rows():
         identity_rows = (
-            ("identity", check.name, check.params_str(), fraction_str(check.lhs),
-             fraction_str(check.rhs), check.relation, "true" if check.holds else "false")
+            ("identity", check.name, check.params_str(), *check._texts(), check.relation,
+             "true" if check.holds else "false")
             for check in checks
         )
         witness_rows = (

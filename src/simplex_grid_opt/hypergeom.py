@@ -15,7 +15,9 @@ which does not depend on the number of draws r, and _stirling_at, its value
 at one r.  A single moment runs both once (_stirling_terms).
 _scaled_moments, which identities' MOMENT_DECOMPOSITION sweep calls once per
 (counts, beta), builds the rows and the falling factorials of m once and
-evaluates them at every r = 1..m.  Nothing is cached across calls.
+evaluates them at every r = 1..m; it returns each moment as an integer pair
+(numerator, positive denominator), not reduced, so the sweep compares and
+renders it without a Fraction.  Nothing is cached across calls.
 
 Everything is exact; nothing is sampled.
 """
@@ -121,17 +123,20 @@ def _stirling_terms(
     return _stirling_at(grouped, r, [power(total, k) for k in range(top + 1)])
 
 
-def _scaled_moments(beta: "tuple[int, ...]", counts: "tuple[int, ...]", m: int) -> "list[Fraction]":
-    """E[prod X_i^beta_i] for r = 1..m draws from the urn of m balls, counts[i] of
-    color i: the grouped rows and the falling factorials of m are built once and
-    evaluated at every r, as _stirling_terms does for one r."""
+def _scaled_moments(
+    beta: "tuple[int, ...]", counts: "tuple[int, ...]", m: int
+) -> "list[tuple[int, int]]":
+    """(numerator, positive denominator), not reduced, of E[prod X_i^beta_i] for
+    r = 1..m draws from the urn of m balls, counts[i] of color i: the grouped
+    rows and the falling factorials of m are built once and evaluated at every
+    r, as _stirling_terms does for one r."""
     d = sum(beta)
     grouped = _stirling_rows(beta, counts, falling, d)
     powers = [falling(m, k) for k in range(d + 1)]
     out = []
     for r in range(1, m + 1):
         num, den = _stirling_at(grouped, r, powers)
-        out.append(Fraction(num, den * r**d))
+        out.append((num, den * r**d))
     return out
 
 

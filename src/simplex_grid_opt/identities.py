@@ -38,6 +38,13 @@ MOMENT_DECOMPOSITION compares two independent routes: its left side reads
 only hypergeom's kernel, its right side only A_beta's coefficients; no table
 is shared between them.
 
+No evaluator builds a Fraction.  Each side of a check is an int or an exact
+pair (numerator, positive denominator), not necessarily reduced; holds is
+decided by cross-multiplying the pairs, and IdentityCheck stores them as
+they are.  Reading a side's lhs or rhs builds its Fraction, so the public
+values and types are those of exact rationals; `sgo verify` instead renders
+each stored side with one gcd (IdentityCheck._texts, rational._ratio_str).
+
 Sweeps are bounded by explicit caps so they can run exhaustively in CI.  Each
 sweep is a generator that makes one check at a time; run_default_sweeps drains
 the chain of all eight (_default_sweeps) into a list, and `sgo verify` writes
@@ -47,12 +54,11 @@ each check of that chain as it is made.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, prod
-from operator import eq, ge, le, mul
+from operator import mul
 from typing import Iterator, Sequence
 
 from . import hypergeom
@@ -63,7 +69,8 @@ from .combin import (
     rate_constant,
     stirling2,
 )
-from .hypergeom import HypergeomParams, scaled_moment
+from .hypergeom import HypergeomParams
+from .rational import _ratio_str
 
 
 class IdentityName(str, Enum):
@@ -79,39 +86,94 @@ class IdentityName(str, Enum):
     MOMENT_DECOMPOSITION = "MOMENT_DECOMPOSITION"
 
 
-@dataclass(frozen=True)
 class IdentityCheck:
-    """One verified relation: lhs RELATION rhs, exactly."""
+    """One verified relation: lhs RELATION rhs, exactly.
 
-    name: str
-    params: "tuple[tuple[str, object], ...]"
-    lhs: "Fraction | int"
-    rhs: "Fraction | int"
-    relation: str  # "eq", "le", or "ge"
-    holds: bool
-    # params_str() formatted in advance by this module's builders, which render
-    # the params once per loop level; None means format on demand
-    _rendered: "str | None" = field(init=False, default=None, compare=False, repr=False)
+    A side is kept as given when it is an int, and as the pair (numerator,
+    positive denominator), not necessarily reduced, when it is a Fraction:
+    this module's evaluators make each side as such a pair and decide holds by
+    cross-multiplying, so no Fraction is built unless lhs or rhs is read.
+    Equality, hash and repr are those of the record (name, params, lhs, rhs,
+    relation, holds).  Treat a check as immutable.
+    """
+
+    __slots__ = ("name", "params", "relation", "holds", "_lhs", "_rhs", "_rendered")
+    __match_args__ = ("name", "params", "lhs", "rhs", "relation", "holds")
+
+    def __init__(
+        self, name: str, params: "tuple[tuple[str, object], ...]", lhs: "Fraction | int",
+        rhs: "Fraction | int", relation: str, holds: bool,
+    ) -> None:
+        self.name = name
+        self.params = params
+        self.relation = relation  # "eq", "le", or "ge"
+        self.holds = holds
+        self._lhs = (lhs.numerator, lhs.denominator) if isinstance(lhs, Fraction) else lhs
+        self._rhs = (rhs.numerator, rhs.denominator) if isinstance(rhs, Fraction) else rhs
+        # params_str() formatted in advance by this module's builders, which render
+        # the params once per loop level; None means format on demand
+        self._rendered = None
+
+    @property
+    def lhs(self) -> "Fraction | int":
+        side = self._lhs
+        return Fraction(*side) if type(side) is tuple else side
+
+    @property
+    def rhs(self) -> "Fraction | int":
+        side = self._rhs
+        return Fraction(*side) if type(side) is tuple else side
 
     def params_str(self) -> str:
         if self._rendered is None:
             return ";".join([f"{k}={v}" for k, v in self.params])
         return self._rendered
 
+    def _texts(self) -> "tuple[str, str]":
+        """fraction_str(lhs) and fraction_str(rhs), rendered from the stored
+        sides with one gcd each; the two sides of an "eq" that holds reduce to
+        the same text, which is rendered once."""
+        lhs = _side_str(self._lhs)
+        if self.holds and self.relation == "eq":
+            return lhs, lhs
+        return lhs, _side_str(self._rhs)
 
-_RELATIONS = {"eq": eq, "le": le, "ge": ge}
+    def _fields(self) -> tuple:
+        return self.name, self.params, self.lhs, self.rhs, self.relation, self.holds
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+def _side_str(side: "int | tuple[int, int]") -> str:
+    """fraction_str of a side as IdentityCheck stores it."""
+    return _ratio_str(*side) if type(side) is tuple else _ratio_str(side)
 
 
 def _check(
-    name: str, params: tuple, rendered: "str | None", relation: str, lhs, rhs, holds=None
+    name: str, params: tuple, rendered: "str | None", relation: str, lhs, rhs, holds: bool
 ) -> IdentityCheck:
-    """name is the plain string value of an IdentityName; rendered is the params'
-    "key=value;..." text, or None to format it on demand; holds defaults to
-    lhs RELATION rhs."""
-    if holds is None:
-        holds = _RELATIONS[relation](lhs, rhs)
-    check = IdentityCheck(name, params, lhs, rhs, relation, holds)
-    object.__setattr__(check, "_rendered", rendered)
+    """The check lhs RELATION rhs, with each side given as IdentityCheck stores
+    it (an int, or a (numerator, positive denominator) pair) and holds decided
+    by the caller.  name is the plain string value of an IdentityName; rendered
+    is the params' "key=value;..." text, or None to format it on demand."""
+    check = object.__new__(IdentityCheck)
+    check.name = name
+    check.params = params
+    check.relation = relation
+    check.holds = holds
+    check._lhs = lhs
+    check._rhs = rhs
+    check._rendered = rendered
     return check
 
 
@@ -125,8 +187,9 @@ def _vandermonde_chu(x: "tuple[int, ...]", d: int) -> IdentityCheck:
         for xi, ai in zip(x, alpha):
             term *= falling(xi, ai)
         rhs += term
+    lhs = falling(sum(x), d)
     return _check("VANDERMONDE_CHU", (("x", x), ("d", d)), f"x={x};d={d}", "eq",
-                  falling(sum(x), d), rhs)
+                  lhs, rhs, lhs == rhs)
 
 
 def _multinomial(x: "tuple[int, ...]", d: int) -> IdentityCheck:
@@ -136,13 +199,14 @@ def _multinomial(x: "tuple[int, ...]", d: int) -> IdentityCheck:
         for xi, ai in zip(x, alpha):
             term *= xi**ai
         rhs += term
-    return _check("MULTINOMIAL", (("x", x), ("d", d)), f"x={x};d={d}", "eq", sum(x) ** d, rhs)
+    lhs = sum(x) ** d
+    return _check("MULTINOMIAL", (("x", x), ("d", d)), f"x={x};d={d}", "eq", lhs, rhs, lhs == rhs)
 
 
 def _stirling_sum(d: int, r: int) -> IdentityCheck:
     lhs = sum(falling(r, k) * stirling2(d, k) for k in range(1, d))
-    return _check("STIRLING_SUM", (("d", d), ("r", r)), f"d={d};r={r}", "eq",
-                  lhs, r**d - falling(r, d))
+    rhs = r**d - falling(r, d)
+    return _check("STIRLING_SUM", (("d", d), ("r", r)), f"d={d};r={r}", "eq", lhs, rhs, lhs == rhs)
 
 
 def _multinomial_weights(n: int, d: int) -> "list[tuple[tuple[int, ...], int]]":
@@ -160,31 +224,36 @@ def _stirling_multi(
         for bi, ai in zip(beta, alpha):
             term *= stirling2(bi, ai)
         rhs += term
+    lhs, den = stirling2(d, k), multinomial(k, alpha)
     return _check("STIRLING_MULTI", (("alpha", alpha), ("d", d)), f"alpha={alpha};d={d}", "eq",
-                  stirling2(d, k), Fraction(rhs, multinomial(k, alpha)))
+                  lhs, (rhs, den), lhs * den == rhs)
 
 
 def _kmr(k: int, m: int, r: int) -> IdentityCheck:
     km = k * m
-    # cross-multiplied so km = 1 (where both sides degenerate) stays exact
+    # (km - r)/(km - 1) <= m/r, cross-multiplied so km = 1 (where both sides
+    # degenerate, and the left one is taken as 0) stays exact
     holds = r * (km - r) <= m * (km - 1)
-    lhs = Fraction(km - r, km - 1) if km > 1 else Fraction(0)
+    lhs = (km - r, km - 1) if km > 1 else (0, 1)
     return _check("KMR", (("k", k), ("m", m), ("r", r)), f"k={k};m={m};r={r}", "le",
-                  lhs, Fraction(m, r), holds)
+                  lhs, (m, r), holds)
 
 
 def _sigma(d: int, m: int, k: int, r: int, c_d: int) -> IdentityCheck:
     """c_d is the rate constant (d-1)(d!-1) (combin.rate_constant)."""
     km = k * m
-    lhs = 1 - Fraction(falling(r, d) * km**d, r**d * falling(km, d))
+    den = r**d * falling(km, d)  # positive, as km >= m >= d
+    num = den - falling(r, d) * km**d
+    rr = r * r
     return _check("SIGMA", (("d", d), ("m", m), ("k", k), ("r", r)), f"d={d};m={m};k={k};r={r}",
-                  "le", lhs, Fraction(m, r * r) * c_d)
+                  "le", (num, den), (m * c_d, rr), num * rr <= m * c_d * den)
 
 
 def _phi(k: int, m: int, r: int) -> IdentityCheck:
     km = k * m
     phi = (2 * km - 1) * r * r + (4 - 6 * km) * r - km * km + 6 * km - 4
-    return _check("PHI", (("k", k), ("m", m), ("r", r)), f"k={k};m={m};r={r}", "ge", phi, 0)
+    return _check("PHI", (("k", k), ("m", m), ("r", r)), f"k={k};m={m};r={r}", "ge",
+                  phi, 0, phi >= 0)
 
 
 def _a_beta_params(n: int, d: int, r: int, m: int, counts: "tuple[int, ...]") -> tuple:
@@ -197,18 +266,21 @@ def _a_beta_sum(
 ) -> IdentityCheck:
     """A_BETA_SUM: values are the A_beta of every beta in I(n, d), in lex order,
     at one urn and r, and multis holds d!/beta! in the same order."""
+    lhs = sum(map(mul, multis, values))
     rhs = r**d * falling(m, d) - falling(r, d) * m**d
-    return _check("A_BETA_SUM", params, rendered, "eq", sum(map(mul, multis, values)), rhs)
+    return _check("A_BETA_SUM", params, rendered, "eq", lhs, rhs, lhs == rhs)
 
 
 def _moment_decomposition(
     m: int, counts: "tuple[int, ...]", r: int, beta: "tuple[int, ...]", rendered: "str | None",
-    lhs: Fraction, rhs: Fraction,
+    lhs: "tuple[int, int]", rhs: "tuple[int, int]",
 ) -> IdentityCheck:
     """Compare E[X^beta] (lhs, from hypergeom's kernel) with the point term plus
-    A_beta, (counts/m)^beta (r falling d) m^d + A_beta, over r^d (m falling d) (rhs)."""
+    A_beta, (counts/m)^beta (r falling d) m^d + A_beta, over r^d (m falling d) (rhs);
+    each side is a (numerator, positive denominator) pair."""
     params = (("m", m), ("counts", counts), ("r", r), ("beta", beta))
-    return _check("MOMENT_DECOMPOSITION", params, rendered, "eq", lhs, rhs)
+    return _check("MOMENT_DECOMPOSITION", params, rendered, "eq", lhs, rhs,
+                  lhs[0] * rhs[1] == rhs[0] * lhs[1])
 
 
 # --- A_beta ---------------------------------------------------------------------
@@ -304,8 +376,9 @@ def moment_decomposition_check(p: HypergeomParams, beta: Sequence[int]) -> Ident
     beta = tuple(int(b) for b in beta)
     d = sum(beta)
     point_term = prod(map(pow, p.counts, beta)) * falling(p.r, d)
-    rhs = Fraction(point_term + a_beta(beta, p.r, p.m, p.counts), p.r**d * falling(p.m, d))
-    return _moment_decomposition(p.m, p.counts, p.r, beta, None, scaled_moment(p, beta), rhs)
+    rhs = (point_term + a_beta(beta, p.r, p.m, p.counts), p.r**d * falling(p.m, d))
+    num, den = hypergeom._moment_terms(p, beta)
+    return _moment_decomposition(p.m, p.counts, p.r, beta, None, (num, den * p.r**d), rhs)
 
 
 def verify_identity(name: "IdentityName | str", **params) -> IdentityCheck:
@@ -456,7 +529,8 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "Iterator[Id
                         values = [_a_beta_at(coeffs, falls) for coeffs in table]
                         params = _a_beta_params(n, d, r, m, counts)
                         rendered = f"n={n};d={d};r={r}{tail}"
-                        yield _check("A_BETA_NONNEG", params, rendered, "ge", min(values), 0)
+                        low = min(values)
+                        yield _check("A_BETA_NONNEG", params, rendered, "ge", low, 0, low >= 0)
                         yield _a_beta_sum(params, rendered, d, r, m, values, multis)
 
 
@@ -487,7 +561,7 @@ def sweep_moment_decomposition(
                         for beta, rendered, moments, coeffs, point in table:
                             yield _moment_decomposition(
                                 m, counts, r, beta, f"{head}{r}{rendered}", moments[r - 1],
-                                Fraction(point * falls[d] + _a_beta_at(coeffs, falls), scale),
+                                (point * falls[d] + _a_beta_at(coeffs, falls), scale),
                             )
 
 

@@ -46,11 +46,15 @@ class HomogeneousPolynomial:
         for alpha, coef in sorted(self.coeffs.items()):
             alpha = tuple(map(int, alpha))
             if len(alpha) != self.n:
-                raise ValueError(f"exponent {alpha} has length {len(alpha)}, expected {self.n}")
+                raise ValueError(
+                    f"exponent {_shown(alpha)} has length {len(alpha)}, expected {self.n}"
+                )
             if any(a < 0 for a in alpha):
-                raise ValueError(f"negative exponent in {alpha}")
+                raise ValueError(f"negative exponent in {_shown(alpha)}")
             if sum(alpha) != self.d:
-                raise ValueError(f"monomial {alpha} has degree {sum(alpha)}, expected {self.d}")
+                raise ValueError(
+                    f"monomial {_shown(alpha)} has degree {sum(alpha)}, expected {self.d}"
+                )
             c = as_rational(coef)
             if c != 0:
                 table[alpha] = c
@@ -111,13 +115,13 @@ def homogenize(terms: TermsLike, n: int, d: int) -> HomogeneousPolynomial:
     for alpha, coef in pairs:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != n:
-            raise ValueError(f"exponent {alpha} has length {len(alpha)}, expected {n}")
+            raise ValueError(f"exponent {_shown(alpha)} has length {len(alpha)}, expected {n}")
         if any(a < 0 for a in alpha):
-            raise ValueError(f"negative exponent in {alpha}")
+            raise ValueError(f"negative exponent in {_shown(alpha)}")
         c = as_rational(coef)
         e = sum(alpha)
         if e > d:
-            raise ValueError(f"monomial {alpha} has degree {e} > target degree {d}")
+            raise ValueError(f"monomial {_shown(alpha)} has degree {e} > target degree {d}")
         if e == d:
             out[alpha] = out.get(alpha, Fraction(0)) + c
             continue

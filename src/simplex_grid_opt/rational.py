@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
+from math import gcd
 from numbers import Rational as _RationalABC
 
 DECIMAL_DIGITS = 20
@@ -88,8 +89,21 @@ def fraction_str(value: "Fraction | int") -> str:
     try:
         return str(value)
     except ValueError:
-        num, den = Decimal(value.numerator), Decimal(value.denominator)
-        return f"{num}/{den}" if den != 1 else str(num)
+        return _ratio_str(value.numerator, value.denominator)
+
+
+def _ratio_str(num: int, den: int = 1) -> str:
+    """fraction_str(Fraction(num, den)) for den > 0, with one gcd and no Fraction;
+    past the int-to-str digit limit both parts go through `Decimal`."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 def decimal_str(value: Fraction, digits: int = DECIMAL_DIGITS) -> str:

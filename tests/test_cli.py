@@ -566,6 +566,24 @@ def test_verify_writes_each_check_as_it_is_made(monkeypatch, fmt):
     assert built_at_write[0] < printed
 
 
+def test_verify_builds_no_fraction(capsys, monkeypatch):
+    # every identity side is an int or an integer pair, decided by cross-multiplying
+    # and rendered with one gcd, so no Fraction is made at all
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 3) + Fraction(1, 6) == Fraction(1, 2) and len(built) == 4  # all counted
+    built.clear()
+    code, out, _ = run(capsys, "verify", "--witness-polys", "0", "--max-m", "6", "--max-d", "4")
+    assert code == EXIT_OK and len(built) == 0
+    assert json.loads(out)["total"] > 10**4
+
+
 def test_verify_empty_sweep_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "0", "--witness-polys", "0")
     assert code == EXIT_CONFIG
@@ -655,6 +673,41 @@ def test_verify_output_bytes_are_pinned(capsys, fmt):
                        "--format", fmt)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[fmt]
+
+
+# SHA-256 of the stdout of `sgo verify --seed 1` at the benchmark's verify caps
+# (--max-m, --max-d), and of one --inject-fault run, recorded before the identity
+# checks were decided and rendered from integer pairs
+VERIFY_CAP_DIGESTS = {
+    (6, 3, "json"): "6c6fae2b6b06f58c79867a66290decad6272f61b6036f05bb5434631eb81f24a",
+    (6, 3, "csv"): "6aee478122e0d54bef006d5636086a9ac5d68f39266afba28564b05686bea92f",
+    (7, 3, "json"): "9688621070fb80c123063dd90cffe801034594aeec78a7425f815a8fe5f2d07d",
+    (7, 3, "csv"): "faa11feea409b8475e52e0e88a22d87e6faffabb08e1cb32438125b11f4a89a7",
+    (6, 4, "json"): "834cf36160aa76ccacb8425c1b119b62b43a0f017927f50769bb21c1bb88097f",
+    (6, 4, "csv"): "cc057abf928e04b7cca7cb7e92d4dac6ee74b90de3ba82e3ee669f921e833f3a",
+    (8, 3, "json"): "e6b34d2504a7e029f33b52e0cca361b5d951160e2fce16c687191d02dcce4b9e",
+    (8, 3, "csv"): "bd072283e11614c43243e3c19ce7d27aa790b2391184307ec3ff0e9a6fcb4da6",
+}
+VERIFY_FAULT_DIGESTS = {
+    "json": "60dec07c0200781b5f01c41c232381d8823982bf40bb2625bd4d655540b07037",
+    "csv": "2838ef4c266c1e2d50ce71ad26b5949087ec9db75fbdf61f1b96ff16c78c9fce",
+}
+
+
+@pytest.mark.parametrize("max_m, max_d, fmt", sorted(VERIFY_CAP_DIGESTS))
+def test_verify_bytes_at_the_benchmark_caps_are_pinned(capsys, max_m, max_d, fmt):
+    code, out, _ = run(capsys, "verify", "--seed", "1", "--max-m", str(max_m),
+                       "--max-d", str(max_d), "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_CAP_DIGESTS[max_m, max_d, fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_FAULT_DIGESTS))
+def test_verify_inject_fault_bytes_are_pinned(capsys, fmt):
+    code, out, err = run(capsys, "verify", "--seed", "1", "--max-m", "4", "--max-d", "2",
+                         "--inject-fault", "--format", fmt)
+    assert code == EXIT_VERIFY_FAILED and "verification failed: 1 of" in err
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAULT_DIGESTS[fmt]
 
 
 # SHA-256 of the stdout of one invocation per verb, recorded before the verbs
@@ -1514,6 +1567,26 @@ def test_a_long_bad_value_gives_one_short_error_line(capsys, tmp_path, text, sta
     code, out, err = run(capsys, "grid-min", "--poly", str(poly), "--r", "2")
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith(start) and err.count("\n") == 1 and len(err.encode()) < 200
+
+
+def _long_alpha_file(n, degree, alpha):
+    return json.dumps({"n": n, "degree": degree, "terms": [{"alpha": alpha, "coef": 1}]})
+
+
+@pytest.mark.parametrize("homogenize", [False, True], ids=["plain", "homogenize"])
+@pytest.mark.parametrize("text, start", [
+    (_long_alpha_file(2, 1, [0] * 10**5), "error: exponent '(0, 0, 0, 0, "),
+    (_long_alpha_file(10**5, 1, [-1] + [0] * (10**5 - 1)), "error: negative exponent in '(-1, 0, 0, "),
+    (_long_alpha_file(10**5, 1, [2] + [0] * (10**5 - 1)), "error: monomial '(2, 0, 0, "),
+], ids=["length", "negative", "degree"])
+def test_a_long_exponent_gives_one_short_error_line(capsys, tmp_path, text, start, homogenize):
+    # the exponent tuple is quoted by its start, with and without --homogenize
+    poly = tmp_path / "long_alpha.json"
+    poly.write_text(text)
+    flags = ["--homogenize"] if homogenize else []
+    code, out, err = run(capsys, "grid-min", "--poly", str(poly), "--r", "2", *flags)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(start) and err.count("\n") == 1 and len(err.encode()) < 200, err
 
 
 @pytest.mark.parametrize("verb", [("enclose", "--r", "1"), ("converge", "--r-range", "1")],

@@ -161,7 +161,9 @@ def test_rows_built_once_give_the_moment_at_every_r(p, data):
         q = HypergeomParams(m=p.m, counts=p.counts, r=r)
         truth = moment_bruteforce(q, beta)
         assert Fraction(*_stirling_at(grouped, r, powers)) == truth == moment(q, beta)
-        assert scaled[r - 1] == truth / Fraction(r) ** d == scaled_moment(q, beta)
+        num, den = scaled[r - 1]  # an integer pair, with a positive denominator
+        assert type(num) is type(den) is int and den > 0
+        assert Fraction(num, den) == truth / Fraction(r) ** d == scaled_moment(q, beta)
 
 
 @settings(max_examples=60, deadline=None)

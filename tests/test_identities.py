@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from simplex_grid_opt import (
     a_beta_sum_identity,
     compositions,
     falling,
+    fraction_str,
     moment_decomposition_check,
     scaled_moment,
     stirling2,
@@ -20,6 +22,7 @@ from simplex_grid_opt import (
 )
 from strats import naive_a_beta
 from simplex_grid_opt import hypergeom, identities
+from simplex_grid_opt.cli import EXIT_VERIFY_FAILED, main
 from simplex_grid_opt.identities import (
     default_sweep_count,
     run_default_sweeps,
@@ -381,11 +384,7 @@ def test_params_str_is_the_params_joined_and_not_a_constructor_argument():
     assert IdentityCheck(*_fields(check)).params_str() == check.params_str() == "k=2;m=3;r=4"
 
 
-def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
-    caps = dict(max_n=2, max_d=3, max_m=5)
-    p, beta = HypergeomParams(m=5, counts=(2, 3), r=2), (1, 1)
-    honest = list(sweep_moment_decomposition(**caps))
-    assert all(c.holds for c in honest)
+def _stirling_rows_off_by_one(monkeypatch):
     rows = hypergeom._stirling_rows
 
     def off_by_one(*args):  # E[Y^beta] one too large
@@ -393,12 +392,10 @@ def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
         grouped[0] += 1
         return grouped
 
-    with monkeypatch.context() as patch:
-        patch.setattr(hypergeom, "_stirling_rows", off_by_one)
-        assert not any(c.holds for c in sweep_moment_decomposition(**caps))
-        assert not moment_decomposition_check(p, beta).holds
-        assert all(c.holds for c in sweep_a_beta(**caps))
-        assert a_beta_sum_identity(2, 5, 2, (2, 3)).holds
+    monkeypatch.setattr(hypergeom, "_stirling_rows", off_by_one)
+
+
+def _a_beta_coeffs_perturbed(monkeypatch):
     coeffs = identities._a_beta_coeffs
 
     def perturbed(*args):  # every A_beta one too large
@@ -406,8 +403,22 @@ def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
         out[0] += 1
         return out
 
+    monkeypatch.setattr(identities, "_a_beta_coeffs", perturbed)
+
+
+def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
+    caps = dict(max_n=2, max_d=3, max_m=5)
+    p, beta = HypergeomParams(m=5, counts=(2, 3), r=2), (1, 1)
+    honest = list(sweep_moment_decomposition(**caps))
+    assert all(c.holds for c in honest)
     with monkeypatch.context() as patch:
-        patch.setattr(identities, "_a_beta_coeffs", perturbed)
+        _stirling_rows_off_by_one(patch)
+        assert not any(c.holds for c in sweep_moment_decomposition(**caps))
+        assert not moment_decomposition_check(p, beta).holds
+        assert all(c.holds for c in sweep_a_beta(**caps))
+        assert a_beta_sum_identity(2, 5, 2, (2, 3)).holds
+    with monkeypatch.context() as patch:
+        _a_beta_coeffs_perturbed(patch)
         moments = list(sweep_moment_decomposition(**caps))
         assert not any(c.holds for c in moments)
         assert [c.lhs for c in moments] == [c.lhs for c in honest]  # the moment side never reads A_beta
@@ -415,3 +426,62 @@ def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
         assert not any(c.holds for c in checks if c.name == "A_BETA_SUM")
         assert not moment_decomposition_check(p, beta).holds
         assert not a_beta_sum_identity(2, 5, 2, (2, 3)).holds
+
+
+# the types of lhs and rhs per family, as the frozen-dataclass record gave them
+SIDE_TYPES = {
+    "VANDERMONDE_CHU": (int, int), "MULTINOMIAL": (int, int), "STIRLING_SUM": (int, int),
+    "STIRLING_MULTI": (int, Fraction), "KMR": (Fraction, Fraction), "SIGMA": (Fraction, Fraction),
+    "PHI": (int, int), "A_BETA_NONNEG": (int, int), "A_BETA_SUM": (int, int),
+    "MOMENT_DECOMPOSITION": (Fraction, Fraction),
+}
+
+
+def test_checks_keep_the_record_semantics():
+    checks = run_default_sweeps()
+    assert {c.name for c in checks} == set(SIDE_TYPES)
+    for c in checks:
+        rebuilt = IdentityCheck(*_fields(c))
+        assert rebuilt == c and hash(rebuilt) == hash(c) and repr(rebuilt) == repr(c)
+        assert (type(c.lhs), type(c.rhs)) == SIDE_TYPES[c.name], c
+        assert rebuilt._texts() == c._texts() == (fraction_str(c.lhs), fraction_str(c.rhs))
+    kmr = verify_identity("KMR", k=2, m=3, r=4)
+    assert repr(kmr) == ("IdentityCheck(name='KMR', params=(('k', 2), ('m', 3), ('r', 4)), "
+                         "lhs=Fraction(2, 5), rhs=Fraction(3, 4), relation='le', holds=True)")
+    assert kmr != IdentityCheck(*_fields(kmr)[:-1], False)
+    assert kmr.__eq__(_fields(kmr)) is NotImplemented
+
+
+def test_every_side_a_family_makes_is_an_int_or_a_pair_with_positive_denominator():
+    caps = [{}, *({"max_m": max_m, "max_d": max_d} for max_m, max_d in BENCHMARK_VERIFY_CAPS)]
+    for kw in caps:
+        for c in run_default_sweeps(**kw):
+            for side, want in zip((c._lhs, c._rhs), SIDE_TYPES[c.name]):
+                if want is int:
+                    assert type(side) is int, c
+                else:
+                    num, den = side
+                    assert type(num) is type(den) is int and den > 0, c
+
+
+@pytest.mark.parametrize("mutant", [_stirling_rows_off_by_one, _a_beta_coeffs_perturbed],
+                         ids=["stirling_rows", "a_beta_coeffs"])
+def test_failing_rows_render_the_sides_of_their_checks(capsys, monkeypatch, mutant):
+    # the mutants of test_moment_decomposition_compares_two_independent_routes, seen
+    # through `sgo verify`: each row, failing or not, shows fraction_str of its sides
+    caps = dict(max_n=2, max_d=3, max_m=5, max_k=2, max_r=8, samples=3, seed=0)
+    mutant(monkeypatch)
+    argv = ["verify", "--witness-polys", "0", "--format", "json"]
+    for key, value in caps.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    assert main(argv) == EXIT_VERIFY_FAILED
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    checks = run_default_sweeps(**caps)
+    assert len(rows) == len(checks)
+    failing = 0
+    for row, c in zip(rows, checks):
+        assert (row["name"], row["params"], row["holds"]) == (
+            c.name, c.params_str(), "true" if c.holds else "false")
+        assert (row["lhs"], row["rhs"]) == (fraction_str(c.lhs), fraction_str(c.rhs))
+        failing += not c.holds
+    assert failing > 0

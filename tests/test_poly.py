@@ -19,6 +19,7 @@ from simplex_grid_opt import (
     load_polynomial,
     range_enclosures,
 )
+from simplex_grid_opt.rational import MAX_INT_DIGITS, _ratio_str
 from strats import (
     FractionSubclass,
     bernstein_table,
@@ -330,6 +331,24 @@ def test_literals_past_the_int_string_limit_are_exact():
     assert as_rational(fraction_str(-value)) == -value
     assert as_rational("1" + "0" * 5000) == 10**5000
     assert as_rational("0." + "0" * 4999 + "5") == Fraction(1, 2 * 10**4999)  # 5 * 10^-5000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**9, 10**9), st.integers(1, 10**9), st.integers(1, 10**4),
+       st.sampled_from([0, 1, MAX_INT_DIGITS + 1]), st.booleans())
+def test_ratio_str_is_fraction_str_of_the_pair(num, den, common, digits, whole):
+    # negative numerators, den = 1, shared factors (the pair need not be reduced),
+    # and numerators past the int-to-str digit limit
+    num, den = num * common * 10**digits, 1 if whole else den * common
+    assert _ratio_str(num, den) == fraction_str(Fraction(num, den))
+    if whole:
+        assert _ratio_str(num) == fraction_str(num)
+
+
+def test_ratio_str_past_the_digit_limit_on_both_sides():
+    p, q = 7 * 10**4999 + 3, 3 * 10**4999 + 1  # coprime up to a factor 2 (7q - 3p = -2)
+    for num, den in ((p, q), (-2 * p, 2 * q), (p * q, q), (0, q)):
+        assert _ratio_str(num, den) == fraction_str(Fraction(num, den))
 
 
 @pytest.mark.parametrize("text", ["9" * 4999 + "x", "1/" + "0" * 5000, "NaN", "-Infinity", "1__0"])
