@@ -16,7 +16,6 @@ from .bounds import (
     RangeAssumptions,
     bound_coefficient,
     check_bounds,
-    cubic_threshold_reached,
     range_enclosures,
     rho_interval,
 )

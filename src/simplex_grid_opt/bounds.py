@@ -199,19 +199,6 @@ def bound_coefficient(
     )
 
 
-def cubic_threshold_reached(r: int, m: int) -> bool:
-    """Whether r is past the crossover where the refined cubic bound
-    is at least as strong as the coarse one.
-
-    The crossover is r >= 1 + (m-1)/(sqrt(2m)-1); since both sides of the
-    squared form are nonnegative for r, m >= 1, it is equivalent to the
-    integer inequality 2m(r-1)^2 >= (m+r-2)^2.
-    """
-    if r < 1 or m < 1:
-        raise ValueError("need r >= 1 and m >= 1")
-    return 2 * m * (r - 1) ** 2 >= (m + r - 2) ** 2
-
-
 # --- certified range machinery --------------------------------------------------
 
 
@@ -380,6 +367,22 @@ def check_bounds(
     pair.  Each denominator is swept at most once and range_enclosures runs
     at most once, and only for witnesses whose kind applies.
     """
+    return _witnesses(f, _pair_reports(f.d, pairs), params)
+
+
+def _pair_reports(d: int, pairs: "Sequence[tuple[int, int | None]]") -> "list[BoundReport]":
+    """bound_coefficient of every kind at each (r, m) in pairs, pair by pair:
+    all of check_bounds that reads only the degree of f, so that many
+    polynomials of one degree can share it."""
+    return [bound_coefficient(kind, d=d, r=r, m=m) for r, m in pairs for kind in ALL_KINDS]
+
+
+def _witnesses(
+    f: HomogeneousPolynomial,
+    reports: "Sequence[BoundReport]",
+    params: RangeAssumptions = RangeAssumptions(),
+) -> "list[BoundWitness]":
+    """check_bounds of f, one witness per report of _pair_reports(f.d, pairs)."""
     square_free = is_square_free(f)
     minima: "dict[int, Fraction]" = {}
     range_bound: "Fraction | None" = None
@@ -390,28 +393,26 @@ def check_bounds(
         return minima[q]
 
     out = []
-    for r, m in pairs:
-        for kind in ALL_KINDS:
-            report = bound_coefficient(kind, d=f.d, r=r, m=m)
-            reason = report.reason
-            if report.applicable and _RULES[kind].square_free and not square_free:
-                reason = "polynomial is not square-free"
-            if reason:
-                out.append(BoundWitness(
-                    kind=kind, d=f.d, r=r, m=m, applicable=False, reason=reason,
-                    lhs=None, coefficient=None, range_bound=None, rhs=None, holds=None,
-                ))
-                continue
-            lhs = grid_min(r) - grid_min(m)
-            if range_bound is None:
-                fmin, fmax = range_enclosures(f, params)
-                range_bound = fmax.hi - fmin.lo
-            rhs = report.coefficient * range_bound
+    for report in reports:
+        kind, r, m, reason = report.kind, report.r, report.m, report.reason
+        if report.applicable and _RULES[kind].square_free and not square_free:
+            reason = "polynomial is not square-free"
+        if reason:
             out.append(BoundWitness(
-                kind=kind, d=f.d, r=r, m=m, applicable=True, reason="",
-                lhs=lhs, coefficient=report.coefficient, range_bound=range_bound,
-                rhs=rhs, holds=lhs <= rhs,
+                kind=kind, d=f.d, r=r, m=m, applicable=False, reason=reason,
+                lhs=None, coefficient=None, range_bound=None, rhs=None, holds=None,
             ))
+            continue
+        lhs = grid_min(r) - grid_min(m)
+        if range_bound is None:
+            fmin, fmax = range_enclosures(f, params)
+            range_bound = fmax.hi - fmin.lo
+        rhs = report.coefficient * range_bound
+        out.append(BoundWitness(
+            kind=kind, d=f.d, r=r, m=m, applicable=True, reason="",
+            lhs=lhs, coefficient=report.coefficient, range_bound=range_bound,
+            rhs=rhs, holds=lhs <= rhs,
+        ))
     return out
 
 
@@ -419,9 +420,4 @@ def bound_table(
     d: int, r_values: Sequence[int], m_values: "Sequence[int | None]"
 ) -> "list[BoundReport]":
     """Reports for every kind over a sweep of r (and optionally m)."""
-    out = []
-    for r in r_values:
-        for m in m_values:
-            for kind in ALL_KINDS:
-                out.append(bound_coefficient(kind, d=d, r=r, m=m))
-    return out
+    return _pair_reports(d, [(r, m) for r in r_values for m in m_values])

@@ -21,8 +21,10 @@ coefficients could exceed 10^7 bits, and a verify run of more than 3 * 10^5
 checks.
 
 Tables (bounds, converge, verify) are lists of flat records, written one
-record at a time by _write_table; verify writes each check as its sweep makes
-it, after every refusal and the few bound witnesses, and keeps none.
+record at a time: bounds and converge through the C JSON encoder
+(_write_table), verify with one f-string per check (_write_checks), as no text
+of a check needs escaping.  verify writes each check as its sweep makes it,
+after every refusal and the few bound witnesses, and keeps none.
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  Output is byte-identical for any
@@ -38,8 +40,6 @@ import random
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 from . import bounds as bounds_mod
 from . import identities as ident_mod
@@ -134,25 +134,15 @@ def _write_table(keys: "Sequence[str]", rows: "Iterable[Sequence]", indent: str 
     at a time.  sys.stdout is looked up here, as callers may swap it.
 
     Any indent makes json.dumps run its pure-Python encoder, so the layout is
-    written here.  A row of strings (as verify's are) fills one template that
-    holds the keys and layout from the C string encoder; ensure_ascii escapes
-    every control character inside a string, so the template's newlines are
-    its only ones.  Any other row goes to the C encoder with no indent and the
-    layout in its item separator; its only braces are the outer pair.
+    written here: each row goes to the C encoder with no indent and the layout
+    in its item separator, and its only braces are the outer pair.
     """
     inner = "\n" + indent + "  "
     field = inner + "  "
-    template = "{" + field + ("," + field).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
-    ) + inner + "}"
     encode = json.JSONEncoder(separators=("," + field, ": ")).encode
     write, lead = sys.stdout.write, "["
     for row in rows:
-        try:
-            text = template % tuple(map(encode_basestring_ascii, row))
-        except TypeError:  # some value is not a string
-            text = "{" + field + encode(dict(zip(keys, row)))[1:-1] + inner + "}"
-        write(lead + inner + text)
+        write(lead + inner + "{" + field + encode(dict(zip(keys, row)))[1:-1] + inner + "}")
         lead = ","
     write("[]" if lead == "[" else "\n" + indent + "]")
 
@@ -359,37 +349,60 @@ def cmd_verify(args: argparse.Namespace) -> int:
             max_n=args.max_n, max_d=args.max_d, max_m=args.max_m, max_k=args.max_k,
             max_r=args.max_r, samples=args.samples, seed=args.seed,
         )
-    tally = [0, 0]  # rows written, and failures among them
-
-    def rows():
-        identity_rows = (
-            ("identity", check.name, check.params_str(), *check._texts(), check.relation,
-             "true" if check.holds else "false")
-            for check in checks
-        )
-        witness_rows = (
-            ("bound-witness", w.kind.value, f"d={w.d};r={w.r};m={w.m}", fraction_str(w.lhs),
-             fraction_str(w.rhs), "le", "true" if w.holds else "false")
-            for w in witnesses
-        )
-        fault_rows = [("identity", "INJECTED_FAULT", "", "0", "1", "eq", "false")]
-        for row in chain(identity_rows, witness_rows, fault_rows if args.inject_fault else ()):
-            tally[0] += 1
-            tally[1] += row[6] != "true"
-            yield row
-
-    header = ["check", "name", "params", "lhs", "rhs", "relation", "holds"]
+    # the rows in order, each group under its "check" column
+    fault = ident_mod.IdentityCheck("INJECTED_FAULT", (), 0, 1, "eq", False)
+    groups = (("identity", checks), ("bound-witness", witnesses),
+              ("identity", [fault] if args.inject_fault else []))
     if args.format == "json":
         sys.stdout.write('{\n  "checks": ')
-        _write_table(header, rows(), "  ")
-        print(f',\n  "total": {tally[0]},\n  "failures": {tally[1]}\n}}')
+        total, failures = _write_checks(groups)
+        print(f',\n  "total": {total},\n  "failures": {failures}\n}}')
     else:
-        _write_csv(header, rows())
-    total, failures = tally
+        tally = [0, 0]  # rows written, and failures among them
+
+        def rows():
+            for column, group in groups:
+                for check in group:
+                    tally[0] += 1
+                    tally[1] += not check.holds
+                    yield (column, check.name, check.params_str(), *check._texts(),
+                           check.relation, "true" if check.holds else "false")
+
+        _write_csv(["check", "name", "params", "lhs", "rhs", "relation", "holds"], rows())
+        total, failures = tally
     if failures:
         print(f"verification failed: {failures} of {total} checks", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
+
+
+def _write_checks(groups: "Iterable[tuple[str, Iterable[ident_mod.IdentityCheck]]]"
+                  ) -> "tuple[int, int]":
+    """Write verify's list of checks as json.dumps(indent=2) lays it out at
+    indent 2, one f-string per check, and return how many were written and
+    how many of them fail.
+
+    No text is escaped, as none needs it: every column comes from a fixed
+    alphabet with no quote, backslash, control or non-ASCII character.  Names
+    and relations are letters and "_"; params_str() joins "key=value" pairs
+    with ";", each value an int or a tuple of ints; each side is digits with
+    "-" and "/" (rational._ratio_str); holds is "true" or "false".
+    """
+    write = sys.stdout.write
+    lead, total, failures = "[", 0, 0
+    for column, group in groups:
+        for check in group:
+            lhs, rhs = check._texts()
+            holds = check.holds
+            write(f'{lead}\n    {{\n      "check": "{column}",\n      "name": "{check.name}",\n'
+                  f'      "params": "{check.params_str()}",\n      "lhs": "{lhs}",\n'
+                  f'      "rhs": "{rhs}",\n      "relation": "{check.relation}",\n'
+                  f'      "holds": "{"true" if holds else "false"}"\n    }}')
+            lead = ","
+            total += 1
+            failures += not holds
+    write("\n  ]")
+    return total, failures
 
 
 def _verify_check_count(args: argparse.Namespace) -> int:
@@ -411,15 +424,24 @@ def _witness_pairs(args: argparse.Namespace) -> "list[tuple[int, int]]":
     return [(r, m) for m in range(1, min(5, args.max_m) + 1) for r in range(1, m + 1)]
 
 
-def _bound_witnesses(args: argparse.Namespace) -> "list[bounds_mod.BoundWitness]":
+def _bound_witnesses(args: argparse.Namespace) -> "list[ident_mod.IdentityCheck]":
+    """The bound witnesses that apply, as checks of lhs le rhs, for
+    --witness-polys random polynomials.  The coefficients of every kind at
+    every pair are tabled once per degree (bounds._pair_reports) and shared by
+    the polynomials of that degree; the table lives for this call only."""
     rng = random.Random(args.seed)
     pairs = _witness_pairs(args)
+    reports: "dict[int, list[bounds_mod.BoundReport]]" = {}
     out = []
     for _ in range(args.witness_polys):
         n = rng.randint(1, min(3, args.max_n))
         d = rng.randint(1, min(3, args.max_d))
         f = random_polynomial(rng, n, d)
-        out += [w for w in bounds_mod.check_bounds(f, pairs) if w.applicable]
+        if f.d not in reports:
+            reports[f.d] = bounds_mod._pair_reports(f.d, pairs)
+        out += [ident_mod.IdentityCheck(w.kind.value, (("d", w.d), ("r", w.r), ("m", w.m)),
+                                        w.lhs, w.rhs, "le", w.holds)
+                for w in bounds_mod._witnesses(f, reports[f.d]) if w.applicable]
     return out
 
 

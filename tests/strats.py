@@ -353,9 +353,10 @@ def falling_poly_coeffs(d: int) -> FallingPolyCoeffs:
 #
 # The dense Fraction Bernstein table of f elevated by k, against which the
 # engine's integer enclosure (grid._bernstein_extrema) is checked; the JSON
-# writer of a polynomial; and the urn pmf, brute-force moments and closed
-# degree-2 and degree-3 moments, against which hypergeom's Stirling expansion
-# is checked.
+# writer of a polynomial; the urn pmf, brute-force moments and closed degree-2
+# and degree-3 moments, against which hypergeom's Stirling expansion is
+# checked; and the crossover r past which the refined cubic bound coefficient
+# is checked to be the stronger one.
 
 DEFAULT_ELEVATION_CAP = 8
 
@@ -506,3 +507,16 @@ def cubic_moments_closed(p: HypergeomParams) -> "dict[tuple[int, int, int], Frac
             for k in range(j + 1, p.n):
                 out[(i, j, k)] = Fraction(mi * counts[j] * counts[k], m**3) * (1 - c)
     return out
+
+
+def cubic_threshold_reached(r: int, m: int) -> bool:
+    """Whether r is past the crossover where the refined cubic bound
+    is at least as strong as the coarse one.
+
+    The crossover is r >= 1 + (m-1)/(sqrt(2m)-1); since both sides of the
+    squared form are nonnegative for r, m >= 1, it is equivalent to the
+    integer inequality 2m(r-1)^2 >= (m+r-2)^2.
+    """
+    if r < 1 or m < 1:
+        raise ValueError("need r >= 1 and m >= 1")
+    return 2 * m * (r - 1) ** 2 >= (m + r - 2) ** 2

@@ -14,7 +14,6 @@ from simplex_grid_opt import (
     RangeAssumptions,
     bound_coefficient,
     check_bounds,
-    cubic_threshold_reached,
     grid_extrema,
     multinomial,
     random_polynomial,
@@ -25,6 +24,7 @@ from simplex_grid_opt import bounds, grid
 from simplex_grid_opt.combin import rate_constant
 from strats import (
     bernstein_table,
+    cubic_threshold_reached,
     elevate,
     falling_poly_coeffs,
     naive_extremes,

@@ -11,6 +11,7 @@ import tempfile
 import time
 import types
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from unittest import mock
 
@@ -606,7 +607,7 @@ def _refuse_to_check(monkeypatch):
         raise _ChecksStarted
 
     monkeypatch.setattr(ident_mod, "_default_sweeps", started)
-    monkeypatch.setattr(bounds, "check_bounds", started)
+    monkeypatch.setattr(bounds, "_pair_reports", started)
 
 
 def _verify_admits(capsys, *argv) -> bool:
@@ -708,6 +709,90 @@ def test_verify_inject_fault_bytes_are_pinned(capsys, fmt):
                          "--inject-fault", "--format", fmt)
     assert code == EXIT_VERIFY_FAILED and "verification failed: 1 of" in err
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAULT_DIGESTS[fmt]
+
+
+def _assert_written_unescaped(out):
+    """verify writes every text of its JSON as it is: none may need escaping,
+    and the whole must be json.dumps(indent=2) of itself."""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    for row in json.loads(out)["checks"]:
+        for text in row.values():
+            assert encode_basestring_ascii(text) == '"' + text + '"', text
+
+
+@pytest.mark.parametrize(
+    "argv", [("--max-m", str(m), "--max-d", str(d)) for m, d, fmt in VERIFY_CAP_DIGESTS
+             if fmt == "json"] + [("--max-m", "4", "--max-d", "2", "--inject-fault")],
+    ids=lambda argv: "-".join(argv).replace("--", ""),
+)
+def test_verify_texts_at_the_benchmark_caps_need_no_escaping(capsys, argv):
+    code, out, _ = run(capsys, "verify", "--seed", "1", *argv)
+    assert code == (EXIT_VERIFY_FAILED if "--inject-fault" in argv else EXIT_OK)
+    _assert_written_unescaped(out)
+
+
+VERIFY_SIZES = {
+    "--seed": st.integers(0, 10**6), "--max-n": st.integers(1, 3), "--max-d": st.integers(1, 4),
+    "--max-m": st.integers(1, 6), "--max-k": st.integers(0, 3), "--max-r": st.integers(0, 8),
+    "--samples": st.integers(0, 4), "--witness-polys": st.integers(0, 4),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.fixed_dictionaries(VERIFY_SIZES), st.booleans())
+def test_verify_texts_of_small_runs_need_no_escaping(sizes, fault):
+    argv = ["verify", *(token for item in sizes.items() for token in map(str, item))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--inject-fault"] * fault)
+    assert code == (EXIT_VERIFY_FAILED if fault else EXIT_OK)
+    _assert_written_unescaped(out.getvalue())
+
+
+def test_verify_tables_each_bound_coefficient_once_per_run(capsys, monkeypatch):
+    # at most 3 degrees * 15 (r, m) pairs * 11 kinds, each once; the table lives
+    # for one verify call, so a second run in the same process builds it again
+    calls = []
+    coefficient = bounds.bound_coefficient
+
+    def counted(kind, **kwargs):
+        calls.append((kind, kwargs["d"], kwargs["r"], kwargs["m"]))
+        return coefficient(kind, **kwargs)
+
+    monkeypatch.setattr(bounds, "bound_coefficient", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert run(capsys, "verify")[0] == EXIT_OK
+        assert len(set(calls)) == len(calls)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert 0 < counts[0] <= 3 * 15 * len(bounds.ALL_KINDS) == 495
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 6), st.integers(1, 4))
+def test_verify_witnesses_from_the_shared_table_equal_check_bounds(seed, max_d, max_m, polys):
+    args = cli.build_parser("verify").parse_args([
+        "verify", "--seed", str(seed), "--max-d", str(max_d), "--max-m", str(max_m),
+        "--witness-polys", str(polys)])
+    seen = []  # (f, the table it was witnessed with, its witnesses)
+    witnesses = bounds._witnesses
+
+    def recorded(f, reports, *rest):
+        seen.append((f, reports, witnesses(f, reports, *rest)))
+        return seen[-1][2]
+
+    with mock.patch.object(bounds, "_witnesses", recorded):
+        checks = cli._bound_witnesses(args)
+    assert len(seen) == polys
+    pairs, tables, rows = cli._witness_pairs(args), {}, []
+    for f, reports, out in seen:
+        assert tables.setdefault(f.d, reports) is reports  # one table per degree
+        assert out == bounds.check_bounds(f, pairs)
+        rows += [(w.kind.value, f"d={w.d};r={w.r};m={w.m}", fraction_str(w.lhs),
+                  fraction_str(w.rhs), "le", w.holds) for w in out if w.applicable]
+    assert [(c.name, c.params_str(), *c._texts(), c.relation, c.holds) for c in checks] == rows
 
 
 # SHA-256 of the stdout of one invocation per verb, recorded before the verbs
@@ -1234,7 +1319,7 @@ PUBLIC_NAMES = [
     "IdentityName", "RangeAssumptions", "StableSetBound", "a_beta", "a_beta_sum_identity",
     "alpha_lower_bound", "as_rational", "bernstein_approximation", "binomial",
     "bound_coefficient", "check_bounds", "composition_count", "compositions",
-    "cubic_threshold_reached", "decimal_str", "evaluate",
+    "decimal_str", "evaluate",
     "exact_alpha", "expectation", "falling", "fraction_str",
     "from_json_dict", "grid_extrema", "grid_maximize", "grid_minimize", "homogenize",
     "is_square_free", "load_graph", "load_polynomial", "moment",
