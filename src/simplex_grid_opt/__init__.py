@@ -43,12 +43,8 @@ from .hypergeom import (
 )
 from .identities import (
     IdentityCheck,
-    IdentityName,
     a_beta,
-    a_beta_sum_identity,
-    moment_decomposition_check,
     run_default_sweeps,
-    verify_identity,
 )
 from .poly import (
     HomogeneousPolynomial,
@@ -66,7 +62,6 @@ from .stableset import (
     alpha_lower_bound,
     exact_alpha,
     load_graph,
-    motzkin_straus_form,
     parse_graph_text,
 )
 

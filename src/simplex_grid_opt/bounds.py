@@ -336,24 +336,23 @@ def rho_interval(
 
 @dataclass(frozen=True)
 class BoundWitness:
-    """One checked instance of grid error against a bound coefficient.
+    """One checked instance of grid error against a bound coefficient that
+    applies.
 
     lhs is the exact grid-minimum gap between denominators r and m; rhs is
     coefficient * (certified upper bound on the range).  holds must be true
-    on every instance where the kind applies.
+    on every instance.
     """
 
     kind: BoundKind
     d: int
     r: int
     m: int
-    applicable: bool
-    reason: str
-    lhs: "Fraction | None"
-    coefficient: "Fraction | None"
-    range_bound: "Fraction | None"
-    rhs: "Fraction | None"
-    holds: "bool | None"
+    lhs: Fraction
+    coefficient: Fraction
+    range_bound: Fraction
+    rhs: Fraction
+    holds: bool
 
 
 def check_bounds(
@@ -361,11 +360,15 @@ def check_bounds(
     pairs: "Sequence[tuple[int, int]]",
     params: RangeAssumptions = RangeAssumptions(),
 ) -> "list[BoundWitness]":
-    """Witness grid_min(r) - grid_min(m) <= coefficient * range for every kind.
+    """Witness grid_min(r) - grid_min(m) <= coefficient * range for every kind
+    that applies.
 
     Returns one witness per (r, m) in pairs and kind in ALL_KINDS, pair by
-    pair.  Each denominator is swept at most once and range_enclosures runs
-    at most once, and only for witnesses whose kind applies.
+    pair, for the kinds that apply at (f.d, r, m) and to f: bound_coefficient
+    gives the reason a kind does not, and the SQUARE_FREE_KINDS need a
+    square-free f.  When none applies nothing is swept.  Otherwise the
+    enclosures run once, and each denominator is swept once: the grid minima
+    at the denominators params names are read from the enclosures' sweeps.
     """
     return _witnesses(f, _pair_reports(f.d, pairs), params)
 
@@ -382,37 +385,27 @@ def _witnesses(
     reports: "Sequence[BoundReport]",
     params: RangeAssumptions = RangeAssumptions(),
 ) -> "list[BoundWitness]":
-    """check_bounds of f, one witness per report of _pair_reports(f.d, pairs)."""
+    """check_bounds of f, one witness per report of _pair_reports(f.d, pairs)
+    whose kind applies to f."""
     square_free = is_square_free(f)
-    minima: "dict[int, Fraction]" = {}
-    range_bound: "Fraction | None" = None
-
-    def grid_min(q: int) -> Fraction:
-        if q not in minima:
-            minima[q] = grid_minimize(f, q).value
-        return minima[q]
-
+    reports = [report for report in reports
+               if report.applicable and (square_free or not _RULES[report.kind].square_free)]
+    if not reports:
+        return []
+    extrema: "dict[int, tuple[GridMinResult, GridMinResult]]" = {}
+    fmin, fmax = _enclosures(f, params, extrema, 1, DEFAULT_GRID_GUARD)
+    range_bound = fmax.hi - fmin.lo
+    minima = {q: low.value for q, (low, _) in extrema.items()}
     out = []
     for report in reports:
-        kind, r, m, reason = report.kind, report.r, report.m, report.reason
-        if report.applicable and _RULES[kind].square_free and not square_free:
-            reason = "polynomial is not square-free"
-        if reason:
-            out.append(BoundWitness(
-                kind=kind, d=f.d, r=r, m=m, applicable=False, reason=reason,
-                lhs=None, coefficient=None, range_bound=None, rhs=None, holds=None,
-            ))
-            continue
-        lhs = grid_min(r) - grid_min(m)
-        if range_bound is None:
-            fmin, fmax = range_enclosures(f, params)
-            range_bound = fmax.hi - fmin.lo
-        rhs = report.coefficient * range_bound
-        out.append(BoundWitness(
-            kind=kind, d=f.d, r=r, m=m, applicable=True, reason="",
-            lhs=lhs, coefficient=report.coefficient, range_bound=range_bound,
-            rhs=rhs, holds=lhs <= rhs,
-        ))
+        r, m = report.r, report.m
+        for q in (r, m):
+            if q not in minima:
+                minima[q] = grid_minimize(f, q).value
+        lhs, rhs = minima[r] - minima[m], report.coefficient * range_bound
+        out.append(BoundWitness(kind=report.kind, d=f.d, r=r, m=m, lhs=lhs,
+                                coefficient=report.coefficient, range_bound=range_bound,
+                                rhs=rhs, holds=lhs <= rhs))
     return out
 
 

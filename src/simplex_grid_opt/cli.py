@@ -345,7 +345,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     witnesses, checks = [], ()
     if count:
         witnesses = _bound_witnesses(args)
-        checks = ident_mod._default_sweeps(
+        checks = ident_mod.run_default_sweeps(
             max_n=args.max_n, max_d=args.max_d, max_m=args.max_m, max_k=args.max_k,
             max_r=args.max_r, samples=args.samples, seed=args.seed,
         )
@@ -441,7 +441,7 @@ def _bound_witnesses(args: argparse.Namespace) -> "list[ident_mod.IdentityCheck]
             reports[f.d] = bounds_mod._pair_reports(f.d, pairs)
         out += [ident_mod.IdentityCheck(w.kind.value, (("d", w.d), ("r", w.r), ("m", w.m)),
                                         w.lhs, w.rhs, "le", w.holds)
-                for w in bounds_mod._witnesses(f, reports[f.d]) if w.applicable]
+                for w in bounds_mod._witnesses(f, reports[f.d])]
     return out
 
 

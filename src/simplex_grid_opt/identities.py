@@ -16,11 +16,10 @@ built by convolving one short row per coordinate,
   A_beta = sum_k c_k * (r falling k) * falling(m - k, d - k) - (r falling d) * prod counts_i^beta_i.
 
 Each family has one evaluator (_stirling_sum, _kmr, _a_beta_sum,
-_moment_decomposition, ...) that verify_identity, the public single-check
-functions and the sweeps all call.  It takes parameters already validated
-(by verify_identity, or by the loop bounds of a sweep, which admit no other)
-and the tables that do not depend on the one check, so a sweep builds each
-table once, in the loop that owns it:
+_moment_decomposition, ...), called only by that family's sweep.  It takes
+parameters the sweep's loop bounds have already made valid, and the tables
+that do not depend on the one check, so a sweep builds each table once, in
+the loop that owns it:
 
   - the rows falling(c, a) * S(b, a) of A_beta's convolution, once per
     (c, b) in a sweep;
@@ -46,15 +45,15 @@ values and types are those of exact rationals; `sgo verify` instead renders
 each stored side with one gcd (IdentityCheck._texts, rational._ratio_str).
 
 Sweeps are bounded by explicit caps so they can run exhaustively in CI.  Each
-sweep is a generator that makes one check at a time; run_default_sweeps drains
-the chain of all eight (_default_sweeps) into a list, and `sgo verify` writes
-each check of that chain as it is made.
+sweep is a generator that makes one check at a time; run_default_sweeps chains
+all eight, and `sgo verify` writes each check of that chain as it is made.
+a_beta, the paper's correction term at one urn, is public and validates its
+own arguments; no sweep calls it.
 """
 
 from __future__ import annotations
 
 import random
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, prod
@@ -69,21 +68,7 @@ from .combin import (
     rate_constant,
     stirling2,
 )
-from .hypergeom import HypergeomParams
 from .rational import _ratio_str
-
-
-class IdentityName(str, Enum):
-    VANDERMONDE_CHU = "VANDERMONDE_CHU"
-    MULTINOMIAL = "MULTINOMIAL"
-    STIRLING_SUM = "STIRLING_SUM"
-    STIRLING_MULTI = "STIRLING_MULTI"
-    KMR = "KMR"
-    SIGMA = "SIGMA"
-    PHI = "PHI"
-    A_BETA_NONNEG = "A_BETA_NONNEG"
-    A_BETA_SUM = "A_BETA_SUM"
-    MOMENT_DECOMPOSITION = "MOMENT_DECOMPOSITION"
 
 
 class IdentityCheck:
@@ -160,12 +145,12 @@ def _side_str(side: "int | tuple[int, int]") -> str:
 
 
 def _check(
-    name: str, params: tuple, rendered: "str | None", relation: str, lhs, rhs, holds: bool
+    name: str, params: tuple, rendered: str, relation: str, lhs, rhs, holds: bool
 ) -> IdentityCheck:
     """The check lhs RELATION rhs, with each side given as IdentityCheck stores
     it (an int, or a (numerator, positive denominator) pair) and holds decided
-    by the caller.  name is the plain string value of an IdentityName; rendered
-    is the params' "key=value;..." text, or None to format it on demand."""
+    by the caller.  name is the family's name, such as "KMR"; rendered is the
+    params' "key=value;..." text."""
     check = object.__new__(IdentityCheck)
     check.name = name
     check.params = params
@@ -256,12 +241,8 @@ def _phi(k: int, m: int, r: int) -> IdentityCheck:
                   phi, 0, phi >= 0)
 
 
-def _a_beta_params(n: int, d: int, r: int, m: int, counts: "tuple[int, ...]") -> tuple:
-    return (("n", n), ("d", d), ("r", r), ("m", m), ("counts", counts))
-
-
 def _a_beta_sum(
-    params: tuple, rendered: "str | None", d: int, r: int, m: int,
+    params: tuple, rendered: str, d: int, r: int, m: int,
     values: "list[int]", multis: "list[int]",
 ) -> IdentityCheck:
     """A_BETA_SUM: values are the A_beta of every beta in I(n, d), in lex order,
@@ -272,7 +253,7 @@ def _a_beta_sum(
 
 
 def _moment_decomposition(
-    m: int, counts: "tuple[int, ...]", r: int, beta: "tuple[int, ...]", rendered: "str | None",
+    m: int, counts: "tuple[int, ...]", r: int, beta: "tuple[int, ...]", rendered: str,
     lhs: "tuple[int, int]", rhs: "tuple[int, int]",
 ) -> IdentityCheck:
     """Compare E[X^beta] (lhs, from hypergeom's kernel) with the point term plus
@@ -362,95 +343,8 @@ def a_beta(beta: Sequence[int], r: int, m: int, counts: Sequence[int]) -> int:
     return _a_beta_at(_a_beta_coeffs(beta, counts, _falling_tails(m, d), {}), _falling_row(r, d))
 
 
-def a_beta_sum_identity(r: int, m: int, d: int, counts: Sequence[int]) -> IdentityCheck:
-    """sum over beta in I(n,d) of (d!/beta!) A_beta == r^d (m falling d) - (r falling d) m^d."""
-    counts = tuple(int(c) for c in counts)
-    weights = _multinomial_weights(len(counts), d)
-    values = [a_beta(beta, r, m, counts) for beta, _ in weights]
-    return _a_beta_sum(_a_beta_params(len(counts), d, r, m, counts), None, d, r, m, values,
-                       [w for _, w in weights])
-
-
-def moment_decomposition_check(p: HypergeomParams, beta: Sequence[int]) -> IdentityCheck:
-    """E[X^beta] must equal (counts/m)^beta * scaling + A_beta correction, exactly."""
-    beta = tuple(int(b) for b in beta)
-    d = sum(beta)
-    point_term = prod(map(pow, p.counts, beta)) * falling(p.r, d)
-    rhs = (point_term + a_beta(beta, p.r, p.m, p.counts), p.r**d * falling(p.m, d))
-    num, den = hypergeom._moment_terms(p, beta)
-    return _moment_decomposition(p.m, p.counts, p.r, beta, None, (num, den * p.r**d), rhs)
-
-
-def verify_identity(name: "IdentityName | str", **params) -> IdentityCheck:
-    """Evaluate one named identity at explicit parameters.
-
-    Parameter names per identity:
-      VANDERMONDE_CHU  x (integer tuple), d
-      MULTINOMIAL      x (integer tuple), d
-      STIRLING_SUM     d, r
-      STIRLING_MULTI   alpha (tuple in I(n,k)), d > |alpha|
-      KMR              k, m, r  with (k-1)m < r <= km
-      SIGMA            d >= 2, m >= d, k >= 1, r with (k-1)m < r <= km
-      PHI              k >= 2, m >= 3, r with (k-1)m < r <= km
-    """
-    name = IdentityName(name)
-    if name is IdentityName.VANDERMONDE_CHU or name is IdentityName.MULTINOMIAL:
-        x = tuple(int(v) for v in params["x"])
-        d = int(params["d"])
-        if d < 0:
-            raise ValueError("d must be nonnegative")
-        return (_vandermonde_chu if name is IdentityName.VANDERMONDE_CHU else _multinomial)(x, d)
-
-    if name is IdentityName.STIRLING_SUM:
-        d = int(params["d"])
-        r = int(params["r"])
-        if d < 1 or r < 1:
-            raise ValueError("need d >= 1 and r >= 1")
-        return _stirling_sum(d, r)
-
-    if name is IdentityName.STIRLING_MULTI:
-        alpha = tuple(int(a) for a in params["alpha"])
-        d = int(params["d"])
-        if any(a < 0 for a in alpha):
-            raise ValueError(f"negative entry in {alpha}")
-        if d <= sum(alpha):
-            raise ValueError(f"need d > |alpha|, got d={d}, |alpha|={sum(alpha)}")
-        return _stirling_multi(alpha, d, _multinomial_weights(len(alpha), d))
-
-    if name is IdentityName.KMR:
-        k, m, r = int(params["k"]), int(params["m"]), int(params["r"])
-        _require_km_window(k, m, r)
-        return _kmr(k, m, r)
-
-    if name is IdentityName.SIGMA:
-        d, m, k, r = (int(params[key]) for key in ("d", "m", "k", "r"))
-        if d < 2:
-            raise ValueError("need d >= 2 for the rate constant")
-        if m < d:
-            raise ValueError(f"need m >= d, got m={m}, d={d}")
-        _require_km_window(k, m, r)
-        return _sigma(d, m, k, r, rate_constant(d))
-
-    if name is IdentityName.PHI:
-        k, m, r = int(params["k"]), int(params["m"]), int(params["r"])
-        if m < 3 or k < 2:
-            raise ValueError("need m >= 3 and k >= 2")
-        _require_km_window(k, m, r)
-        return _phi(k, m, r)
-
-    raise ValueError(f"{name.value} is not checked through verify_identity")
-
-
-def _require_km_window(k: int, m: int, r: int) -> None:
-    if k < 1 or m < 1 or r < 1:
-        raise ValueError("need k, m, r >= 1")
-    if not (k - 1) * m < r <= k * m:
-        raise ValueError(f"need (k-1)m < r <= km, got k={k}, m={m}, r={r}")
-
-
 # --- bounded sweeps -----------------------------------------------------------
-# The loop bounds admit only parameters verify_identity accepts, so no check is
-# validated on its own.
+# The loop bounds admit only valid parameters, so no check is validated on its own.
 
 
 def sweep_stirling_sum(max_d: int = 6, max_r: int = 30) -> "Iterator[IdentityCheck]":
@@ -527,7 +421,7 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "Iterator[Id
                     for r in range(1, m + 1):
                         falls = _falling_row(r, d)
                         values = [_a_beta_at(coeffs, falls) for coeffs in table]
-                        params = _a_beta_params(n, d, r, m, counts)
+                        params = (("n", n), ("d", d), ("r", r), ("m", m), ("counts", counts))
                         rendered = f"n={n};d={d};r={r}{tail}"
                         low = min(values)
                         yield _check("A_BETA_NONNEG", params, rendered, "ge", low, 0, low >= 0)
@@ -574,10 +468,14 @@ def run_default_sweeps(
     max_r: int = 30,
     samples: int = 25,
     seed: int = 0,
-) -> "list[IdentityCheck]":
-    """All identity sweeps at their default (CI-sized) caps."""
-    return list(_default_sweeps(max_n=max_n, max_d=max_d, max_m=max_m, max_k=max_k,
-                                max_r=max_r, samples=samples, seed=seed))
+) -> "Iterator[IdentityCheck]":
+    """All identity sweeps at their default (CI-sized) caps, chained: each
+    check is made when it is asked for, and each sweep is looked up by name
+    when it starts."""
+    args = _default_sweep_args(max_n=max_n, max_d=max_d, max_m=max_m, max_k=max_k,
+                               max_r=max_r, samples=samples, seed=seed)
+    for name, kwargs in args.items():
+        yield from globals()[name](**kwargs)
 
 
 def _default_sweep_args(
@@ -597,21 +495,10 @@ def _default_sweep_args(
     }
 
 
-def _default_sweeps(
-    *, max_n: int, max_d: int, max_m: int, max_k: int, max_r: int, samples: int, seed: int
-) -> "Iterator[IdentityCheck]":
-    """The checks of run_default_sweeps, each made when it is asked for; each
-    sweep is looked up by name when it starts."""
-    args = _default_sweep_args(max_n=max_n, max_d=max_d, max_m=max_m, max_k=max_k,
-                               max_r=max_r, samples=samples, seed=seed)
-    for name, kwargs in args.items():
-        yield from globals()[name](**kwargs)
-
-
 def default_sweep_count(
     *, max_n: int, max_d: int, max_m: int, max_k: int, max_r: int, samples: int, stop: int
 ) -> int:
-    """The number of checks run_default_sweeps returns for these caps, or a
+    """The number of checks run_default_sweeps makes at these caps, or a
     number above `stop` once the count passes it, computed without running any.
 
     Each sweep is counted in closed form, from hockey-stick sums of

@@ -23,7 +23,6 @@ from math import ceil
 from typing import Iterable
 
 from .grid import DEFAULT_GRID_GUARD, _check_degree, _grid_size
-from .poly import HomogeneousPolynomial
 from .rational import MAX_INT_DIGITS, _head
 
 
@@ -103,18 +102,6 @@ def _index(token: str, lineno: int, what: str) -> int:
 def load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fp:
         return parse_graph_text(fp.read())
-
-
-def motzkin_straus_form(g: Graph) -> HomogeneousPolynomial:
-    """The quadratic x^T (I + A) x: coefficient 1 on each square, 2 per edge."""
-    coeffs: dict = {}
-    for i in range(g.n):
-        key = tuple(2 if j == i else 0 for j in range(g.n))
-        coeffs[key] = 1
-    for u, v in g.edges:
-        key = tuple(1 if j + 1 in (u, v) else 0 for j in range(g.n))
-        coeffs[key] = 2
-    return HomogeneousPolynomial(n=g.n, d=2, coeffs=coeffs)
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,19 @@ def random_graph(seed: int, n: int, m: int) -> Graph:
     return Graph.from_edges(n, random.Random(seed).sample(pairs, m))
 
 
+def motzkin_straus_form(g: Graph) -> HomogeneousPolynomial:
+    """The quadratic x^T (I + A) x: coefficient 1 on each square, 2 per edge.
+    The oracle of stableset's closed-form grid value, which builds no form."""
+    coeffs: dict = {}
+    for i in range(g.n):
+        key = tuple(2 if j == i else 0 for j in range(g.n))
+        coeffs[key] = 1
+    for u, v in g.edges:
+        key = tuple(1 if j + 1 in (u, v) else 0 for j in range(g.n))
+        coeffs[key] = 2
+    return HomogeneousPolynomial(n=g.n, d=2, coeffs=coeffs)
+
+
 def edge_list_text(g: Graph) -> str:
     """The graph as an edge list whose "p" line names every vertex."""
     return f"p edge {g.n} {len(g.edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges))

@@ -116,7 +116,7 @@ def test_criterion_4_closed_form_moments():
 
 def test_criterion_5_identity_sweeps():
     t0 = time.monotonic()
-    checks = run_default_sweeps(max_n=3, max_d=4, max_m=8, max_k=4, max_r=30, samples=25, seed=0)
+    checks = list(run_default_sweeps(max_n=3, max_d=4, max_m=8, max_k=4, max_r=30, samples=25, seed=0))
     by_name: dict = {}
     failures = []
     for check in checks:

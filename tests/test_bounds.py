@@ -15,6 +15,7 @@ from simplex_grid_opt import (
     bound_coefficient,
     check_bounds,
     grid_extrema,
+    grid_minimize,
     multinomial,
     random_polynomial,
     range_enclosures,
@@ -385,15 +386,42 @@ def test_check_bound_gap_example():
 def test_check_bound_r_equals_m_is_trivially_sound():
     gap = strict_gap_poly()
     for witness in check_bounds(gap, [(3, 3)]):
-        if witness.applicable:
-            assert witness.lhs == 0
-            assert witness.holds
+        assert witness.lhs == 0
+        assert witness.holds
 
 
 def test_check_bound_skips_square_free_kinds_for_squares():
-    witness = witness_for(sum_of_squares(3), "SQFREE_KLS", 2, 4)
-    assert not witness.applicable
-    assert "square-free" in witness.reason
+    kinds = {w.kind for w in check_bounds(sum_of_squares(3), [(2, 4)])}
+    assert kinds and not kinds & bounds.SQUARE_FREE_KINDS
+    # a square-free cubic of the same size gets both
+    square_free = HomogeneousPolynomial(3, 3, {(1, 1, 1): 1})
+    kinds = {w.kind for w in check_bounds(square_free, [(2, 4)])}
+    assert bounds.SQUARE_FREE_KINDS <= kinds
+
+
+def test_check_bounds_makes_no_witness_for_a_kind_that_does_not_apply():
+    f = strict_gap_poly()  # not square-free
+    pairs = [(1, 1), (2, 3), (3, 2), (4, 4)]
+    witnesses = check_bounds(f, pairs)
+    applicable = [(report.r, report.m, report.kind) for report in bounds._pair_reports(f.d, pairs)
+                  if report.applicable and report.kind not in bounds.SQUARE_FREE_KINDS]
+    assert len(applicable) < len(pairs) * len(ALL_KINDS)
+    assert [(w.r, w.m, w.kind) for w in witnesses] == applicable
+
+
+@pytest.mark.parametrize("params, pairs, swept", [
+    (RangeAssumptions(assume_min_denominator=4, assume_max_denominator=1), [(2, 4)], [1, 2, 4]),
+    (RangeAssumptions(grid=4), [(2, 4), (3, 4)], [2, 3, 4]),
+    (RangeAssumptions(), [(2, 4), (3, 4)], [2, 3, 4]),
+])
+def test_check_bounds_sweeps_each_denominator_once(monkeypatch, params, pairs, swept):
+    f = sum_of_squares(4)
+    minima = {q: grid_minimize(f, q).value for q in swept}
+    calls, sweep = [], grid._sweep
+    monkeypatch.setattr(grid, "_sweep", lambda f, r, *rest: calls.append(r) or sweep(f, r, *rest))
+    witnesses = check_bounds(f, pairs, params)
+    assert sorted(calls) == swept
+    assert witnesses and all(w.lhs == minima[w.r] - minima[w.m] and w.holds for w in witnesses)
 
 
 @settings(max_examples=15, deadline=None)
@@ -404,5 +432,4 @@ def test_check_bound_sound_on_random_polynomials(seed, r, m):
     d = rng.randint(1, 3)
     f = random_polynomial(rng, n, d)
     for witness in check_bounds(f, [(r, m)]):
-        if witness.applicable:
-            assert witness.holds, (witness.kind, f.coeffs, r, m)
+        assert witness.holds, (witness.kind, f.coeffs, r, m)

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 
 from simplex_grid_opt import (
-    Graph, bounds, cli, grid, hypergeom, load_polynomial, stableset,
+    Graph, bounds, cli, grid, hypergeom, load_polynomial,
 )
-from simplex_grid_opt.stableset import motzkin_straus_form, parse_graph_text
+from simplex_grid_opt.stableset import parse_graph_text
 from simplex_grid_opt import identities as ident_mod
 from simplex_grid_opt.cli import (
     CSV_VERSION_LINE,
@@ -39,6 +39,7 @@ from strats import (
     complete_graph,
     edge_list_text,
     fixed_quartic,
+    motzkin_straus_form,
     naive_bernstein,
     naive_extremes,
     petersen,
@@ -606,7 +607,7 @@ def _refuse_to_check(monkeypatch):
     def started(*args, **kwargs):
         raise _ChecksStarted
 
-    monkeypatch.setattr(ident_mod, "_default_sweeps", started)
+    monkeypatch.setattr(ident_mod, "run_default_sweeps", started)
     monkeypatch.setattr(bounds, "_pair_reports", started)
 
 
@@ -624,7 +625,7 @@ def _verify_admits(capsys, *argv) -> bool:
 def test_verify_refuses_too_many_checks_before_any_work(capsys, monkeypatch):
     # with no samples and no witnesses the default caps run `base` identity checks;
     # each --samples adds two, so this many samples reach the maximum exactly
-    base = len(ident_mod.run_default_sweeps(samples=0))
+    base = len(list(ident_mod.run_default_sweeps(samples=0)))
     samples, odd = divmod(cli._MAX_VERIFY_CHECKS - base, 2)
     assert odd == 0
     _refuse_to_check(monkeypatch)
@@ -791,7 +792,7 @@ def test_verify_witnesses_from_the_shared_table_equal_check_bounds(seed, max_d, 
         assert tables.setdefault(f.d, reports) is reports  # one table per degree
         assert out == bounds.check_bounds(f, pairs)
         rows += [(w.kind.value, f"d={w.d};r={w.r};m={w.m}", fraction_str(w.lhs),
-                  fraction_str(w.rhs), "le", w.holds) for w in out if w.applicable]
+                  fraction_str(w.rhs), "le", w.holds) for w in out]
     assert [(c.name, c.params_str(), *c._texts(), c.relation, c.holds) for c in checks] == rows
 
 
@@ -1316,17 +1317,16 @@ PUBLIC_NAMES = [
     "ALL_KINDS", "BoundKind", "BoundReport", "BoundWitness",
     "DegenerateRangeError", "Enclosure", "Graph", "GridMinResult",
     "GridTooLargeError", "HomogeneousPolynomial", "HypergeomParams", "IdentityCheck",
-    "IdentityName", "RangeAssumptions", "StableSetBound", "a_beta", "a_beta_sum_identity",
+    "RangeAssumptions", "StableSetBound", "a_beta",
     "alpha_lower_bound", "as_rational", "bernstein_approximation", "binomial",
     "bound_coefficient", "check_bounds", "composition_count", "compositions",
     "decimal_str", "evaluate",
     "exact_alpha", "expectation", "falling", "fraction_str",
     "from_json_dict", "grid_extrema", "grid_maximize", "grid_minimize", "homogenize",
     "is_square_free", "load_graph", "load_polynomial", "moment",
-    "moment_decomposition_check", "motzkin_straus_form", "multinomial", "parse_graph_text",
+    "multinomial", "parse_graph_text",
     "random_polynomial", "range_enclosures", "rho_interval",
     "run_default_sweeps", "scaled_moment", "stirling2",
-    "verify_identity",
 ]
 VERB_OPTIONS = [
     "bounds --d", "bounds --format", "bounds --m-range", "bounds --r-range",
@@ -1691,11 +1691,11 @@ def test_an_oversized_enclosure_table_exits_2_before_any_sweep(capsys, monkeypat
 
 
 def test_stable_set_sweeps_no_grid_and_builds_no_form(capsys, monkeypatch, tmp_path):
+    # every grid sweep, of a built form or any other, goes through grid._sweep
     def fail(*args, **kwargs):
-        raise AssertionError("stable-set swept a grid or built the vertex form")
+        raise AssertionError("stable-set swept a grid")
 
     monkeypatch.setattr(grid, "_sweep", fail)
-    monkeypatch.setattr(stableset, "motzkin_straus_form", fail)
     for r in ("1", "4", "12"):
         code, out, err = run(capsys, "stable-set", "--graph", PETERSEN, "--r", r)
         assert code == EXIT_OK and err == ""

@@ -22,7 +22,6 @@ from simplex_grid_opt import (
     grid_maximize,
     grid_minimize,
     load_polynomial,
-    motzkin_straus_form,
     multinomial,
     range_enclosures,
 )
@@ -30,6 +29,7 @@ from simplex_grid_opt import bounds, grid
 from strats import (
     DATA_DIR,
     fixed_quartic,
+    motzkin_straus_form,
     naive_extremes,
     petersen,
     poly_add,

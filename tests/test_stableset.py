@@ -11,11 +11,12 @@ from simplex_grid_opt import (
     evaluate,
     exact_alpha,
     grid_minimize,
-    motzkin_straus_form,
     parse_graph_text,
     stableset,
 )
-from strats import brute_force_alpha, complete_graph, greedy_stable_set, petersen, random_graph
+from strats import (
+    brute_force_alpha, complete_graph, greedy_stable_set, motzkin_straus_form, petersen, random_graph,
+)
 
 
 def test_graph_validation():
