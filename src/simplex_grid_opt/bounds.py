@@ -31,7 +31,6 @@ where rfd/mfd are the falling factorials of r/m and c_d = (d-1)(d!-1)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -46,7 +45,7 @@ from .grid import (
     grid_minimize,
 )
 from .poly import HomogeneousPolynomial, is_square_free
-from .rational import Enclosure
+from .rational import Enclosure, _Record
 
 # The highest elevation an enclosure takes: its Bernstein table grows as
 # C(n - 1 + k, n - 1) per monomial (grid._check_enclosure_table bounds it).
@@ -74,31 +73,44 @@ class BoundKind(str, Enum):
 ALL_KINDS = tuple(BoundKind)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """One evaluated bound coefficient, or the reason it does not apply."""
 
-    kind: BoundKind
-    d: int
-    r: int
-    m: "int | None"
-    k: "int | None"
-    coefficient: "Fraction | None"
-    applicable: bool
-    reason: str = ""
+    __slots__ = __match_args__ = (
+        "kind", "d", "r", "m", "k", "coefficient", "applicable", "reason",
+    )
+
+    def __init__(
+        self, kind: BoundKind, d: int, r: int, m: "int | None", k: "int | None",
+        coefficient: "Fraction | None", applicable: bool, reason: str = "",
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(_Record):
     """How one kind is evaluated.  needs_m: the coefficient reads m, so the
     report echoes k.  conditions: (holds(d, r, m), reason) pairs, tested in
     order; the first that fails is the report's reason.  square_free: the
     statement also needs a square-free polynomial (checked by check_bounds)."""
 
-    needs_m: bool
-    conditions: "tuple[tuple[Callable[[int, int, int], bool], str], ...]"
-    coefficient: "Callable[[int, int, int], Fraction | int]"
-    square_free: bool = False
+    __slots__ = __match_args__ = ("needs_m", "conditions", "coefficient", "square_free")
+
+    def __init__(
+        self, needs_m: bool,
+        conditions: "tuple[tuple[Callable[[int, int, int], bool], str], ...]",
+        coefficient: "Callable[[int, int, int], Fraction | int]", square_free: bool = False,
+    ) -> None:
+        object.__setattr__(self, "needs_m", needs_m)
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "square_free", square_free)
 
 
 _DEGREE_2 = (lambda d, r, m: d == 2, "stated for degree 2 only")
@@ -202,8 +214,7 @@ def bound_coefficient(
 # --- certified range machinery --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RangeAssumptions:
+class RangeAssumptions(_Record):
     """How to enclose the unknown simplex extrema of a polynomial.
 
     elevation controls the Bernstein side.  assume_min_denominator (resp.
@@ -215,10 +226,19 @@ class RangeAssumptions:
     extremes, which rho_interval tightens with the grid values at its r.
     """
 
-    elevation: int = 0
-    grid: "int | None" = None
-    assume_min_denominator: "int | None" = None
-    assume_max_denominator: "int | None" = None
+    __slots__ = __match_args__ = (
+        "elevation", "grid", "assume_min_denominator", "assume_max_denominator",
+    )
+
+    def __init__(
+        self, elevation: int = 0, grid: "int | None" = None,
+        assume_min_denominator: "int | None" = None,
+        assume_max_denominator: "int | None" = None,
+    ) -> None:
+        object.__setattr__(self, "elevation", elevation)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "assume_min_denominator", assume_min_denominator)
+        object.__setattr__(self, "assume_max_denominator", assume_max_denominator)
 
 
 def swept_denominators(params: RangeAssumptions) -> "list[int]":
@@ -334,8 +354,7 @@ def rho_interval(
     return Enclosure(num_lo / den_hi, min(Fraction(1), num_hi / den_lo))
 
 
-@dataclass(frozen=True)
-class BoundWitness:
+class BoundWitness(_Record):
     """One checked instance of grid error against a bound coefficient that
     applies.
 
@@ -344,15 +363,23 @@ class BoundWitness:
     on every instance.
     """
 
-    kind: BoundKind
-    d: int
-    r: int
-    m: int
-    lhs: Fraction
-    coefficient: Fraction
-    range_bound: Fraction
-    rhs: Fraction
-    holds: bool
+    __slots__ = __match_args__ = (
+        "kind", "d", "r", "m", "lhs", "coefficient", "range_bound", "rhs", "holds",
+    )
+
+    def __init__(
+        self, kind: BoundKind, d: int, r: int, m: int, lhs: Fraction,
+        coefficient: Fraction, range_bound: Fraction, rhs: Fraction, holds: bool,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "range_bound", range_bound)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "holds", holds)
 
 
 def check_bounds(

@@ -87,7 +87,8 @@ _MAX_VERIFY_CHECKS = 3 * 10**5
 
 
 def _grid_guard(args: argparse.Namespace) -> "int | None":
-    """The grid point budget: SGO_MAX_GRID or 10^8, and None (no guard) under --force."""
+    """The grid point budget: SGO_MAX_GRID or 10^8, and None (no guard) under --force.
+    SGO_MAX_GRID must be a non-negative integer, even under --force."""
     guard: "int | None" = DEFAULT_GRID_GUARD
     env = os.environ.get("SGO_MAX_GRID")
     if env is not None:
@@ -95,6 +96,8 @@ def _grid_guard(args: argparse.Namespace) -> "int | None":
             guard = int(env)
         except ValueError as exc:
             raise ValueError(f"SGO_MAX_GRID must be an integer, got {env!r}") from exc
+        if guard < 0:
+            raise ValueError(f"SGO_MAX_GRID must not be negative, got {env!r}")
     return None if args.force else guard
 
 

@@ -83,7 +83,6 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, repeat
@@ -93,7 +92,7 @@ from threading import Lock
 
 from .combin import composition_count
 from .poly import HomogeneousPolynomial
-from .rational import decimal_str
+from .rational import _Record, decimal_str
 
 MINIMIZER_CAP = 16
 DEFAULT_GRID_GUARD = 10**8
@@ -132,8 +131,7 @@ class GridTooLargeError(RuntimeError):
     """Raised when a grid sweep would exceed the configured point budget."""
 
 
-@dataclass(frozen=True)
-class GridMinResult:
+class GridMinResult(_Record):
     """Outcome of an exhaustive grid sweep.
 
     minimizers holds the lexicographically first numerator tuples attaining
@@ -141,11 +139,17 @@ class GridMinResult:
     attaining points.
     """
 
-    value: Fraction
-    r: int
-    minimizers: "tuple[tuple[int, ...], ...]"
-    tie_count: int
-    evaluations: int
+    __slots__ = __match_args__ = ("value", "r", "minimizers", "tie_count", "evaluations")
+
+    def __init__(
+        self, value: Fraction, r: int, minimizers: "tuple[tuple[int, ...], ...]",
+        tie_count: int, evaluations: int,
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "minimizers", minimizers)
+        object.__setattr__(self, "tie_count", tie_count)
+        object.__setattr__(self, "evaluations", evaluations)
 
 
 def _grid_size(n: int, r: int, max_points: "int | None") -> int:

@@ -24,14 +24,13 @@ Everything is exact; nothing is sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
 from .combin import falling, stirling2
 from .poly import HomogeneousPolynomial
-from .rational import as_rational
+from .rational import _Record, as_rational
 
 # Most bits _expected_value lets the Stirling rows of one term hold, bounded
 # before any row by (K + 1) * d * bit_length(r * total), K = min(d, r): a
@@ -45,24 +44,24 @@ _MAX_KERNEL_BITS = 4 * 10**6
 Power = Callable[[int, int], int]  # falling (draws without replacement) or pow (with)
 
 
-@dataclass(frozen=True)
-class HypergeomParams:
+class HypergeomParams(_Record):
     """Urn description: m balls total, counts per color, r draws."""
 
-    m: int
-    counts: "tuple[int, ...]"
-    r: int
+    __slots__ = __match_args__ = ("m", "counts", "r")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) < 1:
+    def __init__(self, m: int, counts: "tuple[int, ...]", r: int) -> None:
+        counts = tuple(int(c) for c in counts)
+        if len(counts) < 1:
             raise ValueError("need at least one color")
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"negative color count in {self.counts}")
-        if sum(self.counts) != self.m:
-            raise ValueError(f"counts {self.counts} sum to {sum(self.counts)}, expected m={self.m}")
-        if not 1 <= self.r <= self.m:
-            raise ValueError(f"need 1 <= r <= m, got r={self.r}, m={self.m}")
+        if any(c < 0 for c in counts):
+            raise ValueError(f"negative color count in {counts}")
+        if sum(counts) != m:
+            raise ValueError(f"counts {counts} sum to {sum(counts)}, expected m={m}")
+        if not 1 <= r <= m:
+            raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "r", r)
 
     @property
     def n(self) -> int:

@@ -68,10 +68,10 @@ from .combin import (
     rate_constant,
     stirling2,
 )
-from .rational import _ratio_str
+from .rational import _Record, _ratio_str
 
 
-class IdentityCheck:
+class IdentityCheck(_Record):
     """One verified relation: lhs RELATION rhs, exactly.
 
     A side is kept as given when it is an int, and as the pair (numerator,
@@ -84,6 +84,9 @@ class IdentityCheck:
 
     __slots__ = ("name", "params", "relation", "holds", "_lhs", "_rhs", "_rendered")
     __match_args__ = ("name", "params", "lhs", "rhs", "relation", "holds")
+    # not frozen: this module's builders fill the slots of a new check directly
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
     def __init__(
         self, name: str, params: "tuple[tuple[str, object], ...]", lhs: "Fraction | int",
@@ -122,21 +125,6 @@ class IdentityCheck:
         if self.holds and self.relation == "eq":
             return lhs, lhs
         return lhs, _side_str(self._rhs)
-
-    def _fields(self) -> tuple:
-        return self.name, self.params, self.lhs, self.rhs, self.relation, self.holds
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._fields()))
-        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _side_str(side: "int | tuple[int, int]") -> str:

@@ -10,54 +10,53 @@ integers by the sweep engine (grid._bernstein_extrema).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .combin import compositions, multinomial
-from .rational import MAX_INT_DIGITS, _head, as_rational
+from .rational import MAX_INT_DIGITS, _Record, _head, as_rational
 
 ExponentTuple = tuple  # tuple[int, ...]; one entry per variable
 CoefLike = Union[int, str, Fraction]
 TermsLike = Union[Mapping[ExponentTuple, CoefLike], Iterable["tuple[Sequence[int], CoefLike]"]]
 
 
-@dataclass(frozen=True)
-class HomogeneousPolynomial:
+class HomogeneousPolynomial(_Record):
     """n-variate homogeneous polynomial of degree d.
 
     coeffs maps exponent tuples (all of length n, entries >= 0, sum d) to
     nonzero rational coefficients, kept in lexicographic key order for
     deterministic serialization.  The zero polynomial has an empty table.
     Instances are immutable value objects; all operations on them are pure.
+    They are unhashable, as the table is a dict.
     """
 
-    n: int
-    d: int
-    coeffs: "dict[tuple[int, ...], Fraction]"
+    __slots__ = __match_args__ = ("n", "d", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, d: int, coeffs: "dict[tuple[int, ...], Fraction]") -> None:
+        if n < 1:
             raise ValueError("polynomial needs at least one variable")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("degree must be at least 1")
         table: "dict[tuple[int, ...], Fraction]" = {}
-        for alpha, coef in sorted(self.coeffs.items()):
+        for alpha, coef in sorted(coeffs.items()):
             alpha = tuple(map(int, alpha))
-            if len(alpha) != self.n:
+            if len(alpha) != n:
                 raise ValueError(
-                    f"exponent {_shown(alpha)} has length {len(alpha)}, expected {self.n}"
+                    f"exponent {_shown(alpha)} has length {len(alpha)}, expected {n}"
                 )
             if any(a < 0 for a in alpha):
                 raise ValueError(f"negative exponent in {_shown(alpha)}")
-            if sum(alpha) != self.d:
+            if sum(alpha) != d:
                 raise ValueError(
-                    f"monomial {_shown(alpha)} has degree {sum(alpha)}, expected {self.d}"
+                    f"monomial {_shown(alpha)} has degree {sum(alpha)}, expected {d}"
                 )
             c = as_rational(coef)
             if c != 0:
                 table[alpha] = c
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "coeffs", table)
 
     @classmethod
@@ -70,7 +69,7 @@ class HomogeneousPolynomial:
         pairs = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
         merged: "dict[tuple[int, ...], Fraction]" = {}
         for alpha, coef in pairs:
-            key = tuple(alpha)  # __post_init__ converts and checks every exponent
+            key = tuple(alpha)  # __init__ converts and checks every exponent
             c = as_rational(coef)
             merged[key] = merged[key] + c if key in merged else c
         if d is None:

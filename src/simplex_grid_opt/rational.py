@@ -1,4 +1,5 @@
-"""Exact rational scalars, certified intervals, and rendering helpers.
+"""Exact rational scalars, certified intervals, rendering helpers, and the
+base of the package's frozen value classes.
 
 Every quantity in this package is an exact rational number.  We use
 `fractions.Fraction` as the single numeric type; Python ints participate in
@@ -9,7 +10,6 @@ without losing exactness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from math import gcd
@@ -115,18 +115,58 @@ def decimal_str(value: Fraction, digits: int = DECIMAL_DIGITS) -> str:
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class _Record:
+    """Base of the package's frozen value classes.
+
+    A subclass names its fields in order in __match_args__ (a value class
+    stores exactly those, as its __slots__), and its own __init__ sets each
+    field with object.__setattr__.  The rest is derived from the field tuple
+    as a frozen dataclass derives it: == holds only between instances of one
+    class (another class gets NotImplemented), the hash is that of the tuple,
+    the repr is QualName(field=value!r, ...), pickle and copy rebuild an
+    instance by calling the class with its fields, and assigning or deleting
+    an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    __match_args__: "tuple[str, ...]" = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{k}={v!r}" for k, v in zip(self.__match_args__, self._fields())])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+
+class Enclosure(_Record):
     """Certified interval [lo, hi] containing an unknown exact quantity."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = __match_args__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure: lo {self.lo} > hi {self.hi}")
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty enclosure: lo {lo} > hi {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:

@@ -17,32 +17,30 @@ alpha; it is exact whenever alpha divides r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Iterable
 
 from .grid import DEFAULT_GRID_GUARD, _check_degree, _grid_size
-from .rational import MAX_INT_DIGITS, _head
+from .rational import MAX_INT_DIGITS, _Record, _head
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Simple undirected graph on vertices 1..n, edges as sorted pairs."""
 
-    n: int
-    edges: "frozenset[tuple[int, int]]"
+    __slots__ = __match_args__ = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, edges: "frozenset[tuple[int, int]]") -> None:
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 1..{self.n}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge ({u}, {v}) outside vertex range 1..{n}")
             norm.add((min(u, v), max(u, v)))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
 
     @classmethod
@@ -104,14 +102,16 @@ def load_graph(path: str) -> Graph:
         return parse_graph_text(fp.read())
 
 
-@dataclass(frozen=True)
-class StableSetBound:
+class StableSetBound(_Record):
     """Certified lower bound on the stability number from the grid value."""
 
-    r: int
-    grid_value: Fraction
-    alpha_lb: int
-    evaluations: int
+    __slots__ = __match_args__ = ("r", "grid_value", "alpha_lb", "evaluations")
+
+    def __init__(self, r: int, grid_value: Fraction, alpha_lb: int, evaluations: int) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "grid_value", grid_value)
+        object.__setattr__(self, "alpha_lb", alpha_lb)
+        object.__setattr__(self, "evaluations", evaluations)
 
 
 def alpha_lower_bound(

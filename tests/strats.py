@@ -11,11 +11,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import hypothesis.strategies as st
 
 from simplex_grid_opt import (
+    BoundKind,
     Graph,
     HomogeneousPolynomial,
     HypergeomParams,
@@ -28,6 +29,7 @@ from simplex_grid_opt import (
     multinomial,
     stirling2,
 )
+from simplex_grid_opt.poly import _shown
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -533,3 +535,167 @@ def cubic_threshold_reached(r: int, m: int) -> bool:
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
     return 2 * m * (r - 1) ** 2 >= (m + r - 2) ** 2
+
+
+# --- frozen-dataclass twins of the package's value classes ---------------------
+#
+# Each twin is the frozen dataclass its package class used to be: the same
+# fields, defaults and __post_init__ checks, under the same __qualname__, so that
+# the record-parity test can compare the two classes' constructors, equality,
+# hash, repr and refusals byte for byte.
+
+
+@dataclass(frozen=True)
+class TwinGridMinResult:
+    __qualname__ = "GridMinResult"
+
+    value: Fraction
+    r: int
+    minimizers: "tuple[tuple[int, ...], ...]"
+    tie_count: int
+    evaluations: int
+
+
+@dataclass(frozen=True)
+class TwinHomogeneousPolynomial:
+    __qualname__ = "HomogeneousPolynomial"
+
+    n: int
+    d: int
+    coeffs: "dict[tuple[int, ...], Fraction]"
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("polynomial needs at least one variable")
+        if self.d < 1:
+            raise ValueError("degree must be at least 1")
+        table: "dict[tuple[int, ...], Fraction]" = {}
+        for alpha, coef in sorted(self.coeffs.items()):
+            alpha = tuple(map(int, alpha))
+            if len(alpha) != self.n:
+                raise ValueError(
+                    f"exponent {_shown(alpha)} has length {len(alpha)}, expected {self.n}"
+                )
+            if any(a < 0 for a in alpha):
+                raise ValueError(f"negative exponent in {_shown(alpha)}")
+            if sum(alpha) != self.d:
+                raise ValueError(
+                    f"monomial {_shown(alpha)} has degree {sum(alpha)}, expected {self.d}"
+                )
+            c = as_rational(coef)
+            if c != 0:
+                table[alpha] = c
+        object.__setattr__(self, "coeffs", table)
+
+
+@dataclass(frozen=True)
+class TwinEnclosure:
+    __qualname__ = "Enclosure"
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        object.__setattr__(self, "hi", Fraction(self.hi))
+        if self.lo > self.hi:
+            raise ValueError(f"empty enclosure: lo {self.lo} > hi {self.hi}")
+
+
+@dataclass(frozen=True)
+class TwinHypergeomParams:
+    __qualname__ = "HypergeomParams"
+
+    m: int
+    counts: "tuple[int, ...]"
+    r: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        if len(self.counts) < 1:
+            raise ValueError("need at least one color")
+        if any(c < 0 for c in self.counts):
+            raise ValueError(f"negative color count in {self.counts}")
+        if sum(self.counts) != self.m:
+            raise ValueError(f"counts {self.counts} sum to {sum(self.counts)}, expected m={self.m}")
+        if not 1 <= self.r <= self.m:
+            raise ValueError(f"need 1 <= r <= m, got r={self.r}, m={self.m}")
+
+
+@dataclass(frozen=True)
+class TwinBoundReport:
+    __qualname__ = "BoundReport"
+
+    kind: BoundKind
+    d: int
+    r: int
+    m: "int | None"
+    k: "int | None"
+    coefficient: "Fraction | None"
+    applicable: bool
+    reason: str = ""
+
+
+@dataclass(frozen=True)
+class TwinRule:
+    __qualname__ = "_Rule"
+
+    needs_m: bool
+    conditions: tuple
+    coefficient: Callable
+    square_free: bool = False
+
+
+@dataclass(frozen=True)
+class TwinRangeAssumptions:
+    __qualname__ = "RangeAssumptions"
+
+    elevation: int = 0
+    grid: "int | None" = None
+    assume_min_denominator: "int | None" = None
+    assume_max_denominator: "int | None" = None
+
+
+@dataclass(frozen=True)
+class TwinBoundWitness:
+    __qualname__ = "BoundWitness"
+
+    kind: BoundKind
+    d: int
+    r: int
+    m: int
+    lhs: Fraction
+    coefficient: Fraction
+    range_bound: Fraction
+    rhs: Fraction
+    holds: bool
+
+
+@dataclass(frozen=True)
+class TwinGraph:
+    __qualname__ = "Graph"
+
+    n: int
+    edges: "frozenset[tuple[int, int]]"
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("graph needs at least one vertex")
+        norm = set()
+        for u, v in self.edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (1 <= u <= self.n and 1 <= v <= self.n):
+                raise ValueError(f"edge ({u}, {v}) outside vertex range 1..{self.n}")
+            norm.add((min(u, v), max(u, v)))
+        object.__setattr__(self, "edges", frozenset(norm))
+
+
+@dataclass(frozen=True)
+class TwinStableSetBound:
+    __qualname__ = "StableSetBound"
+
+    r: int
+    grid_value: Fraction
+    alpha_lb: int
+    evaluations: int

@@ -1525,6 +1525,23 @@ def test_size_guard_env_and_force(capsys, monkeypatch):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("force", [(), ("--force",)], ids=["guarded", "forced"])
+def test_size_guard_env_refuses_a_negative_budget(capsys, monkeypatch, force):
+    # a negative budget is a configuration error, as a non-integer one is; 0 is a budget
+    argv = ("grid-min", "--poly", SOS4, "--r", "3", *force)
+    monkeypatch.setenv("SGO_MAX_GRID", "-5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "SGO_MAX_GRID must not be negative, got '-5'" in err
+    monkeypatch.setenv("SGO_MAX_GRID", "0")
+    code, out, err = run(capsys, *argv)
+    if force:
+        assert (code, err) == (EXIT_OK, "")
+    else:
+        assert (code, out) == (EXIT_SIZE_GUARD, "")
+        assert "grid has 20 points, budget is 0" in err
+
+
 def test_parse_failure_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
