@@ -9,6 +9,11 @@ coefficients of f elevated by k, which the sweep engine's integer kernel
 computes (grid._bernstein_extrema).  Inapplicability (wrong degree, r out of
 range, m too small) is data, not an error.
 
+Each coefficient is computed as an integer pair (numerator, positive
+denominator), not necessarily reduced: bound_coefficient makes one Fraction of
+it, and converge renders its bound columns from the pairs with one gcd each
+(_coefficient_texts), with no Fraction.
+
 Kinds and their coefficients, for degree d, grid denominator r, and reference
 denominator m with k chosen so that (k-1)m < r <= km:
 
@@ -45,7 +50,7 @@ from .grid import (
     grid_minimize,
 )
 from .poly import HomogeneousPolynomial, is_square_free
-from .rational import Enclosure, _Record
+from .rational import Enclosure, _Record, _ratio_str
 
 # The highest elevation an enclosure takes: its Bernstein table grows as
 # C(n - 1 + k, n - 1) per monomial (grid._check_enclosure_table bounds it).
@@ -97,7 +102,9 @@ class BoundReport(_Record):
 class _Rule(_Record):
     """How one kind is evaluated.  needs_m: the coefficient reads m, so the
     report echoes k.  conditions: (holds(d, r, m), reason) pairs, tested in
-    order; the first that fails is the report's reason.  square_free: the
+    order; the first that fails is the report's reason.  coefficient(d, r, m):
+    the coefficient where the kind applies, as an integer pair (numerator,
+    positive denominator), not necessarily reduced.  square_free: the
     statement also needs a square-free polynomial (checked by check_bounds)."""
 
     __slots__ = __match_args__ = ("needs_m", "conditions", "coefficient", "square_free")
@@ -105,7 +112,7 @@ class _Rule(_Record):
     def __init__(
         self, needs_m: bool,
         conditions: "tuple[tuple[Callable[[int, int, int], bool], str], ...]",
-        coefficient: "Callable[[int, int, int], Fraction | int]", square_free: bool = False,
+        coefficient: "Callable[[int, int, int], tuple[int, int]]", square_free: bool = False,
     ) -> None:
         object.__setattr__(self, "needs_m", needs_m)
         object.__setattr__(self, "conditions", conditions)
@@ -125,54 +132,53 @@ def _bernstein_gap_factor(d: int) -> int:
     return binomial(2 * d - 1, d) * d**d
 
 
-def _kls_ratio(d: int, r: int) -> Fraction:
-    """rfd/r^d."""
-    return Fraction(falling(r, d), r**d)
+def _kls_gap(d: int, r: int, factor: int = 1) -> "tuple[int, int]":
+    """(1 - rfd/r^d) * factor, as the pair ((r^d - rfd) * factor, r^d)."""
+    top = r**d
+    return (top - falling(r, d)) * factor, top
 
 
-def _refined_ratio(d: int, r: int, m: int) -> Fraction:
-    """(rfd m^d)/(r^d mfd)."""
-    return Fraction(falling(r, d) * m**d, r**d * falling(m, d))
+def _refined_gap(d: int, r: int, m: int, factor: int = 1) -> "tuple[int, int]":
+    """(1 - (rfd m^d)/(r^d mfd)) * factor, as an integer pair; mfd > 0 as m >= d."""
+    den = r**d * falling(m, d)
+    return (den - falling(r, d) * m**d) * factor, den
 
 
 _RULES = {
-    BoundKind.KLS_QUAD: _Rule(False, (_DEGREE_2,), lambda d, r, m: Fraction(1, r)),
+    BoundKind.KLS_QUAD: _Rule(False, (_DEGREE_2,), lambda d, r, m: (1, r)),
     BoundKind.KLS_GENERAL: _Rule(
-        False, (), lambda d, r, m: (1 - _kls_ratio(d, r)) * _bernstein_gap_factor(d)
+        False, (), lambda d, r, m: _kls_gap(d, r, _bernstein_gap_factor(d))
     ),
     BoundKind.QUAD_REFINED: _Rule(
         True, (_DEGREE_2, _R_AT_MOST_M),
         # m = 1 forces r = 1: both grids are vertices
-        lambda d, r, m: Fraction(m - r, r * (m - 1)) if m > 1 else 0,
+        lambda d, r, m: (m - r, r * (m - 1)) if m > 1 else (0, 1),
     ),
-    BoundKind.QUAD_DENOM: _Rule(True, (_DEGREE_2,), lambda d, r, m: Fraction(m, r * r)),
+    BoundKind.QUAD_DENOM: _Rule(True, (_DEGREE_2,), lambda d, r, m: (m, r * r)),
     BoundKind.CUBIC_KLS: _Rule(
         False, (_DEGREE_3, (lambda d, r, m: r >= 2, "needs r >= 2")),
-        lambda d, r, m: Fraction(4 * (r - 1), r * r),
+        lambda d, r, m: (4 * (r - 1), r * r),
     ),
-    BoundKind.SQFREE_KLS: _Rule(
-        False, (), lambda d, r, m: 1 - _kls_ratio(d, r), square_free=True
-    ),
+    BoundKind.SQFREE_KLS: _Rule(False, (), lambda d, r, m: _kls_gap(d, r), square_free=True),
     BoundKind.CUBIC_REFINED: _Rule(
         True, (_DEGREE_3, _M_AT_LEAST_3, _R_AT_MOST_M),
-        lambda d, r, m: Fraction((m - r) * (4 * m * r - 2 * m - 2 * r),
-                                 r * r * (m - 1) * (m - 2)),
+        lambda d, r, m: ((m - r) * (4 * m * r - 2 * m - 2 * r), r * r * (m - 1) * (m - 2)),
     ),
     BoundKind.SQFREE_REFINED: _Rule(
-        True, (_M_AT_LEAST_D, _R_AT_MOST_M), lambda d, r, m: 1 - _refined_ratio(d, r, m),
+        True, (_M_AT_LEAST_D, _R_AT_MOST_M), lambda d, r, m: _refined_gap(d, r, m),
         square_free=True,
     ),
     BoundKind.GENERAL_REFINED: _Rule(
         True, (_M_AT_LEAST_D, _R_AT_MOST_M),
-        lambda d, r, m: (1 - _refined_ratio(d, r, m)) * _bernstein_gap_factor(d),
+        lambda d, r, m: _refined_gap(d, r, m, _bernstein_gap_factor(d)),
     ),
     BoundKind.CUBIC_RHO: _Rule(
         True, (_DEGREE_3, _M_AT_LEAST_3),
-        lambda d, r, m: Fraction(m * m, r * r * (m - 2)) if r <= m else Fraction(6 * m, r * r),
+        lambda d, r, m: (m * m, r * r * (m - 2)) if r <= m else (6 * m, r * r),
     ),
     BoundKind.GENERAL_RHO: _Rule(
         True, ((lambda d, r, m: d >= 2, "rate constant defined for degree >= 2"), _M_AT_LEAST_D),
-        lambda d, r, m: Fraction(m, r * r) * rate_constant(d) * _bernstein_gap_factor(d),
+        lambda d, r, m: (m * rate_constant(d) * _bernstein_gap_factor(d), r * r),
     ),
 }
 
@@ -197,18 +203,32 @@ def bound_coefficient(
         raise ValueError(f"reference denominator must be positive, got {m}")
 
     rule = _RULES[kind]
-    if rule.needs_m and m is None:
-        reason = "needs the reference denominator m"
-    else:
-        reason = next((reason for holds, reason in rule.conditions if not holds(d, r, m)), "")
+    reason = _reason(rule, d, r, m)
     if reason:
         return BoundReport(kind=kind, d=d, r=r, m=m, k=None, coefficient=None,
                            applicable=False, reason=reason)
     return BoundReport(
         kind=kind, d=d, r=r, m=m,
         k=-(-r // m) if rule.needs_m else None,  # ceil(r/m), so (k-1)m < r <= km
-        coefficient=Fraction(rule.coefficient(d, r, m)), applicable=True,
+        coefficient=Fraction(*rule.coefficient(d, r, m)), applicable=True,
     )
+
+
+def _reason(rule: _Rule, d: int, r: int, m: "int | None") -> str:
+    """Why the kind of rule does not apply at (d, r, m), or "" when it does."""
+    if rule.needs_m and m is None:
+        return "needs the reference denominator m"
+    return next((reason for holds, reason in rule.conditions if not holds(d, r, m)), "")
+
+
+def _coefficient_texts(d: int, r: int, m: "int | None") -> "list[str]":
+    """The coefficient of every kind in ALL_KINDS at (d, r, m), as fraction_str
+    renders bound_coefficient's, or "" for a kind that does not apply: the
+    bound columns of one converge row, rendered from the integer pairs with no
+    Fraction (_RULES lists the kinds in that order).  The arguments must be valid for bound_coefficient: d, r >= 1, m
+    None or >= 1."""
+    return ["" if _reason(rule, d, r, m) else _ratio_str(*rule.coefficient(d, r, m))
+            for rule in _RULES.values()]
 
 
 # --- certified range machinery --------------------------------------------------

@@ -274,6 +274,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_converge(args: argparse.Namespace) -> int:
     guard = _grid_guard(args)
+    for option in ("grid", "assume_min_denominator", "assume_max_denominator"):
+        value = getattr(args, option)
+        if value is not None and value < 1:
+            raise ValueError(f"--{option.replace('_', '-')} must be at least 1, got {value}")
     f = _load_poly(args)
     assumptions = bounds_mod.RangeAssumptions(
         elevation=args.elevation,
@@ -297,11 +301,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
             rho_lo, rho_hi = fraction_str(rho.lo), fraction_str(rho.hi)
         except bounds_mod.DegenerateRangeError:
             rho_lo = rho_hi = "degenerate"
-        row = [r, fraction_str(value), decimal_str(value), rho_lo, rho_hi]
-        for kind in bounds_mod.ALL_KINDS:
-            report = bounds_mod.bound_coefficient(kind, d=f.d, r=r, m=m_for_kinds)
-            row.append("" if report.coefficient is None else fraction_str(report.coefficient))
-        rows.append(row)
+        rows.append([r, fraction_str(value), decimal_str(value), rho_lo, rho_hi,
+                     *bounds_mod._coefficient_texts(f.d, r, m_for_kinds)])
     _emit(args, rows, header, rows, decimal_note=True)
     return EXIT_OK
 

@@ -23,10 +23,16 @@ _bernstein_extrema reads in integers.
   The suffix orders are tabled ahead of the walk, so a node costs a few passes
   over a short integer list instead of one pass over f per point.
 - Rows.  The last two coordinates (v, s - v), v = 0..s, form a row on which
-  L*f is an integer polynomial h(v) of degree e <= d.  A row longer than e + 1
-  is tabulated by finite differences (Knuth, TAOCP Vol. 2, 4.6.4): the
-  differences of h at 0 come from a per-s table, and e prefix-sum passes
-  rebuild h(0..s).  Shorter rows are evaluated directly.
+  L*f is an integer polynomial h(v) of degree e <= d, e the largest b + c over
+  the row suffixes (b, c) of f.  A row longer than e + 1 is read from its
+  forward differences t_k of h at 0, which come from a per-s table (Knuth,
+  TAOCP Vol. 2, 4.6.4).  When e <= 2, always so for d = 2, h(v) = t0 + t1 v +
+  t2 v(v - 1)/2 is read in closed form: its extreme on a side where it is
+  convex sits at the least v with t2 (t1 + t2 v) >= 0, tied with v + 1 when
+  that difference is 0, and on any other side at an end, so each row costs a
+  few integer operations however long it is (_Extreme.add_quadratic).  For e
+  >= 3, e prefix-sum passes rebuild h(0..s).  Shorter rows are evaluated
+  directly.
 - A node whose budget reaches 0 is a single point: the coefficient of the
   all-zero suffix.
 - Pruning.  A node at depth k >= 1 holds L*f on the face of the m = n - k
@@ -70,7 +76,8 @@ _bernstein_extrema reads in integers.
   so a run over r = 2..R builds each of them once.
 
 Rows arrive in lex order, so the lex-first minimizers (capped) and exact tie
-counts fall out of min, max, count and index on each row.  With threads > 1
+counts fall out of min, max, count and index on each tabulated row, and out of
+the ascending extreme points of each closed-form one.  With threads > 1
 the range of alpha_0 is split into contiguous chunks whose partial results
 merge in lex order, so the outcome never depends on threading; each chunk
 starts from the same vertex values and prunes against its own running
@@ -207,6 +214,34 @@ class _Extreme:
         for _ in range(min(ties, self.cap - len(self.points))):
             i = values.index(v, i + 1)
             self.points.append(prefix + (i, s - i))
+
+    def add_quadratic(self, t0: int, t1: int, t2: int, prefix: "tuple[int, ...]", s: int) -> None:
+        """add_row for the row h(v) = t0 + t1 v + t2 v(v - 1)/2, v = 0..s, read
+        in closed form from its forward differences at 0.
+
+        Delta h(v) = t1 + t2 v.  On the side where h is convex (t2 > 0 for min,
+        t2 < 0 for max), the extreme is at the least v with t2 Delta h(v) >= 0,
+        ceil(-t1/t2) clamped to 0..s, and v + 1 ties with it exactly when
+        Delta h(v) = 0.  Otherwise the extreme is at an end, or at both when
+        h(0) = h(s); a constant row ties at every v.  The points are listed in
+        ascending v, as add_row lists them.
+        """
+        if t2 and (t2 > 0) == (self.pick is min):
+            v = min(max(-(t1 // t2), 0), s)
+            value = t0 + t1 * v + t2 * (v * (v - 1) // 2)
+            hits = (v, v + 1) if v < s and t1 + t2 * v == 0 else (v,)
+        elif t1 or t2:
+            end = t0 + t1 * s + t2 * (s * (s - 1) // 2)
+            value = self.pick(t0, end)
+            hits = (0, s) if end == t0 else (0,) if value == t0 else (s,)
+        else:
+            value, hits = t0, range(s + 1)
+        if self.beats(self.value, value):
+            return
+        if value != self.value:
+            self.value, self.points, self.ties = value, [], 0
+        self.ties += len(hits)
+        self.points += [prefix + (v, s - v) for v in hits[: self.cap - len(self.points)]]
 
     def absorb(self, value: int, ties: int, points) -> None:
         """Take `ties` points of the given value that follow in lex order;
@@ -381,9 +416,9 @@ class _Shape:
     None.
 
     entries[k] is the size of the Bernstein table of depth k = 1..n-3 (rows
-    are never bounded: prefix sums make their points cheap); the table itself
-    is built when the gate first admits a node of that depth whose last vertex
-    does not keep it (beaten).  tails[k] lists the (entry, degree) pairs of the
+    are never bounded: the closed form or prefix sums make their points
+    cheap); the table itself is built when the gate first admits a node of
+    that depth whose last vertex does not keep it (beaten).  tails[k] lists the (entry, degree) pairs of the
     suffixes at depth k that are 0 but on the last coordinate.
     """
 
@@ -459,18 +494,31 @@ class _Shape:
             values = [tuple(map(sub, y, x)) for x, y in zip(values, values[1:])]
         return tuple(deltas)
 
-    def row(self, coeffs: "list[int]", s: int) -> "list[int]":
-        """Values of L*f on the row v = 0..s, given the row-suffix coefficients."""
+    def feed_row(self, tracked: "list[_Extreme]", coeffs: "list[int]", prefix: "tuple[int, ...]",
+                s: int) -> None:
+        """Give each tracked extreme the row of points prefix + (v, s - v), v =
+        0..s, on which L*f has the given row-suffix coefficients.
+
+        A row longer than e + 1 has its forward differences at 0 in rows[s].
+        For e <= 2 they are read in closed form (_Extreme.add_quadratic);
+        otherwise e prefix-sum passes rebuild the row's values.
+        """
         table = [sum(map(mul, coeffs, w)) for w in self.rows[s]]
         e = self.e
+        if s > e and e <= 2:
+            t0, t1, t2 = table + [0] * (2 - e)
+            for ext in tracked:
+                ext.add_quadratic(t0, t1, t2, prefix, s)
+            return
         # a row no longer than e + 1 is read directly: differences of order
         # 0..min(s, e) for every s timed 1.14-1.50x slower over converge runs
-        if s <= e:
-            return table
-        values = repeat(table[e], s + 1 - e)
-        for k in range(e - 1, -1, -1):
-            values = accumulate(values, initial=table[k])
-        return list(values)
+        if s > e:
+            values = repeat(table[e], s + 1 - e)
+            for k in range(e - 1, -1, -1):
+                values = accumulate(values, initial=table[k])
+            table = list(values)
+        for ext in tracked:
+            ext.add_row(table, prefix, s)
 
     def beaten(self, k: int, coeffs: "list[int]", s: int, low: "_Extreme | None",
                high: "_Extreme | None") -> bool:
@@ -614,9 +662,7 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
             ext.absorb(value, 1, [(r,)])
         return tracked, 0
     if n == 2:
-        values = shape.row(root, r)
-        for ext in tracked:
-            ext.add_row(values, (), r)
+        shape.feed_row(tracked, root, (), r)
         return tracked, 0
 
     low = tracked[0] if picks[0] is min else None
@@ -643,9 +689,7 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
                     child[j] += child[i]
                 del child[width:]
             if k == row_parent:
-                values = shape.row(child, rest)
-                for ext in tracked:
-                    ext.add_row(values, here, rest)
+                shape.feed_row(tracked, child, here, rest)
             elif rest >= gate and shape.beaten(k + 1, child, rest, low, high):
                 pruned += comb(rest + n - k - 2, n - k - 2)
             else:  # descend; this level resumes from `alphas` once the child is done

@@ -524,6 +524,37 @@ def cubic_moments_closed(p: HypergeomParams) -> "dict[tuple[int, int, int], Frac
     return out
 
 
+def bound_coefficient_oracle(kind, d: int, r: int, m: "int | None") -> "Fraction | None":
+    """The coefficient of one bound kind at (d, r, m), in Fraction arithmetic
+    straight from the formulas of the bounds module docstring, or None where
+    the kind does not apply."""
+    kind = BoundKind(kind).value
+    if m is None and kind not in ("KLS_QUAD", "KLS_GENERAL", "CUBIC_KLS", "SQFREE_KLS"):
+        return None
+    gap = binomial(2 * d - 1, d) * d**d
+    kls = Fraction(falling(r, d), r**d)
+    refined = lambda: Fraction(falling(r, d) * m**d, r**d * falling(m, d))
+    formulas = {
+        "KLS_QUAD": lambda: Fraction(1, r) if d == 2 else None,
+        "KLS_GENERAL": lambda: (1 - kls) * gap,
+        "QUAD_REFINED": lambda: (Fraction(m - r, r * (m - 1)) if m > 1 else Fraction(0))
+        if d == 2 and r <= m else None,
+        "QUAD_DENOM": lambda: Fraction(m, r * r) if d == 2 else None,
+        "CUBIC_KLS": lambda: Fraction(4, r) - Fraction(4, r * r) if d == 3 and r >= 2 else None,
+        "SQFREE_KLS": lambda: 1 - kls,
+        "CUBIC_REFINED": lambda: Fraction((m - r) * (4 * m * r - 2 * m - 2 * r),
+                                          r * r * (m - 1) * (m - 2))
+        if d == 3 and m >= 3 and r <= m else None,
+        "SQFREE_REFINED": lambda: 1 - refined() if m >= d and r <= m else None,
+        "GENERAL_REFINED": lambda: (1 - refined()) * gap if m >= d and r <= m else None,
+        "CUBIC_RHO": lambda: (Fraction(m * m, r * r * (m - 2)) if r <= m else Fraction(6 * m, r * r))
+        if d == 3 and m >= 3 else None,
+        "GENERAL_RHO": lambda: Fraction(m, r * r) * (d - 1) * (math.factorial(d) - 1) * gap
+        if d >= 2 and m >= d else None,
+    }
+    return formulas[kind]()
+
+
 def cubic_threshold_reached(r: int, m: int) -> bool:
     """Whether r is past the crossover where the refined cubic bound
     is at least as strong as the coarse one.

@@ -23,8 +23,10 @@ from simplex_grid_opt import (
 )
 from simplex_grid_opt import bounds, grid
 from simplex_grid_opt.combin import rate_constant
+from simplex_grid_opt.rational import fraction_str
 from strats import (
     bernstein_table,
+    bound_coefficient_oracle,
     cubic_threshold_reached,
     elevate,
     falling_poly_coeffs,
@@ -44,6 +46,21 @@ def test_frozen_coefficient_examples():
     assert bound_coefficient("KLS_QUAD", d=2, r=5).coefficient == Fraction(1, 5)
     assert bound_coefficient("CUBIC_KLS", d=3, r=4).coefficient == Fraction(3, 4)
     assert bound_coefficient("SQFREE_KLS", d=3, r=4).coefficient == 1 - Fraction(24, 64)
+
+
+def test_coefficients_and_converge_cells_match_the_fraction_oracle():
+    # every kind at d = 1..6, r = 1..40, m None or 1..15: bound_coefficient's
+    # Fraction and converge's cell text (bounds._coefficient_texts)
+    for d in range(1, 7):
+        for r in range(1, 41):
+            for m in (None, *range(1, 16)):
+                texts = bounds._coefficient_texts(d, r, m)
+                assert len(texts) == len(ALL_KINDS)
+                for kind, text in zip(ALL_KINDS, texts):
+                    want = bound_coefficient_oracle(kind, d, r, m)
+                    got = bound_coefficient(kind, d=d, r=r, m=m).coefficient
+                    assert got == want and (want is None or type(got) is Fraction)
+                    assert text == ("" if want is None else fraction_str(want))
 
 
 def test_cubic_rho_is_piecewise_in_r():

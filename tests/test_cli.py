@@ -378,6 +378,14 @@ def test_converge_exit_codes(capsys, monkeypatch, fault, guard, want):
     assert (out == "" and "error" in err) if want else err == ""
 
 
+@pytest.mark.parametrize("option", ["--grid", "--assume-min-denominator", "--assume-max-denominator"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_converge_names_a_denominator_option_below_one(capsys, option, value):
+    code, out, err = run(capsys, "converge", "--poly", SOS4, "--r-range", "2:3", option, value)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"error: {option} must be at least 1, got {value}\n"
+
+
 def count_calls(monkeypatch, module, name) -> list:
     calls = []
     original = getattr(module, name)

@@ -28,6 +28,7 @@ from simplex_grid_opt import (
 from simplex_grid_opt import bounds, grid
 from strats import (
     DATA_DIR,
+    exponent_tuples,
     fixed_quartic,
     motzkin_straus_form,
     naive_extremes,
@@ -279,6 +280,74 @@ def test_power_of_sum_ties_everywhere():
             assert res.minimizers == tuple(list(compositions(5, 6))[:cap])
 
 
+# --- closed-form rows of degree <= 2 ------------------------------------------------
+
+
+def _quadratic_row(t0, t1, t2, s):
+    """h(v) = t0 + t1 v + t2 v(v - 1)/2 at v = 0..s."""
+    return [t0 + t1 * v + t2 * v * (v - 1) // 2 for v in range(s + 1)]
+
+
+def test_closed_form_row_matches_add_row_exhaustively():
+    # every row with differences t in [-3, 3]^3 and s = 1..6, both sides, caps 1
+    # and 16, from starts below, at and above its extreme, then a second row
+    # (t2, t0, t1) fed to the same extreme, so the state carries over
+    ts = range(-3, 4)
+    cases = 0
+    for t0 in ts:
+        for t1 in ts:
+            for t2 in ts:
+                for s in range(1, 7):
+                    first = _quadratic_row(t0, t1, t2, s)
+                    second = _quadratic_row(t2, t0, t1, s)
+                    for pick in (min, max):
+                        for cap in (1, 16):
+                            for start in (-60, pick(first) - 1, pick(first), pick(first) + 1, 60):
+                                want = grid._Extreme(pick, cap, start)
+                                got = grid._Extreme(pick, cap, start)
+                                want.add_row(first, (0,), s)
+                                got.add_quadratic(t0, t1, t2, (0,), s)
+                                assert (got.value, got.points, got.ties) == \
+                                    (want.value, want.points, want.ties)
+                                want.add_row(second, (1,), s)
+                                got.add_quadratic(t2, t0, t1, (1,), s)
+                                assert (got.value, got.points, got.ties) == \
+                                    (want.value, want.points, want.ties)
+                                cases += 1
+    assert cases == 7**3 * 6 * 2 * 2 * 5
+
+
+@st.composite
+def row_quadratic_polynomials(draw):
+    """(f, r) whose rows have degree e <= 2: any d <= 2, or n >= 3 and d 3-4 with
+    the last two variables of every monomial of degree at most 2 together."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 2 if n == 2 else 4))
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 6))):
+        if n == 2:
+            alpha = draw(exponent_tuples(2, d))
+        else:
+            q = draw(st.integers(0, min(2, d)))
+            alpha = draw(exponent_tuples(n - 2, d - q)) + draw(exponent_tuples(2, q))
+        coeffs[alpha] = draw(st.integers(-9, 9).filter(bool))
+    f = poly_scale(HomogeneousPolynomial(n, d, coeffs), draw(st.sampled_from((1, Fraction(-2, 3)))))
+    work = max(1, len(f.coeffs))
+    r = draw(st.integers(1, 12).filter(lambda r: composition_count(f.n, r) * work <= 20000))
+    return f, r
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_quadratic_polynomials(), st.sampled_from((1, 16)))
+def test_closed_form_rows_match_naive_oracle(case, cap):
+    f, r = case
+    assert grid._shape(tuple(f.coeffs), f.n, f.d).e <= 2
+    _check_against_naive_oracle(f, r, cap)
+    for picks in ((min,), (max,), (min, max)):
+        evaluated, pruned = _evaluated_and_pruned(f, r, cap, picks)
+        assert evaluated + pruned == composition_count(f.n, r)
+
+
 # --- certified pruning ------------------------------------------------------------
 
 
@@ -304,16 +373,22 @@ def _evaluated_and_pruned(f, r, cap, picks):
 
 def _counted_sweep(f, r, threads, cap, picks):
     """grid._sweep's extremes, L*r^d and pruned count, with the points its chunk
-    scans evaluated (rows and single points) counted in before the pruned
-    count; the merge of the chunks is not counted."""
+    scans evaluated (rows, closed-form rows of s + 1 points, and single points)
+    counted in before the pruned count; the merge of the chunks is not counted."""
     evaluated = []
     scanning = threading.local()
     add_row, absorb, scan = grid._Extreme.add_row, grid._Extreme.absorb, grid._scan
+    add_quadratic = grid._Extreme.add_quadratic
 
     def counted_row(ext, values, prefix, s):
         if ext.pick is picks[0]:
             evaluated.append(len(values))
         add_row(ext, values, prefix, s)
+
+    def counted_quadratic(ext, t0, t1, t2, prefix, s):
+        if ext.pick is picks[0]:
+            evaluated.append(s + 1)
+        add_quadratic(ext, t0, t1, t2, prefix, s)
 
     def counted_point(ext, value, ties, points):
         if ext.pick is picks[0] and getattr(scanning, "on", False):
@@ -329,6 +404,7 @@ def _counted_sweep(f, r, threads, cap, picks):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grid._Extreme, "add_row", counted_row)
+        patch.setattr(grid._Extreme, "add_quadratic", counted_quadratic)
         patch.setattr(grid._Extreme, "absorb", counted_point)
         patch.setattr(grid, "_scan", counted_scan)
         extremes, denominator, pruned = grid._sweep(f, r, threads, cap, picks)
