@@ -33,6 +33,19 @@ _bernstein_extrema reads in integers.
   few integer operations however long it is (_Extreme.add_quadratic).  For e
   >= 3, e prefix-sum passes rebuild h(0..s).  Shorter rows are evaluated
   directly.
+- Stepped siblings.  The children alpha_k = a of a node are integer
+  polynomials of degree <= d in a: a child's Bernstein coefficients p_g (see
+  Pruning) and, for a row, its differences t_k.  So a node with more than d +
+  1 children that the gate bounds, or a row parent with more than
+  3 (d + 1) rows longer than e + 1 (_ROW_RUN), evaluates the first d + 1 and
+  steps the rest with d vector additions each, the same tabulation as in a
+  row.  A stepped node builds its coefficient list only when the walk
+  descends into it.  A stepped row of degree e >= 3 also steps its d + 1
+  Bernstein coefficients on the segment, p_j = sum c_bc s^(b + c) C(d - b -
+  c, j - b) against C(d, j), and is skipped when they are all strictly worse
+  than the running extremes; a quadratic row is never tested, its closed
+  form costs less.  A run stops at the end of a chunk, and at the first
+  child below the gate or row no longer than e + 1.
 - A node whose budget reaches 0 is a single point: the coefficient of the
   all-zero suffix.
 - Pruning.  A node at depth k >= 1 holds L*f on the face of the m = n - k
@@ -65,8 +78,9 @@ _bernstein_extrema reads in integers.
   for sum x_i^2, where that coefficient is h alone, and it prunes the
   stable-set forms x^T(I + A)x, whose minimizers are interior.  Only nodes
   of depth 1..n-3 whose subtree has at least one point per
-  _BOUND_ENTRIES_PER_POINT entries are bounded.  evaluations still counts
-  every grid point, evaluated or certified.
+  _BOUND_ENTRIES_PER_POINT entries are bounded, from their own coefficients
+  or stepped ones; rows are bounded only when stepped, as the nodes of depth
+  n - 2.  evaluations still counts every grid point, evaluated or certified.
 - The tables depend only on f's support, not on its coefficients, and are
   kept in one cache for the few most recently used supports (_shape):
   converge, enclosures and bound checks sweep the same support at many
@@ -92,9 +106,9 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, repeat
+from itertools import accumulate, combinations_with_replacement, islice, repeat
 from math import comb, lcm, prod
-from operator import gt, lt, mul, sub
+from operator import add, gt, lt, mul, sub
 from threading import Lock
 
 from .combin import composition_count
@@ -110,8 +124,25 @@ DEFAULT_GRID_GUARD = 10**8
 # far less than its table on average.  Re-timed with the quadratic node bound
 # (perfbench sweep, seeds 1-3, median work_per_s): 2, 4, 8 and 16 gave 1.92e6,
 # 1.99e6, 2.03e6 and 2.06e6 points/s, inside the spread of the seeds at 4
-# (1.97e6-2.33e6), and converge moved no more, so it stays at 4.
+# (1.97e6-2.33e6), and converge moved no more, so it stays at 4.  Re-timed with
+# stepped siblings, where a bounded node costs d vector additions, on the
+# eight polynomial sweep slots (2-vCPU Xeon VM, Python 3.11, 4 ops per slot,
+# best of 3, the values interleaved per op): 2, 4, 8 and 16 took 0.283, 0.250,
+# 0.234 and 0.228 s (seed 21), and 4, 16, 32 and 64 took 0.232, 0.214, 0.213
+# and 0.212 s (seed 22).  It stays at 4 all the same: 8 and 16 also bound
+# quadratic nodes that 4 does not, which moves the pinned pruned count of the
+# Petersen form at r = 10 from 86093 to 87923 and 88593.
 _BOUND_ENTRIES_PER_POINT = 4
+
+# A row parent steps its rows (_scan) only in runs of more than _ROW_RUN times
+# d + 1; a node steps its bounded children in runs of more than d + 1.  The
+# d + 1 rows evaluated to start a run cost about five rows of the plain path,
+# and a stepped row saves little unless it is skipped.  Timed on the benchmark
+# workloads (2-vCPU Xeon VM, Python 3.11, 3 ops per slot, best of 3, the
+# values interleaved per op): converge took 0.596, 0.515 and 0.612 s at 1 and
+# 0.580, 0.489 and 0.588 s at 3 (seeds 31-33); 2 and 4 gave 0.579 and 0.575 s
+# (seed 31), and sweep moved by 2% at most.
+_ROW_RUN = 3
 
 # The most bits a sweep's power table may hold, counted as (r + 1)(d + 1)
 # integers a^b (a <= r, b <= d) of d * bit_length(r) bits each; the row tables
@@ -415,11 +446,14 @@ class _Shape:
     the whole grid, so only rows[r] of the r grown to are built; the rest are
     None.
 
-    entries[k] is the size of the Bernstein table of depth k = 1..n-3 (rows
-    are never bounded: the closed form or prefix sums make their points
-    cheap); the table itself is built when the gate first admits a node of
-    that depth whose last vertex does not keep it (beaten).  tails[k] lists the (entry, degree) pairs of the
-    suffixes at depth k that are 0 but on the last coordinate.
+    entries[k] is the size of the Bernstein table of depth k = 1..n-3; the
+    table itself is built when the gate first admits a node of that depth
+    whose last vertex does not keep it (beaten), or a run of stepped children
+    of that depth starts (differences).  The table of depth n - 2, of the
+    rows, is built only for stepped rows of degree e >= 3.  sizes[k] lists
+    the sizes multinomial(d, g) of a built table's rows.  tails[k] lists the
+    (entry, degree) pairs of the suffixes at depth k that are 0 but on the
+    last coordinate.
     """
 
     def __init__(self, support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> None:
@@ -448,6 +482,7 @@ class _Shape:
         self.entries = tuple(entries)
         self.tails = tuple(tails)
         self.tables: "list[tuple | None]" = [None] * (n - 1)
+        self.sizes: "list[tuple[int, ...] | None]" = [None] * (n - 1)
         self.power: "list[tuple[int, ...]]" = []  # power[v][b] = v^b, b = 0..d
         self.rows: "tuple[tuple[tuple[int, ...], ...] | None, ...]" = (None,)
         self._lock = Lock()
@@ -499,24 +534,34 @@ class _Shape:
         """Give each tracked extreme the row of points prefix + (v, s - v), v =
         0..s, on which L*f has the given row-suffix coefficients.
 
-        A row longer than e + 1 has its forward differences at 0 in rows[s].
-        For e <= 2 they are read in closed form (_Extreme.add_quadratic);
-        otherwise e prefix-sum passes rebuild the row's values.
+        A row longer than e + 1 has its forward differences at 0 in rows[s]
+        (feed_differences); a shorter one has its values there.
         """
         table = [sum(map(mul, coeffs, w)) for w in self.rows[s]]
-        e = self.e
-        if s > e and e <= 2:
-            t0, t1, t2 = table + [0] * (2 - e)
-            for ext in tracked:
-                ext.add_quadratic(t0, t1, t2, prefix, s)
+        if s > self.e:
+            self.feed_differences(tracked, table, prefix, s)
             return
         # a row no longer than e + 1 is read directly: differences of order
         # 0..min(s, e) for every s timed 1.14-1.50x slower over converge runs
-        if s > e:
-            values = repeat(table[e], s + 1 - e)
-            for k in range(e - 1, -1, -1):
-                values = accumulate(values, initial=table[k])
-            table = list(values)
+        for ext in tracked:
+            ext.add_row(table, prefix, s)
+
+    def feed_differences(self, tracked: "list[_Extreme]", t: "list[int]", prefix: "tuple[int, ...]",
+                         s: int) -> None:
+        """feed_row for a row longer than e + 1, from its forward differences
+        t_0..t_e at v = 0.  For e <= 2 they are read in closed form
+        (_Extreme.add_quadratic); otherwise e prefix-sum passes rebuild the
+        row's values."""
+        e = self.e
+        if e <= 2:
+            t0, t1, t2 = t + [0] * (2 - e)
+            for ext in tracked:
+                ext.add_quadratic(t0, t1, t2, prefix, s)
+            return
+        values = repeat(t[e], s + 1 - e)
+        for k in range(e - 1, -1, -1):
+            values = accumulate(values, initial=t[k])
+        table = list(values)
         for ext in tracked:
             ext.add_row(table, prefix, s)
 
@@ -552,26 +597,96 @@ class _Shape:
         degrees, rows = self.tables[k] or self._build_table(k)
         scaled = list(map(mul, coeffs, map(power.__getitem__, degrees)))
         if self.d == 2:
-            return _quadratic_beaten(self.n - k, rows, scaled, lo, hi)
+            ps = (sum(map(mul, map(scaled.__getitem__, index), weights)) for index, weights, _ in rows)
+            return _quadratic_beaten(self.n - k, ps, lo, hi)
         for index, weights, size in rows:
             p = sum(map(mul, map(scaled.__getitem__, index), weights))
             if lo is not None and p <= lo * size or hi is not None and p >= hi * size:
                 return False
         return True
 
+    def skip(self, k: int, p: "list[int]", s: int, low: "_Extreme | None",
+             high: "_Extreme | None") -> int:
+        """The number of grid points under the depth-k node with budget s when
+        its Bernstein coefficients p (one per row of the depth-k table, in its
+        order, perhaps followed by other entries) are all strictly worse than
+        the tracked extremes, and 0 otherwise: beaten, from coefficients that
+        the walk stepped (differences) rather than built from the node's own.
+        A row (k = n - 2) is the node of m = 2 coordinates.
+        """
+        lo = None if low is None else low.value
+        hi = None if high is None else high.value
+        m = self.n - k
+        if self.d == 2:
+            beaten = _quadratic_beaten(m, p, lo, hi)
+        else:
+            sizes = self.sizes[k]
+            beaten = (lo is None or all(map(gt, p, map(lo.__mul__, sizes)))) and \
+                (hi is None or all(map(lt, p, map(hi.__mul__, sizes))))
+        return comb(s + m - 1, m - 1) if beaten else 0
+
+    def differences(self, k: int, coeffs: "list[int]", s: int, a: int) -> "list[list[int]]":
+        """The forward differences of order 0..d, at alpha_k = a, of what the
+        depth-k node with these coefficients and budget s steps across its
+        children: the child's Bernstein coefficients, one per row of the
+        depth-(k + 1) table (none for a row of degree e <= 2), then for a row
+        its forward differences t_0..t_e at v = 0.
+
+        Each is a polynomial of degree <= d in a: a child coefficient of
+        suffix sigma has degree <= d - |sigma| in a, and it is scaled by (s -
+        a)^|sigma|, or by the differences in rows[s - a] of degree <= |sigma|
+        in s - a.  So their values at a..a + d, differenced, tabulate them
+        exactly (Knuth, TAOCP Vol. 2, 4.6.4): the child at a + 1 has the sum of
+        orders j and j + 1 at a as its order j, d vector additions in all.  A
+        row stepped over must be longer than e + 1, so that rows[s - a] holds
+        its differences.
+        """
+        powers, width, extras, _ = self.levels[k]
+        row = k == self.n - 3
+        table = None if row and self.e <= 2 else self.tables[k + 1] or self._build_table(k + 1)
+        values = []
+        for b in range(a, a + self.d + 1):
+            child, rest = _child(coeffs, powers[b], width, extras), s - b
+            value = []
+            if table is not None:
+                degrees, rows = table
+                scaled = list(map(mul, child, map(self.power[rest].__getitem__, degrees)))
+                value = [sum(map(mul, map(scaled.__getitem__, index), weights)) for index, weights, _ in rows]
+            if row:
+                value += [sum(map(mul, child, w)) for w in self.rows[rest]]
+            values.append(value)
+        deltas = []
+        while values:
+            deltas.append(values[0])
+            values = [list(map(sub, y, x)) for x, y in zip(values, values[1:])]
+        return deltas
+
     def _build_table(self, k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...]]":
-        """The suffix degrees and Bernstein rows of depth k, kept in self.tables."""
+        """The suffix degrees and Bernstein rows of depth k, kept in self.tables,
+        and the rows' sizes multinomial(d, g), kept in self.sizes."""
         suffixes = self.row_suffixes
         for lead, child in reversed(self.links[k:]):
             suffixes = [(b,) + suffixes[j] for b, j in zip(lead, child)]
         table = (tuple(map(sum, suffixes)), _bernstein_rows(suffixes, self.n - k, self.d))
-        self.tables[k] = table  # idempotent, so threads may race here
+        self.sizes[k] = tuple(size for _, _, size in table[1])
+        self.tables[k] = table  # idempotent, so threads may race here; sizes first
         return table
 
 
-def _quadratic_beaten(m: int, rows: tuple, scaled: "list[int]", lo: "int | None",
-                      hi: "int | None") -> bool:
-    """_Shape.beaten for d = 2, with the node's m vertex rows first in rows.
+def _child(coeffs: "list[int]", power: "tuple[int, ...]", width: int, extras: tuple) -> "list[int]":
+    """The coefficients of the child alpha_k = a of a node with these
+    coefficients, from the level's powers a^b (see _Shape)."""
+    child = list(map(mul, coeffs, power))
+    if extras:
+        for j, i in extras:
+            child[j] += child[i]
+        del child[width:]
+    return child
+
+
+def _quadratic_beaten(m: int, ps, lo: "int | None", hi: "int | None") -> bool:
+    """_Shape.beaten for d = 2, from the node's Bernstein coefficients ps in
+    table order, an iterable with the m vertex rows first.
 
     With t = y/s, the node's form is sum_i V_i t_i^2 + sum_{i<j} p_ij t_i t_j
     over the vertex values V_i and edge p_ij (0 for an edge without a row).
@@ -582,13 +697,13 @@ def _quadratic_beaten(m: int, rows: tuple, scaled: "list[int]", lo: "int | None"
     side is the same bound for -f.  It is at least the least Bernstein
     coefficient, so it prunes every node the plain test prunes.
     """
+    ps = iter(ps)
     vertices = []
-    for index, weights, _ in rows[:m]:
-        v = sum(map(mul, map(scaled.__getitem__, index), weights))
+    for v in islice(ps, m):
         if lo is not None and v <= lo or hi is not None and v >= hi:
             return False  # the value at a grid point of the subtree
         vertices.append(v)
-    edges = [sum(map(mul, map(scaled.__getitem__, index), weights)) for index, weights, _ in rows[m:]]
+    edges = list(ps)
     if not edges:  # m = 1: the vertex is the node's one point
         return True
     if lo is not None and not _diagonal_beats(lo, min(edges), vertices):
@@ -631,7 +746,7 @@ def _gates(shape: _Shape, n: int, r: int) -> "list[int]":
     A depth-k node (1 <= k <= n - 3) with budget s covers C(s + m - 1, m - 1)
     points, m = n - k; it is bounded only when its table has at most
     _BOUND_ENTRIES_PER_POINT entries per point.  The root has no incumbent to
-    beat, and rows are not bounded.
+    beat, and rows pass no gate: they are bounded only when stepped.
     """
     gates = [r + 1] * (n - 1)
     for k in range(1, n - 2):
@@ -653,7 +768,9 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
     coefficient of x^d times r^d, or nothing for the zero polynomial.  The
     prefix tree is walked depth-first with an explicit stack, so n is not
     limited by the recursion limit.  A node that passes gates is skipped when
-    shape.beaten says no point below it can reach a tracked extreme.
+    shape.beaten says no point below it can reach a tracked extreme, or
+    shape.skip, from the stepped coefficients of a long run of siblings
+    (shape.differences), which also skips rows.
     """
     tracked = [_Extreme(pick, cap, start) for pick, start in zip(picks, starts)]
     if n == 1:
@@ -668,11 +785,46 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
     low = tracked[0] if picks[0] is min else None
     high = tracked[-1] if picks[-1] is max else None
     frames = [level + (gates[k + 1],) for k, level in enumerate(shape.levels)]  # + children's gate
-    row_parent, pruned = n - 3, 0
-    stack = [(0, root, r, (), iter(range(first, stop)))]
-    while stack:
-        k, coeffs, s, prefix, alphas = stack[-1]
+    row_parent, pruned, d, e = n - 3, 0, shape.d, shape.e
+    stack = []
+
+    def enter(k: int, coeffs: "list[int]", s: int, prefix: "tuple[int, ...]", start: int,
+              stop: int) -> None:
+        """Push the node's children alpha_k = start..stop - 1: on top, the run of
+        them that is stepped, when it is long enough, and below, the rest."""
+        if k == row_parent:  # rows longer than e + 1
+            end, shortest = min(stop, s - e), _ROW_RUN * (d + 1)
+        else:  # bounded children
+            end, shortest = min(stop, s - max(frames[k][4], 1) + 1), d + 1
+        if end - start > shortest:
+            stack.append((k, coeffs, s, prefix, iter(range(end, stop)), None))
+            stack.append((k, coeffs, s, prefix, iter(range(start, end)),
+                          shape.differences(k, coeffs, s, start)))
+        else:
+            stack.append((k, coeffs, s, prefix, iter(range(start, stop)), None))
+
+    enter(0, root, r, (), first, stop)
+    while stack:  # a level resumes from `alphas` once the child it descended into is done
+        k, coeffs, s, prefix, alphas, steps = stack[-1]
         powers, width, extras, zero, gate = frames[k]
+        if steps is not None:  # stepped children: each takes d vector additions
+            for a in alphas:
+                stepped = steps[0]
+                for j in range(d):
+                    steps[j] = list(map(add, steps[j], steps[j + 1]))
+                rest = s - a
+                # a quadratic row is not tested: its closed form costs less
+                skipped = (k < row_parent or e > 2) and shape.skip(k + 1, stepped, rest, low, high)
+                if skipped:
+                    pruned += skipped
+                elif k == row_parent:  # a row longer than e + 1
+                    shape.feed_differences(tracked, stepped[-e - 1:], prefix + (a,), rest)
+                else:
+                    enter(k + 1, _child(coeffs, powers[a], width, extras), rest, prefix + (a,), 0, rest + 1)
+                    break
+            else:
+                stack.pop()
+            continue
         for a in alphas:
             rest = s - a
             here = prefix + (a,)
@@ -683,17 +835,13 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
                 for ext in tracked:
                     ext.absorb(value, 1, [point])
                 continue
-            child = list(map(mul, coeffs, power))
-            if extras:
-                for j, i in extras:
-                    child[j] += child[i]
-                del child[width:]
+            child = _child(coeffs, power, width, extras)
             if k == row_parent:
                 shape.feed_row(tracked, child, here, rest)
             elif rest >= gate and shape.beaten(k + 1, child, rest, low, high):
                 pruned += comb(rest + n - k - 2, n - k - 2)
-            else:  # descend; this level resumes from `alphas` once the child is done
-                stack.append((k + 1, child, rest, here, iter(range(rest + 1))))
+            else:
+                enter(k + 1, child, rest, here, 0, rest + 1)
                 break
         else:
             stack.pop()

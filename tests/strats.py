@@ -115,6 +115,64 @@ def naive_extremes(f, r, cap):
     return out
 
 
+def anchored_form(q: "Sequence[Fraction]", k: int) -> HomogeneousPolynomial:
+    """f_{q,k} = s^k sum_i (x_i - q_i s)^2 with s = x_1 + ... + x_n, for a
+    rational point q of the simplex: degree k + 2, and on the simplex, where
+    s = 1, the squared distance to q."""
+    n = len(q)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    s = HomogeneousPolynomial(n, 1, {e: 1 for e in unit})
+    f = None
+    for i, q_i in enumerate(q):
+        line = HomogeneousPolynomial(n, 1, {e: int(i == j) - q_i for j, e in enumerate(unit)})
+        square = poly_mul(line, line)
+        f = square if f is None else poly_add(f, square)
+    for _ in range(k):
+        f = poly_mul(f, s)
+    return f
+
+
+def anchored_extremes(q: "Sequence[Fraction]", r: int, cap: int):
+    """naive_extremes of any anchored form f_{q,k} at r, in closed form.
+
+    On the grid f(alpha/r) = sum_i (alpha_i - r q_i)^2 / r^2.  With r q_i =
+    floor_i + phi_i, the least sum gives floor_i + 1 to the m = r - sum floor_i
+    indices with the largest phi_i, and floor_i to the rest: one more unit to
+    i costs 1 - 2 phi_i, a second one or one fewer costs more than any first.
+    The minimizers are the ways to pick, among the indices whose phi ties the
+    m-th largest, those that the larger ones leave.  The maximum of the
+    strictly convex squared distance is at the vertices r e_i with the least
+    q_i, and only there.
+    """
+    n = len(q)
+    floors = [math.floor(r * q_i) for q_i in q]
+    phis = [r * q_i - f_i for q_i, f_i in zip(q, floors)]
+    m = r - sum(floors)
+    edge = sorted(phis, reverse=True)[m - 1] if m else None
+    above = [i for i in range(n) if m and phis[i] > edge]
+    tied = [i for i in range(n) if m and phis[i] == edge]
+    points = sorted(
+        tuple(f_i + (i in above or i in chosen) for i, f_i in enumerate(floors))
+        for chosen in combinations(tied, m - len(above))
+    )
+    low = sum((a - r * q_i) ** 2 for a, q_i in zip(points[0], q)) / Fraction(r * r)
+    least = min(q)
+    vertices = sorted(tuple(r * (j == i) for j in range(n)) for i in range(n) if q[i] == least)
+    high = (1 - least) ** 2 + sum(q_i**2 for q_i in q) - least**2
+    return [(low, tuple(points[:cap]), len(points)), (high, tuple(vertices[:cap]), len(vertices))]
+
+
+@st.composite
+def anchored_points(draw, n: int, max_denominator: int = 12):
+    """A rational point q of the simplex with n coordinates, each a multiple of
+    1/D for a drawn D <= max_denominator, so that r q has many fractional
+    parts and ties among them."""
+    total = draw(st.integers(1, max_denominator))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return tuple(Fraction(w, total) for w in weights)
+
+
 def naive_a_beta(beta, r, m, counts):
     """A_beta term by term over every alpha <= beta:
 

@@ -35,6 +35,8 @@ from simplex_grid_opt.cli import (
 from simplex_grid_opt.rational import decimal_str, fraction_str
 from strats import (
     DATA_DIR,
+    anchored_extremes,
+    anchored_form,
     clique_union,
     complete_graph,
     edge_list_text,
@@ -419,14 +421,21 @@ def test_each_sweep_and_table_is_computed_once(capsys, monkeypatch):
         assert len(tables) == want_tables, argv
 
 
-def test_default_verify_builds_no_bound_table(capsys, monkeypatch):
+def test_default_verify_builds_no_bound_table(capsys, monkeypatch, tmp_path):
     # the only Bernstein tables verify builds are its witnesses' enclosures
     grid._shape.cache_clear()
     tables = count_calls(monkeypatch, grid, "_bernstein_rows")
     enclosures = count_calls(monkeypatch, bounds, "_bernstein_extrema")
     bound_checks = count_calls(monkeypatch, grid._Shape, "beaten")
+    stepped_checks = count_calls(monkeypatch, grid._Shape, "skip")  # nodes and rows
     assert run(capsys, "verify")[0] == EXIT_OK
-    assert 0 < len(tables) == len(enclosures) and bound_checks == []
+    assert 0 < len(tables) == len(enclosures) and bound_checks == stepped_checks == []
+    # the same counters see the node and row tests of a sweep that bounds them
+    poly = tmp_path / "quartic.json"
+    poly.write_text(json.dumps(to_json_dict(fixed_quartic())))
+    assert run(capsys, "grid-min", "--poly", str(poly), "--r", "80")[0] == EXIT_OK
+    assert {args[1] for args in stepped_checks} == {1, 2}  # (self, k, ...): nodes, rows
+    assert len(tables) > len(enclosures)
 
 
 def test_converge_builds_one_shape_per_support(capsys, monkeypatch):
@@ -470,6 +479,28 @@ def test_threads_keep_the_bytes_of_a_pruned_sweep(capsys, monkeypatch, tmp_path)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["evaluations"] == 91881  # C(83, 3)
     assert len(pruned) == 2 and min(pruned) > 0
+
+
+def test_threads_keep_the_bytes_of_stepped_sweeps(capsys, tmp_path):
+    # n = 3 (the root steps its rows) and n = 4 (the root steps its depth-1
+    # nodes) at d = 3 and 4: the chunks of --threads 8 cut the stepped runs
+    qs = {3: (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+          4: (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8))}
+    for n, q in qs.items():
+        for k in (1, 2):
+            r = (24 if n == 3 else 10) * (k + 3)
+            poly = tmp_path / f"anchored_{n}_{k}.json"
+            poly.write_text(json.dumps(to_json_dict(anchored_form(q, k))))
+            outputs = []
+            for threads in ("1", "8"):
+                code, out, _ = run(capsys, "grid-min", "--poly", str(poly), "--r", str(r),
+                                   "--threads", threads)
+                assert code == EXIT_OK
+                outputs.append(out)
+            assert outputs[0] == outputs[1]
+            value, _, ties = anchored_extremes(q, r, 16)[0]
+            obj = json.loads(outputs[0])
+            assert (Fraction(obj["value"]), obj["tie_count"]) == (value, ties)
 
 
 def test_many_variables_sweep_without_a_recursion_limit(capsys, tmp_path):

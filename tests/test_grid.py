@@ -28,6 +28,9 @@ from simplex_grid_opt import (
 from simplex_grid_opt import bounds, grid
 from strats import (
     DATA_DIR,
+    anchored_extremes,
+    anchored_form,
+    anchored_points,
     exponent_tuples,
     fixed_quartic,
     motzkin_straus_form,
@@ -371,11 +374,42 @@ def _evaluated_and_pruned(f, r, cap, picks):
     return evaluated, pruned
 
 
-def _counted_sweep(f, r, threads, cap, picks):
+class _NodeTests:
+    """Records every node test of the sweeps run while patched in, as (depth,
+    budget, beaten, stepped): _Shape.beaten from the node's coefficients, or
+    _Shape.skip from stepped ones, which also tests rows, the nodes of depth
+    n - 2, and must return the points under the node or 0."""
+
+    def __init__(self):
+        self.calls = []
+
+    def patch(self, patch):
+        beaten, skip = grid._Shape.beaten, grid._Shape.skip
+
+        def counted_beaten(shape, k, coeffs, s, low, high):
+            result = beaten(shape, k, coeffs, s, low, high)
+            self.calls.append((k, s, result, False))
+            return result
+
+        def counted_skip(shape, k, p, s, low, high):
+            result = skip(shape, k, p, s, low, high)
+            assert result in (0, comb(s + shape.n - k - 1, shape.n - k - 1))
+            self.calls.append((k, s, result > 0, True))
+            return result
+
+        patch.setattr(grid._Shape, "beaten", counted_beaten)
+        patch.setattr(grid._Shape, "skip", counted_skip)
+
+
+def _counted_sweep(f, r, threads, cap, picks, tests=None):
     """grid._sweep's extremes, L*r^d and pruned count, with the points its chunk
     scans evaluated (rows, closed-form rows of s + 1 points, and single points)
-    counted in before the pruned count; the merge of the chunks is not counted."""
+    counted in before the pruned count; the merge of the chunks is not counted.
+    The pruned count must be the points under the nodes that a node test beat,
+    recorded in tests (a _NodeTests) when given."""
     evaluated = []
+    tests = tests or _NodeTests()
+    earlier = len(tests.calls)
     scanning = threading.local()
     add_row, absorb, scan = grid._Extreme.add_row, grid._Extreme.absorb, grid._scan
     add_quadratic = grid._Extreme.add_quadratic
@@ -407,7 +441,10 @@ def _counted_sweep(f, r, threads, cap, picks):
         patch.setattr(grid._Extreme, "add_quadratic", counted_quadratic)
         patch.setattr(grid._Extreme, "absorb", counted_point)
         patch.setattr(grid, "_scan", counted_scan)
+        tests.patch(patch)
         extremes, denominator, pruned = grid._sweep(f, r, threads, cap, picks)
+    certified = sum(comb(s + f.n - k - 1, f.n - k - 1) for k, s, beaten, _ in tests.calls[earlier:] if beaten)
+    assert certified == pruned
     return extremes, denominator, sum(evaluated), pruned
 
 
@@ -597,21 +634,15 @@ def test_sparse_quadratic_reaches_the_quadratic_bound_at_depth_1():
     # node without a zero point goes, so only the two zeros are evaluated and
     # C(24, 4) - 2 = 10624 points are pruned (8854 when the sweep started from
     # its first point)
+    # the root steps its depth-1 children, so skip tests them from stepped
+    # coefficients, all of them but a = 20, a single point
     f = load_polynomial(str(DATA_DIR / "sparse_quadratic_n5.json"))
-    depth_1 = []
-    beaten = grid._Shape.beaten
-
-    def counted(shape, k, coeffs, s, low, high):
-        result = beaten(shape, k, coeffs, s, low, high)
-        if k == 1:
-            depth_1.append((s, result))
-        return result
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grid._Shape, "beaten", counted)
-        evaluated, pruned = _evaluated_and_pruned(f, 20, 16, (min,))
+    tests = _NodeTests()
+    _, _, evaluated, pruned = _counted_sweep(f, 20, 1, 16, (min,), tests)
+    depth_1 = [(s, beaten) for k, s, beaten, _ in tests.calls if k == 1]
     assert (pruned, evaluated + pruned) == (10624, comb(24, 4))
     assert depth_1 == [(20, False)] + [(20 - a, True) for a in range(1, 20)]
+    assert {stepped for k, _, _, stepped in tests.calls if k == 1} == {True}
     low = grid_minimize(f, 20)
     assert (low.value, low.minimizers, low.tie_count) == (0, ((0, 20, 0, 0, 0), (20, 0, 0, 0, 0)), 2)
 
@@ -727,6 +758,91 @@ def test_a_chunk_with_nothing_as_good_as_the_start_merges_as_the_start(monkeypat
     assert low == grid_minimize(f, r)
     monkeypatch.undo()
     _check_start(f, r)
+
+
+# --- stepped siblings and anchored forms ---------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(anchored_points), st.integers(0, 2), st.integers(1, 7))
+def test_anchored_closed_form_matches_naive_oracle(q, k, r):
+    assert anchored_extremes(q, r, 16) == naive_extremes(anchored_form(q, k), r, 16)
+
+
+def _check_anchored(q, k, r, threads=1, cap=16, picks=(min, max)):
+    """Sweep f_{q,k} at r against anchored_extremes, check that every point is
+    evaluated or pruned, and return the node tests of the sweep (_NodeTests)."""
+    f = anchored_form(q, k)
+    want = dict(zip((min, max), anchored_extremes(q, r, cap)))
+    tests = _NodeTests()
+    extremes, denominator, evaluated, pruned = _counted_sweep(f, r, threads, cap, picks, tests)
+    assert [(Fraction(x.value, denominator), tuple(x.points), x.ties) for x in extremes] == \
+        [want[pick] for pick in picks]
+    assert evaluated + pruned == composition_count(f.n, r)
+    return tests
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 4).flatmap(anchored_points), st.integers(1, 4), st.integers(40, 80),
+       st.sampled_from(((min,), (max,), (min, max))))
+def test_stepped_sweeps_match_the_anchored_oracle(q, k, r, picks):
+    # d = 3..6 on grids far past the naive oracle, where the walk steps its
+    # siblings: the root's children on n = 3, its depth-1 nodes on n = 4
+    if len(q) == 4:
+        r = r * 3 // 4
+    tests = _check_anchored(q, k, r, picks=picks)
+    assert any(stepped for _, _, _, stepped in tests.calls)
+
+
+def test_the_stepped_row_test_skips_and_keeps_rows_near_interior_minimizers():
+    # the row test of degree >= 3 rows runs on stepped Bernstein coefficients
+    # only; on these forms it fails often, as their minimizers are interior
+    cases = (((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), 1, 60),
+             ((Fraction(1, 3),) * 3, 4, 80),
+             ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)), 2, 80),
+             ((Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5)), 4, 40))
+    for q, k, r in cases:
+        for picks in ((min,), (min, max)):
+            tests = _check_anchored(q, k, r, picks=picks)
+            rows = {beaten for depth, _, beaten, stepped in tests.calls if depth == len(q) - 2 and stepped}
+            assert rows == {False, True}, (q, k, r, picks)
+            # a row is tested only when stepped
+            assert not any(depth == len(q) - 2 and not stepped for depth, _, _, stepped in tests.calls)
+    assert anchored_extremes(cases[1][0], 80, 16)[0][2] == 3  # tied minimizers
+
+
+def test_chunk_cuts_inside_stepped_runs():
+    # n = 3, where the root is the row parent, and n = 4, at d = 3 and 4: a
+    # chunk of alpha_0 starts its own stepped run of the root's children at its
+    # first alpha_0 and stops it at its end, cut inside the run of one thread,
+    # and the results do not depend on the cuts
+    qs = {3: (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+          4: (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8))}
+    for n, q in qs.items():
+        for k in (1, 2):
+            r = (24 if n == 3 else 10) * (k + 3)  # long enough for 3 chunks to step
+            f = anchored_form(q, k)
+            results = []
+            for threads in (1, 2, 3, 8):
+                starts = []
+                differences = grid._Shape.differences
+
+                def recorded(shape, depth, coeffs, s, a):
+                    if depth == 0:
+                        starts.append(a)
+                    return differences(shape, depth, coeffs, s, a)
+
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(grid._Shape, "differences", recorded)
+                    _check_anchored(q, k, r, threads)
+                firsts = [first for first, _ in grid._alpha0_chunks(n, r, threads)]
+                assert len(firsts) == threads
+                if threads <= 3:
+                    assert sorted(starts) == firsts
+                else:
+                    assert len(starts) >= 2 and set(starts) <= set(firsts)
+                results.append(grid_extrema(f, r, threads=threads))
+            assert len(set(results)) == 1
 
 
 # --- one shape per support, grown across r ------------------------------------------
