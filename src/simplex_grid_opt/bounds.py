@@ -50,7 +50,7 @@ from .grid import (
     grid_minimize,
 )
 from .poly import HomogeneousPolynomial, is_square_free
-from .rational import Enclosure, _Record, _ratio_str
+from .rational import Enclosure, _Record, _ratio_str, fraction_str
 
 # The highest elevation an enclosure takes: its Bernstein table grows as
 # C(n - 1 + k, n - 1) per monomial (grid._check_enclosure_table bounds it).
@@ -368,7 +368,7 @@ def rho_interval(
     if den_lo <= 0:
         raise DegenerateRangeError(
             "degenerate range: cannot certify that fmax exceeds fmin "
-            f"(range enclosure gap is [{den_lo}, {den_hi}])"
+            f"(range enclosure gap is [{fraction_str(den_lo)}, {fraction_str(den_hi)}])"
         )
     num_lo, num_hi = grid_min - min_hi, grid_min - fmin.lo
     return Enclosure(num_lo / den_hi, min(Fraction(1), num_hi / den_lo))

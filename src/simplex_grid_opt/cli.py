@@ -39,7 +39,6 @@ import os
 import random
 import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import identities as ident_mod
@@ -55,7 +54,7 @@ from .grid import (
 )
 from .hypergeom import HypergeomParams, bernstein_approximation, expectation
 from .poly import HomogeneousPolynomial, load_polynomial, random_polynomial
-from .rational import Enclosure, as_rational, decimal_str, fraction_str
+from .rational import Enclosure, _ratio_str, as_rational, decimal_str, fraction_str
 from .stableset import alpha_lower_bound, load_graph
 
 CSV_VERSION_LINE = "# simplex-grid-opt v1"
@@ -202,7 +201,7 @@ def cmd_grid_extremum(args: argparse.Namespace) -> int:
             "value_decimal": decimal_str(result.value),
             "tie_count": result.tie_count,
             "evaluations": result.evaluations,
-            "minimizers": [",".join(str(Fraction(a, args.r)) for a in alpha)
+            "minimizers": [",".join(_ratio_str(a, args.r) for a in alpha)
                            for alpha in result.minimizers],
         },
         omit=("n", "degree"),
@@ -236,7 +235,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
             raise ValueError("--bernstein needs --x when no urn is given")
         bval = bernstein_approximation(f, point, args.r)
         row.update(
-            bernstein_point=",".join(str(v) for v in point),
+            bernstein_point=",".join(map(fraction_str, point)),
             bernstein=fraction_str(bval),
             bernstein_decimal=decimal_str(bval),
         )

@@ -80,21 +80,18 @@ def _head(text: str) -> str:
 
 
 def fraction_str(value: "Fraction | int") -> str:
-    """Render a rational as a reduced fraction "p/q" (or "p" when integral).
-
-    Any length prints: past the interpreter's int-to-str digit limit the
-    numerator and denominator go through `Decimal`, whose conversion from int
-    is exact and unlimited, so the process-wide limit is never changed.
-    """
-    try:
-        return str(value)
-    except ValueError:
-        return _ratio_str(value.numerator, value.denominator)
+    """Render a rational as a reduced fraction "p/q" (or "p" when integral),
+    of any length: _ratio_str of its numerator and denominator."""
+    return _ratio_str(value.numerator, value.denominator)
 
 
 def _ratio_str(num: int, den: int = 1) -> str:
-    """fraction_str(Fraction(num, den)) for den > 0, with one gcd and no Fraction;
-    past the int-to-str digit limit both parts go through `Decimal`."""
+    """fraction_str(Fraction(num, den)) for den > 0, with one gcd and no Fraction.
+
+    Any length prints: past the interpreter's int-to-str digit limit both
+    parts go through `Decimal`, whose conversion from int is exact and
+    unlimited, so the process-wide limit is never changed.
+    """
     if den != 1:
         g = gcd(num, den)
         if g != 1:
@@ -164,7 +161,7 @@ class Enclosure(_Record):
     def __init__(self, lo: Fraction, hi: Fraction) -> None:
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
-            raise ValueError(f"empty enclosure: lo {lo} > hi {hi}")
+            raise ValueError(f"empty enclosure: lo {fraction_str(lo)} > hi {fraction_str(hi)}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -32,7 +32,7 @@ from simplex_grid_opt.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from simplex_grid_opt.rational import decimal_str, fraction_str
+from simplex_grid_opt.rational import Enclosure, decimal_str, fraction_str
 from strats import (
     DATA_DIR,
     anchored_extremes,
@@ -203,6 +203,30 @@ def test_fraction_str_renders_past_the_digit_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert fraction_str(Fraction(-6, 4)) == "-3/2" and fraction_str(5) == "5"
+    with pytest.raises(ValueError, match="^empty enclosure: lo 1/3 > hi -1/"):
+        Enclosure(Fraction(1, 3), Fraction(-1, big))
+
+
+def test_expect_renders_a_bernstein_point_past_the_digit_limit(capsys):
+    # x = (1/N, M/N) with N of 4400 digits and M = N - 1, spelled out as text
+    big, less = "1" + "0" * 4398 + "7", "1" + "0" * 4398 + "6"
+    point = f"1/{big},{less}/{big}"
+    code, out, err = run(capsys, "expect", "--poly", GAP, "--r", "2", "--bernstein", "--x", point)
+    assert code == EXIT_OK, err
+    assert json.loads(out)["bernstein_point"] == point
+
+
+def test_converge_renders_a_degenerate_range_past_the_digit_limit(capsys, tmp_path):
+    # c x_1 x_2 with c of 4400 digits: the enclosures of grid 1 cannot separate
+    # fmax from fmin at r = 1, whose row is degenerate, and the gap is rendered
+    poly = tmp_path / "wide_product.json"
+    poly.write_text(json.dumps({"n": 2, "terms": [{"alpha": [1, 1], "coef": "5" + "1" * 4399}]}))
+    code, out, err = run(capsys, "converge", "--poly", str(poly), "--r-range", "1:2", "--grid", "1",
+                         "--format", "csv")
+    assert code == EXIT_OK, err
+    rows = out.splitlines()[3:]
+    assert [row.split(",")[:5] for row in rows] == [["1", "0", "0", "degenerate", "degenerate"],
+                                                   ["2", "0", "0", "0", "0"]]
 
 
 def test_expect_invalid_counts_exit_2(capsys):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +24,7 @@ from simplex_grid_opt import (
     grid_minimize,
     load_polynomial,
     multinomial,
+    random_polynomial,
     range_enclosures,
 )
 from simplex_grid_opt import bounds, grid
@@ -105,6 +107,27 @@ def test_minimizer_cap_and_exact_tie_count():
     assert len(res.minimizers) == 16
     assert list(res.minimizers) == sorted(res.minimizers)
     assert res.minimizers[0] == (0, 0, 0, r)
+
+
+def test_a_negative_minimizer_cap_is_refused_before_any_work(monkeypatch):
+    # at -1, x_1x_2 + x_2x_3 + x_1x_3 (closed-form rows) kept 1 of its 3 tied
+    # minimizers and x_1x_2x_3 (table rows) 4 of its 12; a cap of 0 keeps none
+    # and still counts every tie, and a cap past any list's length keeps all
+    cases = ((HomogeneousPolynomial(3, 2, {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}), 3),
+             (HomogeneousPolynomial(3, 3, {(1, 1, 1): 1}), 12))
+    sizes = []
+    grid_size = grid._grid_size
+    monkeypatch.setattr(grid, "_grid_size", lambda *args: sizes.append(args) or grid_size(*args))
+    for f, ties in cases:
+        for op in (grid_minimize, grid_maximize, grid_extrema):
+            with pytest.raises(ValueError, match="^minimizer_cap must be at least 0, got -1$"):
+                op(f, 4, minimizer_cap=-1)
+        assert sizes == []
+        low = grid_minimize(f, 4, minimizer_cap=0)
+        assert (low.value, low.minimizers, low.tie_count) == (0, (), ties)
+        assert [(x.value, x.minimizers, x.tie_count) for x in grid_extrema(f, 4, minimizer_cap=10**30)] \
+            == naive_extremes(f, 4, ties)
+        sizes.clear()
 
 
 @settings(max_examples=25)
@@ -471,6 +494,18 @@ def test_quadratic_bound_prunes_interior_minimizers():
         assert grid_minimize(f, r).value == value
 
 
+def test_a_node_s_own_coefficients_prune_a_dense_sweep():
+    # a dense quartic in 7 variables at r = 9: no run of bounded children is
+    # longer than d + 1, so nothing is stepped, and every prune comes from
+    # beaten on a node's own coefficients; without it none of these 4291 goes
+    f = random_polynomial(random.Random(8), 7, 4)
+    tests = _NodeTests()
+    _, _, evaluated, pruned = _counted_sweep(f, 9, 1, 16, (min,), tests)
+    assert (pruned, evaluated + pruned) == (4291, comb(15, 9))
+    assert tests.calls and not any(stepped for _, _, _, stepped in tests.calls)
+    _check_against_naive_oracle(f, 9, 16)
+
+
 @st.composite
 def bernstein_nodes(draw):
     """(suffixes, coefficients, m, d, s) of a node: distinct exponent vectors of
@@ -526,9 +561,12 @@ def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     ]
     assert min(quotients) <= min(values) and max(values) <= max(quotients)
 
-    shape = object.__new__(grid._Shape)  # only what beaten reads
+    shape = object.__new__(grid._Shape)  # only what beaten and its node test read
     shape.n, shape.d, shape.tables = m, d, [(tuple(map(sum, suffixes)), rows)]
     shape.tails = [tuple((i, sum(sigma)) for i, sigma in enumerate(suffixes) if not any(sigma[:-1]))]
+    # the depth-0 table's sizes, and the one-point node of depth n - 1 = m - 1
+    shape.sizes = [tuple(size for _, _, size in rows)] + [None] * (m - 2) + [(1,)]
+    shape.power = [tuple(v**b for b in range(d + 1)) for v in range(s + 1)]
     beaten = lambda low, high: shape.beaten(0, coeffs, s, low, high)
     # an attained value is never beaten, on either side
     assert not beaten(_Incumbent(min(values)), None)
@@ -809,6 +847,17 @@ def test_the_stepped_row_test_skips_and_keeps_rows_near_interior_minimizers():
             # a row is tested only when stepped
             assert not any(depth == len(q) - 2 and not stepped for depth, _, _, stepped in tests.calls)
     assert anchored_extremes(cases[1][0], 80, 16)[0][2] == 3  # tied minimizers
+
+
+def test_pinned_pruned_counts_of_anchored_quartics():
+    # the min side of f_{q,2} (d = 4) at the default gate, where the lex walk
+    # meets the interior minimizer late and the node test is weak
+    cases = (((Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)), 201, 709722),
+             ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 6), Fraction(1, 12), Fraction(1, 12)), 43, 133003))
+    for q, r, want in cases:
+        n = len(q)
+        tests = _check_anchored(q, 2, r, picks=(min,))
+        assert sum(comb(s + n - k - 1, n - k - 1) for k, s, beaten, _ in tests.calls if beaten) == want
 
 
 def test_chunk_cuts_inside_stepped_runs():
