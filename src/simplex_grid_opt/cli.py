@@ -588,29 +588,37 @@ _VERBS = {
 }
 
 
-def build_parser(verb: "str | None" = None) -> argparse.ArgumentParser:
-    """The `sgo` parser: with one of _VERBS, holding that verb's subparser
-    alone, and otherwise all of them."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full `sgo` parser, one subparser per verb of _VERBS."""
     parser = argparse.ArgumentParser(
         prog="sgo",
         description="Exact minimization of homogeneous polynomials over simplex grids, "
         "with certified error bounds and identity verification.",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-    for name in (verb,) if verb in _VERBS else _VERBS:
-        help_text, func, add_options = _VERBS[name]
+    for name, (help_text, func, add_options) in _VERBS.items():
         sub = subs.add_parser(name, help=help_text)
         add_options(sub)
         sub.set_defaults(func=func)
     return parser
 
 
+def _verb_parser(verb: str) -> argparse.ArgumentParser:
+    """The one verb's parser alone, as the full parser's subparser for it reads
+    the arguments after the verb: the same prog, options and messages."""
+    _, func, add_options = _VERBS[verb]
+    parser = argparse.ArgumentParser(prog=f"sgo {verb}")
+    add_options(parser)
+    parser.set_defaults(verb=verb, func=func)
+    return parser
+
+
 def _parse(argv: "list[str]") -> argparse.Namespace:
-    """Parse with the called verb's parser alone.  Anything that parser cannot
-    place, and any argv that does not start with a verb, goes to the full
-    parser, which prints the usage, help and errors."""
+    """Parse with the called verb's parser alone, which builds no subparser.
+    Anything that parser cannot place, and any argv that does not start with a
+    verb, goes to the full parser, which prints the usage, help and errors."""
     if argv and argv[0] in _VERBS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        args, extras = _verb_parser(argv[0]).parse_known_args(argv[1:])
         if not extras:
             return args
     return build_parser().parse_args(argv)

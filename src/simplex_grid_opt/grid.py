@@ -87,9 +87,10 @@ _bernstein_extrema reads in integers.
   kept in one cache for the few most recently used supports (_shape):
   converge, enclosures and bound checks sweep the same support at many
   denominators.  The suffix orders, gate sizes and Bernstein tables do not
-  depend on r at all.  The powers a^b (a <= r) and the row tables (s <= r)
-  are grown to the largest r swept so far, adding only the missing entries,
-  so a run over r = 2..R builds each of them once.
+  depend on r at all.  The powers a^b (a <= r) are grown to the largest r
+  swept so far, adding only the missing entries, and a row table (s <= r) is
+  built the first time the walk reads it, so a run over r = 2..R builds each
+  of them once, and a walk that prunes most rows builds few.
 
 Rows arrive in lex order, so the lex-first minimizers (capped) and exact tie
 counts fall out of min, max, count and index on each tabulated row, and out of
@@ -109,8 +110,8 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, compress, islice, repeat
-from math import comb, lcm, prod
+from itertools import accumulate, compress, islice, repeat
+from math import comb, lcm
 from operator import add, gt, lt, mul, sub
 from threading import Lock
 
@@ -159,12 +160,14 @@ _MAX_POWER_TABLE_BITS = 10**9
 
 # The most entries the Bernstein table of an enclosure (_bernstein_extrema) may
 # hold, |support| * C(n - 1 + k, n - 1) at elevation k, refused before any sweep.
-# A table whose entries each make their own row costs most: on a 2-vCPU Xeon
-# VM, `sgo enclose --r 1` on x_1^4 takes 2.9 s and peaks at 236 MB RSS with 27
-# variables at k = 5 (1.7e5 entries), and 2.3 s and 197 MB with 13 at k = 8
-# (1.3e5); a dense one shares its rows, and n = 10, d = 3 (220 terms) at k = 4
-# (1.6e5) takes 0.44 s and 31 MB.  The largest table of the test suite holds
-# 660 entries, and of perfbench 525.
+# A table whose entries each make their own row costs most, about 0.75 KB per
+# entry at its peak: on a 2-vCPU Xeon VM (Python 3.11, _bernstein_extrema alone
+# in a fresh process, ru_maxrss), x_1^4 takes 1.0 s and peaks at 131 MB with 27
+# variables at k = 5 (1.7e5 entries), 0.8 s and 107 MB with 13 at k = 8
+# (1.3e5), and 3.3 s and 378 MB with 16 at k = 8 (4.9e5), past the bound; a
+# dense one shares its rows, and n = 10, d = 3 (220 terms) at k = 4 (1.6e5)
+# takes 0.44 s and 31 MB through `sgo enclose --r 1`.  The largest table of the
+# test suite holds 660 entries, and of perfbench 525.
 _MAX_ENCLOSURE_ENTRIES = 2 * 10**5
 
 
@@ -334,52 +337,86 @@ def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple
     suffix lies under has an empty row (p_g = 0).  Every other g without a row
     also has p_g = 0; one empty row stands for them all (p_g = 0 fails against
     the incumbent times any positive size alike, so it takes size 2) and comes
-    next, before the rows that cost a sum.  The table costs its entry count
+    next, before the rows that cost a sum, which follow in the order their g
+    is first reached: suffix by suffix, and for each, g = sigma + kappa over
+    kappa in I(m, d - |sigma|) in lex order.  The table costs its entry count
     (_table_entries) and at most m + 1 rows more, not |I(m, d)|.  It depends
     only on the suffixes and d, not on the coefficients, the budget or r.
-    Each g is held sparse, as its (coordinate, exponent) pairs, so an entry
-    costs O(d) and not O(m): many-variable tables stay linear in their size.
-    With the full exponents of f as suffixes, m = n and degree d + k, it is
-    the table of f elevated by k (_bernstein_extrema).
+    Each g is keyed by its base-(d + 1) code, the sum of g_j (d + 1)^j, so
+    sigma + kappa costs one integer addition; its sparse (coordinate,
+    exponent) form, which gives its size, is built once per row from those of
+    sigma and kappa.  So an entry costs O(d) and not O(m): many-variable
+    tables stay linear in their size.  With the full exponents of f as
+    suffixes, m = n and degree d + k, it is the table of f elevated by k
+    (_bernstein_extrema).
     """
-    # factorials up to the largest d - |sigma| only: a table of high degree and
-    # few entries builds no O(d) list of them
-    factorial = list(accumulate(range(1, d - min(map(sum, suffixes), default=d) + 1), mul,
-                                initial=1))
-    # offsets[e]: (kappa as (coordinate, exponent) pairs, multinomial(e, kappa)), kappa in
-    # I(m, e), built once per e however many suffixes share it
-    offsets = {}
-    hits = defaultdict(lambda: ([], []))
+    unit = list(accumulate(repeat(d + 1, m - 1), mul, initial=1))  # (d + 1)^j
+    offsets = {}  # e: I(m, e) from _compositions, built once however many suffixes share it
+    hits = {}  # the code of g: [i, weight, i, weight, ...] over the suffixes under g
+    firsts = []  # per g, in the order of hits: the first (i, kappa) that reached it
     for i, sigma in enumerate(suffixes):
         e = d - sum(sigma)
-        if e not in offsets:
-            # I(m, e) as sorted multisets of e coordinates; reversed, in compositions(m, e)'s order
-            kappas = map(Counter, reversed(list(combinations_with_replacement(range(m), e))))
-            offsets[e] = [
-                (tuple(h.items()), factorial[e] // prod(map(factorial.__getitem__, h.values())))
-                for h in kappas
-            ]
-        base = {j: b for j, b in enumerate(sigma) if b}
-        for kappa, weight in offsets[e]:
-            g = base.copy()
-            for j, b in kappa:
-                g[j] = g.get(j, 0) + b
-            index, weights = hits[tuple(sorted(g.items()))]
-            index.append(i)
-            weights.append(weight)
+        kappas = offsets.get(e)
+        if kappas is None:
+            kappas = offsets[e] = _compositions(m, e, unit)
+        base = sum(map(mul, sigma, unit))
+        for code, weight, kappa in kappas:
+            row = hits.get(base + code)
+            if row is None:
+                hits[base + code] = [i, weight]
+                firsts.append((i, kappa))
+            else:
+                row += i, weight
     rows, rest = [((), (), 1)] * m, []
-    for g, (index, weights) in hits.items():
+    sparse = [[(j, b) for j, b in enumerate(sigma) if b] for sigma in suffixes]
+    for (i, kappa), row in zip(firsts, hits.values()):
+        g = dict(kappa)
+        for j, b in sparse[i]:
+            g[j] = g.get(j, 0) + b
+        index, weights = tuple(row[0::2]), tuple(row[1::2])
         if len(g) == 1:  # g = d e_j
-            rows[g[0][0]] = (tuple(index), tuple(weights), 1)
+            rows[next(iter(g))] = (index, weights, 1)
         else:
             size, left = 1, d
-            for _, b in g:
+            for b in g.values():
                 size *= comb(left, b)
                 left -= b
-            rest.append((tuple(index), tuple(weights), size))
+            rest.append((index, weights, size))
     if len(rest) < composition_count(m, d) - m:
         rows.append(((), (), 2))
     return tuple(rows + rest)
+
+
+def _compositions(m: int, e: int, unit: "list[int]") -> "list[tuple[int, int, tuple]]":
+    """I(m, e) in ascending lex order, each kappa as its code (the sum of
+    kappa_j unit[j]), its weight multinomial(e, kappa) and its (coordinate,
+    exponent) pairs in coordinate order.
+
+    The successor of kappa moves one unit from its last nonzero coordinate j
+    to j - 1 and the rest of kappa_j to the last coordinate, so the pairs are
+    kept as a stack and the code and weight are updated in place: with a =
+    kappa_{j-1} and b = kappa_j, the weight becomes weight * b / (a + 1).  Each
+    kappa costs O(e), however large m is, and nothing recurses over the m
+    coordinates.
+    """
+    if e == 0:
+        return [(0, 1, ())]
+    last = m - 1
+    stack = [(last, e)]
+    code, weight = e * unit[last], 1
+    out = []
+    while True:
+        out.append((code, weight, tuple(stack)))
+        j, b = stack.pop()
+        if j == 0:  # kappa = e e_0, the last
+            return out
+        a = stack.pop()[1] if stack and stack[-1][0] == j - 1 else 0
+        stack.append((j - 1, a + 1))
+        weight = weight * b // (a + 1)
+        code += unit[j - 1] - b * unit[j]
+        if b > 1:
+            stack.append((last, b - 1))
+            code += (b - 1) * unit[last]
 
 
 def _integer_form(f: HomogeneousPolynomial) -> "tuple[int, dict[tuple[int, ...], int]]":
@@ -427,7 +464,8 @@ def _bernstein_extrema(f: HomogeneousPolynomial, k: int) -> "tuple[Fraction, Fra
 class _Shape:
     """Integer tables for sweeping any polynomial with a given support.  They
     do not depend on the coefficients, and only the power and row tables
-    depend on r: grow(r) extends them to the grid with denominator r.
+    depend on r: grow(r) extends the powers to the grid with denominator r and
+    makes room for its rows.
 
     At depth k of the prefix tree (alpha_0..alpha_{k-1} fixed), L*f is held
     as one coefficient per distinct exponent suffix beta[k:], listed as in
@@ -440,9 +478,10 @@ class _Shape:
 
     rows[s] holds, for each row suffix (b, c), the values of v^b (s - v)^c at
     v = 0..s when s <= e, and otherwise its forward differences of order
-    0..e at v = 0, where e is the largest b + c.  For n = 2 the only row is
-    the whole grid, so only rows[r] of the r grown to are built; the rest are
-    None.
+    0..e at v = 0, where e is the largest b + c.  It is None until the walk
+    first reads it (_row_table), and kept from then on: a stepped row parent
+    reads only its first d + 1 rows, and a pruned node none.  For n = 2 the
+    only row is the whole grid, so only rows[r] of each r swept is built.
 
     entries[k] is the size of the Bernstein table of depth k = 1..n-3; the
     table itself is built when the gate first admits a node of that depth
@@ -483,42 +522,39 @@ class _Shape:
         self.tables: "list[tuple | None]" = [None] * (n - 1)
         self.sizes: "list[tuple[int, ...] | None]" = [None] * (n - 1) + [(1,)]
         self.power: "list[tuple[int, ...]]" = []  # power[v][b] = v^b, b = 0..d
-        self.rows: "tuple[tuple[list[int], ...] | None, ...]" = (None,)
+        self.rows: "list[tuple[list[int], ...] | None]" = []
         self._lock = Lock()
 
     def grow(self, r: int) -> None:
-        """Extend the power and row tables to the grid with denominator r.
+        """Extend the power tables to the grid with denominator r, and rows to
+        r + 1 slots, each None until read (_row_table).
 
-        Only the entries for the a and s not covered yet are built, and those
-        for smaller r stay as they are.  levels and rows are only ever replaced
-        by longer tuples with the same entries in front, so a sweep that read
-        them after growing to its r may go on reading them while another
-        thread grows them further.
+        Only the powers of the a not covered yet are built, and those for
+        smaller r stay as they are.  levels are only ever replaced by longer
+        tuples with the same entries in front, and rows only ever lengthened,
+        so a sweep that read them after growing to its r may go on reading
+        them while another thread grows them further.
         """
         with self._lock:
-            if len(self.rows) > r and self.rows[r] is not None:
-                return  # for n > 2 every s < len(rows) is built
+            if len(self.rows) > r:
+                return
             power, d, have = self.power, self.d, len(self.power)
             power += [tuple(accumulate(repeat(v, d), mul, initial=1)) for v in range(have, r + 1)]
-            if len(power) > have:
-                self.levels = tuple(
-                    (powers + tuple(tuple(map(power[a].__getitem__, lead)) for a in range(have, r + 1)),
-                     width, extras, zero)
-                    for (powers, width, extras, zero), (lead, _) in zip(self.levels, self.links)
-                )
-            rows = list(self.rows)
-            rows += [None] * (r + 1 - len(rows))
-            for s in range(1, r + 1) if self.n > 2 else (r,):
-                if rows[s] is None:
-                    rows[s] = self._row_table(s)
-            self.rows = tuple(rows)
+            self.levels = tuple(
+                (powers + tuple(tuple(map(power[a].__getitem__, lead)) for a in range(have, r + 1)),
+                 width, extras, zero)
+                for (powers, width, extras, zero), (lead, _) in zip(self.levels, self.links)
+            )
+            self.rows += [None] * (r + 1 - len(self.rows))
 
     def _row_table(self, s: int) -> "tuple[list[int], ...]":
-        """rows[s], from the powers of v = 0..s."""
+        """rows[s], from the powers of v = 0..s, built on its first read and
+        kept.  The build is idempotent, so threads may race on it."""
         power, e = self.power, self.e
         values = [[power[v][b] * power[s - v][c] for b, c in self.row_suffixes]
                   for v in range(min(s, e) + 1)]
-        return tuple(values if s <= e else _forward_differences(values))
+        table = self.rows[s] = tuple(values if s <= e else _forward_differences(values))
+        return table
 
     def feed_row(self, tracked: "list[_Extreme]", coeffs: "list[int]", prefix: "tuple[int, ...]",
                 s: int) -> None:
@@ -528,7 +564,7 @@ class _Shape:
         A row longer than e + 1 has its forward differences at 0 in rows[s]
         (feed_differences); a shorter one has its values there.
         """
-        table = [sum(map(mul, coeffs, w)) for w in self.rows[s]]
+        table = [sum(map(mul, coeffs, w)) for w in self.rows[s] or self._row_table(s)]
         if s > self.e:
             self.feed_differences(tracked, table, prefix, s)
             return
@@ -602,12 +638,13 @@ class _Shape:
         scaled = list(map(mul, coeffs, map(power.__getitem__, degrees)))
         return (sum(map(mul, map(scaled.__getitem__, index), weights)) for index, weights, _ in rows)
 
-    def differences(self, k: int, coeffs: "list[int]", s: int, a: int) -> list:
-        """The forward differences of order 0..d, at alpha_k = a, of what the
-        depth-k node with these coefficients and budget s steps across its
-        children: the child's Bernstein coefficients, one per row of the
-        depth-(k + 1) table (none for a row of degree e <= 2), then for a row
-        its forward differences t_0..t_e at v = 0.
+    def differences(self, k: int, coeffs: "list[int]", s: int, a: int) -> "tuple[bool, list]":
+        """Whether the node test is run on the children that the depth-k node
+        with these coefficients and budget s steps across, and the forward
+        differences of order 0..d, at alpha_k = a, of what it steps: the
+        child's Bernstein coefficients, one per row of the depth-(k + 1) table
+        (none for a row of degree e <= 2, which is not tested: its closed form
+        costs less), then for a row its forward differences t_0..t_e at v = 0.
 
         Each is a polynomial of degree <= d in a: a child coefficient of
         suffix sigma has degree <= d - |sigma| in a, and it is scaled by (s -
@@ -619,15 +656,15 @@ class _Shape:
         """
         powers, width, extras, _ = self.levels[k]
         row = k == self.n - 3
-        bounded = not row or self.e > 2  # a quadratic row is not tested
+        tested = not row or self.e > 2
         values = []
         for b in range(a, a + self.d + 1):
             child, rest = _child(coeffs, powers[b], width, extras), s - b
-            value = list(self._bernstein(k + 1, child, self.power[rest])) if bounded else []
+            value = list(self._bernstein(k + 1, child, self.power[rest])) if tested else []
             if row:
-                value += [sum(map(mul, child, w)) for w in self.rows[rest]]
+                value += [sum(map(mul, child, w)) for w in self.rows[rest] or self._row_table(rest)]
             values.append(value)
-        return _forward_differences(values)
+        return tested, _forward_differences(values)
 
     def _build_table(self, k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...]]":
         """The suffix degrees and Bernstein rows of depth k, kept in self.tables,
@@ -716,8 +753,8 @@ def _shape(support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> _Shape:
 
     Converge runs, enclosures and bound checks sweep the same support at many
     denominators; each sweep grows the shape to its r before it starts, and
-    the Bernstein tables are filled in once, on first use, so reuse is safe
-    across calls and threads.
+    the Bernstein and row tables are filled in once, on first use, so reuse
+    is safe across calls and threads.
     """
     return _Shape(support, n, d)
 
@@ -779,15 +816,15 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
         else:  # bounded children
             end, shortest = min(stop, s - max(frames[k][4], 1) + 1), d + 1
         if end - start > shortest:
-            stack.append((k, coeffs, s, prefix, iter(range(end, stop)), None))
-            stack.append((k, coeffs, s, prefix, iter(range(start, end)),
-                          shape.differences(k, coeffs, s, start)))
+            stack.append((k, coeffs, s, prefix, iter(range(end, stop)), None, False))
+            tested, steps = shape.differences(k, coeffs, s, start)
+            stack.append((k, coeffs, s, prefix, iter(range(start, end)), steps, tested))
         else:
-            stack.append((k, coeffs, s, prefix, iter(range(start, stop)), None))
+            stack.append((k, coeffs, s, prefix, iter(range(start, stop)), None, False))
 
     enter(0, root, r, (), first, stop)
     while stack:  # a level resumes from `alphas` once the child it descended into is done
-        k, coeffs, s, prefix, alphas, steps = stack[-1]
+        k, coeffs, s, prefix, alphas, steps, tested = stack[-1]
         powers, width, extras, zero, gate = frames[k]
         if steps is not None:  # stepped children: each takes d vector additions
             for a in alphas:
@@ -795,8 +832,7 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
                 for j in range(d):
                     steps[j] = list(map(add, steps[j], steps[j + 1]))
                 rest = s - a
-                # a quadratic row is not tested: its closed form costs less
-                skipped = (k < row_parent or e > 2) and shape.skip(k + 1, stepped, rest, low, high)
+                skipped = tested and shape.skip(k + 1, stepped, rest, low, high)
                 if skipped:
                     pruned += skipped
                 elif k == row_parent:  # a row longer than e + 1

@@ -27,11 +27,14 @@ def as_rational(value: object) -> Fraction:
     """Convert ints, Fractions, and numeric strings to an exact Fraction.
 
     Strings may be fraction literals ("-17/32"), integers ("3"), or decimal
-    literals ("0.1", "1.25e3"), as `Fraction` reads them, of any length;
-    decimals are converted exactly, so "0.1" becomes 1/10, and a decimal
-    exponent above MAX_INT_DIGITS in magnitude is refused before any
-    power of ten is built.  Binary floats are rejected: they generally do not
-    equal the decimal the user wrote down.
+    literals ("0.1", "1.25e3"), as `Fraction` reads them, of any length.  A
+    plain integer or p/q, each part of at most MAX_INT_DIGITS digits and q
+    nonzero, is read by int(); every other string goes through `Decimal`,
+    which reads digit strings exactly and without the interpreter's limit on
+    the digits of an int made from a string.  Decimals are converted exactly,
+    so "0.1" becomes 1/10, and a decimal exponent above MAX_INT_DIGITS in
+    magnitude is refused before any power of ten is built.  Binary floats are
+    rejected: they generally do not equal the decimal the user wrote down.
     """
     if type(value) is Fraction:  # already exact; a subclass is converted below
         return value
@@ -40,6 +43,17 @@ def as_rational(value: object) -> Fraction:
     if isinstance(value, _RationalABC):
         return Fraction(value)
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num.startswith(("-", "+")) else num
+        if digits.isdecimal() and len(digits) <= MAX_INT_DIGITS and (
+            not slash or den.isdecimal() and len(den) <= MAX_INT_DIGITS
+        ):
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:  # the interpreter's limit was lowered: Decimal reads it
+                q = 0
+            if q:
+                return Fraction(p, q)
         text = value.strip()
         _, e, exponent = text.lower().partition("e")
         digits = exponent.lstrip("+-").replace("_", "").lstrip("0")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import prod
+from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,6 +32,7 @@ from simplex_grid_opt import (
     stirling2,
 )
 from simplex_grid_opt.poly import _shown
+from simplex_grid_opt.rational import _LITERAL, MAX_INT_DIGITS, _head
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -477,6 +480,68 @@ def bernstein_table(f: HomogeneousPolynomial) -> BernsteinTable:
         entries[beta] = f.coeffs.get(beta, Fraction(0)) / multinomial(f.d, beta)
     values = entries.values()
     return BernsteinTable(entries=entries, min_coeff=min(values), max_coeff=max(values))
+
+
+def bernstein_rows_oracle(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple[tuple, ...]":
+    """The Bernstein table of grid._bernstein_rows, rows and their order
+    included, built as it was before that kernel keyed g by an integer: each g
+    as a sorted tuple of its (coordinate, exponent) pairs, each kappa in I(m, e)
+    a Counter over the reversed combinations_with_replacement(range(m), e)."""
+    factorial = list(accumulate(range(1, d - min(map(sum, suffixes), default=d) + 1), mul,
+                                initial=1))
+    offsets = {}
+    hits = defaultdict(lambda: ([], []))
+    for i, sigma in enumerate(suffixes):
+        e = d - sum(sigma)
+        if e not in offsets:
+            kappas = map(Counter, reversed(list(combinations_with_replacement(range(m), e))))
+            offsets[e] = [
+                (tuple(h.items()), factorial[e] // prod(map(factorial.__getitem__, h.values())))
+                for h in kappas
+            ]
+        base = {j: b for j, b in enumerate(sigma) if b}
+        for kappa, weight in offsets[e]:
+            g = base.copy()
+            for j, b in kappa:
+                g[j] = g.get(j, 0) + b
+            index, weights = hits[tuple(sorted(g.items()))]
+            index.append(i)
+            weights.append(weight)
+    rows, rest = [((), (), 1)] * m, []
+    for g, (index, weights) in hits.items():
+        if len(g) == 1:  # g = d e_j
+            rows[g[0][0]] = (tuple(index), tuple(weights), 1)
+        else:
+            size, left = 1, d
+            for _, b in g:
+                size *= math.comb(left, b)
+                left -= b
+            rest.append((tuple(index), tuple(weights), size))
+    if len(rest) < composition_count(m, d) - m:
+        rows.append(((), (), 2))
+    return tuple(rows + rest)
+
+
+def decimal_rational(text: str) -> Fraction:
+    """as_rational of a string as it read every string before plain integers
+    and p/q went to int(): through Decimal, with the same refusals and error
+    texts."""
+    stripped = text.strip()
+    _, e, exponent = stripped.lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (
+        len(digits) > len(str(MAX_INT_DIGITS)) or int(digits) > MAX_INT_DIGITS
+    ):
+        raise ValueError(f"decimal exponent in {_head(text)} exceeds {MAX_INT_DIGITS}")
+    if _LITERAL.fullmatch(stripped) is None:
+        raise ValueError(f"cannot parse {_head(text)} as an exact rational")
+    num, slash, den = stripped.partition("/")
+    if not slash:
+        return Fraction(Decimal(stripped))
+    q = int(Decimal(den))
+    if q == 0:
+        raise ValueError(f"zero denominator in {_head(text)}")
+    return Fraction(int(Decimal(num)), q)
 
 
 def to_json_dict(f: HomogeneousPolynomial) -> dict:

@@ -837,7 +837,7 @@ def test_verify_tables_each_bound_coefficient_once_per_run(capsys, monkeypatch):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 6), st.integers(1, 4))
 def test_verify_witnesses_from_the_shared_table_equal_check_bounds(seed, max_d, max_m, polys):
-    args = cli.build_parser("verify").parse_args([
+    args = cli._parse([
         "verify", "--seed", str(seed), "--max-d", str(max_d), "--max-m", str(max_m),
         "--witness-polys", str(polys)])
     seen = []  # (f, the table it was witnessed with, its witnesses)
@@ -1418,12 +1418,14 @@ def test_public_names_and_verb_options_are_pinned():
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
     assert _verb_options(cli.build_parser()) == VERB_OPTIONS
-    # each verb's own parser holds that verb alone, with the same options
+    # each verb's own parser holds that verb's options alone, under its subparser's prog
     one_verb = []
-    for verb in cli._VERBS:
-        parser = cli.build_parser(verb)
-        assert list(_subparsers(parser).choices) == [verb]
-        one_verb += _verb_options(parser)
+    for verb, sub in _subparsers(cli.build_parser()).choices.items():
+        parser = cli._verb_parser(verb)
+        assert parser.prog == sub.prog == f"sgo {verb}"
+        one_verb += [f"{verb} {option}" for action in parser._actions
+                     if not isinstance(action, argparse._HelpAction)
+                     for option in action.option_strings]
     assert sorted(one_verb) == VERB_OPTIONS
 
 
@@ -1453,23 +1455,38 @@ ENTRY_POINT_ARGV = [
 @pytest.mark.parametrize("argv", [*ENTRY_POINT_ARGV, ENTRY_POINT_ARGV[3] + ("--bogus",)],
                          ids=[*cli._VERBS, "bogus"])
 def test_main_builds_only_the_called_verbs_parser(capsys, monkeypatch, argv):
-    # a run builds one subparser; a leftover argument builds them all, for the error
-    added = []
+    # a run builds the verb's parser alone and no subparser; a leftover
+    # argument builds every verb's subparser, for the error
+    added, built = [], []
     add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
     def counted(self, name, **kwargs):
         added.append(name)
         return add_parser(self, name, **kwargs)
 
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+    verb_prog = f"sgo {argv[0]}"
     if "--bogus" in argv:
         with pytest.raises(SystemExit):
             main(list(argv))
-        assert added == [argv[0], *cli._VERBS]
+        assert added == list(cli._VERBS)
+        assert built == [verb_prog, "sgo", *(f"sgo {verb}" for verb in cli._VERBS)]
     else:
         assert main(list(argv)) == EXIT_OK
-        assert added == [argv[0]]
+        assert added == [] and built == [verb_prog]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", ENTRY_POINT_ARGV, ids=[argv[0] for argv in ENTRY_POINT_ARGV])
+def test_the_verb_parser_reads_what_the_full_parser_reads(argv):
+    # the same attributes with the same values, `verb` and `func` included
+    assert vars(cli._parse(list(argv))) == vars(cli.build_parser().parse_args(list(argv)))
 
 
 @pytest.mark.parametrize("argv", ENTRY_POINT_ARGV, ids=[argv[0] for argv in ENTRY_POINT_ARGV])

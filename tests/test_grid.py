@@ -33,6 +33,7 @@ from strats import (
     anchored_extremes,
     anchored_form,
     anchored_points,
+    bernstein_rows_oracle,
     exponent_tuples,
     fixed_quartic,
     motzkin_straus_form,
@@ -507,6 +508,46 @@ def test_a_node_s_own_coefficients_prune_a_dense_sweep():
 
 
 @st.composite
+def table_supports(draw):
+    """(suffixes, m, d) of a Bernstein table: a node's distinct suffixes of
+    degree at most d with m <= 8 and d <= 6, a few sparse suffixes in 9-40
+    variables, or the exponents of a polynomial at an elevation k <= 3."""
+    kind = draw(st.sampled_from(("node", "sparse", "elevation")))
+    if kind == "elevation":
+        f = draw(polynomials(max_n=5, max_d=3))
+        return list(f.coeffs), f.n, f.d + draw(st.integers(0, 3))
+    if kind == "node":
+        m, d, most = draw(st.integers(1, 8)), draw(st.integers(1, 6)), 10
+        suffix = st.integers(0, d).flatmap(lambda e: exponent_tuples(m, e))
+    else:
+        m, d, most = draw(st.integers(9, 40)), draw(st.integers(1, 4)), 3
+        suffix = st.builds(
+            lambda cells: tuple(sum(b for j, b in cells if j == i) for i in range(m)),
+            st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, 2)), max_size=2),
+        ).filter(lambda sigma: sum(sigma) <= d)
+    return draw(st.lists(suffix, min_size=1, max_size=most, unique=True)), m, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_supports())
+def test_bernstein_tables_equal_the_oracle_builders(support):
+    # the same rows in the same order, each with the same entries, weights and size
+    suffixes, m, d = support
+    assert grid._bernstein_rows(suffixes, m, d) == bernstein_rows_oracle(suffixes, m, d)
+
+
+def test_compositions_list_every_kappa_in_lex_order():
+    for m, e in ((1, 0), (1, 3), (3, 0), (3, 4), (6, 3), (30, 2)):
+        unit = [(e + 1) ** j for j in range(m)]
+        kappas = list(compositions(m, e))
+        assert grid._compositions(m, e, unit) == [
+            (sum(map(int.__mul__, kappa, unit)), multinomial(e, kappa),
+             tuple((j, b) for j, b in enumerate(kappa) if b))
+            for kappa in sorted(kappas)
+        ]
+
+
+@st.composite
 def bernstein_nodes(draw):
     """(suffixes, coefficients, m, d, s) of a node: distinct exponent vectors of
     length m and degree at most d, not necessarily homogeneous.  Half are
@@ -913,17 +954,36 @@ def _sweeps(f, r):
     return grid_minimize(f, r), grid_maximize(f, r), grid_extrema(f, r)
 
 
+def _eager_rows(shape, r):
+    """rows[s] for every s = 1..r, built as the shape's docstring defines them
+    from v^b (s - v)^c, independently of its power table."""
+    rows = [None]
+    for s in range(1, r + 1):
+        values = [[v**b * (s - v) ** c for b, c in shape.row_suffixes]
+                  for v in range(min(s, shape.e) + 1)]
+        if s > shape.e:
+            deltas = []
+            while values:
+                deltas.append(values[0])
+                values = [[y - x for x, y in zip(left, right)]
+                          for left, right in zip(values, values[1:])]
+            values = deltas
+        rows.append(tuple(values))
+    return rows
+
+
 def _assert_grown_like_fresh(shape, f, r):
-    """For s <= r the grown shape holds the levels and rows of one built at r."""
+    """For s <= r the grown shape holds the levels of one built at r, and every
+    row its sweeps read equals that row built eagerly."""
     fresh = grid._Shape(tuple(f.coeffs), f.n, f.d)
     fresh.grow(r)
     assert len(shape.levels) == len(fresh.levels) == max(f.n - 2, 0)
     for (powers, *rest), (fresh_powers, *fresh_rest) in zip(shape.levels, fresh.levels):
         assert powers[: r + 1] == fresh_powers and rest == fresh_rest
-    if f.n == 2:
-        assert shape.rows[r] == fresh.rows[r]
-    else:
-        assert shape.rows[: r + 1] == fresh.rows
+    assert len(shape.rows) > r and fresh.rows == [None] * (r + 1)  # nothing read yet
+    eager = _eager_rows(shape, r)
+    for s in range(r + 1):
+        assert shape.rows[s] in (None, eager[s])
 
 
 @settings(max_examples=60, deadline=None)
@@ -954,6 +1014,7 @@ def test_two_variable_shape_keeps_the_rows_of_its_grids():
     for r in (9, 3, 9, 16, 5):
         assert grid_extrema(f, r)[0] == grid_minimize(f, r)
     shape = grid._shape(tuple(f.coeffs), 2, 2)
+    assert len(shape.rows) == 17
     assert [s for s, row in enumerate(shape.rows) if row is not None] == [3, 5, 9, 16]
     for r in (3, 5, 9, 16):
         _assert_grown_like_fresh(shape, f, r)
@@ -989,6 +1050,46 @@ def test_concurrent_growth_never_shortens_a_table(monkeypatch):
     assert len(lengths) == len(rs)
     for r, before, after in lengths:
         assert all(r < b_after and b_before <= b_after for b_before, b_after in zip(before, after))
+    # the rows the threads built on first read, racing, are the rows built eagerly
+    shape = grid._shape(tuple(f.coeffs), f.n, f.d)
+    eager = _eager_rows(shape, max(rs))
+    built = [s for s, row in enumerate(shape.rows) if row is not None]
+    assert 0 < len(built) < max(rs) and all(shape.rows[s] == eager[s] for s in built)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials(max_n=5, max_d=4), st.integers(1, 30), st.randoms(use_true_random=False),
+       st.integers(1, 4))
+def test_rows_read_in_any_order_equal_rows_built_eagerly(f, r, rng, threads):
+    # rows are built on their first read and kept; threads reading them in
+    # their own orders, racing on each build, all see the rows built eagerly
+    if f.n < 2:
+        return
+    shape = grid._Shape(tuple(f.coeffs), f.n, f.d)
+    shape.grow(r)
+    eager = _eager_rows(shape, r)
+    orders = [rng.sample(range(1, r + 1), r) for _ in range(threads)]
+    seen = [[] for _ in orders]
+
+    def read(t):
+        for s in orders[t]:
+            seen[t].append((s, shape.rows[s] or shape._row_table(s)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=read, args=(t,)) for t in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for order, got in zip(orders, seen):
+        assert [s for s, _ in got] == order
+        assert all(table == eager[s] for s, table in got)
+    assert shape.rows == eager
 
 
 # --- workers and guards -----------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from simplex_grid_opt import (
@@ -23,6 +24,7 @@ from simplex_grid_opt.rational import MAX_INT_DIGITS, _ratio_str
 from strats import (
     FractionSubclass,
     bernstein_table,
+    decimal_rational,
     elevate,
     exponent_tuples,
     poly_add,
@@ -349,6 +351,64 @@ def test_ratio_str_past_the_digit_limit_on_both_sides():
     p, q = 7 * 10**4999 + 3, 3 * 10**4999 + 1  # coprime up to a factor 2 (7q - 3p = -2)
     for num, den in ((p, q), (-2 * p, 2 * q), (p * q, q), (0, q)):
         assert _ratio_str(num, den) == fraction_str(Fraction(num, den))
+
+
+def _digit_runs(lengths):
+    """Digit strings: ASCII and other decimal digits, leading zeros, underscores,
+    and runs of MAX_INT_DIGITS digits and one more."""
+    alphabet = st.sampled_from("0123456789" * 3 + "\u0663\uff17\u0966_")
+    short = st.text(alphabet, max_size=6)
+    return st.one_of(short, st.builds(lambda length, lead, digit: lead * (length - 1) + digit,
+                                      st.sampled_from(lengths), st.sampled_from("019"),
+                                      st.sampled_from("0123456789\u0663")))
+
+
+@st.composite
+def literal_texts(draw):
+    """Strings near the plain integer and p/q literals: signs, whitespace,
+    zero denominators, decimals, exponents and literals at the digit limit."""
+    runs = _digit_runs((MAX_INT_DIGITS - 1, MAX_INT_DIGITS, MAX_INT_DIGITS + 1))
+    sign = st.sampled_from(["", "", "-", "+", "--", "+-"])
+    space = st.sampled_from(["", "", " ", "\t", "\n "])
+    text = draw(sign) + draw(runs)
+    tail = draw(st.sampled_from(["", "", "/", ".", "e"]))
+    if tail:
+        text += tail + draw(st.sampled_from(["", "-", "+"])) + draw(runs)
+    return draw(space) + text + draw(space)
+
+
+@settings(max_examples=400, deadline=None)
+@given(literal_texts())
+@example("5/0")
+@example("-0/00")
+@example(" 3/0")
+@example("+7/" + "0" * MAX_INT_DIGITS)
+@example("1" * MAX_INT_DIGITS + "/" + "7" * (MAX_INT_DIGITS + 1))
+@example("\u0663/\uff17")
+def test_literals_read_as_the_decimal_path_reads_them(text):
+    # the same value, or a ValueError with the same text
+    try:
+        want = decimal_rational(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            as_rational(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = as_rational(text)
+        assert type(got) is Fraction and got == want
+
+
+def test_plain_literals_past_a_lowered_int_digit_limit_are_exact():
+    # int() refuses what the interpreter limit forbids; such a literal reads as
+    # it did through Decimal
+    p, q = "7" * 1000, "3" * 999 + "1"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = [as_rational(p), as_rational(f"-{p}/{q}"), as_rational("12/4")]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == [Fraction(int(p)), Fraction(-int(p), int(q)), 3]
 
 
 @pytest.mark.parametrize("text", ["9" * 4999 + "x", "1/" + "0" * 5000, "NaN", "-Infinity", "1__0"])
