@@ -50,11 +50,24 @@ from .grid import (
     grid_minimize,
 )
 from .poly import HomogeneousPolynomial, is_square_free
-from .rational import Enclosure, _Record, _ratio_str, fraction_str
+from .rational import Enclosure, _Record, _ratio_str, decimal_str, fraction_str
 
 # The highest elevation an enclosure takes: its Bernstein table grows as
 # C(n - 1 + k, n - 1) per monomial (grid._check_enclosure_table bounds it).
 _MAX_ELEVATION = 8
+# Most reports bound_table makes, r values * m values * kinds, checked before
+# any.  `sgo bounds` prints one row per report: at this maximum its JSON is
+# 19 MB, made in about 1.5 s with a peak RSS of 51 MB on a 2-vCPU Xeon VM
+# (stdout to a file).
+_MAX_BOUND_ROWS = 10**5
+# Most bits the coefficients of a bound_table may hold, estimated before any
+# report as rows * d * (bit_length(4d) + 2 * bit_length(r * m)), r and m the
+# largest of their values: no coefficient's numerator or denominator reaches
+# (4d)^d * (r * m)^(2d), since C(2d-1, d) * d^d < (4d)^d.  Near this maximum,
+# on a 2-vCPU Xeon VM, `sgo bounds` takes 1.0-1.1 s at d = 4 * 10^4 and one r,
+# and 1.1-1.3 s at d = 1.8 * 10^4, one r and m = d; d = 10^5 (2.5e7) takes
+# 6.8-7.0 s.
+_MAX_BOUND_BITS = 10**7
 
 
 class DegenerateRangeError(ValueError):
@@ -89,14 +102,7 @@ class BoundReport(_Record):
         self, kind: BoundKind, d: int, r: int, m: "int | None", k: "int | None",
         coefficient: "Fraction | None", applicable: bool, reason: str = "",
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "reason", reason)
+        self._set(kind, d, r, m, k, coefficient, applicable, reason)
 
 
 class _Rule(_Record):
@@ -114,10 +120,7 @@ class _Rule(_Record):
         conditions: "tuple[tuple[Callable[[int, int, int], bool], str], ...]",
         coefficient: "Callable[[int, int, int], tuple[int, int]]", square_free: bool = False,
     ) -> None:
-        object.__setattr__(self, "needs_m", needs_m)
-        object.__setattr__(self, "conditions", conditions)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "square_free", square_free)
+        self._set(needs_m, conditions, coefficient, square_free)
 
 
 _DEGREE_2 = (lambda d, r, m: d == 2, "stated for degree 2 only")
@@ -255,10 +258,7 @@ class RangeAssumptions(_Record):
         assume_min_denominator: "int | None" = None,
         assume_max_denominator: "int | None" = None,
     ) -> None:
-        object.__setattr__(self, "elevation", elevation)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "assume_min_denominator", assume_min_denominator)
-        object.__setattr__(self, "assume_max_denominator", assume_max_denominator)
+        self._set(elevation, grid, assume_min_denominator, assume_max_denominator)
 
 
 def swept_denominators(params: RangeAssumptions) -> "list[int]":
@@ -318,23 +318,30 @@ def _enclosures(f: HomogeneousPolynomial, params: RangeAssumptions,
         fmin = Enclosure(outer_min, inner_min)
     else:
         fmin = Enclosure(extrema[lo_m][0].value, extrema[lo_m][0].value)
-        lower = [q for q, (low, _) in extrema.items() if low.value < fmin.lo]
-        if lower:
-            raise ValueError(
-                "assumed minimizer denominator is inconsistent: its grid value "
-                f"exceeds the grid minimum at {lower[0]}"
-            )
     if hi_m is None:
         fmax = Enclosure(inner_max, outer_max)
     else:
         fmax = Enclosure(extrema[hi_m][1].value, extrema[hi_m][1].value)
-        higher = [q for q, (_, high) in extrema.items() if high.value > fmax.hi]
-        if higher:
-            raise ValueError(
-                "assumed maximizer denominator is inconsistent: its grid value "
-                f"is below the grid maximum at {higher[0]}"
-            )
+    _refute(fmin, fmax, [(q, low.value, high.value) for q, (low, high) in extrema.items()])
     return fmin, fmax
+
+
+def _refute(fmin: Enclosure, fmax: Enclosure,
+            grids: "list[tuple[int | str, Fraction, Fraction]]") -> None:
+    """Raise ValueError when a grid value falls outside the enclosures, which
+    refutes an assumed side: grids holds (denominator, grid minimum, grid
+    maximum) triples, the denominator as the message names it.  A minimum
+    below fmin is reported before a maximum above fmax, each at the first
+    such grid.  An unassumed side, whose outer endpoint is a Bernstein
+    extreme, holds every grid value, so only an assumed side is refuted."""
+    for q, low, _ in grids:
+        if low < fmin.lo:
+            raise ValueError("assumed minimizer denominator is inconsistent: its grid value "
+                             f"exceeds the grid minimum at {q}")
+    for q, _, high in grids:
+        if high > fmax.hi:
+            raise ValueError("assumed maximizer denominator is inconsistent: its grid value "
+                             f"is below the grid maximum at {q}")
 
 
 def rho_interval(
@@ -352,16 +359,7 @@ def rho_interval(
     certified zero (the minimizer lies on the grid) or when both extrema are
     pinned by assumed denominators.
     """
-    if grid_min < fmin.lo:
-        raise ValueError(
-            "assumed minimizer denominator is inconsistent: its grid value "
-            "exceeds the grid minimum at r"
-        )
-    if grid_max > fmax.hi:
-        raise ValueError(
-            "assumed maximizer denominator is inconsistent: its grid value "
-            "is below the grid maximum at r"
-        )
+    _refute(fmin, fmax, [("r", grid_min, grid_max)])
     min_hi = min(fmin.hi, grid_min)
     den_lo = max(fmax.lo, grid_max) - min_hi
     den_hi = fmax.hi - fmin.lo
@@ -391,15 +389,7 @@ class BoundWitness(_Record):
         self, kind: BoundKind, d: int, r: int, m: int, lhs: Fraction,
         coefficient: Fraction, range_bound: Fraction, rhs: Fraction, holds: bool,
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "range_bound", range_bound)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "holds", holds)
+        self._set(kind, d, r, m, lhs, coefficient, range_bound, rhs, holds)
 
 
 def check_bounds(
@@ -459,5 +449,28 @@ def _witnesses(
 def bound_table(
     d: int, r_values: Sequence[int], m_values: "Sequence[int | None]"
 ) -> "list[BoundReport]":
-    """Reports for every kind over a sweep of r (and optionally m)."""
+    """Reports for every kind over a sweep of r (and optionally m).
+
+    A table of more than _MAX_BOUND_ROWS reports, or whose coefficients could
+    hold more than _MAX_BOUND_BITS bits, is refused (ValueError) before any
+    report is made.
+    """
+    rows = _length(r_values) * _length(m_values) * len(ALL_KINDS)
+    if rows > _MAX_BOUND_ROWS:
+        raise ValueError(
+            f"bounds would print {decimal_str(rows)} rows, more than {_MAX_BOUND_ROWS}"
+        )
+    if not rows:
+        return []
+    top = max(r_values) * max([m or 1 for m in m_values])
+    if rows * d * ((4 * d).bit_length() + 2 * top.bit_length()) > _MAX_BOUND_BITS:
+        raise ValueError(f"bounds coefficients could hold more than {_MAX_BOUND_BITS} bits")
     return _pair_reports(d, [(r, m) for r in r_values for m in m_values])
+
+
+def _length(values: Sequence) -> int:
+    """len(values), also for a range past sys.maxsize, which len() cannot
+    measure: a range is counted from its ends."""
+    if isinstance(values, range):
+        return max(0, -((values.start - values.stop) // values.step))
+    return len(values)

@@ -17,8 +17,10 @@ does not lift it), an enclosure (converge, enclose) whose Bernstein table
 would hold more than 2 * 10^5 entries (grid._check_enclosure_table), an
 expectation whose Stirling rows could exceed 4 * 10^6 bits
 (hypergeom._expected_value), a bounds table of more than 10^5 rows or whose
-coefficients could exceed 10^7 bits, and a verify run of more than 3 * 10^5
-checks.
+coefficients could exceed 10^7 bits (bounds.bound_table), and a verify run of
+more than 3 * 10^5 checks.  An option or SGO_MAX_GRID value that does not
+parse is quoted to its first 40 characters (rational._head), and an integer
+in it may have at most 4300 digits (rational.MAX_INT_DIGITS).
 
 Tables (bounds, converge, verify) are lists of flat records, written one
 record at a time: bounds and converge through the C JSON encoder
@@ -54,7 +56,9 @@ from .grid import (
 )
 from .hypergeom import HypergeomParams, bernstein_approximation, expectation
 from .poly import HomogeneousPolynomial, load_polynomial, random_polynomial
-from .rational import Enclosure, _ratio_str, as_rational, decimal_str, fraction_str
+from .rational import (
+    MAX_INT_DIGITS, Enclosure, _head, _ratio_str, as_rational, decimal_str, fraction_str,
+)
 from .stableset import alpha_lower_bound, load_graph
 
 CSV_VERSION_LINE = "# simplex-grid-opt v1"
@@ -65,18 +69,6 @@ EXIT_CONFIG = 2
 EXIT_SIZE_GUARD = 3
 EXIT_VERIFY_FAILED = 4
 
-# Most rows `bounds` prints: r values * m values * kinds, checked before any
-# work.  At this maximum its JSON is 19 MB, made in about 1.5 s with a peak
-# RSS of 51 MB on a 2-vCPU Xeon VM (stdout to a file).
-_MAX_BOUND_ROWS = 10**5
-# Most bits the coefficients of a `bounds` table may hold, estimated before any
-# work as rows * d * (bit_length(4d) + 2 * bit_length(r * m)), r and m the
-# largest of their ranges: no coefficient's numerator or denominator reaches
-# (4d)^d * (r * m)^(2d), since C(2d-1, d) * d^d < (4d)^d.  Near this maximum,
-# on a 2-vCPU Xeon VM, d = 4 * 10^4 at one r takes 1.0-1.1 s, and
-# d = 1.8 * 10^4 at one r and m = d takes 1.1-1.3 s; d = 10^5 (2.5e7) takes
-# 6.8-7.0 s.
-_MAX_BOUND_BITS = 10**7
 # Most checks `verify` may run, counted before any work (_verify_check_count).
 # The default run makes about 2.3e4; --max-m 20 makes 2.5e5 in about 3.4 s on
 # a 2-vCPU Xeon VM.  Each check is written as it is made, so that run peaks at
@@ -91,62 +83,64 @@ def _grid_guard(args: argparse.Namespace) -> "int | None":
     guard: "int | None" = DEFAULT_GRID_GUARD
     env = os.environ.get("SGO_MAX_GRID")
     if env is not None:
-        try:
-            guard = int(env)
-        except ValueError as exc:
-            raise ValueError(f"SGO_MAX_GRID must be an integer, got {env!r}") from exc
+        [guard] = _ints(env, [env], "SGO_MAX_GRID must be an integer")
         if guard < 0:
-            raise ValueError(f"SGO_MAX_GRID must not be negative, got {env!r}")
+            raise ValueError(f"SGO_MAX_GRID must not be negative, got {_head(env)}")
     return None if args.force else guard
 
 
 # --- small parsers -------------------------------------------------------------
 
 
+def _ints(text: str, tokens: "list[str]", error: str) -> "list[int]":
+    """int() of each of tokens, the parts of an input text.  When one does not
+    parse, ValueError "{error}, got {text}", the text cut by rational._head; a
+    digit string past MAX_INT_DIGITS gets a message that names that limit."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        pass
+    for tok in tokens:
+        digits = tok.strip().lstrip("+-").replace("_", "")
+        if digits.isdecimal() and len(digits) > MAX_INT_DIGITS:
+            raise ValueError(f"integer in {_head(text)} has more than {MAX_INT_DIGITS} digits")
+    raise ValueError(f"{error}, got {_head(text)}")
+
+
 def _parse_range(text: str) -> range:
     """Accept "7" or "2:16" (inclusive)."""
     parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            return range(int(parts[0]), int(parts[0]) + 1)
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            if lo > hi:
-                raise ValueError
+    error = "expected an integer or 'lo:hi' range"
+    if len(parts) <= 2:
+        lo, hi = _ints(text, [parts[0], parts[-1]], error)
+        if lo <= hi:
             return range(lo, hi + 1)
-    except ValueError:
-        pass
-    raise ValueError(f"expected an integer or 'lo:hi' range, got {text!r}")
+    raise ValueError(f"{error}, got {_head(text)}")
 
 
 def _parse_counts(text: str) -> "tuple[int, ...]":
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+    return tuple(_ints(text, text.split(","), "expected comma-separated integers"))
 
 
 def _load_poly(args: argparse.Namespace) -> HomogeneousPolynomial:
     return load_polynomial(args.poly, homogenize_terms=args.homogenize)
 
 
-def _write_table(keys: "Sequence[str]", rows: "Iterable[Sequence]", indent: str = "") -> None:
+def _write_table(keys: "Sequence[str]", rows: "Iterable[Sequence]") -> None:
     """Write rows of scalars as json.dumps(indent=2) writes a list of objects
-    with these keys, each line after the first indented by `indent`, one row
-    at a time.  sys.stdout is looked up here, as callers may swap it.
+    with these keys, one row at a time.  sys.stdout is looked up here, as
+    callers may swap it.
 
     Any indent makes json.dumps run its pure-Python encoder, so the layout is
     written here: each row goes to the C encoder with no indent and the layout
     in its item separator, and its only braces are the outer pair.
     """
-    inner = "\n" + indent + "  "
-    field = inner + "  "
-    encode = json.JSONEncoder(separators=("," + field, ": ")).encode
+    encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
     write, lead = sys.stdout.write, "["
     for row in rows:
-        write(lead + inner + "{" + field + encode(dict(zip(keys, row)))[1:-1] + inner + "}")
+        write(lead + "\n  {\n    " + encode(dict(zip(keys, row)))[1:-1] + "\n  }")
         lead = ","
-    write("[]" if lead == "[" else "\n" + indent + "]")
+    write("[]" if lead == "[" else "\n]")
 
 
 def _write_csv(header: "Sequence[str]", rows: "Iterable[Sequence]", *,
@@ -246,17 +240,6 @@ def cmd_expect(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     r_values = _parse_range(args.r_range)
     m_values: "Sequence[int | None]" = (None,) if args.m_range is None else _parse_range(args.m_range)
-    # len() of a range overflows past sys.maxsize; the difference of its ends does not
-    m_count = 1 if args.m_range is None else m_values.stop - m_values.start
-    count = (r_values.stop - r_values.start) * m_count * len(bounds_mod.ALL_KINDS)
-    if count > _MAX_BOUND_ROWS:
-        raise ValueError(
-            f"bounds would print {decimal_str(count)} rows, more than {_MAX_BOUND_ROWS}"
-        )
-    bits = count * args.d * ((4 * args.d).bit_length()
-                             + 2 * (r_values[-1] * (m_values[-1] or 1)).bit_length())
-    if bits > _MAX_BOUND_BITS:
-        raise ValueError(f"bounds coefficients could hold more than {_MAX_BOUND_BITS} bits")
     records = [
         (report.kind.value, report.d, report.r, report.m, report.k,
          None if report.coefficient is None else fraction_str(report.coefficient),

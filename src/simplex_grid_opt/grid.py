@@ -189,11 +189,7 @@ class GridMinResult(_Record):
         self, value: Fraction, r: int, minimizers: "tuple[tuple[int, ...], ...]",
         tie_count: int, evaluations: int,
     ) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "minimizers", minimizers)
-        object.__setattr__(self, "tie_count", tie_count)
-        object.__setattr__(self, "evaluations", evaluations)
+        self._set(value, r, minimizers, tie_count, evaluations)
 
 
 def _grid_size(n: int, r: int, max_points: "int | None") -> int:

@@ -59,9 +59,7 @@ class HypergeomParams(_Record):
             raise ValueError(f"counts {counts} sum to {sum(counts)}, expected m={m}")
         if not 1 <= r <= m:
             raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "r", r)
+        self._set(m, counts, r)
 
     @property
     def n(self) -> int:

@@ -16,7 +16,10 @@ built by convolving one short row per coordinate,
   A_beta = sum_k c_k * (r falling k) * falling(m - k, d - k) - (r falling d) * prod counts_i^beta_i.
 
 Each family has one evaluator (_stirling_sum, _kmr, _a_beta_sum,
-_moment_decomposition, ...), called only by that family's sweep.  It takes
+_moment_decomposition, ...), called only by that family's sweep; the two
+integer-point families, Vandermonde-Chu and the multinomial theorem, are one
+expansion over falling and over ordinary powers and share _integer_point,
+which takes the power as hypergeom._stirling_terms does.  An evaluator takes
 parameters the sweep's loop bounds have already made valid, and the tables
 that do not depend on the one check, so a sweep builds each table once, in
 the loop that owns it:
@@ -150,30 +153,22 @@ def _check(
     return check
 
 
-# --- one evaluator per family ---------------------------------------------------
+# --- one evaluator per family; the integer-point families share one -------------
 
 
-def _vandermonde_chu(x: "tuple[int, ...]", d: int) -> IdentityCheck:
+def _integer_point(x: "tuple[int, ...]", d: int, power: "hypergeom.Power") -> IdentityCheck:
+    """power(sum(x), d) against the sum over alpha in I(n, d) of d!/alpha! *
+    prod power(x_i, alpha_i): VANDERMONDE_CHU when power is falling, the
+    MULTINOMIAL theorem when it is pow."""
     rhs = 0
     for alpha in compositions(len(x), d):
         term = multinomial(d, alpha)
         for xi, ai in zip(x, alpha):
-            term *= falling(xi, ai)
+            term *= power(xi, ai)
         rhs += term
-    lhs = falling(sum(x), d)
-    return _check("VANDERMONDE_CHU", (("x", x), ("d", d)), f"x={x};d={d}", "eq",
-                  lhs, rhs, lhs == rhs)
-
-
-def _multinomial(x: "tuple[int, ...]", d: int) -> IdentityCheck:
-    rhs = 0
-    for alpha in compositions(len(x), d):
-        term = multinomial(d, alpha)
-        for xi, ai in zip(x, alpha):
-            term *= xi**ai
-        rhs += term
-    lhs = sum(x) ** d
-    return _check("MULTINOMIAL", (("x", x), ("d", d)), f"x={x};d={d}", "eq", lhs, rhs, lhs == rhs)
+    lhs = power(sum(x), d)
+    return _check("VANDERMONDE_CHU" if power is falling else "MULTINOMIAL",
+                  (("x", x), ("d", d)), f"x={x};d={d}", "eq", lhs, rhs, lhs == rhs)
 
 
 def _stirling_sum(d: int, r: int) -> IdentityCheck:
@@ -311,10 +306,11 @@ def a_beta(beta: Sequence[int], r: int, m: int, counts: Sequence[int]) -> int:
     The alpha = beta term (k = d) carries the (r falling d) * prod
     falling(counts_i, beta_i) part.  falling(m - k, d - k) is
     (m falling d)/(m falling k), an integer for k <= d <= m, so the whole
-    quantity is integer-valued.
+    quantity is integer-valued.  The urn (m, counts, r) is checked by
+    hypergeom.HypergeomParams's rule: no negative count, counts summing to m,
+    and 1 <= r <= m.
     """
     beta = tuple(int(b) for b in beta)
-    counts = tuple(int(c) for c in counts)
     d = sum(beta)
     if d < 1:
         raise ValueError("beta must have positive total degree")
@@ -322,10 +318,7 @@ def a_beta(beta: Sequence[int], r: int, m: int, counts: Sequence[int]) -> int:
         raise ValueError(f"negative entry in {beta}")
     if len(counts) != len(beta):
         raise ValueError(f"counts has {len(counts)} entries, beta has {len(beta)}")
-    if sum(counts) != m:
-        raise ValueError(f"counts {counts} must sum to m={m}")
-    if not 1 <= r <= m:
-        raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
+    counts = hypergeom.HypergeomParams(m, counts, r).counts
     if m < d:
         raise ValueError(f"need m >= total degree, got m={m}, degree={d}")
     return _a_beta_at(_a_beta_coeffs(beta, counts, _falling_tails(m, d), {}), _falling_row(r, d))
@@ -359,8 +352,8 @@ def sweep_integer_point_identities(
         n = rng.randint(1, max_n)
         d = rng.randint(1, max_d)
         x = tuple(rng.randint(-6, 9) for _ in range(n))
-        yield _vandermonde_chu(x, d)
-        yield _multinomial(x, d)
+        yield _integer_point(x, d, falling)
+        yield _integer_point(x, d, pow)
 
 
 def sweep_kmr(limit: int = 40) -> "Iterator[IdentityCheck]":

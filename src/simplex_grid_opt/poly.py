@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .combin import compositions, multinomial
@@ -55,9 +56,7 @@ class HomogeneousPolynomial(_Record):
             c = as_rational(coef)
             if c != 0:
                 table[alpha] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs", table)
+        self._set(n, d, table)
 
     @classmethod
     def from_terms(cls, n: int, terms: TermsLike, d: "int | None" = None) -> "HomogeneousPolynomial":
@@ -107,10 +106,11 @@ def homogenize(terms: TermsLike, n: int, d: int) -> HomogeneousPolynomial:
 
     Each term c*x^alpha is multiplied by (x_1 + ... + x_n)^(d-e) expanded via
     the multinomial theorem, so the result agrees with the input everywhere
-    on the simplex.
+    on the simplex.  Each input exponent is checked here, so that an error
+    names it; from_terms merges the expanded terms.
     """
     pairs = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
-    out: "dict[tuple[int, ...], Fraction]" = {}
+    out = []
     for alpha, coef in pairs:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != n:
@@ -121,13 +121,10 @@ def homogenize(terms: TermsLike, n: int, d: int) -> HomogeneousPolynomial:
         e = sum(alpha)
         if e > d:
             raise ValueError(f"monomial {_shown(alpha)} has degree {e} > target degree {d}")
-        if e == d:
-            out[alpha] = out.get(alpha, Fraction(0)) + c
-            continue
-        for kappa in compositions(n, d - e):
-            key = tuple(a + k for a, k in zip(alpha, kappa))
-            out[key] = out.get(key, Fraction(0)) + c * multinomial(d - e, kappa)
-    return HomogeneousPolynomial(n, d, out)
+        # e = d expands to the term itself: the one kappa is all zeros
+        out += [(tuple(map(add, alpha, kappa)), c * multinomial(d - e, kappa))
+                for kappa in compositions(n, d - e)]
+    return HomogeneousPolynomial.from_terms(n, out, d)
 
 
 def random_polynomial(rng, n: int, d: int, coef_lo: int = -9, coef_hi: int = 9) -> HomogeneousPolynomial:

@@ -130,17 +130,24 @@ class _Record:
     """Base of the package's frozen value classes.
 
     A subclass names its fields in order in __match_args__ (a value class
-    stores exactly those, as its __slots__), and its own __init__ sets each
-    field with object.__setattr__.  The rest is derived from the field tuple
-    as a frozen dataclass derives it: == holds only between instances of one
-    class (another class gets NotImplemented), the hash is that of the tuple,
-    the repr is QualName(field=value!r, ...), pickle and copy rebuild an
-    instance by calling the class with its fields, and assigning or deleting
-    an attribute raises AttributeError.
+    stores exactly those, as its __slots__).  Its own __init__ takes those
+    fields as its parameters, in that order, validates them, and stores them
+    with one call of _set (identities.IdentityCheck, which is not frozen,
+    sets its slots itself).  The rest is derived from the field tuple as a
+    frozen dataclass derives it: == holds only between instances of one class
+    (another class gets NotImplemented), the hash is that of the tuple, the
+    repr is QualName(field=value!r, ...), pickle and copy rebuild an instance
+    by calling the class with its fields, and assigning or deleting an
+    attribute raises AttributeError.
     """
 
     __slots__ = ()
     __match_args__: "tuple[str, ...]" = ()
+
+    def _set(self, *values: object) -> None:
+        """Store values as the fields named in __match_args__, in that order."""
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -176,8 +183,7 @@ class Enclosure(_Record):
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty enclosure: lo {fraction_str(lo)} > hi {fraction_str(hi)}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._set(lo, hi)
 
     @property
     def width(self) -> Fraction:

@@ -40,8 +40,7 @@ class Graph(_Record):
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 1..{n}")
             norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
+        self._set(n, frozenset(norm))
 
     @classmethod
     def from_edges(cls, n: int, edges: "Iterable[tuple[int, int]]") -> "Graph":
@@ -108,10 +107,7 @@ class StableSetBound(_Record):
     __slots__ = __match_args__ = ("r", "grid_value", "alpha_lb", "evaluations")
 
     def __init__(self, r: int, grid_value: Fraction, alpha_lb: int, evaluations: int) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "grid_value", grid_value)
-        object.__setattr__(self, "alpha_lb", alpha_lb)
-        object.__setattr__(self, "evaluations", evaluations)
+        self._set(r, grid_value, alpha_lb, evaluations)
 
 
 def alpha_lower_bound(

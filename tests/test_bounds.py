@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from simplex_grid_opt import (
     ALL_KINDS,
     DegenerateRangeError,
+    Enclosure,
     HomogeneousPolynomial,
     RangeAssumptions,
     bound_coefficient,
@@ -106,6 +107,30 @@ def test_inapplicability_reasons():
     assert not bound_coefficient("SQFREE_REFINED", d=3, r=2, m=2).applicable
     report = bound_coefficient("GENERAL_REFINED", d=4, r=2, m=3)
     assert not report.applicable and "m >= d" in report.reason
+
+
+def test_bound_table_refuses_a_table_past_its_limits_before_any_report(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("no report may be made")
+
+    monkeypatch.setattr(bounds, "_pair_reports", fail)
+    rows = f"rows, more than {bounds._MAX_BOUND_ROWS}"
+    bits = f"bounds coefficients could hold more than {bounds._MAX_BOUND_BITS} bits"
+    # ranges longer than sys.maxsize, which len() cannot measure, are counted from their ends
+    for args, text in [((3, range(1, 10**30), [None]), rows), ((3, [2], range(1, 10**30)), rows),
+                       ((3, range(1, 10**30, 10**25), range(10**6, 0, -1)), rows),
+                       ((10**5, [2], [None]), bits), ((3, [2**10**6], [None]), bits)]:
+        with pytest.raises(ValueError) as raised:
+            bounds.bound_table(*args)
+        assert str(raised.value).endswith(text)
+    # an empty sweep makes no report, however long the other one is
+    assert bounds.bound_table(3, range(1, 10**30), []) == []
+    assert bounds.bound_table(3, range(5, 1), range(1, 10**30)) == []
+    # a range of any step is counted from its ends: 4 values of r times 11 kinds
+    monkeypatch.setattr(bounds, "_MAX_BOUND_ROWS", 43)
+    for r_values in (range(5, 1, -1), range(2, 9, 2), range(2, 10, 2)):
+        with pytest.raises(ValueError, match="44 rows, more than 43"):
+            bounds.bound_table(3, r_values, [None])
 
 
 def test_quad_refined_m_equal_one_degenerates_to_zero():
@@ -249,6 +274,25 @@ def test_range_enclosures_refute_an_assumption_with_another_swept_grid():
     # a true assumption survives the named grid
     fmin, _ = range_enclosures(gap, RangeAssumptions(grid=2, assume_min_denominator=16))
     assert fmin.lo == fmin.hi == Fraction(-17, 32)
+
+
+def test_refutations_name_the_side_and_the_grid_exactly():
+    gap = strict_gap_poly()
+    neg = HomogeneousPolynomial(2, 2, {alpha: -c for alpha, c in gap.coeffs.items()})
+    low = "assumed minimizer denominator is inconsistent: its grid value exceeds the grid minimum at "
+    high = "assumed maximizer denominator is inconsistent: its grid value is below the grid maximum at "
+    fmin, fmax = Enclosure(0, 0), Enclosure(1, 1)
+    for call, text in [
+        (lambda: range_enclosures(gap, RangeAssumptions(grid=16, assume_min_denominator=2)), low + "16"),
+        (lambda: range_enclosures(neg, RangeAssumptions(grid=16, assume_max_denominator=2)), high + "16"),
+        (lambda: rho_interval(fmin, fmax, Fraction(-1), Fraction(1)), low + "r"),
+        (lambda: rho_interval(fmin, fmax, Fraction(0), Fraction(2)), high + "r"),
+        # both sides refuted: the minimum is reported first
+        (lambda: rho_interval(fmin, fmax, Fraction(-1), Fraction(2)), low + "r"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == text
 
 
 # --- the enclosure path ------------------------------------------------------------

@@ -267,8 +267,8 @@ def test_bounds_refined_vanish_at_r_equals_m(capsys):
 @pytest.mark.parametrize("maximum, want", [(44, EXIT_OK), (43, EXIT_CONFIG)])
 def test_bounds_row_maximum(capsys, monkeypatch, maximum, want):
     # 4 values of r times 11 kinds: 44 rows, at the maximum or one row past it
-    monkeypatch.setattr(cli, "_MAX_BOUND_ROWS", maximum)
-    tables = count_calls(monkeypatch, bounds, "bound_table")
+    monkeypatch.setattr(bounds, "_MAX_BOUND_ROWS", maximum)
+    tables = count_calls(monkeypatch, bounds, "_pair_reports")
     code, out, err = run(capsys, *PINNED_ARGV["bounds"])
     assert code == want
     if want == EXIT_OK:
@@ -280,8 +280,8 @@ def test_bounds_row_maximum(capsys, monkeypatch, maximum, want):
 @pytest.mark.parametrize("maximum, want", [(1320, EXIT_OK), (1319, EXIT_CONFIG)])
 def test_bounds_coefficient_bits_maximum(capsys, monkeypatch, maximum, want):
     # 44 rows * d * (bit_length(4d) + 2 * bit_length(r)) = 44 * 3 * (4 + 2 * 3) at d = 3, r <= 5
-    monkeypatch.setattr(cli, "_MAX_BOUND_BITS", maximum)
-    tables = count_calls(monkeypatch, bounds, "bound_table")
+    monkeypatch.setattr(bounds, "_MAX_BOUND_BITS", maximum)
+    tables = count_calls(monkeypatch, bounds, "_pair_reports")
     code, out, err = run(capsys, *PINNED_ARGV["bounds"])
     assert code == want
     if want == EXIT_OK:
@@ -291,30 +291,77 @@ def test_bounds_coefficient_bits_maximum(capsys, monkeypatch, maximum, want):
 
 
 def test_bounds_refuses_a_huge_degree_at_once(capsys, monkeypatch):
-    tables = count_calls(monkeypatch, bounds, "bound_table")
+    tables = count_calls(monkeypatch, bounds, "_pair_reports")
     for argv in (("--d", "100000", "--r-range", "2"), ("--d", "9" * 4000, "--r-range", "2"),
                  ("--d", "100", "--r-range", "9" * 4000), ("--d", "100", "--r-range", "2",
                                                            "--m-range", "9" * 4000)):
         code, out, err = run(capsys, "bounds", *argv)
         assert (code, out) == (EXIT_CONFIG, ""), argv
-        assert f"more than {cli._MAX_BOUND_BITS} bits" in err
+        assert f"more than {bounds._MAX_BOUND_BITS} bits" in err
     assert tables == []
 
 
 def test_bounds_refuses_a_huge_table_at_once(capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("bound_table must not run")
+        raise AssertionError("no report may be made")
 
-    monkeypatch.setattr(bounds, "bound_table", fail)
+    monkeypatch.setattr(bounds, "_pair_reports", fail)
     code, out, err = run(capsys, "bounds", "--d", "3", "--r-range", "1:1000000000",
                          "--m-range", "1:1000000000")
     assert code == EXIT_CONFIG
-    assert out == "" and f"more than {cli._MAX_BOUND_ROWS}" in err
+    assert out == "" and f"more than {bounds._MAX_BOUND_ROWS}" in err
     # ranges longer than sys.maxsize, which len() cannot measure
     for argv in (("--r-range", "0:" + "9" * 30), ("--r-range", "2", "--m-range", "1:" + "9" * 30)):
         code, out, err = run(capsys, "bounds", "--d", "3", *argv)
         assert (code, out) == (EXIT_CONFIG, "")
-        assert f"more than {cli._MAX_BOUND_ROWS}" in err
+        assert f"more than {bounds._MAX_BOUND_ROWS}" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("bounds", "--d", "2", "--r-range", "x" * 5000), "expected an integer or 'lo:hi' range"),
+    (("bounds", "--d", "2", "--r-range", "2", "--m-range", "1:" + "x" * 5000),
+     "expected an integer or 'lo:hi' range"),
+    (("converge", "--poly", SOS4, "--r-range", "2;" * 2500), "expected an integer or 'lo:hi' range"),
+    (("expect", "--poly", SOS4, "--r", "2", "--m", "4", "--counts", "1," * 2500),
+     "expected comma-separated integers"),
+], ids=["r-range", "m-range", "converge", "counts"])
+def test_option_errors_quote_the_start_of_a_long_value(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"error: {error}, got {argv[-1][:40]!r}...\n"
+    # a short value is quoted whole, as before
+    code, out, err = run(capsys, *argv[:-1], "3:2")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"error: {error}, got '3:2'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--d", "2", "--r-range", "2:" + "9" * 5000),
+    ("bounds", "--d", "2", "--r-range", "2", "--m-range", "+" + "9" * 4301),
+    ("expect", "--poly", SOS4, "--r", "2", "--m", "4", "--counts", "1," + "9" * 5000),
+], ids=["r-range", "m-range", "counts"])
+def test_option_integers_past_the_digit_limit_name_it(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"error: integer in {argv[-1][:40]!r}... has more than 4300 digits\n"
+
+
+def test_option_integers_at_the_digit_limit_parse(capsys):
+    # MAX_INT_DIGITS digits parse: what is refused is the size of the table
+    code, out, err = run(capsys, "bounds", "--d", "2", "--r-range", "2:" + "9" * 4300)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: bounds would print") and "rows, more than 100000" in err
+
+
+def test_size_guard_env_quotes_the_start_of_a_long_value(capsys, monkeypatch):
+    argv = ("grid-min", "--poly", SOS4, "--r", "2")
+    for env, error in [("x" * 5000, "SGO_MAX_GRID must be an integer, got 'xxxxx"),
+                       ("-" + "9" * 100, "SGO_MAX_GRID must not be negative, got '-9999"),
+                       ("9" * 5000, "integer in '99999")]:
+        monkeypatch.setenv("SGO_MAX_GRID", env)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"error: {error}") and len(err) < 100, err
 
 
 def test_converge_exact_rho_column(capsys):
@@ -1268,10 +1315,10 @@ def flat_tables(draw):
     return keys, rows
 
 
-def _written_table(keys, rows, indent=""):
+def _written_table(keys, rows):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._write_table(keys, iter(rows), indent)
+        cli._write_table(keys, iter(rows))
     return out.getvalue()
 
 
@@ -1281,9 +1328,6 @@ def test_json_writer_equals_json_dumps_indent_2(table):
     keys, rows = table
     records = [dict(zip(keys, row)) for row in rows]
     assert _written_table(keys, rows) == json.dumps(records, indent=2)
-    # verify's list sits at indent 2 inside its object
-    assert '{\n  "checks": ' + _written_table(keys, rows, "  ") + "\n}" == json.dumps(
-        {"checks": records}, indent=2)
 
 
 def test_verify_sweeps_each_witness_grid_once(capsys, monkeypatch):

@@ -82,6 +82,14 @@ def test_a_beta_constraint_validation():
         a_beta((1, 1), 1, 3, (1, 1))  # counts sum mismatch
 
 
+def test_a_beta_refuses_a_negative_color_count():
+    # the urn HypergeomParams refuses: without the check, A_beta came out -1
+    with pytest.raises(ValueError, match=r"negative color count in \(-1, 3\)"):
+        HypergeomParams(2, (-1, 3), 1)
+    with pytest.raises(ValueError, match=r"negative color count in \(-1, 3\)"):
+        a_beta((2, 0), 1, 2, (-1, 3))
+
+
 def _a_beta_sum_reference(r, m, d, counts):
     """A_BETA_SUM at one urn and r, from the public a_beta."""
     lhs = sum(multinomial(d, beta) * a_beta(beta, r, m, counts)
@@ -115,12 +123,12 @@ def test_a_beta_sum_identity_cases():
 
 
 def test_vandermonde_chu_example():
-    check = identities._vandermonde_chu((2, 3), 2)
+    check = identities._integer_point((2, 3), 2, falling)
     assert check.holds and check.lhs == check.rhs == 20
 
 
 def test_multinomial_theorem_example():
-    check = identities._multinomial((2, -1, 3), 3)
+    check = identities._integer_point((2, -1, 3), 3, pow)
     assert check.holds and check.lhs == 64
 
 
@@ -320,7 +328,7 @@ def _reference_integer_point_identities(samples, seed):
     for _ in range(samples):
         n, d = rng.randint(1, 4), rng.randint(1, 4)
         x = tuple(rng.randint(-6, 9) for _ in range(n))
-        out += [identities._vandermonde_chu(x, d), identities._multinomial(x, d)]
+        out += [identities._integer_point(x, d, falling), identities._integer_point(x, d, pow)]
     return out
 
 

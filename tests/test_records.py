@@ -3,6 +3,7 @@ frozen dataclasses they replaced, and importing the package loads no
 `dataclasses`."""
 
 import copy
+import inspect
 import pickle
 import subprocess
 import sys
@@ -21,10 +22,12 @@ from simplex_grid_opt import (
     GridMinResult,
     HomogeneousPolynomial,
     HypergeomParams,
+    IdentityCheck,
     RangeAssumptions,
     StableSetBound,
 )
 from simplex_grid_opt.bounds import _Rule
+from simplex_grid_opt.rational import _Record
 from strats import (
     TwinBoundReport,
     TwinBoundWitness,
@@ -142,6 +145,14 @@ def test_records_round_trip_through_pickle_and_deepcopy(cls):
         for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
             assert type(copied) is cls
             assert copied == record and repr(copied) == repr(record)
+
+
+@pytest.mark.parametrize("cls", [*SAMPLES, IdentityCheck], ids=lambda cls: cls.__qualname__)
+def test_records_take_their_fields_as_parameters_in_order(cls):
+    # _Record._set stores __init__'s arguments under the names in __match_args__,
+    # in order, and pickle and copy rebuild a record by calling its class with them
+    assert set(_Record.__subclasses__()) == {*SAMPLES, IdentityCheck}
+    assert list(inspect.signature(cls).parameters) == list(cls.__match_args__)
 
 
 @pytest.mark.parametrize("cls", REFUSED, ids=lambda cls: cls.__qualname__)
