@@ -31,7 +31,12 @@ denominator m with k chosen so that (k-1)m < r <= km:
 
 where rfd/mfd are the falling factorials of r/m and c_d = (d-1)(d!-1)
 (combin.rate_constant).  The *_RHO and QUAD_DENOM kinds hold for every r >= 1
-(the analysis passes through the refined bound at denominator km).
+(the analysis passes through the refined bound at denominator km).  The two
+gap forms 1 - rfd/r^d and 1 - (rfd m^d)/(r^d mfd) are combin's _kls_gap and
+_refined_gap, whose expressions `sgo verify` checks (identities).
+
+Each kind is one entry of the rule table _RULES, keyed by its name in the
+order above; BoundKind and ALL_KINDS are made from that table.
 """
 
 from __future__ import annotations
@@ -40,12 +45,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .combin import binomial, falling, rate_constant
+from .combin import _kls_gap, _refined_gap, binomial, rate_constant
 from .grid import (
     DEFAULT_GRID_GUARD,
     GridMinResult,
     _bernstein_extrema,
-    _check_enclosure_table,
     grid_extrema,
     grid_minimize,
 )
@@ -53,8 +57,19 @@ from .poly import HomogeneousPolynomial, is_square_free
 from .rational import Enclosure, _Record, _ratio_str, decimal_str, fraction_str
 
 # The highest elevation an enclosure takes: its Bernstein table grows as
-# C(n - 1 + k, n - 1) per monomial (grid._check_enclosure_table bounds it).
+# C(n - 1 + k, n - 1) per monomial (_MAX_ENCLOSURE_ENTRIES bounds it).
 _MAX_ELEVATION = 8
+# The most entries the Bernstein table of an enclosure (_bernstein_extrema) may
+# hold, |support| * C(n - 1 + k, n - 1) at elevation k, refused before any sweep.
+# A table whose entries each make their own row costs most, about 0.75 KB per
+# entry at its peak: on a 2-vCPU Xeon VM (Python 3.11, _bernstein_extrema alone
+# in a fresh process, ru_maxrss), x_1^4 takes 1.0 s and peaks at 131 MB with 27
+# variables at k = 5 (1.7e5 entries), 0.8 s and 107 MB with 13 at k = 8
+# (1.3e5), and 3.3 s and 378 MB with 16 at k = 8 (4.9e5), past the bound; a
+# dense one shares its rows, and n = 10, d = 3 (220 terms) at k = 4 (1.6e5)
+# takes 0.44 s and 31 MB through `sgo enclose --r 1`.  The largest table of the
+# test suite holds 660 entries, and of perfbench 525.
+_MAX_ENCLOSURE_ENTRIES = 2 * 10**5
 # Most reports bound_table makes, r values * m values * kinds, checked before
 # any.  `sgo bounds` prints one row per report: at this maximum its JSON is
 # 19 MB, made in about 1.5 s with a peak RSS of 51 MB on a 2-vCPU Xeon VM
@@ -72,23 +87,6 @@ _MAX_BOUND_BITS = 10**7
 
 class DegenerateRangeError(ValueError):
     """The enclosures cannot certify that fmax exceeds fmin."""
-
-
-class BoundKind(str, Enum):
-    KLS_QUAD = "KLS_QUAD"
-    KLS_GENERAL = "KLS_GENERAL"
-    QUAD_REFINED = "QUAD_REFINED"
-    QUAD_DENOM = "QUAD_DENOM"
-    CUBIC_KLS = "CUBIC_KLS"
-    SQFREE_KLS = "SQFREE_KLS"
-    CUBIC_REFINED = "CUBIC_REFINED"
-    SQFREE_REFINED = "SQFREE_REFINED"
-    GENERAL_REFINED = "GENERAL_REFINED"
-    CUBIC_RHO = "CUBIC_RHO"
-    GENERAL_RHO = "GENERAL_RHO"
-
-
-ALL_KINDS = tuple(BoundKind)
 
 
 class BoundReport(_Record):
@@ -135,58 +133,47 @@ def _bernstein_gap_factor(d: int) -> int:
     return binomial(2 * d - 1, d) * d**d
 
 
-def _kls_gap(d: int, r: int, factor: int = 1) -> "tuple[int, int]":
-    """(1 - rfd/r^d) * factor, as the pair ((r^d - rfd) * factor, r^d)."""
-    top = r**d
-    return (top - falling(r, d)) * factor, top
-
-
-def _refined_gap(d: int, r: int, m: int, factor: int = 1) -> "tuple[int, int]":
-    """(1 - (rfd m^d)/(r^d mfd)) * factor, as an integer pair; mfd > 0 as m >= d."""
-    den = r**d * falling(m, d)
-    return (den - falling(r, d) * m**d) * factor, den
-
-
 _RULES = {
-    BoundKind.KLS_QUAD: _Rule(False, (_DEGREE_2,), lambda d, r, m: (1, r)),
-    BoundKind.KLS_GENERAL: _Rule(
-        False, (), lambda d, r, m: _kls_gap(d, r, _bernstein_gap_factor(d))
-    ),
-    BoundKind.QUAD_REFINED: _Rule(
+    "KLS_QUAD": _Rule(False, (_DEGREE_2,), lambda d, r, m: (1, r)),
+    "KLS_GENERAL": _Rule(False, (), lambda d, r, m: _kls_gap(d, r, _bernstein_gap_factor(d))),
+    "QUAD_REFINED": _Rule(
         True, (_DEGREE_2, _R_AT_MOST_M),
         # m = 1 forces r = 1: both grids are vertices
         lambda d, r, m: (m - r, r * (m - 1)) if m > 1 else (0, 1),
     ),
-    BoundKind.QUAD_DENOM: _Rule(True, (_DEGREE_2,), lambda d, r, m: (m, r * r)),
-    BoundKind.CUBIC_KLS: _Rule(
+    "QUAD_DENOM": _Rule(True, (_DEGREE_2,), lambda d, r, m: (m, r * r)),
+    "CUBIC_KLS": _Rule(
         False, (_DEGREE_3, (lambda d, r, m: r >= 2, "needs r >= 2")),
         lambda d, r, m: (4 * (r - 1), r * r),
     ),
-    BoundKind.SQFREE_KLS: _Rule(False, (), lambda d, r, m: _kls_gap(d, r), square_free=True),
-    BoundKind.CUBIC_REFINED: _Rule(
+    "SQFREE_KLS": _Rule(False, (), lambda d, r, m: _kls_gap(d, r), square_free=True),
+    "CUBIC_REFINED": _Rule(
         True, (_DEGREE_3, _M_AT_LEAST_3, _R_AT_MOST_M),
         lambda d, r, m: ((m - r) * (4 * m * r - 2 * m - 2 * r), r * r * (m - 1) * (m - 2)),
     ),
-    BoundKind.SQFREE_REFINED: _Rule(
+    "SQFREE_REFINED": _Rule(
         True, (_M_AT_LEAST_D, _R_AT_MOST_M), lambda d, r, m: _refined_gap(d, r, m),
         square_free=True,
     ),
-    BoundKind.GENERAL_REFINED: _Rule(
+    "GENERAL_REFINED": _Rule(
         True, (_M_AT_LEAST_D, _R_AT_MOST_M),
         lambda d, r, m: _refined_gap(d, r, m, _bernstein_gap_factor(d)),
     ),
-    BoundKind.CUBIC_RHO: _Rule(
+    "CUBIC_RHO": _Rule(
         True, (_DEGREE_3, _M_AT_LEAST_3),
         lambda d, r, m: (m * m, r * r * (m - 2)) if r <= m else (6 * m, r * r),
     ),
-    BoundKind.GENERAL_RHO: _Rule(
+    "GENERAL_RHO": _Rule(
         True, ((lambda d, r, m: d >= 2, "rate constant defined for degree >= 2"), _M_AT_LEAST_D),
         lambda d, r, m: (m * rate_constant(d) * _bernstein_gap_factor(d), r * r),
     ),
 }
 
+# the kinds, named and ordered as _RULES lists their rules
+BoundKind = Enum("BoundKind", [(name, name) for name in _RULES], type=str, module=__name__)
+ALL_KINDS = tuple(BoundKind)
 # kinds whose statement requires the polynomial to be square-free
-SQUARE_FREE_KINDS = frozenset(kind for kind, rule in _RULES.items() if rule.square_free)
+SQUARE_FREE_KINDS = frozenset(kind for kind in ALL_KINDS if _RULES[kind].square_free)
 
 
 def bound_coefficient(
@@ -228,8 +215,8 @@ def _coefficient_texts(d: int, r: int, m: "int | None") -> "list[str]":
     """The coefficient of every kind in ALL_KINDS at (d, r, m), as fraction_str
     renders bound_coefficient's, or "" for a kind that does not apply: the
     bound columns of one converge row, rendered from the integer pairs with no
-    Fraction (_RULES lists the kinds in that order).  The arguments must be valid for bound_coefficient: d, r >= 1, m
-    None or >= 1."""
+    Fraction (ALL_KINDS is made from _RULES, so the orders agree).  The
+    arguments must be valid for bound_coefficient: d, r >= 1, m None or >= 1."""
     return ["" if _reason(rule, d, r, m) else _ratio_str(*rule.coefficient(d, r, m))
             for rule in _RULES.values()]
 
@@ -285,7 +272,7 @@ def range_enclosures(
     endpoint).  Each named denominator is swept once for both sides, before
     the one Bernstein table is built; none is built when both sides are
     assumed.  An elevation outside 0..8, or a table past
-    grid._MAX_ENCLOSURE_ENTRIES entries, is refused (ValueError) before any
+    _MAX_ENCLOSURE_ENTRIES entries, is refused (ValueError) before any
     sweep.  An assumed side is refuted (ValueError) when another grid swept
     here has a more extreme value.
     """
@@ -305,7 +292,11 @@ def _enclosures(f: HomogeneousPolynomial, params: RangeAssumptions,
             raise ValueError("elevation must be nonnegative")
         if k > _MAX_ELEVATION:
             raise ValueError(f"elevation {k} exceeds the cap {_MAX_ELEVATION}")
-        _check_enclosure_table(f, k)
+        # each monomial of f lies under C(n - 1 + k, n - 1) rows of the table
+        entries = len(f.coeffs) * binomial(f.n - 1 + k, f.n - 1)
+        if entries > _MAX_ENCLOSURE_ENTRIES:
+            raise ValueError(f"the Bernstein table at elevation {k} would hold "
+                             f"{decimal_str(entries)} entries, more than {_MAX_ENCLOSURE_ENTRIES}")
     for m in swept_denominators(params):
         extrema[m] = grid_extrema(f, m, threads=threads, max_points=max_points)
     if bernstein:

@@ -13,12 +13,13 @@ converge compares the total of all the grids it sweeps before the first one.
 expect sums no grid (its --bernstein value is closed form), so no guard
 applies to it.  These limits are fixed and refused before any work (exit 2):
 a sweep whose power table exceeds 10^9 bits (grid._check_degree; --force
-does not lift it), an enclosure (converge, enclose) whose Bernstein table
-would hold more than 2 * 10^5 entries (grid._check_enclosure_table), an
-expectation whose Stirling rows could exceed 4 * 10^6 bits
-(hypergeom._expected_value), a bounds table of more than 10^5 rows or whose
-coefficients could exceed 10^7 bits (bounds.bound_table), and a verify run of
-more than 3 * 10^5 checks.  An option or SGO_MAX_GRID value that does not
+does not lift it), an enclosure (converge, enclose) at an elevation above 8
+or whose Bernstein table would hold more than 2 * 10^5 entries
+(bounds._enclosures), an expectation whose Stirling rows could exceed
+4 * 10^6 bits (hypergeom._expected_value), a bounds table of more than 10^5
+rows or whose coefficients could exceed 10^7 bits (bounds.bound_table), a
+verify run of more than 3 * 10^5 checks, and fewer than one thread (the
+library refuses it too).  An option or SGO_MAX_GRID value that does not
 parse is quoted to its first 40 characters (rational._head), and an integer
 in it may have at most 4300 digits (rational.MAX_INT_DIGITS).
 

@@ -4,6 +4,13 @@ Binomials, multinomials, falling factorials, Stirling numbers of the second
 kind, lexicographic enumeration of the index sets I(n, d) (nonnegative integer
 vectors with a fixed coordinate sum), and the rate constant c_d read off the
 shifted falling-factorial polynomial (x-1)(x-2)...(x-d+1).
+
+The two gap forms of the error bounds, the KLS gap 1 - rfd/r^d and its
+refined form 1 - (rfd m^d)/(r^d mfd), where rfd and mfd are the falling
+factorials of r and m, are stated here once (_kls_gap, _refined_gap) as
+integer pairs: the bounds module builds its coefficients from them, and the
+identities module checks the same expressions (STIRLING_SUM, SIGMA,
+A_BETA_SUM).
 """
 
 from __future__ import annotations
@@ -75,42 +82,29 @@ def composition_count(n: int, total: int) -> int:
     return math.comb(total + n - 1, n - 1)
 
 
-def composition_successor(alpha: Sequence[int]) -> "tuple[int, ...] | None":
-    """Lexicographic successor of alpha within I(n, sum(alpha)), or None at the top.
-
-    The order runs from (0, ..., 0, s) up to (s, 0, ..., 0): move one unit
-    leftward past the last nonzero entry and reset the tail to its smallest
-    arrangement.
-    """
-    n = len(alpha)
-    last = None
-    for i in range(n - 1, -1, -1):
-        if alpha[i] != 0:
-            last = i
-            break
-    if last is None or last == 0:
-        return None
-    out = list(alpha)
-    v = out[last]
-    out[last] = 0
-    out[last - 1] += 1
-    out[n - 1] = v - 1
-    return tuple(out)
-
-
 def compositions(n: int, total: int) -> Iterator[tuple[int, ...]]:
     """Yield every alpha in I(n, total) exactly once, in lexicographic order.
 
-    Constant memory: each element is derived from its predecessor.
+    The order runs from (0, ..., 0, total) up to (total, 0, ..., 0).  Each
+    element is derived from its predecessor in one list, so memory stays O(n):
+    move one unit leftward past the last nonzero entry and reset the tail to
+    its smallest arrangement.
     """
     composition_count(n, total)  # validates arguments
-    cur: "tuple[int, ...] | None" = (0,) * (n - 1) + (total,)
-    while cur is not None:
-        yield cur
-        cur = composition_successor(cur)
+    cur = [0] * (n - 1) + [total]
+    last = n - 1 if total else 0  # the last nonzero entry, or 0 when none is
+    while True:
+        yield tuple(cur)
+        if last == 0:
+            return
+        v = cur[last]
+        cur[last] = 0
+        cur[last - 1] += 1
+        cur[-1] = v - 1
+        last = n - 1 if v > 1 else last - 1
 
 
-# --- shifted falling-factorial polynomial ------------------------------------
+# --- rate constant and gap forms of the error bounds --------------------------
 
 
 def rate_constant(d: int) -> int:
@@ -124,3 +118,15 @@ def rate_constant(d: int) -> int:
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     return (d - 1) * (math.factorial(d) - 1)
+
+
+def _kls_gap(d: int, r: int, factor: int = 1) -> "tuple[int, int]":
+    """(1 - rfd/r^d) * factor, as the pair ((r^d - rfd) * factor, r^d)."""
+    top = r**d
+    return (top - falling(r, d)) * factor, top
+
+
+def _refined_gap(d: int, r: int, m: int, factor: int = 1) -> "tuple[int, int]":
+    """(1 - (rfd m^d)/(r^d mfd)) * factor, as an integer pair; mfd > 0 as m >= d."""
+    den = r**d * falling(m, d)
+    return (den - falling(r, d) * m**d) * factor, den

@@ -158,19 +158,6 @@ _ROW_RUN = 3
 # size guard allows.
 _MAX_POWER_TABLE_BITS = 10**9
 
-# The most entries the Bernstein table of an enclosure (_bernstein_extrema) may
-# hold, |support| * C(n - 1 + k, n - 1) at elevation k, refused before any sweep.
-# A table whose entries each make their own row costs most, about 0.75 KB per
-# entry at its peak: on a 2-vCPU Xeon VM (Python 3.11, _bernstein_extrema alone
-# in a fresh process, ru_maxrss), x_1^4 takes 1.0 s and peaks at 131 MB with 27
-# variables at k = 5 (1.7e5 entries), 0.8 s and 107 MB with 13 at k = 8
-# (1.3e5), and 3.3 s and 378 MB with 16 at k = 8 (4.9e5), past the bound; a
-# dense one shares its rows, and n = 10, d = 3 (220 terms) at k = 4 (1.6e5)
-# takes 0.44 s and 31 MB through `sgo enclose --r 1`.  The largest table of the
-# test suite holds 660 entries, and of perfbench 525.
-_MAX_ENCLOSURE_ENTRIES = 2 * 10**5
-
-
 class GridTooLargeError(RuntimeError):
     """Raised when a grid sweep would exceed the configured point budget."""
 
@@ -420,18 +407,6 @@ def _integer_form(f: HomogeneousPolynomial) -> "tuple[int, dict[tuple[int, ...],
     f's coefficients (1 for the zero polynomial)."""
     scale = lcm(*(c.denominator for c in f.coeffs.values()))
     return scale, {alpha: c.numerator * (scale // c.denominator) for alpha, c in f.coeffs.items()}
-
-
-def _check_enclosure_table(f: HomogeneousPolynomial, k: int) -> None:
-    """Refuse (ValueError) an enclosure at elevation k whose Bernstein table
-    (_bernstein_extrema) would hold more than _MAX_ENCLOSURE_ENTRIES entries:
-    each monomial of f lies under C(n - 1 + k, n - 1) of its rows."""
-    entries = len(f.coeffs) * comb(f.n - 1 + k, f.n - 1)
-    if entries > _MAX_ENCLOSURE_ENTRIES:
-        raise ValueError(
-            f"the Bernstein table at elevation {k} would hold {decimal_str(entries)} "
-            f"entries, more than {_MAX_ENCLOSURE_ENTRIES}"
-        )
 
 
 def _bernstein_extrema(f: HomogeneousPolynomial, k: int) -> "tuple[Fraction, Fraction]":
@@ -927,9 +902,12 @@ def _sweep(
 def _grid_extremes(f: HomogeneousPolynomial, r: int, picks: tuple, threads: int, cap: int,
                    max_points: "int | None") -> "list[GridMinResult]":
     """One result per pick; only the picked sides are tracked and bound.  A
-    negative cap is refused (ValueError) before any work."""
+    negative cap, or fewer than one thread, is refused (ValueError) before any
+    work."""
     if cap < 0:
         raise ValueError(f"minimizer_cap must be at least 0, got {decimal_str(cap)}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {decimal_str(threads)}")
     cap = min(cap, sys.maxsize)  # no list holds more points, and islice takes no more
     total = _grid_size(f.n, r, max_points)
     _check_degree(f.d, r)
@@ -959,7 +937,8 @@ def grid_extrema(
     The sweep is exhaustive and deterministic: threads split the range of
     alpha_0 into contiguous chunks whose partial results merge independently
     of the partition, so the outcome never depends on threading.  Workers are
-    capped at the CPU count; under the GIL they give no speed-up.  The
+    capped at the CPU count; under the GIL they give no speed-up.  Fewer than
+    one thread is refused (ValueError), as `sgo --threads` refuses it.  The
     maximum's minimizers field holds the lex-first maximizers.  evaluations
     counts the grid points covered, whether evaluated or certified by the
     pruning bound.

@@ -40,6 +40,11 @@ MOMENT_DECOMPOSITION compares two independent routes: its left side reads
 only hypergeom's kernel, its right side only A_beta's coefficients; no table
 is shared between them.
 
+The right side of STIRLING_SUM, SIGMA's left side and the right side of
+A_BETA_SUM are combin's _kls_gap and _refined_gap, the gap forms from which
+bounds builds KLS_GENERAL, SQFREE_KLS, SQFREE_REFINED and GENERAL_REFINED, so
+these checks read the same code as the coefficients `sgo bounds` prints.
+
 No evaluator builds a Fraction.  Each side of a check is an int or an exact
 pair (numerator, positive denominator), not necessarily reduced; holds is
 decided by cross-multiplying the pairs, and IdentityCheck stores them as
@@ -65,6 +70,8 @@ from typing import Iterator, Sequence
 
 from . import hypergeom
 from .combin import (
+    _kls_gap,
+    _refined_gap,
     compositions,
     falling,
     multinomial,
@@ -101,9 +108,7 @@ class IdentityCheck(_Record):
         self.holds = holds
         self._lhs = (lhs.numerator, lhs.denominator) if isinstance(lhs, Fraction) else lhs
         self._rhs = (rhs.numerator, rhs.denominator) if isinstance(rhs, Fraction) else rhs
-        # params_str() formatted in advance by this module's builders, which render
-        # the params once per loop level; None means format on demand
-        self._rendered = None
+        self._rendered = ";".join([f"{k}={v}" for k, v in params])
 
     @property
     def lhs(self) -> "Fraction | int":
@@ -116,8 +121,8 @@ class IdentityCheck(_Record):
         return Fraction(*side) if type(side) is tuple else side
 
     def params_str(self) -> str:
-        if self._rendered is None:
-            return ";".join([f"{k}={v}" for k, v in self.params])
+        """The params as "key=value;..." text, rendered once, when the check is
+        made (this module's builders render them once per loop level)."""
         return self._rendered
 
     def _texts(self) -> "tuple[str, str]":
@@ -173,7 +178,7 @@ def _integer_point(x: "tuple[int, ...]", d: int, power: "hypergeom.Power") -> Id
 
 def _stirling_sum(d: int, r: int) -> IdentityCheck:
     lhs = sum(falling(r, k) * stirling2(d, k) for k in range(1, d))
-    rhs = r**d - falling(r, d)
+    rhs = _kls_gap(d, r)[0]  # r^d - (r falling d)
     return _check("STIRLING_SUM", (("d", d), ("r", r)), f"d={d};r={r}", "eq", lhs, rhs, lhs == rhs)
 
 
@@ -209,9 +214,7 @@ def _kmr(k: int, m: int, r: int) -> IdentityCheck:
 
 def _sigma(d: int, m: int, k: int, r: int, c_d: int) -> IdentityCheck:
     """c_d is the rate constant (d-1)(d!-1) (combin.rate_constant)."""
-    km = k * m
-    den = r**d * falling(km, d)  # positive, as km >= m >= d
-    num = den - falling(r, d) * km**d
+    num, den = _refined_gap(d, r, k * m)  # den > 0, as km >= m >= d
     rr = r * r
     return _check("SIGMA", (("d", d), ("m", m), ("k", k), ("r", r)), f"d={d};m={m};k={k};r={r}",
                   "le", (num, den), (m * c_d, rr), num * rr <= m * c_d * den)
@@ -231,7 +234,7 @@ def _a_beta_sum(
     """A_BETA_SUM: values are the A_beta of every beta in I(n, d), in lex order,
     at one urn and r, and multis holds d!/beta! in the same order."""
     lhs = sum(map(mul, multis, values))
-    rhs = r**d * falling(m, d) - falling(r, d) * m**d
+    rhs = _refined_gap(d, r, m)[0]  # r^d (m falling d) - (r falling d) m^d
     return _check("A_BETA_SUM", params, rendered, "eq", lhs, rhs, lhs == rhs)
 
 

@@ -37,18 +37,12 @@ class HomogeneousPolynomial(_Record):
 
     def __init__(self, n: int, d: int, coeffs: "dict[tuple[int, ...], Fraction]") -> None:
         if n < 1:
-            raise ValueError("polynomial needs at least one variable")
+            raise ValueError(_NO_VARIABLE)
         if d < 1:
             raise ValueError("degree must be at least 1")
         table: "dict[tuple[int, ...], Fraction]" = {}
         for alpha, coef in sorted(coeffs.items()):
-            alpha = tuple(map(int, alpha))
-            if len(alpha) != n:
-                raise ValueError(
-                    f"exponent {_shown(alpha)} has length {len(alpha)}, expected {n}"
-                )
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"negative exponent in {_shown(alpha)}")
+            alpha = _exponent(alpha, n)
             if sum(alpha) != d:
                 raise ValueError(
                     f"monomial {_shown(alpha)} has degree {sum(alpha)}, expected {d}"
@@ -81,6 +75,20 @@ class HomogeneousPolynomial(_Record):
         return not self.coeffs
 
 
+_NO_VARIABLE = "polynomial needs at least one variable"
+
+
+def _exponent(alpha: Sequence[int], n: int) -> "tuple[int, ...]":
+    """alpha as a tuple of ints, refused (ValueError) unless it has n entries,
+    none negative."""
+    alpha = tuple(map(int, alpha))
+    if len(alpha) != n:
+        raise ValueError(f"exponent {_shown(alpha)} has length {len(alpha)}, expected {n}")
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"negative exponent in {_shown(alpha)}")
+    return alpha
+
+
 def evaluate(f: HomogeneousPolynomial, x: Sequence[CoefLike]) -> Fraction:
     """Exact value of f at the point x (any rationals, not only simplex points)."""
     if len(x) != f.n:
@@ -106,17 +114,17 @@ def homogenize(terms: TermsLike, n: int, d: int) -> HomogeneousPolynomial:
 
     Each term c*x^alpha is multiplied by (x_1 + ... + x_n)^(d-e) expanded via
     the multinomial theorem, so the result agrees with the input everywhere
-    on the simplex.  Each input exponent is checked here, so that an error
-    names it; from_terms merges the expanded terms.
+    on the simplex.  n and each input exponent are checked here, as
+    HomogeneousPolynomial checks them, so that an error names the input
+    exponent and comes before any expansion; from_terms merges the expanded
+    terms.
     """
+    if n < 1:
+        raise ValueError(_NO_VARIABLE)
     pairs = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
     out = []
     for alpha, coef in pairs:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != n:
-            raise ValueError(f"exponent {_shown(alpha)} has length {len(alpha)}, expected {n}")
-        if any(a < 0 for a in alpha):
-            raise ValueError(f"negative exponent in {_shown(alpha)}")
+        alpha = _exponent(alpha, n)
         c = as_rational(coef)
         e = sum(alpha)
         if e > d:

@@ -26,11 +26,14 @@ from .rational import MAX_INT_DIGITS, _Record, _head
 
 
 class Graph(_Record):
-    """Simple undirected graph on vertices 1..n, edges as sorted pairs."""
+    """Simple undirected graph on vertices 1..n, edges as sorted pairs.
+
+    edges may be any iterable of vertex pairs, in either order and repeated;
+    the graph keeps the frozenset of their sorted forms."""
 
     __slots__ = __match_args__ = ("n", "edges")
 
-    def __init__(self, n: int, edges: "frozenset[tuple[int, int]]") -> None:
+    def __init__(self, n: int, edges: "Iterable[tuple[int, int]]") -> None:
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = set()
@@ -41,10 +44,6 @@ class Graph(_Record):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range 1..{n}")
             norm.add((min(u, v), max(u, v)))
         self._set(n, frozenset(norm))
-
-    @classmethod
-    def from_edges(cls, n: int, edges: "Iterable[tuple[int, int]]") -> "Graph":
-        return cls(n=n, edges=frozenset((u, v) for u, v in edges))
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -84,7 +83,7 @@ def parse_graph_text(text: str) -> Graph:
         n = max(n, u, v)
     if n == 0:
         raise ValueError("graph file defines no vertices")
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def _index(token: str, lineno: int, what: str) -> int:

@@ -61,7 +61,7 @@ def petersen() -> Graph:
     outer = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]
     spokes = [(i, i + 5) for i in range(1, 6)]
     inner = [(6, 8), (8, 10), (10, 7), (7, 9), (9, 6)]
-    return Graph.from_edges(10, outer + spokes + inner)
+    return Graph(10, outer + spokes + inner)
 
 
 @st.composite
@@ -333,12 +333,12 @@ def composition_unrank(n, total, rank):
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    return Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 
 
 def clique_union(cliques: int, size: int) -> Graph:
     """Disjoint union of `cliques` copies of K_size: stability number `cliques`."""
-    return Graph.from_edges(cliques * size, [
+    return Graph(cliques * size, [
         (c * size + i, c * size + j)
         for c in range(cliques) for i in range(1, size + 1) for j in range(i + 1, size + 1)
     ])
@@ -347,7 +347,7 @@ def clique_union(cliques: int, size: int) -> Graph:
 def random_graph(seed: int, n: int, m: int) -> Graph:
     """m distinct edges on n vertices, drawn with random.Random(seed)."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return Graph.from_edges(n, random.Random(seed).sample(pairs, m))
+    return Graph(n, random.Random(seed).sample(pairs, m))
 
 
 def motzkin_straus_form(g: Graph) -> HomogeneousPolynomial:

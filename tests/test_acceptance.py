@@ -187,12 +187,12 @@ def test_criterion_8_motzkin_straus():
     assert bound.alpha_lb == 4
     assert exact_alpha(g) == 4
 
-    empty = Graph.from_edges(4, [])
+    empty = Graph(4, [])
     b_empty = alpha_lower_bound(empty, 4)
     assert (b_empty.grid_value, b_empty.alpha_lb) == (Fraction(1, 4), 4)
     assert exact_alpha(empty) == 4
 
-    complete = Graph.from_edges(5, [(i, j) for i in range(1, 6) for j in range(i + 1, 6)])
+    complete = Graph(5, [(i, j) for i in range(1, 6) for j in range(i + 1, 6)])
     b_complete = alpha_lower_bound(complete, 3)
     assert (b_complete.grid_value, b_complete.alpha_lb) == (Fraction(1), 1)
     assert exact_alpha(complete) == 1

@@ -406,16 +406,16 @@ def test_the_enclosure_table_bound_is_checked_before_any_sweep(monkeypatch):
     monkeypatch.setattr(grid, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
     monkeypatch.setattr(bounds, "_bernstein_extrema", lambda f, k: (-1, 2))
     params = RangeAssumptions(elevation=8, grid=1)
-    monkeypatch.setattr(grid, "_MAX_ENCLOSURE_ENTRIES", 75581)
+    monkeypatch.setattr(bounds, "_MAX_ENCLOSURE_ENTRIES", 75581)
     with pytest.raises(ValueError, match="^the Bernstein table at elevation 8 would hold 75582 "
                                          "entries, more than 75581$"):
         range_enclosures(f, params)
     assert sweeps == []
-    monkeypatch.setattr(grid, "_MAX_ENCLOSURE_ENTRIES", 75582)
+    monkeypatch.setattr(bounds, "_MAX_ENCLOSURE_ENTRIES", 75582)
     fmin, fmax = range_enclosures(f, params)
     assert (fmin.lo, fmax.hi, len(sweeps)) == (-1, 2, 1)
     # both sides assumed: no table is built, so none is bounded
-    monkeypatch.setattr(grid, "_MAX_ENCLOSURE_ENTRIES", 0)
+    monkeypatch.setattr(bounds, "_MAX_ENCLOSURE_ENTRIES", 0)
     fmin, fmax = range_enclosures(f, RangeAssumptions(
         elevation=8, assume_min_denominator=1, assume_max_denominator=1))
     assert (fmin.lo, fmax.hi, len(sweeps)) == (0, 1, 2)

@@ -130,6 +130,18 @@ def test_threads_do_not_change_output(capsys, tmp_path):
     assert obj["tie_count"] == 21 and len(obj["minimizers"]) == 16
 
 
+@pytest.mark.parametrize("argv", [
+    ("grid-min", "--r", "2"), ("grid-max", "--r", "2"), ("converge", "--r-range", "1:2"),
+    ("enclose", "--r", "1"),
+], ids=lambda argv: argv[0])
+def test_fewer_than_one_thread_exits_2_before_the_file_is_read(capsys, tmp_path, argv):
+    # the CLI's own check, before the library's: the text and order stay
+    for threads in ("0", "-5"):
+        code, out, err = run(capsys, *argv, "--poly", str(tmp_path / "absent.json"),
+                             "--threads", threads)
+        assert (code, out, err) == (EXIT_CONFIG, "", "error: --threads must be at least 1\n")
+
+
 def test_expect_paper_value_with_bernstein(capsys):
     code, out, _ = run(
         capsys, "expect", "--poly", GAP, "--r", "2", "--m", "16", "--counts", "7,9",
@@ -205,6 +217,14 @@ def test_fraction_str_renders_past_the_digit_limit():
     assert fraction_str(Fraction(-6, 4)) == "-3/2" and fraction_str(5) == "5"
     with pytest.raises(ValueError, match="^empty enclosure: lo 1/3 > hi -1/"):
         Enclosure(Fraction(1, 3), Fraction(-1, big))
+
+
+def test_decimal_str_rounds_half_to_even():
+    # exactly half-way at the 21st significant digit: the even 20th digit stays
+    tiny = Fraction(1, 10**20)
+    assert decimal_str(1 + 5 * tiny) == "1.0000000000000000000"
+    assert decimal_str(-1 - 5 * tiny) == "-1.0000000000000000000"
+    assert decimal_str(1 + 15 * tiny) == "1.0000000000000000002"
 
 
 def test_expect_renders_a_bernstein_point_past_the_digit_limit(capsys):
@@ -379,6 +399,24 @@ def test_converge_exact_rho_column(capsys):
     by_r = {row[r_idx]: row for row in data}
     assert by_r["2"][lo_idx] == by_r["2"][hi_idx] == "1/3"
     assert by_r["4"][lo_idx] == by_r["4"][hi_idx] == "0"  # r is a multiple of m
+
+
+def test_converge_caps_rho_hi_at_one(capsys, tmp_path):
+    # f = x_1^2 + 2x_2^2 - 10x_1x_2 at r = 1: the uncapped upper end
+    # (grid_min - fmin.lo) / (range lower end) is 6, past the normalized
+    # error's range [0, 1]
+    poly = tmp_path / "cap.json"
+    poly.write_text(json.dumps({"n": 2, "terms": [
+        {"alpha": [2, 0], "coef": 1}, {"alpha": [0, 2], "coef": 2}, {"alpha": [1, 1], "coef": -10}]}))
+    code, out, _ = run(capsys, "converge", "--poly", str(poly), "--r-range", "1:3", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[2:] == [
+        "r,grid_min,grid_min_decimal,rho_lo,rho_hi,KLS_QUAD,KLS_GENERAL,QUAD_REFINED,QUAD_DENOM,"
+        "CUBIC_KLS,SQFREE_KLS,CUBIC_REFINED,SQFREE_REFINED,GENERAL_REFINED,CUBIC_RHO,GENERAL_RHO",
+        "1,1,1,0,1,1,12,,,,1,,,,,",
+        "2,-7/4,-1.75,0,13/15,1/2,6,,,,1/2,,,,,",
+        "3,-14/9,-1.5555555555555555556,0,31/32,1/3,4,,,,1/3,,,,,",
+    ]
 
 
 def test_converge_rho_r_squared_bounded_by_m(capsys):
@@ -1053,7 +1091,7 @@ def test_quadratic_sweep_bytes_are_pinned(capsys, argv):
 # 10/22 and 11/27)
 STABLE_SET_GRAPHS = {
     "K6": complete_graph(6),
-    "empty7": Graph.from_edges(7, []),
+    "empty7": Graph(7, []),
     "4xK4": clique_union(4, 4),
     "5xK3": clique_union(5, 3),
     "3xK5": clique_union(3, 5),
@@ -2117,6 +2155,14 @@ def test_homogenize_flag(capsys, tmp_path):
     assert code == EXIT_OK
     # x1^2 + x1x2 = x1 on the simplex: minimum 0 at the x2 vertex
     assert json.loads(out)["value"] == "0"
+
+
+def test_homogenize_flag_refuses_a_polynomial_without_variables(capsys, tmp_path):
+    poly = tmp_path / "none.json"
+    poly.write_text(json.dumps({"n": 0, "degree": 2, "terms": [{"alpha": [], "coef": 1}]}))
+    for extra in ((), ("--homogenize",)):
+        code, out, err = run(capsys, "grid-min", "--r", "2", "--poly", str(poly), *extra)
+        assert (code, out, err) == (EXIT_CONFIG, "", "error: polynomial needs at least one variable\n")
 
 
 def test_missing_required_argument_exits_2(capsys):

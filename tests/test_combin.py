@@ -12,7 +12,6 @@ from simplex_grid_opt import (
     multinomial,
     stirling2,
 )
-from simplex_grid_opt.combin import composition_successor
 from strats import composition_unrank, falling_poly_coeffs
 
 
@@ -98,8 +97,10 @@ def test_unrank_matches_iteration(n, total):
 
 
 def test_successor_at_top_is_none():
-    assert composition_successor((3, 0, 0)) is None
-    assert composition_successor((5,)) is None
+    # the lex-last element (total, 0, ..., 0) has no successor: the walk ends there
+    assert list(compositions(3, 3))[-2:] == [(2, 1, 0), (3, 0, 0)]
+    assert list(compositions(1, 5)) == [(5,)]
+    assert list(compositions(3, 0)) == [(0, 0, 0)]
 
 
 def test_falling_poly_coeffs_frozen_cases():

@@ -228,7 +228,7 @@ def engine_cases(draw):
     elif kind == "stable_set":
         n = draw(st.integers(4, 7))
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-        f = motzkin_straus_form(Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))))
+        f = motzkin_straus_form(Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True))))
         f = poly_scale(f, draw(st.sampled_from((1, -1))))  # -1: the max side
     elif kind == "sparse_quadratic":
         # squares, x_0 x_j and at most one more cross term: a node's table
@@ -1113,6 +1113,20 @@ class RecordingExecutor:
         return [fn(item) for item in items]
 
 
+def test_fewer_than_one_thread_is_refused_before_any_work(monkeypatch):
+    # the library refuses what `sgo --threads` refuses, before any work
+    sizes = []
+    grid_size = grid._grid_size
+    monkeypatch.setattr(grid, "_grid_size", lambda *args: sizes.append(args) or grid_size(*args))
+    f = sum_of_squares(3)
+    for threads in (0, -5):
+        for op in (grid_minimize, grid_maximize, grid_extrema):
+            with pytest.raises(ValueError, match=f"^threads must be at least 1, got {threads}$"):
+                op(f, 3, threads=threads)
+    assert sizes == []
+    assert grid_minimize(f, 3, threads=1).value == Fraction(1, 3)
+
+
 def test_workers_capped_at_chunks_and_cpu_count(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     f = sum_of_squares(3)
@@ -1141,7 +1155,7 @@ def test_default_guard_refuses_huge_grids_at_once():
     with pytest.raises(GridTooLargeError):
         range_enclosures(f, RangeAssumptions(grid=200))
     with pytest.raises(GridTooLargeError):
-        alpha_lower_bound(Graph.from_edges(12, []), 200)
+        alpha_lower_bound(Graph(12, []), 200)
 
 
 def test_range_enclosures_checks_guard_before_building_the_table(monkeypatch):

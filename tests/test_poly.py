@@ -154,6 +154,19 @@ def test_homogenize_rejects_degree_overflow():
         homogenize({(3, 0): 1}, 2, 2)
 
 
+def test_homogenize_checks_n_as_the_polynomial_does():
+    # n is checked before any expansion, with the polynomial's own text
+    for terms in ({(): 1}, {}):
+        with pytest.raises(ValueError, match="^polynomial needs at least one variable$"):
+            homogenize(terms, 0, 2)
+    with pytest.raises(ValueError, match="^polynomial needs at least one variable$"):
+        HomogeneousPolynomial(0, 2, {})
+    with pytest.raises(ValueError, match=r"^exponent \(1, 1\) has length 2, expected 1$"):
+        homogenize({(1, 1): 1}, 1, 2)
+    with pytest.raises(ValueError, match=r"^negative exponent in \(-1, 1\)$"):
+        homogenize({(-1, 1): 1}, 2, 2)
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_homogenize_agrees_on_simplex(data):

@@ -21,12 +21,12 @@ from strats import (
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 2)])
+        Graph(3, [(0, 2)])
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 4)])
-    g = Graph.from_edges(3, [(2, 1), (1, 2)])
+        Graph(3, [(1, 4)])
+    g = Graph(3, [(2, 1), (1, 2)])
     assert g.edges == frozenset({(1, 2)})
 
 
@@ -53,11 +53,11 @@ def test_parse_rejects_garbage():
 
 
 def test_motzkin_straus_form_examples():
-    empty = Graph.from_edges(3, [])
+    empty = Graph(3, [])
     f = motzkin_straus_form(empty)
     assert f.coeffs == {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
 
-    edge = motzkin_straus_form(Graph.from_edges(2, [(1, 2)]))
+    edge = motzkin_straus_form(Graph(2, [(1, 2)]))
     assert edge.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
     # (x1 + x2)^2 is 1 everywhere on the simplex
     assert grid_minimize(edge, 5).value == 1
@@ -67,7 +67,7 @@ def test_motzkin_straus_form_examples():
 
 
 def test_alpha_lower_bound_examples():
-    empty = Graph.from_edges(4, [])
+    empty = Graph(4, [])
     bound = alpha_lower_bound(empty, 4)
     assert bound.grid_value == Fraction(1, 4)
     assert bound.alpha_lb == 4
@@ -80,7 +80,7 @@ def test_alpha_lower_bound_examples():
 
 def test_alpha_lower_bound_bounds_the_form_before_building_it():
     # no vertex form is built: 10^8 vertices make 10^8 grid points at r = 1, within the budget
-    assert alpha_lower_bound(Graph.from_edges(10**8, []), 1).alpha_lb == 1
+    assert alpha_lower_bound(Graph(10**8, []), 1).alpha_lb == 1
     g = petersen()  # 10 grid points at r = 1
     assert alpha_lower_bound(g, 1, max_points=249).alpha_lb == 1
     with pytest.raises(GridTooLargeError):
@@ -100,18 +100,18 @@ def test_petersen_bound_matches_exact_alpha():
 
 
 def test_exact_alpha_small_cases():
-    assert exact_alpha(Graph.from_edges(1, [])) == 1
+    assert exact_alpha(Graph(1, [])) == 1
     assert exact_alpha(complete_graph(5)) == 1
-    assert exact_alpha(Graph.from_edges(4, [])) == 4
-    path = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
+    assert exact_alpha(Graph(4, [])) == 4
+    path = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
     assert exact_alpha(path) == 3
-    cycle5 = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+    cycle5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
     assert exact_alpha(cycle5) == 2
 
 
 def test_exact_alpha_refuses_large_graphs():
     with pytest.raises(ValueError):
-        exact_alpha(Graph.from_edges(30, []), max_vertices=25)
+        exact_alpha(Graph(30, []), max_vertices=25)
 
 
 def test_greedy_stable_set_is_stable_and_bounds_grid_value():
@@ -124,7 +124,7 @@ def test_greedy_stable_set_is_stable_and_bounds_grid_value():
             for j in range(i + 1, n + 1)
             if rng.random() < 0.4
         ]
-        g = Graph.from_edges(n, edges)
+        g = Graph(n, edges)
         chosen = greedy_stable_set(g)
         assert chosen
         assert all((min(u, v), max(u, v)) not in g.edges for u in chosen for v in chosen if u != v)
@@ -143,7 +143,7 @@ def test_alpha_lower_bound_never_exceeds_truth():
             for j in range(i + 1, n + 1)
             if rng.random() < 0.35
         ]
-        g = Graph.from_edges(n, edges)
+        g = Graph(n, edges)
         truth = exact_alpha(g)
         for r in (1, 2, 3, 4):
             assert alpha_lower_bound(g, r).alpha_lb <= truth
@@ -174,7 +174,7 @@ def test_alpha_lower_bound_equals_the_grid_minimum_of_the_form():
         graphs.append((random_graph(seed, n, rng.randint(0, n * (n - 1) // 2)), rng.randint(1, 12)))
     graphs += [(petersen(), r) for r in range(1, 13)]
     graphs += [(complete_graph(n), r) for n in (1, 2, 5, 9) for r in (1, 2, 7, 12)]
-    graphs += [(Graph.from_edges(n, []), r) for n in (1, 2, 5, 9) for r in (1, 2, 7, 12)]
+    graphs += [(Graph(n, []), r) for n in (1, 2, 5, 9) for r in (1, 2, 7, 12)]
     signs = set()
     for g, r in graphs:
         signs.add(exact_alpha(g) < r)
@@ -193,7 +193,7 @@ def test_exact_alpha_matches_a_subset_scan():
         g = random_graph(seed, n, rng.randint(0, n * (n - 1) // 2))
         assert exact_alpha(g) == brute_force_alpha(g)
     assert [exact_alpha(complete_graph(n)) for n in (1, 4, 10)] == [1, 1, 1]
-    assert exact_alpha(Graph.from_edges(10, [])) == 10
+    assert exact_alpha(Graph(10, [])) == 10
 
 
 def test_isolated_vertices_are_counted_not_walked():
@@ -205,12 +205,12 @@ def test_isolated_vertices_are_counted_not_walked():
         n = rng.randint(2, 11)
         touched = sorted(rng.sample(range(1, n + 1), rng.randint(2, n)))
         pairs = [(u, v) for i, u in enumerate(touched) for v in touched[i + 1:]]
-        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(1, len(pairs))))
+        g = Graph(n, rng.sample(pairs, rng.randint(1, len(pairs))))
         with_isolated += len({v for edge in g.edges for v in edge}) < n
         alpha = brute_force_alpha(g)
         assert exact_alpha(g) == alpha, (seed, g)
         for cap in range(1, n + 2):
             assert stableset._stability(g, cap) == min(alpha, cap), (seed, g, cap)
     assert with_isolated > 100
-    assert stableset._stability(Graph.from_edges(5, [(2, 4)]), 9) == 4
-    assert stableset._stability(Graph.from_edges(10**20, []), 7) == 7
+    assert stableset._stability(Graph(5, [(2, 4)]), 9) == 4
+    assert stableset._stability(Graph(10**20, []), 7) == 7
