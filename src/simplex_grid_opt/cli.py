@@ -597,12 +597,38 @@ def _verb_parser(verb: str) -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(parser: argparse.ArgumentParser, argv: "list[str]") -> "list[str]":
+    """argv with every option of the parser that takes one value joined to a
+    following token that starts with "-" as "--option=value", unless that
+    token is one of the parser's own option strings.  So `--r-range -5:3`
+    reads as `--r-range=-5:3`, where argparse would take -5:3 for an option,
+    and `--r-range --format csv` still lacks its value."""
+    options = parser._option_string_actions
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        out.append(token)
+        action = options.get(token)
+        if action is not None and action.nargs is None:  # one value follows
+            value = next(tokens, None)
+            if value is None:
+                break
+            if value.startswith("-") and value not in options:
+                out[-1] = f"{token}={value}"
+            else:
+                out.append(value)
+    return out
+
+
 def _parse(argv: "list[str]") -> argparse.Namespace:
     """Parse with the called verb's parser alone, which builds no subparser.
     Anything that parser cannot place, and any argv that does not start with a
-    verb, goes to the full parser, which prints the usage, help and errors."""
+    verb, goes to the full parser, which prints the usage, help and errors.
+    A value that starts with "-" is attached to its option first
+    (_attach_values)."""
     if argv and argv[0] in _VERBS:
-        args, extras = _verb_parser(argv[0]).parse_known_args(argv[1:])
+        parser = _verb_parser(argv[0])
+        argv = argv[:1] + _attach_values(parser, argv[1:])
+        args, extras = parser.parse_known_args(argv[1:])
         if not extras:
             return args
     return build_parser().parse_args(argv)

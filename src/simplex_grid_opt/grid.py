@@ -38,13 +38,21 @@ _bernstein_extrema reads in integers.
   Pruning) and, for a row, its differences t_k.  So a node with more than d +
   1 children that the gate bounds, or a row parent with more than
   3 (d + 1) rows longer than e + 1 (_ROW_RUN), evaluates the first d + 1 and
-  steps the rest with d vector additions each, the same tabulation as in a
-  row.  A stepped node builds its coefficient list only when the walk
-  descends into it.  A stepped row of degree e >= 3 also steps its d + 1
-  Bernstein coefficients on the segment, as the node of m = 2 coordinates
-  (see Pruning), and goes through the node test; a quadratic row is never
-  tested, its closed form costs less.  A run stops at the end of a chunk,
-  and at the first child below the gate or row no longer than e + 1.
+  steps the rest with d additions each, the same tabulation as in a row.
+  Each difference order of the stepped vector is one Python int with a signed
+  field of w bits per entry (broadword arithmetic, Knuth, TAOCP Vol. 4A,
+  7.1.3; Kronecker packing, Harvey, J. Symbolic Comput. 44, 2009): a row's
+  t_0..t_e in the low fields and the child's p_g above them (_Packing), so a
+  step is d integer additions.  The sweep derives w from a bound on every
+  field it decodes or tests (_field_width); Python ints are unbounded, so w
+  has no cap and no other form is kept.  A stepped node builds its
+  coefficient list only when the walk descends into it.  A stepped row of
+  degree e >= 3 also steps its d + 1 Bernstein coefficients on the segment,
+  as the node of m = 2 coordinates (see Pruning), and goes through the node
+  test; a quadratic row is never tested, its closed form costs less.  A row
+  that is not skipped decodes only its e + 1 low fields.  A run stops at the
+  end of a chunk, and at the first child below the gate or row no longer
+  than e + 1.
 - A node whose budget reaches 0 is a single point: the coefficient of the
   all-zero suffix.
 - Pruning.  A node at depth k >= 1 holds L*f on the face of the m = n - k
@@ -58,7 +66,11 @@ _bernstein_extrema reads in integers.
   running extreme times multinomial(d, g) for every g, and stops at the first
   p_g that is not: the running extreme is attained, so minimizers and tie
   counts stay exact.  The p_g come from the node's own coefficients
-  (_Shape.beaten) or are stepped with its siblings (_Shape.skip).  Each side's
+  (_Shape.beaten) or are stepped with its siblings (_Shape.skip).  Stepped
+  p_g are tested packed: on each side one multiplication of the packed sizes
+  by the running extreme, one subtraction and one mask comparison test every
+  g at once (_Packing.beats), as p_g - lo*size - 1 >= 0 exactly when its
+  field, offset by 2^(w - 1), has its top bit set.  Each side's
   running extreme starts from its best vertex value, L*c_i*r^d with c_i the
   coefficient of x_i^d (0 if absent), which the grid point r e_i attains; the
   lex walk reaches r e_0 only at its last point, so without that start nothing
@@ -78,7 +90,8 @@ _bernstein_extrema reads in integers.
   the max side is the same bound for -f.  It is never below the least
   Bernstein coefficient, it is exact on the face for sum x_i^2, where that
   coefficient is h alone, and it prunes the stable-set forms x^T(I + A)x,
-  whose minimizers are interior.  Only nodes of depth 1..n-3 whose subtree has
+  whose minimizers are interior; stepped nodes decode their table fields
+  for it.  Only nodes of depth 1..n-3 whose subtree has
   at least one point per _BOUND_ENTRIES_PER_POINT entries are bounded, from
   their own coefficients or stepped ones; rows are bounded only when stepped,
   as the nodes of depth n - 2.  evaluations still counts every grid point,
@@ -110,9 +123,9 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, compress, islice, repeat, zip_longest
 from math import comb, lcm
-from operator import add, gt, lt, mul, sub
+from operator import gt, lshift, lt, mul, sub
 from threading import Lock
 
 from .combin import composition_count
@@ -462,7 +475,9 @@ class _Shape:
     sizes multinomial(d, g) of a built table's rows, which the node test
     (_loses) reads; sizes[n - 1] = (1,) is the one vertex row of a one-point
     node.  tails[k] lists the (entry, degree) pairs of the suffixes at depth k
-    that are 0 but on the last coordinate.
+    that are 0 but on the last coordinate.  packs[k, w] is the _Packing of
+    the stepped vectors of depth k at field width w, built with the run that
+    first needs it (packing).
     """
 
     def __init__(self, support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> None:
@@ -492,6 +507,7 @@ class _Shape:
         self.tails = tuple(tails)
         self.tables: "list[tuple | None]" = [None] * (n - 1)
         self.sizes: "list[tuple[int, ...] | None]" = [None] * (n - 1) + [(1,)]
+        self.packs: "dict[tuple[int, int], _Packing]" = {}
         self.power: "list[tuple[int, ...]]" = []  # power[v][b] = v^b, b = 0..d
         self.rows: "list[tuple[list[int], ...] | None]" = []
         self._lock = Lock()
@@ -576,15 +592,22 @@ class _Shape:
         return self._loses(self.n - 1, (tail,), low, high) and \
             self._loses(k, self._bernstein(k, coeffs, power), low, high)
 
-    def skip(self, k: int, p: "list[int]", s: int, low: "_Extreme | None",
-             high: "_Extreme | None") -> int:
+    def skip(self, k: int, p: int, s: int, low: "_Extreme | None", high: "_Extreme | None",
+             pack: "_Packing") -> int:
         """The number of grid points under the depth-k node with budget s when
-        it loses (_loses) from the Bernstein coefficients p that the walk
-        stepped (differences), one per row of the depth-k table and perhaps
-        other entries after them, and 0 otherwise.  A row (k = n - 2) is the
-        node of m = 2 coordinates."""
+        it loses (_loses) from the Bernstein coefficients that the walk stepped
+        (differences), packed in p by `pack`, the depth's packing, and 0
+        otherwise.  A row (k = n - 2) is the node of m = 2 coordinates.
+
+        On each tracked side the test is one multiplication, one subtraction
+        and one mask comparison (_Packing.beats); at d = 2 the table fields
+        are decoded for _quadratic_beaten instead."""
+        if self.d == 2:
+            beaten = self._loses(k, pack.table(p), low, high)
+        else:
+            beaten = pack.beats(p, low, high)
         m = self.n - k
-        return comb(s + m - 1, m - 1) if self._loses(k, p, low, high) else 0
+        return comb(s + m - 1, m - 1) if beaten else 0
 
     def _loses(self, k: int, ps, low: "_Extreme | None", high: "_Extreme | None") -> bool:
         """The node test (see Pruning): whether the Bernstein coefficients ps of
@@ -609,33 +632,58 @@ class _Shape:
         scaled = list(map(mul, coeffs, map(power.__getitem__, degrees)))
         return (sum(map(mul, map(scaled.__getitem__, index), weights)) for index, weights, _ in rows)
 
-    def differences(self, k: int, coeffs: "list[int]", s: int, a: int) -> "tuple[bool, list]":
-        """Whether the node test is run on the children that the depth-k node
-        with these coefficients and budget s steps across, and the forward
-        differences of order 0..d, at alpha_k = a, of what it steps: the
-        child's Bernstein coefficients, one per row of the depth-(k + 1) table
-        (none for a row of degree e <= 2, which is not tested: its closed form
-        costs less), then for a row its forward differences t_0..t_e at v = 0.
+    def differences(self, k: int, coeffs: "list[int]", s: int, a: int,
+                    w: int) -> "tuple[_Packing, list[int]]":
+        """The packing of depth k + 1 at field width w (packing), and the
+        forward differences of order 0..d, at alpha_k = a, of what the depth-k
+        node with these coefficients and budget s steps across, each packed
+        into one integer: the child's Bernstein coefficients, one per row of
+        the depth-(k + 1) table (none for a row of degree e <= 2, which is not
+        tested: its closed form costs less), and for a row also its forward
+        differences t_0..t_e at v = 0, in the low fields.
 
-        Each is a polynomial of degree <= d in a: a child coefficient of
+        Each field is a polynomial of degree <= d in a: a child coefficient of
         suffix sigma has degree <= d - |sigma| in a, and it is scaled by (s -
         a)^|sigma|, or by the differences in rows[s - a] of degree <= |sigma|
         in s - a.  So their values at a..a + d, differenced, tabulate them
         exactly: the child at a + 1 has the sum of orders j and j + 1 at a as
-        its order j, d vector additions in all.  A row stepped over must be
-        longer than e + 1, so that rows[s - a] holds its differences.
+        its order j, d integer additions in all.  A child's packed
+        coefficients are sum_i c_i (s - a)^|sigma_i| columns[i], one sum of
+        products.  A row stepped over must be longer than e + 1, so that
+        rows[s - a] holds its differences.
         """
         powers, width, extras, _ = self.levels[k]
+        pack = self.packing(k + 1, w)
         row = k == self.n - 3
-        tested = not row or self.e > 2
         values = []
         for b in range(a, a + self.d + 1):
             child, rest = _child(coeffs, powers[b], width, extras), s - b
-            value = list(self._bernstein(k + 1, child, self.power[rest])) if tested else []
+            power = self.power[rest]
+            value = sum(map(mul, map(mul, child, map(power.__getitem__, pack.degrees)), pack.columns))
             if row:
-                value += [sum(map(mul, child, w)) for w in self.rows[rest] or self._row_table(rest)]
+                t = [sum(map(mul, child, weights)) for weights in self.rows[rest] or self._row_table(rest)]
+                value += sum(map(lshift, t, pack.row_shifts))
             values.append(value)
-        return tested, _forward_differences(values)
+        steps = []  # the forward differences of the packed values (see _forward_differences)
+        while values:
+            steps.append(values[0])
+            values = list(map(sub, values[1:], values))
+        return pack, steps
+
+    def packing(self, k: int, w: int) -> "_Packing":
+        """The _Packing of depth k at field width w, built on first use and
+        kept in self.packs.  The build is idempotent, so threads may race on
+        it.  At the row depth, rows of degree e <= 2 are not tested, so their
+        packing holds no table: only the fields t_0..t_e."""
+        pack = self.packs.get((k, w))
+        if pack is None:
+            row = k == self.n - 2
+            if row and self.e <= 2:
+                degrees, rows = (), ()
+            else:
+                degrees, rows = self.tables[k] or self._build_table(k)
+            pack = self.packs[k, w] = _Packing(w, self.e + 1 if row else 0, degrees, rows)
+        return pack
 
     def _build_table(self, k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...]]":
         """The suffix degrees and Bernstein rows of depth k, kept in self.tables,
@@ -664,14 +712,95 @@ def _forward_differences(values: list) -> list:
     """The forward differences of order 0..len(values) - 1 at the first of
     these lists, the values of a polynomial at consecutive points (Knuth,
     TAOCP Vol. 2, 4.6.4).  They are lists: as tuples, the many that stepped
-    runs drop stay in CPython's tuple free lists, which raised peak RSS on
-    the benchmark's converge workload by about 0.4 MB (2-vCPU VM, Python
+    runs dropped stayed in CPython's tuple free lists, which raised peak RSS
+    on the benchmark's converge workload by about 0.4 MB (2-vCPU VM, Python
     3.11)."""
     deltas = []
     while values:
         deltas.append(values[0])
         values = [list(map(sub, y, x)) for x, y in zip(values, values[1:])]
     return deltas
+
+
+class _Packing:
+    """The fields of the stepped vectors of one depth at field width w (see
+    Stepped siblings): a vector v_0..v_{F-1} is the one integer sum_j v_j
+    2^(w j).  At the row depth, fields 0..e hold a row's forward differences
+    t_0..t_e and, when the row is tested (e >= 3), the fields above them its
+    Bernstein coefficients p_g in table order; at a node depth the p_g start
+    at field 0.
+
+    columns[i] packs suffix i's weight in each row of the depth's table, so a
+    node's packed p_g are sum_i c_i s^|sigma_i| columns[i] (degrees holds the
+    |sigma_i|); sizes packs the sizes multinomial(d, g).  half = 2^(w - 1) and
+    bias holds half in every field.  Every field that is decoded or tested
+    lies strictly between -half and half (_field_width), so it plus half is a
+    w-bit field of its own, and no carry or borrow crosses into the next one.
+    Fields of difference orders >= 1 may be wider: their sums are exact
+    integers all the same, and they are never decoded.
+    """
+
+    __slots__ = ("half", "mask", "bias", "low", "row_shifts", "shifts", "degrees", "columns", "sizes",
+                 "ones", "top")
+
+    def __init__(self, w: int, offset: int, degrees: "tuple[int, ...]", rows: "tuple[tuple, ...]") -> None:
+        fields = offset + len(rows)
+        self.half, self.mask = 1 << (w - 1), (1 << w) - 1
+        self.low = (1 << w * offset) - 1
+        self.row_shifts = range(0, w * offset, w)
+        self.shifts = shifts = range(w * offset, w * fields, w)
+        self.bias = sum(self.half << shift for shift in range(0, w * fields, w))
+        columns = [[] for _ in degrees]  # (field shift, weight) per suffix
+        for shift, (index, weights, _) in zip(shifts, rows):
+            for i, weight in zip(index, weights):
+                columns[i].append((shift, weight))
+        self.degrees = degrees
+        self.columns = [sum(weight << shift for shift, weight in column) for column in columns]
+        self.sizes = sum(size << shift for shift, (_, _, size) in zip(shifts, rows))
+        ones = sum(1 << shift for shift in shifts)
+        self.ones = ones - self.bias  # 1 in every table field, less half in every field
+        self.top = ones * self.half  # the top bit of every table field
+
+    def beats(self, p: int, low: "_Extreme | None", high: "_Extreme | None") -> bool:
+        """Whether every Bernstein coefficient packed in p is strictly worse
+        than the running extremes low and high (None when not tracked): p_g >
+        lo*size and p_g < hi*size for every g.  p_g - lo*size - 1 >= 0 exactly
+        when that field plus half has its top bit set, so on each side one
+        multiplication, one subtraction of ones and one mask comparison test
+        every g at once."""
+        sizes, ones, top = self.sizes, self.ones, self.top
+        return (low is None or (p - low.value * sizes - ones) & top == top) and \
+            (high is None or (high.value * sizes - p - ones) & top == top)
+
+    def table(self, p: int) -> "list[int]":
+        """The Bernstein coefficients packed in p, in table order."""
+        x, mask, half = p + self.bias, self.mask, self.half
+        return [(x >> shift & mask) - half for shift in self.shifts]
+
+    def row(self, p: int) -> "list[int]":
+        """The forward differences t_0..t_e of a row, the low fields of p."""
+        x, mask, half = (p + self.bias) & self.low, self.mask, self.half
+        return [(x >> shift & mask) - half for shift in self.row_shifts]
+
+
+def _field_width(values, n: int, d: int, r: int) -> int:
+    """A field width w that holds every field _Packing decodes or tests, in a
+    sweep at denominator r of the n-variable form of degree d whose integer
+    coefficients L*f_alpha are `values` (n >= 3).
+
+    With A = sum |L*f_alpha| and m <= n - 1 coordinates left below a node of
+    depth >= 1: each term of a p_g is L*f_alpha times a product of d of the
+    coordinates fixed so far and the budget, each at most r, times a weight
+    multinomial(d - |sigma|, g - sigma) <= m^d, and each alpha enters p_g at
+    most once, so |p_g| <= A (r m)^d.  A row difference t_k = sum c_bc
+    Delta^k[v^b (s - v)^c](0) of a stepped row (k <= e < s) is a signed sum of
+    2^k values at most s^(b + c), so |t_k| <= 2^e A r^d <= A (r m)^d as m >= 2.
+    The running extremes are values of L*f at grid points, at most A r^d, and
+    sizes are at most m^d, so every tested field p_g - lo*size - 1 and hi*size
+    - p_g - 1 is at most B = 2 A (r (n - 1))^d + 1 in size, and w =
+    bit_length(B) + 1 gives B < 2^(w - 1)."""
+    bound = 2 * sum(map(abs, values)) * (r * (n - 1)) ** d + 1
+    return bound.bit_length() + 1
 
 
 def _quadratic_beaten(m: int, ps, lo: "int | None", hi: "int | None") -> bool:
@@ -748,8 +877,8 @@ def _gates(shape: _Shape, n: int, r: int) -> "list[int]":
 
 
 def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int, stop: int,
-          cap: int, picks: tuple, starts: "list[int]",
-          gates: "list[int] | None") -> "tuple[list[_Extreme], int]":
+          cap: int, picks: tuple, starts: "list[int]", gates: "list[int] | None",
+          w: int) -> "tuple[list[_Extreme], int]":
     """Running extremes (one per pick, min and/or max, each from its attained
     start) of L*f over the grid points with first <= alpha_0 < stop, and the
     number of points pruned.
@@ -760,7 +889,7 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
     limited by the recursion limit.  A node that passes gates is skipped when
     shape.beaten says no point below it can reach a tracked extreme, or
     shape.skip, from the stepped coefficients of a long run of siblings
-    (shape.differences), which also skips rows.
+    (shape.differences, packed in fields of w bits), which also skips rows.
     """
     tracked = [_Extreme(pick, cap, start) for pick, start in zip(picks, starts)]
     if n == 1:
@@ -787,27 +916,28 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
         else:  # bounded children
             end, shortest = min(stop, s - max(frames[k][4], 1) + 1), d + 1
         if end - start > shortest:
-            stack.append((k, coeffs, s, prefix, iter(range(end, stop)), None, False))
-            tested, steps = shape.differences(k, coeffs, s, start)
-            stack.append((k, coeffs, s, prefix, iter(range(start, end)), steps, tested))
+            stack.append((k, coeffs, s, prefix, iter(range(end, stop)), None, None))
+            pack, steps = shape.differences(k, coeffs, s, start, w)
+            stack.append((k, coeffs, s, prefix, iter(range(start, end)), steps, pack))
         else:
-            stack.append((k, coeffs, s, prefix, iter(range(start, stop)), None, False))
+            stack.append((k, coeffs, s, prefix, iter(range(start, stop)), None, None))
 
     enter(0, root, r, (), first, stop)
     while stack:  # a level resumes from `alphas` once the child it descended into is done
-        k, coeffs, s, prefix, alphas, steps, tested = stack[-1]
+        k, coeffs, s, prefix, alphas, steps, pack = stack[-1]
         powers, width, extras, zero, gate = frames[k]
-        if steps is not None:  # stepped children: each takes d vector additions
+        if steps is not None:  # stepped children: each takes d integer additions
+            tested = bool(pack.columns)
             for a in alphas:
                 stepped = steps[0]
                 for j in range(d):
-                    steps[j] = list(map(add, steps[j], steps[j + 1]))
+                    steps[j] += steps[j + 1]
                 rest = s - a
-                skipped = tested and shape.skip(k + 1, stepped, rest, low, high)
+                skipped = shape.skip(k + 1, stepped, rest, low, high, pack) if tested else 0
                 if skipped:
                     pruned += skipped
                 elif k == row_parent:  # a row longer than e + 1
-                    shape.feed_differences(tracked, stepped[-e - 1:], prefix + (a,), rest)
+                    shape.feed_differences(tracked, pack.row(stepped), prefix + (a,), rest)
                 else:
                     enter(k + 1, _child(coeffs, powers[a], width, extras), rest, prefix + (a,), 0, rest + 1)
                     break
@@ -872,17 +1002,18 @@ def _sweep(
     vertices = _vertex_values(coeffs, f.n, f.d)
     starts = [pick(vertices) * top for pick in picks]
     if f.n == 1:
-        shape, root, gates = None, [c * top for c in coeffs.values()], None
+        shape, root, gates, w = None, [c * top for c in coeffs.values()], None, None
     else:
         shape = _shape(tuple(coeffs), f.n, f.d)
         shape.grow(r)  # before any worker starts
         root = [coeffs[alpha] for alpha in shape.order]
         gates = _gates(shape, f.n, r)
+        w = _field_width(root, f.n, f.d, r)
     chunks = _alpha0_chunks(f.n, r, threads)
     workers = min(len(chunks), os.cpu_count() or 1) if len(chunks) > 1 else 1
 
     def scan(chunk: "tuple[int, int]") -> "tuple[list[_Extreme], int]":
-        return _scan(shape, root, f.n, r, *chunk, cap, picks, starts, gates)
+        return _scan(shape, root, f.n, r, *chunk, cap, picks, starts, gates, w)
 
     if workers == 1:
         partials = [scan(chunk) for chunk in chunks]

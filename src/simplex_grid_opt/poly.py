@@ -39,7 +39,7 @@ class HomogeneousPolynomial(_Record):
         if n < 1:
             raise ValueError(_NO_VARIABLE)
         if d < 1:
-            raise ValueError("degree must be at least 1")
+            raise ValueError(_LOW_DEGREE)
         table: "dict[tuple[int, ...], Fraction]" = {}
         for alpha, coef in sorted(coeffs.items()):
             alpha = _exponent(alpha, n)
@@ -76,6 +76,7 @@ class HomogeneousPolynomial(_Record):
 
 
 _NO_VARIABLE = "polynomial needs at least one variable"
+_LOW_DEGREE = "degree must be at least 1"
 
 
 def _exponent(alpha: Sequence[int], n: int) -> "tuple[int, ...]":
@@ -114,13 +115,15 @@ def homogenize(terms: TermsLike, n: int, d: int) -> HomogeneousPolynomial:
 
     Each term c*x^alpha is multiplied by (x_1 + ... + x_n)^(d-e) expanded via
     the multinomial theorem, so the result agrees with the input everywhere
-    on the simplex.  n and each input exponent are checked here, as
-    HomogeneousPolynomial checks them, so that an error names the input
-    exponent and comes before any expansion; from_terms merges the expanded
-    terms.
+    on the simplex.  n, d and each input exponent are checked here, in that
+    order, as HomogeneousPolynomial checks them, so that an error names the
+    input exponent and comes before any expansion; from_terms merges the
+    expanded terms.
     """
     if n < 1:
         raise ValueError(_NO_VARIABLE)
+    if d < 1:
+        raise ValueError(_LOW_DEGREE)
     pairs = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
     out = []
     for alpha, coef in pairs:

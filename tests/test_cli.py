@@ -355,6 +355,29 @@ def test_option_errors_quote_the_start_of_a_long_value(capsys, argv, error):
     assert err == f"error: {error}, got '3:2'\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("bounds", "--d", "3", "--r-range", "-5:3"), "grid denominator must be positive, got -5"),
+    (("bounds", "--d", "3", "--r-range", "2", "--m-range", "-1:3"),
+     "reference denominator must be positive, got -1"),
+    (("expect", "--poly", GAP, "--r", "4", "--m", "4", "--counts", "-1,5"), "negative color count in (-1, 5)"),
+    (("expect", "--poly", GAP, "--r", "4", "--bernstein", "--x", "-1/2,3/2"),
+     "point must lie on the standard simplex"),
+], ids=["r-range", "m-range", "counts", "x"])
+def test_a_value_starting_with_a_dash_reads_as_after_an_equals_sign(capsys, argv, error):
+    # argparse takes "-5:3" after a space for an option ("expected one
+    # argument"); the value reaches the program's own check in both forms
+    spaced = run(capsys, *argv)
+    joined = run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
+    assert spaced == joined == (EXIT_CONFIG, "", f"error: {error}\n")
+
+
+def test_an_option_string_after_a_value_option_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--d", "3", "--r-range", "--format", "csv"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "argument --r-range: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--d", "2", "--r-range", "2:" + "9" * 5000),
     ("bounds", "--d", "2", "--r-range", "2", "--m-range", "+" + "9" * 4301),
@@ -2163,6 +2186,14 @@ def test_homogenize_flag_refuses_a_polynomial_without_variables(capsys, tmp_path
     for extra in ((), ("--homogenize",)):
         code, out, err = run(capsys, "grid-min", "--r", "2", "--poly", str(poly), *extra)
         assert (code, out, err) == (EXIT_CONFIG, "", "error: polynomial needs at least one variable\n")
+
+
+def test_homogenize_flag_refuses_a_degree_below_one_as_the_plain_load_does(capsys, tmp_path):
+    poly = tmp_path / "low.json"
+    poly.write_text(json.dumps({"n": 2, "degree": -1, "terms": [{"alpha": [0, 0], "coef": 1}]}))
+    plain, homogenized = (run(capsys, "grid-min", "--r", "2", "--poly", str(poly), *extra)
+                          for extra in ((), ("--homogenize",)))
+    assert plain == homogenized == (EXIT_CONFIG, "", "error: degree must be at least 1\n")
 
 
 def test_missing_required_argument_exits_2(capsys):

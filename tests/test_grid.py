@@ -5,6 +5,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import ceil, comb, floor, prod
+from operator import lshift, mul
 
 import pytest
 from hypothesis import given, settings
@@ -415,8 +416,8 @@ class _NodeTests:
             self.calls.append((k, s, result, False))
             return result
 
-        def counted_skip(shape, k, p, s, low, high):
-            result = skip(shape, k, p, s, low, high)
+        def counted_skip(shape, k, p, s, low, high, pack):
+            result = skip(shape, k, p, s, low, high, pack)
             assert result in (0, comb(s + shape.n - k - 1, shape.n - k - 1))
             self.calls.append((k, s, result > 0, True))
             return result
@@ -917,10 +918,10 @@ def test_chunk_cuts_inside_stepped_runs():
                 starts = []
                 differences = grid._Shape.differences
 
-                def recorded(shape, depth, coeffs, s, a):
+                def recorded(shape, depth, coeffs, s, a, w):
                     if depth == 0:
                         starts.append(a)
-                    return differences(shape, depth, coeffs, s, a)
+                    return differences(shape, depth, coeffs, s, a, w)
 
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(grid._Shape, "differences", recorded)
@@ -933,6 +934,135 @@ def test_chunk_cuts_inside_stepped_runs():
                     assert len(starts) >= 2 and set(starts) <= set(firsts)
                 results.append(grid_extrema(f, r, threads=threads))
             assert len(set(results)) == 1
+
+
+# --- packed stepping ----------------------------------------------------------------
+
+
+def _packed(fields, w):
+    """sum_j fields[j] 2^(w j), built independently of grid._Packing."""
+    return sum(v << (w * j) for j, v in enumerate(fields))
+
+
+@given(st.integers(2, 80), st.data())
+def test_packed_fields_decode_back_at_the_width_limits(w, data):
+    # an identity table (row i weights suffix i by 1) packs p through the
+    # columns, and the row differences t below them through row_shifts
+    edge = 2 ** (w - 1) - 1
+    values = st.sampled_from((edge, -edge)) | st.integers(-edge, edge)
+    t = data.draw(st.lists(values, max_size=5))
+    p = data.draw(st.lists(values, max_size=8))
+    pack = grid._Packing(w, len(t), (0,) * len(p), tuple(((i,), (1,), 1) for i in range(len(p))))
+    packed = sum(map(mul, p, pack.columns)) + sum(map(lshift, t, pack.row_shifts))
+    assert packed == _packed(t + p, w)
+    assert (pack.row(packed), pack.table(packed)) == (t, p)
+
+
+def _skip_case(draw, d):
+    """A shape over all of I(4, d), a tested depth k of it and a budget s, the
+    running extremes (values or None), Bernstein coefficients ps of that
+    depth's table, some at ties with an extreme, and a row's differences t
+    below them at the row depth."""
+    shape = grid._Shape(tuple(compositions(4, d)), 4, d)
+    k = draw(st.sampled_from((1,) if d == 2 else (1, 2)))
+    shape._build_table(k)
+    sizes = shape.sizes[k]
+    lo, hi = (draw(st.none() | st.integers(-40, 40)) for _ in range(2))
+    ps = []
+    for size in sizes:
+        near = [x * size for x in (lo, hi) if x is not None]
+        ps.append(draw(st.sampled_from(near) if near and draw(st.booleans()) else st.integers(-2000, 2000))
+                  + draw(st.integers(-1, 1)))
+    t = draw(st.lists(st.integers(-10**6, 10**6), min_size=shape.e + 1, max_size=shape.e + 1)) \
+        if k == 2 else []
+    return shape, k, draw(st.integers(1, 12)), lo, hi, ps, t
+
+
+@given(st.sampled_from((2, 3, 4)), st.data())
+def test_packed_skip_agrees_with_the_list_test(d, data):
+    # p_g > lo*size and p_g < hi*size for every g, and _quadratic_beaten at
+    # d = 2, with ties, untracked sides and negative extremes, at the least
+    # width that holds every tested field and at wider ones
+    shape, k, s, lo, hi, ps, t = _skip_case(data.draw, d)
+    fields = t + ps + [p - x * size - 1 for x in (lo, hi) if x is not None for p, size in zip(ps, shape.sizes[k])]
+    w = max(abs(v).bit_length() for v in fields) + 1 + data.draw(st.integers(0, 3))
+    low = None if lo is None else grid._Extreme(min, 1, lo)
+    high = None if hi is None else grid._Extreme(max, 1, hi)
+    pack = shape.packing(k, w)
+    got = shape.skip(k, _packed(t + ps, w), s, low, high, pack)
+    assert got == (comb(s + 4 - k - 1, 4 - k - 1) if shape._loses(k, ps, low, high) else 0)
+
+
+def _node_coefficients(shape, root, r):
+    """(depth, budget, coefficients) of every node of depth 1..n-2 of the
+    prefix tree at denominator r."""
+    n = shape.n
+    frontier = [(root, r)]
+    for k in range(n - 2):
+        powers, width, extras, _ = shape.levels[k]
+        frontier = [(grid._child(coeffs, powers[a], width, extras), s - a)
+                    for coeffs, s in frontier for a in range(s + 1)]
+        yield from ((k + 1, s, coeffs) for coeffs, s in frontier)
+
+
+def _check_field_width(f, r):
+    """Every node's Bernstein coefficients, a stepped row's differences, and
+    each tested field against the extremes of largest size that a running
+    extreme can take lie strictly inside the signed fields of the sweep's
+    width."""
+    if f.n < 3:
+        f = HomogeneousPolynomial(3, f.d, {alpha + (0,) * (3 - f.n): c for alpha, c in f.coeffs.items()})
+    scale, coeffs = grid._integer_form(f)
+    shape = grid._Shape(tuple(coeffs), f.n, f.d)
+    shape.grow(r)
+    root = [coeffs[alpha] for alpha in shape.order]
+    half = 2 ** (grid._field_width(root, f.n, f.d, r) - 1)
+    values = [sum(c * prod(a**b for a, b in zip(alpha, beta)) for beta, c in coeffs.items())
+              for alpha in compositions(f.n, r)]
+    extremes = (min(values), max(values))
+    for k, s, child in _node_coefficients(shape, root, r):
+        fields = list(shape._bernstein(k, child, shape.power[s]))
+        tested = [p - x * size - 1 for x in extremes for p, size in zip(fields, shape.sizes[k])]
+        if k == f.n - 2 and s > shape.e:
+            fields += [sum(map(mul, child, w)) for w in shape.rows[s] or shape._row_table(s)]
+        assert all(abs(v) < half for v in fields + tested)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(max_n=5, max_d=4, coef_bound=10**6), st.integers(1, 8))
+def test_the_field_width_holds_every_field_a_sweep_decodes_or_tests(f, r):
+    _check_field_width(f, r)
+
+
+def test_the_field_width_holds_a_dense_form_of_equal_coefficients():
+    # all of I(n, d) with one coefficient: the node coefficients are as large
+    # as the bound's terms allow at once
+    for n, d, r in ((3, 4, 12), (4, 3, 9), (5, 2, 8)):
+        _check_field_width(HomogeneousPolynomial(n, d, {alpha: -7 for alpha in compositions(n, d)}), r)
+
+
+@given(polynomials(max_n=5, max_d=5), st.integers(6, 14))
+def test_stepped_packed_children_decode_to_their_own_coefficients(f, r):
+    # the root's children stepped from the packed differences at a = 0 decode,
+    # child by child, to the Bernstein coefficients and row differences that
+    # each child's own coefficients give
+    if f.n < 3:
+        f = HomogeneousPolynomial(3, f.d, {alpha + (0,) * (3 - f.n): c for alpha, c in f.coeffs.items()})
+    _, coeffs = grid._integer_form(f)
+    shape = grid._Shape(tuple(coeffs), f.n, f.d)
+    shape.grow(r)
+    root = [coeffs[alpha] for alpha in shape.order]
+    row = f.n == 3
+    pack, steps = shape.differences(0, root, r, 0, grid._field_width(root, f.n, f.d, r))
+    powers, width, extras, _ = shape.levels[0]
+    for a in range(r - shape.e if row else r + 1):
+        child, rest = grid._child(root, powers[a], width, extras), r - a
+        if pack.columns:
+            assert pack.table(steps[0]) == list(shape._bernstein(1, child, shape.power[rest]))
+        if row:
+            assert pack.row(steps[0]) == [sum(map(mul, child, w)) for w in shape.rows[rest] or shape._row_table(rest)]
+        for j in range(f.d):
+            steps[j] += steps[j + 1]
 
 
 # --- one shape per support, grown across r ------------------------------------------
