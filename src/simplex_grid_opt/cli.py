@@ -12,12 +12,13 @@ its stable-set search.  The guard is 10^8 points, or SGO_MAX_GRID when set;
 converge compares the total of all the grids it sweeps before the first one.
 expect sums no grid (its --bernstein value is closed form), so no guard
 applies to it.  These limits are fixed and refused before any work (exit 2):
-a sweep whose power table exceeds 10^9 bits (grid._check_degree; --force
-does not lift it), an enclosure (converge, enclose) at an elevation above 8
-or whose Bernstein table would hold more than 2 * 10^5 entries
-(bounds._enclosures), an expectation whose Stirling rows could exceed
-4 * 10^6 bits (hypergeom._expected_value), a bounds table of more than 10^5
-rows or whose coefficients could exceed 10^7 bits (bounds.bound_table), a
+a sweep whose power table could exceed 10^9 bits or whose row tables could
+exceed 4 * 10^9 (grid._check_sweep; --force does not lift them), an
+enclosure (converge, enclose) at an elevation above 8 or whose Bernstein
+table would hold more than 2 * 10^5 entries (bounds._enclosures), an
+expectation whose Stirling rows could exceed 4 * 10^6 bits
+(hypergeom._expected_value), a bounds table of more than 10^5 rows or whose
+coefficients could exceed 10^7 bits (bounds.bound_table), a
 verify run of more than 3 * 10^5 checks, and fewer than one thread (the
 library refuses it too).  An option or SGO_MAX_GRID value that does not
 parse is quoted to its first 40 characters (rational._head), and an integer
@@ -42,6 +43,7 @@ import os
 import random
 import sys
 from collections.abc import Iterable, Sequence
+from functools import cache
 
 from . import bounds as bounds_mod
 from . import identities as ident_mod
@@ -49,7 +51,7 @@ from .combin import composition_count
 from .grid import (
     DEFAULT_GRID_GUARD,
     GridTooLargeError,
-    _check_degree,
+    _check_sweep,
     _grid_size,
     grid_extrema,
     grid_maximize,
@@ -293,10 +295,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
 def _converge_guard(f: HomogeneousPolynomial, r_values: range,
                     params: bounds_mod.RangeAssumptions, guard: "int | None") -> None:
     """Refuse, before any sweep or Bernstein table, a converge run with an
-    r < 1, with a sweep past the degree bound (grid._check_degree), or whose
-    grids hold more than guard points in total: every r of the range, plus the
-    denominators that range_enclosures sweeps (bounds.swept_denominators)
-    outside it, each grid counted once as it is swept once.
+    r < 1, with a sweep past the degree or row-table bound at its largest
+    denominator (grid._check_sweep), or whose grids hold more than guard
+    points in total: every r of the range, plus the denominators that
+    range_enclosures sweeps (bounds.swept_denominators) outside it, each grid
+    counted once as it is swept once.
 
     The range is summed in closed form (hockey stick): sum over r = lo..hi of
     |I(n, r)| = |I(n + 1, hi)| - |I(n + 1, lo - 1)|, so a huge range costs
@@ -311,7 +314,7 @@ def _converge_guard(f: HomogeneousPolynomial, r_values: range,
         raise GridTooLargeError(
             f"the grids to sweep have {decimal_str(total)} points in all, budget is {guard}"
         )
-    _check_degree(f.d, max([hi, *swept]))
+    _check_sweep(f, max([hi, *swept]))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -587,9 +590,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
 def _verb_parser(verb: str) -> argparse.ArgumentParser:
     """The one verb's parser alone, as the full parser's subparser for it reads
-    the arguments after the verb: the same prog, options and messages."""
+    the arguments after the verb: the same prog, options and messages.  It is
+    built on the verb's first parse and kept: it depends on the verb alone,
+    and a parse leaves it as it was, so a process that runs many commands,
+    such as a test suite or a library caller of main, builds it once."""
     _, func, add_options = _VERBS[verb]
     parser = argparse.ArgumentParser(prog=f"sgo {verb}")
     add_options(parser)
@@ -597,22 +604,36 @@ def _verb_parser(verb: str) -> argparse.ArgumentParser:
     return parser
 
 
+def _option_action(options: "dict[str, argparse.Action]", token: str) -> "argparse.Action | None":
+    """The action that token names, as argparse reads an option string: in
+    full, or as the unique prefix of one "--" option (allow_abbrev).  None for
+    anything else, an ambiguous prefix included, which argparse reports."""
+    action = options.get(token)
+    if action is None and token.startswith("--") and "=" not in token:
+        matches = [option for option in options if option.startswith(token)]
+        if len(matches) == 1:
+            action = options[matches[0]]
+    return action
+
+
 def _attach_values(parser: argparse.ArgumentParser, argv: "list[str]") -> "list[str]":
-    """argv with every option of the parser that takes one value joined to a
-    following token that starts with "-" as "--option=value", unless that
-    token is one of the parser's own option strings.  So `--r-range -5:3`
-    reads as `--r-range=-5:3`, where argparse would take -5:3 for an option,
-    and `--r-range --format csv` still lacks its value."""
+    """argv with every option of the parser that takes one value, named in full
+    or by a unique prefix (_option_action), joined to a following token that
+    starts with "-" as "--option=value", unless that token names one of the
+    parser's options the same way or is "--", argparse's end of options.  So
+    `--r-range -5:3` and `--r-r -5:3` read as `--r-range=-5:3`, where
+    argparse would take -5:3 for an option, and `--r-range --format csv`,
+    `--r-range --form csv` and `--r-range --` still lack their value."""
     options = parser._option_string_actions
     out, tokens = [], iter(argv)
     for token in tokens:
         out.append(token)
-        action = options.get(token)
+        action = _option_action(options, token)
         if action is not None and action.nargs is None:  # one value follows
             value = next(tokens, None)
             if value is None:
                 break
-            if value.startswith("-") and value not in options:
+            if value.startswith("-") and value != "--" and _option_action(options, value) is None:
                 out[-1] = f"{token}={value}"
             else:
                 out.append(value)
@@ -620,11 +641,11 @@ def _attach_values(parser: argparse.ArgumentParser, argv: "list[str]") -> "list[
 
 
 def _parse(argv: "list[str]") -> argparse.Namespace:
-    """Parse with the called verb's parser alone, which builds no subparser.
-    Anything that parser cannot place, and any argv that does not start with a
-    verb, goes to the full parser, which prints the usage, help and errors.
-    A value that starts with "-" is attached to its option first
-    (_attach_values)."""
+    """Parse with the called verb's parser alone, which builds no subparser
+    and is built once per process (_verb_parser).  Anything that parser
+    cannot place, and any argv that does not start with a verb, goes to the
+    full parser, which prints the usage, help and errors.  A value that
+    starts with "-" is attached to its option first (_attach_values)."""
     if argv and argv[0] in _VERBS:
         parser = _verb_parser(argv[0])
         argv = argv[:1] + _attach_values(parser, argv[1:])

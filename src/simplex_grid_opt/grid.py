@@ -100,10 +100,13 @@ _bernstein_extrema reads in integers.
   kept in one cache for the few most recently used supports (_shape):
   converge, enclosures and bound checks sweep the same support at many
   denominators.  The suffix orders, gate sizes and Bernstein tables do not
-  depend on r at all.  The powers a^b (a <= r) are grown to the largest r
-  swept so far, adding only the missing entries, and a row table (s <= r) is
-  built the first time the walk reads it, so a run over r = 2..R builds each
-  of them once, and a walk that prunes most rows builds few.
+  depend on r at all.  The powers v^b (v <= r) are grown to the largest r
+  swept so far, adding only the missing entries; a depth's powers a^b of
+  its suffixes (a <= r) and a row table (s <= r) are each built the first
+  time the walk reads them, so a run over r = 2..R builds each of them once,
+  and a walk that prunes most of its grid builds few.  A sweep whose row
+  tables could pass a fixed bound is refused before any table
+  (_check_rows).
 
 Rows arrive in lex order, so the lex-first minimizers (capped) and exact tie
 counts fall out of min, max, count and index on each tabulated row, and out of
@@ -120,12 +123,12 @@ from __future__ import annotations
 import os
 import sys
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, islice, repeat, zip_longest
+from itertools import accumulate, compress, count, filterfalse, islice, repeat
 from math import comb, lcm
-from operator import gt, lshift, lt, mul, sub
+from operator import add, eq, floordiv, gt, itemgetter, lshift, lt, mod, mul, sub
 from threading import Lock
 
 from .combin import composition_count
@@ -162,14 +165,31 @@ _BOUND_ENTRIES_PER_POINT = 4
 _ROW_RUN = 3
 
 # The most bits a sweep's power table may hold, counted as (r + 1)(d + 1)
-# integers a^b (a <= r, b <= d) of d * bit_length(r) bits each; the row tables
-# grow with the same product.  The largest sweep of the test suite (n = 4,
-# d = 4, r = 80) measures 1.1e4.  At the bound, on a 2-vCPU Xeon VM, d = 2000
-# at r = 40 peaks at 60 MB RSS and d = 300 at r = 1000 at 79 MB (n = 2) or
+# integers a^b (a <= r, b <= d) of d * bit_length(r) bits each; the level
+# powers, built on first read, pick their entries from it, and the row
+# tables have their own bound below.  The largest sweep of the test suite
+# (n = 4, d = 4, r = 80) measures 1.1e4.  At the bound, on a 2-vCPU Xeon VM,
+# d = 2000 at r = 40 peaks at 60 MB RSS and d = 300 at r = 1000 at 79 MB (n = 2) or
 # 258 MB (n = 3, 47 s); d = 10^4 at r = 40 measures 2.5e10 and peaks at 1 GB.
 # A sweep above it is refused before any table is built, whatever the grid
 # size guard allows.
 _MAX_POWER_TABLE_BITS = 10**9
+
+# The most bits a sweep's row tables may hold, counted as R (min(s, e) + 1)
+# entries of d * bit_length(r) bits for each table rows[s] the sweep may
+# build (_check_rows), R the number of row suffixes and e their
+# largest degree: every s <= r for n >= 3, and s = r alone for n = 2.  The
+# largest sweep of the test suite, the scripts and the benchmark's seed-0 ops
+# (n = 3, d = 6, R = 28, r = 80) measures 6.4e5.  On a 2-vCPU Xeon VM, the
+# power-table bound's cases pass: x^300 + y^300 + z^300 at r = 1000 (R = 3,
+# 2.3e9) builds 1.1e9 bits of row tables in 50 s at 266 MB peak RSS, and
+# n = 2, d = 2000 at r = 40 measures 9.8e5, or 9.8e8 on the dense binary
+# form.  Near the bound, a 480-term n = 3, d = 100 form at r = 150 (3.9e9)
+# peaks at 361 MB in 15 s.  The dense random_polynomial(Random(0), 3, 100)
+# (R = 4887) at r = 150 measures 4.0e10 and ran to 3.49 GB RSS in 134 s
+# before this bound refused it.  A sweep above it is refused before any
+# table is built, whatever the grid size guard allows.
+_MAX_ROW_TABLE_BITS = 4 * 10**9
 
 class GridTooLargeError(RuntimeError):
     """Raised when a grid sweep would exceed the configured point budget."""
@@ -213,6 +233,38 @@ def _check_degree(d: int, r: int) -> None:
             f"degree {decimal_str(d)} is too high for a sweep at r = {decimal_str(r)}: "
             f"its power table would exceed {_MAX_POWER_TABLE_BITS} bits"
         )
+
+
+def _check_rows(shape: "_Shape", r: int) -> None:
+    """Refuse (ValueError) a sweep of the shape at denominator r whose row
+    tables could exceed _MAX_ROW_TABLE_BITS: rows[s] holds min(s, e) + 1
+    lists of R entries, counted at d * bit_length(r) bits each, and a sweep of
+    n >= 3 may build it for every s <= r, one of n = 2 only for s = r, its one
+    row.  The message gives the row suffix count and r to 20 significant
+    digits, as _check_degree does."""
+    count, e = len(shape.row_suffixes), shape.e
+    if shape.n == 2:
+        lists = min(r, e) + 1
+    else:
+        m = min(r, e)
+        lists = (m + 1) * (m + 2) // 2 + (r - m) * (e + 1)  # sum over s <= r of min(s, e) + 1
+    if count * lists * shape.d * r.bit_length() > _MAX_ROW_TABLE_BITS:
+        raise ValueError(
+            f"{decimal_str(count)} row suffixes of degree up to {decimal_str(e)} are too many "
+            f"for a sweep at r = {decimal_str(r)}: its row tables would exceed "
+            f"{_MAX_ROW_TABLE_BITS} bits"
+        )
+
+
+def _check_sweep(f: HomogeneousPolynomial, r: int) -> None:
+    """Refuse (ValueError) a sweep of f at denominator r past the degree bound
+    (_check_degree) or the row-table bound (_check_rows), before any table is
+    built; the shape it reads is the one the sweep will use (_shape).  Every
+    sweep checks both here: grid_extrema and its kin at their r, converge at
+    its largest."""
+    _check_degree(f.d, r)
+    if f.n > 1:
+        _check_rows(_shape(tuple(f.coeffs), f.n, f.d), r)
 
 
 class _Extreme:
@@ -282,38 +334,37 @@ class _Extreme:
         self.points += islice(points, self.cap - len(self.points))
 
 
-def _suffix_orders(support: "tuple[tuple[int, ...], ...]", rows: "list[tuple[int, int]]", n: int):
+def _suffix_orders(support: "tuple[tuple[int, ...], ...]", rows: "list[tuple[int, int]]", n: int,
+                   d: int):
     """The coefficient lists of the prefix tree, from depth n - 3 up to the root.
 
     At depth n - 2 the list holds one entry per row suffix (b, c) in `rows`.
     Each depth k <= n - 3 yields (lead, child, degrees, width, extras, slot): entry i
     stands for the suffix (lead[i],) + (suffix child[i] of depth k + 1), of
-    degree degrees[i]; the first `width` entries have child[i] = i, and
-    extras lists the (child, entry) pairs of the rest.  slot[t] is the entry
-    of support[t].  Suffixes are tracked by index, so a depth costs time linear
-    in the support, whatever n is.
+    degree degrees[i]; the first `width` entries have child[i] = i and its
+    least exponent, and extras lists the (child, entry) pairs of the rest, in
+    the order of (child, exponent).  slot[t] is the entry of support[t].
+    Suffixes are tracked by index, and a (child, exponent) pair as the one
+    integer child (d + 1) + exponent, as no exponent passes d; so a depth
+    costs one sort of the support's distinct pairs, whatever n is.
     """
-    index = {suffix: j for j, suffix in enumerate(rows)}
-    slot = [index[alpha[-2:]] for alpha in support]
+    base = d + 1
+    index = {b * base + c: j for j, (b, c) in enumerate(rows)}
+    slot = [index[alpha[-2] * base + alpha[-1]] for alpha in support]
     degrees = [b + c for b, c in rows]
     for k in range(n - 3, -1, -1):
-        found = defaultdict(set)
-        for alpha, j in zip(support, slot):
-            found[j].add(alpha[k])
+        keys = list(map(add, map(mul, slot, repeat(base)), map(itemgetter(k), support)))
         width = len(degrees)
-        exponents = [sorted(found[j]) for j in range(width)]
-        lead = [bs[0] for bs in exponents]
-        child = list(range(width))
-        extras = []
-        for j, bs in enumerate(exponents):
-            for b in bs[1:]:
-                extras.append((j, len(lead)))
-                lead.append(b)
-                child.append(j)
-        index = {(b, j): i for i, (b, j) in enumerate(zip(lead, child))}
-        slot = [index[alpha[k], j] for alpha, j in zip(support, slot)]
-        degrees = [b + degrees[j] for b, j in zip(lead, child)]
-        yield lead, child, degrees, width, tuple(extras), slot
+        pairs = sorted(set(keys))  # by child, then exponent
+        least = dict(zip(map(floordiv, reversed(pairs), repeat(base)), reversed(pairs)))
+        firsts = list(map(least.__getitem__, range(width)))  # each child's pair of least exponent
+        rest = list(filterfalse(set(firsts).__contains__, pairs))
+        child = [*range(width), *map(floordiv, rest, repeat(base))]
+        lead = list(map(mod, firsts + rest, repeat(base)))
+        index = dict(zip(firsts + rest, count()))
+        slot = list(map(index.__getitem__, keys))
+        degrees = list(map(add, lead, map(degrees.__getitem__, child)))
+        yield lead, child, degrees, width, tuple(zip(child[width:], count(width))), slot
 
 
 def _table_entries(m: int, d: int, degrees: "list[int]") -> int:
@@ -448,8 +499,10 @@ def _bernstein_extrema(f: HomogeneousPolynomial, k: int) -> "tuple[Fraction, Fra
 class _Shape:
     """Integer tables for sweeping any polynomial with a given support.  They
     do not depend on the coefficients, and only the power and row tables
-    depend on r: grow(r) extends the powers to the grid with denominator r and
-    makes room for its rows.
+    depend on r: grow(r) extends the powers v^b to the grid with denominator
+    r and makes room for its level powers and rows.  Each table is built
+    where the walk first reads it, so a new support pays for what its sweep
+    reads and no more.
 
     At depth k of the prefix tree (alpha_0..alpha_{k-1} fixed), L*f is held
     as one coefficient per distinct exponent suffix beta[k:], listed as in
@@ -458,7 +511,10 @@ class _Shape:
     levels[k] = (powers, width, extras, zero) holds the powers a^b per
     a = 0..r, the child count, the (child, entry) pairs to add, and the
     entries whose child suffix is all zero (the point reached when the budget
-    runs out).  `order` lists the monomials in root order.
+    runs out).  powers[a] is None until the walk first reads it
+    (_lead_powers): a stepped child builds its coefficients only when the
+    walk descends into it, so a sweep reads about a third of them.  `order`
+    lists the monomials in root order.
 
     rows[s] holds, for each row suffix (b, c), the values of v^b (s - v)^c at
     v = 0..s when s <= e, and otherwise its forward differences of order
@@ -488,12 +544,12 @@ class _Shape:
         order = row_suffixes  # n = 2: the row suffixes are the monomials
         tail = {j for j, (b, _) in enumerate(row_suffixes) if b == 0}
         for k, (lead, child, degrees, width, extras, slot) in zip(
-            range(n - 3, -1, -1), _suffix_orders(support, row_suffixes, n)
+            range(n - 3, -1, -1), _suffix_orders(support, row_suffixes, n, d)
         ):
-            levels.append(((), width, extras, tuple(i for i, b in enumerate(lead) if b == degrees[i])))
+            levels.append(([], width, extras, tuple(compress(count(), map(eq, lead, degrees)))))
             links.append((lead, child))
-            tail = {i for i, (b, j) in enumerate(zip(lead, child)) if b == 0 and j in tail}
             if k:
+                tail = {i for i, (b, j) in enumerate(zip(lead, child)) if b == 0 and j in tail}
                 entries[k] = _table_entries(n - k, d, degrees)
                 tails[k] = tuple((i, degrees[i]) for i in sorted(tail))
             else:
@@ -513,34 +569,43 @@ class _Shape:
         self._lock = Lock()
 
     def grow(self, r: int) -> None:
-        """Extend the power tables to the grid with denominator r, and rows to
-        r + 1 slots, each None until read (_row_table).
+        """Extend the powers v^b to v <= r, and the level powers and rows to r +
+        1 slots, each None until read (_lead_powers, _row_table).  The
+        sweep's caller has checked the row-table bound (_check_sweep).
 
-        Only the powers of the a not covered yet are built, and those for
-        smaller r stay as they are.  levels are only ever replaced by longer
-        tuples with the same entries in front, and rows only ever lengthened,
-        so a sweep that read them after growing to its r may go on reading
-        them while another thread grows them further.
+        Only the powers of the v not covered yet are built, and those for
+        smaller r stay as they are.  The level powers and rows are lists that
+        are only ever lengthened in place, so a sweep that read them after
+        growing to its r may go on reading them while another thread grows
+        them further.
         """
         with self._lock:
             if len(self.rows) > r:
                 return
             power, d, have = self.power, self.d, len(self.power)
             power += [tuple(accumulate(repeat(v, d), mul, initial=1)) for v in range(have, r + 1)]
-            self.levels = tuple(
-                (powers + tuple(tuple(map(power[a].__getitem__, lead)) for a in range(have, r + 1)),
-                 width, extras, zero)
-                for (powers, width, extras, zero), (lead, _) in zip(self.levels, self.links)
-            )
-            self.rows += [None] * (r + 1 - len(self.rows))
+            unread = [None] * (r + 1 - have)
+            for powers, *_ in self.levels:
+                powers += unread
+            self.rows += unread
+
+    def _lead_powers(self, k: int, a: int) -> "tuple[int, ...]":
+        """levels[k][0][a], the powers a^b of the entries of depth k, built on
+        its first read and kept.  The build is idempotent, so threads may race
+        on it: a sweep reads about a third of them, as a stepped child is
+        built only when the walk descends into it."""
+        power = self.power[a]
+        powers = self.levels[k][0][a] = tuple([power[b] for b in self.links[k][0]])
+        return powers
 
     def _row_table(self, s: int) -> "tuple[list[int], ...]":
         """rows[s], from the powers of v = 0..s, built on its first read and
         kept.  The build is idempotent, so threads may race on it."""
-        power, e = self.power, self.e
-        values = [[power[v][b] * power[s - v][c] for b, c in self.row_suffixes]
-                  for v in range(min(s, e) + 1)]
-        table = self.rows[s] = tuple(values if s <= e else _forward_differences(values))
+        power, suffixes, values = self.power, self.row_suffixes, []
+        for v in range(min(s, self.e) + 1):
+            left, right = power[v], power[s - v]
+            values.append([left[b] * right[c] for b, c in suffixes])
+        table = self.rows[s] = tuple(values if s <= self.e else _forward_differences(values))
         return table
 
     def feed_row(self, tracked: "list[_Extreme]", coeffs: "list[int]", prefix: "tuple[int, ...]",
@@ -657,7 +722,7 @@ class _Shape:
         row = k == self.n - 3
         values = []
         for b in range(a, a + self.d + 1):
-            child, rest = _child(coeffs, powers[b], width, extras), s - b
+            child, rest = _child(coeffs, powers[b] or self._lead_powers(k, b), width, extras), s - b
             power = self.power[rest]
             value = sum(map(mul, map(mul, child, map(power.__getitem__, pack.degrees)), pack.columns))
             if row:
@@ -745,21 +810,22 @@ class _Packing:
 
     def __init__(self, w: int, offset: int, degrees: "tuple[int, ...]", rows: "tuple[tuple, ...]") -> None:
         fields = offset + len(rows)
-        self.half, self.mask = 1 << (w - 1), (1 << w) - 1
-        self.low = (1 << w * offset) - 1
+        self.half, self.mask = half, mask = 1 << (w - 1), (1 << w) - 1
+        self.low = low = (1 << w * offset) - 1
         self.row_shifts = range(0, w * offset, w)
         self.shifts = shifts = range(w * offset, w * fields, w)
-        self.bias = sum(self.half << shift for shift in range(0, w * fields, w))
-        columns = [[] for _ in degrees]  # (field shift, weight) per suffix
+        every = ((1 << w * fields) - 1) // mask  # 1 in every field: (2^(wF) - 1)/(2^w - 1)
+        ones = every - low // mask  # 1 in every table field
+        self.bias = every * half
+        self.ones = ones - self.bias  # 1 in every table field, less half in every field
+        self.top = ones * half  # the top bit of every table field
+        columns = [[] for _ in degrees]  # each suffix's weights, shifted to their fields
         for shift, (index, weights, _) in zip(shifts, rows):
             for i, weight in zip(index, weights):
-                columns[i].append((shift, weight))
+                columns[i].append(weight << shift)
         self.degrees = degrees
-        self.columns = [sum(weight << shift for shift, weight in column) for column in columns]
-        self.sizes = sum(size << shift for shift, (_, _, size) in zip(shifts, rows))
-        ones = sum(1 << shift for shift in shifts)
-        self.ones = ones - self.bias  # 1 in every table field, less half in every field
-        self.top = ones * self.half  # the top bit of every table field
+        self.columns = list(map(sum, columns))
+        self.sizes = sum(map(lshift, map(itemgetter(2), rows), shifts))
 
     def beats(self, p: int, low: "_Extreme | None", high: "_Extreme | None") -> bool:
         """Whether every Bernstein coefficient packed in p is strictly worse
@@ -939,7 +1005,8 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
                 elif k == row_parent:  # a row longer than e + 1
                     shape.feed_differences(tracked, pack.row(stepped), prefix + (a,), rest)
                 else:
-                    enter(k + 1, _child(coeffs, powers[a], width, extras), rest, prefix + (a,), 0, rest + 1)
+                    child = _child(coeffs, powers[a] or shape._lead_powers(k, a), width, extras)
+                    enter(k + 1, child, rest, prefix + (a,), 0, rest + 1)
                     break
             else:
                 stack.pop()
@@ -947,7 +1014,7 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
         for a in alphas:
             rest = s - a
             here = prefix + (a,)
-            power = powers[a]
+            power = powers[a] or shape._lead_powers(k, a)
             if rest == 0:
                 value = sum(map(mul, map(coeffs.__getitem__, zero), map(power.__getitem__, zero)))
                 point = here + (0,) * (n - k - 1)
@@ -1041,7 +1108,7 @@ def _grid_extremes(f: HomogeneousPolynomial, r: int, picks: tuple, threads: int,
         raise ValueError(f"threads must be at least 1, got {decimal_str(threads)}")
     cap = min(cap, sys.maxsize)  # no list holds more points, and islice takes no more
     total = _grid_size(f.n, r, max_points)
-    _check_degree(f.d, r)
+    _check_sweep(f, r)
     extremes, denominator, _ = _sweep(f, r, threads, cap, picks)
     return [
         GridMinResult(

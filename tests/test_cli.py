@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 from simplex_grid_opt import (
-    Graph, bounds, cli, grid, hypergeom, load_polynomial,
+    Graph, bounds, cli, grid, hypergeom, load_polynomial, random_polynomial,
 )
 from simplex_grid_opt.stableset import parse_graph_text
 from simplex_grid_opt import identities as ident_mod
@@ -355,7 +356,7 @@ def test_option_errors_quote_the_start_of_a_long_value(capsys, argv, error):
     assert err == f"error: {error}, got '3:2'\n"
 
 
-@pytest.mark.parametrize("argv, error", [
+DASH_VALUES = pytest.mark.parametrize("argv, error", [
     (("bounds", "--d", "3", "--r-range", "-5:3"), "grid denominator must be positive, got -5"),
     (("bounds", "--d", "3", "--r-range", "2", "--m-range", "-1:3"),
      "reference denominator must be positive, got -1"),
@@ -363,12 +364,72 @@ def test_option_errors_quote_the_start_of_a_long_value(capsys, argv, error):
     (("expect", "--poly", GAP, "--r", "4", "--bernstein", "--x", "-1/2,3/2"),
      "point must lie on the standard simplex"),
 ], ids=["r-range", "m-range", "counts", "x"])
+
+
+@DASH_VALUES
 def test_a_value_starting_with_a_dash_reads_as_after_an_equals_sign(capsys, argv, error):
     # argparse takes "-5:3" after a space for an option ("expected one
     # argument"); the value reaches the program's own check in both forms
     spaced = run(capsys, *argv)
     joined = run(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}")
     assert spaced == joined == (EXIT_CONFIG, "", f"error: {error}\n")
+
+
+def _unique_prefixes(verb: str, option: str) -> "list[str]":
+    """Every prefix of option, itself included, that argparse's allow_abbrev
+    reads as option alone among the verb's option strings."""
+    options = cli._verb_parser(verb)._option_string_actions
+    return [option[:end] for end in range(3, len(option) + 1)
+            if [o for o in options if o.startswith(option[:end])] == [option]]
+
+
+@DASH_VALUES
+def test_a_dash_leading_value_after_an_abbreviated_option_reads_as_after_an_equals_sign(
+    capsys, argv, error
+):
+    # "--r-r -5:3" as "--r-r=-5:3": argparse expands a unique prefix, and so
+    # the value is attached after one as after the option in full
+    option, value = argv[-2:]
+    prefixes = _unique_prefixes(argv[0], option)
+    assert option in prefixes and (len(prefixes) > 1) == (option != "--x")
+    for prefix in prefixes:
+        spaced = run(capsys, *argv[:-2], prefix, value)
+        joined = run(capsys, *argv[:-2], f"{prefix}={value}")
+        assert spaced == joined == (EXIT_CONFIG, "", f"error: {error}\n")
+
+
+def test_an_abbreviated_option_after_a_value_option_is_still_an_option(capsys):
+    # "--form" names --format as argparse reads it, so it is not taken for
+    # --r-range's value, as "--format" in full is not
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--d", "3", "--r-range", "--form", "csv"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "argument --r-range: expected one argument" in capsys.readouterr().err
+
+
+def test_a_double_dash_after_a_value_option_is_left_to_argparse(capsys):
+    # "--" ends the options for argparse, so it is not taken for a value
+    # either: --r-range lacks one, as argparse alone reports
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--d", "3", "--r-range", "--"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "argument --r-range: expected one argument" in capsys.readouterr().err
+
+
+def test_an_ambiguous_prefix_before_a_dash_leading_value_is_left_to_argparse(capsys):
+    # --assume-m names two options: argparse's own error, byte for byte as the
+    # full parser prints it, and no value is attached to either
+    argv = ["converge", "--poly", GAP, "--r-range", "2", "--assume-m", "-3"]
+    assert cli._attach_values(cli._verb_parser("converge"), argv[1:]) == argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_CONFIG
+    assert err.endswith("sgo converge: error: ambiguous option: --assume-m could match "
+                        "--assume-min-denominator, --assume-max-denominator\n")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert capsys.readouterr().err == err
 
 
 def test_an_option_string_after_a_value_option_is_still_an_option(capsys):
@@ -742,6 +803,8 @@ def test_verify_writes_each_check_as_it_is_made(monkeypatch, fmt):
 def test_verify_builds_no_fraction(capsys, monkeypatch):
     # every identity side is an int or an integer pair, decided by cross-multiplying
     # and rendered with one gcd, so no Fraction is made at all
+    # (from Python 3.12 on, Fraction arithmetic builds its results through
+    # _from_coprime_ints and not __new__, so that is counted too)
     built = []
     new = Fraction.__new__
 
@@ -750,6 +813,14 @@ def test_verify_builds_no_fraction(capsys, monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            built.append(args)
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
     assert Fraction(1, 3) + Fraction(1, 6) == Fraction(1, 2) and len(built) == 4  # all counted
     built.clear()
     code, out, _ = run(capsys, "verify", "--witness-polys", "0", "--max-m", "6", "--max-d", "4")
@@ -1560,8 +1631,10 @@ ENTRY_POINT_ARGV = [
 @pytest.mark.parametrize("argv", [*ENTRY_POINT_ARGV, ENTRY_POINT_ARGV[3] + ("--bogus",)],
                          ids=[*cli._VERBS, "bogus"])
 def test_main_builds_only_the_called_verbs_parser(capsys, monkeypatch, argv):
-    # a run builds the verb's parser alone and no subparser; a leftover
-    # argument builds every verb's subparser, for the error
+    # a run builds the verb's parser alone and no subparser, and the next run
+    # of that verb builds none; a leftover argument builds every verb's
+    # subparser, for the error, each time
+    cli._verb_parser.cache_clear()
     added, built = [], []
     add_parser = argparse._SubParsersAction.add_parser
     init = argparse.ArgumentParser.__init__
@@ -1577,12 +1650,19 @@ def test_main_builds_only_the_called_verbs_parser(capsys, monkeypatch, argv):
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
     verb_prog = f"sgo {argv[0]}"
+    full = ["sgo", *(f"sgo {verb}" for verb in cli._VERBS)]
     if "--bogus" in argv:
         with pytest.raises(SystemExit):
             main(list(argv))
         assert added == list(cli._VERBS)
-        assert built == [verb_prog, "sgo", *(f"sgo {verb}" for verb in cli._VERBS)]
+        assert built == [verb_prog, *full]
+        with pytest.raises(SystemExit):
+            main(list(argv))
+        assert added == list(cli._VERBS) * 2
+        assert built == [verb_prog, *full, *full]
     else:
+        assert main(list(argv)) == EXIT_OK
+        assert added == [] and built == [verb_prog]
         assert main(list(argv)) == EXIT_OK
         assert added == [] and built == [verb_prog]
     capsys.readouterr()
@@ -1696,6 +1776,43 @@ def test_usage_and_parse_error_bytes_are_pinned(capsys, monkeypatch, case):
     assert digest == _parse_exit(capsys, cli.build_parser().parse_args, argv)
     if sys.version_info[:2] == (3, 11):  # argparse's layout differs between versions
         assert digest == PARSER_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_CASES))
+def test_a_kept_verb_parser_prints_the_same_bytes_again(capsys, monkeypatch, case):
+    # each verb's parser is built once and kept (cli._verb_parser): a second
+    # run of a case, and a run after a parse that succeeded with the kept
+    # parser, print the bytes of the first run
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = PARSER_CASES[case]
+    cli._verb_parser.cache_clear()
+    first = _parse_exit(capsys, main, argv)
+    assert _parse_exit(capsys, main, argv) == first
+    if argv and argv[0] in _VERB_ARGS:
+        args = cli._parse([argv[0], *_VERB_ARGS[argv[0]][0]])
+        assert args.verb == argv[0]
+        assert _parse_exit(capsys, main, argv) == first
+    if sys.version_info[:2] == (3, 11):  # argparse's layout differs between versions
+        assert first == PARSER_DIGESTS[case]
+
+
+def test_a_sweep_past_the_row_table_bound_exits_2_before_any_table(capsys, monkeypatch, tmp_path):
+    # grid-min refuses the dense degree-100 form at r = 150, and converge
+    # refuses it in its guard, at the largest r, before any enclosure
+    def fail(*args, **kwargs):
+        raise AssertionError("tables built past the row-table bound")
+
+    poly = tmp_path / "dense.json"
+    poly.write_text(json.dumps(to_json_dict(random_polynomial(random.Random(0), 3, 100))))
+    monkeypatch.setattr(bounds, "_enclosures", fail)
+    for name in ("_row_table", "_lead_powers", "_build_table"):
+        monkeypatch.setattr(grid._Shape, name, fail)
+    grid._shape.cache_clear()
+    error = ("error: 4887 row suffixes of degree up to 100 are too many for a sweep at r = 150: "
+             "its row tables would exceed 4000000000 bits\n")
+    for argv in (("grid-min", "--r", "150"), ("converge", "--r-range", "2:150"),
+                 ("converge", "--r-range", "2:3", "--grid", "150")):
+        assert run(capsys, argv[0], "--poly", str(poly), *argv[1:]) == (EXIT_CONFIG, "", error)
 
 
 def test_size_guard_env_and_force(capsys, monkeypatch):

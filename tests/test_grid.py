@@ -1000,7 +1000,7 @@ def _node_coefficients(shape, root, r):
     frontier = [(root, r)]
     for k in range(n - 2):
         powers, width, extras, _ = shape.levels[k]
-        frontier = [(grid._child(coeffs, powers[a], width, extras), s - a)
+        frontier = [(grid._child(coeffs, powers[a] or shape._lead_powers(k, a), width, extras), s - a)
                     for coeffs, s in frontier for a in range(s + 1)]
         yield from ((k + 1, s, coeffs) for coeffs, s in frontier)
 
@@ -1056,7 +1056,7 @@ def test_stepped_packed_children_decode_to_their_own_coefficients(f, r):
     pack, steps = shape.differences(0, root, r, 0, grid._field_width(root, f.n, f.d, r))
     powers, width, extras, _ = shape.levels[0]
     for a in range(r - shape.e if row else r + 1):
-        child, rest = grid._child(root, powers[a], width, extras), r - a
+        child, rest = grid._child(root, powers[a] or shape._lead_powers(0, a), width, extras), r - a
         if pack.columns:
             assert pack.table(steps[0]) == list(shape._bernstein(1, child, shape.power[rest]))
         if row:
@@ -1102,14 +1102,23 @@ def _eager_rows(shape, r):
     return rows
 
 
+def _eager_powers(shape, r):
+    """Per depth, the powers a^b of its entries for a = 0..r, built eagerly."""
+    return [[tuple(a**b for b in lead) for a in range(r + 1)] for lead, _ in shape.links]
+
+
 def _assert_grown_like_fresh(shape, f, r):
     """For s <= r the grown shape holds the levels of one built at r, and every
-    row its sweeps read equals that row built eagerly."""
+    level power and row its sweeps read equals that one built eagerly."""
     fresh = grid._Shape(tuple(f.coeffs), f.n, f.d)
     fresh.grow(r)
     assert len(shape.levels) == len(fresh.levels) == max(f.n - 2, 0)
-    for (powers, *rest), (fresh_powers, *fresh_rest) in zip(shape.levels, fresh.levels):
-        assert powers[: r + 1] == fresh_powers and rest == fresh_rest
+    assert shape.links == fresh.links
+    for (powers, *rest), (fresh_powers, *fresh_rest), eager in zip(
+        shape.levels, fresh.levels, _eager_powers(shape, r)
+    ):
+        assert rest == fresh_rest and fresh_powers == [None] * (r + 1)  # nothing read yet
+        assert len(powers) > r and all(power in (None, want) for power, want in zip(powers, eager))
     assert len(shape.rows) > r and fresh.rows == [None] * (r + 1)  # nothing read yet
     eager = _eager_rows(shape, r)
     for s in range(r + 1):
@@ -1222,6 +1231,57 @@ def test_rows_read_in_any_order_equal_rows_built_eagerly(f, r, rng, threads):
     assert shape.rows == eager
 
 
+@settings(max_examples=40, deadline=None)
+@given(polynomials(max_n=6, max_d=4), st.integers(1, 30), st.randoms(use_true_random=False),
+       st.integers(1, 4))
+def test_level_powers_read_in_any_order_equal_powers_built_eagerly(f, r, rng, threads):
+    # a depth's powers a^b are built on their first read and kept; threads
+    # reading them in their own orders, racing on each build, all see the
+    # powers built eagerly
+    if f.n < 3:
+        return
+    shape = grid._Shape(tuple(f.coeffs), f.n, f.d)
+    shape.grow(r)
+    eager = _eager_powers(shape, r)
+    orders = [rng.sample([(k, a) for k in range(f.n - 2) for a in range(r + 1)], (f.n - 2) * (r + 1))
+              for _ in range(threads)]
+    seen = [[] for _ in orders]
+
+    def read(t):
+        for k, a in orders[t]:
+            seen[t].append((k, a, shape.levels[k][0][a] or shape._lead_powers(k, a)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=read, args=(t,)) for t in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for order, got in zip(orders, seen):
+        assert [(k, a) for k, a, _ in got] == order
+        assert all(powers == eager[k][a] for k, a, powers in got)
+    assert [powers for powers, *_ in shape.levels] == eager
+
+
+def test_a_sweep_builds_only_the_level_powers_it_reads():
+    # a stepped child's coefficients are built only when the walk descends
+    # into it, so a sweep that prunes most of its grid reads few level powers
+    f, r = random_polynomial(random.Random(0), 5, 3), 16
+    grid._shape.cache_clear()
+    low, high = grid_extrema(f, r)
+    assert [(x.value, x.minimizers, x.tie_count) for x in (low, high)] == \
+        naive_extremes(f, r, grid.MINIMIZER_CAP)
+    shape = grid._shape(tuple(f.coeffs), f.n, f.d)
+    built = sum(powers is not None for level in shape.levels for powers in level[0])
+    assert 0 < built <= len(shape.levels) * (r + 1) // 2
+    _assert_grown_like_fresh(shape, f, r)
+
+
 # --- workers and guards -----------------------------------------------------------
 
 
@@ -1295,6 +1355,51 @@ def test_range_enclosures_checks_guard_before_building_the_table(monkeypatch):
     monkeypatch.setattr(bounds, "_bernstein_extrema", fail)
     with pytest.raises(GridTooLargeError):
         range_enclosures(sum_of_squares(4), RangeAssumptions(elevation=2, grid=10), max_points=50)
+
+
+def test_the_row_table_bound_refuses_a_dense_sweep_before_any_table(monkeypatch):
+    # the dense random form of degree 100 in 3 variables has 4887 row
+    # suffixes: at r = 150 its row tables could hold 4.0e10 bits, so every
+    # sweep of it is refused at once, before a power, level power, row or
+    # Bernstein table is built
+    def fail(*args):
+        raise AssertionError("sweep tables built past the row-table bound")
+
+    f = random_polynomial(random.Random(0), 3, 100)
+    for name in ("_row_table", "_lead_powers", "_build_table"):
+        monkeypatch.setattr(grid._Shape, name, fail)
+    grid._shape.cache_clear()
+    for sweep in (grid_minimize, grid_maximize, grid_extrema):
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="^4887 row suffixes of degree up to 100 are too many "
+                               "for a sweep at r = 150: its row tables would exceed 4000000000 bits$"):
+                sweep(f, 150, threads=threads)
+    shape = grid._shape(tuple(f.coeffs), 3, 100)
+    assert shape.power == [] and shape.rows == []
+    with pytest.raises(ValueError, match="row tables"):
+        grid._check_sweep(f, 150)
+    grid._check_sweep(f, 40)  # 2.5e9 bits at r = 40
+    # the largest sweep of this suite (n = 3, d = 6, 28 row suffixes, r = 80)
+    # is far below the bound: each suffix has 28 entries in the tables of
+    # s <= 6 and 7 in each later one
+    assert 28 * (28 + 74 * 7) * 6 * (80).bit_length() < grid._MAX_ROW_TABLE_BITS // 10**3
+
+
+def test_the_row_table_bound_admits_the_power_table_bounds_cases():
+    # the sweeps at the power-table bound still run: a sweep of n = 2 builds
+    # only the row table of its own r, so the dense binary forms of degree 2000
+    # at r = 40 (9.8e8 bits) and of degree 300 on the 11-point grid of r = 10
+    # pass, and x^300 + y^300 + z^300 at r = 1000 measures 2.3e9
+    def dense(d):
+        return HomogeneousPolynomial(2, d, {(i, d - i): 1 for i in range(d + 1)})
+
+    powers = HomogeneousPolynomial(3, 300, {(300, 0, 0): 1, (0, 300, 0): 1, (0, 0, 300): 1})
+    for f, r in ((dense(2000), 40), (powers, 1000)):
+        grid._check_sweep(f, r)
+    pair = HomogeneousPolynomial(2, 2000, {(2000, 0): 1, (0, 2000): 1})
+    assert grid_minimize(pair, 40).value == Fraction(2, 2**2000)
+    least = min(sum(v**i * (10 - v) ** (300 - i) for i in range(301)) for v in range(11))
+    assert grid_minimize(dense(300), 10).value == Fraction(least, 10**300)
 
 
 def test_the_degree_bound_refuses_a_sweep_before_any_table(monkeypatch):
