@@ -42,7 +42,7 @@ import json
 import os
 import random
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
 
 from . import bounds as bounds_mod
@@ -616,28 +616,30 @@ def _option_action(options: "dict[str, argparse.Action]", token: str) -> "argpar
     return action
 
 
-def _attach_values(parser: argparse.ArgumentParser, argv: "list[str]") -> "list[str]":
-    """argv with every option of the parser that takes one value, named in full
-    or by a unique prefix (_option_action), joined to a following token that
-    starts with "-" as "--option=value", unless that token names one of the
-    parser's options the same way or is "--", argparse's end of options.  So
+def _attach_values(parser: argparse.ArgumentParser, argv: "list[str]") -> "Iterator[str]":
+    """The tokens of argv, with every option of the parser that takes one
+    value, named in full or by a unique prefix (_option_action), joined to a
+    following token that starts with "-" as "--option=value", unless that
+    token names one of the parser's options the same way or is "--",
+    argparse's end of options, and split from a "--" joined to it.  So
     `--r-range -5:3` and `--r-r -5:3` read as `--r-range=-5:3`, where
     argparse would take -5:3 for an option, and `--r-range --format csv`,
-    `--r-range --form csv` and `--r-range --` still lack their value."""
+    `--r-range --form csv`, `--r-range --` and `--r-r=--` all lack their
+    value, where argparse alone would read the last as an empty list."""
     options = parser._option_string_actions
-    out, tokens = [], iter(argv)
+    tokens = iter(argv)
     for token in tokens:
-        out.append(token)
-        action = _option_action(options, token)
-        if action is not None and action.nargs is None:  # one value follows
+        name, joined, value = token.partition("=")
+        action = _option_action(options, name)
+        if action is None or action.nargs is not None:  # no value to attach: the token stays
+            name, value = token, None
+        elif not joined:  # the value follows, if any
             value = next(tokens, None)
-            if value is None:
-                break
-            if value.startswith("-") and value != "--" and _option_action(options, value) is None:
-                out[-1] = f"{token}={value}"
-            else:
-                out.append(value)
-    return out
+            joined = value is not None and value.startswith("-") and _option_action(options, value) is None
+        if joined and value not in (None, "--"):
+            yield f"{name}={value}"
+        else:  # apart, for argparse to read the value or report it missing
+            yield from (name,) if value is None else (name, value)
 
 
 def _parse(argv: "list[str]") -> argparse.Namespace:
@@ -648,7 +650,7 @@ def _parse(argv: "list[str]") -> argparse.Namespace:
     starts with "-" is attached to its option first (_attach_values)."""
     if argv and argv[0] in _VERBS:
         parser = _verb_parser(argv[0])
-        argv = argv[:1] + _attach_values(parser, argv[1:])
+        argv = [*argv[:1], *_attach_values(parser, argv[1:])]
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:
             return args

@@ -33,80 +33,77 @@ _bernstein_extrema reads in integers.
   few integer operations however long it is (_Extreme.add_quadratic).  For e
   >= 3, e prefix-sum passes rebuild h(0..s).  Shorter rows are evaluated
   directly.
-- Stepped siblings.  The children alpha_k = a of a node are integer
-  polynomials of degree <= d in a: a child's Bernstein coefficients p_g (see
-  Pruning) and, for a row, its differences t_k.  So a node with more than d +
-  1 children that the gate bounds, or a row parent with more than
-  3 (d + 1) rows longer than e + 1 (_ROW_RUN), evaluates the first d + 1 and
-  steps the rest with d additions each, the same tabulation as in a row.
-  Each difference order of the stepped vector is one Python int with a signed
-  field of w bits per entry (broadword arithmetic, Knuth, TAOCP Vol. 4A,
-  7.1.3; Kronecker packing, Harvey, J. Symbolic Comput. 44, 2009): a row's
-  t_0..t_e in the low fields and the child's p_g above them (_Packing), so a
-  step is d integer additions.  The sweep derives w from a bound on every
-  field it decodes or tests (_field_width); Python ints are unbounded, so w
-  has no cap and no other form is kept.  A stepped node builds its
-  coefficient list only when the walk descends into it.  A stepped row of
-  degree e >= 3 also steps its d + 1 Bernstein coefficients on the segment,
-  as the node of m = 2 coordinates (see Pruning), and goes through the node
-  test; a quadratic row is never tested, its closed form costs less.  A row
-  that is not skipped decodes only its e + 1 low fields.  A run stops at the
-  end of a chunk, and at the first child below the gate or row no longer
-  than e + 1.
+- Stepped siblings.  The children alpha_k = a of a node are integer polynomials
+  of degree <= d in a: a child's Bernstein coefficients p_g (see Pruning) and,
+  for a row, its differences t_k.  So a node with more than d + 1 children that
+  the gate bounds, or a row parent with more than 3 (d + 1) rows longer than
+  e + 1 (_ROW_RUN), evaluates the first d + 1 and steps the rest with d
+  additions each, the same tabulation as in a row.  Each difference order of
+  the stepped vector is one Python int with a signed field of w bits per entry
+  (broadword arithmetic, Knuth, TAOCP Vol. 4A, 7.1.3; Kronecker packing,
+  Harvey, J. Symbolic Comput. 44, 2009): a row's t_0..t_e in the low fields
+  and the child's p_g above them (_Packing), so a step is d integer additions.
+  A node tested from its own coefficients packs its p_g in the same fields (see
+  Pruning).  The sweep derives w from a bound on every field it decodes or
+  tests (_field_width); Python ints are unbounded, so w has no cap and no other
+  form is kept.  A stepped node builds its coefficient list only when the walk
+  descends into it.  A stepped row of degree e >= 3 also steps its d + 1
+  Bernstein coefficients on the segment, as the node of m = 2 coordinates (see
+  Pruning), and goes through the node test; a quadratic row is never tested,
+  its closed form costs less.  A row that is not skipped decodes only its e + 1
+  low fields.  A run stops at the end of a chunk, and at the first child below
+  the gate or row no longer than e + 1.
 - A node whose budget reaches 0 is a single point: the coefficient of the
   all-zero suffix.
 - Pruning.  A node at depth k >= 1 holds L*f on the face of the m = n - k
   coordinates y left, with budget s = sum y, as one integer c_i per suffix
   sigma_i.  Homogenized by (sum y)^(d - |sigma_i|) and scaled by s^|sigma_i|,
   it has the simplicial Bernstein coefficients p_g / multinomial(d, g), g in
-  I(m, d), with p_g = sum over sigma_i <= g of c_i s^|sigma_i| multinomial(d -
-  |sigma_i|, g - sigma_i); every value under the node lies between their min
-  and max (Leroy, Reliable Computing 17, 2012).  The node test (_Shape._loses)
-  skips the node when, on every tracked side, p_g is strictly worse than the
-  running extreme times multinomial(d, g) for every g, and stops at the first
-  p_g that is not: the running extreme is attained, so minimizers and tie
-  counts stay exact.  The p_g come from the node's own coefficients
-  (_Shape.beaten) or are stepped with its siblings (_Shape.skip).  Stepped
-  p_g are tested packed: on each side one multiplication of the packed sizes
-  by the running extreme, one subtraction and one mask comparison test every
-  g at once (_Packing.beats), as p_g - lo*size - 1 >= 0 exactly when its
-  field, offset by 2^(w - 1), has its top bit set.  Each side's
-  running extreme starts from its best vertex value, L*c_i*r^d with c_i the
-  coefficient of x_i^d (0 if absent), which the grid point r e_i attains; the
-  lex walk reaches r e_0 only at its last point, so without that start nothing
-  could be skipped before the first row.  The node holding r e_i has a vertex
-  row equal to the start, so it is never skipped, and the vertex is counted
-  when the walk gets there.  The table holds the m vertex rows g = d e_i
-  first, then one empty row standing for every other g that no sigma_i lies
-  under (p_g = 0), then the rest; its size is its (index, weight) entry count,
-  however large I(m, d) is.  The last vertex row, the node's lex-first point,
-  is also kept apart (tails) and tested first, as the one-point node of depth
-  n - 1, so a node that it keeps builds no table.  At d = 2 the test is
-  sharper (_quadratic_beaten): with V_i the vertex coefficients, none of them
-  reaching the running extreme, h the least edge coefficient (g = e_i + e_j)
-  and D_i = V_i - h > 0, the form in t = y/s is h + sum D_i t_i^2 plus edge
-  terms that are >= 0 on the face, so every value under the node is >= h +
-  1/sum_i 1/D_i, the least of sum D_i t_i^2 on the simplex (Cauchy-Schwarz);
-  the max side is the same bound for -f.  It is never below the least
-  Bernstein coefficient, it is exact on the face for sum x_i^2, where that
-  coefficient is h alone, and it prunes the stable-set forms x^T(I + A)x,
-  whose minimizers are interior; stepped nodes decode their table fields
-  for it.  Only nodes of depth 1..n-3 whose subtree has
-  at least one point per _BOUND_ENTRIES_PER_POINT entries are bounded, from
-  their own coefficients or stepped ones; rows are bounded only when stepped,
-  as the nodes of depth n - 2.  evaluations still counts every grid point,
-  evaluated or certified.
-- The tables depend only on f's support, not on its coefficients, and are
-  kept in one cache for the few most recently used supports (_shape):
-  converge, enclosures and bound checks sweep the same support at many
-  denominators.  The suffix orders, gate sizes and Bernstein tables do not
-  depend on r at all.  The powers v^b (v <= r) are grown to the largest r
-  swept so far, adding only the missing entries; a depth's powers a^b of
-  its suffixes (a <= r) and a row table (s <= r) are each built the first
-  time the walk reads them, so a run over r = 2..R builds each of them once,
-  and a walk that prunes most of its grid builds few.  A sweep whose row
-  tables could pass a fixed bound is refused before any table
-  (_check_rows).
+  I(m, d), with p_g = sum over sigma_i <= g of c_i s^|sigma_i|
+  multinomial(d - |sigma_i|, g - sigma_i); every value under the node lies
+  between their min and max (Leroy, Reliable Computing 17, 2012).  The node
+  test (_Shape._loses) skips the node when, on every tracked side, p_g is
+  strictly worse than the running extreme times multinomial(d, g) for every g:
+  the running extreme is attained, so minimizers and tie counts stay exact.
+  The p_g come from the node's own coefficients (_Shape.beaten,
+  _Packing.bernstein) or are stepped with its siblings (_Shape.skip), packed
+  either way in the fields of the depth's _Packing, and are tested packed: on
+  each side one multiplication of the packed sizes by the running extreme, one
+  subtraction and one mask comparison test every g at once (_Packing.beats), as
+  p_g - lo*size - 1 >= 0 exactly when its field, offset by 2^(w - 1), has its
+  top bit set.  Each side's running extreme starts from its best vertex value,
+  L*c_i*r^d with c_i the coefficient of x_i^d (0 if absent), which the grid
+  point r e_i attains; the lex walk reaches r e_0 only at its last point, so
+  without that start nothing could be skipped before the first row.  The node
+  holding r e_i has a vertex row equal to the start, so it is never skipped,
+  and the vertex is counted when the walk gets there.  The table holds the m
+  vertex rows g = d e_i first, then one empty row standing for every other g
+  that no sigma_i lies under (p_g = 0), then the rest; its size is its (index,
+  weight) entry count, however large I(m, d) is.  The last vertex row, the
+  node's lex-first point, is also kept apart (tails) and tested first, alone,
+  so a node that it keeps builds no table.  At d = 2 the test is sharper
+  (_quadratic_beaten): with V_i the vertex coefficients, none of them reaching
+  the running extreme, h the least edge coefficient (g = e_i + e_j) and
+  D_i = V_i - h > 0, the form in t = y/s is h + sum D_i t_i^2 plus edge terms
+  that are >= 0 on the face, so every value under the node is >= h + 1/sum_i
+  1/D_i, the least of sum D_i t_i^2 on the simplex (Cauchy-Schwarz); the max
+  side is the same bound for -f.  It is never below the least Bernstein
+  coefficient, it is exact on the face for sum x_i^2, where that coefficient is
+  h alone, and it prunes the stable-set forms x^T(I + A)x, whose minimizers are
+  interior; it decodes the packed fields.  Only nodes of depth 1..n-3 whose
+  subtree has at least one point per _BOUND_ENTRIES_PER_POINT entries are
+  bounded, from their own coefficients or stepped ones; rows are bounded only
+  when stepped, as the nodes of depth n - 2.  evaluations still counts every
+  grid point, evaluated or certified.
+- The tables depend only on f's support, not on its coefficients, and are kept
+  in one cache for the few most recently used supports (_shape): converge,
+  enclosures and bound checks sweep the same support at many denominators.  The
+  suffix orders, gate sizes and Bernstein tables do not depend on r at all.
+  The powers v^b, a depth's powers a^b of its suffixes, the row tables, the
+  Bernstein tables and their packings each fill an entry on its first read and
+  keep it (_Lazy), so a run over r = 2..R builds each entry once, and a walk
+  that prunes most of its grid builds few.  A sweep whose row tables could pass
+  a fixed bound is refused before any table (_check_rows).
 
 Rows arrive in lex order, so the lex-first minimizers (capped) and exact tie
 counts fall out of min, max, count and index on each tabulated row, and out of
@@ -125,11 +122,10 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, compress, count, filterfalse, islice, repeat
 from math import comb, lcm
 from operator import add, eq, floordiv, gt, itemgetter, lshift, lt, mod, mul, sub
-from threading import Lock
 
 from .combin import composition_count
 from .poly import HomogeneousPolynomial
@@ -496,57 +492,71 @@ def _bernstein_extrema(f: HomogeneousPolynomial, k: int) -> "tuple[Fraction, Fra
     return Fraction(low[0], low[1] * scale), Fraction(high[0], high[1] * scale)
 
 
+class _Lazy(dict):
+    """A table whose entry for a key is built as build(key) on its first read
+    and kept.  A build is idempotent and a dict store is atomic under the GIL,
+    so threads may race on an entry: each reads one built the same way."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 class _Shape:
     """Integer tables for sweeping any polynomial with a given support.  They
     do not depend on the coefficients, and only the power and row tables
-    depend on r: grow(r) extends the powers v^b to the grid with denominator
-    r and makes room for its level powers and rows.  Each table is built
-    where the walk first reads it, so a new support pays for what its sweep
-    reads and no more.
+    depend on r.  Each table is a _Lazy one: an entry is built where the walk
+    first reads it and kept, so a new support pays for what its sweeps read
+    and no more, and a run over r = 2..R builds each entry once.
 
     At depth k of the prefix tree (alpha_0..alpha_{k-1} fixed), L*f is held
     as one coefficient per distinct exponent suffix beta[k:], listed as in
     _suffix_orders; fixing alpha_k = a then scales every coefficient by a^b,
     adds each later entry into its child's slot, and cuts the list to `width`.
-    levels[k] = (powers, width, extras, zero) holds the powers a^b per
-    a = 0..r, the child count, the (child, entry) pairs to add, and the
-    entries whose child suffix is all zero (the point reached when the budget
-    runs out).  powers[a] is None until the walk first reads it
-    (_lead_powers): a stepped child builds its coefficients only when the
-    walk descends into it, so a sweep reads about a third of them.  `order`
-    lists the monomials in root order.
+    levels[k] = (powers, width, extras, zero) holds the powers a^b keyed by
+    a, the child count, the (child, entry) pairs to add, and the entries
+    whose child suffix is all zero (the point reached when the budget runs
+    out).  A stepped child builds its coefficients only when the walk
+    descends into it, so a sweep reads about a third of the level powers.
+    power[v] holds v^b, b = 0..d.  `order` lists the monomials in root order.
 
     rows[s] holds, for each row suffix (b, c), the values of v^b (s - v)^c at
     v = 0..s when s <= e, and otherwise its forward differences of order
-    0..e at v = 0, where e is the largest b + c.  It is None until the walk
-    first reads it (_row_table), and kept from then on: a stepped row parent
-    reads only its first d + 1 rows, and a pruned node none.  For n = 2 the
-    only row is the whole grid, so only rows[r] of each r swept is built.
+    0..e at v = 0, where e is the largest b + c: a stepped row parent reads
+    only its first d + 1 rows, and a pruned node none.  For n = 2 the only
+    row is the whole grid, so a sweep builds its table by rows.build and does
+    not keep it.
 
-    entries[k] is the size of the Bernstein table of depth k = 1..n-3; the
-    table itself is built when the gate first admits a node of that depth
-    whose last vertex does not keep it (beaten), or a run of stepped children
-    of that depth starts (differences).  The table of depth n - 2, of the
-    rows, is built only for stepped rows of degree e >= 3.  sizes[k] lists the
-    sizes multinomial(d, g) of a built table's rows, which the node test
-    (_loses) reads; sizes[n - 1] = (1,) is the one vertex row of a one-point
-    node.  tails[k] lists the (entry, degree) pairs of the suffixes at depth k
-    that are 0 but on the last coordinate.  packs[k, w] is the _Packing of
-    the stepped vectors of depth k at field width w, built with the run that
-    first needs it (packing).
+    entries[k] is the size of the Bernstein table of depth k = 1..n-3, and
+    tables[k] its suffix degrees and rows (_bernstein_rows), first read when
+    the gate admits a node of that depth whose last vertex does not keep it
+    (beaten), or when a run of stepped children of that depth starts
+    (differences).  The table of depth n - 2, of the rows, is read only for
+    stepped rows of degree e >= 3.  tails[k] lists the (entry, degree) pairs
+    of the suffixes at depth k that are 0 but on the last coordinate.
+    packs[k, w] is the _Packing of depth k at field width w, through which
+    every node test reads its Bernstein coefficients (_loses).  No builder
+    holds the shape, so a shape that leaves the cache is freed at once.
     """
 
     def __init__(self, support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> None:
         self.n, self.d = n, d
         self.row_suffixes = row_suffixes = sorted({alpha[-2:] for alpha in support})
-        self.e = max((b + c for b, c in row_suffixes), default=0)
+        self.e = e = max((b + c for b, c in row_suffixes), default=0)
+        self.power = power = _Lazy(lambda v: tuple(accumulate(repeat(v, d), mul, initial=1)))
         levels, links, entries, tails = [], [], [0] * (n - 1), [()] * (n - 1)
         order = row_suffixes  # n = 2: the row suffixes are the monomials
         tail = {j for j, (b, _) in enumerate(row_suffixes) if b == 0}
         for k, (lead, child, degrees, width, extras, slot) in zip(
             range(n - 3, -1, -1), _suffix_orders(support, row_suffixes, n, d)
         ):
-            levels.append(([], width, extras, tuple(compress(count(), map(eq, lead, degrees)))))
+            powers = _Lazy(lambda a, lead=lead: tuple(map(power[a].__getitem__, lead)))
+            levels.append((powers, width, extras, tuple(compress(count(), map(eq, lead, degrees)))))
             links.append((lead, child))
             if k:
                 tail = {i for i, (b, j) in enumerate(zip(lead, child)) if b == 0 and j in tail}
@@ -557,66 +567,24 @@ class _Shape:
                 for alpha, i in zip(support, slot):
                     order[i] = alpha
         self.levels = tuple(reversed(levels))
-        self.links = tuple(reversed(links))
+        self.links = links = tuple(reversed(links))
         self.order = tuple(order)
         self.entries = tuple(entries)
         self.tails = tuple(tails)
-        self.tables: "list[tuple | None]" = [None] * (n - 1)
-        self.sizes: "list[tuple[int, ...] | None]" = [None] * (n - 1) + [(1,)]
-        self.packs: "dict[tuple[int, int], _Packing]" = {}
-        self.power: "list[tuple[int, ...]]" = []  # power[v][b] = v^b, b = 0..d
-        self.rows: "list[tuple[list[int], ...] | None]" = []
-        self._lock = Lock()
-
-    def grow(self, r: int) -> None:
-        """Extend the powers v^b to v <= r, and the level powers and rows to r +
-        1 slots, each None until read (_lead_powers, _row_table).  The
-        sweep's caller has checked the row-table bound (_check_sweep).
-
-        Only the powers of the v not covered yet are built, and those for
-        smaller r stay as they are.  The level powers and rows are lists that
-        are only ever lengthened in place, so a sweep that read them after
-        growing to its r may go on reading them while another thread grows
-        them further.
-        """
-        with self._lock:
-            if len(self.rows) > r:
-                return
-            power, d, have = self.power, self.d, len(self.power)
-            power += [tuple(accumulate(repeat(v, d), mul, initial=1)) for v in range(have, r + 1)]
-            unread = [None] * (r + 1 - have)
-            for powers, *_ in self.levels:
-                powers += unread
-            self.rows += unread
-
-    def _lead_powers(self, k: int, a: int) -> "tuple[int, ...]":
-        """levels[k][0][a], the powers a^b of the entries of depth k, built on
-        its first read and kept.  The build is idempotent, so threads may race
-        on it: a sweep reads about a third of them, as a stepped child is
-        built only when the walk descends into it."""
-        power = self.power[a]
-        powers = self.levels[k][0][a] = tuple([power[b] for b in self.links[k][0]])
-        return powers
-
-    def _row_table(self, s: int) -> "tuple[list[int], ...]":
-        """rows[s], from the powers of v = 0..s, built on its first read and
-        kept.  The build is idempotent, so threads may race on it."""
-        power, suffixes, values = self.power, self.row_suffixes, []
-        for v in range(min(s, self.e) + 1):
-            left, right = power[v], power[s - v]
-            values.append([left[b] * right[c] for b, c in suffixes])
-        table = self.rows[s] = tuple(values if s <= self.e else _forward_differences(values))
-        return table
+        self.rows = _Lazy(partial(_row_table, power, row_suffixes, e))
+        self.tables = tables = _Lazy(partial(_depth_table, row_suffixes, links, n, d))
+        self.packs = _Lazy(partial(_depth_packing, tables, n - 2, e))
 
     def feed_row(self, tracked: "list[_Extreme]", coeffs: "list[int]", prefix: "tuple[int, ...]",
-                s: int) -> None:
+                 s: int, rows: "tuple[list[int], ...]") -> None:
         """Give each tracked extreme the row of points prefix + (v, s - v), v =
-        0..s, on which L*f has the given row-suffix coefficients.
+        0..s, on which L*f has the given row-suffix coefficients, from rows, the
+        row table of s (rows[s]).
 
-        A row longer than e + 1 has its forward differences at 0 in rows[s]
-        (feed_differences); a shorter one has its values there.
+        A row longer than e + 1 has its forward differences at 0 there
+        (feed_differences); a shorter one has its values.
         """
-        table = [sum(map(mul, coeffs, w)) for w in self.rows[s] or self._row_table(s)]
+        table = [sum(map(mul, coeffs, w)) for w in rows]
         if s > self.e:
             self.feed_differences(tracked, table, prefix, s)
             return
@@ -645,61 +613,45 @@ class _Shape:
             ext.add_row(table, prefix, s)
 
     def beaten(self, k: int, coeffs: "list[int]", s: int, low: "_Extreme | None",
-               high: "_Extreme | None") -> bool:
+               high: "_Extreme | None", w: int) -> bool:
         """Whether the depth-k node with budget s and these coefficients loses
-        (_loses), from its own Bernstein coefficients.  Its lex-first point,
-        the value of its last vertex row, is read first from tails[k] and
-        tested as the one-point node of depth n - 1, so a node that it keeps
-        builds no table: a sweep of many variables that goes down one node per
-        depth builds none."""
+        (_loses), from its own Bernstein coefficients, packed at field width w
+        (_Packing.bernstein).  Its lex-first point, the value of its last
+        vertex row, is read first from tails[k] and tested alone, so a node
+        that it keeps builds no table: a sweep of many variables that goes
+        down one node per depth builds none."""
         power = self.power[s]
         tail = sum(coeffs[i] * power[e] for i, e in self.tails[k])
-        return self._loses(self.n - 1, (tail,), low, high) and \
-            self._loses(k, self._bernstein(k, coeffs, power), low, high)
+        if low is not None and tail <= low.value or high is not None and tail >= high.value:
+            return False
+        pack = self.packs[k, w]
+        return self._loses(k, pack.bernstein(coeffs, power), low, high, pack)
 
     def skip(self, k: int, p: int, s: int, low: "_Extreme | None", high: "_Extreme | None",
              pack: "_Packing") -> int:
         """The number of grid points under the depth-k node with budget s when
         it loses (_loses) from the Bernstein coefficients that the walk stepped
         (differences), packed in p by `pack`, the depth's packing, and 0
-        otherwise.  A row (k = n - 2) is the node of m = 2 coordinates.
-
-        On each tracked side the test is one multiplication, one subtraction
-        and one mask comparison (_Packing.beats); at d = 2 the table fields
-        are decoded for _quadratic_beaten instead."""
-        if self.d == 2:
-            beaten = self._loses(k, pack.table(p), low, high)
-        else:
-            beaten = pack.beats(p, low, high)
+        otherwise.  A row (k = n - 2) is the node of m = 2 coordinates."""
         m = self.n - k
-        return comb(s + m - 1, m - 1) if beaten else 0
+        return comb(s + m - 1, m - 1) if self._loses(k, p, low, high, pack) else 0
 
-    def _loses(self, k: int, ps, low: "_Extreme | None", high: "_Extreme | None") -> bool:
-        """The node test (see Pruning): whether the Bernstein coefficients ps of
-        a depth-k node, an iterable in the order of its table, are all strictly
-        worse than the running extremes low and high (None when not tracked),
-        whose values are attained.  It stops at the first that is not; a d = 2
-        node runs _quadratic_beaten."""
-        lo = None if low is None else low.value
-        hi = None if high is None else high.value
+    def _loses(self, k: int, p: int, low: "_Extreme | None", high: "_Extreme | None",
+               pack: "_Packing") -> bool:
+        """The node test (see Pruning): whether the Bernstein coefficients of a
+        depth-k node, packed in p by `pack`, are all strictly worse than the
+        running extremes low and high (None when not tracked), whose values are
+        attained.  On each tracked side it is one multiplication, one
+        subtraction and one mask comparison (_Packing.beats); at d = 2 the
+        table fields are decoded for _quadratic_beaten instead."""
         if self.d == 2:
-            return _quadratic_beaten(self.n - k, ps, lo, hi)
-        for p, size in zip(ps, self.sizes[k]):
-            if lo is not None and p <= lo * size or hi is not None and p >= hi * size:
-                return False
-        return True
-
-    def _bernstein(self, k: int, coeffs: "list[int]", power: "tuple[int, ...]"):
-        """The Bernstein coefficients p_g (see Pruning) of the depth-k node with
-        these coefficients, in the order of its table, one by one, from the
-        powers s^0..s^d of its budget s."""
-        degrees, rows = self.tables[k] or self._build_table(k)
-        scaled = list(map(mul, coeffs, map(power.__getitem__, degrees)))
-        return (sum(map(mul, map(scaled.__getitem__, index), weights)) for index, weights, _ in rows)
+            return _quadratic_beaten(self.n - k, pack.table(p), None if low is None else low.value,
+                                     None if high is None else high.value)
+        return pack.beats(p, low, high)
 
     def differences(self, k: int, coeffs: "list[int]", s: int, a: int,
                     w: int) -> "tuple[_Packing, list[int]]":
-        """The packing of depth k + 1 at field width w (packing), and the
+        """The packing of depth k + 1 at field width w (packs), and the
         forward differences of order 0..d, at alpha_k = a, of what the depth-k
         node with these coefficients and budget s steps across, each packed
         into one integer: the child's Bernstein coefficients, one per row of
@@ -712,54 +664,52 @@ class _Shape:
         a)^|sigma|, or by the differences in rows[s - a] of degree <= |sigma|
         in s - a.  So their values at a..a + d, differenced, tabulate them
         exactly: the child at a + 1 has the sum of orders j and j + 1 at a as
-        its order j, d integer additions in all.  A child's packed
-        coefficients are sum_i c_i (s - a)^|sigma_i| columns[i], one sum of
-        products.  A row stepped over must be longer than e + 1, so that
-        rows[s - a] holds its differences.
+        its order j, d integer additions in all.  A row stepped over must be
+        longer than e + 1, so that rows[s - a] holds its differences.
         """
         powers, width, extras, _ = self.levels[k]
-        pack = self.packing(k + 1, w)
+        pack = self.packs[k + 1, w]
         row = k == self.n - 3
         values = []
         for b in range(a, a + self.d + 1):
-            child, rest = _child(coeffs, powers[b] or self._lead_powers(k, b), width, extras), s - b
-            power = self.power[rest]
-            value = sum(map(mul, map(mul, child, map(power.__getitem__, pack.degrees)), pack.columns))
+            child, rest = _child(coeffs, powers[b], width, extras), s - b
+            value = pack.bernstein(child, self.power[rest])
             if row:
-                t = [sum(map(mul, child, weights)) for weights in self.rows[rest] or self._row_table(rest)]
+                t = [sum(map(mul, child, weights)) for weights in self.rows[rest]]
                 value += sum(map(lshift, t, pack.row_shifts))
             values.append(value)
-        steps = []  # the forward differences of the packed values (see _forward_differences)
-        while values:
-            steps.append(values[0])
-            values = list(map(sub, values[1:], values))
-        return pack, steps
+        return pack, _forward_differences(values, sub)
 
-    def packing(self, k: int, w: int) -> "_Packing":
-        """The _Packing of depth k at field width w, built on first use and
-        kept in self.packs.  The build is idempotent, so threads may race on
-        it.  At the row depth, rows of degree e <= 2 are not tested, so their
-        packing holds no table: only the fields t_0..t_e."""
-        pack = self.packs.get((k, w))
-        if pack is None:
-            row = k == self.n - 2
-            if row and self.e <= 2:
-                degrees, rows = (), ()
-            else:
-                degrees, rows = self.tables[k] or self._build_table(k)
-            pack = self.packs[k, w] = _Packing(w, self.e + 1 if row else 0, degrees, rows)
-        return pack
 
-    def _build_table(self, k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...]]":
-        """The suffix degrees and Bernstein rows of depth k, kept in self.tables,
-        and the rows' sizes multinomial(d, g), kept in self.sizes."""
-        suffixes = self.row_suffixes
-        for lead, child in reversed(self.links[k:]):
-            suffixes = [(b,) + suffixes[j] for b, j in zip(lead, child)]
-        table = (tuple(map(sum, suffixes)), _bernstein_rows(suffixes, self.n - k, self.d))
-        self.sizes[k] = tuple(size for _, _, size in table[1])
-        self.tables[k] = table  # idempotent, so threads may race here; sizes first
-        return table
+def _row_table(power: _Lazy, suffixes: "list[tuple[int, int]]", e: int,
+               s: int) -> "tuple[list[int], ...]":
+    """rows[s] of a _Shape (see there) with these row suffixes of largest
+    degree e, from the powers of v = 0..s."""
+    values = []
+    for v in range(min(s, e) + 1):
+        left, right = power[v], power[s - v]
+        values.append([left[b] * right[c] for b, c in suffixes])
+    return tuple(values if s <= e else _forward_differences(values, lambda y, x: list(map(sub, y, x))))
+
+
+def _depth_table(row_suffixes: "list[tuple[int, int]]", links: tuple, n: int, d: int,
+                 k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...]]":
+    """tables[k] of a _Shape: the suffix degrees and Bernstein rows of depth k,
+    whose suffixes are rebuilt from the row suffixes and the links below it."""
+    suffixes = row_suffixes
+    for lead, child in reversed(links[k:]):
+        suffixes = [(b,) + suffixes[j] for b, j in zip(lead, child)]
+    return tuple(map(sum, suffixes)), _bernstein_rows(suffixes, n - k, d)
+
+
+def _depth_packing(tables: _Lazy, row: int, e: int, key: "tuple[int, int]") -> "_Packing":
+    """packs[k, w] of a _Shape, from its tables: at the row depth the fields
+    t_0..t_e come first, and rows of degree e <= 2 are not tested, so their
+    packing holds no table."""
+    k, w = key
+    if k != row:
+        return _Packing(w, 0, *tables[k])
+    return _Packing(w, e + 1, *tables[k] if e > 2 else ((), ()))
 
 
 def _child(coeffs: "list[int]", power: "tuple[int, ...]", width: int, extras: tuple) -> "list[int]":
@@ -773,17 +723,17 @@ def _child(coeffs: "list[int]", power: "tuple[int, ...]", width: int, extras: tu
     return child
 
 
-def _forward_differences(values: list) -> list:
+def _forward_differences(values: list, minus) -> list:
     """The forward differences of order 0..len(values) - 1 at the first of
-    these lists, the values of a polynomial at consecutive points (Knuth,
-    TAOCP Vol. 2, 4.6.4).  They are lists: as tuples, the many that stepped
-    runs dropped stayed in CPython's tuple free lists, which raised peak RSS
-    on the benchmark's converge workload by about 0.4 MB (2-vCPU VM, Python
-    3.11)."""
+    these values, those of a polynomial at consecutive points (Knuth, TAOCP
+    Vol. 2, 4.6.4), where minus(y, x) is y - x: integers, or lists of them.
+    Lists stay lists: as tuples, the many that stepped runs dropped stayed in
+    CPython's tuple free lists, which raised peak RSS on the benchmark's
+    converge workload by about 0.4 MB (2-vCPU VM, Python 3.11)."""
     deltas = []
     while values:
         deltas.append(values[0])
-        values = [list(map(sub, y, x)) for x, y in zip(values, values[1:])]
+        values = list(map(minus, values[1:], values))
     return deltas
 
 
@@ -826,6 +776,12 @@ class _Packing:
         self.degrees = degrees
         self.columns = list(map(sum, columns))
         self.sizes = sum(map(lshift, map(itemgetter(2), rows), shifts))
+
+    def bernstein(self, coeffs: "list[int]", power: "tuple[int, ...]") -> int:
+        """The packed Bernstein coefficients of the node of this depth with these
+        coefficients and the powers s^0..s^d of its budget s: sum_i c_i
+        s^|sigma_i| columns[i], one sum of products."""
+        return sum(map(mul, map(mul, coeffs, map(power.__getitem__, self.degrees)), self.columns))
 
     def beats(self, p: int, low: "_Extreme | None", high: "_Extreme | None") -> bool:
         """Whether every Bernstein coefficient packed in p is strictly worse
@@ -918,9 +874,8 @@ def _shape(support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> _Shape:
     """The tables of a support, kept for the few most recent supports.
 
     Converge runs, enclosures and bound checks sweep the same support at many
-    denominators; each sweep grows the shape to its r before it starts, and
-    the Bernstein and row tables are filled in once, on first use, so reuse
-    is safe across calls and threads.
+    denominators; every table entry is built once, on its first read (_Lazy),
+    so reuse is safe across calls and threads.
     """
     return _Shape(support, n, d)
 
@@ -963,8 +918,8 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
         for ext in tracked:
             ext.absorb(value, 1, [(r,)])
         return tracked, 0
-    if n == 2:
-        shape.feed_row(tracked, root, (), r)
+    if n == 2:  # the one row is the whole grid: its table is built for this sweep alone
+        shape.feed_row(tracked, root, (), r, shape.rows.build(r))
         return tracked, 0
 
     low = tracked[0] if picks[0] is min else None
@@ -1005,7 +960,7 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
                 elif k == row_parent:  # a row longer than e + 1
                     shape.feed_differences(tracked, pack.row(stepped), prefix + (a,), rest)
                 else:
-                    child = _child(coeffs, powers[a] or shape._lead_powers(k, a), width, extras)
+                    child = _child(coeffs, powers[a], width, extras)
                     enter(k + 1, child, rest, prefix + (a,), 0, rest + 1)
                     break
             else:
@@ -1014,7 +969,7 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
         for a in alphas:
             rest = s - a
             here = prefix + (a,)
-            power = powers[a] or shape._lead_powers(k, a)
+            power = powers[a]
             if rest == 0:
                 value = sum(map(mul, map(coeffs.__getitem__, zero), map(power.__getitem__, zero)))
                 point = here + (0,) * (n - k - 1)
@@ -1023,8 +978,8 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
                 continue
             child = _child(coeffs, power, width, extras)
             if k == row_parent:
-                shape.feed_row(tracked, child, here, rest)
-            elif rest >= gate and shape.beaten(k + 1, child, rest, low, high):
+                shape.feed_row(tracked, child, here, rest, shape.rows[rest])
+            elif rest >= gate and shape.beaten(k + 1, child, rest, low, high, w):
                 pruned += comb(rest + n - k - 2, n - k - 2)
             else:
                 enter(k + 1, child, rest, here, 0, rest + 1)
@@ -1072,7 +1027,6 @@ def _sweep(
         shape, root, gates, w = None, [c * top for c in coeffs.values()], None, None
     else:
         shape = _shape(tuple(coeffs), f.n, f.d)
-        shape.grow(r)  # before any worker starts
         root = [coeffs[alpha] for alpha in shape.order]
         gates = _gates(shape, f.n, r)
         w = _field_width(root, f.n, f.d, r)

@@ -522,6 +522,39 @@ def bernstein_rows_oracle(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> 
     return tuple(rows + rest)
 
 
+def node_coefficients_oracle(rows, suffixes, coeffs, s) -> "list[tuple[int, int]]":
+    """(p_g, multinomial(d, g)) per row of `rows`, the Bernstein table of a
+    node with these suffixes (bernstein_rows_oracle), for its coefficients
+    and budget s: p_g = sum over sigma_i <= g of c_i s^|sigma_i|
+    multinomial(d - |sigma_i|, g - sigma_i)."""
+    return [(sum(coeffs[i] * s ** sum(suffixes[i]) * w for i, w in zip(index, weights)), size)
+            for index, weights, size in rows]
+
+
+def quadratic_bound_oracle(pairs, m: int) -> Fraction:
+    """A lower bound on the values under a node of degree 2 from its (p_g,
+    size) pairs in table order, the m vertex rows first: h + 1/sum_i 1/(V_i -
+    h), with V_i the vertex coefficients and h the least other p_g / size, or
+    the least V_i when some V_i <= h or no other row is there."""
+    vertices = [p for p, _ in pairs[:m]]
+    h = min((Fraction(p, size) for p, size in pairs[m:]), default=None)
+    if h is None or min(vertices) <= h:
+        return Fraction(min(vertices))
+    return h + 1 / sum(1 / (v - h) for v in vertices)
+
+
+def node_loses_oracle(pairs, m: int, d: int, lo: "int | None", hi: "int | None") -> bool:
+    """The sweep's node test in list form, from a node's (p_g, size) pairs in
+    table order (node_coefficients_oracle) against running extremes lo and
+    hi, None when a side is not tracked: every p_g / size is strictly worse
+    than both, or at d = 2 each extreme is strictly worse than the quadratic
+    bound of its side (quadratic_bound_oracle, for -f on the max side)."""
+    if d != 2:
+        return all((lo is None or p > lo * size) and (hi is None or p < hi * size) for p, size in pairs)
+    return (lo is None or lo < quadratic_bound_oracle(pairs, m)) and \
+        (hi is None or -hi < quadratic_bound_oracle([(-p, size) for p, size in pairs], m))
+
+
 def decimal_rational(text: str) -> Fraction:
     """as_rational of a string as it read every string before plain integers
     and p/q went to int(): through Decimal, with the same refusals and error

@@ -416,11 +416,34 @@ def test_a_double_dash_after_a_value_option_is_left_to_argparse(capsys):
     assert "argument --r-range: expected one argument" in capsys.readouterr().err
 
 
+def _one_value_options() -> "list[tuple[str, str]]":
+    """(verb, option) for every option of every verb's parser that takes one value."""
+    return [(verb, action.option_strings[0]) for verb in cli._VERBS
+            for action in cli._verb_parser(verb)._actions if action.option_strings and action.nargs is None]
+
+
+@pytest.mark.parametrize("verb, option", _one_value_options())
+def test_a_double_dash_joined_to_a_value_option_is_a_missing_value(capsys, monkeypatch, verb, option):
+    # argparse alone reads "--X=--" as the value [], which ended in a
+    # traceback, a type error or a run; it reads as "--X --", in full and by
+    # every unique prefix
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([verb, option, "--"])
+    assert exc.value.code == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: expected one argument\n")
+    spaced = _parse_exit(capsys, main, [verb, option, "--"])
+    prefixes = _unique_prefixes(verb, option)
+    assert option in prefixes
+    for prefix in prefixes:
+        assert _parse_exit(capsys, main, [verb, f"{prefix}=--"]) == spaced
+
+
 def test_an_ambiguous_prefix_before_a_dash_leading_value_is_left_to_argparse(capsys):
     # --assume-m names two options: argparse's own error, byte for byte as the
     # full parser prints it, and no value is attached to either
     argv = ["converge", "--poly", GAP, "--r-range", "2", "--assume-m", "-3"]
-    assert cli._attach_values(cli._verb_parser("converge"), argv[1:]) == argv[1:]
+    assert list(cli._attach_values(cli._verb_parser("converge"), argv[1:])) == argv[1:]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     err = capsys.readouterr().err
@@ -1805,8 +1828,7 @@ def test_a_sweep_past_the_row_table_bound_exits_2_before_any_table(capsys, monke
     poly = tmp_path / "dense.json"
     poly.write_text(json.dumps(to_json_dict(random_polynomial(random.Random(0), 3, 100))))
     monkeypatch.setattr(bounds, "_enclosures", fail)
-    for name in ("_row_table", "_lead_powers", "_build_table"):
-        monkeypatch.setattr(grid._Shape, name, fail)
+    monkeypatch.setattr(grid._Lazy, "__missing__", fail)
     grid._shape.cache_clear()
     error = ("error: 4887 row suffixes of degree up to 100 are too many for a sweep at r = 150: "
              "its row tables would exceed 4000000000 bits\n")

@@ -2,7 +2,6 @@ import concurrent.futures
 import random
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import ceil, comb, floor, prod
 from operator import lshift, mul
@@ -39,6 +38,8 @@ from strats import (
     fixed_quartic,
     motzkin_straus_form,
     naive_extremes,
+    node_coefficients_oracle,
+    node_loses_oracle,
     petersen,
     poly_add,
     poly_scale,
@@ -411,8 +412,8 @@ class _NodeTests:
     def patch(self, patch):
         beaten, skip = grid._Shape.beaten, grid._Shape.skip
 
-        def counted_beaten(shape, k, coeffs, s, low, high):
-            result = beaten(shape, k, coeffs, s, low, high)
+        def counted_beaten(shape, k, coeffs, s, low, high, w):
+            result = beaten(shape, k, coeffs, s, low, high, w)
             self.calls.append((k, s, result, False))
             return result
 
@@ -604,12 +605,13 @@ def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     assert min(quotients) <= min(values) and max(values) <= max(quotients)
 
     shape = object.__new__(grid._Shape)  # only what beaten and its node test read
-    shape.n, shape.d, shape.tables = m, d, [(tuple(map(sum, suffixes)), rows)]
+    shape.n, shape.d = m, d
     shape.tails = [tuple((i, sum(sigma)) for i, sigma in enumerate(suffixes) if not any(sigma[:-1]))]
-    # the depth-0 table's sizes, and the one-point node of depth n - 1 = m - 1
-    shape.sizes = [tuple(size for _, _, size in rows)] + [None] * (m - 2) + [(1,)]
-    shape.power = [tuple(v**b for b in range(d + 1)) for v in range(s + 1)]
-    beaten = lambda low, high: shape.beaten(0, coeffs, s, low, high)
+    shape.power = {s: tuple(s**b for b in range(d + 1))}
+    # a width that holds every p_g and every tested field below
+    w = (8 * (sum(map(abs, coeffs)) + 1) * (s * m + 1) ** (2 * d)).bit_length() + 1
+    shape.packs = {(0, w): grid._Packing(w, 0, tuple(map(sum, suffixes)), rows)}
+    beaten = lambda low, high: shape.beaten(0, coeffs, s, low, high, w)
     # an attained value is never beaten, on either side
     assert not beaten(_Incumbent(min(values)), None)
     assert not beaten(None, _Incumbent(max(values)))
@@ -663,11 +665,8 @@ def test_sparse_many_variable_table_costs_its_entries():
     f = HomogeneousPolynomial(40, 6, {(0,) * 39 + (6,): Fraction(1)})
     assert _check_against_naive_oracle(f, 2, 16) == (0, 1)
     shape = grid._shape(tuple(f.coeffs), 40, 6)
-    tables = shape.tables
-    built = [k for k, table in enumerate(tables) if table is not None]
-    assert built
-    for k in built:
-        _, rows = tables[k]
+    assert shape.tables
+    for k, (_, rows) in shape.tables.items():
         m = 40 - k
         assert len(rows) == m + 1
         assert sum(len(index) for index, _, _ in rows) == shape.entries[k] == 1
@@ -684,10 +683,10 @@ def test_a_node_its_last_vertex_keeps_builds_no_table():
     low = grid_minimize(f, 1)
     assert (low.value, low.tie_count) == (0, n - 1)
     shape = grid._shape(tuple(f.coeffs), n, 1)
-    assert shape.tables == [None] * (n - 1)
+    assert shape.tables == {}
     high = grid_maximize(f, 1)
     assert (high.value, high.minimizers) == (1, ((1,) + (0,) * (n - 1),))
-    assert [k for k, table in enumerate(shape.tables) if table is not None] == [1]
+    assert list(shape.tables) == [1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -698,7 +697,7 @@ def test_tails_are_the_last_vertex_row(f):
         return
     shape = grid._Shape(tuple(f.coeffs), f.n, f.d)
     for k in range(1, f.n - 2):
-        degrees, rows = shape._build_table(k)
+        degrees, rows = shape.tables[k]
         index, weights, size = rows[f.n - k - 1]
         assert (size, set(weights) | {1}) == (1, {1})
         assert shape.tails[k] == tuple((i, degrees[i]) for i in index)
@@ -960,13 +959,12 @@ def test_packed_fields_decode_back_at_the_width_limits(w, data):
 
 def _skip_case(draw, d):
     """A shape over all of I(4, d), a tested depth k of it and a budget s, the
-    running extremes (values or None), Bernstein coefficients ps of that
-    depth's table, some at ties with an extreme, and a row's differences t
-    below them at the row depth."""
+    running extremes (values or None), (p_g, size) pairs of that depth's
+    table, some p_g at ties with an extreme, and a row's differences t below
+    them at the row depth."""
     shape = grid._Shape(tuple(compositions(4, d)), 4, d)
     k = draw(st.sampled_from((1,) if d == 2 else (1, 2)))
-    shape._build_table(k)
-    sizes = shape.sizes[k]
+    sizes = [size for _, _, size in shape.tables[k][1]]
     lo, hi = (draw(st.none() | st.integers(-40, 40)) for _ in range(2))
     ps = []
     for size in sizes:
@@ -975,22 +973,31 @@ def _skip_case(draw, d):
                   + draw(st.integers(-1, 1)))
     t = draw(st.lists(st.integers(-10**6, 10**6), min_size=shape.e + 1, max_size=shape.e + 1)) \
         if k == 2 else []
-    return shape, k, draw(st.integers(1, 12)), lo, hi, ps, t
+    return shape, k, draw(st.integers(1, 12)), lo, hi, list(zip(ps, sizes)), t
 
 
 @given(st.sampled_from((2, 3, 4)), st.data())
 def test_packed_skip_agrees_with_the_list_test(d, data):
-    # p_g > lo*size and p_g < hi*size for every g, and _quadratic_beaten at
+    # p_g > lo*size and p_g < hi*size for every g, and the quadratic bound at
     # d = 2, with ties, untracked sides and negative extremes, at the least
     # width that holds every tested field and at wider ones
-    shape, k, s, lo, hi, ps, t = _skip_case(data.draw, d)
-    fields = t + ps + [p - x * size - 1 for x in (lo, hi) if x is not None for p, size in zip(ps, shape.sizes[k])]
+    shape, k, s, lo, hi, pairs, t = _skip_case(data.draw, d)
+    ps = [p for p, _ in pairs]
+    fields = t + ps + [p - x * size - 1 for x in (lo, hi) if x is not None for p, size in pairs]
     w = max(abs(v).bit_length() for v in fields) + 1 + data.draw(st.integers(0, 3))
     low = None if lo is None else grid._Extreme(min, 1, lo)
     high = None if hi is None else grid._Extreme(max, 1, hi)
-    pack = shape.packing(k, w)
-    got = shape.skip(k, _packed(t + ps, w), s, low, high, pack)
-    assert got == (comb(s + 4 - k - 1, 4 - k - 1) if shape._loses(k, ps, low, high) else 0)
+    got = shape.skip(k, _packed(t + ps, w), s, low, high, shape.packs[k, w])
+    assert got == (comb(s + 4 - k - 1, 4 - k - 1) if node_loses_oracle(pairs, 4 - k, d, lo, hi) else 0)
+
+
+def _depth_suffixes(shape, k):
+    """The exponent suffixes of the depth-k coefficients, in entry order,
+    rebuilt from the row suffixes down the shape's links."""
+    suffixes = shape.row_suffixes
+    for lead, child in reversed(shape.links[k:]):
+        suffixes = [(b,) + suffixes[j] for b, j in zip(lead, child)]
+    return suffixes
 
 
 def _node_coefficients(shape, root, r):
@@ -1000,7 +1007,7 @@ def _node_coefficients(shape, root, r):
     frontier = [(root, r)]
     for k in range(n - 2):
         powers, width, extras, _ = shape.levels[k]
-        frontier = [(grid._child(coeffs, powers[a] or shape._lead_powers(k, a), width, extras), s - a)
+        frontier = [(grid._child(coeffs, powers[a], width, extras), s - a)
                     for coeffs, s in frontier for a in range(s + 1)]
         yield from ((k + 1, s, coeffs) for coeffs, s in frontier)
 
@@ -1014,17 +1021,19 @@ def _check_field_width(f, r):
         f = HomogeneousPolynomial(3, f.d, {alpha + (0,) * (3 - f.n): c for alpha, c in f.coeffs.items()})
     scale, coeffs = grid._integer_form(f)
     shape = grid._Shape(tuple(coeffs), f.n, f.d)
-    shape.grow(r)
     root = [coeffs[alpha] for alpha in shape.order]
     half = 2 ** (grid._field_width(root, f.n, f.d, r) - 1)
     values = [sum(c * prod(a**b for a, b in zip(alpha, beta)) for beta, c in coeffs.items())
               for alpha in compositions(f.n, r)]
     extremes = (min(values), max(values))
+    suffixes = [_depth_suffixes(shape, k) for k in range(f.n - 1)]
+    tables = [bernstein_rows_oracle(suffixes[k], f.n - k, f.d) for k in range(f.n - 1)]
     for k, s, child in _node_coefficients(shape, root, r):
-        fields = list(shape._bernstein(k, child, shape.power[s]))
-        tested = [p - x * size - 1 for x in extremes for p, size in zip(fields, shape.sizes[k])]
+        pairs = node_coefficients_oracle(tables[k], suffixes[k], child, s)
+        fields = [p for p, _ in pairs]
+        tested = [p - x * size - 1 for x in extremes for p, size in pairs]
         if k == f.n - 2 and s > shape.e:
-            fields += [sum(map(mul, child, w)) for w in shape.rows[s] or shape._row_table(s)]
+            fields += [sum(map(mul, child, w)) for w in shape.rows[s]]
         assert all(abs(v) < half for v in fields + tested)
 
 
@@ -1045,27 +1054,45 @@ def test_the_field_width_holds_a_dense_form_of_equal_coefficients():
 def test_stepped_packed_children_decode_to_their_own_coefficients(f, r):
     # the root's children stepped from the packed differences at a = 0 decode,
     # child by child, to the Bernstein coefficients and row differences that
-    # each child's own coefficients give
+    # each child's own coefficients give; packing those own coefficients gives
+    # the same table fields, and the node test the same verdict on both, and
+    # on the child's own coefficients with its lex-first point first (beaten)
     if f.n < 3:
         f = HomogeneousPolynomial(3, f.d, {alpha + (0,) * (3 - f.n): c for alpha, c in f.coeffs.items()})
     _, coeffs = grid._integer_form(f)
     shape = grid._Shape(tuple(coeffs), f.n, f.d)
-    shape.grow(r)
     root = [coeffs[alpha] for alpha in shape.order]
     row = f.n == 3
-    pack, steps = shape.differences(0, root, r, 0, grid._field_width(root, f.n, f.d, r))
+    w = grid._field_width(root, f.n, f.d, r)
+    pack, steps = shape.differences(0, root, r, 0, w)
     powers, width, extras, _ = shape.levels[0]
+    suffixes = _depth_suffixes(shape, 1)
+    table = bernstein_rows_oracle(suffixes, f.n - 1, f.d)
+    # running extremes are values at grid points: those of the children's lex-first points
+    firsts = [sum(c * a ** alpha[0] * (r - a) ** alpha[-1] for alpha, c in coeffs.items() if not any(alpha[1:-1]))
+              for a in range(r + 1)]
+    extremes = [(lo, hi) for lo in (None, min(firsts), max(firsts)) for hi in (None, max(firsts), min(firsts))]
     for a in range(r - shape.e if row else r + 1):
-        child, rest = grid._child(root, powers[a] or shape._lead_powers(0, a), width, extras), r - a
+        child, rest = grid._child(root, powers[a], width, extras), r - a
         if pack.columns:
-            assert pack.table(steps[0]) == list(shape._bernstein(1, child, shape.power[rest]))
+            pairs = node_coefficients_oracle(table, suffixes, child, rest)
+            own = pack.bernstein(child, shape.power[rest])
+            assert pack.table(steps[0]) == pack.table(own) == [p for p, _ in pairs]
+            for lo, hi in extremes:
+                low = None if lo is None else grid._Extreme(min, 1, lo)
+                high = None if hi is None else grid._Extreme(max, 1, hi)
+                verdict = node_loses_oracle(pairs, f.n - 1, f.d, lo, hi)
+                assert bool(shape.skip(1, steps[0], rest, low, high, pack)) == verdict
+                assert bool(shape.skip(1, own, rest, low, high, pack)) == verdict
+                if not row:
+                    assert shape.beaten(1, child, rest, low, high, w) == verdict
         if row:
-            assert pack.row(steps[0]) == [sum(map(mul, child, w)) for w in shape.rows[rest] or shape._row_table(rest)]
+            assert pack.row(steps[0]) == [sum(map(mul, child, weights)) for weights in shape.rows[rest]]
         for j in range(f.d):
             steps[j] += steps[j + 1]
 
 
-# --- one shape per support, grown across r ------------------------------------------
+# --- one shape per support, its tables filled across r -----------------------------
 
 
 @st.composite
@@ -1084,50 +1111,69 @@ def _sweeps(f, r):
     return grid_minimize(f, r), grid_maximize(f, r), grid_extrema(f, r)
 
 
-def _eager_rows(shape, r):
-    """rows[s] for every s = 1..r, built as the shape's docstring defines them
-    from v^b (s - v)^c, independently of its power table."""
-    rows = [None]
-    for s in range(1, r + 1):
-        values = [[v**b * (s - v) ** c for b, c in shape.row_suffixes]
-                  for v in range(min(s, shape.e) + 1)]
-        if s > shape.e:
-            deltas = []
-            while values:
-                deltas.append(values[0])
-                values = [[y - x for x, y in zip(left, right)]
-                          for left, right in zip(values, values[1:])]
-            values = deltas
-        rows.append(tuple(values))
-    return rows
+def _eager_row(shape, s):
+    """rows[s], built as the shape's docstring defines it from v^b (s - v)^c,
+    independently of its power table."""
+    values = [[v**b * (s - v) ** c for b, c in shape.row_suffixes] for v in range(min(s, shape.e) + 1)]
+    if s <= shape.e:
+        return tuple(values)
+    deltas = []
+    while values:
+        deltas.append(values[0])
+        values = [[y - x for x, y in zip(left, right)] for left, right in zip(values, values[1:])]
+    return tuple(deltas)
 
 
-def _eager_powers(shape, r):
-    """Per depth, the powers a^b of its entries for a = 0..r, built eagerly."""
-    return [[tuple(a**b for b in lead) for a in range(r + 1)] for lead, _ in shape.links]
+def _entry(shape, table, key):
+    """The entry at key of one of the shape's five tables, read as the walk
+    reads it; a packing is given as its degrees, columns and sizes."""
+    if table == "levels":
+        k, a = key
+        return shape.levels[k][0][a]
+    entry = getattr(shape, table)[key]
+    return (entry.degrees, entry.columns, entry.sizes) if table == "packs" else entry
 
 
-def _assert_grown_like_fresh(shape, f, r):
-    """For s <= r the grown shape holds the levels of one built at r, and every
-    level power and row its sweeps read equals that one built eagerly."""
-    fresh = grid._Shape(tuple(f.coeffs), f.n, f.d)
-    fresh.grow(r)
-    assert len(shape.levels) == len(fresh.levels) == max(f.n - 2, 0)
-    assert shape.links == fresh.links
-    for (powers, *rest), (fresh_powers, *fresh_rest), eager in zip(
-        shape.levels, fresh.levels, _eager_powers(shape, r)
-    ):
-        assert rest == fresh_rest and fresh_powers == [None] * (r + 1)  # nothing read yet
-        assert len(powers) > r and all(power in (None, want) for power, want in zip(powers, eager))
-    assert len(shape.rows) > r and fresh.rows == [None] * (r + 1)  # nothing read yet
-    eager = _eager_rows(shape, r)
-    for s in range(r + 1):
-        assert shape.rows[s] in (None, eager[s])
+def _eager_entry(shape, table, key):
+    """That entry built from its definition, independently of the shape's
+    builders: a Bernstein table by bernstein_rows_oracle, and a packing
+    field by field (_packed)."""
+    if table == "power":
+        return tuple(key**b for b in range(shape.d + 1))
+    if table == "levels":
+        k, a = key
+        return tuple(a**b for b in shape.links[k][0])
+    if table == "rows":
+        return _eager_row(shape, key)
+    k = key if table == "tables" else key[0]
+    suffixes = _depth_suffixes(shape, k)
+    degrees, rows = tuple(map(sum, suffixes)), bernstein_rows_oracle(suffixes, shape.n - k, shape.d)
+    if table == "tables":
+        return degrees, rows
+    w, offset = key[1], (shape.e + 1 if k == shape.n - 2 else 0)
+    if offset and shape.e <= 2:  # a row of degree e <= 2 is not tested: no table fields
+        degrees, rows = (), ()
+    columns = [_packed([0] * offset + [dict(zip(index, weights)).get(i, 0) for index, weights, _ in rows], w)
+               for i in range(len(degrees))]
+    return degrees, columns, _packed([0] * offset + [size for _, _, size in rows], w)
+
+
+def _assert_eager(shape):
+    """Every entry built so far in the shape's five tables equals that entry
+    built from its definition (_eager_entry)."""
+    for table in ("power", "rows", "tables", "packs"):
+        for key in getattr(shape, table):
+            assert _entry(shape, table, key) == _eager_entry(shape, table, key), (table, key)
+    for k, (powers, *_) in enumerate(shape.levels):
+        for a in powers:
+            assert powers[a] == _eager_entry(shape, "levels", (k, a)), ("levels", k, a)
 
 
 @settings(max_examples=60, deadline=None)
 @given(grown_sweeps())
 def test_a_grown_shape_sweeps_as_a_fresh_one(case):
+    # one cached shape serves every r; what its sweeps at earlier r built
+    # changes no later result, and every entry they built is the eager one
     f, rs = case
     fresh = {}
     for r in rs:
@@ -1141,26 +1187,67 @@ def test_a_grown_shape_sweeps_as_a_fresh_one(case):
             naive_extremes(f, r, grid.MINIMIZER_CAP)
         assert both == (low, high)
     if f.n > 1:
-        shape = grid._shape(tuple(f.coeffs), f.n, f.d)
-        for r in rs:
-            _assert_grown_like_fresh(shape, f, r)
+        _assert_eager(grid._shape(tuple(f.coeffs), f.n, f.d))
 
 
-def test_two_variable_shape_keeps_the_rows_of_its_grids():
-    # n = 2: the grid is one row, so only rows[r] of each swept r is built
-    f = strict_gap_poly()
+def test_a_binary_form_keeps_no_row_table():
+    # n = 2: the grid is one row, whose table each sweep builds for itself and
+    # drops, so sweeps at r = 2..40 of a dense binary form of degree 200 keep
+    # no more bits of row tables than the one of r = 40 holds; keeping every
+    # table would hold 39 of them, 9.9e7 bits against 5.9e6
+    f = random_polynomial(random.Random(0), 2, 200)
     grid._shape.cache_clear()
+    for r in range(2, 41):
+        low, high = grid_extrema(f, r)
+        if r in (2, 17, 40):
+            assert [(x.value, x.minimizers, x.tie_count) for x in (low, high)] == \
+                naive_extremes(f, r, grid.MINIMIZER_CAP)
+    shape = grid._shape(tuple(f.coeffs), 2, 200)
+    bits = lambda tables: sum(x.bit_length() for table in tables for row in table for x in row)
+    assert bits(shape.rows.values()) <= bits([shape.rows.build(40)])
+    # sweeps of one grid agree however often, and in whatever order, they run
+    g = strict_gap_poly()
     for r in (9, 3, 9, 16, 5):
-        assert grid_extrema(f, r)[0] == grid_minimize(f, r)
-    shape = grid._shape(tuple(f.coeffs), 2, 2)
-    assert len(shape.rows) == 17
-    assert [s for s, row in enumerate(shape.rows) if row is not None] == [3, 5, 9, 16]
-    for r in (3, 5, 9, 16):
-        _assert_grown_like_fresh(shape, f, r)
-    assert grid_minimize(f, 16).minimizers == ((7, 9),)
+        assert grid_extrema(g, r)[0] == grid_minimize(g, r)
+    assert grid_minimize(g, 16).minimizers == ((7, 9),)
+
+
+def _race(shape, orders, sweeps=()):
+    """Run one thread per order, reading the shape's entries (table, key) in
+    that order, and one per sweep (a callable), all at once with threads
+    switched often, mid-build too; return what each reader saw, in its order,
+    and what each sweep gave."""
+    seen, swept = [[] for _ in orders], [None] * len(sweeps)
+
+    def read(t):
+        for table, key in orders[t]:
+            seen[t].append((table, key, _entry(shape, table, key)))
+
+    def sweep(i):
+        swept[i] = sweeps[i]()
+
+    workers = [threading.Thread(target=read, args=(t,)) for t in range(len(orders))]
+    workers += [threading.Thread(target=sweep, args=(i,)) for i in range(len(sweeps))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for order, got in zip(orders, seen):
+        assert [(table, key) for table, key, _ in got] == order
+        assert all(entry == _eager_entry(shape, table, key) for table, key, entry in got)
+    return swept
 
 
 def test_concurrent_growth_never_shortens_a_table(monkeypatch):
+    # sweeps at six r, run at once on one cached shape, give what they give
+    # alone; each build of a table entry, racing, only adds to its table, and
+    # the entries built are the entries built eagerly
     f = fixed_quartic()
     rs = (40, 7, 25, 3, 33, 12)
     serial = {}
@@ -1168,32 +1255,22 @@ def test_concurrent_growth_never_shortens_a_table(monkeypatch):
         grid._shape.cache_clear()
         serial[r] = grid_extrema(f, r)
     lengths = []
-    grow = grid._Shape.grow
+    missing = grid._Lazy.__missing__
 
-    def recorded(shape, r):
-        before = [len(powers) for powers, *_ in shape.levels] + [len(shape.rows)]
-        grow(shape, r)
-        after = [len(powers) for powers, *_ in shape.levels] + [len(shape.rows)]
-        lengths.append((r, before, after))
+    def recorded(table, key):
+        before = len(table)
+        value = missing(table, key)
+        lengths.append((key in table, before, len(table)))
+        return value
 
-    monkeypatch.setattr(grid._Shape, "grow", recorded)
+    monkeypatch.setattr(grid._Lazy, "__missing__", recorded)
     grid._shape.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, mid-growth too
-    try:
-        with ThreadPoolExecutor(max_workers=len(rs)) as pool:
-            results = list(pool.map(lambda r: grid_extrema(f, r, threads=2), rs, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == [serial[r] for r in rs]
-    assert len(lengths) == len(rs)
-    for r, before, after in lengths:
-        assert all(r < b_after and b_before <= b_after for b_before, b_after in zip(before, after))
-    # the rows the threads built on first read, racing, are the rows built eagerly
     shape = grid._shape(tuple(f.coeffs), f.n, f.d)
-    eager = _eager_rows(shape, max(rs))
-    built = [s for s, row in enumerate(shape.rows) if row is not None]
-    assert 0 < len(built) < max(rs) and all(shape.rows[s] == eager[s] for s in built)
+    swept = _race(shape, [], [lambda r=r: grid_extrema(f, r, threads=2) for r in rs])
+    assert swept == [serial[r] for r in rs]
+    assert lengths and all(kept and before <= after for kept, before, after in lengths)
+    assert 0 < len(shape.rows) < max(rs)
+    _assert_eager(shape)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1205,30 +1282,9 @@ def test_rows_read_in_any_order_equal_rows_built_eagerly(f, r, rng, threads):
     if f.n < 2:
         return
     shape = grid._Shape(tuple(f.coeffs), f.n, f.d)
-    shape.grow(r)
-    eager = _eager_rows(shape, r)
-    orders = [rng.sample(range(1, r + 1), r) for _ in range(threads)]
-    seen = [[] for _ in orders]
-
-    def read(t):
-        for s in orders[t]:
-            seen[t].append((s, shape.rows[s] or shape._row_table(s)))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=read, args=(t,)) for t in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    for order, got in zip(orders, seen):
-        assert [s for s, _ in got] == order
-        assert all(table == eager[s] for s, table in got)
-    assert shape.rows == eager
+    _race(shape, [[("rows", s) for s in rng.sample(range(1, r + 1), r)] for _ in range(threads)])
+    assert sorted(shape.rows) == list(range(1, r + 1))
+    _assert_eager(shape)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1241,31 +1297,35 @@ def test_level_powers_read_in_any_order_equal_powers_built_eagerly(f, r, rng, th
     if f.n < 3:
         return
     shape = grid._Shape(tuple(f.coeffs), f.n, f.d)
-    shape.grow(r)
-    eager = _eager_powers(shape, r)
-    orders = [rng.sample([(k, a) for k in range(f.n - 2) for a in range(r + 1)], (f.n - 2) * (r + 1))
-              for _ in range(threads)]
-    seen = [[] for _ in orders]
+    keys = [("levels", (k, a)) for k in range(f.n - 2) for a in range(r + 1)]
+    _race(shape, [rng.sample(keys, len(keys)) for _ in range(threads)])
+    assert all(sorted(powers) == list(range(r + 1)) for powers, *_ in shape.levels)
+    _assert_eager(shape)
 
-    def read(t):
-        for k, a in orders[t]:
-            seen[t].append((k, a, shape.levels[k][0][a] or shape._lead_powers(k, a)))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=read, args=(t,)) for t in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    for order, got in zip(orders, seen):
-        assert [(k, a) for k, a, _ in got] == order
-        assert all(powers == eager[k][a] for k, a, powers in got)
-    assert [powers for powers, *_ in shape.levels] == eager
+@settings(max_examples=30, deadline=None)
+@given(polynomials(max_n=6, max_d=4), st.integers(1, 16), st.randoms(use_true_random=False),
+       st.integers(2, 4))
+def test_tables_read_in_any_order_by_racing_threads_equal_tables_built_eagerly(f, r, rng, threads):
+    # each of a shape's five tables builds an entry on its first read and
+    # keeps it (grid._Lazy); threads that read the entries in their own
+    # orders, while two sweeps of two threads each run on the same cached
+    # shape, all racing on each build, see the entries built eagerly, and the
+    # sweeps give what they give alone
+    if f.n < 2:
+        return
+    n, rs = f.n, (r, r // 2 + 1)
+    grid._shape.cache_clear()
+    alone = [grid_extrema(f, x) for x in rs]
+    grid._shape.cache_clear()
+    shape = grid._shape(tuple(f.coeffs), n, f.d)
+    keys = [("power", v) for v in range(r + 1)] + [("rows", s) for s in range(1, r + 1)]
+    keys += [("levels", (k, a)) for k in range(n - 2) for a in range(r + 1)]
+    keys += [("tables", k) for k in range(1, n - 1)]
+    keys += [("packs", (k, w)) for k in range(1, n - 1) for w in (9, 40)]
+    orders = [rng.sample(keys, len(keys)) for _ in range(threads)]
+    assert _race(shape, orders, [lambda x=x: grid_extrema(f, x, threads=2) for x in rs]) == alone
+    _assert_eager(shape)
 
 
 def test_a_sweep_builds_only_the_level_powers_it_reads():
@@ -1277,9 +1337,9 @@ def test_a_sweep_builds_only_the_level_powers_it_reads():
     assert [(x.value, x.minimizers, x.tie_count) for x in (low, high)] == \
         naive_extremes(f, r, grid.MINIMIZER_CAP)
     shape = grid._shape(tuple(f.coeffs), f.n, f.d)
-    built = sum(powers is not None for level in shape.levels for powers in level[0])
+    built = sum(len(powers) for powers, *_ in shape.levels)
     assert 0 < built <= len(shape.levels) * (r + 1) // 2
-    _assert_grown_like_fresh(shape, f, r)
+    _assert_eager(shape)
 
 
 # --- workers and guards -----------------------------------------------------------
@@ -1366,8 +1426,7 @@ def test_the_row_table_bound_refuses_a_dense_sweep_before_any_table(monkeypatch)
         raise AssertionError("sweep tables built past the row-table bound")
 
     f = random_polynomial(random.Random(0), 3, 100)
-    for name in ("_row_table", "_lead_powers", "_build_table"):
-        monkeypatch.setattr(grid._Shape, name, fail)
+    monkeypatch.setattr(grid._Lazy, "__missing__", fail)
     grid._shape.cache_clear()
     for sweep in (grid_minimize, grid_maximize, grid_extrema):
         for threads in (1, 2):
@@ -1375,7 +1434,8 @@ def test_the_row_table_bound_refuses_a_dense_sweep_before_any_table(monkeypatch)
                                "for a sweep at r = 150: its row tables would exceed 4000000000 bits$"):
                 sweep(f, 150, threads=threads)
     shape = grid._shape(tuple(f.coeffs), 3, 100)
-    assert shape.power == [] and shape.rows == []
+    assert shape.power == shape.rows == shape.tables == shape.packs == {}
+    assert [powers for powers, *_ in shape.levels] == [{}]
     with pytest.raises(ValueError, match="row tables"):
         grid._check_sweep(f, 150)
     grid._check_sweep(f, 40)  # 2.5e9 bits at r = 40
