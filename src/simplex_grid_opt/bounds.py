@@ -61,14 +61,15 @@ from .rational import Enclosure, _Record, _ratio_str, decimal_str, fraction_str
 _MAX_ELEVATION = 8
 # The most entries the Bernstein table of an enclosure (_bernstein_extrema) may
 # hold, |support| * C(n - 1 + k, n - 1) at elevation k, refused before any sweep.
-# A table whose entries each make their own row costs most, about 0.75 KB per
+# A table whose entries each make their own field costs most, about 0.5 KB per
 # entry at its peak: on a 2-vCPU Xeon VM (Python 3.11, _bernstein_extrema alone
-# in a fresh process, ru_maxrss), x_1^4 takes 1.0 s and peaks at 131 MB with 27
-# variables at k = 5 (1.7e5 entries), 0.8 s and 107 MB with 13 at k = 8
-# (1.3e5), and 3.3 s and 378 MB with 16 at k = 8 (4.9e5), past the bound; a
-# dense one shares its rows, and n = 10, d = 3 (220 terms) at k = 4 (1.6e5)
-# takes 0.44 s and 31 MB through `sgo enclose --r 1`.  The largest table of the
-# test suite holds 660 entries, and of perfbench 525.
+# in a fresh process, ru_maxrss, median of 5), x_1^4 takes 0.61 s and peaks at
+# 88 MB with 27 variables at k = 5 (1.7e5 entries), 0.48 s and 76 MB with 13 at
+# k = 8 (1.3e5), and 2.1 s and 252 MB with 16 at k = 8 (4.9e5), past the
+# bound; a dense one shares its fields, and n = 10, d = 3 (220 terms) at k = 4
+# (1.6e5) takes 0.06 s and 18 MB alone, 0.16 s and 18 MB through `sgo enclose
+# --r 1`.  The largest table of the test suite holds 660 entries, and of
+# perfbench 525.
 _MAX_ENCLOSURE_ENTRIES = 2 * 10**5
 # Most reports bound_table makes, r values * m values * kinds, checked before
 # any.  `sgo bounds` prints one row per report: at this maximum its JSON is

@@ -211,6 +211,8 @@ def cmd_expect(args: argparse.Namespace) -> int:
     urn_mode = args.m is not None or args.counts is not None
     if urn_mode and (args.m is None or args.counts is None):
         raise ValueError("--m and --counts must be given together")
+    if args.x is not None and not args.bernstein:
+        raise ValueError("--x is read only with --bernstein")
     if not urn_mode and not args.bernstein:
         raise ValueError("nothing to compute: give --m/--counts, or --bernstein with --x")
     row: dict = {"command": "expect", "r": args.r}

@@ -10,7 +10,7 @@ end.  Every step below is integer arithmetic, so the engine is exact.
 One engine serves every sweep: a single lex-order pass that tracks the sides
 its caller needs, the minimum (grid_minimize), the maximum (grid_maximize) or
 both (grid_extrema, from which bounds.range_enclosures takes its grid values).
-Its one Bernstein kernel (_bernstein_rows, see Pruning) also gives
+Its one Bernstein kernel (_bernstein_columns, see Pruning) also gives
 range_enclosures its outer endpoints: the table of the whole simplex at degree
 d + k holds the coefficients of f elevated by k, whose extremes
 _bernstein_extrema reads in integers.
@@ -75,26 +75,27 @@ _bernstein_extrema reads in integers.
   L*c_i*r^d with c_i the coefficient of x_i^d (0 if absent), which the grid
   point r e_i attains; the lex walk reaches r e_0 only at its last point, so
   without that start nothing could be skipped before the first row.  The node
-  holding r e_i has a vertex row equal to the start, so it is never skipped,
-  and the vertex is counted when the walk gets there.  The table holds the m
-  vertex rows g = d e_i first, then one empty row standing for every other g
-  that no sigma_i lies under (p_g = 0), then the rest; its size is its (index,
-  weight) entry count, however large I(m, d) is.  The last vertex row, the
-  node's lex-first point, is also kept apart (tails) and tested first, alone,
-  so a node that it keeps builds no table.  At d = 2 the test is sharper
-  (_quadratic_beaten): with V_i the vertex coefficients, none of them reaching
-  the running extreme, h the least edge coefficient (g = e_i + e_j) and
-  D_i = V_i - h > 0, the form in t = y/s is h + sum D_i t_i^2 plus edge terms
-  that are >= 0 on the face, so every value under the node is >= h + 1/sum_i
-  1/D_i, the least of sum D_i t_i^2 on the simplex (Cauchy-Schwarz); the max
-  side is the same bound for -f.  It is never below the least Bernstein
-  coefficient, it is exact on the face for sum x_i^2, where that coefficient is
-  h alone, and it prunes the stable-set forms x^T(I + A)x, whose minimizers are
-  interior; it decodes the packed fields.  Only nodes of depth 1..n-3 whose
-  subtree has at least one point per _BOUND_ENTRIES_PER_POINT entries are
-  bounded, from their own coefficients or stepped ones; rows are bounded only
-  when stepped, as the nodes of depth n - 2.  evaluations still counts every
-  grid point, evaluated or certified.
+  holding r e_i has a vertex field equal to the start, so it is never skipped,
+  and the vertex is counted when the walk gets there.  The table
+  (_bernstein_columns) is one column per sigma_i, its (field, weight) entries,
+  and one size per field: the m vertex fields g = d e_i first, then a field per
+  other g that some sigma_i lies under, then one empty field standing for every
+  g that none lies under (p_g = 0); its size is its entry count, however large
+  I(m, d) is.  The last vertex field, the node's lex-first point, is also kept
+  apart (tails) and tested first, alone, so a node that it keeps builds no
+  table.  At d = 2 the test is sharper (_quadratic_beaten): with V_i the vertex
+  coefficients, none of them reaching the running extreme, h the least edge
+  coefficient (g = e_i + e_j) and D_i = V_i - h > 0, the form in t = y/s is h +
+  sum D_i t_i^2 plus edge terms that are >= 0 on the face, so every value under
+  the node is >= h + 1/sum_i 1/D_i, the least of sum D_i t_i^2 on the simplex
+  (Cauchy-Schwarz); the max side is the same bound for -f.  It is never below
+  the least Bernstein coefficient, it is exact on the face for sum x_i^2, where
+  that coefficient is h alone, and it prunes the stable-set forms x^T(I + A)x,
+  whose minimizers are interior; it decodes the packed fields.  Only nodes of
+  depth 1..n-3 whose subtree has at least one point per
+  _BOUND_ENTRIES_PER_POINT entries are bounded, from their own coefficients or
+  stepped ones; rows are bounded only when stepped, as the nodes of depth
+  n - 2.  evaluations still counts every grid point, evaluated or certified.
 - The tables depend only on f's support, not on its coefficients, and are kept
   in one cache for the few most recently used supports (_shape): converge,
   enclosures and bound checks sweep the same support at many denominators.  The
@@ -365,69 +366,65 @@ def _suffix_orders(support: "tuple[tuple[int, ...], ...]", rows: "list[tuple[int
 
 def _table_entries(m: int, d: int, degrees: "list[int]") -> int:
     """Size of the Bernstein table of a node with m coordinates left: a suffix
-    of degree e takes part in C(m - 1 + d - e, m - 1) of its rows."""
+    of degree e takes part in C(m - 1 + d - e, m - 1) of its fields."""
     return sum(count * comb(m - 1 + d - e, m - 1) for e, count in Counter(degrees).items())
 
 
-def _bernstein_rows(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple[tuple, ...]":
+def _bernstein_columns(suffixes: "list[tuple[int, ...]]", m: int,
+                       d: int) -> "tuple[list[tuple[list[int], list[int]]], list[int]]":
     """The Bernstein table of a node with m coordinates left whose coefficients
-    are indexed by `suffixes`.
+    are indexed by `suffixes`, one column per suffix, and the sizes of its
+    fields.
 
-    A row is the entries i with suffixes[i] <= g, their weights
-    multinomial(d - |suffixes[i]|, g - suffixes[i]), and multinomial(d, g).
-    The m vertices g = d*e_i come first, in coordinate order: each is the value
-    at a grid point of the subtree, so the test starts there, and a vertex no
-    suffix lies under has an empty row (p_g = 0).  Every other g without a row
-    also has p_g = 0; one empty row stands for them all (p_g = 0 fails against
-    the incumbent times any positive size alike, so it takes size 2) and comes
-    next, before the rows that cost a sum, which follow in the order their g
-    is first reached: suffix by suffix, and for each, g = sigma + kappa over
-    kappa in I(m, d - |sigma|) in lex order.  The table costs its entry count
-    (_table_entries) and at most m + 1 rows more, not |I(m, d)|.  It depends
-    only on the suffixes and d, not on the coefficients, the budget or r.
-    Each g is keyed by its base-(d + 1) code, the sum of g_j (d + 1)^j, so
-    sigma + kappa costs one integer addition; its sparse (coordinate,
-    exponent) form, which gives its size, is built once per row from those of
-    sigma and kappa.  So an entry costs O(d) and not O(m): many-variable
-    tables stay linear in their size.  With the full exponents of f as
-    suffixes, m = n and degree d + k, it is the table of f elevated by k
-    (_bernstein_extrema).
+    Each g in I(m, d) that some suffix lies under has a field, and column i
+    lists the fields of the g with suffixes[i] <= g and their weights
+    multinomial(d - |suffixes[i]|, g - suffixes[i]), as two flat lists; the
+    weights depend only on |suffixes[i]|, so the columns of one degree share
+    one list.  sizes holds multinomial(d, g) in field order.  The m vertices
+    g = d*e_i take fields 0..m-1, in coordinate order, with size 1: each is the
+    value at a grid point of the subtree, so the tests read them first, and a
+    vertex no suffix lies under has an empty field (p_g = 0).  Every other g
+    takes the next field when it is first reached: suffix by suffix, and for
+    each, g = sigma + kappa over kappa in I(m, d - |sigma|) in lex order.
+    Every g that no suffix lies under also has p_g = 0, and one empty field
+    stands for them all, last (p_g = 0 fails against the incumbent times any
+    positive size alike, so it takes size 2).  The table costs its entry count
+    (_table_entries) and at most m + 1 fields more, not |I(m, d)|.  It depends
+    only on the suffixes and d, not on the coefficients, the budget or r.  Each
+    g is keyed by its base-(d + 1) code, the sum of g_j (d + 1)^j, so sigma +
+    kappa costs one integer addition; its size comes, when its field is made,
+    from kappa's (coordinate, exponent) pairs and sigma's, built once per
+    suffix.  So an entry costs O(d) and not O(m): many-variable tables stay
+    linear in their size.  With the full exponents of f as suffixes, m = n and
+    degree d + k, it is the table of f elevated by k (_bernstein_extrema).
     """
     unit = list(accumulate(repeat(d + 1, m - 1), mul, initial=1))  # (d + 1)^j
-    offsets = {}  # e: I(m, e) from _compositions, built once however many suffixes share it
-    hits = {}  # the code of g: [i, weight, i, weight, ...] over the suffixes under g
-    firsts = []  # per g, in the order of hits: the first (i, kappa) that reached it
-    for i, sigma in enumerate(suffixes):
+    offsets = _Lazy(lambda e: _compositions(m, e, unit))  # I(m, e), built once per e
+    shared = _Lazy(lambda e: [weight for _, weight, _ in offsets[e]])  # one list per e, not per column
+    fields = {d * u: j for j, u in enumerate(unit)}  # the code of g: its field
+    sizes, columns = [1] * m, []
+    for sigma in suffixes:
         e = d - sum(sigma)
-        kappas = offsets.get(e)
-        if kappas is None:
-            kappas = offsets[e] = _compositions(m, e, unit)
         base = sum(map(mul, sigma, unit))
-        for code, weight, kappa in kappas:
-            row = hits.get(base + code)
-            if row is None:
-                hits[base + code] = [i, weight]
-                firsts.append((i, kappa))
-            else:
-                row += i, weight
-    rows, rest = [((), (), 1)] * m, []
-    sparse = [[(j, b) for j, b in enumerate(sigma) if b] for sigma in suffixes]
-    for (i, kappa), row in zip(firsts, hits.values()):
-        g = dict(kappa)
-        for j, b in sparse[i]:
-            g[j] = g.get(j, 0) + b
-        index, weights = tuple(row[0::2]), tuple(row[1::2])
-        if len(g) == 1:  # g = d e_j
-            rows[next(iter(g))] = (index, weights, 1)
-        else:
-            size, left = 1, d
-            for b in g.values():
-                size *= comb(left, b)
-                left -= b
-            rest.append((index, weights, size))
-    if len(rest) < composition_count(m, d) - m:
-        rows.append(((), (), 2))
-    return tuple(rows + rest)
+        sparse = [(j, b) for j, b in enumerate(sigma) if b]
+        index = []
+        for code, _, kappa in offsets[e]:
+            field = fields.get(base + code)
+            if field is None:
+                field = fields[base + code] = len(sizes)
+                g = dict(kappa)
+                for j, b in sparse:
+                    g[j] = g.get(j, 0) + b
+                size, left = 1, d
+                for b in g.values():
+                    size *= comb(left, b)
+                    left -= b
+                sizes.append(size)
+            index.append(field)
+        columns.append((index, shared[e]))
+    if len(sizes) < composition_count(m, d):
+        sizes.append(2)
+    return columns, sizes
 
 
 def _compositions(m: int, e: int, unit: "list[int]") -> "list[tuple[int, int, tuple]]":
@@ -475,17 +472,18 @@ def _bernstein_extrema(f: HomogeneousPolynomial, k: int) -> "tuple[Fraction, Fra
 
     They are the extremes of p_g / multinomial(d + k, g) over g in I(n, d + k),
     p_g = sum over alpha <= g of L*f_alpha * multinomial(k, g - alpha): the
-    table of the root node at degree d + k (_bernstein_rows), in integers,
+    table of the root node at degree d + k (_bernstein_columns), in integers,
     divided by L at the end.
     """
     scale, coeffs = _integer_form(f)
-    values = list(coeffs.values())
-    low = high = None
-    for index, weights, size in _bernstein_rows(list(coeffs), f.n, f.d + k):
-        p = sum(map(mul, map(values.__getitem__, index), weights))
-        if low is None:
-            low = high = (p, size)
-        elif p * low[1] < low[0] * size:
+    columns, sizes = _bernstein_columns(list(coeffs), f.n, f.d + k)
+    ps = [0] * len(sizes)
+    for c, (index, weights) in zip(coeffs.values(), columns):
+        for field, weight in zip(index, weights):
+            ps[field] += c * weight
+    low = high = (ps[0], sizes[0])
+    for p, size in zip(ps, sizes):
+        if p * low[1] < low[0] * size:
             low = (p, size)
         elif p * high[1] > high[0] * size:
             high = (p, size)
@@ -533,12 +531,14 @@ class _Shape:
     not keep it.
 
     entries[k] is the size of the Bernstein table of depth k = 1..n-3, and
-    tables[k] its suffix degrees and rows (_bernstein_rows), first read when
-    the gate admits a node of that depth whose last vertex does not keep it
-    (beaten), or when a run of stepped children of that depth starts
-    (differences).  The table of depth n - 2, of the rows, is read only for
-    stepped rows of degree e >= 3.  tails[k] lists the (entry, degree) pairs
-    of the suffixes at depth k that are 0 but on the last coordinate.
+    tables[k] = (degrees, columns, sizes) its suffix degrees, its columns of
+    (field, weight) entries, one per suffix, and its field sizes
+    (_bernstein_columns), first read when the gate admits a node of that
+    depth whose last vertex does not keep it (beaten), or when a run of
+    stepped children of that depth starts (differences).  The table of depth
+    n - 2, of the rows, is read only for stepped rows of degree e >= 3.
+    tails[k] lists the (entry, degree) pairs of the suffixes at depth k that
+    are 0 but on the last coordinate, those in the last vertex field.
     packs[k, w] is the _Packing of depth k at field width w, through which
     every node test reads its Bernstein coefficients (_loses).  No builder
     holds the shape, so a shape that leaves the cache is freed at once.
@@ -617,7 +617,7 @@ class _Shape:
         """Whether the depth-k node with budget s and these coefficients loses
         (_loses), from its own Bernstein coefficients, packed at field width w
         (_Packing.bernstein).  Its lex-first point, the value of its last
-        vertex row, is read first from tails[k] and tested alone, so a node
+        vertex field, is read first from tails[k] and tested alone, so a node
         that it keeps builds no table: a sweep of many variables that goes
         down one node per depth builds none."""
         power = self.power[s]
@@ -654,7 +654,7 @@ class _Shape:
         """The packing of depth k + 1 at field width w (packs), and the
         forward differences of order 0..d, at alpha_k = a, of what the depth-k
         node with these coefficients and budget s steps across, each packed
-        into one integer: the child's Bernstein coefficients, one per row of
+        into one integer: the child's Bernstein coefficients, one per field of
         the depth-(k + 1) table (none for a row of degree e <= 2, which is not
         tested: its closed form costs less), and for a row also its forward
         differences t_0..t_e at v = 0, in the low fields.
@@ -693,13 +693,14 @@ def _row_table(power: _Lazy, suffixes: "list[tuple[int, int]]", e: int,
 
 
 def _depth_table(row_suffixes: "list[tuple[int, int]]", links: tuple, n: int, d: int,
-                 k: int) -> "tuple[tuple[int, ...], tuple[tuple, ...]]":
-    """tables[k] of a _Shape: the suffix degrees and Bernstein rows of depth k,
-    whose suffixes are rebuilt from the row suffixes and the links below it."""
+                 k: int) -> "tuple[tuple[int, ...], list, list[int]]":
+    """tables[k] of a _Shape: the suffix degrees, Bernstein columns and field
+    sizes of depth k (_bernstein_columns), whose suffixes are rebuilt from the
+    row suffixes and the links below it."""
     suffixes = row_suffixes
     for lead, child in reversed(links[k:]):
         suffixes = [(b,) + suffixes[j] for b, j in zip(lead, child)]
-    return tuple(map(sum, suffixes)), _bernstein_rows(suffixes, n - k, d)
+    return (tuple(map(sum, suffixes)), *_bernstein_columns(suffixes, n - k, d))
 
 
 def _depth_packing(tables: _Lazy, row: int, e: int, key: "tuple[int, int]") -> "_Packing":
@@ -709,7 +710,7 @@ def _depth_packing(tables: _Lazy, row: int, e: int, key: "tuple[int, int]") -> "
     k, w = key
     if k != row:
         return _Packing(w, 0, *tables[k])
-    return _Packing(w, e + 1, *tables[k] if e > 2 else ((), ()))
+    return _Packing(w, e + 1, *tables[k] if e > 2 else ((), (), ()))
 
 
 def _child(coeffs: "list[int]", power: "tuple[int, ...]", width: int, extras: tuple) -> "list[int]":
@@ -742,40 +743,39 @@ class _Packing:
     Stepped siblings): a vector v_0..v_{F-1} is the one integer sum_j v_j
     2^(w j).  At the row depth, fields 0..e hold a row's forward differences
     t_0..t_e and, when the row is tested (e >= 3), the fields above them its
-    Bernstein coefficients p_g in table order; at a node depth the p_g start
-    at field 0.
+    Bernstein coefficients p_g in the field order of the depth's table
+    (_bernstein_columns); at a node depth the p_g start at field 0.
 
-    columns[i] packs suffix i's weight in each row of the depth's table, so a
-    node's packed p_g are sum_i c_i s^|sigma_i| columns[i] (degrees holds the
-    |sigma_i|); sizes packs the sizes multinomial(d, g).  half = 2^(w - 1) and
-    bias holds half in every field.  Every field that is decoded or tested
-    lies strictly between -half and half (_field_width), so it plus half is a
-    w-bit field of its own, and no carry or borrow crosses into the next one.
-    Fields of difference orders >= 1 may be wider: their sums are exact
-    integers all the same, and they are never decoded.
+    columns[i] packs suffix i's column, its weight in each of its fields, as
+    the table lists it, with no transpose; so a node's packed p_g are sum_i c_i
+    s^|sigma_i| columns[i] (degrees holds the |sigma_i|), and sizes packs the
+    sizes multinomial(d, g).  half = 2^(w - 1) and bias holds half in every
+    field.  Every field that is decoded or tested lies strictly between -half
+    and half (_field_width), so it plus half is a w-bit field of its own, and
+    no carry or borrow crosses into the next one.  Fields of difference orders
+    >= 1 may be wider: their sums are exact integers all the same, and they are
+    never decoded.
     """
 
     __slots__ = ("half", "mask", "bias", "low", "row_shifts", "shifts", "degrees", "columns", "sizes",
                  "ones", "top")
 
-    def __init__(self, w: int, offset: int, degrees: "tuple[int, ...]", rows: "tuple[tuple, ...]") -> None:
-        fields = offset + len(rows)
+    def __init__(self, w: int, offset: int, degrees: "tuple[int, ...]", columns: list,
+                 sizes: "list[int]") -> None:
+        fields = offset + len(sizes)
         self.half, self.mask = half, mask = 1 << (w - 1), (1 << w) - 1
         self.low = low = (1 << w * offset) - 1
         self.row_shifts = range(0, w * offset, w)
-        self.shifts = shifts = range(w * offset, w * fields, w)
+        self.shifts = shifts = list(range(w * offset, w * fields, w))  # a list: the columns index it
         every = ((1 << w * fields) - 1) // mask  # 1 in every field: (2^(wF) - 1)/(2^w - 1)
         ones = every - low // mask  # 1 in every table field
         self.bias = every * half
         self.ones = ones - self.bias  # 1 in every table field, less half in every field
         self.top = ones * half  # the top bit of every table field
-        columns = [[] for _ in degrees]  # each suffix's weights, shifted to their fields
-        for shift, (index, weights, _) in zip(shifts, rows):
-            for i, weight in zip(index, weights):
-                columns[i].append(weight << shift)
         self.degrees = degrees
-        self.columns = list(map(sum, columns))
-        self.sizes = sum(map(lshift, map(itemgetter(2), rows), shifts))
+        self.columns = [sum(map(lshift, weights, map(shifts.__getitem__, index)))
+                        for index, weights in columns]
+        self.sizes = sum(map(lshift, sizes, shifts))
 
     def bernstein(self, coeffs: "list[int]", power: "tuple[int, ...]") -> int:
         """The packed Bernstein coefficients of the node of this depth with these
@@ -795,7 +795,7 @@ class _Packing:
             (high is None or (high.value * sizes - p - ones) & top == top)
 
     def table(self, p: int) -> "list[int]":
-        """The Bernstein coefficients packed in p, in table order."""
+        """The Bernstein coefficients packed in p, in field order."""
         x, mask, half = p + self.bias, self.mask, self.half
         return [(x >> shift & mask) - half for shift in self.shifts]
 
@@ -827,10 +827,11 @@ def _field_width(values, n: int, d: int, r: int) -> int:
 
 def _quadratic_beaten(m: int, ps, lo: "int | None", hi: "int | None") -> bool:
     """_Shape._loses for d = 2, from the node's Bernstein coefficients ps in
-    table order, an iterable with the m vertex rows first.
+    field order, an iterable with the m vertex fields first; the order of
+    the rest does not matter.
 
     With t = y/s, the node's form is sum_i V_i t_i^2 + sum_{i<j} p_ij t_i t_j
-    over the vertex values V_i and edge p_ij (0 for an edge without a row).
+    over the vertex values V_i and edge p_ij (0 for an edge without a field).
     Since (sum t)^2 = 1, for h = min p_ij / 2 it equals h + sum_i (V_i - h)
     t_i^2 + sum_{i<j} (p_ij - 2h) t_i t_j, whose last sum is >= 0, and the
     least of sum D_i t_i^2 over the simplex is 1/sum_i 1/D_i.  So every value

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from decimal import Decimal
@@ -482,16 +482,20 @@ def bernstein_table(f: HomogeneousPolynomial) -> BernsteinTable:
     return BernsteinTable(entries=entries, min_coeff=min(values), max_coeff=max(values))
 
 
-def bernstein_rows_oracle(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> "tuple[tuple, ...]":
-    """The Bernstein table of grid._bernstein_rows, rows and their order
+def bernstein_columns_oracle(suffixes: "list[tuple[int, ...]]", m: int,
+                             d: int) -> "tuple[list[tuple[list[int], list[int]]], list[int]]":
+    """The Bernstein table of grid._bernstein_columns, fields and their order
     included, built as it was before that kernel keyed g by an integer: each g
     as a sorted tuple of its (coordinate, exponent) pairs, each kappa in I(m, e)
-    a Counter over the reversed combinations_with_replacement(range(m), e)."""
+    a Counter over the reversed combinations_with_replacement(range(m), e).
+    The vertex fields come first, then each other g as it is first reached,
+    then one empty field of size 2 when some g has no suffix under it."""
     factorial = list(accumulate(range(1, d - min(map(sum, suffixes), default=d) + 1), mul,
                                 initial=1))
     offsets = {}
-    hits = defaultdict(lambda: ([], []))
-    for i, sigma in enumerate(suffixes):
+    fields = {((j, d),): j for j in range(m)}
+    sizes, columns = [1] * m, []
+    for sigma in suffixes:
         e = d - sum(sigma)
         if e not in offsets:
             kappas = map(Counter, reversed(list(combinations_with_replacement(range(m), e))))
@@ -500,40 +504,43 @@ def bernstein_rows_oracle(suffixes: "list[tuple[int, ...]]", m: int, d: int) -> 
                 for h in kappas
             ]
         base = {j: b for j, b in enumerate(sigma) if b}
+        index, weights = [], []
         for kappa, weight in offsets[e]:
             g = base.copy()
             for j, b in kappa:
                 g[j] = g.get(j, 0) + b
-            index, weights = hits[tuple(sorted(g.items()))]
-            index.append(i)
+            g = tuple(sorted(g.items()))
+            if g not in fields:
+                fields[g] = len(sizes)
+                size, left = 1, d
+                for _, b in g:
+                    size *= math.comb(left, b)
+                    left -= b
+                sizes.append(size)
+            index.append(fields[g])
             weights.append(weight)
-    rows, rest = [((), (), 1)] * m, []
-    for g, (index, weights) in hits.items():
-        if len(g) == 1:  # g = d e_j
-            rows[g[0][0]] = (tuple(index), tuple(weights), 1)
-        else:
-            size, left = 1, d
-            for _, b in g:
-                size *= math.comb(left, b)
-                left -= b
-            rest.append((tuple(index), tuple(weights), size))
-    if len(rest) < composition_count(m, d) - m:
-        rows.append(((), (), 2))
-    return tuple(rows + rest)
+        columns.append((index, weights))
+    if len(sizes) < composition_count(m, d):
+        sizes.append(2)
+    return columns, sizes
 
 
-def node_coefficients_oracle(rows, suffixes, coeffs, s) -> "list[tuple[int, int]]":
-    """(p_g, multinomial(d, g)) per row of `rows`, the Bernstein table of a
-    node with these suffixes (bernstein_rows_oracle), for its coefficients
-    and budget s: p_g = sum over sigma_i <= g of c_i s^|sigma_i|
+def node_coefficients_oracle(table, suffixes, coeffs, s) -> "list[tuple[int, int]]":
+    """(p_g, multinomial(d, g)) per field of `table`, the Bernstein columns and
+    sizes of a node with these suffixes (bernstein_columns_oracle), for its
+    coefficients and budget s: p_g = sum over sigma_i <= g of c_i s^|sigma_i|
     multinomial(d - |sigma_i|, g - sigma_i)."""
-    return [(sum(coeffs[i] * s ** sum(suffixes[i]) * w for i, w in zip(index, weights)), size)
-            for index, weights, size in rows]
+    columns, sizes = table
+    ps = [0] * len(sizes)
+    for c, sigma, (index, weights) in zip(coeffs, suffixes, columns):
+        for j, w in zip(index, weights):
+            ps[j] += c * s ** sum(sigma) * w
+    return list(zip(ps, sizes))
 
 
 def quadratic_bound_oracle(pairs, m: int) -> Fraction:
     """A lower bound on the values under a node of degree 2 from its (p_g,
-    size) pairs in table order, the m vertex rows first: h + 1/sum_i 1/(V_i -
+    size) pairs in field order, the m vertex fields first: h + 1/sum_i 1/(V_i -
     h), with V_i the vertex coefficients and h the least other p_g / size, or
     the least V_i when some V_i <= h or no other row is there."""
     vertices = [p for p, _ in pairs[:m]]
@@ -545,7 +552,7 @@ def quadratic_bound_oracle(pairs, m: int) -> Fraction:
 
 def node_loses_oracle(pairs, m: int, d: int, lo: "int | None", hi: "int | None") -> bool:
     """The sweep's node test in list form, from a node's (p_g, size) pairs in
-    table order (node_coefficients_oracle) against running extremes lo and
+    field order (node_coefficients_oracle) against running extremes lo and
     hi, None when a side is not tracked: every p_g / size is strictly worse
     than both, or at d = 2 each extreme is strictly worse than the quadratic
     bound of its side (quadratic_bound_oracle, for -f on the max side)."""

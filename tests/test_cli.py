@@ -256,6 +256,18 @@ def test_expect_invalid_counts_exit_2(capsys):
     assert "error" in err
 
 
+def test_expect_refuses_a_point_without_bernstein(capsys):
+    # --x is read only with --bernstein: alone it is refused, well-formed or
+    # not, with an urn or without, where it was once ignored with exit 0
+    for x in ("foo", "1/4,3/4"):
+        for urn in (("--m", "4", "--counts", "1,3"), ()):
+            code, out, err = run(capsys, "expect", "--poly", GAP, "--r", "2", *urn, "--x", x)
+            assert (code, out, err) == (EXIT_CONFIG, "", "error: --x is read only with --bernstein\n")
+    code, out, _ = run(capsys, "expect", "--poly", GAP, "--r", "2", "--m", "4", "--counts", "1,3",
+                       "--bernstein", "--x", "1/4,3/4")
+    assert code == EXIT_OK and json.loads(out)["bernstein_point"] == "1/4,3/4"
+
+
 def test_expect_requires_some_mode(capsys):
     code, _, _ = run(capsys, "expect", "--poly", GAP, "--r", "2")
     assert code == EXIT_CONFIG
@@ -640,7 +652,7 @@ def test_each_sweep_and_table_is_computed_once(capsys, monkeypatch):
 def test_default_verify_builds_no_bound_table(capsys, monkeypatch, tmp_path):
     # the only Bernstein tables verify builds are its witnesses' enclosures
     grid._shape.cache_clear()
-    tables = count_calls(monkeypatch, grid, "_bernstein_rows")
+    tables = count_calls(monkeypatch, grid, "_bernstein_columns")
     enclosures = count_calls(monkeypatch, bounds, "_bernstein_extrema")
     bound_checks = count_calls(monkeypatch, grid._Shape, "beaten")
     stepped_checks = count_calls(monkeypatch, grid._Shape, "skip")  # nodes and rows

@@ -33,7 +33,7 @@ from strats import (
     anchored_extremes,
     anchored_form,
     anchored_points,
-    bernstein_rows_oracle,
+    bernstein_columns_oracle,
     exponent_tuples,
     fixed_quartic,
     motzkin_straus_form,
@@ -533,9 +533,10 @@ def table_supports(draw):
 @settings(max_examples=150, deadline=None)
 @given(table_supports())
 def test_bernstein_tables_equal_the_oracle_builders(support):
-    # the same rows in the same order, each with the same entries, weights and size
+    # the same columns, each with the same fields and weights in the same
+    # order, and the same sizes in the same field order
     suffixes, m, d = support
-    assert grid._bernstein_rows(suffixes, m, d) == bernstein_rows_oracle(suffixes, m, d)
+    assert grid._bernstein_columns(suffixes, m, d) == bernstein_columns_oracle(suffixes, m, d)
 
 
 def test_compositions_list_every_kappa_in_lex_order():
@@ -574,26 +575,33 @@ class _Incumbent:
 @given(bernstein_nodes())
 def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     suffixes, coeffs, m, d, s = node
-    rows = grid._bernstein_rows(suffixes, m, d)
+    columns, sizes = grid._bernstein_columns(suffixes, m, d)
     under = {g: tuple(i for i, sigma in enumerate(suffixes) if all(map(int.__le__, sigma, g)))
              for g in compositions(m, d)}
     vertices = [tuple(d * (j == i) for j in range(m)) for i in range(m)]
     others = [g for g in under if g not in vertices]
     missing = any(not under[g] for g in others)
-    # the m vertex rows in coordinate order, one empty row if and only if some
-    # other g has no suffix under it, then one row per other g that has
-    assert [(index, size) for index, _, size in rows[:m]] == [(under[g], 1) for g in vertices]
-    assert [index for index, _, _ in rows[m:]].count(()) == missing
-    if missing:
-        assert rows[m] == ((), (), 2)
-    assert sorted((index, size) for index, _, size in rows[m + missing:]) == \
-        sorted((under[g], multinomial(d, g)) for g in others if under[g])
-    assert sum(len(index) for index, _, _ in rows) == \
+    # the m vertex fields in coordinate order, then one field per other g
+    # that some suffix lies under, in the order the suffixes, each over its
+    # kappa in ascending lex order, first reach it, then one empty field of
+    # size 2 if and only if some other g has none
+    field, expected = {g: j for j, g in enumerate(vertices)}, []
+    for sigma in suffixes:
+        kappas = sorted(compositions(m, d - sum(sigma)))
+        gs = [tuple(map(int.__add__, sigma, kappa)) for kappa in kappas]
+        expected.append(([field.setdefault(g, len(field)) for g in gs],
+                         [multinomial(d - sum(sigma), kappa) for kappa in kappas]))
+    assert columns == expected
+    assert sizes == [multinomial(d, g) for g in field] + [2] * missing
+    fields = [tuple(i for i, (index, _) in enumerate(columns) if j in index) for j in range(len(sizes))]
+    assert fields == [under[g] for g in field] + [()] * missing
+    assert sum(len(index) for index, _ in columns) == \
         grid._table_entries(m, d, list(map(sum, suffixes)))
-    quotients = [
-        Fraction(sum(coeffs[i] * s ** sum(suffixes[i]) * w for i, w in zip(index, weights)), size)
-        for index, weights, size in rows
-    ]
+    ps = [0] * len(sizes)
+    for c, sigma, (index, weights) in zip(coeffs, suffixes, columns):
+        for j, w in zip(index, weights):
+            ps[j] += c * s ** sum(sigma) * w
+    quotients = list(map(Fraction, ps, sizes))
     assert sorted(quotients) == sorted(
         [_coefficient(suffixes, coeffs, d, s, g) for g in vertices + [g for g in others if under[g]]]
         + [Fraction(0)] * missing
@@ -610,7 +618,7 @@ def test_bernstein_bound_encloses_every_value_of_the_subtree(node):
     shape.power = {s: tuple(s**b for b in range(d + 1))}
     # a width that holds every p_g and every tested field below
     w = (8 * (sum(map(abs, coeffs)) + 1) * (s * m + 1) ** (2 * d)).bit_length() + 1
-    shape.packs = {(0, w): grid._Packing(w, 0, tuple(map(sum, suffixes)), rows)}
+    shape.packs = {(0, w): grid._Packing(w, 0, tuple(map(sum, suffixes)), columns, sizes)}
     beaten = lambda low, high: shape.beaten(0, coeffs, s, low, high, w)
     # an attained value is never beaten, on either side
     assert not beaten(_Incumbent(min(values)), None)
@@ -660,17 +668,16 @@ def _diagonal_bound(suffixes, coeffs, m, s):
 
 def test_sparse_many_variable_table_costs_its_entries():
     # x_40^6: at depth k one suffix of degree 6 lies under one g of the
-    # C(45 - k, 6) in I(40 - k, 6), the last vertex; the table keeps that row,
-    # an empty row for each other vertex and one for every other g
+    # C(45 - k, 6) in I(40 - k, 6), the last vertex; the table keeps that
+    # field, an empty field for each other vertex and one for every other g
     f = HomogeneousPolynomial(40, 6, {(0,) * 39 + (6,): Fraction(1)})
     assert _check_against_naive_oracle(f, 2, 16) == (0, 1)
     shape = grid._shape(tuple(f.coeffs), 40, 6)
     assert shape.tables
-    for k, (_, rows) in shape.tables.items():
+    for k, (degrees, columns, sizes) in shape.tables.items():
         m = 40 - k
-        assert len(rows) == m + 1
-        assert sum(len(index) for index, _, _ in rows) == shape.entries[k] == 1
-        assert rows[m - 1][0] == (0,) and rows[m] == ((), (), 2)
+        assert (degrees, columns, sizes) == ((6,), [([m - 1], [1])], [1] * m + [2])
+        assert sum(len(index) for index, _ in columns) == shape.entries[k] == 1
 
 
 def test_a_node_its_last_vertex_keeps_builds_no_table():
@@ -692,15 +699,18 @@ def test_a_node_its_last_vertex_keeps_builds_no_table():
 @settings(max_examples=60, deadline=None)
 @given(polynomials(max_n=6, max_d=4))
 def test_tails_are_the_last_vertex_row(f):
-    # tails[k] is the row of g = d e_{m-1} of the depth-k table, read without it
+    # tails[k] lists the suffixes in the field of g = d e_{m-1} of the depth-k
+    # table, each of weight 1, read without it
     if f.n < 4:  # no node is bounded
         return
     shape = grid._Shape(tuple(f.coeffs), f.n, f.d)
     for k in range(1, f.n - 2):
-        degrees, rows = shape.tables[k]
-        index, weights, size = rows[f.n - k - 1]
-        assert (size, set(weights) | {1}) == (1, {1})
-        assert shape.tails[k] == tuple((i, degrees[i]) for i in index)
+        degrees, columns, sizes = shape.tables[k]
+        last = f.n - k - 1
+        under = [(i, weights[index.index(last)]) for i, (index, weights) in enumerate(columns)
+                 if last in index]
+        assert (sizes[last], {weight for _, weight in under} | {1}) == (1, {1})
+        assert shape.tails[k] == tuple((i, degrees[i]) for i, _ in under)
 
 
 def test_sparse_quadratic_reaches_the_quadratic_bound_at_depth_1():
@@ -945,13 +955,13 @@ def _packed(fields, w):
 
 @given(st.integers(2, 80), st.data())
 def test_packed_fields_decode_back_at_the_width_limits(w, data):
-    # an identity table (row i weights suffix i by 1) packs p through the
-    # columns, and the row differences t below them through row_shifts
+    # an identity table (suffix i has weight 1 in field i) packs p through
+    # the columns, and the row differences t below them through row_shifts
     edge = 2 ** (w - 1) - 1
     values = st.sampled_from((edge, -edge)) | st.integers(-edge, edge)
     t = data.draw(st.lists(values, max_size=5))
     p = data.draw(st.lists(values, max_size=8))
-    pack = grid._Packing(w, len(t), (0,) * len(p), tuple(((i,), (1,), 1) for i in range(len(p))))
+    pack = grid._Packing(w, len(t), (0,) * len(p), [([i], [1]) for i in range(len(p))], [1] * len(p))
     packed = sum(map(mul, p, pack.columns)) + sum(map(lshift, t, pack.row_shifts))
     assert packed == _packed(t + p, w)
     assert (pack.row(packed), pack.table(packed)) == (t, p)
@@ -964,7 +974,7 @@ def _skip_case(draw, d):
     them at the row depth."""
     shape = grid._Shape(tuple(compositions(4, d)), 4, d)
     k = draw(st.sampled_from((1,) if d == 2 else (1, 2)))
-    sizes = [size for _, _, size in shape.tables[k][1]]
+    sizes = shape.tables[k][2]
     lo, hi = (draw(st.none() | st.integers(-40, 40)) for _ in range(2))
     ps = []
     for size in sizes:
@@ -1027,7 +1037,7 @@ def _check_field_width(f, r):
               for alpha in compositions(f.n, r)]
     extremes = (min(values), max(values))
     suffixes = [_depth_suffixes(shape, k) for k in range(f.n - 1)]
-    tables = [bernstein_rows_oracle(suffixes[k], f.n - k, f.d) for k in range(f.n - 1)]
+    tables = [bernstein_columns_oracle(suffixes[k], f.n - k, f.d) for k in range(f.n - 1)]
     for k, s, child in _node_coefficients(shape, root, r):
         pairs = node_coefficients_oracle(tables[k], suffixes[k], child, s)
         fields = [p for p, _ in pairs]
@@ -1067,7 +1077,7 @@ def test_stepped_packed_children_decode_to_their_own_coefficients(f, r):
     pack, steps = shape.differences(0, root, r, 0, w)
     powers, width, extras, _ = shape.levels[0]
     suffixes = _depth_suffixes(shape, 1)
-    table = bernstein_rows_oracle(suffixes, f.n - 1, f.d)
+    table = bernstein_columns_oracle(suffixes, f.n - 1, f.d)
     # running extremes are values at grid points: those of the children's lex-first points
     firsts = [sum(c * a ** alpha[0] * (r - a) ** alpha[-1] for alpha, c in coeffs.items() if not any(alpha[1:-1]))
               for a in range(r + 1)]
@@ -1136,7 +1146,7 @@ def _entry(shape, table, key):
 
 def _eager_entry(shape, table, key):
     """That entry built from its definition, independently of the shape's
-    builders: a Bernstein table by bernstein_rows_oracle, and a packing
+    builders: a Bernstein table by bernstein_columns_oracle, and a packing
     field by field (_packed)."""
     if table == "power":
         return tuple(key**b for b in range(shape.d + 1))
@@ -1147,15 +1157,16 @@ def _eager_entry(shape, table, key):
         return _eager_row(shape, key)
     k = key if table == "tables" else key[0]
     suffixes = _depth_suffixes(shape, k)
-    degrees, rows = tuple(map(sum, suffixes)), bernstein_rows_oracle(suffixes, shape.n - k, shape.d)
+    degrees = tuple(map(sum, suffixes))
+    columns, sizes = bernstein_columns_oracle(suffixes, shape.n - k, shape.d)
     if table == "tables":
-        return degrees, rows
+        return degrees, columns, sizes
     w, offset = key[1], (shape.e + 1 if k == shape.n - 2 else 0)
     if offset and shape.e <= 2:  # a row of degree e <= 2 is not tested: no table fields
-        degrees, rows = (), ()
-    columns = [_packed([0] * offset + [dict(zip(index, weights)).get(i, 0) for index, weights, _ in rows], w)
-               for i in range(len(degrees))]
-    return degrees, columns, _packed([0] * offset + [size for _, _, size in rows], w)
+        degrees, columns, sizes = (), [], []
+    packed = [_packed([0] * offset + [dict(zip(index, weights)).get(j, 0) for j in range(len(sizes))], w)
+              for index, weights in columns]
+    return degrees, packed, _packed([0] * offset + sizes, w)
 
 
 def _assert_eager(shape):
