@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID = "src/simplex_grid_opt/grid.py"
+CLI = "src/simplex_grid_opt/cli.py"
 TIMEOUT = 900  # seconds for one pytest run
 
 
@@ -58,6 +59,39 @@ MUTANTS = (
     Mutant("columns-weight-one", GRID,
            "[weight for _, weight, _ in offsets[e]]", "[1 for _ in offsets[e]]",
            ("tests/test_grid.py",)),
+    # the sweep engine: extremes, closed-form rows, node tests, thread chunks, guards
+    Mutant("take-ignores-kept-points", GRID,
+           "islice(points, self.cap - len(self.points))", "islice(points, self.cap)",
+           ("tests/test_grid.py",)),
+    Mutant("quadratic-drops-the-tie-at-v-plus-1", GRID,
+           "hits = (v, v + 1) if v < s and t1 + t2 * v == 0 else (v,)", "hits = (v,)",
+           ("tests/test_grid.py",)),
+    Mutant("packed-test-not-strict", GRID,
+           "self.ones = ones - self.bias", "self.ones = -self.bias",
+           ("tests/test_grid.py",)),
+    Mutant("tail-pretest-not-strict", GRID,
+           "tail <= low.value or high is not None and tail >= high.value",
+           "tail < low.value or high is not None and tail > high.value",
+           ("tests/test_grid.py",)),
+    Mutant("chunks-cut-one-alpha0-early", GRID,
+           "bisect_left(cum, total * i) + 1", "bisect_left(cum, total * i)",
+           ("tests/test_grid.py",)),
+    Mutant("field-width-one-bit-short", GRID,
+           "return bound.bit_length() + 1", "return bound.bit_length()",
+           ("tests/test_grid.py",)),
+    Mutant("row-bound-binary-form-one-list", GRID,
+           "lists = min(r, e) + 1", "lists = 1",
+           ("tests/test_grid.py",)),
+    # verify's one writing loop (cli.cmd_verify)
+    Mutant("verify-stops-counting-failures", CLI,
+           "failures += not check.holds", "failures += 0",
+           ("tests/test_cli.py",)),
+    Mutant("verify-csv-holds-inverted", CLI,
+           "check.relation, holds))", 'check.relation, "false" if check.holds else "true"))',
+           ("tests/test_cli.py",)),
+    Mutant("verify-json-lead-never-set", CLI,
+           "}}')\n                lead = \",\"\n", "}}')\n",
+           ("tests/test_cli.py",)),
     # survivors of an earlier probe, since killed by tests of their own
     Mutant("rho-interval-uncapped", "src/simplex_grid_opt/bounds.py",
            "min(Fraction(1), num_hi / den_lo)", "num_hi / den_lo",

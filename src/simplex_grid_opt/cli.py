@@ -25,10 +25,12 @@ parse is quoted to its first 40 characters (rational._head), and an integer
 in it may have at most 4300 digits (rational.MAX_INT_DIGITS).
 
 Tables (bounds, converge, verify) are lists of flat records, written one
-record at a time: bounds and converge through the C JSON encoder
-(_write_table), verify with one f-string per check (_write_checks), as no text
-of a check needs escaping.  verify writes each check as its sweep makes it,
-after every refusal and the few bound witnesses, and keeps none.
+record at a time.  bounds and converge go through the C JSON encoder
+(_write_table) or the csv writer (_csv_writer).  cmd_verify has one loop over
+its checks: it renders each check once, writes it with one f-string (no text
+of a check needs escaping) or with the csv writer, and counts the checks and
+the failures.  verify writes each check as its sweep makes it, after every
+refusal and the few bound witnesses, and keeps none.
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  Output is byte-identical for any
@@ -44,6 +46,7 @@ import random
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
+from typing import Any
 
 from . import bounds as bounds_mod
 from . import identities as ident_mod
@@ -146,8 +149,9 @@ def _write_table(keys: "Sequence[str]", rows: "Iterable[Sequence]") -> None:
     write("[]" if lead == "[" else "\n]")
 
 
-def _write_csv(header: "Sequence[str]", rows: "Iterable[Sequence]", *,
-               decimal_note: bool = False) -> None:
+def _csv_writer(header: "Sequence[str]", *, decimal_note: bool = False) -> "Any":
+    """Print the CSV version line, the decimal note if asked and the header,
+    and return the csv writer on sys.stdout that writes the rows."""
     import csv  # only --format csv writes CSV
 
     print(CSV_VERSION_LINE)
@@ -155,7 +159,7 @@ def _write_csv(header: "Sequence[str]", rows: "Iterable[Sequence]", *,
         print(CSV_DECIMAL_NOTE)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    return writer
 
 
 def _emit(args: argparse.Namespace, obj: "dict | list", header: "list[str]",
@@ -164,7 +168,7 @@ def _emit(args: argparse.Namespace, obj: "dict | list", header: "list[str]",
     prints as json.dumps(obj, indent=2), a list of records in header's order as
     a list of objects (_write_table)."""
     if args.format == "csv":
-        _write_csv(header, rows, decimal_note=decimal_note)
+        _csv_writer(header, decimal_note=decimal_note).writerows(rows)
     elif isinstance(obj, dict):
         print(json.dumps(obj, indent=2))
     else:
@@ -345,56 +349,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
     fault = ident_mod.IdentityCheck("INJECTED_FAULT", (), 0, 1, "eq", False)
     groups = (("identity", checks), ("bound-witness", witnesses),
               ("identity", [fault] if args.inject_fault else []))
-    if args.format == "json":
-        sys.stdout.write('{\n  "checks": ')
-        total, failures = _write_checks(groups)
-        print(f',\n  "total": {total},\n  "failures": {failures}\n}}')
+    # one row per check, in the chosen format, as json.dumps(indent=2) or the
+    # csv writer lays it out; no JSON text is escaped, as none needs it: names
+    # and relations are letters and "_", params_str() is "key=value" pairs
+    # joined by ";" with int or int-tuple values, each side is digits with "-"
+    # and "/" (rational._ratio_str), and holds is "true" or "false"
+    writerow, write = None, sys.stdout.write
+    if args.format == "csv":
+        writerow = _csv_writer(["check", "name", "params", "lhs", "rhs", "relation", "holds"]).writerow
     else:
-        tally = [0, 0]  # rows written, and failures among them
-
-        def rows():
-            for column, group in groups:
-                for check in group:
-                    tally[0] += 1
-                    tally[1] += not check.holds
-                    yield (column, check.name, check.params_str(), *check._texts(),
-                           check.relation, "true" if check.holds else "false")
-
-        _write_csv(["check", "name", "params", "lhs", "rhs", "relation", "holds"], rows())
-        total, failures = tally
-    if failures:
-        print(f"verification failed: {failures} of {total} checks", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
-
-
-def _write_checks(groups: "Iterable[tuple[str, Iterable[ident_mod.IdentityCheck]]]"
-                  ) -> "tuple[int, int]":
-    """Write verify's list of checks as json.dumps(indent=2) lays it out at
-    indent 2, one f-string per check, and return how many were written and
-    how many of them fail.
-
-    No text is escaped, as none needs it: every column comes from a fixed
-    alphabet with no quote, backslash, control or non-ASCII character.  Names
-    and relations are letters and "_"; params_str() joins "key=value" pairs
-    with ";", each value an int or a tuple of ints; each side is digits with
-    "-" and "/" (rational._ratio_str); holds is "true" or "false".
-    """
-    write = sys.stdout.write
+        write('{\n  "checks": ')
     lead, total, failures = "[", 0, 0
     for column, group in groups:
         for check in group:
             lhs, rhs = check._texts()
-            holds = check.holds
-            write(f'{lead}\n    {{\n      "check": "{column}",\n      "name": "{check.name}",\n'
-                  f'      "params": "{check.params_str()}",\n      "lhs": "{lhs}",\n'
-                  f'      "rhs": "{rhs}",\n      "relation": "{check.relation}",\n'
-                  f'      "holds": "{"true" if holds else "false"}"\n    }}')
-            lead = ","
+            holds = "true" if check.holds else "false"
+            if writerow is None:
+                write(f'{lead}\n    {{\n      "check": "{column}",\n      "name": "{check.name}",\n'
+                      f'      "params": "{check.params_str()}",\n      "lhs": "{lhs}",\n'
+                      f'      "rhs": "{rhs}",\n      "relation": "{check.relation}",\n'
+                      f'      "holds": "{holds}"\n    }}')
+                lead = ","
+            else:
+                writerow((column, check.name, check.params_str(), lhs, rhs, check.relation, holds))
             total += 1
-            failures += not holds
-    write("\n  ]")
-    return total, failures
+            failures += not check.holds
+    if writerow is None:
+        print(f'\n  ],\n  "total": {total},\n  "failures": {failures}\n}}')
+    if failures:
+        print(f"verification failed: {failures} of {total} checks", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    return EXIT_OK
 
 
 def _verify_check_count(args: argparse.Namespace) -> int:

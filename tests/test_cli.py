@@ -795,26 +795,32 @@ def test_guard_messages_render_counts_of_any_size(capsys, argv, want):
 
 
 def test_verify_small_sweep_passes(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--max-n", "2", "--max-d", "2", "--max-m", "4",
-        "--max-k", "2", "--max-r", "6", "--samples", "3", "--witness-polys", "2",
-        "--format", "csv",
-    )
+    code, out, _ = run(capsys, *PINNED_ARGV["verify"], "--format", "csv")
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == CSV_VERSION_LINE
     assert all(line.endswith(",true") for line in lines[2:])
 
 
+# SHA-256 of the stdout of the smallest --inject-fault run below, recorded before
+# verify wrote JSON and CSV from one loop
+SMALL_FAULT_DIGESTS = {
+    "json": "5b2e0ae1be8eaabeea3ae30d33ee880ccbd8c59f2417cb6e8f5b765b6a3d3e42",
+    "csv": "a6d2af9e388f69f8d73085620b346b8aa0758f7294cdd571d06ae83ec9a588cc",
+}
+
+
 def test_verify_inject_fault_exits_4(capsys):
-    code, out, err = run(
-        capsys, "verify", "--max-n", "1", "--max-d", "1", "--max-m", "2",
-        "--max-k", "1", "--max-r", "2", "--samples", "1", "--witness-polys", "1",
-        "--inject-fault", "--format", "csv",
-    )
-    assert code == EXIT_VERIFY_FAILED
-    assert "INJECTED_FAULT" in out
-    assert "verification failed" in err
+    for fmt, digest in SMALL_FAULT_DIGESTS.items():
+        code, out, err = run(
+            capsys, "verify", "--max-n", "1", "--max-d", "1", "--max-m", "2",
+            "--max-k", "1", "--max-r", "2", "--samples", "1", "--witness-polys", "1",
+            "--inject-fault", "--format", fmt,
+        )
+        assert code == EXIT_VERIFY_FAILED
+        assert "INJECTED_FAULT" in out
+        assert err == "verification failed: 1 of 2146 checks\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -1074,7 +1080,7 @@ def test_verify_witnesses_from_the_shared_table_equal_check_bounds(seed, max_d, 
 
 
 # SHA-256 of the stdout of one invocation per verb, recorded before the verbs
-# shared one JSON/CSV emitter
+# shared one JSON/CSV emitter (verify's: before verify wrote both from one loop)
 OUTPUT_DIGESTS = {
     ("grid-min", "csv"): "7e451231628eee86b91b1fad6481fdc1540be108917ad65b5db80cb674fd6277",
     ("grid-min", "json"): "d98e6dea2adc04a3d24450a30683496999ffff6ae50030e4a37203629aa714e5",
@@ -1096,6 +1102,8 @@ OUTPUT_DIGESTS = {
     ("enclose", "json"): "8639d00cd87fca3306f59bb9424a36f92a3f640599e7bfb0f5920c3ffbba95df",
     ("stable-set", "csv"): "9cf8e62e0975f98c8bb9f7a5078c0f8bb1287b794fc90a078d49dca635e60e2f",
     ("stable-set", "json"): "11f9d8c799df7ec829a5cc8c033d37b784ccdcd5a67942ce6ac8ccbfffaeaf6d",
+    ("verify", "csv"): "ec1db482d6ce0b44ca12255a38b2b8470cb1cb3f65fbedf3cf480e6c9c3ab859",
+    ("verify", "json"): "715a02b00c5d6f56fc6734ebcf190420122862fecd79b929a56d233021ad1daa",
 }
 PINNED_ARGV = {
     "grid-min": ("grid-min", "--poly", GAP, "--r", "16"),
@@ -1110,6 +1118,8 @@ PINNED_ARGV = {
                       "--elevation", "2"),
     "enclose": ("enclose", "--poly", SOS4, "--r", "6", "--elevation", "2"),
     "stable-set": ("stable-set", "--graph", PETERSEN, "--r", "4"),
+    "verify": ("verify", "--max-n", "2", "--max-d", "2", "--max-m", "4", "--max-k", "2",
+               "--max-r", "6", "--samples", "3", "--witness-polys", "2"),
 }
 
 

@@ -1033,6 +1033,8 @@ def _check_field_width(f, r):
     shape = grid._Shape(tuple(coeffs), f.n, f.d)
     root = [coeffs[alpha] for alpha in shape.order]
     half = 2 ** (grid._field_width(root, f.n, f.d, r) - 1)
+    # the docstring's bound on every field, B = 2 A (r (n - 1))^d + 1, fits
+    assert 2 * sum(map(abs, root)) * (r * (f.n - 1)) ** f.d + 1 < half
     values = [sum(c * prod(a**b for a, b in zip(alpha, beta)) for beta, c in coeffs.items())
               for alpha in compositions(f.n, r)]
     extremes = (min(values), max(values))
@@ -1471,6 +1473,20 @@ def test_the_row_table_bound_admits_the_power_table_bounds_cases():
     assert grid_minimize(pair, 40).value == Fraction(2, 2**2000)
     least = min(sum(v**i * (10 - v) ** (300 - i) for i in range(301)) for v in range(11))
     assert grid_minimize(dense(300), 10).value == Fraction(least, 10**300)
+
+
+def test_the_row_table_bound_counts_the_one_row_of_a_binary_form(monkeypatch):
+    # n = 2 builds rows[r] alone: R = 3 row suffixes of degree e = 6, each with
+    # min(r, e) + 1 entries of d * bit_length(r) bits; a bound of that many
+    # bits admits the sweep and one bit less refuses it
+    f = HomogeneousPolynomial(2, 6, {(6, 0): 1, (3, 3): -2, (0, 6): 1})
+    for r in (4, 9):
+        bits = 3 * (min(r, 6) + 1) * 6 * r.bit_length()
+        monkeypatch.setattr(grid, "_MAX_ROW_TABLE_BITS", bits)
+        grid._check_sweep(f, r)
+        monkeypatch.setattr(grid, "_MAX_ROW_TABLE_BITS", bits - 1)
+        with pytest.raises(ValueError, match="row tables"):
+            grid._check_sweep(f, r)
 
 
 def test_the_degree_bound_refuses_a_sweep_before_any_table(monkeypatch):
