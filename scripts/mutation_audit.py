@@ -33,6 +33,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 GRID = "src/simplex_grid_opt/grid.py"
 CLI = "src/simplex_grid_opt/cli.py"
+BOUNDS = "src/simplex_grid_opt/bounds.py"
 TIMEOUT = 900  # seconds for one pytest run
 
 
@@ -92,12 +93,34 @@ MUTANTS = (
     Mutant("verify-json-lead-never-set", CLI,
            "}}')\n                lead = \",\"\n", "}}')\n",
            ("tests/test_cli.py",)),
-    # survivors of an earlier probe, since killed by tests of their own
-    Mutant("rho-interval-uncapped", "src/simplex_grid_opt/bounds.py",
-           "min(Fraction(1), num_hi / den_lo)", "num_hi / den_lo",
-           ("tests/test_cli.py",)),
+    # one plan per polynomial, swept at many r (grid._sweep): what depends on r
+    # made once, from the first r a plan is swept at
+    Mutant("sweep-starts-from-first-r", GRID,
+           "starts = [pick(plan.vertices) * top for pick in picks]",
+           "starts = _sweep.__dict__.setdefault((id(plan), picks), "
+           "[pick(plan.vertices) * top for pick in picks])",
+           ("tests/test_grid.py",)),
+    Mutant("sweep-width-from-first-r", GRID,
+           "w = _field_width(plan.root, n, d, r)",
+           "w = _sweep.__dict__.setdefault(id(plan), _field_width(plan.root, n, d, r))",
+           ("tests/test_grid.py",)),
+    # converge's rows from integer pairs (bounds._rho, bounds._refute,
+    # rational._decimal_ratio) and its guard (cli._converge_guard)
+    Mutant("rho-interval-uncapped", BOUNDS,
+           "*((1, 1) if hi_num >= hi_den else (hi_num, hi_den)))", "hi_num, hi_den)",
+           ("tests/test_bounds.py",)),
+    Mutant("refute-min-not-strict", BOUNDS,
+           "if low * b < a * den:", "if low * b <= a * den:",
+           ("tests/test_bounds.py",)),
+    Mutant("refute-max-not-strict", BOUNDS,
+           "if high * q > p * den:", "if high * q >= p * den:",
+           ("tests/test_bounds.py",)),
     Mutant("decimal-str-rounds-half-up", "src/simplex_grid_opt/rational.py",
-           "ctx.rounding = ROUND_HALF_EVEN", 'ctx.rounding = "ROUND_HALF_UP"',
+           "if 2 * rest > den or 2 * rest == den and c & 1:", "if 2 * rest >= den:",
+           ("tests/test_poly.py",)),
+    Mutant("converge-guard-sums-from-lo-plus-1", CLI,
+           "composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)",
+           "composition_count(n + 1, hi) - composition_count(n + 1, lo)",
            ("tests/test_cli.py",)),
     # equivalent mutants
     Mutant("sigma-strict", "src/simplex_grid_opt/identities.py",

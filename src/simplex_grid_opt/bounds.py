@@ -12,7 +12,11 @@ range, m too small) is data, not an error.
 Each coefficient is computed as an integer pair (numerator, positive
 denominator), not necessarily reduced: bound_coefficient makes one Fraction of
 it, and converge renders its bound columns from the pairs with one gcd each
-(_coefficient_texts), with no Fraction.
+(_coefficient_texts), with no Fraction.  The rest of a converge row comes from
+pairs too: the grid extremes at r as (L*min, L*max, L*r^d) from the sweep
+engine (grid._grid_pairs), and the normalized-error interval from _rho, which
+cross-multiplies them with the enclosure endpoints in integers; rho_interval
+is _rho made a Fraction pair at the end.
 
 Kinds and their coefficients, for degree d, grid denominator r, and reference
 denominator m with k chosen so that (k-1)m < r <= km:
@@ -48,13 +52,14 @@ from typing import Callable, Sequence
 from .combin import _kls_gap, _refined_gap, binomial, rate_constant
 from .grid import (
     DEFAULT_GRID_GUARD,
-    GridMinResult,
     _bernstein_extrema,
-    grid_extrema,
+    _checked_grid,
+    _grid_pairs,
+    _Plan,
     grid_minimize,
 )
 from .poly import HomogeneousPolynomial, is_square_free
-from .rational import Enclosure, _Record, _ratio_str, decimal_str, fraction_str
+from .rational import Enclosure, _Record, _ratio_str, decimal_str
 
 # The highest elevation an enclosure takes: its Bernstein table grows as
 # C(n - 1 + k, n - 1) per monomial (_MAX_ENCLOSURE_ENTRIES bounds it).
@@ -277,14 +282,16 @@ def range_enclosures(
     sweep.  An assumed side is refuted (ValueError) when another grid swept
     here has a more extreme value.
     """
-    return _enclosures(f, params, {}, threads, max_points)
+    return _enclosures(_Plan(f), params, {}, threads, max_points)
 
 
-def _enclosures(f: HomogeneousPolynomial, params: RangeAssumptions,
-                extrema: "dict[int, tuple[GridMinResult, GridMinResult]]", threads: int,
+def _enclosures(plan: _Plan, params: RangeAssumptions,
+                extrema: "dict[int, tuple[int, int, int]]", threads: int,
                 max_points: "int | None") -> "tuple[Enclosure, Enclosure]":
-    """range_enclosures, leaving in the empty dict `extrema` the grid_extrema
-    of each denominator it sweeps, for converge to read its rows from."""
+    """range_enclosures of the plan's polynomial, leaving in the empty dict
+    `extrema` the grid extremes of each denominator it sweeps as integer pairs
+    (grid._grid_pairs), for converge to read its rows from."""
+    f = plan.f
     lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
     bernstein = lo_m is None or hi_m is None
     k = params.elevation
@@ -299,41 +306,53 @@ def _enclosures(f: HomogeneousPolynomial, params: RangeAssumptions,
             raise ValueError(f"the Bernstein table at elevation {k} would hold "
                              f"{decimal_str(entries)} entries, more than {_MAX_ENCLOSURE_ENTRIES}")
     for m in swept_denominators(params):
-        extrema[m] = grid_extrema(f, m, threads=threads, max_points=max_points)
+        _checked_grid(f, m, threads, max_points)
+        extrema[m] = _grid_pairs(plan, m, threads)
+    values = {m: (Fraction(low, den), Fraction(high, den))
+              for m, (low, high, den) in extrema.items()}
     if bernstein:
-        outer_min, outer_max = _bernstein_extrema(f, k)
+        outer_min, outer_max = _bernstein_extrema(plan, k)
         if params.grid is None:
             inner_min, inner_max = outer_max, outer_min
         else:
-            inner_min, inner_max = (res.value for res in extrema[params.grid])
+            inner_min, inner_max = values[params.grid]
     if lo_m is None:
         fmin = Enclosure(outer_min, inner_min)
     else:
-        fmin = Enclosure(extrema[lo_m][0].value, extrema[lo_m][0].value)
+        fmin = Enclosure(values[lo_m][0], values[lo_m][0])
     if hi_m is None:
         fmax = Enclosure(inner_max, outer_max)
     else:
-        fmax = Enclosure(extrema[hi_m][1].value, extrema[hi_m][1].value)
-    _refute(fmin, fmax, [(q, low.value, high.value) for q, (low, high) in extrema.items()])
+        fmax = Enclosure(values[hi_m][1], values[hi_m][1])
+    _refute(_ends(fmin, fmax), [(q, *pairs) for q, pairs in extrema.items()])
     return fmin, fmax
 
 
-def _refute(fmin: Enclosure, fmax: Enclosure,
-            grids: "list[tuple[int | str, Fraction, Fraction]]") -> None:
+def _ends(fmin: Enclosure, fmax: Enclosure) -> "tuple[tuple[int, int], ...]":
+    """fmin.lo, fmin.hi, fmax.lo and fmax.hi as (numerator, denominator) pairs,
+    the form _rho reads them in."""
+    return tuple([(x.numerator, x.denominator) for x in (fmin.lo, fmin.hi, fmax.lo, fmax.hi)])
+
+
+def _refute(ends: "tuple[tuple[int, int], ...]",
+            grids: "list[tuple[int | str, int, int, int]]") -> None:
     """Raise ValueError when a grid value falls outside the enclosures, which
-    refutes an assumed side: grids holds (denominator, grid minimum, grid
-    maximum) triples, the denominator as the message names it.  A minimum
-    below fmin is reported before a maximum above fmax, each at the first
-    such grid.  An unassumed side, whose outer endpoint is a Bernstein
-    extreme, holds every grid value, so only an assumed side is refuted."""
-    for q, low, _ in grids:
-        if low < fmin.lo:
+    refutes an assumed side: ends are the enclosure endpoints as _ends gives
+    them, and grids holds (denominator, grid minimum, grid maximum, common
+    positive denominator) tuples of integers, the grid's denominator as the
+    message names it.  A minimum below fmin is reported before a maximum above
+    fmax, each at the first such grid.  An unassumed side, whose outer
+    endpoint is a Bernstein extreme, holds every grid value, so only an
+    assumed side is refuted."""
+    (a, b), _, _, (p, q) = ends
+    for grid, low, _, den in grids:
+        if low * b < a * den:
             raise ValueError("assumed minimizer denominator is inconsistent: its grid value "
-                             f"exceeds the grid minimum at {q}")
-    for q, _, high in grids:
-        if high > fmax.hi:
+                             f"exceeds the grid minimum at {grid}")
+    for grid, _, high, den in grids:
+        if high * q > p * den:
             raise ValueError("assumed maximizer denominator is inconsistent: its grid value "
-                             f"is below the grid maximum at {q}")
+                             f"is below the grid maximum at {grid}")
 
 
 def rho_interval(
@@ -349,19 +368,41 @@ def rho_interval(
     enclosures cannot separate fmax from fmin (for instance the zero
     polynomial).  The interval collapses to a point when the numerator is
     certified zero (the minimizer lies on the grid) or when both extrema are
-    pinned by assumed denominators.
+    pinned by assumed denominators.  It is _rho on the grid values over one
+    denominator, made a Fraction pair at the end.
     """
-    _refute(fmin, fmax, [("r", grid_min, grid_max)])
-    min_hi = min(fmin.hi, grid_min)
-    den_lo = max(fmax.lo, grid_max) - min_hi
-    den_hi = fmax.hi - fmin.lo
-    if den_lo <= 0:
+    low, high = Fraction(grid_min), Fraction(grid_max)
+    lo_num, lo_den, hi_num, hi_den = _rho(
+        _ends(fmin, fmax), low.numerator * high.denominator, high.numerator * low.denominator,
+        low.denominator * high.denominator,
+    )
+    return Enclosure(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
+
+
+def _rho(ends: "tuple[tuple[int, int], ...]", low: int, high: int,
+         den: int) -> "tuple[int, int, int, int]":
+    """rho_interval in integers: the grid minimum low/den and maximum high/den
+    (den > 0) against the enclosure endpoints `ends` (_ends), cross-multiplied
+    with no Fraction.  Returns the interval's ends as (numerator, positive
+    denominator) pairs, not reduced, lo's then hi's; converge renders them
+    with one gcd each.  With [a, c] enclosing fmin and [g, p] fmax, fmax - fmin
+    lies between gap = max(g, grid max) - min(c, grid min) and span = p - a,
+    and rho runs from (grid min - min(c, grid min)) / span to (grid min - a) /
+    gap, capped at 1."""
+    _refute(ends, [("r", low, high, den)])
+    (a, b), (c, e), (g, h), (p, q) = ends
+    u, v = (c, e) if c * den < low * e else (low, den)  # min(fmin.hi, grid min)
+    x, y = (g, h) if g * den > high * h else (high, den)  # max(fmax.lo, grid max)
+    gap, gap_den = x * v - u * y, y * v
+    span, span_den = p * b - a * q, q * b
+    if gap <= 0:
         raise DegenerateRangeError(
-            "degenerate range: cannot certify that fmax exceeds fmin "
-            f"(range enclosure gap is [{fraction_str(den_lo)}, {fraction_str(den_hi)}])"
+            "degenerate range: cannot certify that fmax exceeds fmin (range enclosure gap "
+            f"is [{_ratio_str(gap, gap_den)}, {_ratio_str(span, span_den)}])"
         )
-    num_lo, num_hi = grid_min - min_hi, grid_min - fmin.lo
-    return Enclosure(num_lo / den_hi, min(Fraction(1), num_hi / den_lo))
+    hi_num, hi_den = (low * b - a * den) * gap_den, den * b * gap
+    return ((low * v - u * den) * span_den, den * v * span,
+            *((1, 1) if hi_num >= hi_den else (hi_num, hi_den)))
 
 
 class BoundWitness(_Record):
@@ -421,10 +462,10 @@ def _witnesses(
                if report.applicable and (square_free or not _RULES[report.kind].square_free)]
     if not reports:
         return []
-    extrema: "dict[int, tuple[GridMinResult, GridMinResult]]" = {}
-    fmin, fmax = _enclosures(f, params, extrema, 1, DEFAULT_GRID_GUARD)
+    extrema: "dict[int, tuple[int, int, int]]" = {}
+    fmin, fmax = _enclosures(_Plan(f), params, extrema, 1, DEFAULT_GRID_GUARD)
     range_bound = fmax.hi - fmin.lo
-    minima = {q: low.value for q, (low, _) in extrema.items()}
+    minima = {q: Fraction(low, den) for q, (low, _, den) in extrema.items()}
     out = []
     for report in reports:
         r, m = report.r, report.m

@@ -33,8 +33,9 @@ the failures.  verify writes each check as its sweep makes it, after every
 refusal and the few bound witnesses, and keeps none.
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
-guard tripped, 4 verification failure.  Output is byte-identical for any
---threads value.
+guard tripped, 4 verification failure.  A reader that closes stdout early
+(sgo verify | head) ends the run at once, silently, with 0.  Output is
+byte-identical for any --threads value.
 """
 
 from __future__ import annotations
@@ -55,15 +56,17 @@ from .grid import (
     DEFAULT_GRID_GUARD,
     GridTooLargeError,
     _check_sweep,
+    _grid_pairs,
     _grid_size,
-    grid_extrema,
+    _Plan,
     grid_maximize,
     grid_minimize,
 )
 from .hypergeom import HypergeomParams, bernstein_approximation, expectation
 from .poly import HomogeneousPolynomial, load_polynomial, random_polynomial
 from .rational import (
-    MAX_INT_DIGITS, Enclosure, _head, _ratio_str, as_rational, decimal_str, fraction_str,
+    MAX_INT_DIGITS, Enclosure, _decimal_ratio, _head, _ratio_str, as_rational, decimal_str,
+    fraction_str,
 )
 from .stableset import alpha_lower_bound, load_graph
 
@@ -281,18 +284,19 @@ def cmd_converge(args: argparse.Namespace) -> int:
     header = ["r", "grid_min", "grid_min_decimal", "rho_lo", "rho_hi"] + kind_names
     r_values = _parse_range(args.r_range)
     _converge_guard(f, r_values, assumptions, guard)
+    plan = _Plan(f)  # one per run: every r and the enclosures sweep it
     extrema = {}  # each denominator the enclosures sweep, kept for the rows
-    fmin, fmax = bounds_mod._enclosures(f, assumptions, extrema, args.threads, guard)
+    fmin, fmax = bounds_mod._enclosures(plan, assumptions, extrema, args.threads, guard)
+    ends = bounds_mod._ends(fmin, fmax)
     rows = []
-    for r in r_values:
-        low, high = extrema.get(r) or grid_extrema(f, r, threads=args.threads, max_points=guard)
-        value = low.value
+    for r in r_values:  # the guard has checked every grid: each r sweeps with no refusal
+        low, high, den = extrema.get(r) or _grid_pairs(plan, r, args.threads)
         try:
-            rho = bounds_mod.rho_interval(fmin, fmax, value, high.value)
-            rho_lo, rho_hi = fraction_str(rho.lo), fraction_str(rho.hi)
+            lo_num, lo_den, hi_num, hi_den = bounds_mod._rho(ends, low, high, den)
+            rho_lo, rho_hi = _ratio_str(lo_num, lo_den), _ratio_str(hi_num, hi_den)
         except bounds_mod.DegenerateRangeError:
             rho_lo = rho_hi = "degenerate"
-        rows.append([r, fraction_str(value), decimal_str(value), rho_lo, rho_hi,
+        rows.append([r, _ratio_str(low, den), _decimal_ratio(low, den), rho_lo, rho_hi,
                      *bounds_mod._coefficient_texts(f.d, r, m_for_kinds)])
     _emit(args, rows, header, rows, decimal_note=True)
     return EXIT_OK
@@ -649,7 +653,14 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise ValueError("--threads must be at least 1")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at the exit's flush
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (sgo ... | head): it has what it asked for.
+        # stdout goes to devnull, so the interpreter's last flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except GridTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_GUARD

@@ -4,8 +4,17 @@ The grid with denominator r is the set of simplex points x with r*x integral;
 it is in bijection with I(n, r) via alpha <-> alpha/r, so a full sweep covers
 C(n + r - 1, r) points.  Homogeneity gives f(alpha/r) = f(alpha)/r^d, so the
 sweep compares the integers L*f(alpha), where L clears the denominators of the
-coefficients once; the reported value is reconstructed as a Fraction at the
-end.  Every step below is integer arithmetic, so the engine is exact.
+coefficients once; the reported value is the pair (L*f(alpha), L*r^d), made a
+Fraction at the end by grid_extrema and its kin and rendered as it is by
+converge (_grid_pairs).  Every step below is integer arithmetic, so the engine
+is exact.
+
+What a sweep of f needs that no denominator changes, L, the integer
+coefficients of L*f, its vertex values, its shape and the root's coefficient
+order, is built once as one _Plan: grid_extrema and its kin build one per
+call, and converge one per run, which every r and its enclosures sweep.  Per r
+only r^d, the starts, the gates, the field width and the chunks are made
+before the walk (_sweep).
 
 One engine serves every sweep: a single lex-order pass that tracks the sides
 its caller needs, the minimum (grid_minimize), the maximum (grid_maximize) or
@@ -257,8 +266,8 @@ def _check_sweep(f: HomogeneousPolynomial, r: int) -> None:
     """Refuse (ValueError) a sweep of f at denominator r past the degree bound
     (_check_degree) or the row-table bound (_check_rows), before any table is
     built; the shape it reads is the one the sweep will use (_shape).  Every
-    sweep checks both here: grid_extrema and its kin at their r, converge at
-    its largest."""
+    sweep checks both here: grid_extrema, its kin and the enclosures at their
+    r (_checked_grid), converge at its largest."""
     _check_degree(f.d, r)
     if f.n > 1:
         _check_rows(_shape(tuple(f.coeffs), f.n, f.d), r)
@@ -466,16 +475,17 @@ def _integer_form(f: HomogeneousPolynomial) -> "tuple[int, dict[tuple[int, ...],
     return scale, {alpha: c.numerator * (scale // c.denominator) for alpha, c in f.coeffs.items()}
 
 
-def _bernstein_extrema(f: HomogeneousPolynomial, k: int) -> "tuple[Fraction, Fraction]":
-    """The least and greatest simplicial Bernstein coefficients of f times
-    (x_1 + ... + x_n)^k, which enclose f on the simplex.
+def _bernstein_extrema(plan: _Plan, k: int) -> "tuple[Fraction, Fraction]":
+    """The least and greatest simplicial Bernstein coefficients of f (the
+    plan's polynomial) times (x_1 + ... + x_n)^k, which enclose f on the
+    simplex.
 
     They are the extremes of p_g / multinomial(d + k, g) over g in I(n, d + k),
     p_g = sum over alpha <= g of L*f_alpha * multinomial(k, g - alpha): the
     table of the root node at degree d + k (_bernstein_columns), in integers,
     divided by L at the end.
     """
-    scale, coeffs = _integer_form(f)
+    f, scale, coeffs = plan.f, plan.scale, plan.coeffs
     columns, sizes = _bernstein_columns(list(coeffs), f.n, f.d + k)
     ps = [0] * len(sizes)
     for c, (index, weights) in zip(coeffs.values(), columns):
@@ -905,8 +915,8 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
     start) of L*f over the grid points with first <= alpha_0 < stop, and the
     number of points pruned.
 
-    root holds L*f's coefficients in shape.order; for n = 1 it holds the one
-    coefficient of x^d times r^d, or nothing for the zero polynomial.  The
+    root holds L*f's coefficients in shape.order; for n = 1 the one grid
+    point r e_0 is the vertex each side starts from, so root is not read.  The
     prefix tree is walked depth-first with an explicit stack, so n is not
     limited by the recursion limit.  A node that passes gates is skipped when
     shape.beaten says no point below it can reach a tracked extreme, or
@@ -915,9 +925,8 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
     """
     tracked = [_Extreme(pick, cap, start) for pick, start in zip(picks, starts)]
     if n == 1:
-        value = root[0] if root else 0
         for ext in tracked:
-            ext.absorb(value, 1, [(r,)])
+            ext.absorb(ext.value, 1, [(r,)])
         return tracked, 0
     if n == 2:  # the one row is the whole grid: its table is built for this sweep alone
         shape.feed_row(tracked, root, (), r, shape.rows.build(r))
@@ -1012,30 +1021,47 @@ def _vertex_values(coeffs: "dict[tuple[int, ...], int]", n: int, d: int) -> "lis
     return pure if len(pure) == n else pure + [0]
 
 
+class _Plan:
+    """The part of a sweep of f that no denominator changes: L and the integer
+    coefficients of L*f (_integer_form), the values of L*f at the vertices
+    (_vertex_values), the shape of its support (_shape, None for n = 1) and
+    the root's coefficients in shape.order.  grid_extrema and its kin build
+    one per call, converge one per run for every r and its enclosures.
+    Nothing writes to it once built, so calls and threads may share it."""
+
+    __slots__ = ("f", "scale", "coeffs", "vertices", "shape", "root")
+
+    def __init__(self, f: HomogeneousPolynomial) -> None:
+        self.f = f
+        self.scale, coeffs = _integer_form(f)
+        self.coeffs = coeffs
+        self.vertices = _vertex_values(coeffs, f.n, f.d)
+        self.shape = None if f.n == 1 else _shape(tuple(coeffs), f.n, f.d)
+        self.root = [coeffs[alpha] for alpha in self.shape.order] if self.shape else []
+
+
 def _sweep(
-    f: HomogeneousPolynomial, r: int, threads: int, cap: int, picks: tuple = (min, max)
+    plan: _Plan, r: int, threads: int, cap: int, picks: tuple = (min, max)
 ) -> "tuple[list[_Extreme], int, int]":
     """Extremes of L*f over the grid from one lex-order pass, one per pick (min
     and/or max, in that order); L*r^d; and the number of points pruned.
 
     Each side starts from its best vertex value, L*f(r e_i) = L*c_i*r^d, so
-    nodes are pruned from the first one on; every chunk starts from it."""
-    scale, coeffs = _integer_form(f)
-    top = r**f.d
-    vertices = _vertex_values(coeffs, f.n, f.d)
-    starts = [pick(vertices) * top for pick in picks]
-    if f.n == 1:
-        shape, root, gates, w = None, [c * top for c in coeffs.values()], None, None
-    else:
-        shape = _shape(tuple(coeffs), f.n, f.d)
-        root = [coeffs[alpha] for alpha in shape.order]
-        gates = _gates(shape, f.n, r)
-        w = _field_width(root, f.n, f.d, r)
-    chunks = _alpha0_chunks(f.n, r, threads)
+    nodes are pruned from the first one on; every chunk starts from it.  All
+    that depends on r is made here: r^d, the starts, the gates, the field
+    width and the chunks."""
+    n, d, shape = plan.f.n, plan.f.d, plan.shape
+    top = r**d
+    starts = [pick(plan.vertices) * top for pick in picks]
+    gates = w = None
+    if shape is not None:
+        gates = _gates(shape, n, r)
+        w = _field_width(plan.root, n, d, r)
+    chunks = _alpha0_chunks(n, r, threads)
     workers = min(len(chunks), os.cpu_count() or 1) if len(chunks) > 1 else 1
 
     def scan(chunk: "tuple[int, int]") -> "tuple[list[_Extreme], int]":
-        return _scan(shape, root, f.n, r, *chunk, cap, picks, starts, gates, w)
+        return _scan(shape, plan.root, n, r, *chunk, cap, picks, starts, gates, w)
 
     if workers == 1:
         partials = [scan(chunk) for chunk in chunks]
@@ -1049,7 +1075,27 @@ def _sweep(
         for ext, part in zip(extremes, later):
             ext.absorb(part.value, part.ties, part.points)
         pruned += later_pruned
-    return extremes, scale * top, pruned
+    return extremes, plan.scale * top, pruned
+
+
+def _grid_pairs(plan: _Plan, r: int, threads: int) -> "tuple[int, int, int]":
+    """(L*min, L*max, L*r^d): the grid extremes of f at r as integer pairs over
+    one denominator, from a sweep that keeps no points.  It refuses nothing;
+    the caller has checked the grid (_checked_grid, or converge's guard)."""
+    (low, high), denominator, _ = _sweep(plan, r, threads, 0)
+    return low.value, high.value, denominator
+
+
+def _checked_grid(f: HomogeneousPolynomial, r: int, threads: int, max_points: "int | None") -> int:
+    """The point count of f's grid at r, after the refusals a sweep of it takes
+    before any work: fewer than one thread (ValueError), more points than
+    max_points (GridTooLargeError), and the degree and row-table bounds
+    (_check_sweep)."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {decimal_str(threads)}")
+    total = _grid_size(f.n, r, max_points)
+    _check_sweep(f, r)
+    return total
 
 
 def _grid_extremes(f: HomogeneousPolynomial, r: int, picks: tuple, threads: int, cap: int,
@@ -1059,12 +1105,9 @@ def _grid_extremes(f: HomogeneousPolynomial, r: int, picks: tuple, threads: int,
     work."""
     if cap < 0:
         raise ValueError(f"minimizer_cap must be at least 0, got {decimal_str(cap)}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {decimal_str(threads)}")
     cap = min(cap, sys.maxsize)  # no list holds more points, and islice takes no more
-    total = _grid_size(f.n, r, max_points)
-    _check_sweep(f, r)
-    extremes, denominator, _ = _sweep(f, r, threads, cap, picks)
+    total = _checked_grid(f, r, threads, max_points)
+    extremes, denominator, _ = _sweep(_Plan(f), r, threads, cap, picks)
     return [
         GridMinResult(
             value=Fraction(ext.value, denominator),

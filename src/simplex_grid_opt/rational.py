@@ -4,13 +4,16 @@ base of the package's frozen value classes.
 Every quantity in this package is an exact rational number.  We use
 `fractions.Fraction` as the single numeric type; Python ints participate in
 the same numeric tower, so integer-valued results may be returned as ints
-without losing exactness.
+without losing exactness.  The renderers also read a value as an integer pair
+(numerator, positive denominator), not necessarily reduced, with no Fraction:
+_ratio_str and _decimal_ratio, which fraction_str and decimal_str wrap, and
+which converge calls on its pairs directly.
 """
 
 from __future__ import annotations
 
 import re
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from numbers import Rational as _RationalABC
@@ -118,12 +121,60 @@ def _ratio_str(num: int, den: int = 1) -> str:
 
 
 def decimal_str(value: Fraction, digits: int = DECIMAL_DIGITS) -> str:
-    """Advisory decimal rendering: `digits` significant digits, round-half-even."""
+    """Advisory decimal rendering: `digits` significant digits, round-half-even,
+    as str(Decimal(p) / Decimal(q)) prints p/q in a context of that precision
+    and rounding: _decimal_ratio of the value's numerator and denominator."""
     q = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
+    return _decimal_ratio(q.numerator, q.denominator, digits)
+
+
+def _decimal_ratio(num: int, den: int, digits: int = DECIMAL_DIGITS) -> str:
+    """decimal_str(Fraction(num, den)) for den > 0, in integers, with no
+    Fraction and no str() of a part (which refuses more than 4300 digits).
+
+    With E the exponent of num/den's leading digit, the value is rounded
+    half-even to `digits` significant digits, c * 10^x with x = E - digits + 1
+    (one more when the rounding carries to 10^digits).  Decimal keeps those
+    digits unless the value is exact in them at x < 0, where it strips the
+    trailing zeros down to x = 0, the exponent of p/q for integers p and q.
+    It prints as Decimal prints (to-sci-string): plainly when x <= 0 and the
+    leading digit's exponent is at least -6, otherwise as d.ddd and E+-n.
+    """
+    if num == 0:
+        return "0"
+    size = abs(num)
+    lead = _digit_count(size) - _digit_count(den)  # E is lead or lead - 1
+    if (size * 10**-lead if lead < 0 else size) < (den * 10**lead if lead > 0 else den):
+        lead -= 1
+    x = lead - digits + 1
+    if x < 0:
+        c, rest = divmod(size * 10**-x, den)
+    else:
+        den *= 10**x
+        c, rest = divmod(size, den)
+    if rest:
+        if 2 * rest > den or 2 * rest == den and c & 1:  # half-way goes to the even c
+            c += 1
+            if c == 10**digits:
+                c, x = c // 10, x + 1
+    else:
+        while x < 0 and c % 10 == 0:
+            c, x = c // 10, x + 1
+    sign, text = "-" * (num < 0), str(c)
+    left = x + len(text)  # the digits before the point, printed plainly
+    if x > 0 or left <= -6:  # d.ddd and the exponent of the leading digit
+        return sign + text[:1] + "." * (len(text) > 1) + text[1:] + f"E{left - 1:+d}"
+    if left <= 0:
+        return sign + "0." + "0" * -left + text
+    return sign + text[:left] + "." * (left < len(text)) + text[left:]
+
+
+def _digit_count(value: int) -> int:
+    """The number of decimal digits of value > 0, counted with no str()."""
+    count = value.bit_length() * 1233 >> 12  # 1233/4096 < log10(2): never too many
+    while value >= 10**count:
+        count += 1
+    return count
 
 
 class _Record:

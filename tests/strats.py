@@ -19,6 +19,8 @@ import hypothesis.strategies as st
 
 from simplex_grid_opt import (
     BoundKind,
+    DegenerateRangeError,
+    Enclosure,
     Graph,
     HomogeneousPolynomial,
     HypergeomParams,
@@ -28,6 +30,7 @@ from simplex_grid_opt import (
     compositions,
     evaluate,
     falling,
+    fraction_str,
     multinomial,
     stirling2,
 )
@@ -716,6 +719,29 @@ def bound_coefficient_oracle(kind, d: int, r: int, m: "int | None") -> "Fraction
         if d >= 2 and m >= d else None,
     }
     return formulas[kind]()
+
+
+def rho_interval_oracle(fmin: Enclosure, fmax: Enclosure, grid_min: Fraction,
+                        grid_max: Fraction) -> Enclosure:
+    """bounds.rho_interval as it was computed in Fractions before its integer
+    core (bounds._rho): the same refutations, degenerate range, messages and
+    interval, from the formulas unchanged."""
+    if grid_min < fmin.lo:
+        raise ValueError("assumed minimizer denominator is inconsistent: its grid value "
+                         "exceeds the grid minimum at r")
+    if grid_max > fmax.hi:
+        raise ValueError("assumed maximizer denominator is inconsistent: its grid value "
+                         "is below the grid maximum at r")
+    min_hi = min(fmin.hi, grid_min)
+    den_lo = max(fmax.lo, grid_max) - min_hi
+    den_hi = fmax.hi - fmin.lo
+    if den_lo <= 0:
+        raise DegenerateRangeError(
+            "degenerate range: cannot certify that fmax exceeds fmin "
+            f"(range enclosure gap is [{fraction_str(den_lo)}, {fraction_str(den_hi)}])"
+        )
+    num_lo, num_hi = grid_min - min_hi, grid_min - fmin.lo
+    return Enclosure(num_lo / den_hi, min(Fraction(1), num_hi / den_lo))
 
 
 def cubic_threshold_reached(r: int, m: int) -> bool:

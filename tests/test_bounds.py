@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from simplex_grid_opt import (
@@ -33,6 +33,7 @@ from strats import (
     falling_poly_coeffs,
     naive_extremes,
     polynomials,
+    rho_interval_oracle,
     strict_gap_poly,
     sum_of_squares,
 )
@@ -255,6 +256,55 @@ def test_rho_interval_refutes_false_assumptions_on_either_side():
     assert not isinstance(raised.value, DegenerateRangeError)
 
 
+# small rationals, so that ties between the endpoints and the grid values
+# (point, degenerate and capped intervals) come often
+_VALUES = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def _rho_cases(draw):
+    """(fmin, fmax, grid_min, grid_max): each side assumed (a point) or not,
+    and grid values that may fall outside an enclosure, refuting it."""
+    def side():
+        lo, hi = sorted([draw(_VALUES), draw(_VALUES)])
+        return Enclosure(lo, lo if draw(st.booleans()) else hi)
+
+    fmin, fmax = side(), side()
+    return (fmin, fmax, *sorted([draw(_VALUES), draw(_VALUES)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rho_cases(), st.integers(1, 6))
+@example((Enclosure(0, 0), Enclosure(1, 1), Fraction(1, 3), Fraction(1)), 1)  # a point
+@example((Enclosure(0, 1), Enclosure(0, 1), Fraction(1, 2), Fraction(1, 2)), 2)  # degenerate
+@example((Enclosure(0, 0), Enclosure(1, 1), Fraction(-1), Fraction(1)), 1)  # refutes fmin
+@example((Enclosure(0, 0), Enclosure(1, 1), Fraction(0), Fraction(2)), 1)  # refutes fmax
+@example((Enclosure(0, 0), Enclosure(1, 1), Fraction(-1), Fraction(2)), 1)  # both: fmin first
+@example((Enclosure(-4, 0), Enclosure(1, 1), Fraction(0), Fraction(1)), 3)  # capped at 1
+@example((Enclosure(-1, 0), Enclosure(1, 1), Fraction(0), Fraction(1)), 1)  # 1 uncapped
+@example((Enclosure(-1, 1), Enclosure(1, 3), Fraction(0), Fraction(1, 2)), 4)  # unassumed
+def test_the_integer_rho_core_is_the_fraction_formulas(case, common):
+    # bounds._rho reads the grid values as one unreduced pair over a common
+    # denominator; it and rho_interval give the oracle's interval, or raise
+    # its error with its message
+    fmin, fmax, grid_min, grid_max = case
+    den = grid_min.denominator * grid_max.denominator * common
+    pairs = (bounds._ends(fmin, fmax), int(grid_min * den), int(grid_max * den), den)
+    try:
+        want = rho_interval_oracle(fmin, fmax, grid_min, grid_max)
+    except ValueError as error:
+        for call in (lambda: bounds._rho(*pairs),
+                     lambda: rho_interval(fmin, fmax, grid_min, grid_max)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert (type(raised.value), str(raised.value)) == (type(error), str(error))
+        return
+    lo_num, lo_den, hi_num, hi_den = bounds._rho(*pairs)
+    assert lo_den > 0 and hi_den > 0
+    assert Enclosure(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)) == want
+    assert rho_interval(fmin, fmax, grid_min, grid_max) == want
+
+
 def test_range_enclosures_refute_an_assumption_with_another_swept_grid():
     gap = strict_gap_poly()  # simplex minimum -17/32; the r = 2 grid's minimum is -1/2
     assert range_enclosures(gap, RangeAssumptions(assume_min_denominator=2))[0].lo == Fraction(-1, 2)
@@ -372,7 +422,7 @@ def test_integer_bernstein_extrema_match_the_dense_table(f, k, data):
     f = HomogeneousPolynomial(f.n, f.d, {
         alpha: c / q for (alpha, c), q in zip(f.coeffs.items(), dens)})
     table = bernstein_table(elevate(f, k))
-    assert grid._bernstein_extrema(f, k) == (table.min_coeff, table.max_coeff)
+    assert grid._bernstein_extrema(grid._Plan(f), k) == (table.min_coeff, table.max_coeff)
 
 
 @pytest.mark.parametrize("f, ks", [
@@ -385,7 +435,7 @@ def test_integer_bernstein_extrema_match_the_dense_table(f, k, data):
 def test_integer_bernstein_extrema_match_the_dense_table_on_edge_cases(f, ks):
     for k in ks:
         table = bernstein_table(elevate(f, k))
-        assert grid._bernstein_extrema(f, k) == (table.min_coeff, table.max_coeff), k
+        assert grid._bernstein_extrema(grid._Plan(f), k) == (table.min_coeff, table.max_coeff), k
 
 
 @pytest.mark.parametrize("k", [0, 8])

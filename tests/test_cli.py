@@ -678,6 +678,53 @@ def test_converge_builds_one_shape_per_support(capsys, monkeypatch):
         assert len(shapes) == 1, extra
 
 
+def test_converge_builds_one_plan_per_run(capsys, monkeypatch):
+    # the integer form L*f is made once, by the one plan that every r, the
+    # enclosure grid 6 and the Bernstein table of --elevation 2 read
+    forms = count_calls(monkeypatch, grid, "_integer_form")
+    for extra in ((), ("--elevation", "2")):
+        forms.clear()
+        argv = ("converge", "--poly", SOS4, "--r-range", "2:30", "--grid", "6", *extra)
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert len(forms) == 1, extra
+
+
+def test_converge_rows_are_the_same_for_any_thread_count(capsys, monkeypatch, tmp_path):
+    # each r's sweep splits into chunks that prune against their own extremes
+    poly = tmp_path / "quartic.json"
+    poly.write_text(json.dumps(to_json_dict(fixed_quartic())))
+    pruned = []
+    sweep = grid._sweep
+
+    def counted(*args):
+        result = sweep(*args)
+        pruned.append(result[2])
+        return result
+
+    monkeypatch.setattr(grid, "_sweep", counted)
+    outputs = []
+    for threads in ("1", "3"):
+        code, out, err = run(capsys, "converge", "--poly", str(poly), "--r-range", "24:32",
+                             "--grid", "12", "--threads", threads)
+        assert (code, err) == (EXIT_OK, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert len(pruned) == 2 * 10 and min(pruned) > 0
+
+
+def test_converge_guard_counts_every_grid_once_up_to_the_budget(capsys, monkeypatch):
+    # n = 4: r = 3..7 holds C(11, 4) - C(6, 4) = 315 points (hockey stick), and
+    # the enclosure grid 10 outside the range C(13, 3) = 286 more; grid 5 is
+    # in the range and counted once
+    for grid_r, total in (("10", 601), ("5", 315)):
+        argv = ("converge", "--poly", SOS4, "--r-range", "3:7", "--grid", grid_r)
+        monkeypatch.setenv("SGO_MAX_GRID", str(total))
+        assert run(capsys, *argv)[0] == EXIT_OK
+        monkeypatch.setenv("SGO_MAX_GRID", str(total - 1))
+        message = f"error: the grids to sweep have {total} points in all, budget is {total - 1}\n"
+        assert run(capsys, *argv) == (EXIT_SIZE_GUARD, "", message)
+
+
 def test_default_verify_builds_one_shape_per_witness_support(capsys, monkeypatch):
     grid._shape.cache_clear()
     shapes = count_calls(monkeypatch, grid._Shape, "__init__")
@@ -1728,6 +1775,22 @@ def test_module_entry_point_prints_what_main_prints(capsys, argv):
                           text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
     assert proc.returncode == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("converge", "--poly", SOS4, "--r-range", "1:200")],
+                         ids=["verify", "converge"])
+def test_a_reader_that_closes_stdout_early_ends_the_run_with_exit_0(argv):
+    # sgo verify | head -1: both outputs pass the pipe's buffer, so a write
+    # meets the closed pipe; the run ends with nothing on stderr and exit 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen([sys.executable, "-m", "simplex_grid_opt.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first and (proc.wait(timeout=120), err) == (EXIT_OK, b"")
 
 
 # Each verb's arguments that parse, the required option to leave out (verify

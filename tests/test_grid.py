@@ -468,7 +468,7 @@ def _counted_sweep(f, r, threads, cap, picks, tests=None):
         patch.setattr(grid._Extreme, "absorb", counted_point)
         patch.setattr(grid, "_scan", counted_scan)
         tests.patch(patch)
-        extremes, denominator, pruned = grid._sweep(f, r, threads, cap, picks)
+        extremes, denominator, pruned = grid._sweep(grid._Plan(f), r, threads, cap, picks)
     certified = sum(comb(s + f.n - k - 1, f.n - k - 1) for k, s, beaten, _ in tests.calls[earlier:] if beaten)
     assert certified == pruned
     return extremes, denominator, sum(evaluated), pruned
@@ -943,6 +943,35 @@ def test_chunk_cuts_inside_stepped_runs():
                     assert len(starts) >= 2 and set(starts) <= set(firsts)
                 results.append(grid_extrema(f, r, threads=threads))
             assert len(set(results)) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials(max_n=5, max_d=4, coef_bound=10**6),
+       st.lists(st.integers(1, 16), min_size=2, max_size=5), st.integers(1, 3))
+def test_one_plan_swept_at_many_r_gives_what_a_plan_per_r_gives(f, rs, threads):
+    # converge sweeps one plan at every r: what depends on r (the starts, the
+    # gates, the field width, the chunks) is made for each sweep, so each r
+    # gets the values, minimizers and ties that grid_extrema's own plan gives
+    plan = grid._Plan(f)
+    for r in rs:
+        (low, high), denominator, _ = grid._sweep(plan, r, threads, grid.MINIMIZER_CAP)
+        want = grid_extrema(f, r)
+        assert [(Fraction(x.value, denominator), tuple(x.points), x.ties) for x in (low, high)] == \
+            [(x.value, x.minimizers, x.tie_count) for x in want]
+        assert grid._grid_pairs(plan, r, threads) == (low.value, high.value, denominator)
+
+
+def test_a_plan_swept_at_a_small_r_then_a_large_one_gives_the_large_grid():
+    # the starts and the field width made at r = 2 are too small at r = 40: a
+    # sweep that kept them would report a value that no point attains, or read
+    # fields that overflowed (fixed_quartic prunes at r = 40)
+    for f in (fixed_quartic(), sum_of_squares(4)):
+        plan = grid._Plan(f)
+        for r in (2, 40):
+            low, high, denominator = grid._grid_pairs(plan, r, 1)
+            want = grid_extrema(f, r)
+            assert (Fraction(low, denominator), Fraction(high, denominator)) == \
+                (want[0].value, want[1].value), r
 
 
 # --- packed stepping ----------------------------------------------------------------

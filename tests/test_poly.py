@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from simplex_grid_opt import (
     load_polynomial,
     range_enclosures,
 )
-from simplex_grid_opt.rational import MAX_INT_DIGITS, _ratio_str
+from simplex_grid_opt.rational import MAX_INT_DIGITS, _decimal_ratio, _ratio_str, decimal_str
 from strats import (
     FractionSubclass,
     bernstein_table,
@@ -364,6 +365,49 @@ def test_ratio_str_past_the_digit_limit_on_both_sides():
     p, q = 7 * 10**4999 + 3, 3 * 10**4999 + 1  # coprime up to a factor 2 (7q - 3p = -2)
     for num, den in ((p, q), (-2 * p, 2 * q), (p * q, q), (0, q)):
         assert _ratio_str(num, den) == fraction_str(Fraction(num, den))
+
+
+def _decimal_oracle(num: int, den: int) -> str:
+    """What decimal_str printed before its integer core: Decimal division at
+    20 significant digits, round-half-even."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 20, ROUND_HALF_EVEN
+        return str(Decimal(num) / Decimal(den))
+
+
+# half-way at the 21st significant digit: 20 digits, then a 5
+_HALF_WAY = st.builds(lambda head: 10 * head + 5, st.integers(10**19, 10**20 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.integers(-10**45, 10**45), _HALF_WAY, _HALF_WAY.map(int.__neg__), st.just(0)),
+       st.integers(1, 10**30), st.integers(-40, 40), st.sampled_from([0, 0, 0, MAX_INT_DIGITS + 7]),
+       st.booleans(), st.integers(1, 10**6))
+def test_decimal_ratio_prints_what_decimal_division_prints(num, den, shift, big, half_way, common):
+    # ties at the 21st digit (num/10^k), negatives, zero, values printed in E
+    # notation (|shift| past 20 or the leading digit below 10^-6), both parts
+    # past the int-to-str digit limit, and pairs with a common factor
+    if half_way:
+        den = 1
+    num, den = num * 10**max(shift, 0) * 10**big, den * 10**max(-shift, 0) * 10**big
+    want = _decimal_oracle(num, den)
+    assert _decimal_ratio(num, den) == want
+    assert _decimal_ratio(num * common, den * common) == want
+    assert decimal_str(Fraction(num, den)) == want
+
+
+def test_decimal_ratio_rounds_ties_to_even_and_carries():
+    tiny = 10**20
+    for num, den, want in [
+        (tiny + 5, tiny, "1.0000000000000000000"),  # half-way, even 20th digit stays
+        (tiny + 15, tiny, "1.0000000000000000002"),  # half-way, odd 20th digit goes up
+        (-tiny - 15, tiny, "-1.0000000000000000002"),
+        (10**21 - 5, 1, "1.0000000000000000000E+21"),  # the carry makes a 21st digit
+        (10**20 - 5, 1, "99999999999999999995"),  # 20 digits: exact
+        (25, 10, "2.5"), (1000, 1, "1000"), (10**25, 1, "1.0000000000000000000E+25"),
+        (1, 10**6, "0.000001"), (1, 10**7, "1E-7"), (12, 10**8, "1.2E-7"), (0, 3, "0"),
+    ]:
+        assert _decimal_ratio(num, den) == _decimal_oracle(num, den) == want, (num, den)
 
 
 def _digit_runs(lengths):
