@@ -34,6 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GRID = "src/simplex_grid_opt/grid.py"
 CLI = "src/simplex_grid_opt/cli.py"
 BOUNDS = "src/simplex_grid_opt/bounds.py"
+POLY = "src/simplex_grid_opt/poly.py"
+RATIONAL = "src/simplex_grid_opt/rational.py"
 TIMEOUT = 900  # seconds for one pytest run
 
 
@@ -104,8 +106,8 @@ MUTANTS = (
            "w = _field_width(plan.root, n, d, r)",
            "w = _sweep.__dict__.setdefault(id(plan), _field_width(plan.root, n, d, r))",
            ("tests/test_grid.py",)),
-    # converge's rows from integer pairs (bounds._rho, bounds._refute,
-    # rational._decimal_ratio) and its guard (cli._converge_guard)
+    # converge's rows from integer pairs (bounds._rho, bounds._refute) and its
+    # guard (cli._converge_guard)
     Mutant("rho-interval-uncapped", BOUNDS,
            "*((1, 1) if hi_num >= hi_den else (hi_num, hi_den)))", "hi_num, hi_den)",
            ("tests/test_bounds.py",)),
@@ -115,13 +117,52 @@ MUTANTS = (
     Mutant("refute-max-not-strict", BOUNDS,
            "if high * q > p * den:", "if high * q >= p * den:",
            ("tests/test_bounds.py",)),
-    Mutant("decimal-str-rounds-half-up", "src/simplex_grid_opt/rational.py",
-           "if 2 * rest > den or 2 * rest == den and c & 1:", "if 2 * rest >= den:",
-           ("tests/test_poly.py",)),
     Mutant("converge-guard-sums-from-lo-plus-1", CLI,
            "composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)",
            "composition_count(n + 1, hi) - composition_count(n + 1, lo)",
            ("tests/test_cli.py",)),
+    # the one decimal context (rational._DECIMAL, rational._decimal_ratio)
+    Mutant("decimal-str-rounds-half-up", RATIONAL,
+           "rounding=ROUND_HALF_EVEN", 'rounding="ROUND_HALF_UP"',
+           ("tests/test_poly.py",)),
+    Mutant("decimal-context-default-exponents", RATIONAL,
+           "Emax=MAX_EMAX, Emin=MIN_EMIN,", "",
+           ("tests/test_poly.py",)),
+    Mutant("decimal-str-reads-thread-context", RATIONAL,
+           "return _DECIMAL.to_sci_string(_DECIMAL.divide(Decimal(num), Decimal(den)))",
+           "return str(_DECIMAL.divide(Decimal(num), Decimal(den)))",
+           ("tests/test_poly.py",)),
+    # integer parameters (poly._as_int)
+    Mutant("as-int-truncates", POLY,
+           "    if isinstance(value, bool) or not hasattr(type(value), \"__index__\"):\n"
+           "        raise TypeError(f\"expected an integer, got {_shown(value, repr)}\")\n"
+           "    return index(value)\n",
+           "    return int(value)\n",
+           ("tests/test_poly.py",)),
+    # closed forms, guards and small helpers
+    Mutant("stableset-remainder-parts-swapped", "src/simplex_grid_opt/stableset.py",
+           "(k - t) * q * q + t * (q + 1) ** 2", "t * q * q + (k - t) * (q + 1) ** 2",
+           ("tests/test_stableset.py",)),
+    Mutant("bounds-length-floors", BOUNDS,
+           "max(0, -((values.start - values.stop) // values.step))",
+           "max(0, (values.stop - values.start) // values.step)",
+           ("tests/test_bounds.py",)),
+    Mutant("integer-point-drops-multinomial-weight", "src/simplex_grid_opt/identities.py",
+           "        term = multinomial(d, alpha)\n", "        term = 1\n",
+           ("tests/test_identities.py",)),
+    Mutant("option-prefix-takes-an-ambiguous-one", CLI,
+           "        if len(matches) == 1:\n", "        if matches:\n",
+           ("tests/test_cli.py",)),
+    Mutant("attach-values-joins-an-option-name", CLI,
+           'value.startswith("-") and _option_action(options, value) is None',
+           'value.startswith("-")',
+           ("tests/test_cli.py",)),
+    Mutant("stirling-at-drops-the-power-ratio", "src/simplex_grid_opt/hypergeom.py",
+           "num += fall * (den // powers[k]) * grouped[k]", "num += fall * grouped[k]",
+           ("tests/test_hypergeom.py",)),
+    Mutant("check-degree-counts-one-more-bit", GRID,
+           "(r + 1) * (d + 1) * d * r.bit_length()", "(r + 1) * (d + 1) * d * (r.bit_length() + 1)",
+           ("tests/test_grid.py",)),
     # equivalent mutants
     Mutant("sigma-strict", "src/simplex_grid_opt/identities.py",
            "num * rr <= m * c_d * den", "num * rr < m * c_d * den", (),

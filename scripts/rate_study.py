@@ -100,7 +100,7 @@ def main() -> int:
         constant = f"n/(4 fmax): {n / (4 * fmax)}"
     if worst is None:
         return 1
-    print(f"max rho*r^2 over the sweep: {worst} (~{decimal_str(worst, 6)}), {constant}", file=sys.stderr)
+    print(f"max rho*r^2 over the sweep: {worst} (~{decimal_str(worst)}), {constant}", file=sys.stderr)
     return 0
 
 

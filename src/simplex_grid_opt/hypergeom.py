@@ -29,7 +29,7 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .combin import falling, stirling2
-from .poly import HomogeneousPolynomial
+from .poly import HomogeneousPolynomial, _as_int
 from .rational import _Record, as_rational
 
 # Most bits _expected_value lets the Stirling rows of one term hold, bounded
@@ -50,7 +50,7 @@ class HypergeomParams(_Record):
     __slots__ = __match_args__ = ("m", "counts", "r")
 
     def __init__(self, m: int, counts: "tuple[int, ...]", r: int) -> None:
-        counts = tuple(int(c) for c in counts)
+        m, counts, r = _as_int(m), tuple(map(_as_int, counts)), _as_int(r)
         if len(counts) < 1:
             raise ValueError("need at least one color")
         if any(c < 0 for c in counts):
@@ -139,7 +139,7 @@ def _scaled_moments(
 
 def _moment_terms(p: HypergeomParams, beta: Sequence[int]) -> "tuple[int, int]":
     """(numerator, denominator) of E[prod Y_i^beta_i]; see moment."""
-    beta = tuple(int(b) for b in beta)
+    beta = tuple(map(_as_int, beta))
     if len(beta) != p.n:
         raise ValueError(f"moment index has {len(beta)} entries, expected {p.n}")
     if any(b < 0 for b in beta):
@@ -195,6 +195,7 @@ def bernstein_approximation(f: HomogeneousPolynomial, x: Sequence, r: int) -> Fr
     f_beta * E[W^beta] / r^d costs O(terms * d^2), independent of r, and no
     grid is summed, so no grid size guard applies.
     """
+    r = _as_int(r)
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if len(x) != f.n:

@@ -78,6 +78,7 @@ from .combin import (
     rate_constant,
     stirling2,
 )
+from .poly import _as_int
 from .rational import _Record, _ratio_str
 
 
@@ -313,7 +314,7 @@ def a_beta(beta: Sequence[int], r: int, m: int, counts: Sequence[int]) -> int:
     hypergeom.HypergeomParams's rule: no negative count, counts summing to m,
     and 1 <= r <= m.
     """
-    beta = tuple(int(b) for b in beta)
+    beta = tuple(map(_as_int, beta))
     d = sum(beta)
     if d < 1:
         raise ValueError("beta must have positive total degree")
@@ -321,7 +322,8 @@ def a_beta(beta: Sequence[int], r: int, m: int, counts: Sequence[int]) -> int:
         raise ValueError(f"negative entry in {beta}")
     if len(counts) != len(beta):
         raise ValueError(f"counts has {len(counts)} entries, beta has {len(beta)}")
-    counts = hypergeom.HypergeomParams(m, counts, r).counts
+    urn = hypergeom.HypergeomParams(m, counts, r)  # m, counts and r as ints (_as_int)
+    m, counts, r = urn.m, urn.counts, urn.r
     if m < d:
         raise ValueError(f"need m >= total degree, got m={m}, degree={d}")
     return _a_beta_at(_a_beta_coeffs(beta, counts, _falling_tails(m, d), {}), _falling_row(r, d))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
-from operator import add
+from operator import add, index
 from typing import Iterable, Mapping, Sequence, Union
 
 from .combin import compositions, multinomial
@@ -36,10 +36,7 @@ class HomogeneousPolynomial(_Record):
     __slots__ = __match_args__ = ("n", "d", "coeffs")
 
     def __init__(self, n: int, d: int, coeffs: "dict[tuple[int, ...], Fraction]") -> None:
-        if n < 1:
-            raise ValueError(_NO_VARIABLE)
-        if d < 1:
-            raise ValueError(_LOW_DEGREE)
+        n, d = _size(n, d)
         table: "dict[tuple[int, ...], Fraction]" = {}
         for alpha, coef in sorted(coeffs.items()):
             alpha = _exponent(alpha, n)
@@ -75,14 +72,20 @@ class HomogeneousPolynomial(_Record):
         return not self.coeffs
 
 
-_NO_VARIABLE = "polynomial needs at least one variable"
-_LOW_DEGREE = "degree must be at least 1"
+def _size(n: int, d: int) -> "tuple[int, int]":
+    """(n, d) as ints (_as_int), refused (ValueError) unless both are at least 1."""
+    n, d = _as_int(n), _as_int(d)
+    if n < 1:
+        raise ValueError("polynomial needs at least one variable")
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    return n, d
 
 
 def _exponent(alpha: Sequence[int], n: int) -> "tuple[int, ...]":
-    """alpha as a tuple of ints, refused (ValueError) unless it has n entries,
-    none negative."""
-    alpha = tuple(map(int, alpha))
+    """alpha as a tuple of ints (_as_int), refused (ValueError) unless it has
+    n entries, none negative."""
+    alpha = tuple(map(_as_int, alpha))
     if len(alpha) != n:
         raise ValueError(f"exponent {_shown(alpha)} has length {len(alpha)}, expected {n}")
     if any(a < 0 for a in alpha):
@@ -120,10 +123,7 @@ def homogenize(terms: TermsLike, n: int, d: int) -> HomogeneousPolynomial:
     input exponent and comes before any expansion; from_terms merges the
     expanded terms.
     """
-    if n < 1:
-        raise ValueError(_NO_VARIABLE)
-    if d < 1:
-        raise ValueError(_LOW_DEGREE)
+    n, d = _size(n, d)
     pairs = list(terms.items()) if isinstance(terms, Mapping) else list(terms)
     out = []
     for alpha, coef in pairs:
@@ -179,6 +179,16 @@ def _shown(value: object, render=str) -> str:
     except ValueError:  # past the interpreter's limit on the digits of an int as a string
         return f"a {type(value).__name__} with a number too long to print"
     return text if len(text) <= 40 else _head(text)
+
+
+def _as_int(value: object) -> int:
+    """value as an int, exactly: an int or another integer type (__index__).
+    A bool, a float (2.0 too), a str or any other value raises TypeError
+    naming it, as _json_int refuses them in JSON, where int() would
+    truncate, parse or pass a bool as 0 or 1."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"expected an integer, got {_shown(value, repr)}")
+    return index(value)
 
 
 def _json_int(value: object, what: str) -> int:

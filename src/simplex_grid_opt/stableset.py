@@ -22,6 +22,7 @@ from math import ceil
 from typing import Iterable
 
 from .grid import DEFAULT_GRID_GUARD, _check_degree, _grid_size
+from .poly import _as_int
 from .rational import MAX_INT_DIGITS, _Record, _head
 
 
@@ -34,10 +35,12 @@ class Graph(_Record):
     __slots__ = __match_args__ = ("n", "edges")
 
     def __init__(self, n: int, edges: "Iterable[tuple[int, int]]") -> None:
+        n = _as_int(n)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = set()
         for u, v in edges:
+            u, v = _as_int(u), _as_int(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):

@@ -1,7 +1,8 @@
 import json
 import math
+import re
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,11 @@ from simplex_grid_opt import (
     load_polynomial,
     range_enclosures,
 )
+from simplex_grid_opt import rational
+from simplex_grid_opt.hypergeom import HypergeomParams, bernstein_approximation, moment
+from simplex_grid_opt.identities import a_beta
 from simplex_grid_opt.rational import MAX_INT_DIGITS, _decimal_ratio, _ratio_str, decimal_str
+from simplex_grid_opt.stableset import Graph
 from strats import (
     FractionSubclass,
     bernstein_table,
@@ -68,6 +73,37 @@ def test_constructor_rejects_inhomogeneous_and_bad_exponents():
         HomogeneousPolynomial(2, 2, {(1, 1, 0): 1})
     with pytest.raises(ValueError):
         HomogeneousPolynomial(0, 1, {})
+
+
+_XY = HomogeneousPolynomial(2, 2, {(1, 1): 1})
+_URN = HypergeomParams(4, (2, 2), 2)
+# each entry point that takes an integer, called with v in one integer parameter
+_INTEGER_PARAMETERS = {
+    "exponent": lambda v: HomogeneousPolynomial(2, 2, {(v, 0): 1}),
+    "n": lambda v: HomogeneousPolynomial(v, 2, {}),
+    "d": lambda v: HomogeneousPolynomial(2, v, {}),
+    "homogenize-exponent": lambda v: homogenize({(v, 0): 1}, 2, 2),
+    "urn-m": lambda v: HypergeomParams(v, (1, 1), 1),
+    "urn-count": lambda v: HypergeomParams(4, (2, v), 2),
+    "urn-r": lambda v: HypergeomParams(4, (2, 2), v),
+    "moment-beta": lambda v: moment(_URN, (v, 0)),
+    "bernstein-r": lambda v: bernstein_approximation(_XY, ("1/2", "1/2"), v),
+    "a-beta-beta": lambda v: a_beta((v, 1), 2, 4, (2, 2)),
+    "a-beta-r": lambda v: a_beta((1, 1), v, 4, (2, 2)),
+    "a-beta-m": lambda v: a_beta((1, 1), 2, v, (1, 1)),
+    "graph-n": lambda v: Graph(v, []),
+    "graph-vertex": lambda v: Graph(3, [(3, v)]),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, "2", True], ids=repr)
+@pytest.mark.parametrize("call", _INTEGER_PARAMETERS.values(), ids=_INTEGER_PARAMETERS)
+def test_integer_parameters_refuse_floats_strings_and_bools(call, value):
+    # int() would truncate 2.5, parse "2" and take True as 1; a float kept as
+    # it is would reach the exact core
+    with pytest.raises(TypeError, match=f"expected an integer, got {re.escape(repr(value))}$"):
+        call(value)
+    call(2)
 
 
 def test_zero_polynomial_accepted():
@@ -368,8 +404,9 @@ def test_ratio_str_past_the_digit_limit_on_both_sides():
 
 
 def _decimal_oracle(num: int, den: int) -> str:
-    """What decimal_str printed before its integer core: Decimal division at
-    20 significant digits, round-half-even."""
+    """Decimal division at 20 significant digits, round-half-even, in a local
+    copy of the thread's context: what _decimal_ratio's one fixed context
+    must print too."""
     with localcontext() as ctx:
         ctx.prec, ctx.rounding = 20, ROUND_HALF_EVEN
         return str(Decimal(num) / Decimal(den))
@@ -408,6 +445,22 @@ def test_decimal_ratio_rounds_ties_to_even_and_carries():
         (1, 10**6, "0.000001"), (1, 10**7, "1E-7"), (12, 10**8, "1.2E-7"), (0, 3, "0"),
     ]:
         assert _decimal_ratio(num, den) == _decimal_oracle(num, den) == want, (num, den)
+
+
+def test_decimal_rendering_ignores_the_callers_context():
+    pairs = [(2, 3), (-2, 3), (10**25, 1), (1, 10**7), (10**20 + 15, 10**20), (12345, 1)]
+    outside = [(_decimal_ratio(num, den), decimal_str(Fraction(num, den))) for num, den in pairs]
+    with localcontext(Context(prec=3, rounding=ROUND_DOWN, capitals=0)):
+        inside = [(_decimal_ratio(num, den), decimal_str(Fraction(num, den))) for num, den in pairs]
+    assert inside == outside
+    assert outside[0][0] == "0.66666666666666666667" and outside[2][0] == "1.0000000000000000000E+25"
+
+
+def test_decimal_context_has_open_exponent_limits():
+    # white-box: a value past the default context's 10^999999, whose Decimal
+    # division would raise Overflow, is an int of a million digits, and its
+    # conversion to Decimal alone takes about 17 s
+    assert (rational._DECIMAL.Emax, rational._DECIMAL.Emin) == (MAX_EMAX, MIN_EMIN)
 
 
 def _digit_runs(lengths):
