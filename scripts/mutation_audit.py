@@ -36,6 +36,7 @@ CLI = "src/simplex_grid_opt/cli.py"
 BOUNDS = "src/simplex_grid_opt/bounds.py"
 POLY = "src/simplex_grid_opt/poly.py"
 RATIONAL = "src/simplex_grid_opt/rational.py"
+HYPERGEOM = "src/simplex_grid_opt/hypergeom.py"
 TIMEOUT = 900  # seconds for one pytest run
 
 
@@ -47,6 +48,17 @@ class Mutant(NamedTuple):
     tests: "tuple[str, ...]"  # test files expected to kill it
     equivalent: "str | None" = None  # why no test can kill it; then it is not run
 
+
+# bounds._witness_rows's gap per (r, m), from its lookup to its store
+_GAP = """gap = gaps.get((r, m))
+        if gap is None:
+            for grid in (r, m):
+                if grid not in minima:
+                    _checked_grid(f, grid, 1, DEFAULT_GRID_GUARD)
+                    minima[grid] = _grid_minimum(plan, grid)
+            (x, y), (u, v) = minima[r], minima[m]
+            gap = gaps[r, m] = (x * v - u * y, y * v)
+"""
 
 MUTANTS = (
     # the Bernstein table builder (grid._bernstein_columns)
@@ -157,11 +169,38 @@ MUTANTS = (
            'value.startswith("-") and _option_action(options, value) is None',
            'value.startswith("-")',
            ("tests/test_cli.py",)),
-    Mutant("stirling-at-drops-the-power-ratio", "src/simplex_grid_opt/hypergeom.py",
+    Mutant("stirling-at-drops-the-power-ratio", HYPERGEOM,
            "num += fall * (den // powers[k]) * grouped[k]", "num += fall * grouped[k]",
            ("tests/test_hypergeom.py",)),
     Mutant("check-degree-counts-one-more-bit", GRID,
            "(r + 1) * (d + 1) * d * r.bit_length()", "(r + 1) * (d + 1) * d * (r.bit_length() + 1)",
+           ("tests/test_grid.py",)),
+    # the moment identity's left side as weights (hypergeom._scaled_moments):
+    # its quotients per (m, d) and its rows per (c, b) in a sweep
+    Mutant("moment-quotient-divides-by-next-falling", HYPERGEOM,
+           "return [top // falling(m, k) for k in range(d + 1)]",
+           "return [top // falling(m, k + 1) for k in range(d + 1)]",
+           ("tests/test_hypergeom.py",)),
+    Mutant("stirling-row-cache-keyed-by-color", HYPERGEOM,
+           "row = rows.get((c, b))\n            if row is None:\n                row = rows[c, b] = ",
+           "row = rows.get(c)\n            if row is None:\n                row = rows[c] = ",
+           ("tests/test_identities.py",)),
+    # the bound witnesses from integer pairs (bounds._witness_rows)
+    Mutant("witness-gap-keyed-by-r", BOUNDS, _GAP,
+           _GAP.replace("gaps.get((r, m))", "gaps.get(r)").replace("gaps[r, m]", "gaps[r]"),
+           ("tests/test_bounds.py",)),
+    Mutant("witness-holds-strict", BOUNDS,
+           "gap[0] * rhs[1] <= rhs[0] * gap[1]", "gap[0] * rhs[1] < rhs[0] * gap[1]",
+           ("tests/test_bounds.py",)),
+    # the engine's packed node test, row decoding and quadratic bound
+    Mutant("packed-test-any-field", GRID,
+           "(p - low.value * sizes - ones) & top == top", "(p - low.value * sizes - ones) & top",
+           ("tests/test_grid.py",)),
+    Mutant("packed-row-drops-the-top-difference", GRID,
+           "- half for shift in self.row_shifts]", "- half for shift in self.row_shifts[:-1]] + [0]",
+           ("tests/test_grid.py",)),
+    Mutant("diagonal-beats-drops-the-cofactor-sum", GRID,
+           "total = total * e + product", "total = total * e",
            ("tests/test_grid.py",)),
     # equivalent mutants
     Mutant("sigma-strict", "src/simplex_grid_opt/identities.py",

@@ -16,7 +16,13 @@ it, and converge renders its bound columns from the pairs with one gcd each
 pairs too: the grid extremes at r as (L*min, L*max, L*r^d) from the sweep
 engine (grid._grid_pairs), and the normalized-error interval from _rho, which
 cross-multiplies them with the enclosure endpoints in integers; rho_interval
-is _rho made a Fraction pair at the end.
+is _rho made a Fraction pair at the end.  The bound witnesses come from pairs
+as well: _coefficient_table lists the coefficients that apply at each (r, m)
+of one degree, and _witness_rows makes, over one sweep plan per polynomial,
+each gap grid_min(r) - grid_min(m) once per (r, m) and each coefficient
+times the range bound, and decides holds by cross-multiplying; check_bounds
+makes its Fractions from them at the end, and `sgo verify` renders them with
+one gcd each.
 
 Kinds and their coefficients, for degree d, grid denominator r, and reference
 denominator m with k chosen so that (k-1)m < r <= km:
@@ -54,9 +60,9 @@ from .grid import (
     DEFAULT_GRID_GUARD,
     _bernstein_extrema,
     _checked_grid,
+    _grid_minimum,
     _grid_pairs,
     _Plan,
-    grid_minimize,
 )
 from .poly import HomogeneousPolynomial, is_square_free
 from .rational import Enclosure, _Record, _ratio_str, decimal_str
@@ -191,13 +197,7 @@ def bound_coefficient(
     in the report for the kinds whose proof uses the grid at denominator km.
     """
     kind = BoundKind(kind)
-    if d < 1:
-        raise ValueError(f"degree must be positive, got {d}")
-    if r < 1:
-        raise ValueError(f"grid denominator must be positive, got {r}")
-    if m is not None and m < 1:
-        raise ValueError(f"reference denominator must be positive, got {m}")
-
+    _check_arguments(d, r, m)
     rule = _RULES[kind]
     reason = _reason(rule, d, r, m)
     if reason:
@@ -208,6 +208,16 @@ def bound_coefficient(
         k=-(-r // m) if rule.needs_m else None,  # ceil(r/m), so (k-1)m < r <= km
         coefficient=Fraction(*rule.coefficient(d, r, m)), applicable=True,
     )
+
+
+def _check_arguments(d: int, r: int, m: "int | None") -> None:
+    """Refuse (ValueError) a degree or grid denominator below 1, or an m below 1."""
+    if d < 1:
+        raise ValueError(f"degree must be positive, got {d}")
+    if r < 1:
+        raise ValueError(f"grid denominator must be positive, got {r}")
+    if m is not None and m < 1:
+        raise ValueError(f"reference denominator must be positive, got {m}")
 
 
 def _reason(rule: _Rule, d: int, r: int, m: "int | None") -> str:
@@ -439,44 +449,78 @@ def check_bounds(
     square-free f.  When none applies nothing is swept.  Otherwise the
     enclosures run once, and each denominator is swept once: the grid minima
     at the denominators params names are read from the enclosures' sweeps.
+    It is _witness_rows on the pairs' _coefficient_table, made Fractions at
+    the end.
     """
-    return _witnesses(f, _pair_reports(f.d, pairs), params)
+    span, rows = _witness_rows(f, _coefficient_table(f.d, pairs), params)
+    range_bound = Fraction(*span)
+    return [BoundWitness(kind=BoundKind(name), d=f.d, r=r, m=m, lhs=Fraction(*lhs),
+                         coefficient=Fraction(num, den), range_bound=range_bound,
+                         rhs=Fraction(*rhs), holds=holds)
+            for (name, _, r, m, num, den), lhs, rhs, holds in rows]
 
 
 def _pair_reports(d: int, pairs: "Sequence[tuple[int, int | None]]") -> "list[BoundReport]":
-    """bound_coefficient of every kind at each (r, m) in pairs, pair by pair:
-    all of check_bounds that reads only the degree of f, so that many
-    polynomials of one degree can share it."""
+    """bound_coefficient of every kind at each (r, m) in pairs, pair by pair."""
     return [bound_coefficient(kind, d=d, r=r, m=m) for r, m in pairs for kind in ALL_KINDS]
 
 
-def _witnesses(
+def _coefficient_table(
+    d: int, pairs: "Sequence[tuple[int, int]]"
+) -> "list[tuple[str, bool, int, int, int, int]]":
+    """(kind name, square_free, r, m, numerator, positive denominator) of every
+    kind that applies at (d, r, m), for each (r, m) in pairs, pair by pair in
+    ALL_KINDS order: the coefficients of check_bounds, as integer pairs and
+    with no report.  It reads only the degree of f, so that many polynomials
+    of one degree can share it.  Arguments are refused as bound_coefficient
+    refuses them."""
+    table = []
+    for r, m in pairs:
+        _check_arguments(d, r, m)
+        table += [(name, rule.square_free, r, m, *rule.coefficient(d, r, m))
+                  for name, rule in _RULES.items() if not _reason(rule, d, r, m)]
+    return table
+
+
+def _witness_rows(
     f: HomogeneousPolynomial,
-    reports: "Sequence[BoundReport]",
+    table: "Sequence[tuple[str, bool, int, int, int, int]]",
     params: RangeAssumptions = RangeAssumptions(),
-) -> "list[BoundWitness]":
-    """check_bounds of f, one witness per report of _pair_reports(f.d, pairs)
-    whose kind applies to f."""
+) -> "tuple[tuple[int, int], list[tuple[tuple, tuple[int, int], tuple[int, int], bool]]]":
+    """check_bounds of f in integer pairs, for a _coefficient_table(f.d, pairs):
+    the range bound fmax.hi - fmin.lo, and for each entry whose kind applies
+    to f, (entry, lhs, rhs, holds), with lhs = grid_min(r) - grid_min(m) and
+    rhs = coefficient * range bound as (numerator, positive denominator)
+    pairs, not reduced, and holds decided by cross-multiplying them.
+
+    One sweep plan serves the enclosures and every grid; each denominator the
+    enclosures do not sweep is swept once, min side only, after the refusals
+    grid_minimize takes, and each (r, m) gap is made once."""
     square_free = is_square_free(f)
-    reports = [report for report in reports
-               if report.applicable and (square_free or not _RULES[report.kind].square_free)]
-    if not reports:
-        return []
+    table = [entry for entry in table if square_free or not entry[1]]
+    if not table:
+        return (0, 1), []
+    plan = _Plan(f)
     extrema: "dict[int, tuple[int, int, int]]" = {}
-    fmin, fmax = _enclosures(_Plan(f), params, extrema, 1, DEFAULT_GRID_GUARD)
-    range_bound = fmax.hi - fmin.lo
-    minima = {q: Fraction(low, den) for q, (low, _, den) in extrema.items()}
-    out = []
-    for report in reports:
-        r, m = report.r, report.m
-        for q in (r, m):
-            if q not in minima:
-                minima[q] = grid_minimize(f, q).value
-        lhs, rhs = minima[r] - minima[m], report.coefficient * range_bound
-        out.append(BoundWitness(kind=report.kind, d=f.d, r=r, m=m, lhs=lhs,
-                                coefficient=report.coefficient, range_bound=range_bound,
-                                rhs=rhs, holds=lhs <= rhs))
-    return out
+    fmin, fmax = _enclosures(plan, params, extrema, 1, DEFAULT_GRID_GUARD)
+    (a, b), _, _, (p, q) = _ends(fmin, fmax)
+    span, span_den = p * b - a * q, q * b
+    minima = {grid: (low, den) for grid, (low, _, den) in extrema.items()}
+    gaps: "dict[tuple[int, int], tuple[int, int]]" = {}
+    rows = []
+    for entry in table:
+        _, _, r, m, num, den = entry
+        gap = gaps.get((r, m))
+        if gap is None:
+            for grid in (r, m):
+                if grid not in minima:
+                    _checked_grid(f, grid, 1, DEFAULT_GRID_GUARD)
+                    minima[grid] = _grid_minimum(plan, grid)
+            (x, y), (u, v) = minima[r], minima[m]
+            gap = gaps[r, m] = (x * v - u * y, y * v)
+        rhs = (num * span, den * span_den)
+        rows.append((entry, gap, rhs, gap[0] * rhs[1] <= rhs[0] * gap[1]))
+    return (span, span_den), rows
 
 
 def bound_table(

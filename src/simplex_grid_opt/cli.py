@@ -408,21 +408,23 @@ def _witness_pairs(args: argparse.Namespace) -> "list[tuple[int, int]]":
 def _bound_witnesses(args: argparse.Namespace) -> "list[ident_mod.IdentityCheck]":
     """The bound witnesses that apply, as checks of lhs le rhs, for
     --witness-polys random polynomials.  The coefficients of every kind at
-    every pair are tabled once per degree (bounds._pair_reports) and shared by
-    the polynomials of that degree; the table lives for this call only."""
+    every pair are tabled once per degree (bounds._coefficient_table) and
+    shared by the polynomials of that degree; the table lives for this call
+    only.  Each side is the integer pair bounds._witness_rows makes, which
+    the check renders with one gcd."""
     rng = random.Random(args.seed)
     pairs = _witness_pairs(args)
-    reports: "dict[int, list[bounds_mod.BoundReport]]" = {}
+    tables: "dict[int, list[tuple[str, bool, int, int, int, int]]]" = {}
     out = []
     for _ in range(args.witness_polys):
         n = rng.randint(1, min(3, args.max_n))
         d = rng.randint(1, min(3, args.max_d))
         f = random_polynomial(rng, n, d)
-        if f.d not in reports:
-            reports[f.d] = bounds_mod._pair_reports(f.d, pairs)
-        out += [ident_mod.IdentityCheck(w.kind.value, (("d", w.d), ("r", w.r), ("m", w.m)),
-                                        w.lhs, w.rhs, "le", w.holds)
-                for w in bounds_mod._witnesses(f, reports[f.d])]
+        if f.d not in tables:
+            tables[f.d] = bounds_mod._coefficient_table(f.d, pairs)
+        _, rows = bounds_mod._witness_rows(f, tables[f.d])
+        out += [ident_mod.IdentityCheck(name, (("d", f.d), ("r", r), ("m", m)), lhs, rhs, "le", holds)
+                for (name, _, r, m, _, _), lhs, rhs, holds in rows]
     return out
 
 

@@ -138,7 +138,7 @@ from math import comb, lcm
 from operator import add, eq, floordiv, gt, itemgetter, lshift, lt, mod, mul, sub
 
 from .combin import composition_count
-from .poly import HomogeneousPolynomial
+from .poly import HomogeneousPolynomial, _as_int
 from .rational import _Record, decimal_str
 
 MINIMIZER_CAP = 16
@@ -1086,6 +1086,14 @@ def _grid_pairs(plan: _Plan, r: int, threads: int) -> "tuple[int, int, int]":
     return low.value, high.value, denominator
 
 
+def _grid_minimum(plan: _Plan, r: int) -> "tuple[int, int]":
+    """(L*min, L*r^d): the grid minimum of f at r as an integer pair, from a
+    one-thread sweep of the min side alone that keeps no points.  It refuses
+    nothing; the caller has checked the grid (_checked_grid)."""
+    (low,), denominator, _ = _sweep(plan, r, 1, 0, (min,))
+    return low.value, denominator
+
+
 def _checked_grid(f: HomogeneousPolynomial, r: int, threads: int, max_points: "int | None") -> int:
     """The point count of f's grid at r, after the refusals a sweep of it takes
     before any work: fewer than one thread (ValueError), more points than
@@ -1100,9 +1108,13 @@ def _checked_grid(f: HomogeneousPolynomial, r: int, threads: int, max_points: "i
 
 def _grid_extremes(f: HomogeneousPolynomial, r: int, picks: tuple, threads: int, cap: int,
                    max_points: "int | None") -> "list[GridMinResult]":
-    """One result per pick; only the picked sides are tracked and bound.  A
-    negative cap, or fewer than one thread, is refused (ValueError) before any
-    work."""
+    """One result per pick; only the picked sides are tracked and bound.  r,
+    threads, cap and a max_points other than None must be integers
+    (poly._as_int; TypeError), and a negative cap, or fewer than one thread, is
+    refused (ValueError), before any work."""
+    r, threads, cap = _as_int(r), _as_int(threads), _as_int(cap)
+    if max_points is not None:
+        max_points = _as_int(max_points)
     if cap < 0:
         raise ValueError(f"minimizer_cap must be at least 0, got {decimal_str(cap)}")
     cap = min(cap, sys.maxsize)  # no list holds more points, and islice takes no more

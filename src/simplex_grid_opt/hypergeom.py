@@ -14,10 +14,14 @@ The Stirling kernel has two halves: _stirling_rows, the grouped convolution,
 which does not depend on the number of draws r, and _stirling_at, its value
 at one r.  A single moment runs both once (_stirling_terms).
 _scaled_moments, which identities' MOMENT_DECOMPOSITION sweep calls once per
-(counts, beta), builds the rows and the falling factorials of m once and
-evaluates them at every r = 1..m; it returns each moment as an integer pair
-(numerator, positive denominator), not reduced, so the sweep compares and
-renders it without a Fraction.  Nothing is cached across calls.
+(counts, beta), returns the weights w_0..w_d of E[X^beta] over the common
+denominator r^d * falling(m, d): w_k = grouped[k] * (falling(m, d) //
+falling(m, k)), so at each r = 1..m the moment's numerator is one dot product
+of the weights with the falling row of r (_falling_row), in integers and with
+no Fraction.  The sweep builds the quotients once per (m, d)
+(_falling_quotients), the falling rows once per (d, r), and passes one row
+dict to every call, so each row S(b, a) * falling(c, a) is built once per
+(c, b); that dict lives for one sweep.  Nothing else is kept across calls.
 
 Everything is exact; nothing is sampled.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .combin import falling, stirling2
@@ -71,15 +76,25 @@ class HypergeomParams(_Record):
 
 
 def _stirling_rows(
-    beta: "tuple[int, ...]", colors: Sequence[int], power: Power, top: int
+    beta: "tuple[int, ...]", colors: Sequence[int], power: Power, top: int,
+    rows: "dict[tuple[int, int], list[int]] | None" = None,
 ) -> "list[int]":
     """grouped[k] for k = 0..min(|beta|, top): the sum over a <= beta with |a| = k
     of prod S(beta_i, a_i) * power(colors_i, a_i).  Independent of r; see
-    _stirling_terms.  Entries for k <= top do not depend on top."""
+    _stirling_terms.  Entries for k <= top do not depend on top.
+
+    rows maps (c, b) to the row S(b, a) * power(c, a), a = 0..min(b, top),
+    built on its first use; a sweep passes one dict to every call with one
+    power and top = |beta|, so each row is built once in the sweep.  Without
+    one, the rows live for this call."""
+    if rows is None:
+        rows = {}
     grouped = [1]  # grouped[k]: sum over |a| = k of the row products so far
     for c, b in zip(colors, beta):
         if b:
-            row = [stirling2(b, a) * power(c, a) for a in range(min(b, top) + 1)]
+            row = rows.get((c, b))
+            if row is None:
+                row = rows[c, b] = [stirling2(b, a) * power(c, a) for a in range(min(b, top) + 1)]
             nxt = [0] * min(len(grouped) + b, top + 1)
             for j, g in enumerate(grouped):
                 for a, w in enumerate(row[: len(nxt) - j]):
@@ -120,21 +135,30 @@ def _stirling_terms(
     return _stirling_at(grouped, r, [power(total, k) for k in range(top + 1)])
 
 
+def _falling_quotients(m: int, d: int) -> "list[int]":
+    """falling(m, d) // falling(m, k) for k = 0..d, m >= d: the factors that put
+    the grouped rows over the common denominator r^d * falling(m, d)."""
+    top = falling(m, d)
+    return [top // falling(m, k) for k in range(d + 1)]
+
+
+def _falling_row(r: int, d: int) -> "list[int]":
+    """falling(r, k) for k = 0..d; the entries past k = r are 0."""
+    return [falling(r, k) for k in range(d + 1)]
+
+
 def _scaled_moments(
-    beta: "tuple[int, ...]", counts: "tuple[int, ...]", m: int
-) -> "list[tuple[int, int]]":
-    """(numerator, positive denominator), not reduced, of E[prod X_i^beta_i] for
-    r = 1..m draws from the urn of m balls, counts[i] of color i: the grouped
-    rows and the falling factorials of m are built once and evaluated at every
-    r, as _stirling_terms does for one r."""
-    d = sum(beta)
-    grouped = _stirling_rows(beta, counts, falling, d)
-    powers = [falling(m, k) for k in range(d + 1)]
-    out = []
-    for r in range(1, m + 1):
-        num, den = _stirling_at(grouped, r, powers)
-        out.append((num, den * r**d))
-    return out
+    beta: "tuple[int, ...]", counts: "tuple[int, ...]", quotients: "list[int]",
+    rows: "dict[tuple[int, int], list[int]]",
+) -> "list[int]":
+    """The weights w_0..w_d, d = |beta|, of E[prod X_i^beta_i] for r = 1..m draws
+    from the urn of m balls, counts[i] of color i: at each r the moment is
+    sum_k w_k * falling(r, k) (one dot product with _falling_row(r, d)) over
+    r^d * falling(m, d).  w_k = grouped[k] * quotients[k], with quotients =
+    _falling_quotients(m, d) and grouped the rows of _stirling_terms, built
+    through rows (see _stirling_rows).  For r < d the terms k > r vanish, so
+    this is the value _stirling_at gives at every r."""
+    return list(map(mul, _stirling_rows(beta, counts, falling, sum(beta), rows), quotients))
 
 
 def _moment_terms(p: HypergeomParams, beta: Sequence[int]) -> "tuple[int, int]":

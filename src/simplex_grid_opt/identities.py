@@ -26,12 +26,17 @@ the loop that owns it:
 
   - the rows falling(c, a) * S(b, a) of A_beta's convolution, once per
     (c, b) in a sweep;
-  - falling(m - k, d - k), once per (m, d);
+  - falling(m - k, d - k), once per (m, d), and the falling row of r once
+    per (d, r);
   - A_beta's coefficients in the falling-factorial basis of r (only the
     falling factorials of r depend on r), once per (counts, beta);
-  - MOMENT_DECOMPOSITION's left side, E[X^beta] at every r, once per
-    (counts, beta) by hypergeom._scaled_moments, which builds hypergeom's
-    grouped Stirling rows once and evaluates them at each r;
+  - MOMENT_DECOMPOSITION's left side from hypergeom's own tables: its
+    weights over r^d (m falling d), once per (counts, beta)
+    (hypergeom._scaled_moments), its rows S(b, a) * falling(c, a) once per
+    (c, b) in a sweep, its quotients (m falling d) // (m falling k) once per
+    (m, d) (hypergeom._falling_quotients), and its falling row of r once per
+    (d, r) (hypergeom._falling_row), so E[X^beta] at each r is one dot
+    product;
   - d!/beta! per (n, d), and SIGMA's constant c_d = (d-1)(d!-1) per d;
   - the rendered params: each loop level formats its own part of the
     "key=value;..." text once, and a check joins the parts.
@@ -85,10 +90,11 @@ from .rational import _Record, _ratio_str
 class IdentityCheck(_Record):
     """One verified relation: lhs RELATION rhs, exactly.
 
-    A side is kept as given when it is an int, and as the pair (numerator,
-    positive denominator), not necessarily reduced, when it is a Fraction:
-    this module's evaluators make each side as such a pair and decide holds by
-    cross-multiplying, so no Fraction is built unless lhs or rhs is read.
+    A side is kept as given when it is an int or a pair (numerator, positive
+    denominator), not necessarily reduced, and as its (numerator, denominator)
+    when it is a Fraction: this module's evaluators, and bounds' witnesses,
+    make each side as such a pair and decide holds by cross-multiplying, so no
+    Fraction is built unless lhs or rhs is read.
     Equality, hash and repr are those of the record (name, params, lhs, rhs,
     relation, holds).  Treat a check as immutable.
     """
@@ -100,8 +106,9 @@ class IdentityCheck(_Record):
     __delattr__ = object.__delattr__
 
     def __init__(
-        self, name: str, params: "tuple[tuple[str, object], ...]", lhs: "Fraction | int",
-        rhs: "Fraction | int", relation: str, holds: bool,
+        self, name: str, params: "tuple[tuple[str, object], ...]",
+        lhs: "Fraction | int | tuple[int, int]", rhs: "Fraction | int | tuple[int, int]",
+        relation: str, holds: bool,
     ) -> None:
         self.name = name
         self.params = params
@@ -399,14 +406,14 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "Iterator[Id
         for d in range(1, max_d + 1):
             weights = _multinomial_weights(n, d)
             multis = [w for _, w in weights]
+            falls = [_falling_row(r, d) for r in range(max_m + 1)]  # per r = 0..max_m
             for m in range(d, max_m + 1):
                 tails = _falling_tails(m, d)
                 for counts in compositions(n, m):
                     table = [_a_beta_coeffs(beta, counts, tails, rows) for beta, _ in weights]
                     tail = f";m={m};counts={counts}"
                     for r in range(1, m + 1):
-                        falls = _falling_row(r, d)
-                        values = [_a_beta_at(coeffs, falls) for coeffs in table]
+                        values = [_a_beta_at(coeffs, falls[r]) for coeffs in table]
                         params = (("n", n), ("d", d), ("r", r), ("m", m), ("counts", counts))
                         rendered = f"n={n};d={d};r={r}{tail}"
                         low = min(values)
@@ -419,29 +426,36 @@ def sweep_moment_decomposition(
 ) -> "Iterator[IdentityCheck]":
     """E[X^beta] against the point term plus A_beta for every urn with n <= max_n
     colors and m <= max_m balls, every 1 <= r <= m and every beta in I(n, d),
-    d <= max_d.  Per (counts, beta), hypergeom's grouped Stirling rows (the left
-    side) and A_beta's coefficients (the right side) are each built once and
-    evaluated at every r."""
-    rows: "dict[tuple[int, int], list[int]]" = {}  # A_beta's rows only
+    d <= max_d.  Per (counts, beta), hypergeom's weights (the left side) and
+    A_beta's coefficients (the right side) are each built once; at each r
+    either side is one dot product with its own falling row of r."""
+    rows: "dict[tuple[int, int], list[int]]" = {}  # A_beta's rows
+    moment_rows: "dict[tuple[int, int], list[int]]" = {}  # hypergeom's rows
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
             betas = [(beta, f";beta={beta}") for beta in compositions(n, d)]
+            # per r = 0..max_m: each side's falling row of r and r^d
+            falls = [(_falling_row(r, d), hypergeom._falling_row(r, d), r**d)
+                     for r in range(max_m + 1)]
             for m in range(d, max_m + 1):
                 tails = _falling_tails(m, d)  # tails[0] = falling(m, d)
+                quotients = hypergeom._falling_quotients(m, d)  # quotients[0] = falling(m, d)
                 for counts in compositions(n, m):
                     head = f"m={m};counts={counts};r="
                     table = [
-                        (beta, rendered, hypergeom._scaled_moments(beta, counts, m),
+                        (beta, rendered, hypergeom._scaled_moments(beta, counts, quotients, moment_rows),
                          _a_beta_coeffs(beta, counts, tails, rows), prod(map(pow, counts, beta)))
                         for beta, rendered in betas
                     ]
                     for r in range(1, m + 1):
-                        falls = _falling_row(r, d)
-                        scale = r**d * tails[0]
-                        for beta, rendered, moments, coeffs, point in table:
+                        a_falls, moment_falls, power = falls[r]
+                        scale, moment_scale = power * tails[0], power * quotients[0]
+                        start = f"{head}{r}"
+                        for beta, rendered, weights, coeffs, point in table:
                             yield _moment_decomposition(
-                                m, counts, r, beta, f"{head}{r}{rendered}", moments[r - 1],
-                                (point * falls[d] + _a_beta_at(coeffs, falls), scale),
+                                m, counts, r, beta, start + rendered,
+                                (sum(map(mul, weights, moment_falls)), moment_scale),
+                                (point * a_falls[d] + _a_beta_at(coeffs, a_falls), scale),
                             )
 
 

@@ -524,6 +524,7 @@ def test_check_bounds_makes_no_witness_for_a_kind_that_does_not_apply():
     (RangeAssumptions(assume_min_denominator=4, assume_max_denominator=1), [(2, 4)], [1, 2, 4]),
     (RangeAssumptions(grid=4), [(2, 4), (3, 4)], [2, 3, 4]),
     (RangeAssumptions(), [(2, 4), (3, 4)], [2, 3, 4]),
+    (RangeAssumptions(), [(2, 2), (2, 3), (2, 4), (3, 4)], [2, 3, 4]),  # gaps sharing an r
 ])
 def test_check_bounds_sweeps_each_denominator_once(monkeypatch, params, pairs, swept):
     f = sum_of_squares(4)

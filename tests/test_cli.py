@@ -938,7 +938,7 @@ def _refuse_to_check(monkeypatch):
         raise _ChecksStarted
 
     monkeypatch.setattr(ident_mod, "run_default_sweeps", started)
-    monkeypatch.setattr(bounds, "_pair_reports", started)
+    monkeypatch.setattr(bounds, "_coefficient_table", started)
 
 
 def _verify_admits(capsys, *argv) -> bool:
@@ -1084,13 +1084,16 @@ def test_verify_tables_each_bound_coefficient_once_per_run(capsys, monkeypatch):
     # at most 3 degrees * 15 (r, m) pairs * 11 kinds, each once; the table lives
     # for one verify call, so a second run in the same process builds it again
     calls = []
-    coefficient = bounds.bound_coefficient
 
-    def counted(kind, **kwargs):
-        calls.append((kind, kwargs["d"], kwargs["r"], kwargs["m"]))
-        return coefficient(kind, **kwargs)
+    def counted(name, coefficient):
+        def count(d, r, m):
+            calls.append((name, d, r, m))
+            return coefficient(d, r, m)
+        return count
 
-    monkeypatch.setattr(bounds, "bound_coefficient", counted)
+    for name, rule in bounds._RULES.items():
+        monkeypatch.setitem(bounds._RULES, name, bounds._Rule(
+            rule.needs_m, rule.conditions, counted(name, rule.coefficient), rule.square_free))
     counts = []
     for _ in range(2):
         calls.clear()
@@ -1101,28 +1104,36 @@ def test_verify_tables_each_bound_coefficient_once_per_run(capsys, monkeypatch):
     assert 0 < counts[0] <= 3 * 15 * len(bounds.ALL_KINDS) == 495
 
 
+def test_verify_builds_one_plan_per_witness_polynomial(capsys, monkeypatch):
+    # one sweep plan (so one integer form) per polynomial serves its enclosures
+    # and every grid minimum its witnesses read
+    forms = count_calls(monkeypatch, grid, "_integer_form")
+    polys = 6
+    assert run(capsys, "verify", "--witness-polys", str(polys))[0] == EXIT_OK
+    assert 0 < len(forms) <= polys
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 6), st.integers(1, 4))
 def test_verify_witnesses_from_the_shared_table_equal_check_bounds(seed, max_d, max_m, polys):
     args = cli._parse([
         "verify", "--seed", str(seed), "--max-d", str(max_d), "--max-m", str(max_m),
         "--witness-polys", str(polys)])
-    seen = []  # (f, the table it was witnessed with, its witnesses)
-    witnesses = bounds._witnesses
+    seen = []  # (f, the table it was witnessed with)
+    witness_rows = bounds._witness_rows
 
-    def recorded(f, reports, *rest):
-        seen.append((f, reports, witnesses(f, reports, *rest)))
-        return seen[-1][2]
+    def recorded(f, table, *rest):
+        seen.append((f, table))
+        return witness_rows(f, table, *rest)
 
-    with mock.patch.object(bounds, "_witnesses", recorded):
+    with mock.patch.object(bounds, "_witness_rows", recorded):
         checks = cli._bound_witnesses(args)
     assert len(seen) == polys
     pairs, tables, rows = cli._witness_pairs(args), {}, []
-    for f, reports, out in seen:
-        assert tables.setdefault(f.d, reports) is reports  # one table per degree
-        assert out == bounds.check_bounds(f, pairs)
+    for f, table in seen:
+        assert tables.setdefault(f.d, table) is table  # one table per degree
         rows += [(w.kind.value, f"d={w.d};r={w.r};m={w.m}", fraction_str(w.lhs),
-                  fraction_str(w.rhs), "le", w.holds) for w in out]
+                  fraction_str(w.rhs), "le", w.holds) for w in bounds.check_bounds(f, pairs)]
     assert [(c.name, c.params_str(), *c._texts(), c.relation, c.holds) for c in checks] == rows
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -131,6 +132,21 @@ def test_a_negative_minimizer_cap_is_refused_before_any_work(monkeypatch):
         assert [(x.value, x.minimizers, x.tie_count) for x in grid_extrema(f, 4, minimizer_cap=10**30)] \
             == naive_extremes(f, 4, ties)
         sizes.clear()
+
+
+@pytest.mark.parametrize("op", [grid_minimize, grid_maximize, grid_extrema])
+@pytest.mark.parametrize("name", ["r", "threads", "minimizer_cap", "max_points"])
+@pytest.mark.parametrize("value", [2.0, 2.5, "2", True])
+def test_an_integer_parameter_that_is_no_integer_is_refused_before_any_work(
+        monkeypatch, op, name, value):
+    # a bool, a float (2.0 too) or a str is refused as poly._as_int refuses it,
+    # naming the value, where it once ran (r=True, threads=2.0, max_points=10.5)
+    # or failed somewhere unrelated (minimizer_cap=1.5 inside islice)
+    monkeypatch.setattr(grid, "_grid_size", lambda *args: pytest.fail("a sweep started"))
+    f = HomogeneousPolynomial(2, 2, {(1, 1): 1})
+    kwargs = {"r": 2, name: value}
+    with pytest.raises(TypeError, match=rf"^expected an integer, got {re.escape(repr(value))}$"):
+        op(f, kwargs.pop("r"), **kwargs)
 
 
 @settings(max_examples=25)

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -21,7 +22,13 @@ from simplex_grid_opt import (
     random_polynomial,
     scaled_moment,
 )
-from simplex_grid_opt.hypergeom import _scaled_moments, _stirling_at, _stirling_rows
+from simplex_grid_opt.hypergeom import (
+    _falling_quotients,
+    _falling_row,
+    _scaled_moments,
+    _stirling_at,
+    _stirling_rows,
+)
 from strats import (
     cubic_moments_closed,
     exponent_tuples,
@@ -149,21 +156,20 @@ def test_moment_matches_bruteforce_exhaustively_small():
 @settings(max_examples=150, deadline=None)
 @given(urns(max_m=7), st.data())
 def test_rows_built_once_give_the_moment_at_every_r(p, data):
-    # rows built once for the whole index, evaluated at r = 1..m: zero counts,
-    # r < |beta| and r = m all occur
-    beta = tuple(data.draw(st.lists(st.integers(0, 3), min_size=p.n, max_size=p.n)))
-    d = sum(beta)
+    # weights built once for the whole index, one dot product at each r = 1..m:
+    # zero counts, r < |beta| and r = m all occur (the weights need m >= |beta|)
+    d = data.draw(st.integers(0, min(p.m, 3 * p.n)))
+    beta = data.draw(exponent_tuples(p.n, d))
     grouped = _stirling_rows(beta, p.counts, falling, d)
     powers = [falling(p.m, k) for k in range(d + 1)]
-    scaled = _scaled_moments(beta, p.counts, p.m)
-    assert len(scaled) == p.m
+    weights = _scaled_moments(beta, p.counts, _falling_quotients(p.m, d), {})
+    assert len(weights) == d + 1 and all(type(w) is int for w in weights)
     for r in range(1, p.m + 1):
         q = HypergeomParams(m=p.m, counts=p.counts, r=r)
         truth = moment_bruteforce(q, beta)
         assert Fraction(*_stirling_at(grouped, r, powers)) == truth == moment(q, beta)
-        num, den = scaled[r - 1]  # an integer pair, with a positive denominator
-        assert type(num) is type(den) is int and den > 0
-        assert Fraction(num, den) == truth / Fraction(r) ** d == scaled_moment(q, beta)
+        num = sum(map(operator.mul, weights, _falling_row(r, d)))  # over r^d * falling(m, d)
+        assert Fraction(num, r**d * falling(p.m, d)) == truth / Fraction(r) ** d == scaled_moment(q, beta)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -466,6 +467,21 @@ def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
         assert [c.lhs for c in moments] == [c.lhs for c in honest]  # the moment side never reads A_beta
         checks = sweep_a_beta(**caps)
         assert not any(c.holds for c in checks if c.name == "A_BETA_SUM")
+
+
+def test_moment_sweep_builds_each_stirling_row_once(monkeypatch):
+    # the left side's rows S(b, a) * falling(c, a), a = 0..b, are built once per
+    # (c, b) in a sweep, and a second sweep builds its own
+    calls = []
+    stirling = hypergeom.stirling2
+    monkeypatch.setattr(hypergeom, "stirling2", lambda b, a: calls.append(b) or stirling(b, a))
+    pairs = {(c, b) for n in range(1, 4) for d in range(1, 4) for m in range(d, 7)
+             for counts in compositions(n, m) for beta in compositions(n, d)
+             for c, b in zip(counts, beta) if b}
+    for _ in range(2):
+        calls.clear()
+        assert all(c.holds for c in sweep_moment_decomposition(max_n=3, max_d=3, max_m=6))
+        assert Counter(calls) == Counter(b for _, b in pairs for _ in range(b + 1))
 
 
 # the types of lhs and rhs per family, as the frozen-dataclass record gave them
