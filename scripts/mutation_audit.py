@@ -52,11 +52,7 @@ class Mutant(NamedTuple):
 # bounds._witness_rows's gap per (r, m), from its lookup to its store
 _GAP = """gap = gaps.get((r, m))
         if gap is None:
-            for grid in (r, m):
-                if grid not in minima:
-                    _checked_grid(f, grid, 1, DEFAULT_GRID_GUARD)
-                    minima[grid] = _grid_minimum(plan, grid)
-            (x, y), (u, v) = minima[r], minima[m]
+            (x, _, y), (u, _, v) = plan.extremes(r, 1), plan.extremes(m, 1)
             gap = gaps[r, m] = (x * v - u * y, y * v)
 """
 
@@ -192,6 +188,23 @@ MUTANTS = (
     Mutant("witness-holds-strict", BOUNDS,
            "gap[0] * rhs[1] <= rhs[0] * gap[1]", "gap[0] * rhs[1] < rhs[0] * gap[1]",
            ("tests/test_bounds.py",)),
+    Mutant("witness-grids-not-checked-first", BOUNDS,
+           "        _checked_grid(f, grid, 1, DEFAULT_GRID_GUARD)\n", "        pass\n",
+           ("tests/test_bounds.py",)),
+    # a sweep plan keeps the extremes of each r it sweeps (grid._Plan.extremes),
+    # and the enclosures' Bernstein endpoints are pairs (grid._bernstein_extrema)
+    Mutant("plan-keeps-no-extremes", GRID,
+           "            self.grids[r] = (low.value, high.value, denominator)\n",
+           "            return low.value, high.value, denominator\n",
+           ("tests/test_grid.py",)),
+    Mutant("bernstein-extrema-drop-the-scale", GRID,
+           "return (low[0], low[1] * scale), (high[0], high[1] * scale)",
+           "return (low[0], low[1]), (high[0], high[1])",
+           ("tests/test_bounds.py",)),
+    # each table entry of a shape is built once (grid._Lazy)
+    Mutant("lazy-entry-not-kept", GRID,
+           "value = self[key] = self.build(key)", "value = self.build(key)",
+           ("tests/test_cli.py",)),
     # the engine's packed node test, row decoding and quadratic bound
     Mutant("packed-test-any-field", GRID,
            "(p - low.value * sizes - ones) & top == top", "(p - low.value * sizes - ones) & top",
@@ -201,6 +214,14 @@ MUTANTS = (
            ("tests/test_grid.py",)),
     Mutant("diagonal-beats-drops-the-cofactor-sum", GRID,
            "total = total * e + product", "total = total * e",
+           ("tests/test_grid.py",)),
+    Mutant("quadratic-vertex-tie-not-kept", GRID,
+           "if lo is not None and v <= lo or hi is not None and v >= hi:",
+           "if lo is not None and v < lo or hi is not None and v >= hi:",
+           ("tests/test_grid.py",)),
+    Mutant("quadratic-min-side-reads-the-greatest-edge", GRID,
+           "not _diagonal_beats(lo, min(edges), vertices)",
+           "not _diagonal_beats(lo, max(edges), vertices)",
            ("tests/test_grid.py",)),
     # equivalent mutants
     Mutant("sigma-strict", "src/simplex_grid_opt/identities.py",

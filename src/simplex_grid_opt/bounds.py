@@ -12,17 +12,22 @@ range, m too small) is data, not an error.
 Each coefficient is computed as an integer pair (numerator, positive
 denominator), not necessarily reduced: bound_coefficient makes one Fraction of
 it, and converge renders its bound columns from the pairs with one gcd each
-(_coefficient_texts), with no Fraction.  The rest of a converge row comes from
-pairs too: the grid extremes at r as (L*min, L*max, L*r^d) from the sweep
-engine (grid._grid_pairs), and the normalized-error interval from _rho, which
-cross-multiplies them with the enclosure endpoints in integers; rho_interval
-is _rho made a Fraction pair at the end.  The bound witnesses come from pairs
-as well: _coefficient_table lists the coefficients that apply at each (r, m)
-of one degree, and _witness_rows makes, over one sweep plan per polynomial,
-each gap grid_min(r) - grid_min(m) once per (r, m) and each coefficient
-times the range bound, and decides holds by cross-multiplying; check_bounds
-makes its Fractions from them at the end, and `sgo verify` renders them with
-one gcd each.
+(_coefficient_texts), with no Fraction.  The enclosures are pairs as well:
+_enclosures gives their four endpoints as pairs, the Bernstein ones from
+grid._bernstein_extrema and the grid ones from the sweep plan it is given
+(grid._Plan.extremes, (L*min, L*max, L*r^d) per r, swept once per plan and
+kept); range_enclosures makes them Enclosures at the end.  The rest of a
+converge row reads the same plan at r, and the normalized-error interval
+comes from _rho, which cross-multiplies the grid pairs with the enclosure
+endpoints in integers; rho_interval is _rho made a Fraction pair at the end,
+and the one reader of Enclosures as pairs (_ends).  The bound witnesses come
+from pairs too: _coefficient_table lists the coefficients that apply at each
+(r, m) of one degree, and _witness_rows refuses a grid past the guard before
+any sweep, then makes, over one sweep plan per polynomial, each gap
+grid_min(r) - grid_min(m) once per (r, m) and each coefficient times the
+range bound, and decides holds by cross-multiplying; check_bounds makes its
+Fractions from them at the end, and `sgo verify` renders them with one gcd
+each.
 
 Kinds and their coefficients, for degree d, grid denominator r, and reference
 denominator m with k chosen so that (k-1)m < r <= km:
@@ -56,15 +61,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combin import _kls_gap, _refined_gap, binomial, rate_constant
-from .grid import (
-    DEFAULT_GRID_GUARD,
-    _bernstein_extrema,
-    _checked_grid,
-    _grid_minimum,
-    _grid_pairs,
-    _Plan,
-)
-from .poly import HomogeneousPolynomial, is_square_free
+from .grid import DEFAULT_GRID_GUARD, _bernstein_extrema, _checked_grid, _checked_threads, _Plan
+from .poly import HomogeneousPolynomial, _as_int, is_square_free
 from .rational import Enclosure, _Record, _ratio_str, decimal_str
 
 # The highest elevation an enclosure takes: its Bernstein table grows as
@@ -197,7 +195,7 @@ def bound_coefficient(
     in the report for the kinds whose proof uses the grid at denominator km.
     """
     kind = BoundKind(kind)
-    _check_arguments(d, r, m)
+    d, r, m = _check_arguments(d, r, m)
     rule = _RULES[kind]
     reason = _reason(rule, d, r, m)
     if reason:
@@ -210,14 +208,17 @@ def bound_coefficient(
     )
 
 
-def _check_arguments(d: int, r: int, m: "int | None") -> None:
-    """Refuse (ValueError) a degree or grid denominator below 1, or an m below 1."""
+def _check_arguments(d: int, r: int, m: "int | None") -> "tuple[int, int, int | None]":
+    """d, r and m as ints (poly._as_int; TypeError), after refusing
+    (ValueError) a degree or grid denominator below 1, or an m below 1."""
+    d, r, m = _as_int(d), _as_int(r), None if m is None else _as_int(m)
     if d < 1:
         raise ValueError(f"degree must be positive, got {d}")
     if r < 1:
         raise ValueError(f"grid denominator must be positive, got {r}")
     if m is not None and m < 1:
         raise ValueError(f"reference denominator must be positive, got {m}")
+    return d, r, m
 
 
 def _reason(rule: _Rule, d: int, r: int, m: "int | None") -> str:
@@ -250,6 +251,7 @@ class RangeAssumptions(_Record):
     assumption.  grid names a sampling denominator for the inner endpoints of
     the unassumed sides; without one they are the opposite Bernstein
     extremes, which rho_interval tightens with the grid values at its r.
+    Each field other than None must be an integer (poly._as_int; TypeError).
     """
 
     __slots__ = __match_args__ = (
@@ -261,7 +263,8 @@ class RangeAssumptions(_Record):
         assume_min_denominator: "int | None" = None,
         assume_max_denominator: "int | None" = None,
     ) -> None:
-        self._set(elevation, grid, assume_min_denominator, assume_max_denominator)
+        self._set(_as_int(elevation), *[None if m is None else _as_int(m) for m in (
+            grid, assume_min_denominator, assume_max_denominator)])
 
 
 def swept_denominators(params: RangeAssumptions) -> "list[int]":
@@ -287,20 +290,28 @@ def range_enclosures(
     or to the opposite Bernstein extreme when no grid is named (inner
     endpoint).  Each named denominator is swept once for both sides, before
     the one Bernstein table is built; none is built when both sides are
-    assumed.  An elevation outside 0..8, or a table past
-    _MAX_ENCLOSURE_ENTRIES entries, is refused (ValueError) before any
+    assumed.  threads and a max_points other than None must be integers
+    (poly._as_int; TypeError), and fewer than one thread is refused
+    (ValueError), before any work.  An elevation outside 0..8, or a table
+    past _MAX_ENCLOSURE_ENTRIES entries, is refused (ValueError) before any
     sweep.  An assumed side is refuted (ValueError) when another grid swept
-    here has a more extreme value.
+    here has a more extreme value.  It is _enclosures, made Enclosures at
+    the end.
     """
-    return _enclosures(_Plan(f), params, {}, threads, max_points)
+    threads = _checked_threads(threads)
+    if max_points is not None:
+        max_points = _as_int(max_points)
+    lo_lo, lo_hi, hi_lo, hi_hi = [Fraction(*end) for end in
+                                  _enclosures(_Plan(f), params, threads, max_points)]
+    return Enclosure(lo_lo, lo_hi), Enclosure(hi_lo, hi_hi)
 
 
-def _enclosures(plan: _Plan, params: RangeAssumptions,
-                extrema: "dict[int, tuple[int, int, int]]", threads: int,
-                max_points: "int | None") -> "tuple[Enclosure, Enclosure]":
-    """range_enclosures of the plan's polynomial, leaving in the empty dict
-    `extrema` the grid extremes of each denominator it sweeps as integer pairs
-    (grid._grid_pairs), for converge to read its rows from."""
+def _enclosures(plan: _Plan, params: RangeAssumptions, threads: int,
+                max_points: "int | None") -> "tuple[tuple[int, int], ...]":
+    """range_enclosures of the plan's polynomial in integers: fmin.lo,
+    fmin.hi, fmax.lo and fmax.hi as (numerator, positive denominator) pairs,
+    not reduced, the form _refute and _rho read.  The grid extremes of each
+    denominator it sweeps stay in the plan (_Plan.extremes)."""
     f = plan.f
     lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
     bernstein = lo_m is None or hi_m is None
@@ -315,40 +326,31 @@ def _enclosures(plan: _Plan, params: RangeAssumptions,
         if entries > _MAX_ENCLOSURE_ENTRIES:
             raise ValueError(f"the Bernstein table at elevation {k} would hold "
                              f"{decimal_str(entries)} entries, more than {_MAX_ENCLOSURE_ENTRIES}")
+    values = {}  # (minimum, maximum) of each swept grid, as pairs
     for m in swept_denominators(params):
         _checked_grid(f, m, threads, max_points)
-        extrema[m] = _grid_pairs(plan, m, threads)
-    values = {m: (Fraction(low, den), Fraction(high, den))
-              for m, (low, high, den) in extrema.items()}
+        low, high, den = plan.extremes(m, threads)
+        values[m] = (low, den), (high, den)
     if bernstein:
         outer_min, outer_max = _bernstein_extrema(plan, k)
-        if params.grid is None:
-            inner_min, inner_max = outer_max, outer_min
-        else:
-            inner_min, inner_max = values[params.grid]
-    if lo_m is None:
-        fmin = Enclosure(outer_min, inner_min)
-    else:
-        fmin = Enclosure(values[lo_m][0], values[lo_m][0])
-    if hi_m is None:
-        fmax = Enclosure(inner_max, outer_max)
-    else:
-        fmax = Enclosure(values[hi_m][1], values[hi_m][1])
-    _refute(_ends(fmin, fmax), [(q, *pairs) for q, pairs in extrema.items()])
-    return fmin, fmax
+        inner_min, inner_max = (outer_max, outer_min) if params.grid is None else values[params.grid]
+    fmin = (outer_min, inner_min) if lo_m is None else (values[lo_m][0],) * 2
+    fmax = (inner_max, outer_max) if hi_m is None else (values[hi_m][1],) * 2
+    _refute((*fmin, *fmax), [(m, *plan.grids[m]) for m in values])
+    return (*fmin, *fmax)
 
 
 def _ends(fmin: Enclosure, fmax: Enclosure) -> "tuple[tuple[int, int], ...]":
     """fmin.lo, fmin.hi, fmax.lo and fmax.hi as (numerator, denominator) pairs,
-    the form _rho reads them in."""
+    the form _enclosures gives and _rho reads."""
     return tuple([(x.numerator, x.denominator) for x in (fmin.lo, fmin.hi, fmax.lo, fmax.hi)])
 
 
 def _refute(ends: "tuple[tuple[int, int], ...]",
             grids: "list[tuple[int | str, int, int, int]]") -> None:
     """Raise ValueError when a grid value falls outside the enclosures, which
-    refutes an assumed side: ends are the enclosure endpoints as _ends gives
-    them, and grids holds (denominator, grid minimum, grid maximum, common
+    refutes an assumed side: ends are the enclosure endpoints as _enclosures
+    gives them, and grids holds (denominator, grid minimum, grid maximum, common
     positive denominator) tuples of integers, the grid's denominator as the
     message names it.  A minimum below fmin is reported before a maximum above
     fmax, each at the first such grid.  An unassumed side, whose outer
@@ -392,7 +394,7 @@ def rho_interval(
 def _rho(ends: "tuple[tuple[int, int], ...]", low: int, high: int,
          den: int) -> "tuple[int, int, int, int]":
     """rho_interval in integers: the grid minimum low/den and maximum high/den
-    (den > 0) against the enclosure endpoints `ends` (_ends), cross-multiplied
+    (den > 0) against the enclosure endpoints `ends` (_enclosures), cross-multiplied
     with no Fraction.  Returns the interval's ends as (numerator, positive
     denominator) pairs, not reduced, lo's then hi's; converge renders them
     with one gcd each.  With [a, c] enclosing fmin and [g, p] fmax, fmax - fmin
@@ -446,11 +448,11 @@ def check_bounds(
     Returns one witness per (r, m) in pairs and kind in ALL_KINDS, pair by
     pair, for the kinds that apply at (f.d, r, m) and to f: bound_coefficient
     gives the reason a kind does not, and the SQUARE_FREE_KINDS need a
-    square-free f.  When none applies nothing is swept.  Otherwise the
-    enclosures run once, and each denominator is swept once: the grid minima
-    at the denominators params names are read from the enclosures' sweeps.
-    It is _witness_rows on the pairs' _coefficient_table, made Fractions at
-    the end.
+    square-free f.  When none applies nothing is swept.  Otherwise every
+    grid of the pairs is refused as grid_minimize refuses it (the grid guard
+    too) before any sweep, the enclosures run once, and each denominator is
+    swept once, those params names by the enclosures.  It is _witness_rows
+    on the pairs' _coefficient_table, made Fractions at the end.
     """
     span, rows = _witness_rows(f, _coefficient_table(f.d, pairs), params)
     range_bound = Fraction(*span)
@@ -493,30 +495,26 @@ def _witness_rows(
     rhs = coefficient * range bound as (numerator, positive denominator)
     pairs, not reduced, and holds decided by cross-multiplying them.
 
-    One sweep plan serves the enclosures and every grid; each denominator the
-    enclosures do not sweep is swept once, min side only, after the refusals
-    grid_minimize takes, and each (r, m) gap is made once."""
+    The grids of the table's denominators are refused as grid_minimize
+    refuses them (_checked_grid), each once, before any sweep.  One sweep
+    plan serves the enclosures and every grid, so each denominator is swept
+    once (_Plan.extremes), and each (r, m) gap is made once."""
     square_free = is_square_free(f)
     table = [entry for entry in table if square_free or not entry[1]]
     if not table:
         return (0, 1), []
+    for grid in dict.fromkeys(q for entry in table for q in entry[2:4]):
+        _checked_grid(f, grid, 1, DEFAULT_GRID_GUARD)
     plan = _Plan(f)
-    extrema: "dict[int, tuple[int, int, int]]" = {}
-    fmin, fmax = _enclosures(plan, params, extrema, 1, DEFAULT_GRID_GUARD)
-    (a, b), _, _, (p, q) = _ends(fmin, fmax)
+    (a, b), _, _, (p, q) = _enclosures(plan, params, 1, DEFAULT_GRID_GUARD)
     span, span_den = p * b - a * q, q * b
-    minima = {grid: (low, den) for grid, (low, _, den) in extrema.items()}
     gaps: "dict[tuple[int, int], tuple[int, int]]" = {}
     rows = []
     for entry in table:
         _, _, r, m, num, den = entry
         gap = gaps.get((r, m))
         if gap is None:
-            for grid in (r, m):
-                if grid not in minima:
-                    _checked_grid(f, grid, 1, DEFAULT_GRID_GUARD)
-                    minima[grid] = _grid_minimum(plan, grid)
-            (x, y), (u, v) = minima[r], minima[m]
+            (x, _, y), (u, _, v) = plan.extremes(r, 1), plan.extremes(m, 1)
             gap = gaps[r, m] = (x * v - u * y, y * v)
         rhs = (num * span, den * span_den)
         rows.append((entry, gap, rhs, gap[0] * rhs[1] <= rhs[0] * gap[1]))
@@ -530,8 +528,10 @@ def bound_table(
 
     A table of more than _MAX_BOUND_ROWS reports, or whose coefficients could
     hold more than _MAX_BOUND_BITS bits, is refused (ValueError) before any
-    report is made.
+    report is made, as is a d, or a largest r or m, that is not an integer
+    (poly._as_int; TypeError); bound_coefficient refuses the other values.
     """
+    d = _as_int(d)
     rows = _length(r_values) * _length(m_values) * len(ALL_KINDS)
     if rows > _MAX_BOUND_ROWS:
         raise ValueError(
@@ -539,7 +539,7 @@ def bound_table(
         )
     if not rows:
         return []
-    top = max(r_values) * max([m or 1 for m in m_values])
+    top = _as_int(max(r_values)) * _as_int(max([m or 1 for m in m_values]))
     if rows * d * ((4 * d).bit_length() + 2 * top.bit_length()) > _MAX_BOUND_BITS:
         raise ValueError(f"bounds coefficients could hold more than {_MAX_BOUND_BITS} bits")
     return _pair_reports(d, [(r, m) for r in r_values for m in m_values])

@@ -56,7 +56,6 @@ from .grid import (
     DEFAULT_GRID_GUARD,
     GridTooLargeError,
     _check_sweep,
-    _grid_pairs,
     _grid_size,
     _Plan,
     grid_maximize,
@@ -284,13 +283,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
     header = ["r", "grid_min", "grid_min_decimal", "rho_lo", "rho_hi"] + kind_names
     r_values = _parse_range(args.r_range)
     _converge_guard(f, r_values, assumptions, guard)
-    plan = _Plan(f)  # one per run: every r and the enclosures sweep it
-    extrema = {}  # each denominator the enclosures sweep, kept for the rows
-    fmin, fmax = bounds_mod._enclosures(plan, assumptions, extrema, args.threads, guard)
-    ends = bounds_mod._ends(fmin, fmax)
+    plan = _Plan(f)  # one per run: every r and the enclosures sweep it, each once
+    ends = bounds_mod._enclosures(plan, assumptions, args.threads, guard)
     rows = []
     for r in r_values:  # the guard has checked every grid: each r sweeps with no refusal
-        low, high, den = extrema.get(r) or _grid_pairs(plan, r, args.threads)
+        low, high, den = plan.extremes(r, args.threads)
         try:
             lo_num, lo_den, hi_num, hi_den = bounds_mod._rho(ends, low, high, den)
             rho_lo, rho_hi = _ratio_str(lo_num, lo_den), _ratio_str(hi_num, hi_den)

@@ -5,24 +5,27 @@ it is in bijection with I(n, r) via alpha <-> alpha/r, so a full sweep covers
 C(n + r - 1, r) points.  Homogeneity gives f(alpha/r) = f(alpha)/r^d, so the
 sweep compares the integers L*f(alpha), where L clears the denominators of the
 coefficients once; the reported value is the pair (L*f(alpha), L*r^d), made a
-Fraction at the end by grid_extrema and its kin and rendered as it is by
-converge (_grid_pairs).  Every step below is integer arithmetic, so the engine
+Fraction at the end by grid_extrema and its kin, and kept as it is by a sweep
+plan (_Plan.extremes).  Every step below is integer arithmetic, so the engine
 is exact.
 
 What a sweep of f needs that no denominator changes, L, the integer
 coefficients of L*f, its vertex values, its shape and the root's coefficient
 order, is built once as one _Plan: grid_extrema and its kin build one per
-call, and converge one per run, which every r and its enclosures sweep.  Per r
-only r^d, the starts, the gates, the field width and the chunks are made
-before the walk (_sweep).
+call, and converge and the bound witnesses one per polynomial, which every r
+and its enclosures sweep.  Per r only r^d, the starts, the gates, the field
+width and the chunks are made before the walk (_sweep).  The plan keeps the
+extremes of each r it has swept (_Plan.extremes), so each (f, r) is swept once
+however many readers it has: the enclosures, converge's rows and the
+witnesses' gaps.
 
 One engine serves every sweep: a single lex-order pass that tracks the sides
 its caller needs, the minimum (grid_minimize), the maximum (grid_maximize) or
-both (grid_extrema, from which bounds.range_enclosures takes its grid values).
-Its one Bernstein kernel (_bernstein_columns, see Pruning) also gives
-range_enclosures its outer endpoints: the table of the whole simplex at degree
-d + k holds the coefficients of f elevated by k, whose extremes
-_bernstein_extrema reads in integers.
+both (grid_extrema, and _Plan.extremes, from which bounds.range_enclosures
+takes its grid values).  Its one Bernstein kernel (_bernstein_columns, see
+Pruning) also gives range_enclosures its outer endpoints: the table of the
+whole simplex at degree d + k holds the coefficients of f elevated by k, whose
+extremes _bernstein_extrema reads as integer pairs.
 
 - Prefix tree.  The leading coordinates alpha_0..alpha_{n-3} are fixed
   depth-first, in ascending order.  With a prefix fixed, L*f restricted to the
@@ -475,15 +478,15 @@ def _integer_form(f: HomogeneousPolynomial) -> "tuple[int, dict[tuple[int, ...],
     return scale, {alpha: c.numerator * (scale // c.denominator) for alpha, c in f.coeffs.items()}
 
 
-def _bernstein_extrema(plan: _Plan, k: int) -> "tuple[Fraction, Fraction]":
+def _bernstein_extrema(plan: _Plan, k: int) -> "tuple[tuple[int, int], tuple[int, int]]":
     """The least and greatest simplicial Bernstein coefficients of f (the
     plan's polynomial) times (x_1 + ... + x_n)^k, which enclose f on the
-    simplex.
+    simplex, as (numerator, positive denominator) pairs, not reduced.
 
     They are the extremes of p_g / multinomial(d + k, g) over g in I(n, d + k),
     p_g = sum over alpha <= g of L*f_alpha * multinomial(k, g - alpha): the
     table of the root node at degree d + k (_bernstein_columns), in integers,
-    divided by L at the end.
+    with L joined to the denominators at the end.
     """
     f, scale, coeffs = plan.f, plan.scale, plan.coeffs
     columns, sizes = _bernstein_columns(list(coeffs), f.n, f.d + k)
@@ -497,7 +500,7 @@ def _bernstein_extrema(plan: _Plan, k: int) -> "tuple[Fraction, Fraction]":
             low = (p, size)
         elif p * high[1] > high[0] * size:
             high = (p, size)
-    return Fraction(low[0], low[1] * scale), Fraction(high[0], high[1] * scale)
+    return (low[0], low[1] * scale), (high[0], high[1] * scale)
 
 
 class _Lazy(dict):
@@ -1025,11 +1028,13 @@ class _Plan:
     """The part of a sweep of f that no denominator changes: L and the integer
     coefficients of L*f (_integer_form), the values of L*f at the vertices
     (_vertex_values), the shape of its support (_shape, None for n = 1) and
-    the root's coefficients in shape.order.  grid_extrema and its kin build
-    one per call, converge one per run for every r and its enclosures.
-    Nothing writes to it once built, so calls and threads may share it."""
+    the root's coefficients in shape.order; and `grids`, the grid extremes of
+    each denominator extremes has swept.  grid_extrema and its kin build one
+    per call; converge and the bound witnesses one per polynomial, for every
+    r and its enclosures.  Only extremes writes to it, in the caller's thread
+    once a sweep has returned, so the sweep's worker threads only read it."""
 
-    __slots__ = ("f", "scale", "coeffs", "vertices", "shape", "root")
+    __slots__ = ("f", "scale", "coeffs", "vertices", "shape", "root", "grids")
 
     def __init__(self, f: HomogeneousPolynomial) -> None:
         self.f = f
@@ -1038,6 +1043,18 @@ class _Plan:
         self.vertices = _vertex_values(coeffs, f.n, f.d)
         self.shape = None if f.n == 1 else _shape(tuple(coeffs), f.n, f.d)
         self.root = [coeffs[alpha] for alpha in self.shape.order] if self.shape else []
+        self.grids: "dict[int, tuple[int, int, int]]" = {}
+
+    def extremes(self, r: int, threads: int) -> "tuple[int, int, int]":
+        """(L*min, L*max, L*r^d): the grid extremes of f at r as integer pairs
+        over one denominator, from a sweep that keeps no points, made on the
+        first call at r and kept in grids for every later one.  It refuses
+        nothing; the caller has checked the grid (_checked_grid, or converge's
+        guard)."""
+        if r not in self.grids:
+            (low, high), denominator, _ = _sweep(self, r, threads, 0)
+            self.grids[r] = (low.value, high.value, denominator)
+        return self.grids[r]
 
 
 def _sweep(
@@ -1078,29 +1095,21 @@ def _sweep(
     return extremes, plan.scale * top, pruned
 
 
-def _grid_pairs(plan: _Plan, r: int, threads: int) -> "tuple[int, int, int]":
-    """(L*min, L*max, L*r^d): the grid extremes of f at r as integer pairs over
-    one denominator, from a sweep that keeps no points.  It refuses nothing;
-    the caller has checked the grid (_checked_grid, or converge's guard)."""
-    (low, high), denominator, _ = _sweep(plan, r, threads, 0)
-    return low.value, high.value, denominator
-
-
-def _grid_minimum(plan: _Plan, r: int) -> "tuple[int, int]":
-    """(L*min, L*r^d): the grid minimum of f at r as an integer pair, from a
-    one-thread sweep of the min side alone that keeps no points.  It refuses
-    nothing; the caller has checked the grid (_checked_grid)."""
-    (low,), denominator, _ = _sweep(plan, r, 1, 0, (min,))
-    return low.value, denominator
+def _checked_threads(threads: int) -> int:
+    """threads as an int (poly._as_int; TypeError), refused (ValueError) when
+    it is below 1."""
+    threads = _as_int(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {decimal_str(threads)}")
+    return threads
 
 
 def _checked_grid(f: HomogeneousPolynomial, r: int, threads: int, max_points: "int | None") -> int:
     """The point count of f's grid at r, after the refusals a sweep of it takes
-    before any work: fewer than one thread (ValueError), more points than
-    max_points (GridTooLargeError), and the degree and row-table bounds
+    before any work: fewer than one thread (_checked_threads), more points
+    than max_points (GridTooLargeError), and the degree and row-table bounds
     (_check_sweep)."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {decimal_str(threads)}")
+    _checked_threads(threads)
     total = _grid_size(f.n, r, max_points)
     _check_sweep(f, r)
     return total

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -422,7 +423,9 @@ def test_integer_bernstein_extrema_match_the_dense_table(f, k, data):
     f = HomogeneousPolynomial(f.n, f.d, {
         alpha: c / q for (alpha, c), q in zip(f.coeffs.items(), dens)})
     table = bernstein_table(elevate(f, k))
-    assert grid._bernstein_extrema(grid._Plan(f), k) == (table.min_coeff, table.max_coeff)
+    low, high = grid._bernstein_extrema(grid._Plan(f), k)
+    assert (Fraction(*low), Fraction(*high)) == (table.min_coeff, table.max_coeff)
+    assert low[1] > 0 and high[1] > 0  # the pairs' denominators are positive
 
 
 @pytest.mark.parametrize("f, ks", [
@@ -435,7 +438,8 @@ def test_integer_bernstein_extrema_match_the_dense_table(f, k, data):
 def test_integer_bernstein_extrema_match_the_dense_table_on_edge_cases(f, ks):
     for k in ks:
         table = bernstein_table(elevate(f, k))
-        assert grid._bernstein_extrema(grid._Plan(f), k) == (table.min_coeff, table.max_coeff), k
+        low, high = grid._bernstein_extrema(grid._Plan(f), k)
+        assert (Fraction(*low), Fraction(*high)) == (table.min_coeff, table.max_coeff), k
 
 
 @pytest.mark.parametrize("k", [0, 8])
@@ -454,7 +458,7 @@ def test_the_enclosure_table_bound_is_checked_before_any_sweep(monkeypatch):
     f = HomogeneousPolynomial(12, 4, {(4,) + (0,) * 11: 1})
     sweeps, sweep = [], grid._sweep
     monkeypatch.setattr(grid, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
-    monkeypatch.setattr(bounds, "_bernstein_extrema", lambda f, k: (-1, 2))
+    monkeypatch.setattr(bounds, "_bernstein_extrema", lambda f, k: ((-1, 1), (2, 1)))
     params = RangeAssumptions(elevation=8, grid=1)
     monkeypatch.setattr(bounds, "_MAX_ENCLOSURE_ENTRIES", 75581)
     with pytest.raises(ValueError, match="^the Bernstein table at elevation 8 would hold 75582 "
@@ -534,6 +538,66 @@ def test_check_bounds_sweeps_each_denominator_once(monkeypatch, params, pairs, s
     witnesses = check_bounds(f, pairs, params)
     assert sorted(calls) == swept
     assert witnesses and all(w.lhs == minima[w.r] - minima[w.m] and w.holds for w in witnesses)
+
+
+def test_check_bounds_refuses_a_grid_past_the_guard_before_any_sweep(monkeypatch):
+    # of sum_of_squares(4)'s grids at 1, 2, 4 and 6 (1, 10, 35 and 84 points)
+    # only 6 is past a guard of 40: it is refused before the enclosures sweep
+    # 4 and 1, and before the witnesses sweep 2, and no Bernstein table is built
+    sweeps, sweep = [], grid._sweep
+    monkeypatch.setattr(grid, "_sweep", lambda *args: sweeps.append(args[1]) or sweep(*args))
+    monkeypatch.setattr(bounds, "_bernstein_extrema", lambda *args: pytest.fail("a table was built"))
+    monkeypatch.setattr(bounds, "DEFAULT_GRID_GUARD", 40)
+    f, params = sum_of_squares(4), RangeAssumptions(assume_min_denominator=4, assume_max_denominator=1)
+    with pytest.raises(grid.GridTooLargeError, match="^grid has 84 points, budget is 40$"):
+        check_bounds(f, [(2, 4), (2, 6)], params)
+    assert sweeps == []
+    assert check_bounds(f, [(2, 4)], params) and sorted(sweeps) == [1, 2, 4]
+
+
+_NOT_INTEGERS = {
+    "range-enclosures-threads-0": (lambda f: range_enclosures(f, threads=0), ValueError,
+                                   "threads must be at least 1, got 0"),
+    "range-enclosures-threads-negative": (
+        lambda f: range_enclosures(f, threads=-3, max_points=-1), ValueError,
+        "threads must be at least 1, got -3"),
+    "range-enclosures-threads-bool": (lambda f: range_enclosures(f, threads=True), TypeError, "True"),
+    "range-enclosures-threads-float": (
+        lambda f: range_enclosures(f, RangeAssumptions(grid=4), threads=2.0), TypeError, "2.0"),
+    "range-enclosures-max-points-float": (
+        lambda f: range_enclosures(f, RangeAssumptions(grid=4), max_points=10.5), TypeError, "10.5"),
+    "assumptions-grid-float": (lambda f: RangeAssumptions(grid=4.0), TypeError, "4.0"),
+    "assumptions-grid-bool": (lambda f: RangeAssumptions(grid=True), TypeError, "True"),
+    "assumptions-elevation-float": (lambda f: RangeAssumptions(elevation=1.0), TypeError, "1.0"),
+    "assumptions-elevation-bool": (lambda f: RangeAssumptions(elevation=True), TypeError, "True"),
+    "assumptions-min-denominator-float": (
+        lambda f: RangeAssumptions(assume_min_denominator=2.0), TypeError, "2.0"),
+    "assumptions-max-denominator-str": (
+        lambda f: RangeAssumptions(assume_max_denominator="2"), TypeError, "'2'"),
+    "check-bounds-r-bool": (lambda f: check_bounds(f, [(True, 3)]), TypeError, "True"),
+    "check-bounds-m-float": (lambda f: check_bounds(f, [(2, 3.0)]), TypeError, "3.0"),
+    "bound-coefficient-d-float": (lambda f: bound_coefficient("KLS_QUAD", d=2.0, r=3), TypeError, "2.0"),
+    "bound-coefficient-m-bool": (lambda f: bound_coefficient("QUAD_DENOM", d=2, r=3, m=True),
+                                 TypeError, "True"),
+    "bound-table-d-float": (lambda f: bounds.bound_table(2.0, [3], [None]), TypeError, "2.0"),
+    "bound-table-r-float": (lambda f: bounds.bound_table(2, [2.5], [None]), TypeError, "2.5"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _NOT_INTEGERS.values(), ids=_NOT_INTEGERS.keys())
+def test_a_parameter_of_bounds_that_is_no_integer_or_thread_count_is_refused_before_any_work(
+        monkeypatch, call, error, message):
+    # each integer parameter of a public entry of bounds goes through
+    # poly._as_int, which names the value, where it once ran (threads=True,
+    # grid=True, r=True), failed somewhere unrelated (threads=2.0, grid=4.0)
+    # or was echoed (max_points=10.5, d=2.0); fewer than one thread is
+    # refused also when no grid is swept
+    monkeypatch.setattr(grid, "_sweep", lambda *args: pytest.fail("a grid was swept"))
+    monkeypatch.setattr(bounds, "_bernstein_extrema", lambda *args: pytest.fail("a table was built"))
+    if error is TypeError:
+        message = f"expected an integer, got {message}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(sum_of_squares(3))
 
 
 @settings(max_examples=15, deadline=None)

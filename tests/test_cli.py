@@ -649,6 +649,23 @@ def test_each_sweep_and_table_is_computed_once(capsys, monkeypatch):
         assert len(tables) == want_tables, argv
 
 
+def test_converge_builds_each_table_entry_once(capsys, monkeypatch):
+    # every _Lazy table of the shape keeps what it builds: over r = 2..12 a
+    # power, level power or row table entry is built once, however many nodes
+    # and denominators read it
+    builds = []
+    lazy_init = grid._Lazy.__init__
+
+    def counted(table, build):
+        lazy_init(table, lambda key: builds.append((id(table), key)) or build(key))
+
+    monkeypatch.setattr(grid._Lazy, "__init__", counted)
+    grid._shape.cache_clear()
+    assert run(capsys, "converge", "--poly", SOS4, "--r-range", "2:12")[0] == EXIT_OK
+    grid._shape.cache_clear()
+    assert len(builds) > 12 and len(set(builds)) == len(builds)
+
+
 def test_default_verify_builds_no_bound_table(capsys, monkeypatch, tmp_path):
     # the only Bernstein tables verify builds are its witnesses' enclosures
     grid._shape.cache_clear()

@@ -4,7 +4,7 @@ import re
 import sys
 import threading
 from fractions import Fraction
-from math import ceil, comb, floor, prod
+from math import ceil, comb, floor, lcm, prod
 from operator import lshift, mul
 
 import pytest
@@ -974,7 +974,7 @@ def test_one_plan_swept_at_many_r_gives_what_a_plan_per_r_gives(f, rs, threads):
         want = grid_extrema(f, r)
         assert [(Fraction(x.value, denominator), tuple(x.points), x.ties) for x in (low, high)] == \
             [(x.value, x.minimizers, x.tie_count) for x in want]
-        assert grid._grid_pairs(plan, r, threads) == (low.value, high.value, denominator)
+        assert plan.extremes(r, threads) == (low.value, high.value, denominator)
 
 
 def test_a_plan_swept_at_a_small_r_then_a_large_one_gives_the_large_grid():
@@ -984,10 +984,32 @@ def test_a_plan_swept_at_a_small_r_then_a_large_one_gives_the_large_grid():
     for f in (fixed_quartic(), sum_of_squares(4)):
         plan = grid._Plan(f)
         for r in (2, 40):
-            low, high, denominator = grid._grid_pairs(plan, r, 1)
+            low, high, denominator = plan.extremes(r, 1)
             want = grid_extrema(f, r)
             assert (Fraction(low, denominator), Fraction(high, denominator)) == \
                 (want[0].value, want[1].value), r
+
+
+def test_a_plan_sweeps_each_r_once_and_keeps_its_extremes(monkeypatch):
+    # a second call at r, on any thread count, reads the kept triple
+    sweeps, sweep = [], grid._sweep
+    monkeypatch.setattr(grid, "_sweep", lambda *args: sweeps.append(args[1]) or sweep(*args))
+    plan = grid._Plan(fixed_quartic())
+    first = plan.extremes(6, 1)
+    assert plan.extremes(6, 2) is first and sweeps == [6]
+    other = plan.extremes(3, 2)
+    assert plan.grids == {6: first, 3: other} and sweeps == [6, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(max_n=4, max_d=4), st.integers(1, 10), st.integers(1, 3), st.data())
+def test_a_plans_extremes_are_the_grid_extrema_times_l_r_d(f, r, threads, data):
+    # coefficients over mixed denominators, so the scale L is not 1
+    dens = data.draw(st.lists(st.integers(1, 12), min_size=len(f.coeffs), max_size=len(f.coeffs)))
+    f = HomogeneousPolynomial(f.n, f.d, {alpha: c / q for (alpha, c), q in zip(f.coeffs.items(), dens)})
+    scale = lcm(*(c.denominator for c in f.coeffs.values())) * r**f.d
+    low, high = grid_extrema(f, r)
+    assert grid._Plan(f).extremes(r, threads) == (low.value * scale, high.value * scale, scale)
 
 
 # --- packed stepping ----------------------------------------------------------------

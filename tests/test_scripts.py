@@ -101,6 +101,46 @@ def test_mutation_audit_calls_a_mutant_invalid_when_its_tests_fail_unmutated(mon
         f"{len(audit.MUTANTS) - len(live)} equivalent"
 
 
+_CODE_LINES_FIXTURE = '''"""A module docstring,
+on two lines."""
+
+# a comment line
+import os  # a trailing comment
+
+
+class Box:
+    """A class docstring."""
+
+    size = (1 +
+            2)
+
+    def area(self):
+        """A function docstring,
+
+        with a blank line."""
+        text = """a string that is no docstring,
+        on two lines"""
+        return self.size
+'''
+
+
+def test_code_lines_counts_code_outside_docstrings_comments_and_blank_lines(tmp_path):
+    # import, class, the two lines of size, def, the two lines of text and
+    # return: 8 code lines; a directory is searched for .py files
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "box.py").write_text(_CODE_LINES_FIXTURE)
+    (tmp_path / "pkg" / "empty.py").write_text('"""Only a docstring."""\n\n# and a comment\n')
+    (tmp_path / "pkg" / "notes.txt").write_text("x = 1\n")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(tmp_path / "pkg")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["8", str(tmp_path / "pkg" / "box.py")], ["0", str(tmp_path / "pkg" / "empty.py")], ["8", "total"]]
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stderr.startswith("Usage:")
+
+
 def test_rate_study_refuses_a_one_coordinate_anchor():
     # with one coordinate, fmax = |e_1 - q|^2 = 0 and rho has no scale
     env = dict(os.environ)
