@@ -49,11 +49,9 @@ class Mutant(NamedTuple):
     equivalent: "str | None" = None  # why no test can kill it; then it is not run
 
 
-# bounds._witness_rows's gap per (r, m), from its lookup to its store
-_GAP = """gap = gaps.get((r, m))
-        if gap is None:
-            (x, _, y), (u, _, v) = plan.extremes(r, 1), plan.extremes(m, 1)
-            gap = gaps[r, m] = (x * v - u * y, y * v)
+# bounds._witness_rows's gap per (r, m), from the plan's extremes at r and m
+_GAP = """(x, _, y), (u, _, v) = plan.extremes(r), plan.extremes(m)
+        gap = (x * v - u * y, y * v)
 """
 
 MUTANTS = (
@@ -182,14 +180,25 @@ MUTANTS = (
            "row = rows.get(c)\n            if row is None:\n                row = rows[c] = ",
            ("tests/test_identities.py",)),
     # the bound witnesses from integer pairs (bounds._witness_rows)
-    Mutant("witness-gap-keyed-by-r", BOUNDS, _GAP,
-           _GAP.replace("gaps.get((r, m))", "gaps.get(r)").replace("gaps[r, m]", "gaps[r]"),
+    Mutant("witness-gap-reads-r-for-m", BOUNDS, _GAP,
+           _GAP.replace("plan.extremes(m)", "plan.extremes(r)"),
            ("tests/test_bounds.py",)),
     Mutant("witness-holds-strict", BOUNDS,
            "gap[0] * rhs[1] <= rhs[0] * gap[1]", "gap[0] * rhs[1] < rhs[0] * gap[1]",
            ("tests/test_bounds.py",)),
     Mutant("witness-grids-not-checked-first", BOUNDS,
-           "        _checked_grid(f, grid, 1, DEFAULT_GRID_GUARD)\n", "        pass\n",
+           "[q for entry in table for q in entry[2:4]] + swept_denominators(params)",
+           "swept_denominators(params)",
+           ("tests/test_bounds.py",)),
+    # a sweep plan admits every grid it will sweep before any table (grid._Plan)
+    Mutant("plan-bounds-at-smallest-denominator", GRID,
+           "top = max(denominators, default=None)", "top = min(denominators, default=None)",
+           ("tests/test_bounds.py",)),
+    Mutant("plan-guards-first-grid-only", GRID,
+           "        for r in denominators:\n", "        for r in denominators[:1]:\n",
+           ("tests/test_bounds.py",)),
+    Mutant("plan-thread-check-dropped", GRID,
+           "        if self.threads < 1:\n", "        if False:\n",
            ("tests/test_bounds.py",)),
     # a sweep plan keeps the extremes of each r it sweeps (grid._Plan.extremes),
     # and the enclosures' Bernstein endpoints are pairs (grid._bernstein_extrema)

@@ -16,18 +16,21 @@ it, and converge renders its bound columns from the pairs with one gcd each
 _enclosures gives their four endpoints as pairs, the Bernstein ones from
 grid._bernstein_extrema and the grid ones from the sweep plan it is given
 (grid._Plan.extremes, (L*min, L*max, L*r^d) per r, swept once per plan and
-kept); range_enclosures makes them Enclosures at the end.  The rest of a
-converge row reads the same plan at r, and the normalized-error interval
-comes from _rho, which cross-multiplies the grid pairs with the enclosure
-endpoints in integers; rho_interval is _rho made a Fraction pair at the end,
-and the one reader of Enclosures as pairs (_ends).  The bound witnesses come
-from pairs too: _coefficient_table lists the coefficients that apply at each
-(r, m) of one degree, and _witness_rows refuses a grid past the guard before
-any sweep, then makes, over one sweep plan per polynomial, each gap
-grid_min(r) - grid_min(m) once per (r, m) and each coefficient times the
-range bound, and decides holds by cross-multiplying; check_bounds makes its
-Fractions from them at the end, and `sgo verify` renders them with one gcd
-each.
+kept); range_enclosures makes them Enclosures at the end.  No function here
+refuses a grid, a thread count or a point guard: each caller builds one plan
+with every denominator it will sweep, and building it admits them all before
+any table (grid._Plan), so threads and the guard travel in the plan.  The
+rest of a converge row reads the same plan at r, and the normalized-error
+interval comes from _rho, which cross-multiplies the grid pairs with the
+enclosure endpoints in integers; rho_interval is _rho made a Fraction pair at
+the end, and the one reader of Enclosures as pairs (_ends).  The bound
+witnesses come from pairs too: _coefficient_table lists the coefficients that
+apply at each (r, m) of one degree, and _witness_rows builds one sweep plan
+per polynomial for the table's grids and the enclosures', then makes each gap
+grid_min(r) - grid_min(m) from the plan's kept extremes and each coefficient
+times the range bound, and decides holds by cross-multiplying; check_bounds
+makes its Fractions from them at the end, and `sgo verify` renders them with
+one gcd each.
 
 Kinds and their coefficients, for degree d, grid denominator r, and reference
 denominator m with k chosen so that (k-1)m < r <= km:
@@ -61,7 +64,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .combin import _kls_gap, _refined_gap, binomial, rate_constant
-from .grid import DEFAULT_GRID_GUARD, _bernstein_extrema, _checked_grid, _checked_threads, _Plan
+from .grid import DEFAULT_GRID_GUARD, _bernstein_extrema, _Plan
 from .poly import HomogeneousPolynomial, _as_int, is_square_free
 from .rational import Enclosure, _Record, _ratio_str, decimal_str
 
@@ -80,10 +83,11 @@ _MAX_ELEVATION = 8
 # --r 1`.  The largest table of the test suite holds 660 entries, and of
 # perfbench 525.
 _MAX_ENCLOSURE_ENTRIES = 2 * 10**5
-# Most reports bound_table makes, r values * m values * kinds, checked before
-# any.  `sgo bounds` prints one row per report: at this maximum its JSON is
-# 19 MB, made in about 1.5 s with a peak RSS of 51 MB on a 2-vCPU Xeon VM
-# (stdout to a file).
+# Most rows of a table: the reports bound_table makes, r values * m values *
+# kinds, and the r values of `sgo converge`, each checked before any.  `sgo
+# bounds` prints one row per report: at this maximum its JSON is 19 MB, made
+# in about 1.5 s with a peak RSS of 51 MB on a 2-vCPU Xeon VM (stdout to a
+# file).
 _MAX_BOUND_ROWS = 10**5
 # Most bits the coefficients of a bound_table may hold, estimated before any
 # report as rows * d * (bit_length(4d) + 2 * bit_length(r * m)), r and m the
@@ -251,7 +255,9 @@ class RangeAssumptions(_Record):
     assumption.  grid names a sampling denominator for the inner endpoints of
     the unassumed sides; without one they are the opposite Bernstein
     extremes, which rho_interval tightens with the grid values at its r.
-    Each field other than None must be an integer (poly._as_int; TypeError).
+    Each field other than None must be an integer (poly._as_int; TypeError),
+    and an elevation outside 0.._MAX_ELEVATION is refused (ValueError), whether
+    or not a side reads it.
     """
 
     __slots__ = __match_args__ = (
@@ -265,6 +271,10 @@ class RangeAssumptions(_Record):
     ) -> None:
         self._set(_as_int(elevation), *[None if m is None else _as_int(m) for m in (
             grid, assume_min_denominator, assume_max_denominator)])
+        if self.elevation < 0:
+            raise ValueError("elevation must be nonnegative")
+        if self.elevation > _MAX_ELEVATION:
+            raise ValueError(f"elevation {self.elevation} exceeds the cap {_MAX_ELEVATION}")
 
 
 def swept_denominators(params: RangeAssumptions) -> "list[int]":
@@ -290,46 +300,35 @@ def range_enclosures(
     or to the opposite Bernstein extreme when no grid is named (inner
     endpoint).  Each named denominator is swept once for both sides, before
     the one Bernstein table is built; none is built when both sides are
-    assumed.  threads and a max_points other than None must be integers
-    (poly._as_int; TypeError), and fewer than one thread is refused
-    (ValueError), before any work.  An elevation outside 0..8, or a table
-    past _MAX_ENCLOSURE_ENTRIES entries, is refused (ValueError) before any
-    sweep.  An assumed side is refuted (ValueError) when another grid swept
-    here has a more extreme value.  It is _enclosures, made Enclosures at
-    the end.
+    assumed.  The sweep plan admits threads, max_points and every named grid
+    (grid._Plan) before any work, and a table past _MAX_ENCLOSURE_ENTRIES
+    entries is refused (ValueError) before any sweep.  An assumed side is
+    refuted (ValueError) when another grid swept here has a more extreme
+    value.  It is _enclosures, made Enclosures at the end.
     """
-    threads = _checked_threads(threads)
-    if max_points is not None:
-        max_points = _as_int(max_points)
-    lo_lo, lo_hi, hi_lo, hi_hi = [Fraction(*end) for end in
-                                  _enclosures(_Plan(f), params, threads, max_points)]
+    plan = _Plan(f, swept_denominators(params), threads, max_points)
+    lo_lo, lo_hi, hi_lo, hi_hi = [Fraction(*end) for end in _enclosures(plan, params)]
     return Enclosure(lo_lo, lo_hi), Enclosure(hi_lo, hi_hi)
 
 
-def _enclosures(plan: _Plan, params: RangeAssumptions, threads: int,
-                max_points: "int | None") -> "tuple[tuple[int, int], ...]":
+def _enclosures(plan: _Plan, params: RangeAssumptions) -> "tuple[tuple[int, int], ...]":
     """range_enclosures of the plan's polynomial in integers: fmin.lo,
     fmin.hi, fmax.lo and fmax.hi as (numerator, positive denominator) pairs,
-    not reduced, the form _refute and _rho read.  The grid extremes of each
-    denominator it sweeps stay in the plan (_Plan.extremes)."""
+    not reduced, the form _refute and _rho read.  The plan must have admitted
+    swept_denominators(params); the grid extremes of each stay in it
+    (_Plan.extremes)."""
     f = plan.f
     lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
     bernstein = lo_m is None or hi_m is None
     k = params.elevation
-    if bernstein:  # refuse a bad elevation or table before any sweep
-        if k < 0:
-            raise ValueError("elevation must be nonnegative")
-        if k > _MAX_ELEVATION:
-            raise ValueError(f"elevation {k} exceeds the cap {_MAX_ELEVATION}")
-        # each monomial of f lies under C(n - 1 + k, n - 1) rows of the table
-        entries = len(f.coeffs) * binomial(f.n - 1 + k, f.n - 1)
-        if entries > _MAX_ENCLOSURE_ENTRIES:
-            raise ValueError(f"the Bernstein table at elevation {k} would hold "
-                             f"{decimal_str(entries)} entries, more than {_MAX_ENCLOSURE_ENTRIES}")
+    # each monomial of f lies under C(n - 1 + k, n - 1) rows of the table
+    entries = len(f.coeffs) * binomial(f.n - 1 + k, f.n - 1)
+    if bernstein and entries > _MAX_ENCLOSURE_ENTRIES:  # refused before any sweep
+        raise ValueError(f"the Bernstein table at elevation {k} would hold "
+                         f"{decimal_str(entries)} entries, more than {_MAX_ENCLOSURE_ENTRIES}")
     values = {}  # (minimum, maximum) of each swept grid, as pairs
     for m in swept_denominators(params):
-        _checked_grid(f, m, threads, max_points)
-        low, high, den = plan.extremes(m, threads)
+        low, high, den = plan.extremes(m)
         values[m] = (low, den), (high, den)
     if bernstein:
         outer_min, outer_max = _bernstein_extrema(plan, k)
@@ -495,27 +494,22 @@ def _witness_rows(
     rhs = coefficient * range bound as (numerator, positive denominator)
     pairs, not reduced, and holds decided by cross-multiplying them.
 
-    The grids of the table's denominators are refused as grid_minimize
-    refuses them (_checked_grid), each once, before any sweep.  One sweep
-    plan serves the enclosures and every grid, so each denominator is swept
-    once (_Plan.extremes), and each (r, m) gap is made once."""
+    One sweep plan admits the table's grids and the enclosures', as
+    grid_minimize admits its grid (grid._Plan), before any sweep, and serves
+    them all, so each denominator is swept once (_Plan.extremes)."""
     square_free = is_square_free(f)
     table = [entry for entry in table if square_free or not entry[1]]
     if not table:
         return (0, 1), []
-    for grid in dict.fromkeys(q for entry in table for q in entry[2:4]):
-        _checked_grid(f, grid, 1, DEFAULT_GRID_GUARD)
-    plan = _Plan(f)
-    (a, b), _, _, (p, q) = _enclosures(plan, params, 1, DEFAULT_GRID_GUARD)
+    grids = dict.fromkeys([q for entry in table for q in entry[2:4]] + swept_denominators(params))
+    plan = _Plan(f, list(grids), 1, DEFAULT_GRID_GUARD)
+    (a, b), _, _, (p, q) = _enclosures(plan, params)
     span, span_den = p * b - a * q, q * b
-    gaps: "dict[tuple[int, int], tuple[int, int]]" = {}
     rows = []
     for entry in table:
         _, _, r, m, num, den = entry
-        gap = gaps.get((r, m))
-        if gap is None:
-            (x, _, y), (u, _, v) = plan.extremes(r, 1), plan.extremes(m, 1)
-            gap = gaps[r, m] = (x * v - u * y, y * v)
+        (x, _, y), (u, _, v) = plan.extremes(r), plan.extremes(m)
+        gap = (x * v - u * y, y * v)
         rhs = (num * span, den * span_den)
         rows.append((entry, gap, rhs, gap[0] * rhs[1] <= rhs[0] * gap[1]))
     return (span, span_den), rows

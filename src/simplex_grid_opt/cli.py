@@ -13,16 +13,18 @@ converge compares the total of all the grids it sweeps before the first one.
 expect sums no grid (its --bernstein value is closed form), so no guard
 applies to it.  These limits are fixed and refused before any work (exit 2):
 a sweep whose power table could exceed 10^9 bits or whose row tables could
-exceed 4 * 10^9 (grid._check_sweep; --force does not lift them), an
-enclosure (converge, enclose) at an elevation above 8 or whose Bernstein
-table would hold more than 2 * 10^5 entries (bounds._enclosures), an
-expectation whose Stirling rows could exceed 4 * 10^6 bits
-(hypergeom._expected_value), a bounds table of more than 10^5 rows or whose
-coefficients could exceed 10^7 bits (bounds.bound_table), a
-verify run of more than 3 * 10^5 checks, and fewer than one thread (the
-library refuses it too).  An option or SGO_MAX_GRID value that does not
-parse is quoted to its first 40 characters (rational._head), and an integer
-in it may have at most 4300 digits (rational.MAX_INT_DIGITS).
+exceed 4 * 10^9 (grid._Plan, at the largest grid of the run; --force does
+not lift them), an elevation outside 0..8 (bounds.RangeAssumptions), an
+enclosure (converge, enclose) whose Bernstein table would hold more than
+2 * 10^5 entries (bounds._enclosures), an expectation whose Stirling rows
+could exceed 4 * 10^6 bits (hypergeom._expected_value), a bounds table of
+more than 10^5 rows or whose coefficients could exceed 10^7 bits
+(bounds.bound_table), a converge run of more than 10^5 r values, checked
+after its grid guard (bounds._MAX_BOUND_ROWS), a verify run of more than
+3 * 10^5 checks, and fewer than one thread (the library refuses it too).  An
+option or SGO_MAX_GRID value that does not parse is quoted to its first 40
+characters (rational._head), and an integer in it may have at most 4300
+digits (rational.MAX_INT_DIGITS).
 
 Tables (bounds, converge, verify) are lists of flat records, written one
 record at a time.  bounds and converge go through the C JSON encoder
@@ -55,7 +57,6 @@ from .combin import composition_count
 from .grid import (
     DEFAULT_GRID_GUARD,
     GridTooLargeError,
-    _check_sweep,
     _grid_size,
     _Plan,
     grid_maximize,
@@ -283,11 +284,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
     header = ["r", "grid_min", "grid_min_decimal", "rho_lo", "rho_hi"] + kind_names
     r_values = _parse_range(args.r_range)
     _converge_guard(f, r_values, assumptions, guard)
-    plan = _Plan(f)  # one per run: every r and the enclosures sweep it, each once
-    ends = bounds_mod._enclosures(plan, assumptions, args.threads, guard)
+    # one plan per run, admitting every grid it reads: each r and the enclosures sweep it once
+    plan = _Plan(f, [*r_values, *bounds_mod.swept_denominators(assumptions)], args.threads, guard)
+    ends = bounds_mod._enclosures(plan, assumptions)
     rows = []
-    for r in r_values:  # the guard has checked every grid: each r sweeps with no refusal
-        low, high, den = plan.extremes(r, args.threads)
+    for r in r_values:
+        low, high, den = plan.extremes(r)
         try:
             lo_num, lo_den, hi_num, hi_den = bounds_mod._rho(ends, low, high, den)
             rho_lo, rho_hi = _ratio_str(lo_num, lo_den), _ratio_str(hi_num, hi_den)
@@ -301,12 +303,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def _converge_guard(f: HomogeneousPolynomial, r_values: range,
                     params: bounds_mod.RangeAssumptions, guard: "int | None") -> None:
-    """Refuse, before any sweep or Bernstein table, a converge run with an
-    r < 1, with a sweep past the degree or row-table bound at its largest
-    denominator (grid._check_sweep), or whose grids hold more than guard
-    points in total: every r of the range, plus the denominators that
-    range_enclosures sweeps (bounds.swept_denominators) outside it, each grid
-    counted once as it is swept once.
+    """Refuse, before the sweep plan is built, a converge run with an r < 1,
+    or whose grids hold more than guard points in total (GridTooLargeError):
+    every r of the range, plus the denominators that range_enclosures sweeps
+    (bounds.swept_denominators) outside it, each grid counted once as it is
+    swept once; then one of more than bounds._MAX_BOUND_ROWS rows.  The plan
+    admits each grid after it (grid._Plan).
 
     The range is summed in closed form (hockey stick): sum over r = lo..hi of
     |I(n, r)| = |I(n + 1, hi)| - |I(n + 1, lo - 1)|, so a huge range costs
@@ -321,7 +323,10 @@ def _converge_guard(f: HomogeneousPolynomial, r_values: range,
         raise GridTooLargeError(
             f"the grids to sweep have {decimal_str(total)} points in all, budget is {guard}"
         )
-    _check_sweep(f, max([hi, *swept]))
+    rows = bounds_mod._length(r_values)
+    if rows > bounds_mod._MAX_BOUND_ROWS:
+        raise ValueError(f"converge would print {decimal_str(rows)} rows, "
+                         f"more than {bounds_mod._MAX_BOUND_ROWS}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -12,12 +12,16 @@ is exact.
 What a sweep of f needs that no denominator changes, L, the integer
 coefficients of L*f, its vertex values, its shape and the root's coefficient
 order, is built once as one _Plan: grid_extrema and its kin build one per
-call, and converge and the bound witnesses one per polynomial, which every r
-and its enclosures sweep.  Per r only r^d, the starts, the gates, the field
-width and the chunks are made before the walk (_sweep).  The plan keeps the
-extremes of each r it has swept (_Plan.extremes), so each (f, r) is swept once
-however many readers it has: the enclosures, converge's rows and the
-witnesses' gaps.
+call, range_enclosures one for its grids, and converge and the bound
+witnesses one per polynomial, which every r and its enclosures sweep.  A plan
+is built for the denominators it will sweep and its thread count, and
+building it is the one admission of a sweep: it refuses a bad thread count, a
+denominator below 1, each grid past the point guard, and the degree and
+row-table bounds at the largest denominator, before any table.  Per r only
+r^d, the starts, the gates, the field width and the chunks are made before
+the walk (_sweep).  The plan keeps the extremes of each r it has swept
+(_Plan.extremes), so each (f, r) is swept once however many readers it has:
+the enclosures, converge's rows and the witnesses' gaps.
 
 One engine serves every sweep: a single lex-order pass that tracks the sides
 its caller needs, the minimum (grid_minimize), the maximum (grid_maximize) or
@@ -116,7 +120,7 @@ extremes _bernstein_extrema reads as integer pairs.
   Bernstein tables and their packings each fill an entry on its first read and
   keep it (_Lazy), so a run over r = 2..R builds each entry once, and a walk
   that prunes most of its grid builds few.  A sweep whose row tables could pass
-  a fixed bound is refused before any table (_check_rows).
+  a fixed bound is refused by its plan, before any table (_check_rows).
 
 Rows arrive in lex order, so the lex-first minimizers (capped) and exact tie
 counts fall out of min, max, count and index on each tabulated row, and out of
@@ -139,6 +143,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, compress, count, filterfalse, islice, repeat
 from math import comb, lcm
 from operator import add, eq, floordiv, gt, itemgetter, lshift, lt, mod, mul, sub
+from typing import Sequence
 
 from .combin import composition_count
 from .poly import HomogeneousPolynomial, _as_int
@@ -263,17 +268,6 @@ def _check_rows(shape: "_Shape", r: int) -> None:
             f"for a sweep at r = {decimal_str(r)}: its row tables would exceed "
             f"{_MAX_ROW_TABLE_BITS} bits"
         )
-
-
-def _check_sweep(f: HomogeneousPolynomial, r: int) -> None:
-    """Refuse (ValueError) a sweep of f at denominator r past the degree bound
-    (_check_degree) or the row-table bound (_check_rows), before any table is
-    built; the shape it reads is the one the sweep will use (_shape).  Every
-    sweep checks both here: grid_extrema, its kin and the enclosures at their
-    r (_checked_grid), converge at its largest."""
-    _check_degree(f.d, r)
-    if f.n > 1:
-        _check_rows(_shape(tuple(f.coeffs), f.n, f.d), r)
 
 
 class _Extreme:
@@ -1025,40 +1019,63 @@ def _vertex_values(coeffs: "dict[tuple[int, ...], int]", n: int, d: int) -> "lis
 
 
 class _Plan:
-    """The part of a sweep of f that no denominator changes: L and the integer
-    coefficients of L*f (_integer_form), the values of L*f at the vertices
-    (_vertex_values), the shape of its support (_shape, None for n = 1) and
-    the root's coefficients in shape.order; and `grids`, the grid extremes of
-    each denominator extremes has swept.  grid_extrema and its kin build one
-    per call; converge and the bound witnesses one per polynomial, for every
-    r and its enclosures.  Only extremes writes to it, in the caller's thread
-    once a sweep has returned, so the sweep's worker threads only read it."""
+    """A sweep of f admitted at the denominators it will read, and the part of
+    it that no denominator changes: L and the integer coefficients of L*f
+    (_integer_form), the values of L*f at the vertices (_vertex_values), the
+    shape of its support (_shape, None for n = 1) and the root's coefficients
+    in shape.order; its thread count; and `grids`, the grid extremes of each
+    denominator extremes has swept.  grid_extrema and its kin build one per
+    call; range_enclosures one for its grids; converge and the bound
+    witnesses one per polynomial, for every r and its enclosures.  Only
+    extremes writes to it, in the caller's thread once a sweep has returned,
+    so the sweep's worker threads only read it.
 
-    __slots__ = ("f", "scale", "coeffs", "vertices", "shape", "root", "grids")
+    Admission is the one place a sweep is refused, before any table is built:
+    a thread count that is not an integer (poly._as_int; TypeError) or is
+    below 1 (ValueError), a max_points other than None that is not an integer
+    (TypeError), a denominator below 1 (ValueError), each grid past max_points
+    (GridTooLargeError; None lifts the guard), then the degree bound
+    (_check_degree), before the shape is built, and the row-table bound
+    (_check_rows).  Both bounds grow with r, so they are checked once, at the
+    largest denominator.  The plan sweeps only denominators it admitted."""
 
-    def __init__(self, f: HomogeneousPolynomial) -> None:
+    __slots__ = ("f", "threads", "scale", "coeffs", "vertices", "shape", "root", "grids")
+
+    def __init__(self, f: HomogeneousPolynomial, denominators: "Sequence[int]", threads: int,
+                 max_points: "int | None") -> None:
+        self.threads = _as_int(threads)
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {decimal_str(self.threads)}")
+        if max_points is not None:
+            max_points = _as_int(max_points)
+        for r in denominators:
+            _grid_size(f.n, r, max_points)
+        top = max(denominators, default=None)
+        if top is not None:
+            _check_degree(f.d, top)
         self.f = f
+        self.shape = None if f.n == 1 else _shape(tuple(f.coeffs), f.n, f.d)
+        if top is not None and self.shape:
+            _check_rows(self.shape, top)
         self.scale, coeffs = _integer_form(f)
         self.coeffs = coeffs
         self.vertices = _vertex_values(coeffs, f.n, f.d)
-        self.shape = None if f.n == 1 else _shape(tuple(coeffs), f.n, f.d)
         self.root = [coeffs[alpha] for alpha in self.shape.order] if self.shape else []
         self.grids: "dict[int, tuple[int, int, int]]" = {}
 
-    def extremes(self, r: int, threads: int) -> "tuple[int, int, int]":
-        """(L*min, L*max, L*r^d): the grid extremes of f at r as integer pairs
-        over one denominator, from a sweep that keeps no points, made on the
-        first call at r and kept in grids for every later one.  It refuses
-        nothing; the caller has checked the grid (_checked_grid, or converge's
-        guard)."""
+    def extremes(self, r: int) -> "tuple[int, int, int]":
+        """(L*min, L*max, L*r^d): the grid extremes of f at r, an admitted
+        denominator, as integer pairs over one denominator, from a sweep that
+        keeps no points, made on the first call at r and kept in grids for
+        every later one."""
         if r not in self.grids:
-            (low, high), denominator, _ = _sweep(self, r, threads, 0)
+            (low, high), denominator, _ = _sweep(self, r, 0)
             self.grids[r] = (low.value, high.value, denominator)
         return self.grids[r]
 
 
 def _sweep(
-    plan: _Plan, r: int, threads: int, cap: int, picks: tuple = (min, max)
+    plan: _Plan, r: int, cap: int, picks: tuple = (min, max)
 ) -> "tuple[list[_Extreme], int, int]":
     """Extremes of L*f over the grid from one lex-order pass, one per pick (min
     and/or max, in that order); L*r^d; and the number of points pruned.
@@ -1074,7 +1091,7 @@ def _sweep(
     if shape is not None:
         gates = _gates(shape, n, r)
         w = _field_width(plan.root, n, d, r)
-    chunks = _alpha0_chunks(n, r, threads)
+    chunks = _alpha0_chunks(n, r, plan.threads)
     workers = min(len(chunks), os.cpu_count() or 1) if len(chunks) > 1 else 1
 
     def scan(chunk: "tuple[int, int]") -> "tuple[list[_Extreme], int]":
@@ -1095,47 +1112,23 @@ def _sweep(
     return extremes, plan.scale * top, pruned
 
 
-def _checked_threads(threads: int) -> int:
-    """threads as an int (poly._as_int; TypeError), refused (ValueError) when
-    it is below 1."""
-    threads = _as_int(threads)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {decimal_str(threads)}")
-    return threads
-
-
-def _checked_grid(f: HomogeneousPolynomial, r: int, threads: int, max_points: "int | None") -> int:
-    """The point count of f's grid at r, after the refusals a sweep of it takes
-    before any work: fewer than one thread (_checked_threads), more points
-    than max_points (GridTooLargeError), and the degree and row-table bounds
-    (_check_sweep)."""
-    _checked_threads(threads)
-    total = _grid_size(f.n, r, max_points)
-    _check_sweep(f, r)
-    return total
-
-
 def _grid_extremes(f: HomogeneousPolynomial, r: int, picks: tuple, threads: int, cap: int,
                    max_points: "int | None") -> "list[GridMinResult]":
-    """One result per pick; only the picked sides are tracked and bound.  r,
-    threads, cap and a max_points other than None must be integers
-    (poly._as_int; TypeError), and a negative cap, or fewer than one thread, is
-    refused (ValueError), before any work."""
-    r, threads, cap = _as_int(r), _as_int(threads), _as_int(cap)
-    if max_points is not None:
-        max_points = _as_int(max_points)
+    """One result per pick; only the picked sides are tracked and bound.  r
+    and cap must be integers (poly._as_int; TypeError), and a negative cap is
+    refused (ValueError), before the plan admits the grid (_Plan)."""
+    r, cap = _as_int(r), _as_int(cap)
     if cap < 0:
         raise ValueError(f"minimizer_cap must be at least 0, got {decimal_str(cap)}")
     cap = min(cap, sys.maxsize)  # no list holds more points, and islice takes no more
-    total = _checked_grid(f, r, threads, max_points)
-    extremes, denominator, _ = _sweep(_Plan(f), r, threads, cap, picks)
+    extremes, denominator, _ = _sweep(_Plan(f, [r], threads, max_points), r, cap, picks)
     return [
         GridMinResult(
             value=Fraction(ext.value, denominator),
             r=r,
             minimizers=tuple(ext.points),
             tie_count=ext.ties,
-            evaluations=total,
+            evaluations=composition_count(f.n, r),
         )
         for ext in extremes
     ]

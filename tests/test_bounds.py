@@ -423,7 +423,7 @@ def test_integer_bernstein_extrema_match_the_dense_table(f, k, data):
     f = HomogeneousPolynomial(f.n, f.d, {
         alpha: c / q for (alpha, c), q in zip(f.coeffs.items(), dens)})
     table = bernstein_table(elevate(f, k))
-    low, high = grid._bernstein_extrema(grid._Plan(f), k)
+    low, high = grid._bernstein_extrema(grid._Plan(f, [], 1, None), k)
     assert (Fraction(*low), Fraction(*high)) == (table.min_coeff, table.max_coeff)
     assert low[1] > 0 and high[1] > 0  # the pairs' denominators are positive
 
@@ -438,7 +438,7 @@ def test_integer_bernstein_extrema_match_the_dense_table(f, k, data):
 def test_integer_bernstein_extrema_match_the_dense_table_on_edge_cases(f, ks):
     for k in ks:
         table = bernstein_table(elevate(f, k))
-        low, high = grid._bernstein_extrema(grid._Plan(f), k)
+        low, high = grid._bernstein_extrema(grid._Plan(f, [], 1, None), k)
         assert (Fraction(*low), Fraction(*high)) == (table.min_coeff, table.max_coeff), k
 
 
@@ -553,6 +553,38 @@ def test_check_bounds_refuses_a_grid_past_the_guard_before_any_sweep(monkeypatch
         check_bounds(f, [(2, 4), (2, 6)], params)
     assert sweeps == []
     assert check_bounds(f, [(2, 4)], params) and sorted(sweeps) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("f, params, error, message", [
+    # 40 is inside the default guard and 10^5 (5000150001 points) is past it:
+    # 40 was swept before 10^5 was refused
+    (random_polynomial(random.Random(0), 3, 3),
+     RangeAssumptions(grid=40, assume_min_denominator=10**5), grid.GridTooLargeError,
+     "^grid has 5000150001 points, budget is 100000000$"),
+    # the power table of degree 2000 is inside its bound at r = 40 and past it
+    # at 1000: the bound is checked at the largest grid, not the first
+    (HomogeneousPolynomial(2, 2000, {(2000, 0): 1, (0, 2000): 1}),
+     RangeAssumptions(grid=40, assume_min_denominator=1000), ValueError,
+     "^degree 2000 is too high for a sweep at r = 1000: "),
+], ids=["guard", "degree"])
+def test_range_enclosures_refuses_every_grid_before_any_sweep(monkeypatch, f, params, error, message):
+    monkeypatch.setattr(grid, "_sweep", lambda *args: pytest.fail("a grid was swept"))
+    monkeypatch.setattr(bounds, "_bernstein_extrema", lambda *args: pytest.fail("a table was built"))
+    with pytest.raises(error, match=message):
+        range_enclosures(f, params)
+
+
+@pytest.mark.parametrize("elevation, message", [
+    (9, "^elevation 9 exceeds the cap 8$"), (-3, "^elevation must be nonnegative$"),
+])
+def test_an_elevation_outside_0_to_8_is_refused_when_no_side_reads_it(elevation, message):
+    # with both sides assumed no Bernstein table is built, and the elevation
+    # was once refused only when one was
+    with pytest.raises(ValueError, match=message):
+        RangeAssumptions(elevation=elevation, assume_min_denominator=4, assume_max_denominator=1)
+    fmin, fmax = range_enclosures(sum_of_squares(4), RangeAssumptions(
+        elevation=8, assume_min_denominator=4, assume_max_denominator=1))
+    assert (fmin.lo, fmax.hi) == (Fraction(1, 4), 1)
 
 
 _NOT_INTEGERS = {

@@ -843,6 +843,40 @@ def test_converge_refuses_a_huge_range_at_once(capsys, monkeypatch):
     assert out == "" and "budget is 100000000" in err
 
 
+def test_converge_refuses_more_rows_than_a_table_holds_before_any_sweep(capsys, monkeypatch, tmp_path):
+    # a one-variable form has one grid point per r, so the grid guard admits
+    # ranges of millions of r; converge prints at most bounds._MAX_BOUND_ROWS
+    # rows, after the guard, which refuses a huge range with exit 3 first
+    poly = tmp_path / "x.json"
+    poly.write_text(json.dumps({"n": 1, "terms": [{"alpha": [1], "coef": "3"}]}))
+    sweeps = count_calls(monkeypatch, grid, "_sweep")
+    code, out, err = run(capsys, "converge", "--poly", str(poly), "--r-range", "1:100001")
+    assert (code, out, err) == (EXIT_CONFIG, "", "error: converge would print 100001 rows, more than 100000\n")
+    monkeypatch.setattr(bounds, "_MAX_BOUND_ROWS", 5)
+    code, out, err = run(capsys, "converge", "--poly", str(poly), "--r-range", "2:7")
+    assert (code, out, err) == (EXIT_CONFIG, "", "error: converge would print 6 rows, more than 5\n")
+    assert sweeps == []
+    code, out, err = run(capsys, "converge", "--poly", str(poly), "--r-range", "2:6")
+    assert (code, err, [row["r"] for row in json.loads(out)]) == (EXIT_OK, "", [2, 3, 4, 5, 6])
+    monkeypatch.setenv("SGO_MAX_GRID", "5")
+    assert run(capsys, "converge", "--poly", str(poly), "--r-range", "2:7")[0] == EXIT_SIZE_GUARD
+
+
+@pytest.mark.parametrize("elevation, message", [
+    ("9", "elevation 9 exceeds the cap 8"), ("-3", "elevation must be nonnegative"),
+])
+def test_converge_refuses_a_bad_elevation_with_both_sides_assumed(capsys, monkeypatch, elevation,
+                                                                  message):
+    # no side reads the elevation here, which once let it pass; enclose refuses it too
+    sweeps = count_calls(monkeypatch, grid, "_sweep")
+    code, out, err = run(capsys, "converge", "--poly", SOS4, "--r-range", "2:4",
+                         "--assume-min-denominator", "4", "--assume-max-denominator", "1",
+                         "--elevation", elevation)
+    assert (code, out, err, sweeps) == (EXIT_CONFIG, "", f"error: {message}\n", [])
+    code, out, err = run(capsys, "enclose", "--poly", SOS4, "--r", "2", "--elevation", elevation)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, want", [
     (("grid-min", "--poly", SOS4, "--r", "9" * 2200), EXIT_SIZE_GUARD),
     (("enclose", "--poly", SOS4, "--r", "9" * 2200), EXIT_SIZE_GUARD),

@@ -484,7 +484,7 @@ def _counted_sweep(f, r, threads, cap, picks, tests=None):
         patch.setattr(grid._Extreme, "absorb", counted_point)
         patch.setattr(grid, "_scan", counted_scan)
         tests.patch(patch)
-        extremes, denominator, pruned = grid._sweep(grid._Plan(f), r, threads, cap, picks)
+        extremes, denominator, pruned = grid._sweep(grid._Plan(f, [r], threads, None), r, cap, picks)
     certified = sum(comb(s + f.n - k - 1, f.n - k - 1) for k, s, beaten, _ in tests.calls[earlier:] if beaten)
     assert certified == pruned
     return extremes, denominator, sum(evaluated), pruned
@@ -968,13 +968,13 @@ def test_one_plan_swept_at_many_r_gives_what_a_plan_per_r_gives(f, rs, threads):
     # converge sweeps one plan at every r: what depends on r (the starts, the
     # gates, the field width, the chunks) is made for each sweep, so each r
     # gets the values, minimizers and ties that grid_extrema's own plan gives
-    plan = grid._Plan(f)
+    plan = grid._Plan(f, rs, threads, None)
     for r in rs:
-        (low, high), denominator, _ = grid._sweep(plan, r, threads, grid.MINIMIZER_CAP)
+        (low, high), denominator, _ = grid._sweep(plan, r, grid.MINIMIZER_CAP)
         want = grid_extrema(f, r)
         assert [(Fraction(x.value, denominator), tuple(x.points), x.ties) for x in (low, high)] == \
             [(x.value, x.minimizers, x.tie_count) for x in want]
-        assert plan.extremes(r, threads) == (low.value, high.value, denominator)
+        assert plan.extremes(r) == (low.value, high.value, denominator)
 
 
 def test_a_plan_swept_at_a_small_r_then_a_large_one_gives_the_large_grid():
@@ -982,22 +982,22 @@ def test_a_plan_swept_at_a_small_r_then_a_large_one_gives_the_large_grid():
     # sweep that kept them would report a value that no point attains, or read
     # fields that overflowed (fixed_quartic prunes at r = 40)
     for f in (fixed_quartic(), sum_of_squares(4)):
-        plan = grid._Plan(f)
+        plan = grid._Plan(f, [2, 40], 1, None)
         for r in (2, 40):
-            low, high, denominator = plan.extremes(r, 1)
+            low, high, denominator = plan.extremes(r)
             want = grid_extrema(f, r)
             assert (Fraction(low, denominator), Fraction(high, denominator)) == \
                 (want[0].value, want[1].value), r
 
 
 def test_a_plan_sweeps_each_r_once_and_keeps_its_extremes(monkeypatch):
-    # a second call at r, on any thread count, reads the kept triple
+    # a second call at r reads the kept triple
     sweeps, sweep = [], grid._sweep
     monkeypatch.setattr(grid, "_sweep", lambda *args: sweeps.append(args[1]) or sweep(*args))
-    plan = grid._Plan(fixed_quartic())
-    first = plan.extremes(6, 1)
-    assert plan.extremes(6, 2) is first and sweeps == [6]
-    other = plan.extremes(3, 2)
+    plan = grid._Plan(fixed_quartic(), [6, 3], 2, None)
+    first = plan.extremes(6)
+    assert plan.extremes(6) is first and sweeps == [6]
+    other = plan.extremes(3)
     assert plan.grids == {6: first, 3: other} and sweeps == [6, 3]
 
 
@@ -1009,7 +1009,7 @@ def test_a_plans_extremes_are_the_grid_extrema_times_l_r_d(f, r, threads, data):
     f = HomogeneousPolynomial(f.n, f.d, {alpha: c / q for (alpha, c), q in zip(f.coeffs.items(), dens)})
     scale = lcm(*(c.denominator for c in f.coeffs.values())) * r**f.d
     low, high = grid_extrema(f, r)
-    assert grid._Plan(f).extremes(r, threads) == (low.value * scale, high.value * scale, scale)
+    assert grid._Plan(f, [r], threads, None).extremes(r) == (low.value * scale, high.value * scale, scale)
 
 
 # --- packed stepping ----------------------------------------------------------------
@@ -1517,8 +1517,8 @@ def test_the_row_table_bound_refuses_a_dense_sweep_before_any_table(monkeypatch)
     assert shape.power == shape.rows == shape.tables == shape.packs == {}
     assert [powers for powers, *_ in shape.levels] == [{}]
     with pytest.raises(ValueError, match="row tables"):
-        grid._check_sweep(f, 150)
-    grid._check_sweep(f, 40)  # 2.5e9 bits at r = 40
+        grid._Plan(f, [150], 1, None)
+    grid._Plan(f, [40], 1, None)  # 2.5e9 bits at r = 40
     # the largest sweep of this suite (n = 3, d = 6, 28 row suffixes, r = 80)
     # is far below the bound: each suffix has 28 entries in the tables of
     # s <= 6 and 7 in each later one
@@ -1535,7 +1535,7 @@ def test_the_row_table_bound_admits_the_power_table_bounds_cases():
 
     powers = HomogeneousPolynomial(3, 300, {(300, 0, 0): 1, (0, 300, 0): 1, (0, 0, 300): 1})
     for f, r in ((dense(2000), 40), (powers, 1000)):
-        grid._check_sweep(f, r)
+        grid._Plan(f, [r], 1, None)
     pair = HomogeneousPolynomial(2, 2000, {(2000, 0): 1, (0, 2000): 1})
     assert grid_minimize(pair, 40).value == Fraction(2, 2**2000)
     least = min(sum(v**i * (10 - v) ** (300 - i) for i in range(301)) for v in range(11))
@@ -1550,10 +1550,10 @@ def test_the_row_table_bound_counts_the_one_row_of_a_binary_form(monkeypatch):
     for r in (4, 9):
         bits = 3 * (min(r, 6) + 1) * 6 * r.bit_length()
         monkeypatch.setattr(grid, "_MAX_ROW_TABLE_BITS", bits)
-        grid._check_sweep(f, r)
+        grid._Plan(f, [r], 1, None)
         monkeypatch.setattr(grid, "_MAX_ROW_TABLE_BITS", bits - 1)
         with pytest.raises(ValueError, match="row tables"):
-            grid._check_sweep(f, r)
+            grid._Plan(f, [r], 1, None)
 
 
 def test_the_degree_bound_refuses_a_sweep_before_any_table(monkeypatch):
