@@ -54,6 +54,19 @@ _GAP = """(x, _, y), (u, _, v) = plan.extremes(r), plan.extremes(m)
         gap = (x * v - u * y, y * v)
 """
 
+# bounds._converge_rows's guard on the total of its grids, then on its rows
+_TOTAL_GUARD = """    if max_points is not None and total > max_points:
+        raise GridTooLargeError(
+            f"the grids to sweep have {decimal_str(total)} points in all, budget is {max_points}"
+        )
+"""
+_ROWS_GUARD = """    count = _length(r_values)
+    if count > _MAX_BOUND_ROWS:
+        raise ValueError(
+            f"converge would print {decimal_str(count)} rows, more than {_MAX_BOUND_ROWS}"
+        )
+"""
+
 MUTANTS = (
     # the Bernstein table builder (grid._bernstein_columns)
     Mutant("columns-vertices-not-preseeded", GRID,
@@ -113,7 +126,7 @@ MUTANTS = (
            "w = _sweep.__dict__.setdefault(id(plan), _field_width(plan.root, n, d, r))",
            ("tests/test_grid.py",)),
     # converge's rows from integer pairs (bounds._rho, bounds._refute) and its
-    # guard (cli._converge_guard)
+    # guards (bounds._converge_rows)
     Mutant("rho-interval-uncapped", BOUNDS,
            "*((1, 1) if hi_num >= hi_den else (hi_num, hi_den)))", "hi_num, hi_den)",
            ("tests/test_bounds.py",)),
@@ -123,9 +136,15 @@ MUTANTS = (
     Mutant("refute-max-not-strict", BOUNDS,
            "if high * q > p * den:", "if high * q >= p * den:",
            ("tests/test_bounds.py",)),
-    Mutant("converge-guard-sums-from-lo-plus-1", CLI,
+    # killed by test_converge_guard_counts_every_grid_once_up_to_the_budget and
+    # test_converge_guards_the_total_of_its_grids
+    Mutant("converge-guard-sums-from-lo-plus-1", BOUNDS,
            "composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)",
            "composition_count(n + 1, hi) - composition_count(n + 1, lo)",
+           ("tests/test_cli.py",)),
+    # killed by test_converge_refuses_a_huge_range_at_once, which then exits 2, not 3
+    Mutant("converge-rows-bound-before-total-guard", BOUNDS,
+           _TOTAL_GUARD + _ROWS_GUARD, _ROWS_GUARD + _TOTAL_GUARD,
            ("tests/test_cli.py",)),
     # the one decimal context (rational._DECIMAL, rational._decimal_ratio)
     Mutant("decimal-str-rounds-half-up", RATIONAL,
@@ -144,6 +163,16 @@ MUTANTS = (
            "        raise TypeError(f\"expected an integer, got {_shown(value, repr)}\")\n"
            "    return index(value)\n",
            "    return int(value)\n",
+           ("tests/test_poly.py",)),
+    # integer parameters of stable-set (stableset.alpha_lower_bound): killed by
+    # test_an_integer_parameter_of_stable_set_that_is_no_integer_is_refused_before_any_search
+    Mutant("stableset-r-skips-as-int", "src/simplex_grid_opt/stableset.py",
+           "    r = _as_int(r)\n", "",
+           ("tests/test_stableset.py",)),
+    # exact values (rational.as_rational): killed by
+    # test_exact_value_helpers_refuse_floats_and_bools
+    Mutant("enclosure-reads-with-fraction", RATIONAL,
+           "lo, hi = as_rational(lo), as_rational(hi)", "lo, hi = Fraction(lo), Fraction(hi)",
            ("tests/test_poly.py",)),
     # closed forms, guards and small helpers
     Mutant("stableset-remainder-parts-swapped", "src/simplex_grid_opt/stableset.py",

@@ -20,13 +20,16 @@ kept); range_enclosures makes them Enclosures at the end.  No function here
 refuses a grid, a thread count or a point guard: each caller builds one plan
 with every denominator it will sweep, and building it admits them all before
 any table (grid._Plan), so threads and the guard travel in the plan.  The
-rest of a converge row reads the same plan at r, and the normalized-error
-interval comes from _rho, which cross-multiplies the grid pairs with the
-enclosure endpoints in integers; rho_interval is _rho made a Fraction pair at
-the end, and the one reader of Enclosures as pairs (_ends).  The bound
-witnesses come from pairs too: _coefficient_table lists the coefficients that
-apply at each (r, m) of one degree, and _witness_rows builds one sweep plan
-per polynomial for the table's grids and the enclosures', then makes each gap
+one exception is `sgo converge`, decided here whole by _converge_rows: it
+refuses the total of its grids and its row count before its one plan admits
+them, sweeps the enclosures from that plan, then reads it once per r for a
+row.  The normalized-error interval of a row comes from _rho, which
+cross-multiplies the grid pairs with the enclosure endpoints in integers;
+rho_interval is _rho made a Fraction pair at the end, and the one reader of
+Enclosures as pairs (_ends).  The bound witnesses come from pairs too:
+_coefficient_table lists the coefficients that apply at each (r, m) of one
+degree, and _witness_rows builds one sweep plan per polynomial for the
+table's grids and the enclosures', then makes each gap
 grid_min(r) - grid_min(m) from the plan's kept extremes and each coefficient
 times the range bound, and decides holds by cross-multiplying; check_bounds
 makes its Fractions from them at the end, and `sgo verify` renders them with
@@ -63,10 +66,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .combin import _kls_gap, _refined_gap, binomial, rate_constant
-from .grid import DEFAULT_GRID_GUARD, _bernstein_extrema, _Plan
+from .combin import _kls_gap, _refined_gap, binomial, composition_count, rate_constant
+from .grid import DEFAULT_GRID_GUARD, GridTooLargeError, _bernstein_extrema, _grid_size, _Plan
 from .poly import HomogeneousPolynomial, _as_int, is_square_free
-from .rational import Enclosure, _Record, _ratio_str, decimal_str
+from .rational import Enclosure, _decimal_ratio, _Record, _ratio_str, as_rational, decimal_str
 
 # The highest elevation an enclosure takes: its Bernstein table grows as
 # C(n - 1 + k, n - 1) per monomial (_MAX_ENCLOSURE_ENTRIES bounds it).
@@ -379,10 +382,11 @@ def rho_interval(
     enclosures cannot separate fmax from fmin (for instance the zero
     polynomial).  The interval collapses to a point when the numerator is
     certified zero (the minimizer lies on the grid) or when both extrema are
-    pinned by assumed denominators.  It is _rho on the grid values over one
-    denominator, made a Fraction pair at the end.
+    pinned by assumed denominators.  grid_min and grid_max are read by
+    as_rational, which refuses a float or a bool (TypeError).  It is _rho on
+    the grid values over one denominator, made a Fraction pair at the end.
     """
-    low, high = Fraction(grid_min), Fraction(grid_max)
+    low, high = as_rational(grid_min), as_rational(grid_max)
     lo_num, lo_den, hi_num, hi_den = _rho(
         _ends(fmin, fmax), low.numerator * high.denominator, high.numerator * low.denominator,
         low.denominator * high.denominator,
@@ -414,6 +418,53 @@ def _rho(ends: "tuple[tuple[int, int], ...]", low: int, high: int,
     hi_num, hi_den = (low * b - a * den) * gap_den, den * b * gap
     return ((low * v - u * den) * span_den, den * v * span,
             *((1, 1) if hi_num >= hi_den else (hi_num, hi_den)))
+
+
+def _converge_rows(f: HomogeneousPolynomial, r_values: range, params: RangeAssumptions,
+                   threads: int, max_points: "int | None") -> "list[list]":
+    """The rows `sgo converge` prints for f over r_values, each r once: r, the
+    grid minimum as a fraction and as an advisory decimal, rho_lo and rho_hi
+    (_rho, both "degenerate" on a DegenerateRangeError), and the coefficient
+    of every kind at (f.d, r, params.assume_min_denominator) (_coefficient_texts).
+
+    Refused before the sweep plan is built, in this order: an r < 1
+    (ValueError), grids holding more than max_points points in total
+    (GridTooLargeError; None lifts it): every r of the range, plus the
+    denominators the enclosures sweep (swept_denominators) outside it, each
+    grid counted once as it is swept once; then more than _MAX_BOUND_ROWS r
+    values (ValueError).  The one plan admits each grid after them
+    (grid._Plan), the enclosures are made from it (_enclosures), and each r
+    reads it once.  The range is summed in closed form (hockey stick): sum
+    over r = lo..hi of |I(n, r)| = |I(n + 1, hi)| - |I(n + 1, lo - 1)|, so a
+    huge range costs nothing.
+    """
+    n, lo, hi = f.n, r_values[0], r_values[-1]
+    swept = swept_denominators(params)
+    _grid_size(n, lo, None)  # refuses lo < 1
+    total = composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)
+    total += sum(_grid_size(n, q, None) for q in swept if q not in r_values)
+    if max_points is not None and total > max_points:
+        raise GridTooLargeError(
+            f"the grids to sweep have {decimal_str(total)} points in all, budget is {max_points}"
+        )
+    count = _length(r_values)
+    if count > _MAX_BOUND_ROWS:
+        raise ValueError(
+            f"converge would print {decimal_str(count)} rows, more than {_MAX_BOUND_ROWS}"
+        )
+    plan = _Plan(f, [*r_values, *swept], threads, max_points)
+    ends = _enclosures(plan, params)
+    rows = []
+    for r in r_values:
+        low, high, den = plan.extremes(r)
+        try:
+            lo_num, lo_den, hi_num, hi_den = _rho(ends, low, high, den)
+            rho = [_ratio_str(lo_num, lo_den), _ratio_str(hi_num, hi_den)]
+        except DegenerateRangeError:
+            rho = ["degenerate"] * 2
+        rows.append([r, _ratio_str(low, den), _decimal_ratio(low, den), *rho,
+                     *_coefficient_texts(f.d, r, params.assume_min_denominator)])
+    return rows
 
 
 class BoundWitness(_Record):

@@ -9,7 +9,9 @@ JSON document, or CSV that starts with the version comment line
 The verbs that sweep a grid (grid-min, grid-max, converge, enclose) take
 --threads and --force; stable-set takes --force, as the grid size guard bounds
 its stable-set search.  The guard is 10^8 points, or SGO_MAX_GRID when set;
-converge compares the total of all the grids it sweeps before the first one.
+converge compares the total of all the grids it sweeps before the first one
+(bounds._converge_rows, which also makes its rows: cmd_converge only parses
+its options and prints them).
 expect sums no grid (its --bernstein value is closed form), so no guard
 applies to it.  These limits are fixed and refused before any work (exit 2):
 a sweep whose power table could exceed 10^9 bits or whose row tables could
@@ -20,7 +22,7 @@ enclosure (converge, enclose) whose Bernstein table would hold more than
 could exceed 4 * 10^6 bits (hypergeom._expected_value), a bounds table of
 more than 10^5 rows or whose coefficients could exceed 10^7 bits
 (bounds.bound_table), a converge run of more than 10^5 r values, checked
-after its grid guard (bounds._MAX_BOUND_ROWS), a verify run of more than
+after its grid guard (bounds._converge_rows), a verify run of more than
 3 * 10^5 checks, and fewer than one thread (the library refuses it too).  An
 option or SGO_MAX_GRID value that does not parse is quoted to its first 40
 characters (rational._head), and an integer in it may have at most 4300
@@ -53,20 +55,11 @@ from typing import Any
 
 from . import bounds as bounds_mod
 from . import identities as ident_mod
-from .combin import composition_count
-from .grid import (
-    DEFAULT_GRID_GUARD,
-    GridTooLargeError,
-    _grid_size,
-    _Plan,
-    grid_maximize,
-    grid_minimize,
-)
+from .grid import DEFAULT_GRID_GUARD, GridTooLargeError, grid_maximize, grid_minimize
 from .hypergeom import HypergeomParams, bernstein_approximation, expectation
 from .poly import HomogeneousPolynomial, load_polynomial, random_polynomial
 from .rational import (
-    MAX_INT_DIGITS, Enclosure, _decimal_ratio, _head, _ratio_str, as_rational, decimal_str,
-    fraction_str,
+    MAX_INT_DIGITS, Enclosure, _head, _ratio_str, as_rational, decimal_str, fraction_str,
 )
 from .stableset import alpha_lower_bound, load_graph
 
@@ -279,54 +272,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
         assume_min_denominator=args.assume_min_denominator,
         assume_max_denominator=args.assume_max_denominator,
     )
-    m_for_kinds = args.assume_min_denominator
     kind_names = [kind.value for kind in bounds_mod.ALL_KINDS]
     header = ["r", "grid_min", "grid_min_decimal", "rho_lo", "rho_hi"] + kind_names
     r_values = _parse_range(args.r_range)
-    _converge_guard(f, r_values, assumptions, guard)
-    # one plan per run, admitting every grid it reads: each r and the enclosures sweep it once
-    plan = _Plan(f, [*r_values, *bounds_mod.swept_denominators(assumptions)], args.threads, guard)
-    ends = bounds_mod._enclosures(plan, assumptions)
-    rows = []
-    for r in r_values:
-        low, high, den = plan.extremes(r)
-        try:
-            lo_num, lo_den, hi_num, hi_den = bounds_mod._rho(ends, low, high, den)
-            rho_lo, rho_hi = _ratio_str(lo_num, lo_den), _ratio_str(hi_num, hi_den)
-        except bounds_mod.DegenerateRangeError:
-            rho_lo = rho_hi = "degenerate"
-        rows.append([r, _ratio_str(low, den), _decimal_ratio(low, den), rho_lo, rho_hi,
-                     *bounds_mod._coefficient_texts(f.d, r, m_for_kinds)])
+    rows = bounds_mod._converge_rows(f, r_values, assumptions, args.threads, guard)
     _emit(args, rows, header, rows, decimal_note=True)
     return EXIT_OK
-
-
-def _converge_guard(f: HomogeneousPolynomial, r_values: range,
-                    params: bounds_mod.RangeAssumptions, guard: "int | None") -> None:
-    """Refuse, before the sweep plan is built, a converge run with an r < 1,
-    or whose grids hold more than guard points in total (GridTooLargeError):
-    every r of the range, plus the denominators that range_enclosures sweeps
-    (bounds.swept_denominators) outside it, each grid counted once as it is
-    swept once; then one of more than bounds._MAX_BOUND_ROWS rows.  The plan
-    admits each grid after it (grid._Plan).
-
-    The range is summed in closed form (hockey stick): sum over r = lo..hi of
-    |I(n, r)| = |I(n + 1, hi)| - |I(n + 1, lo - 1)|, so a huge range costs
-    nothing.
-    """
-    n, lo, hi = f.n, r_values[0], r_values[-1]
-    swept = bounds_mod.swept_denominators(params)
-    _grid_size(n, lo, None)  # refuses lo < 1
-    total = composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)
-    total += sum(_grid_size(n, q, None) for q in swept if q not in r_values)
-    if guard is not None and total > guard:
-        raise GridTooLargeError(
-            f"the grids to sweep have {decimal_str(total)} points in all, budget is {guard}"
-        )
-    rows = bounds_mod._length(r_values)
-    if rows > bounds_mod._MAX_BOUND_ROWS:
-        raise ValueError(f"converge would print {decimal_str(rows)} rows, "
-                         f"more than {bounds_mod._MAX_BOUND_ROWS}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

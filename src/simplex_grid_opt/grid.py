@@ -113,9 +113,10 @@ extremes _bernstein_extrema reads as integer pairs.
   stepped ones; rows are bounded only when stepped, as the nodes of depth
   n - 2.  evaluations still counts every grid point, evaluated or certified.
 - The tables depend only on f's support, not on its coefficients, and are kept
-  in one cache for the few most recently used supports (_shape): converge,
-  enclosures and bound checks sweep the same support at many denominators.  The
-  suffix orders, gate sizes and Bernstein tables do not depend on r at all.
+  in one cache for the few most recently used supports (_shape).  A plan holds
+  its shape for every denominator it sweeps, so the cache serves only later
+  calls on the same support (_shape gives its measured traffic).  The suffix
+  orders, gate sizes and Bernstein tables do not depend on r at all.
   The powers v^b, a depth's powers a^b of its suffixes, the row tables, the
   Bernstein tables and their packings each fill an entry on its first read and
   keep it (_Lazy), so a run over r = 2..R builds each entry once, and a walk
@@ -881,9 +882,13 @@ def _diagonal_beats(lo: int, edge: int, vertices: "list[int]") -> bool:
 def _shape(support: "tuple[tuple[int, ...], ...]", n: int, d: int) -> _Shape:
     """The tables of a support, kept for the few most recent supports.
 
-    Converge runs, enclosures and bound checks sweep the same support at many
-    denominators; every table entry is built once, on its first read (_Lazy),
-    so reuse is safe across calls and threads.
+    A plan holds its shape for all its denominators, so this cache pays only
+    across calls.  In process, over two cycles of each benchmark workload at
+    seed 0, 4 of 16 lookups hit on sweep (its four full-support slots), 10 of
+    18 on converge and 27 of 42 on verify; with the cache cleared before every
+    op, the median op went from 1.14 to 1.42 ms on sweep and from 5.06 to 5.36
+    ms on converge, and verify did not move.  Every table entry is built once,
+    on its first read (_Lazy), so reuse is safe across calls and threads.
     """
     return _Shape(support, n, d)
 

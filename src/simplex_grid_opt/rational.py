@@ -99,8 +99,10 @@ def _head(text: str) -> str:
 
 def fraction_str(value: "Fraction | int") -> str:
     """Render a rational as a reduced fraction "p/q" (or "p" when integral),
-    of any length: _ratio_str of its numerator and denominator."""
-    return _ratio_str(value.numerator, value.denominator)
+    of any length: _ratio_str of its numerator and denominator.  The value is
+    read by as_rational, which refuses a float or a bool (TypeError)."""
+    q = as_rational(value)
+    return _ratio_str(q.numerator, q.denominator)
 
 
 def _ratio_str(num: int, den: int = 1) -> str:
@@ -123,8 +125,9 @@ def _ratio_str(num: int, den: int = 1) -> str:
 
 def decimal_str(value: Fraction) -> str:
     """Advisory decimal rendering: DECIMAL_DIGITS significant digits,
-    round-half-even: _decimal_ratio of the value's numerator and denominator."""
-    q = Fraction(value)
+    round-half-even: _decimal_ratio of the value's numerator and denominator.
+    The value is read by as_rational, which refuses a float or a bool (TypeError)."""
+    q = as_rational(value)
     return _decimal_ratio(q.numerator, q.denominator)
 
 
@@ -194,12 +197,14 @@ class _Record:
 
 
 class Enclosure(_Record):
-    """Certified interval [lo, hi] containing an unknown exact quantity."""
+    """Certified interval [lo, hi] containing an unknown exact quantity.  The
+    ends, and the value contains tests, are read by as_rational, which refuses
+    a float or a bool (TypeError)."""
 
     __slots__ = __match_args__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction) -> None:
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = as_rational(lo), as_rational(hi)
         if lo > hi:
             raise ValueError(f"empty enclosure: lo {fraction_str(lo)} > hi {fraction_str(hi)}")
         self._set(lo, hi)
@@ -213,4 +218,4 @@ class Enclosure(_Record):
         return self.lo == self.hi
 
     def contains(self, value: Fraction) -> bool:
-        return self.lo <= Fraction(value) <= self.hi
+        return self.lo <= as_rational(value) <= self.hi

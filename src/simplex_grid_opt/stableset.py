@@ -122,9 +122,11 @@ def alpha_lower_bound(
     the guard), then a power table past grid._check_degree's bound.  The grid
     size also bounds the search for k = min(alpha, r), which visits at most
     sum_{j <= r} C(n, j) <= C(n + r - 1, r) stable sets.  evaluations is the
-    grid size, every point of which the closed form covers.
+    grid size, every point of which the closed form covers.  r and a
+    max_points other than None must be integers (poly._as_int; TypeError).
     """
-    total = _grid_size(g.n, r, max_points)
+    r = _as_int(r)
+    total = _grid_size(g.n, r, None if max_points is None else _as_int(max_points))
     _check_degree(2, r)
     k = _stability(g, r)
     q, t = divmod(r, k)
@@ -133,8 +135,9 @@ def alpha_lower_bound(
 
 
 def exact_alpha(g: Graph, *, max_vertices: int = 25) -> int:
-    """Exact stability number by the stable-set search with no cap.  Exponential."""
-    if g.n > max_vertices:
+    """Exact stability number by the stable-set search with no cap.  Exponential.
+    max_vertices must be an integer (poly._as_int; TypeError)."""
+    if g.n > _as_int(max_vertices):
         raise ValueError(f"refusing exponential search on {g.n} > {max_vertices} vertices")
     return _stability(g, g.n)
 

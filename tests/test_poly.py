@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from simplex_grid_opt import (
+    Enclosure,
     HomogeneousPolynomial,
     RangeAssumptions,
     as_rational,
@@ -21,6 +22,7 @@ from simplex_grid_opt import (
     is_square_free,
     load_polynomial,
     range_enclosures,
+    rho_interval,
 )
 from simplex_grid_opt import rational
 from simplex_grid_opt.hypergeom import HypergeomParams, bernstein_approximation, moment
@@ -104,6 +106,30 @@ def test_integer_parameters_refuse_floats_strings_and_bools(call, value):
     with pytest.raises(TypeError, match=f"expected an integer, got {re.escape(repr(value))}$"):
         call(value)
     call(2)
+
+
+# each exact-value helper, called with v as one rational value it reads
+_RATIONAL_PARAMETERS = {
+    "enclosure-lo": lambda v: Enclosure(v, 1),
+    "enclosure-hi": lambda v: Enclosure(0, v),
+    "enclosure-contains": lambda v: Enclosure(0, 1).contains(v),
+    "rho-interval-grid-min": lambda v: rho_interval(Enclosure(0, 0), Enclosure(1, 1), v, 1),
+    "rho-interval-grid-max": lambda v: rho_interval(Enclosure(0, 0), Enclosure(1, 1), 0, v),
+    "decimal-str": decimal_str,
+    "fraction-str": fraction_str,
+}
+
+
+@pytest.mark.parametrize("value, message", [(0.1, "refusing float 0.1:"), (1.0, "refusing float 1.0:"),
+                                            (True, "booleans are not")], ids=repr)
+@pytest.mark.parametrize("call", _RATIONAL_PARAMETERS.values(), ids=_RATIONAL_PARAMETERS)
+def test_exact_value_helpers_refuse_floats_and_bools(call, value, message):
+    # each reads its values with as_rational: Fraction() once stored 0.1 as
+    # 3602879701896397/36028797018963968 and True as 1, decimal_str printed
+    # 0.1 as 0.10000000000000000555, and fraction_str(0.1) raised AttributeError
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
+        call(value)
+    call("1/3")
 
 
 def test_zero_polynomial_accepted():

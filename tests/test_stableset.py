@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,29 @@ def test_alpha_lower_bound_bounds_the_form_before_building_it():
     with pytest.raises(GridTooLargeError):
         alpha_lower_bound(g, 4, max_points=714)  # 715 grid points
     assert alpha_lower_bound(g, 4, max_points=715).alpha_lb == 4
+
+
+_NOT_INTEGERS = {
+    "alpha-r-bool": (lambda g: alpha_lower_bound(g, True), "True"),
+    "alpha-r-float": (lambda g: alpha_lower_bound(g, 2.0), "2.0"),
+    "alpha-r-str": (lambda g: alpha_lower_bound(g, "3"), "'3'"),
+    "alpha-max-points-float": (lambda g: alpha_lower_bound(g, 3, max_points=10.5), "10.5"),
+    "alpha-max-points-bool": (lambda g: alpha_lower_bound(g, 3, max_points=True), "True"),
+    "exact-max-vertices-float": (lambda g: exact_alpha(g, max_vertices=2.5), "2.5"),
+    "exact-max-vertices-whole-float": (lambda g: exact_alpha(g, max_vertices=10.0), "10.0"),
+}
+
+
+@pytest.mark.parametrize("call, message", _NOT_INTEGERS.values(), ids=_NOT_INTEGERS.keys())
+def test_an_integer_parameter_of_stable_set_that_is_no_integer_is_refused_before_any_search(
+        monkeypatch, call, message):
+    # r, max_points and max_vertices go through poly._as_int, which names the
+    # value, where they once ran (r=True, max_vertices=10.0), failed somewhere
+    # unrelated (r=2.0, r="3"), or were echoed or compared (max_points=10.5,
+    # max_vertices=2.5)
+    monkeypatch.setattr(stableset, "_stability", lambda *args: pytest.fail("a search ran"))
+    with pytest.raises(TypeError, match=f"^{re.escape(f'expected an integer, got {message}')}$"):
+        call(Graph(5, [(1, 2), (2, 3)]))
 
 
 def test_petersen_bound_matches_exact_alpha():
