@@ -34,9 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 GRID = "src/simplex_grid_opt/grid.py"
 CLI = "src/simplex_grid_opt/cli.py"
 BOUNDS = "src/simplex_grid_opt/bounds.py"
-POLY = "src/simplex_grid_opt/poly.py"
 RATIONAL = "src/simplex_grid_opt/rational.py"
 HYPERGEOM = "src/simplex_grid_opt/hypergeom.py"
+IDENTITIES = "src/simplex_grid_opt/identities.py"
+COMBIN = "src/simplex_grid_opt/combin.py"
 TIMEOUT = 900  # seconds for one pytest run
 
 
@@ -112,7 +113,7 @@ MUTANTS = (
            "check.relation, holds))", 'check.relation, "false" if check.holds else "true"))',
            ("tests/test_cli.py",)),
     Mutant("verify-json-lead-never-set", CLI,
-           "}}')\n                lead = \",\"\n", "}}')\n",
+           "}}')\n            lead = \",\"\n", "}}')\n",
            ("tests/test_cli.py",)),
     # one plan per polynomial, swept at many r (grid._sweep): what depends on r
     # made once, from the first r a plan is swept at
@@ -157,13 +158,35 @@ MUTANTS = (
            "return _DECIMAL.to_sci_string(_DECIMAL.divide(Decimal(num), Decimal(den)))",
            "return str(_DECIMAL.divide(Decimal(num), Decimal(den)))",
            ("tests/test_poly.py",)),
-    # integer parameters (poly._as_int)
-    Mutant("as-int-truncates", POLY,
+    # integer parameters (rational._as_int)
+    Mutant("as-int-truncates", RATIONAL,
            "    if isinstance(value, bool) or not hasattr(type(value), \"__index__\"):\n"
            "        raise TypeError(f\"expected an integer, got {_shown(value, repr)}\")\n"
            "    return index(value)\n",
            "    return int(value)\n",
            ("tests/test_poly.py",)),
+    # integer parameters of combin: falling-skips-as-int is killed by the falling
+    # cases of test_integer_parameters_refuse_floats_strings_and_bools, and
+    # stirling2-checks-after-its-cache by test_stirling2_refuses_a_float_before_its_cache,
+    # which asks again once (3, 2) is cached
+    Mutant("falling-skips-as-int", COMBIN,
+           "    d = _as_int(d)\n    if type(x) is not int and not isinstance(x, Fraction):"
+           "  # an int skips isinstance's ABC check\n        x = _as_int(x)\n", "",
+           ("tests/test_poly.py",)),
+    Mutant("stirling2-checks-after-its-cache", COMBIN,
+           "def stirling2(a: int, b: int) -> int:",
+           "@lru_cache(maxsize=None)\ndef stirling2(a: int, b: int) -> int:",
+           ("tests/test_poly.py",)),
+    # what one verify run checks (identities._verify_checks): killed by
+    # test_verify_refuses_too_many_checks_before_any_work and
+    # test_verify_check_count_matches_the_run, and the zero rule by
+    # test_verify_empty_sweep_with_a_fault_checks_the_fault_alone
+    Mutant("verify-count-drops-the-witnesses", IDENTITIES,
+           "count += witness_polys * len(pairs) * len(bounds.ALL_KINDS)", "count += 0",
+           ("tests/test_cli.py",)),
+    Mutant("verify-zero-rule-ignores-the-fault", IDENTITIES,
+           "if not count and not inject_fault:", "if not count:",
+           ("tests/test_cli.py",)),
     # integer parameters of stable-set (stableset.alpha_lower_bound): killed by
     # test_an_integer_parameter_of_stable_set_that_is_no_integer_is_refused_before_any_search
     Mutant("stableset-r-skips-as-int", "src/simplex_grid_opt/stableset.py",
@@ -182,7 +205,7 @@ MUTANTS = (
            "max(0, -((values.start - values.stop) // values.step))",
            "max(0, (values.stop - values.start) // values.step)",
            ("tests/test_bounds.py",)),
-    Mutant("integer-point-drops-multinomial-weight", "src/simplex_grid_opt/identities.py",
+    Mutant("integer-point-drops-multinomial-weight", IDENTITIES,
            "        term = multinomial(d, alpha)\n", "        term = 1\n",
            ("tests/test_identities.py",)),
     Mutant("option-prefix-takes-an-ambiguous-one", CLI,
@@ -262,7 +285,7 @@ MUTANTS = (
            "not _diagonal_beats(lo, max(edges), vertices)",
            ("tests/test_grid.py",)),
     # equivalent mutants
-    Mutant("sigma-strict", "src/simplex_grid_opt/identities.py",
+    Mutant("sigma-strict", IDENTITIES,
            "num * rr <= m * c_d * den", "num * rr < m * c_d * den", (),
            equivalent="no SIGMA check of the default sweeps sits at equality"),
     Mutant("bernstein-extrema-if", GRID,

@@ -68,8 +68,8 @@ from typing import Callable, Sequence
 
 from .combin import _kls_gap, _refined_gap, binomial, composition_count, rate_constant
 from .grid import DEFAULT_GRID_GUARD, GridTooLargeError, _bernstein_extrema, _grid_size, _Plan
-from .poly import HomogeneousPolynomial, _as_int, is_square_free
-from .rational import Enclosure, _decimal_ratio, _Record, _ratio_str, as_rational, decimal_str
+from .poly import HomogeneousPolynomial, is_square_free
+from .rational import Enclosure, _as_int, _decimal_ratio, _Record, _ratio_str, as_rational, decimal_str
 
 # The highest elevation an enclosure takes: its Bernstein table grows as
 # C(n - 1 + k, n - 1) per monomial (_MAX_ENCLOSURE_ENTRIES bounds it).
@@ -216,7 +216,7 @@ def bound_coefficient(
 
 
 def _check_arguments(d: int, r: int, m: "int | None") -> "tuple[int, int, int | None]":
-    """d, r and m as ints (poly._as_int; TypeError), after refusing
+    """d, r and m as ints (rational._as_int; TypeError), after refusing
     (ValueError) a degree or grid denominator below 1, or an m below 1."""
     d, r, m = _as_int(d), _as_int(r), None if m is None else _as_int(m)
     if d < 1:
@@ -258,7 +258,7 @@ class RangeAssumptions(_Record):
     assumption.  grid names a sampling denominator for the inner endpoints of
     the unassumed sides; without one they are the opposite Bernstein
     extremes, which rho_interval tightens with the grid values at its r.
-    Each field other than None must be an integer (poly._as_int; TypeError),
+    Each field other than None must be an integer (rational._as_int; TypeError),
     and an elevation outside 0.._MAX_ELEVATION is refused (ValueError), whether
     or not a side reads it.
     """
@@ -574,7 +574,7 @@ def bound_table(
     A table of more than _MAX_BOUND_ROWS reports, or whose coefficients could
     hold more than _MAX_BOUND_BITS bits, is refused (ValueError) before any
     report is made, as is a d, or a largest r or m, that is not an integer
-    (poly._as_int; TypeError); bound_coefficient refuses the other values.
+    (rational._as_int; TypeError); bound_coefficient refuses the other values.
     """
     d = _as_int(d)
     rows = _length(r_values) * _length(m_values) * len(ALL_KINDS)

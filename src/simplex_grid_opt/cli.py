@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Verbs: grid-min, grid-max, expect, bounds, converge, verify, stable-set,
-enclose.  Exact values are printed as reduced fractions; decimal renderings
-are advisory (20 significant digits, round-half-even).  Every verb prints one
-JSON document, or CSV that starts with the version comment line
-"# simplex-grid-opt v1".
+enclose.  Each verb's run is decided in the library; this module only parses
+its options and prints what the run gives.  Exact values are printed as
+reduced fractions; decimal renderings are advisory (20 significant digits,
+round-half-even).  Every verb prints one JSON document, or CSV that starts
+with the version comment line "# simplex-grid-opt v1".
 
 The verbs that sweep a grid (grid-min, grid-max, converge, enclose) take
 --threads and --force; stable-set takes --force, as the grid size guard bounds
@@ -23,10 +24,12 @@ could exceed 4 * 10^6 bits (hypergeom._expected_value), a bounds table of
 more than 10^5 rows or whose coefficients could exceed 10^7 bits
 (bounds.bound_table), a converge run of more than 10^5 r values, checked
 after its grid guard (bounds._converge_rows), a verify run of more than
-3 * 10^5 checks, and fewer than one thread (the library refuses it too).  An
-option or SGO_MAX_GRID value that does not parse is quoted to its first 40
-characters (rational._head), and an integer in it may have at most 4300
-digits (rational.MAX_INT_DIGITS).
+3 * 10^5 checks, or of none without --inject-fault (identities._verify_checks,
+which also makes the checks: cmd_verify only parses its options, refuses a
+negative one and writes the checks), and fewer than one thread (the library
+refuses it too).  An option or SGO_MAX_GRID value that does not parse is
+quoted to its first 40 characters (rational._head), and an integer in it may
+have at most 4300 digits (rational.MAX_INT_DIGITS).
 
 Tables (bounds, converge, verify) are lists of flat records, written one
 record at a time.  bounds and converge go through the C JSON encoder
@@ -34,7 +37,8 @@ record at a time.  bounds and converge go through the C JSON encoder
 its checks: it renders each check once, writes it with one f-string (no text
 of a check needs escaping) or with the csv writer, and counts the checks and
 the failures.  verify writes each check as its sweep makes it, after every
-refusal and the few bound witnesses, and keeps none.
+refusal and the few bound witnesses, and keeps none.  verify's seven cap
+defaults are those of identities.run_default_sweeps, read from it.
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  A reader that closes stdout early
@@ -47,7 +51,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache
@@ -57,7 +60,7 @@ from . import bounds as bounds_mod
 from . import identities as ident_mod
 from .grid import DEFAULT_GRID_GUARD, GridTooLargeError, grid_maximize, grid_minimize
 from .hypergeom import HypergeomParams, bernstein_approximation, expectation
-from .poly import HomogeneousPolynomial, load_polynomial, random_polynomial
+from .poly import HomogeneousPolynomial, load_polynomial
 from .rational import (
     MAX_INT_DIGITS, Enclosure, _head, _ratio_str, as_rational, decimal_str, fraction_str,
 )
@@ -70,13 +73,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SIZE_GUARD = 3
 EXIT_VERIFY_FAILED = 4
-
-# Most checks `verify` may run, counted before any work (_verify_check_count).
-# The default run makes about 2.3e4; --max-m 20 makes 2.5e5 in about 3.4 s on
-# a 2-vCPU Xeon VM.  Each check is written as it is made, so that run peaks at
-# 18 MB RSS with stdout to a file, and at 88 MB in process with its 52 MB of
-# JSON held in a StringIO.
-_MAX_VERIFY_CHECKS = 3 * 10**5
 
 
 def _grid_guard(args: argparse.Namespace) -> "int | None":
@@ -284,28 +280,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for option in ("samples", "witness_polys", "max_k", "max_r"):
         if getattr(args, option) < 0:
             raise ValueError(f"--{option.replace('_', '-')} must be nonnegative")
-    count = _verify_check_count(args)
-    if count > _MAX_VERIFY_CHECKS:
-        raise ValueError(
-            f"verify would run more than {_MAX_VERIFY_CHECKS} checks; lower --max-n, --max-d, "
-            "--max-m, --max-k, --max-r, --samples or --witness-polys"
-        )
-    if count == 0 and not args.inject_fault:
-        raise ValueError("no checks run: sweep ranges are empty")
-    # count is 0 exactly when a cap is below 1, and then nothing is swept.  The
-    # witnesses are few and made before any byte is written; the identity checks
-    # are made one at a time, as they are written.
-    witnesses, checks = [], ()
-    if count:
-        witnesses = _bound_witnesses(args)
-        checks = ident_mod.run_default_sweeps(
-            max_n=args.max_n, max_d=args.max_d, max_m=args.max_m, max_k=args.max_k,
-            max_r=args.max_r, samples=args.samples, seed=args.seed,
-        )
-    # the rows in order, each group under its "check" column
-    fault = ident_mod.IdentityCheck("INJECTED_FAULT", (), 0, 1, "eq", False)
-    groups = (("identity", checks), ("bound-witness", witnesses),
-              ("identity", [fault] if args.inject_fault else []))
+    # the run is counted, refused or admitted, and its few witnesses made,
+    # before any byte is written; the identity checks are made one at a time,
+    # as they are written
+    checks = ident_mod._verify_checks(
+        args.max_n, args.max_d, args.max_m, args.max_k, args.max_r, args.samples, args.seed,
+        args.witness_polys, args.inject_fault,
+    )
     # one row per check, in the chosen format, as json.dumps(indent=2) or the
     # csv writer lays it out; no JSON text is escaped, as none needs it: names
     # and relations are letters and "_", params_str() is "key=value" pairs
@@ -317,68 +298,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         write('{\n  "checks": ')
     lead, total, failures = "[", 0, 0
-    for column, group in groups:
-        for check in group:
-            lhs, rhs = check._texts()
-            holds = "true" if check.holds else "false"
-            if writerow is None:
-                write(f'{lead}\n    {{\n      "check": "{column}",\n      "name": "{check.name}",\n'
-                      f'      "params": "{check.params_str()}",\n      "lhs": "{lhs}",\n'
-                      f'      "rhs": "{rhs}",\n      "relation": "{check.relation}",\n'
-                      f'      "holds": "{holds}"\n    }}')
-                lead = ","
-            else:
-                writerow((column, check.name, check.params_str(), lhs, rhs, check.relation, holds))
-            total += 1
-            failures += not check.holds
+    for column, check in checks:
+        lhs, rhs = check._texts()
+        holds = "true" if check.holds else "false"
+        if writerow is None:
+            write(f'{lead}\n    {{\n      "check": "{column}",\n      "name": "{check.name}",\n'
+                  f'      "params": "{check.params_str()}",\n      "lhs": "{lhs}",\n'
+                  f'      "rhs": "{rhs}",\n      "relation": "{check.relation}",\n'
+                  f'      "holds": "{holds}"\n    }}')
+            lead = ","
+        else:
+            writerow((column, check.name, check.params_str(), lhs, rhs, check.relation, holds))
+        total += 1
+        failures += not check.holds
     if writerow is None:
         print(f'\n  ],\n  "total": {total},\n  "failures": {failures}\n}}')
     if failures:
         print(f"verification failed: {failures} of {total} checks", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
-
-
-def _verify_check_count(args: argparse.Namespace) -> int:
-    """The checks verify runs: the identity sweeps' exact count (or some
-    count above _MAX_VERIFY_CHECKS once it passes that), plus at most one
-    bound witness per witness polynomial, pair and kind.  Its time does not
-    grow with the caps."""
-    if min(args.max_n, args.max_d, args.max_m) < 1:
-        return 0
-    witnesses = args.witness_polys * len(_witness_pairs(args)) * len(bounds_mod.ALL_KINDS)
-    return witnesses + ident_mod.default_sweep_count(
-        max_n=args.max_n, max_d=args.max_d, max_m=args.max_m, max_k=args.max_k,
-        max_r=args.max_r, samples=args.samples, stop=_MAX_VERIFY_CHECKS,
-    )
-
-
-def _witness_pairs(args: argparse.Namespace) -> "list[tuple[int, int]]":
-    """The (r, m) pairs of the bound witnesses: 1 <= r <= m <= min(5, max_m)."""
-    return [(r, m) for m in range(1, min(5, args.max_m) + 1) for r in range(1, m + 1)]
-
-
-def _bound_witnesses(args: argparse.Namespace) -> "list[ident_mod.IdentityCheck]":
-    """The bound witnesses that apply, as checks of lhs le rhs, for
-    --witness-polys random polynomials.  The coefficients of every kind at
-    every pair are tabled once per degree (bounds._coefficient_table) and
-    shared by the polynomials of that degree; the table lives for this call
-    only.  Each side is the integer pair bounds._witness_rows makes, which
-    the check renders with one gcd."""
-    rng = random.Random(args.seed)
-    pairs = _witness_pairs(args)
-    tables: "dict[int, list[tuple[str, bool, int, int, int, int]]]" = {}
-    out = []
-    for _ in range(args.witness_polys):
-        n = rng.randint(1, min(3, args.max_n))
-        d = rng.randint(1, min(3, args.max_d))
-        f = random_polynomial(rng, n, d)
-        if f.d not in tables:
-            tables[f.d] = bounds_mod._coefficient_table(f.d, pairs)
-        _, rows = bounds_mod._witness_rows(f, tables[f.d])
-        out += [ident_mod.IdentityCheck(name, (("d", f.d), ("r", r), ("m", m)), lhs, rhs, "le", holds)
-                for (name, _, r, m, _, _), lhs, rhs, holds in rows]
-    return out
 
 
 def cmd_stable_set(args: argparse.Namespace) -> int:
@@ -479,16 +417,14 @@ def _converge_options(sub: argparse.ArgumentParser) -> None:
 
 def _verify_options(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=25,
+    caps = ident_mod.run_default_sweeps.__kwdefaults__  # the defaults of the seven caps
+    sub.add_argument("--seed", type=int, default=caps["seed"])
+    sub.add_argument("--samples", type=int, default=caps["samples"],
                      help="random integer points for the polynomial identities")
     sub.add_argument("--witness-polys", type=int, default=8,
                      help="random polynomials for bound witnesses")
-    sub.add_argument("--max-n", type=int, default=3)
-    sub.add_argument("--max-d", type=int, default=4)
-    sub.add_argument("--max-m", type=int, default=8)
-    sub.add_argument("--max-k", type=int, default=4)
-    sub.add_argument("--max-r", type=int, default=30)
+    for cap in ("max_n", "max_d", "max_m", "max_k", "max_r"):
+        sub.add_argument(f"--{cap.replace('_', '-')}", type=int, default=caps[cap])
     sub.add_argument("--inject-fault", action="store_true",
                      help="append a deliberately failing check (harness self-test)")
 

@@ -147,8 +147,8 @@ from operator import add, eq, floordiv, gt, itemgetter, lshift, lt, mod, mul, su
 from typing import Sequence
 
 from .combin import composition_count
-from .poly import HomogeneousPolynomial, _as_int
-from .rational import _Record, decimal_str
+from .poly import HomogeneousPolynomial
+from .rational import _as_int, _Record, decimal_str
 
 MINIMIZER_CAP = 16
 DEFAULT_GRID_GUARD = 10**8
@@ -1036,7 +1036,7 @@ class _Plan:
     so the sweep's worker threads only read it.
 
     Admission is the one place a sweep is refused, before any table is built:
-    a thread count that is not an integer (poly._as_int; TypeError) or is
+    a thread count that is not an integer (rational._as_int; TypeError) or is
     below 1 (ValueError), a max_points other than None that is not an integer
     (TypeError), a denominator below 1 (ValueError), each grid past max_points
     (GridTooLargeError; None lifts the guard), then the degree bound
@@ -1120,7 +1120,7 @@ def _sweep(
 def _grid_extremes(f: HomogeneousPolynomial, r: int, picks: tuple, threads: int, cap: int,
                    max_points: "int | None") -> "list[GridMinResult]":
     """One result per pick; only the picked sides are tracked and bound.  r
-    and cap must be integers (poly._as_int; TypeError), and a negative cap is
+    and cap must be integers (rational._as_int; TypeError), and a negative cap is
     refused (ValueError), before the plan admits the grid (_Plan)."""
     r, cap = _as_int(r), _as_int(cap)
     if cap < 0:

@@ -34,8 +34,8 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .combin import falling, stirling2
-from .poly import HomogeneousPolynomial, _as_int
-from .rational import _Record, as_rational
+from .poly import HomogeneousPolynomial
+from .rational import _as_int, _Record, as_rational
 
 # Most bits _expected_value lets the Stirling rows of one term hold, bounded
 # before any row by (K + 1) * d * bit_length(r * total), K = min(d, r): a

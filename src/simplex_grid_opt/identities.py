@@ -59,7 +59,11 @@ each stored side with one gcd (IdentityCheck._texts, rational._ratio_str).
 
 Sweeps are bounded by explicit caps so they can run exhaustively in CI.  Each
 sweep is a generator that makes one check at a time; run_default_sweeps chains
-all eight, and `sgo verify` writes each check of that chain as it is made.
+all eight, and its keyword defaults are `sgo verify`'s.  What one `sgo verify`
+run checks is decided here, by _verify_checks: it counts the run before any
+check is made, refuses more than _MAX_VERIFY_CHECKS or none, makes the few
+bound witnesses (bounds' coefficient table and witness rows), and returns
+every check in output order; the CLI writes each as it is made.
 a_beta, the paper's correction term at one urn, is public and validates its
 own arguments; no sweep calls it.
 """
@@ -68,12 +72,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import comb, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-from . import hypergeom
+from . import bounds, hypergeom
 from .combin import (
     _kls_gap,
     _refined_gap,
@@ -83,8 +87,8 @@ from .combin import (
     rate_constant,
     stirling2,
 )
-from .poly import _as_int
-from .rational import _Record, _ratio_str
+from .poly import random_polynomial
+from .rational import _as_int, _Record, _ratio_str
 
 
 class IdentityCheck(_Record):
@@ -540,3 +544,67 @@ def default_sweep_count(
         if total > stop:
             break
     return total
+
+
+# Most checks `sgo verify` may run, counted before any check is made
+# (_verify_checks).  The default run makes about 2.3e4; --max-m 20 makes 2.5e5
+# in about 3.4 s on a 2-vCPU Xeon VM.  Each check is written as it is made, so
+# that run peaks at 18 MB RSS with stdout to a file, and at 88 MB in process
+# with its 52 MB of JSON held in a StringIO.
+_MAX_VERIFY_CHECKS = 3 * 10**5
+
+
+def _verify_checks(
+    max_n: int, max_d: int, max_m: int, max_k: int, max_r: int, samples: int, seed: int,
+    witness_polys: int, inject_fault: bool,
+) -> "Iterator[tuple[str, IdentityCheck]]":
+    """The checks of one `sgo verify` run, in output order, each after its
+    "check" column: the identity sweeps (run_default_sweeps, each check made
+    as it is read), then the bound witnesses, then the injected fault.
+
+    The run is counted before any check is made: the sweeps' exact count
+    (default_sweep_count, 0 exactly when a cap is below 1, and then nothing
+    is swept or witnessed), or some count above _MAX_VERIFY_CHECKS once it
+    passes that, plus at most one witness per witness polynomial, (r, m) pair
+    and kind.  More than _MAX_VERIFY_CHECKS checks, or none without the
+    fault, is refused (ValueError).  The count's time does not grow with the
+    caps.
+
+    The witnesses are few and made here, before the first check is read:
+    for each of witness_polys random polynomials, every kind that applies at
+    every pair 1 <= r <= m <= min(5, max_m), checked as lhs le rhs.  The
+    coefficients are tabled once per degree (bounds._coefficient_table) and
+    shared by the polynomials of that degree; each side is the integer pair
+    bounds._witness_rows makes, which the check renders with one gcd.
+    """
+    caps = {"max_n": max_n, "max_d": max_d, "max_m": max_m, "max_k": max_k, "max_r": max_r,
+            "samples": samples}
+    pairs = [(r, m) for m in range(1, min(5, max_m) + 1) for r in range(1, m + 1)]
+    count = default_sweep_count(**caps, stop=_MAX_VERIFY_CHECKS)
+    if count:
+        count += witness_polys * len(pairs) * len(bounds.ALL_KINDS)
+    if count > _MAX_VERIFY_CHECKS:
+        raise ValueError(
+            f"verify would run more than {_MAX_VERIFY_CHECKS} checks; lower --max-n, --max-d, "
+            "--max-m, --max-k, --max-r, --samples or --witness-polys"
+        )
+    if not count and not inject_fault:
+        raise ValueError("no checks run: sweep ranges are empty")
+    checks, witnesses = (), []
+    if count:
+        rng = random.Random(seed)
+        tables: "dict[int, list[tuple[str, bool, int, int, int, int]]]" = {}
+        for _ in range(witness_polys):
+            f = random_polynomial(rng, rng.randint(1, min(3, max_n)), rng.randint(1, min(3, max_d)))
+            if f.d not in tables:
+                tables[f.d] = bounds._coefficient_table(f.d, pairs)
+            _, rows = bounds._witness_rows(f, tables[f.d])
+            witnesses += [
+                ("bound-witness", IdentityCheck(name, (("d", f.d), ("r", r), ("m", m)), lhs, rhs,
+                                                "le", holds))
+                for (name, _, r, m, _, _), lhs, rhs, holds in rows
+            ]
+        checks = run_default_sweeps(**caps, seed=seed)
+    fault = IdentityCheck("INJECTED_FAULT", (), 0, 1, "eq", False)
+    return chain(zip(repeat("identity"), checks), witnesses,
+                 [("identity", fault)] if inject_fault else [])

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
-from operator import add, index
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .combin import compositions, multinomial
-from .rational import MAX_INT_DIGITS, _Record, _head, as_rational
+from .rational import MAX_INT_DIGITS, _as_int, _Record, _shown, as_rational
 
 ExponentTuple = tuple  # tuple[int, ...]; one entry per variable
 CoefLike = Union[int, str, Fraction]
@@ -168,27 +168,6 @@ def random_polynomial(rng, n: int, d: int, coef_lo: int = -9, coef_hi: int = 9) 
 # n, degree and the exponents have at most MAX_INT_DIGITS digits; only
 # coefficients may be longer.
 _JSON_INT_BOUND = 10**MAX_INT_DIGITS
-
-
-def _shown(value: object, render=str) -> str:
-    """render(value) for an error message: whole when short, else its start
-    (rational._head), so the message stays one short line.  A value holding an
-    int too long for str() is named by its type."""
-    try:
-        text = render(value)
-    except ValueError:  # past the interpreter's limit on the digits of an int as a string
-        return f"a {type(value).__name__} with a number too long to print"
-    return text if len(text) <= 40 else _head(text)
-
-
-def _as_int(value: object) -> int:
-    """value as an int, exactly: an int or another integer type (__index__).
-    A bool, a float (2.0 too), a str or any other value raises TypeError
-    naming it, as _json_int refuses them in JSON, where int() would
-    truncate, parse or pass a bool as 0 or 1."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"expected an integer, got {_shown(value, repr)}")
-    return index(value)
 
 
 def _json_int(value: object, what: str) -> int:

@@ -18,6 +18,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from math import gcd
 from numbers import Rational as _RationalABC
+from operator import index
 
 DECIMAL_DIGITS = 20
 # CPython's default limit on the digits of an int built from a string.  It bounds
@@ -95,6 +96,27 @@ _LITERAL = re.compile(
 def _head(text: str) -> str:
     """The start of an input for an error message, however long the input is."""
     return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
+def _shown(value: object, render=str) -> str:
+    """render(value) for an error message: whole when short, else its start
+    (_head), so the message stays one short line.  A value holding an
+    int too long for str() is named by its type."""
+    try:
+        text = render(value)
+    except ValueError:  # past the interpreter's limit on the digits of an int as a string
+        return f"a {type(value).__name__} with a number too long to print"
+    return text if len(text) <= 40 else _head(text)
+
+
+def _as_int(value: object) -> int:
+    """value as an int, exactly: an int or another integer type (__index__).
+    A bool, a float (2.0 too), a str or any other value raises TypeError
+    naming it, as poly._json_int refuses them in JSON, where int() would
+    truncate, parse or pass a bool as 0 or 1."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"expected an integer, got {_shown(value, repr)}")
+    return index(value)
 
 
 def fraction_str(value: "Fraction | int") -> str:

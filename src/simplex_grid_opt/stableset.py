@@ -22,8 +22,7 @@ from math import ceil
 from typing import Iterable
 
 from .grid import DEFAULT_GRID_GUARD, _check_degree, _grid_size
-from .poly import _as_int
-from .rational import MAX_INT_DIGITS, _Record, _head
+from .rational import MAX_INT_DIGITS, _as_int, _Record, _head
 
 
 class Graph(_Record):
@@ -123,7 +122,7 @@ def alpha_lower_bound(
     size also bounds the search for k = min(alpha, r), which visits at most
     sum_{j <= r} C(n, j) <= C(n + r - 1, r) stable sets.  evaluations is the
     grid size, every point of which the closed form covers.  r and a
-    max_points other than None must be integers (poly._as_int; TypeError).
+    max_points other than None must be integers (rational._as_int; TypeError).
     """
     r = _as_int(r)
     total = _grid_size(g.n, r, None if max_points is None else _as_int(max_points))
@@ -136,7 +135,7 @@ def alpha_lower_bound(
 
 def exact_alpha(g: Graph, *, max_vertices: int = 25) -> int:
     """Exact stability number by the stable-set search with no cap.  Exponential.
-    max_vertices must be an integer (poly._as_int; TypeError)."""
+    max_vertices must be an integer (rational._as_int; TypeError)."""
     if g.n > _as_int(max_vertices):
         raise ValueError(f"refusing exponential search on {g.n} > {max_vertices} vertices")
     return _stability(g, g.n)

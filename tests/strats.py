@@ -34,7 +34,7 @@ from simplex_grid_opt import (
     multinomial,
     stirling2,
 )
-from simplex_grid_opt.poly import _shown
+from simplex_grid_opt.rational import _shown
 from simplex_grid_opt.rational import _LITERAL, MAX_INT_DIGITS, _head
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"

@@ -620,7 +620,7 @@ _NOT_INTEGERS = {
 def test_a_parameter_of_bounds_that_is_no_integer_or_thread_count_is_refused_before_any_work(
         monkeypatch, call, error, message):
     # each integer parameter of a public entry of bounds goes through
-    # poly._as_int, which names the value, where it once ran (threads=True,
+    # rational._as_int, which names the value, where it once ran (threads=True,
     # grid=True, r=True), failed somewhere unrelated (threads=2.0, grid=4.0)
     # or was echoed (max_points=10.5, d=2.0); fewer than one thread is
     # refused also when no grid is swept

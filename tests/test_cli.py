@@ -973,6 +973,15 @@ def test_verify_empty_sweep_exits_2(capsys):
     assert "no checks run" in err
 
 
+@pytest.mark.parametrize("option", ["--max-n", "--max-d", "--max-m"])
+def test_verify_empty_sweep_with_a_fault_checks_the_fault_alone(capsys, option):
+    # a cap below 1 sweeps and witnesses nothing, and --inject-fault still runs its check
+    code, out, err = run(capsys, "verify", option, "0", "--inject-fault")
+    assert code == EXIT_VERIFY_FAILED
+    assert err == "verification failed: 1 of 1 checks\n"
+    assert [row["name"] for row in json.loads(out)["checks"]] == ["INJECTED_FAULT"]
+
+
 @pytest.mark.parametrize("option", ["--samples", "--witness-polys", "--max-k", "--max-r"])
 def test_verify_rejects_negative_sizes(capsys, option):
     code, out, err = run(capsys, "verify", "--max-m", "3", "--max-d", "2", option, "-5")
@@ -985,6 +994,9 @@ class _ChecksStarted(Exception):
 
 
 def _refuse_to_check(monkeypatch):
+    """Make identities._verify_checks fail as it starts its first sweep or
+    tables its first witness coefficients, which it does only once it has
+    admitted the run."""
     def started(*args, **kwargs):
         raise _ChecksStarted
 
@@ -993,13 +1005,14 @@ def _refuse_to_check(monkeypatch):
 
 
 def _verify_admits(capsys, *argv) -> bool:
-    """Whether verify gets past its check count to its first check."""
+    """Whether verify gets past its check count (identities._verify_checks)
+    to its first check."""
     try:
         code, out, err = run(capsys, "verify", *argv)
     except _ChecksStarted:
         return True
     assert code == EXIT_CONFIG
-    assert out == "" and f"more than {cli._MAX_VERIFY_CHECKS} checks" in err
+    assert out == "" and f"more than {ident_mod._MAX_VERIFY_CHECKS} checks" in err
     return False
 
 
@@ -1007,7 +1020,7 @@ def test_verify_refuses_too_many_checks_before_any_work(capsys, monkeypatch):
     # with no samples and no witnesses the default caps run `base` identity checks;
     # each --samples adds two, so this many samples reach the maximum exactly
     base = len(list(ident_mod.run_default_sweeps(samples=0)))
-    samples, odd = divmod(cli._MAX_VERIFY_CHECKS - base, 2)
+    samples, odd = divmod(ident_mod._MAX_VERIFY_CHECKS - base, 2)
     assert odd == 0
     _refuse_to_check(monkeypatch)
     assert _verify_admits(capsys, "--witness-polys", "0", "--samples", str(samples))
@@ -1028,17 +1041,30 @@ def test_verify_refuses_huge_caps_at_once(capsys, monkeypatch, option):
     assert not _verify_admits(capsys, option, "9" * 4000)
 
 
-def test_verify_check_count_matches_the_run(capsys):
-    # exact for the identity sweeps, an upper bound for the witnesses
+def test_verify_check_count_matches_the_run(capsys, monkeypatch):
+    # exact for the identity sweeps, an upper bound for the witnesses: with the
+    # maximum set to the count, a run is admitted, and one below it, refused
     argv = ["--max-n", "2", "--max-d", "3", "--max-m", "6", "--max-k", "2", "--max-r", "9",
             "--samples", "4"]
     for witnesses in ("0", "3"):
         code, out, _ = run(capsys, "verify", *argv, "--witness-polys", witnesses)
         assert code == EXIT_OK
         total = json.loads(out)["total"]
-        count = cli._verify_check_count(cli.build_parser().parse_args(
-            ["verify", *argv, "--witness-polys", witnesses]))
-        assert count == total if witnesses == "0" else total <= count
+        with monkeypatch.context() as patched:
+            _refuse_to_check(patched)
+            patched.setattr(ident_mod, "_MAX_VERIFY_CHECKS", total - 1)
+            assert not _verify_admits(capsys, *argv, "--witness-polys", witnesses)  # count >= total
+            patched.setattr(ident_mod, "_MAX_VERIFY_CHECKS", total)
+            if witnesses == "0":
+                assert _verify_admits(capsys, *argv, "--witness-polys", witnesses)  # count <= total
+
+
+def test_verify_parser_defaults_are_the_sweeps_defaults():
+    # the seven caps' defaults are written once, on run_default_sweeps
+    args = cli._parse(["verify"])
+    defaults = ident_mod.run_default_sweeps.__kwdefaults__
+    assert len(defaults) == 7
+    assert {name: getattr(args, name) for name in defaults} == defaults
 
 
 # SHA-256 of the stdout of `sgo verify --seed 1 --max-m 5 --max-d 3`, recorded
@@ -1177,10 +1203,15 @@ def test_verify_witnesses_from_the_shared_table_equal_check_bounds(seed, max_d, 
         seen.append((f, table))
         return witness_rows(f, table, *rest)
 
-    with mock.patch.object(bounds, "_witness_rows", recorded):
-        checks = cli._bound_witnesses(args)
+    with mock.patch.object(bounds, "_witness_rows", recorded), \
+            mock.patch.object(ident_mod, "run_default_sweeps", lambda **caps: iter(())):
+        checks = [check for column, check in ident_mod._verify_checks(
+            args.max_n, args.max_d, args.max_m, args.max_k, args.max_r, args.samples, args.seed,
+            args.witness_polys, False) if column == "bound-witness"]
     assert len(seen) == polys
-    pairs, tables, rows = cli._witness_pairs(args), {}, []
+    # the witness pairs: 1 <= r <= m <= min(5, max_m)
+    pairs = [(r, m) for m in range(1, min(5, max_m) + 1) for r in range(1, m + 1)]
+    tables, rows = {}, []
     for f, table in seen:
         assert tables.setdefault(f.d, table) is table  # one table per degree
         rows += [(w.kind.value, f"d={w.d};r={w.r};m={w.m}", fraction_str(w.lhs),

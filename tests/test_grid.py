@@ -139,7 +139,7 @@ def test_a_negative_minimizer_cap_is_refused_before_any_work(monkeypatch):
 @pytest.mark.parametrize("value", [2.0, 2.5, "2", True])
 def test_an_integer_parameter_that_is_no_integer_is_refused_before_any_work(
         monkeypatch, op, name, value):
-    # a bool, a float (2.0 too) or a str is refused as poly._as_int refuses it,
+    # a bool, a float (2.0 too) or a str is refused as rational._as_int refuses it,
     # naming the value, where it once ran (r=True, threads=2.0, max_points=10.5)
     # or failed somewhere unrelated (minimizer_cap=1.5 inside islice)
     monkeypatch.setattr(grid, "_grid_size", lambda *args: pytest.fail("a sweep started"))

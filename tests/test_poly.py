@@ -25,6 +25,9 @@ from simplex_grid_opt import (
     rho_interval,
 )
 from simplex_grid_opt import rational
+from simplex_grid_opt.combin import (
+    binomial, compositions, falling, multinomial, rate_constant, stirling2,
+)
 from simplex_grid_opt.hypergeom import HypergeomParams, bernstein_approximation, moment
 from simplex_grid_opt.identities import a_beta
 from simplex_grid_opt.rational import MAX_INT_DIGITS, _decimal_ratio, _ratio_str, decimal_str
@@ -95,6 +98,19 @@ _INTEGER_PARAMETERS = {
     "a-beta-m": lambda v: a_beta((1, 1), 2, v, (1, 1)),
     "graph-n": lambda v: Graph(v, []),
     "graph-vertex": lambda v: Graph(3, [(3, v)]),
+    "binomial-n": lambda v: binomial(v, 1),
+    "binomial-k": lambda v: binomial(4, v),
+    "multinomial-d": lambda v: multinomial(v, (1, 1)),
+    "multinomial-entry": lambda v: multinomial(2, (v, 0)),
+    "falling-x": lambda v: falling(v, 2),
+    "falling-d": lambda v: falling(4, v),
+    "stirling2-a": lambda v: stirling2(v, 1),
+    "stirling2-b": lambda v: stirling2(3, v),
+    "composition-count-n": lambda v: composition_count(v, 2),
+    "composition-count-total": lambda v: composition_count(2, v),
+    "compositions-n": lambda v: list(compositions(v, 2)),
+    "compositions-total": lambda v: list(compositions(2, v)),
+    "rate-constant": rate_constant,
 }
 
 
@@ -106,6 +122,18 @@ def test_integer_parameters_refuse_floats_strings_and_bools(call, value):
     with pytest.raises(TypeError, match=f"expected an integer, got {re.escape(repr(value))}$"):
         call(value)
     call(2)
+
+
+def test_stirling2_refuses_a_float_before_its_cache():
+    # lru_cache keys 3.0 as it keys 3: a float let through once filled the
+    # cache with 3.0, which every later stirling2(3, 2) returned, and a float
+    # checked only inside the cache is answered from it once (3, 2) is there
+    with pytest.raises(TypeError, match="expected an integer, got 3.0$"):
+        stirling2(3.0, 2)
+    value = stirling2(3, 2)
+    assert type(value) is int and value == 3
+    with pytest.raises(TypeError, match="expected an integer, got 3.0$"):
+        stirling2(3.0, 2)
 
 
 # each exact-value helper, called with v as one rational value it reads

@@ -105,7 +105,7 @@ _NOT_INTEGERS = {
 @pytest.mark.parametrize("call, message", _NOT_INTEGERS.values(), ids=_NOT_INTEGERS.keys())
 def test_an_integer_parameter_of_stable_set_that_is_no_integer_is_refused_before_any_search(
         monkeypatch, call, message):
-    # r, max_points and max_vertices go through poly._as_int, which names the
+    # r, max_points and max_vertices go through rational._as_int, which names the
     # value, where they once ran (r=True, max_vertices=10.0), failed somewhere
     # unrelated (r=2.0, r="3"), or were echoed or compared (max_points=10.5,
     # max_vertices=2.5)
