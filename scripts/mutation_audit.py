@@ -215,8 +215,10 @@ MUTANTS = (
            'value.startswith("-") and _option_action(options, value) is None',
            'value.startswith("-")',
            ("tests/test_cli.py",)),
-    Mutant("stirling-at-drops-the-power-ratio", HYPERGEOM,
-           "num += fall * (den // powers[k]) * grouped[k]", "num += fall * grouped[k]",
+    # the one Stirling evaluation (hypergeom._stirling_terms): its quotients
+    # power(total, K) // power(total, k)
+    Mutant("stirling-terms-drop-the-power-ratio", HYPERGEOM,
+           "[powers[top] // p for p in powers]", "[1 for p in powers]",
            ("tests/test_hypergeom.py",)),
     Mutant("check-degree-counts-one-more-bit", GRID,
            "(r + 1) * (d + 1) * d * r.bit_length()", "(r + 1) * (d + 1) * d * (r.bit_length() + 1)",
@@ -231,6 +233,28 @@ MUTANTS = (
            "row = rows.get((c, b))\n            if row is None:\n                row = rows[c, b] = ",
            "row = rows.get(c)\n            if row is None:\n                row = rows[c] = ",
            ("tests/test_identities.py",)),
+    # STIRLING_MULTI reads S(b, a) from a table built once per (n, d)
+    # (identities.sweep_stirling_multi): killed by every check of the sweep
+    # holding, in test_stirling_multi_sweep_tables_each_stirling_number_once_per_n_and_d
+    Mutant("stirling-multi-table-indexed-a-b", IDENTITIES,
+           "term *= table[bi][ai]", "term *= table[ai][bi]",
+           ("tests/test_identities.py",)),
+    # the one walk of the rule table (bounds._coefficients): both killed by
+    # test_inapplicability_reasons, the needs-m check where m is missing and
+    # the first failing condition where two fail
+    Mutant("coefficients-skip-the-needs-m-check", BOUNDS,
+           "if rule.needs_m and m is None else", "if False else",
+           ("tests/test_bounds.py",)),
+    Mutant("coefficients-report-the-last-failing-condition", BOUNDS,
+           "for holds, text in rule.conditions if not holds(d, r, m)",
+           "for holds, text in rule.conditions[::-1] if not holds(d, r, m)",
+           ("tests/test_bounds.py",)),
+    # the one plan builder (bounds._enclosures) admits the enclosures' own
+    # grids: killed by test_range_enclosures_refuses_every_grid_before_any_sweep
+    Mutant("enclosures-plan-leaves-out-the-swept-denominators", BOUNDS,
+           "_Plan(f, list(dict.fromkeys([*grids, *swept])), threads, max_points)",
+           "_Plan(f, list(dict.fromkeys(grids)), threads, max_points)",
+           ("tests/test_bounds.py",)),
     # the bound witnesses from integer pairs (bounds._witness_rows)
     Mutant("witness-gap-reads-r-for-m", BOUNDS, _GAP,
            _GAP.replace("plan.extremes(m)", "plan.extremes(r)"),
@@ -239,8 +263,7 @@ MUTANTS = (
            "gap[0] * rhs[1] <= rhs[0] * gap[1]", "gap[0] * rhs[1] < rhs[0] * gap[1]",
            ("tests/test_bounds.py",)),
     Mutant("witness-grids-not-checked-first", BOUNDS,
-           "[q for entry in table for q in entry[2:4]] + swept_denominators(params)",
-           "swept_denominators(params)",
+           "grids = [x for entry in table for x in entry[2:4]]", "grids = []",
            ("tests/test_bounds.py",)),
     # a sweep plan admits every grid it will sweep before any table (grid._Plan)
     Mutant("plan-bounds-at-smallest-denominator", GRID,

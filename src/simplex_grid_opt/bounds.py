@@ -10,26 +10,30 @@ computes (grid._bernstein_extrema).  Inapplicability (wrong degree, r out of
 range, m too small) is data, not an error.
 
 Each coefficient is computed as an integer pair (numerator, positive
-denominator), not necessarily reduced: bound_coefficient makes one Fraction of
-it, and converge renders its bound columns from the pairs with one gcd each
-(_coefficient_texts), with no Fraction.  The enclosures are pairs as well:
-_enclosures gives their four endpoints as pairs, the Bernstein ones from
-grid._bernstein_extrema and the grid ones from the sweep plan it is given
+denominator), not necessarily reduced, by the one walk of the rule table
+(_coefficients), which gives each kind's pair or the reason it does not
+apply: bound_coefficient and bound_table make their reports from it
+(_reports, one Fraction each), converge renders its bound columns from the
+pairs with one gcd each, with no Fraction, and the bound witnesses table
+them (_coefficient_table).  The enclosures are pairs as well: _enclosures
+builds the one sweep plan of a call, for the caller's grids and the
+denominators the enclosures sweep (swept_denominators), and building it
+admits them all before any table (grid._Plan), so threads and the guard
+travel in the plan; it gives the four endpoints as pairs, the Bernstein ones
+from grid._bernstein_extrema and the grid ones from the plan
 (grid._Plan.extremes, (L*min, L*max, L*r^d) per r, swept once per plan and
-kept); range_enclosures makes them Enclosures at the end.  No function here
-refuses a grid, a thread count or a point guard: each caller builds one plan
-with every denominator it will sweep, and building it admits them all before
-any table (grid._Plan), so threads and the guard travel in the plan.  The
-one exception is `sgo converge`, decided here whole by _converge_rows: it
-refuses the total of its grids and its row count before its one plan admits
-them, sweeps the enclosures from that plan, then reads it once per r for a
-row.  The normalized-error interval of a row comes from _rho, which
-cross-multiplies the grid pairs with the enclosure endpoints in integers;
-rho_interval is _rho made a Fraction pair at the end, and the one reader of
-Enclosures as pairs (_ends).  The bound witnesses come from pairs too:
+kept), and hands the plan back for the caller's other grids;
+range_enclosures makes them Enclosures at the end.  No other function here
+builds a plan or refuses a grid, a thread count or a point guard, with one
+exception: `sgo converge`, decided here whole by _converge_rows, refuses the
+total of its grids and its row count before _enclosures builds its plan,
+then reads the plan once per r for a row.  The normalized-error interval of
+a row comes from _rho, which cross-multiplies the grid pairs with the
+enclosure endpoints in integers; rho_interval is _rho made a Fraction pair at
+the end, and the one reader of Enclosures as pairs (_ends).  The bound witnesses come from pairs too:
 _coefficient_table lists the coefficients that apply at each (r, m) of one
-degree, and _witness_rows builds one sweep plan per polynomial for the
-table's grids and the enclosures', then makes each gap
+degree, and _witness_rows has _enclosures build one sweep plan per
+polynomial for the table's grids and the enclosures', then makes each gap
 grid_min(r) - grid_min(m) from the plan's kept extremes and each coefficient
 times the range bound, and decides holds by cross-multiplying; check_bounds
 makes its Fractions from them at the end, and `sgo verify` renders them with
@@ -57,7 +61,8 @@ gap forms 1 - rfd/r^d and 1 - (rfd m^d)/(r^d mfd) are combin's _kls_gap and
 _refined_gap, whose expressions `sgo verify` checks (identities).
 
 Each kind is one entry of the rule table _RULES, keyed by its name in the
-order above; BoundKind and ALL_KINDS are made from that table.
+order above; BoundKind and ALL_KINDS are made from that table, and
+_coefficients is the one function that reads it.
 """
 
 from __future__ import annotations
@@ -191,6 +196,8 @@ BoundKind = Enum("BoundKind", [(name, name) for name in _RULES], type=str, modul
 ALL_KINDS = tuple(BoundKind)
 # kinds whose statement requires the polynomial to be square-free
 SQUARE_FREE_KINDS = frozenset(kind for kind in ALL_KINDS if _RULES[kind].square_free)
+# kinds whose coefficient reads m, so their reports echo k
+_M_KINDS = frozenset(kind for kind in ALL_KINDS if _RULES[kind].needs_m)
 
 
 def bound_coefficient(
@@ -201,18 +208,18 @@ def bound_coefficient(
     k (the multiple with (k-1)m < r <= km) is derived internally and echoed
     in the report for the kinds whose proof uses the grid at denominator km.
     """
-    kind = BoundKind(kind)
+    return _reports(d, r, m, (BoundKind(kind),))[0]
+
+
+def _reports(d: int, r: int, m: "int | None", kinds: Sequence = ALL_KINDS) -> "list[BoundReport]":
+    """The report of each of kinds at (d, r, m), made from its _coefficients
+    entry once the arguments are checked (_check_arguments): bound_coefficient
+    asks for one kind, bound_table for every kind at each (r, m)."""
     d, r, m = _check_arguments(d, r, m)
-    rule = _RULES[kind]
-    reason = _reason(rule, d, r, m)
-    if reason:
-        return BoundReport(kind=kind, d=d, r=r, m=m, k=None, coefficient=None,
-                           applicable=False, reason=reason)
-    return BoundReport(
-        kind=kind, d=d, r=r, m=m,
-        k=-(-r // m) if rule.needs_m else None,  # ceil(r/m), so (k-1)m < r <= km
-        coefficient=Fraction(*rule.coefficient(d, r, m)), applicable=True,
-    )
+    k = None if m is None else -(-r // m)  # ceil(r/m), so (k-1)m < r <= km
+    return [BoundReport(kind, d, r, m, None, None, False, entry) if isinstance(entry, str) else
+            BoundReport(kind, d, r, m, k if kind in _M_KINDS else None, Fraction(*entry), True)
+            for kind, entry in zip(kinds, _coefficients(d, r, m, kinds))]
 
 
 def _check_arguments(d: int, r: int, m: "int | None") -> "tuple[int, int, int | None]":
@@ -228,21 +235,19 @@ def _check_arguments(d: int, r: int, m: "int | None") -> "tuple[int, int, int | 
     return d, r, m
 
 
-def _reason(rule: _Rule, d: int, r: int, m: "int | None") -> str:
-    """Why the kind of rule does not apply at (d, r, m), or "" when it does."""
-    if rule.needs_m and m is None:
-        return "needs the reference denominator m"
-    return next((reason for holds, reason in rule.conditions if not holds(d, r, m)), "")
-
-
-def _coefficient_texts(d: int, r: int, m: "int | None") -> "list[str]":
-    """The coefficient of every kind in ALL_KINDS at (d, r, m), as fraction_str
-    renders bound_coefficient's, or "" for a kind that does not apply: the
-    bound columns of one converge row, rendered from the integer pairs with no
-    Fraction (ALL_KINDS is made from _RULES, so the orders agree).  The
-    arguments must be valid for bound_coefficient: d, r >= 1, m None or >= 1."""
-    return ["" if _reason(rule, d, r, m) else _ratio_str(*rule.coefficient(d, r, m))
-            for rule in _RULES.values()]
+def _coefficients(
+    d: int, r: int, m: "int | None", kinds: "Sequence[BoundKind]" = ALL_KINDS
+) -> "list[tuple[int, int] | str]":
+    """For each of kinds, in order: its coefficient at (d, r, m) as an integer
+    pair (numerator, positive denominator), not necessarily reduced, or the
+    reason (a str) it does not apply: that an m is needed, else that of its
+    first condition that fails.  Only the kinds asked for are evaluated, so
+    bound_coefficient pays for its own kind alone.  The one function that
+    reads _RULES.  The arguments must be valid for bound_coefficient
+    (_check_arguments): d, r >= 1, m None or >= 1."""
+    return ["needs the reference denominator m" if rule.needs_m and m is None else
+            next((text for holds, text in rule.conditions if not holds(d, r, m)), None)
+            or rule.coefficient(d, r, m) for rule in map(_RULES.get, kinds)]
 
 
 # --- certified range machinery --------------------------------------------------
@@ -307,20 +312,24 @@ def range_enclosures(
     (grid._Plan) before any work, and a table past _MAX_ENCLOSURE_ENTRIES
     entries is refused (ValueError) before any sweep.  An assumed side is
     refuted (ValueError) when another grid swept here has a more extreme
-    value.  It is _enclosures, made Enclosures at the end.
+    value.  It is _enclosures with no other grid, made Enclosures at the end.
     """
-    plan = _Plan(f, swept_denominators(params), threads, max_points)
-    lo_lo, lo_hi, hi_lo, hi_hi = [Fraction(*end) for end in _enclosures(plan, params)]
+    _, ends = _enclosures(f, [], params, threads, max_points)
+    lo_lo, lo_hi, hi_lo, hi_hi = [Fraction(*end) for end in ends]
     return Enclosure(lo_lo, lo_hi), Enclosure(hi_lo, hi_hi)
 
 
-def _enclosures(plan: _Plan, params: RangeAssumptions) -> "tuple[tuple[int, int], ...]":
-    """range_enclosures of the plan's polynomial in integers: fmin.lo,
-    fmin.hi, fmax.lo and fmax.hi as (numerator, positive denominator) pairs,
-    not reduced, the form _refute and _rho read.  The plan must have admitted
-    swept_denominators(params); the grid extremes of each stay in it
-    (_Plan.extremes)."""
-    f = plan.f
+def _enclosures(f: HomogeneousPolynomial, grids: "Sequence[int]", params: RangeAssumptions,
+                threads: int, max_points: "int | None") -> "tuple[_Plan, tuple]":
+    """range_enclosures in integers, and the one sweep plan of f for grids and
+    the denominators the enclosures sweep (swept_denominators), in that
+    order, each once: building it admits them all before any table
+    (grid._Plan).  Returns (plan, ends), ends being fmin.lo, fmin.hi, fmax.lo
+    and fmax.hi as (numerator, positive denominator) pairs, not reduced, the
+    form _refute and _rho read; the grid extremes of each denominator swept
+    here stay in the plan (_Plan.extremes) for the caller's other grids."""
+    swept = swept_denominators(params)
+    plan = _Plan(f, list(dict.fromkeys([*grids, *swept])), threads, max_points)
     lo_m, hi_m = params.assume_min_denominator, params.assume_max_denominator
     bernstein = lo_m is None or hi_m is None
     k = params.elevation
@@ -330,7 +339,7 @@ def _enclosures(plan: _Plan, params: RangeAssumptions) -> "tuple[tuple[int, int]
         raise ValueError(f"the Bernstein table at elevation {k} would hold "
                          f"{decimal_str(entries)} entries, more than {_MAX_ENCLOSURE_ENTRIES}")
     values = {}  # (minimum, maximum) of each swept grid, as pairs
-    for m in swept_denominators(params):
+    for m in swept:
         low, high, den = plan.extremes(m)
         values[m] = (low, den), (high, den)
     if bernstein:
@@ -339,7 +348,7 @@ def _enclosures(plan: _Plan, params: RangeAssumptions) -> "tuple[tuple[int, int]
     fmin = (outer_min, inner_min) if lo_m is None else (values[lo_m][0],) * 2
     fmax = (inner_max, outer_max) if hi_m is None else (values[hi_m][1],) * 2
     _refute((*fmin, *fmax), [(m, *plan.grids[m]) for m in values])
-    return (*fmin, *fmax)
+    return plan, (*fmin, *fmax)
 
 
 def _ends(fmin: Enclosure, fmax: Enclosure) -> "tuple[tuple[int, int], ...]":
@@ -425,24 +434,24 @@ def _converge_rows(f: HomogeneousPolynomial, r_values: range, params: RangeAssum
     """The rows `sgo converge` prints for f over r_values, each r once: r, the
     grid minimum as a fraction and as an advisory decimal, rho_lo and rho_hi
     (_rho, both "degenerate" on a DegenerateRangeError), and the coefficient
-    of every kind at (f.d, r, params.assume_min_denominator) (_coefficient_texts).
+    of every kind at (f.d, r, params.assume_min_denominator) (_coefficients),
+    rendered from its pair with one gcd, or "" where the kind does not apply.
 
     Refused before the sweep plan is built, in this order: an r < 1
     (ValueError), grids holding more than max_points points in total
     (GridTooLargeError; None lifts it): every r of the range, plus the
     denominators the enclosures sweep (swept_denominators) outside it, each
     grid counted once as it is swept once; then more than _MAX_BOUND_ROWS r
-    values (ValueError).  The one plan admits each grid after them
-    (grid._Plan), the enclosures are made from it (_enclosures), and each r
-    reads it once.  The range is summed in closed form (hockey stick): sum
+    values (ValueError).  Only then is the one plan built, which admits each
+    grid (grid._Plan), with the enclosures (_enclosures), and each r reads
+    it once.  The range is summed in closed form (hockey stick): sum
     over r = lo..hi of |I(n, r)| = |I(n + 1, hi)| - |I(n + 1, lo - 1)|, so a
     huge range costs nothing.
     """
     n, lo, hi = f.n, r_values[0], r_values[-1]
-    swept = swept_denominators(params)
     _grid_size(n, lo, None)  # refuses lo < 1
     total = composition_count(n + 1, hi) - composition_count(n + 1, lo - 1)
-    total += sum(_grid_size(n, q, None) for q in swept if q not in r_values)
+    total += sum(_grid_size(n, q, None) for q in swept_denominators(params) if q not in r_values)
     if max_points is not None and total > max_points:
         raise GridTooLargeError(
             f"the grids to sweep have {decimal_str(total)} points in all, budget is {max_points}"
@@ -452,9 +461,8 @@ def _converge_rows(f: HomogeneousPolynomial, r_values: range, params: RangeAssum
         raise ValueError(
             f"converge would print {decimal_str(count)} rows, more than {_MAX_BOUND_ROWS}"
         )
-    plan = _Plan(f, [*r_values, *swept], threads, max_points)
-    ends = _enclosures(plan, params)
-    rows = []
+    plan, ends = _enclosures(f, r_values, params, threads, max_points)
+    m, rows = params.assume_min_denominator, []
     for r in r_values:
         low, high, den = plan.extremes(r)
         try:
@@ -462,8 +470,8 @@ def _converge_rows(f: HomogeneousPolynomial, r_values: range, params: RangeAssum
             rho = [_ratio_str(lo_num, lo_den), _ratio_str(hi_num, hi_den)]
         except DegenerateRangeError:
             rho = ["degenerate"] * 2
-        rows.append([r, _ratio_str(low, den), _decimal_ratio(low, den), *rho,
-                     *_coefficient_texts(f.d, r, params.assume_min_denominator)])
+        cells = ["" if isinstance(c, str) else _ratio_str(*c) for c in _coefficients(f.d, r, m)]
+        rows.append([r, _ratio_str(low, den), _decimal_ratio(low, den), *rho, *cells])
     return rows
 
 
@@ -498,11 +506,13 @@ def check_bounds(
     Returns one witness per (r, m) in pairs and kind in ALL_KINDS, pair by
     pair, for the kinds that apply at (f.d, r, m) and to f: bound_coefficient
     gives the reason a kind does not, and the SQUARE_FREE_KINDS need a
-    square-free f.  When none applies nothing is swept.  Otherwise every
-    grid of the pairs is refused as grid_minimize refuses it (the grid guard
-    too) before any sweep, the enclosures run once, and each denominator is
-    swept once, those params names by the enclosures.  It is _witness_rows
-    on the pairs' _coefficient_table, made Fractions at the end.
+    square-free f.  A pair whose m is None is refused (ValueError) before
+    any sweep, since every witness reads grid_min(m).  When no kind applies
+    nothing is swept.  Otherwise every grid of the pairs is refused as
+    grid_minimize refuses it (the grid guard too) before any sweep, the
+    enclosures run once, and each denominator is swept once, those params
+    names by the enclosures.  It is _witness_rows on the pairs'
+    _coefficient_table, made Fractions at the end.
     """
     span, rows = _witness_rows(f, _coefficient_table(f.d, pairs), params)
     range_bound = Fraction(*span)
@@ -510,11 +520,6 @@ def check_bounds(
                          coefficient=Fraction(num, den), range_bound=range_bound,
                          rhs=Fraction(*rhs), holds=holds)
             for (name, _, r, m, num, den), lhs, rhs, holds in rows]
-
-
-def _pair_reports(d: int, pairs: "Sequence[tuple[int, int | None]]") -> "list[BoundReport]":
-    """bound_coefficient of every kind at each (r, m) in pairs, pair by pair."""
-    return [bound_coefficient(kind, d=d, r=r, m=m) for r, m in pairs for kind in ALL_KINDS]
 
 
 def _coefficient_table(
@@ -525,12 +530,16 @@ def _coefficient_table(
     ALL_KINDS order: the coefficients of check_bounds, as integer pairs and
     with no report.  It reads only the degree of f, so that many polynomials
     of one degree can share it.  Arguments are refused as bound_coefficient
-    refuses them."""
+    refuses them, and an m of None (ValueError), since every witness reads
+    grid_min(m), all before any sweep."""
     table = []
-    for r, m in pairs:
-        _check_arguments(d, r, m)
-        table += [(name, rule.square_free, r, m, *rule.coefficient(d, r, m))
-                  for name, rule in _RULES.items() if not _reason(rule, d, r, m)]
+    for pair in pairs:
+        d, r, m = _check_arguments(d, *pair)
+        if m is None:
+            raise ValueError(f"a bound witness needs a reference denominator m, got ({r}, None)")
+        table += [(kind.value, kind in SQUARE_FREE_KINDS, r, m, *entry)
+                  for kind, entry in zip(ALL_KINDS, _coefficients(d, r, m))
+                  if not isinstance(entry, str)]
     return table
 
 
@@ -545,16 +554,16 @@ def _witness_rows(
     rhs = coefficient * range bound as (numerator, positive denominator)
     pairs, not reduced, and holds decided by cross-multiplying them.
 
-    One sweep plan admits the table's grids and the enclosures', as
-    grid_minimize admits its grid (grid._Plan), before any sweep, and serves
-    them all, so each denominator is swept once (_Plan.extremes)."""
+    The one sweep plan _enclosures builds admits the table's grids and the
+    enclosures', as grid_minimize admits its grid (grid._Plan), before any
+    sweep, and serves them all, so each denominator is swept once
+    (_Plan.extremes)."""
     square_free = is_square_free(f)
     table = [entry for entry in table if square_free or not entry[1]]
     if not table:
         return (0, 1), []
-    grids = dict.fromkeys([q for entry in table for q in entry[2:4]] + swept_denominators(params))
-    plan = _Plan(f, list(grids), 1, DEFAULT_GRID_GUARD)
-    (a, b), _, _, (p, q) = _enclosures(plan, params)
+    grids = [x for entry in table for x in entry[2:4]]
+    plan, ((a, b), _, _, (p, q)) = _enclosures(f, grids, params, 1, DEFAULT_GRID_GUARD)
     span, span_den = p * b - a * q, q * b
     rows = []
     for entry in table:
@@ -574,7 +583,8 @@ def bound_table(
     A table of more than _MAX_BOUND_ROWS reports, or whose coefficients could
     hold more than _MAX_BOUND_BITS bits, is refused (ValueError) before any
     report is made, as is a d, or a largest r or m, that is not an integer
-    (rational._as_int; TypeError); bound_coefficient refuses the other values.
+    (rational._as_int; TypeError); the other values are refused as
+    bound_coefficient refuses them, once per (r, m) (_reports).
     """
     d = _as_int(d)
     rows = _length(r_values) * _length(m_values) * len(ALL_KINDS)
@@ -587,7 +597,7 @@ def bound_table(
     top = _as_int(max(r_values)) * _as_int(max([m or 1 for m in m_values]))
     if rows * d * ((4 * d).bit_length() + 2 * top.bit_length()) > _MAX_BOUND_BITS:
         raise ValueError(f"bounds coefficients could hold more than {_MAX_BOUND_BITS} bits")
-    return _pair_reports(d, [(r, m) for r in r_values for m in m_values])
+    return [report for r in r_values for m in m_values for report in _reports(d, r, m)]
 
 
 def _length(values: Sequence) -> int:

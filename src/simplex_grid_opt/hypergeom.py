@@ -10,18 +10,20 @@ approximation of f) in closed form, without a sum over the grid.  The pmf,
 the brute-force moments and the closed degree-2 and degree-3 moment forms
 that check it are test oracles and live with the tests.
 
-The Stirling kernel has two halves: _stirling_rows, the grouped convolution,
-which does not depend on the number of draws r, and _stirling_at, its value
-at one r.  A single moment runs both once (_stirling_terms).
-_scaled_moments, which identities' MOMENT_DECOMPOSITION sweep calls once per
-(counts, beta), returns the weights w_0..w_d of E[X^beta] over the common
-denominator r^d * falling(m, d): w_k = grouped[k] * (falling(m, d) //
-falling(m, k)), so at each r = 1..m the moment's numerator is one dot product
-of the weights with the falling row of r (_falling_row), in integers and with
-no Fraction.  The sweep builds the quotients once per (m, d)
-(_falling_quotients), the falling rows once per (d, r), and passes one row
-dict to every call, so each row S(b, a) * falling(c, a) is built once per
-(c, b); that dict lives for one sweep.  Nothing else is kept across calls.
+The Stirling kernel is one kernel with one evaluation.  _stirling_rows, the
+grouped convolution, does not depend on the number of draws r;
+_scaled_moments turns it into weights w_k = grouped[k] * quotients[k], the
+quotients putting every term over one common denominator; and the value at
+r is one dot product of the weights with the falling row of r (_falling_row,
+a running product), in integers and with no Fraction.  A single moment runs
+all three once (_stirling_terms), its quotients power(total, K) //
+power(total, k) for K = min(|beta|, r).  identities' MOMENT_DECOMPOSITION
+sweep calls _scaled_moments once per (counts, beta) with the quotients
+falling(m, d) // falling(m, k) (_falling_quotients, once per (m, d)), so its
+weights serve every r = 1..m over r^d * falling(m, d); it builds the falling
+rows once per (d, r), and passes one row dict to every call, so each row
+S(b, a) * falling(c, a) is built once per (c, b); that dict lives for one
+sweep.  Nothing else is kept across calls.
 
 Everything is exact; nothing is sampled.
 """
@@ -29,6 +31,7 @@ Everything is exact; nothing is sampled.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import Callable, Sequence
@@ -103,19 +106,6 @@ def _stirling_rows(
     return grouped
 
 
-def _stirling_at(grouped: "list[int]", r: int, powers: "list[int]") -> "tuple[int, int]":
-    """(numerator, denominator) of the grouped expansion at r draws, with
-    powers[k] = power(total, k) for k < len(grouped); see _stirling_terms."""
-    top = min(len(grouped) - 1, r)
-    den = powers[top]
-    num = 0
-    fall = 1  # falling(r, k)
-    for k in range(top + 1):
-        num += fall * (den // powers[k]) * grouped[k]
-        fall *= r - k
-    return num, den
-
-
 def _stirling_terms(
     beta: "tuple[int, ...]", r: int, colors: Sequence[int], total: int, power: Power
 ) -> "tuple[int, int]":
@@ -128,11 +118,14 @@ def _stirling_terms(
     convolution of the rows S(beta_i, a) * power(colors_i, a) groups the terms
     by k = |a| (_stirling_rows, which does not depend on r); they vanish for
     k > r, so the sum is taken in integers over power(total, K),
-    K = min(|beta|, r), which each power(total, k <= K) divides (_stirling_at).
+    K = min(|beta|, r), which each power(total, k <= K) divides: the grouped
+    rows times the quotients power(total, K) // power(total, k) are the
+    weights (_scaled_moments), dotted with the falling row of r.
     """
     top = min(sum(beta), r)
-    grouped = _stirling_rows(beta, colors, power, top)
-    return _stirling_at(grouped, r, [power(total, k) for k in range(top + 1)])
+    powers = [power(total, k) for k in range(top + 1)]
+    weights = _scaled_moments(beta, colors, [powers[top] // p for p in powers], {}, power)
+    return sum(map(mul, weights, _falling_row(r, top))), powers[top]
 
 
 def _falling_quotients(m: int, d: int) -> "list[int]":
@@ -143,22 +136,25 @@ def _falling_quotients(m: int, d: int) -> "list[int]":
 
 
 def _falling_row(r: int, d: int) -> "list[int]":
-    """falling(r, k) for k = 0..d; the entries past k = r are 0."""
-    return [falling(r, k) for k in range(d + 1)]
+    """falling(r, k) for k = 0..d, as a running product; the entries past
+    k = r are 0."""
+    return list(accumulate(range(r, r - d, -1), mul, initial=1))
 
 
 def _scaled_moments(
-    beta: "tuple[int, ...]", counts: "tuple[int, ...]", quotients: "list[int]",
-    rows: "dict[tuple[int, int], list[int]]",
+    beta: "tuple[int, ...]", counts: Sequence[int], quotients: "list[int]",
+    rows: "dict[tuple[int, int], list[int]]", power: Power = falling,
 ) -> "list[int]":
-    """The weights w_0..w_d, d = |beta|, of E[prod X_i^beta_i] for r = 1..m draws
-    from the urn of m balls, counts[i] of color i: at each r the moment is
-    sum_k w_k * falling(r, k) (one dot product with _falling_row(r, d)) over
-    r^d * falling(m, d).  w_k = grouped[k] * quotients[k], with quotients =
-    _falling_quotients(m, d) and grouped the rows of _stirling_terms, built
-    through rows (see _stirling_rows).  For r < d the terms k > r vanish, so
-    this is the value _stirling_at gives at every r."""
-    return list(map(mul, _stirling_rows(beta, counts, falling, sum(beta), rows), quotients))
+    """The weights w_0..w_K, K = len(quotients) - 1 <= |beta|, of the Stirling
+    expansion: w_k = grouped[k] * quotients[k], grouped the rows of
+    _stirling_terms up to K, built through rows (see _stirling_rows).  With
+    quotients = _falling_quotients(m, d), d = |beta|, and power falling they
+    give E[prod X_i^beta_i] for every r = 1..m draws from the urn of m
+    balls, counts[i] of color i: sum_k w_k * falling(r, k) (one dot product
+    with _falling_row(r, d)) over r^d * falling(m, d), since for r < d the
+    terms k > r vanish; that is the sum _stirling_terms takes at one r."""
+    top = len(quotients) - 1
+    return list(map(mul, _stirling_rows(beta, counts, power, top, rows), quotients))
 
 
 def _moment_terms(p: HypergeomParams, beta: Sequence[int]) -> "tuple[int, int]":

@@ -37,7 +37,8 @@ the loop that owns it:
     (m, d) (hypergeom._falling_quotients), and its falling row of r once per
     (d, r) (hypergeom._falling_row), so E[X^beta] at each r is one dot
     product;
-  - d!/beta! per (n, d), and SIGMA's constant c_d = (d-1)(d!-1) per d;
+  - d!/beta! and STIRLING_MULTI's table of S(b, a), a, b <= d, per (n, d),
+    and SIGMA's constant c_d = (d-1)(d!-1) per d;
   - the rendered params: each loop level formats its own part of the
     "key=value;..." text once, and a check joins the parts.
 
@@ -200,16 +201,18 @@ def _multinomial_weights(n: int, d: int) -> "list[tuple[tuple[int, ...], int]]":
 
 
 def _stirling_multi(
-    alpha: "tuple[int, ...]", d: int, weights: "list[tuple[tuple[int, ...], int]]"
+    alpha: "tuple[int, ...]", d: int, weights: "list[tuple[tuple[int, ...], int]]",
+    table: "list[list[int]]",
 ) -> IdentityCheck:
-    """weights is _multinomial_weights(len(alpha), d)."""
+    """weights is _multinomial_weights(len(alpha), d), and table[b][a] is
+    S(b, a) for a, b = 0..d."""
     k = sum(alpha)
     rhs = 0
     for beta, term in weights:
         for bi, ai in zip(beta, alpha):
-            term *= stirling2(bi, ai)
+            term *= table[bi][ai]
         rhs += term
-    lhs, den = stirling2(d, k), multinomial(k, alpha)
+    lhs, den = table[d][k], multinomial(k, alpha)
     return _check("STIRLING_MULTI", (("alpha", alpha), ("d", d)), f"alpha={alpha};d={d}", "eq",
                   lhs, (rhs, den), lhs * den == rhs)
 
@@ -354,9 +357,10 @@ def sweep_stirling_multi(max_n: int = 3, max_d: int = 5) -> "Iterator[IdentityCh
     for n in range(1, max_n + 1):
         for d in range(2, max_d + 1):
             weights = _multinomial_weights(n, d)
+            table = [[stirling2(b, a) for a in range(d + 1)] for b in range(d + 1)]  # S(b, a)
             for k in range(1, d):
                 for alpha in compositions(n, k):
-                    yield _stirling_multi(alpha, d, weights)
+                    yield _stirling_multi(alpha, d, weights, table)
 
 
 def sweep_integer_point_identities(

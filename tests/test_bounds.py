@@ -25,7 +25,7 @@ from simplex_grid_opt import (
 )
 from simplex_grid_opt import bounds, grid
 from simplex_grid_opt.combin import rate_constant
-from simplex_grid_opt.rational import fraction_str
+from simplex_grid_opt.rational import _ratio_str, fraction_str
 from strats import (
     bernstein_table,
     bound_coefficient_oracle,
@@ -53,17 +53,24 @@ def test_frozen_coefficient_examples():
 
 def test_coefficients_and_converge_cells_match_the_fraction_oracle():
     # every kind at d = 1..6, r = 1..40, m None or 1..15: bound_coefficient's
-    # Fraction and converge's cell text (bounds._coefficient_texts)
+    # Fraction, the one rule walk's entry (bounds._coefficients) and the cell
+    # text converge renders from it
     for d in range(1, 7):
         for r in range(1, 41):
             for m in (None, *range(1, 16)):
-                texts = bounds._coefficient_texts(d, r, m)
-                assert len(texts) == len(ALL_KINDS)
-                for kind, text in zip(ALL_KINDS, texts):
+                entries = bounds._coefficients(d, r, m)
+                assert len(entries) == len(ALL_KINDS)
+                for kind, entry in zip(ALL_KINDS, entries):
                     want = bound_coefficient_oracle(kind, d, r, m)
-                    got = bound_coefficient(kind, d=d, r=r, m=m).coefficient
+                    report = bound_coefficient(kind, d=d, r=r, m=m)
+                    got = report.coefficient
                     assert got == want and (want is None or type(got) is Fraction)
-                    assert text == ("" if want is None else fraction_str(want))
+                    if want is None:
+                        assert entry == report.reason and entry
+                        continue
+                    num, den = entry
+                    assert type(num) is type(den) is int and den > 0 and Fraction(num, den) == want
+                    assert _ratio_str(num, den) == fraction_str(want)
 
 
 def test_cubic_rho_is_piecewise_in_r():
@@ -109,13 +116,31 @@ def test_inapplicability_reasons():
     assert not bound_coefficient("SQFREE_REFINED", d=3, r=2, m=2).applicable
     report = bound_coefficient("GENERAL_REFINED", d=4, r=2, m=3)
     assert not report.applicable and "m >= d" in report.reason
+    # the reason is the first condition that fails: at d = 3, r = 5, m = 2
+    # QUAD_REFINED fails its degree and r <= m, CUBIC_REFINED m >= 3 and
+    # r <= m, and SQFREE_REFINED m >= d and r <= m
+    for kind, reason in [("QUAD_REFINED", "stated for degree 2 only"),
+                         ("CUBIC_REFINED", "needs m >= 3"), ("SQFREE_REFINED", "needs m >= d")]:
+        assert bound_coefficient(kind, d=3, r=5, m=2).reason == reason
+    # a kind that reads m says so before any condition, also when one fails
+    assert bound_coefficient("QUAD_REFINED", d=3, r=5).reason == "needs the reference denominator m"
+    kinds = [bounds.BoundKind.KLS_QUAD, bounds.BoundKind.CUBIC_REFINED]
+    assert bounds._coefficients(3, 5, 2, kinds) == ["stated for degree 2 only", "needs m >= 3"]
+
+
+def test_bound_coefficient_evaluates_its_own_kind_alone(monkeypatch):
+    # KLS_GENERAL's coefficient at a huge degree costs seconds; reading the
+    # one entry of KLS_QUAD there evaluates no other kind
+    monkeypatch.setattr(bounds, "_kls_gap", lambda *args: pytest.fail("another kind was evaluated"))
+    assert bound_coefficient("KLS_QUAD", d=10**6, r=3).reason == "stated for degree 2 only"
+    assert bound_coefficient("QUAD_DENOM", d=2, r=3, m=4).coefficient == Fraction(4, 9)
 
 
 def test_bound_table_refuses_a_table_past_its_limits_before_any_report(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("no report may be made")
 
-    monkeypatch.setattr(bounds, "_pair_reports", fail)
+    monkeypatch.setattr(bounds, "_coefficients", fail)
     rows = f"rows, more than {bounds._MAX_BOUND_ROWS}"
     bits = f"bounds coefficients could hold more than {bounds._MAX_BOUND_BITS} bits"
     # ranges longer than sys.maxsize, which len() cannot measure, are counted from their ends
@@ -518,7 +543,8 @@ def test_check_bounds_makes_no_witness_for_a_kind_that_does_not_apply():
     f = strict_gap_poly()  # not square-free
     pairs = [(1, 1), (2, 3), (3, 2), (4, 4)]
     witnesses = check_bounds(f, pairs)
-    applicable = [(report.r, report.m, report.kind) for report in bounds._pair_reports(f.d, pairs)
+    reports = [bound_coefficient(kind, d=f.d, r=r, m=m) for r, m in pairs for kind in ALL_KINDS]
+    applicable = [(report.r, report.m, report.kind) for report in reports
                   if report.applicable and report.kind not in bounds.SQUARE_FREE_KINDS]
     assert len(applicable) < len(pairs) * len(ALL_KINDS)
     assert [(w.r, w.m, w.kind) for w in witnesses] == applicable
@@ -538,6 +564,17 @@ def test_check_bounds_sweeps_each_denominator_once(monkeypatch, params, pairs, s
     witnesses = check_bounds(f, pairs, params)
     assert sorted(calls) == swept
     assert witnesses and all(w.lhs == minima[w.r] - minima[w.m] and w.holds for w in witnesses)
+
+
+@pytest.mark.parametrize("pairs", [[(2, None)], [(2, 4), (3, None)]])
+def test_check_bounds_refuses_a_pair_without_m_before_any_sweep(monkeypatch, pairs):
+    # every witness reads grid_min(m): an m of None once reached the sweep
+    # plan's guard, which raised a TypeError comparing None with an int
+    monkeypatch.setattr(grid, "_sweep", lambda *args: pytest.fail("a grid was swept"))
+    r = pairs[-1][0]
+    message = f"a bound witness needs a reference denominator m, got ({r}, None)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_bounds(sum_of_squares(3), pairs)
 
 
 def test_check_bounds_refuses_a_grid_past_the_guard_before_any_sweep(monkeypatch):

@@ -301,7 +301,7 @@ def test_bounds_refined_vanish_at_r_equals_m(capsys):
 def test_bounds_row_maximum(capsys, monkeypatch, maximum, want):
     # 4 values of r times 11 kinds: 44 rows, at the maximum or one row past it
     monkeypatch.setattr(bounds, "_MAX_BOUND_ROWS", maximum)
-    tables = count_calls(monkeypatch, bounds, "_pair_reports")
+    tables = count_calls(monkeypatch, bounds, "_coefficients")
     code, out, err = run(capsys, *PINNED_ARGV["bounds"])
     assert code == want
     if want == EXIT_OK:
@@ -314,7 +314,7 @@ def test_bounds_row_maximum(capsys, monkeypatch, maximum, want):
 def test_bounds_coefficient_bits_maximum(capsys, monkeypatch, maximum, want):
     # 44 rows * d * (bit_length(4d) + 2 * bit_length(r)) = 44 * 3 * (4 + 2 * 3) at d = 3, r <= 5
     monkeypatch.setattr(bounds, "_MAX_BOUND_BITS", maximum)
-    tables = count_calls(monkeypatch, bounds, "_pair_reports")
+    tables = count_calls(monkeypatch, bounds, "_coefficients")
     code, out, err = run(capsys, *PINNED_ARGV["bounds"])
     assert code == want
     if want == EXIT_OK:
@@ -324,7 +324,7 @@ def test_bounds_coefficient_bits_maximum(capsys, monkeypatch, maximum, want):
 
 
 def test_bounds_refuses_a_huge_degree_at_once(capsys, monkeypatch):
-    tables = count_calls(monkeypatch, bounds, "_pair_reports")
+    tables = count_calls(monkeypatch, bounds, "_coefficients")
     for argv in (("--d", "100000", "--r-range", "2"), ("--d", "9" * 4000, "--r-range", "2"),
                  ("--d", "100", "--r-range", "9" * 4000), ("--d", "100", "--r-range", "2",
                                                            "--m-range", "9" * 4000)):
@@ -338,7 +338,7 @@ def test_bounds_refuses_a_huge_table_at_once(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("no report may be made")
 
-    monkeypatch.setattr(bounds, "_pair_reports", fail)
+    monkeypatch.setattr(bounds, "_coefficients", fail)
     code, out, err = run(capsys, "bounds", "--d", "3", "--r-range", "1:1000000000",
                          "--m-range", "1:1000000000")
     assert code == EXIT_CONFIG
@@ -1999,13 +1999,14 @@ def test_a_kept_verb_parser_prints_the_same_bytes_again(capsys, monkeypatch, cas
 
 def test_a_sweep_past_the_row_table_bound_exits_2_before_any_table(capsys, monkeypatch, tmp_path):
     # grid-min refuses the dense degree-100 form at r = 150, and converge
-    # refuses it in its guard, at the largest r, before any enclosure
+    # refuses it as its one plan admits the largest r, before the enclosures'
+    # Bernstein table or any row table
     def fail(*args, **kwargs):
         raise AssertionError("tables built past the row-table bound")
 
     poly = tmp_path / "dense.json"
     poly.write_text(json.dumps(to_json_dict(random_polynomial(random.Random(0), 3, 100))))
-    monkeypatch.setattr(bounds, "_enclosures", fail)
+    monkeypatch.setattr(bounds, "_bernstein_extrema", fail)
     monkeypatch.setattr(grid._Lazy, "__missing__", fail)
     grid._shape.cache_clear()
     error = ("error: 4887 row suffixes of degree up to 100 are too many for a sweep at r = 150: "

@@ -26,8 +26,7 @@ from simplex_grid_opt.hypergeom import (
     _falling_quotients,
     _falling_row,
     _scaled_moments,
-    _stirling_at,
-    _stirling_rows,
+    _stirling_terms,
 )
 from strats import (
     cubic_moments_closed,
@@ -160,14 +159,12 @@ def test_rows_built_once_give_the_moment_at_every_r(p, data):
     # zero counts, r < |beta| and r = m all occur (the weights need m >= |beta|)
     d = data.draw(st.integers(0, min(p.m, 3 * p.n)))
     beta = data.draw(exponent_tuples(p.n, d))
-    grouped = _stirling_rows(beta, p.counts, falling, d)
-    powers = [falling(p.m, k) for k in range(d + 1)]
     weights = _scaled_moments(beta, p.counts, _falling_quotients(p.m, d), {})
     assert len(weights) == d + 1 and all(type(w) is int for w in weights)
     for r in range(1, p.m + 1):
         q = HypergeomParams(m=p.m, counts=p.counts, r=r)
         truth = moment_bruteforce(q, beta)
-        assert Fraction(*_stirling_at(grouped, r, powers)) == truth == moment(q, beta)
+        assert Fraction(*_stirling_terms(beta, r, p.counts, p.m, falling)) == truth == moment(q, beta)
         num = sum(map(operator.mul, weights, _falling_row(r, d)))  # over r^d * falling(m, d)
         assert Fraction(num, r**d * falling(p.m, d)) == truth / Fraction(r) ** d == scaled_moment(q, beta)
 
@@ -175,14 +172,14 @@ def test_rows_built_once_give_the_moment_at_every_r(p, data):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 5), st.data())
 def test_rows_built_once_give_the_bernstein_moment_at_every_r(n, d, data):
-    # the with-replacement urn through the same split, against the grid sum
+    # the with-replacement urn through the same evaluation, against the grid sum
     x = data.draw(simplex_points(n))
     beta = data.draw(exponent_tuples(n, d))
     q = math.lcm(*(v.denominator for v in x))
-    grouped = _stirling_rows(beta, [v.numerator * (q // v.denominator) for v in x], pow, d)
+    colors = [v.numerator * (q // v.denominator) for v in x]
     monomial = HomogeneousPolynomial(n, d, {beta: 1})
     for r in range(1, 7):
-        num, den = _stirling_at(grouped, r, [q**k for k in range(d + 1)])
+        num, den = _stirling_terms(beta, r, colors, q, pow)
         assert Fraction(num, den * r**d) == naive_bernstein(monomial, x, r)
 
 

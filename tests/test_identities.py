@@ -138,9 +138,26 @@ def test_stirling_sum_example():
     assert check.holds and check.lhs == check.rhs == 40
 
 
+def _stirling_table(d):
+    """S(b, a) at [b][a] for a, b = 0..d, the table _stirling_multi reads."""
+    return [[stirling2(b, a) for a in range(d + 1)] for b in range(d + 1)]
+
+
 def test_stirling_multi_small_case():
-    check = identities._stirling_multi((1, 0), 2, identities._multinomial_weights(2, 2))
+    check = identities._stirling_multi((1, 0), 2, identities._multinomial_weights(2, 2),
+                                       _stirling_table(2))
     assert check.holds and check.lhs == stirling2(2, 1)
+
+
+def test_stirling_multi_sweep_tables_each_stirling_number_once_per_n_and_d(monkeypatch):
+    # S(b, a), a, b <= d, is tabled once per (n, d), not asked per beta and coordinate
+    calls = []
+    stirling = identities.stirling2
+    monkeypatch.setattr(identities, "stirling2", lambda b, a: calls.append((b, a)) or stirling(b, a))
+    checks = list(sweep_stirling_multi(max_n=3, max_d=5))
+    assert checks and all(c.holds for c in checks)
+    assert Counter(calls) == Counter((b, a) for n in range(1, 4) for d in range(2, 6)
+                                     for b in range(d + 1) for a in range(d + 1))
 
 
 def test_kmr_example_and_degenerate_window():
@@ -319,7 +336,8 @@ def _reference_stirling_sum(max_d, max_r):
 
 
 def _reference_stirling_multi(max_n, max_d):
-    return [identities._stirling_multi(alpha, d, identities._multinomial_weights(n, d))
+    return [identities._stirling_multi(alpha, d, identities._multinomial_weights(n, d),
+                                       _stirling_table(d))
             for n in range(1, max_n + 1) for d in range(2, max_d + 1)
             for k in range(1, d) for alpha in compositions(n, k)]
 
