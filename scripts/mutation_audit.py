@@ -215,6 +215,11 @@ MUTANTS = (
            'value.startswith("-") and _option_action(options, value) is None',
            'value.startswith("-")',
            ("tests/test_cli.py",)),
+    # main parses with one parser, built once per process (cli._kept_parser):
+    # killed by test_a_process_builds_the_parser_once_for_every_call
+    Mutant("parser-built-on-every-call", CLI,
+           "    parser = _kept_parser()\n", "    parser = build_parser()\n",
+           ("tests/test_cli.py",)),
     # the one Stirling evaluation (hypergeom._stirling_terms): its quotients
     # power(total, K) // power(total, k)
     Mutant("stirling-terms-drop-the-power-ratio", HYPERGEOM,

@@ -39,7 +39,6 @@ from .hypergeom import (
     bernstein_approximation,
     expectation,
     moment,
-    scaled_moment,
 )
 from .identities import (
     IdentityCheck,

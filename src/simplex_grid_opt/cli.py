@@ -365,125 +365,93 @@ def cmd_enclose(args: argparse.Namespace) -> int:
 
 # --- parser --------------------------------------------------------------------
 
+_CAPS = ident_mod.run_default_sweeps.__kwdefaults__  # verify's seven cap defaults
 
-def _add_common(sub: argparse.ArgumentParser, *, poly: bool = False, r: bool = False,
-                sweeps: bool = False, guard: bool = False) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    if sweeps:
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads for grid sweeps, capped at the CPU count; "
-                         "never changes the output, and gives no speed-up under the GIL")
-    if sweeps or guard:
-        sub.add_argument("--force", action="store_true",
-                         help="bypass the grid size guard (SGO_MAX_GRID, default 1e8)")
-    if poly:
-        sub.add_argument("--poly", required=True, help="polynomial JSON file")
-        sub.add_argument("--homogenize", action="store_true",
-                         help="raise lower-degree terms to the stated degree")
-    if r:
-        sub.add_argument("--r", type=int, required=True, help="grid denominator")
+# option: its add_argument keywords, the same for every verb that takes it
+_OPTIONS: "dict[str, dict[str, Any]]" = {
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--threads": dict(type=int, default=1,
+                      help="worker threads for grid sweeps, capped at the CPU count; "
+                      "never changes the output, and gives no speed-up under the GIL"),
+    "--force": dict(action="store_true",
+                    help="bypass the grid size guard (SGO_MAX_GRID, default 1e8)"),
+    "--poly": dict(required=True, help="polynomial JSON file"),
+    "--homogenize": dict(action="store_true",
+                         help="raise lower-degree terms to the stated degree"),
+    "--r": dict(type=int, required=True, help="grid denominator"),
+    "--m": dict(type=int, help="total balls in the urn"),
+    "--counts": dict(help="comma-separated balls per color, summing to m"),
+    "--bernstein": dict(action="store_true",
+                        help="also compute the order-r with-replacement value"),
+    "--x": dict(help="simplex point for --bernstein, e.g. 7/16,9/16"),
+    "--d": dict(type=int, required=True, help="polynomial degree"),
+    "--r-range": dict(required=True, help="grid denominator(s), e.g. 2 or 1:16"),
+    "--m-range": dict(help="reference denominator(s), e.g. 4 or 2:8"),
+    "--elevation": dict(type=int, default=0),
+    "--grid": dict(type=int, help="extra enclosure grid denominator"),
+    "--assume-min-denominator": dict(
+        type=int, help="assert the simplex minimum is attained at this denominator"),
+    "--assume-max-denominator": dict(
+        type=int, help="assert the simplex maximum is attained at this denominator"),
+    "--seed": dict(type=int, default=_CAPS["seed"]),
+    "--samples": dict(type=int, default=_CAPS["samples"],
+                      help="random integer points for the polynomial identities"),
+    "--witness-polys": dict(type=int, default=8, help="random polynomials for bound witnesses"),
+    **{f"--{cap.replace('_', '-')}": dict(type=int, default=_CAPS[cap])
+       for cap in ("max_n", "max_d", "max_m", "max_k", "max_r")},
+    "--inject-fault": dict(action="store_true",
+                           help="append a deliberately failing check (harness self-test)"),
+    "--graph": dict(required=True, help="edge list file, one 'u v' per line"),
+}
 
-
-def _grid_extremum_options(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub, poly=True, r=True, sweeps=True)
-
-
-def _expect_options(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub, poly=True, r=True)
-    sub.add_argument("--m", type=int, help="total balls in the urn")
-    sub.add_argument("--counts", help="comma-separated balls per color, summing to m")
-    sub.add_argument("--bernstein", action="store_true",
-                     help="also compute the order-r with-replacement value")
-    sub.add_argument("--x", help="simplex point for --bernstein, e.g. 7/16,9/16")
-
-
-def _bounds_options(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub)
-    sub.add_argument("--d", type=int, required=True, help="polynomial degree")
-    sub.add_argument("--r-range", required=True, help="grid denominator(s), e.g. 2 or 1:16")
-    sub.add_argument("--m-range", help="reference denominator(s), e.g. 4 or 2:8")
-
-
-def _converge_options(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub, poly=True, sweeps=True)
-    sub.add_argument("--r-range", required=True)
-    sub.add_argument("--elevation", type=int, default=0)
-    sub.add_argument("--grid", type=int, help="extra enclosure grid denominator")
-    sub.add_argument("--assume-min-denominator", type=int,
-                     help="assert the simplex minimum is attained at this denominator")
-    sub.add_argument("--assume-max-denominator", type=int,
-                     help="assert the simplex maximum is attained at this denominator")
-
-
-def _verify_options(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub)
-    caps = ident_mod.run_default_sweeps.__kwdefaults__  # the defaults of the seven caps
-    sub.add_argument("--seed", type=int, default=caps["seed"])
-    sub.add_argument("--samples", type=int, default=caps["samples"],
-                     help="random integer points for the polynomial identities")
-    sub.add_argument("--witness-polys", type=int, default=8,
-                     help="random polynomials for bound witnesses")
-    for cap in ("max_n", "max_d", "max_m", "max_k", "max_r"):
-        sub.add_argument(f"--{cap.replace('_', '-')}", type=int, default=caps[cap])
-    sub.add_argument("--inject-fault", action="store_true",
-                     help="append a deliberately failing check (harness self-test)")
-
-
-def _stable_set_options(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub, guard=True)
-    sub.add_argument("--graph", required=True, help="edge list file, one 'u v' per line")
-    sub.add_argument("--r", type=int, required=True)
-
-
-def _enclose_options(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub, poly=True, r=True, sweeps=True)
-    sub.add_argument("--elevation", type=int, default=0)
-
-
-# verb: (help, command, options), in the order the full parser lists them
+# verb: (help, command, its options of _OPTIONS in usage order), in the order
+# the parser lists them
 _VERBS = {
-    "grid-min": ("exact grid minimum", cmd_grid_extremum, _grid_extremum_options),
-    "grid-max": ("exact grid maximum", cmd_grid_extremum, _grid_extremum_options),
+    "grid-min": ("exact grid minimum", cmd_grid_extremum,
+                 "--format --threads --force --poly --homogenize --r"),
+    "grid-max": ("exact grid maximum", cmd_grid_extremum,
+                 "--format --threads --force --poly --homogenize --r"),
     "expect": ("urn-model expectation of f, and the with-replacement comparison value",
-               cmd_expect, _expect_options),
-    "bounds": ("table of error-bound coefficients", cmd_bounds, _bounds_options),
+               cmd_expect, "--format --poly --homogenize --r --m --counts --bernstein --x"),
+    "bounds": ("table of error-bound coefficients", cmd_bounds,
+               "--format --d --r-range --m-range"),
     "converge": ("grid values, normalized-error intervals, and bound coefficients over "
-                 "a range of r", cmd_converge, _converge_options),
-    "verify": ("run identity sweeps and bound witnesses; exit 4 on any failure",
-               cmd_verify, _verify_options),
+                 "a range of r", cmd_converge,
+                 "--format --threads --force --poly --homogenize --r-range --elevation --grid "
+                 "--assume-min-denominator --assume-max-denominator"),
+    "verify": ("run identity sweeps and bound witnesses; exit 4 on any failure", cmd_verify,
+               "--format --seed --samples --witness-polys --max-n --max-d --max-m --max-k "
+               "--max-r --inject-fault"),
     "stable-set": ("certified stability-number lower bound", cmd_stable_set,
-                   _stable_set_options),
-    "enclose": ("certified enclosures of the simplex extrema", cmd_enclose, _enclose_options),
+                   "--format --force --graph --r"),
+    "enclose": ("certified enclosures of the simplex extrema", cmd_enclose,
+                "--format --threads --force --poly --homogenize --r --elevation"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full `sgo` parser, one subparser per verb of _VERBS."""
+    """The `sgo` parser: one subparser per verb of _VERBS, which takes the
+    verb's options and sets its `verb` and `func` defaults."""
     parser = argparse.ArgumentParser(
         prog="sgo",
         description="Exact minimization of homogeneous polynomials over simplex grids, "
         "with certified error bounds and identity verification.",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-    for name, (help_text, func, add_options) in _VERBS.items():
-        sub = subs.add_parser(name, help=help_text)
-        add_options(sub)
-        sub.set_defaults(func=func)
+    for verb, (help_text, func, options) in _VERBS.items():
+        sub = subs.add_parser(verb, help=help_text)
+        for option in options.split():
+            sub.add_argument(option, **_OPTIONS[option])
+        sub.set_defaults(verb=verb, func=func)
     return parser
 
 
 @cache
-def _verb_parser(verb: str) -> argparse.ArgumentParser:
-    """The one verb's parser alone, as the full parser's subparser for it reads
-    the arguments after the verb: the same prog, options and messages.  It is
-    built on the verb's first parse and kept: it depends on the verb alone,
-    and a parse leaves it as it was, so a process that runs many commands,
-    such as a test suite or a library caller of main, builds it once."""
-    _, func, add_options = _VERBS[verb]
-    parser = argparse.ArgumentParser(prog=f"sgo {verb}")
-    add_options(parser)
-    parser.set_defaults(verb=verb, func=func)
-    return parser
+def _kept_parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first parse and kept: a parse leaves it as
+    it was, so a process that runs many commands, such as a test suite or a
+    library caller of main, builds it once."""
+    return build_parser()
 
 
 def _option_action(options: "dict[str, argparse.Action]", token: str) -> "argparse.Action | None":
@@ -525,18 +493,20 @@ def _attach_values(parser: argparse.ArgumentParser, argv: "list[str]") -> "Itera
 
 
 def _parse(argv: "list[str]") -> argparse.Namespace:
-    """Parse with the called verb's parser alone, which builds no subparser
-    and is built once per process (_verb_parser).  Anything that parser
+    """Parse with the one parser (_kept_parser).  The called verb's subparser
+    reads the arguments after the verb, each value that starts with "-"
+    attached to its option first (_attach_values).  Anything the subparser
     cannot place, and any argv that does not start with a verb, goes to the
-    full parser, which prints the usage, help and errors.  A value that
-    starts with "-" is attached to its option first (_attach_values)."""
+    whole parser, which prints the usage, help and errors."""
+    parser = _kept_parser()
     if argv and argv[0] in _VERBS:
-        parser = _verb_parser(argv[0])
-        argv = [*argv[:1], *_attach_values(parser, argv[1:])]
-        args, extras = parser.parse_known_args(argv[1:])
+        [subs] = parser._subparsers._group_actions
+        sub = subs.choices[argv[0]]
+        argv = [*argv[:1], *_attach_values(sub, argv[1:])]
+        args, extras = sub.parse_known_args(argv[1:])
         if not extras:
             return args
-    return build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def main(argv: "list[str] | None" = None) -> int:

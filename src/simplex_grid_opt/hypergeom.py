@@ -4,7 +4,7 @@ An urn holds m balls, counts[i] of color i; drawing r balls without
 replacement makes the color-count vector Y a lattice point of I(n, r), and
 X = Y/r a random point of the simplex grid with denominator r.  This module
 computes, through one Stirling-number expansion shared by both urns, the raw
-moments of Y and X, exact expectations E[f(X)] for polynomial f, and the
+moments of Y, exact expectations E[f(X)] for polynomial f, and the
 draws-with-replacement counterpart of E[f(X)] (the order-r Bernstein
 approximation of f) in closed form, without a sum over the grid.  The pmf,
 the brute-force moments and the closed degree-2 and degree-3 moment forms
@@ -80,7 +80,7 @@ class HypergeomParams(_Record):
 
 def _stirling_rows(
     beta: "tuple[int, ...]", colors: Sequence[int], power: Power, top: int,
-    rows: "dict[tuple[int, int], list[int]] | None" = None,
+    rows: "dict[tuple[int, int], list[int]]",
 ) -> "list[int]":
     """grouped[k] for k = 0..min(|beta|, top): the sum over a <= beta with |a| = k
     of prod S(beta_i, a_i) * power(colors_i, a_i).  Independent of r; see
@@ -88,10 +88,7 @@ def _stirling_rows(
 
     rows maps (c, b) to the row S(b, a) * power(c, a), a = 0..min(b, top),
     built on its first use; a sweep passes one dict to every call with one
-    power and top = |beta|, so each row is built once in the sweep.  Without
-    one, the rows live for this call."""
-    if rows is None:
-        rows = {}
+    power and top = |beta|, so each row is built once in the sweep."""
     grouped = [1]  # grouped[k]: sum over |a| = k of the row products so far
     for c, b in zip(colors, beta):
         if b:
@@ -157,30 +154,20 @@ def _scaled_moments(
     return list(map(mul, _stirling_rows(beta, counts, power, top, rows), quotients))
 
 
-def _moment_terms(p: HypergeomParams, beta: Sequence[int]) -> "tuple[int, int]":
-    """(numerator, denominator) of E[prod Y_i^beta_i]; see moment."""
-    beta = tuple(map(_as_int, beta))
-    if len(beta) != p.n:
-        raise ValueError(f"moment index has {len(beta)} entries, expected {p.n}")
-    if any(b < 0 for b in beta):
-        raise ValueError(f"negative entry in {beta}")
-    return _stirling_terms(beta, p.r, p.counts, p.m, falling)
-
-
 def moment(p: HypergeomParams, beta: Sequence[int]) -> Fraction:
     """Raw moment E[prod Y_i^beta_i] via the Stirling-number expansion.
 
     Sums falling(r,|a|)/falling(m,|a|) * prod falling(counts_i, a_i) * S(beta_i, a_i)
     over all a <= beta componentwise, in integers (see _stirling_terms); zero
-    color counts need no special casing.
+    color counts need no special casing.  The moment of X = Y/r is this over
+    r^|beta|.
     """
-    return Fraction(*_moment_terms(p, beta))
-
-
-def scaled_moment(p: HypergeomParams, beta: Sequence[int]) -> Fraction:
-    """Raw moment E[prod X_i^beta_i] of the grid point X = Y/r."""
-    num, den = _moment_terms(p, beta)
-    return Fraction(num, den * p.r ** sum(beta))
+    beta = tuple(map(_as_int, beta))
+    if len(beta) != p.n:
+        raise ValueError(f"moment index has {len(beta)} entries, expected {p.n}")
+    if any(b < 0 for b in beta):
+        raise ValueError(f"negative entry in {beta}")
+    return Fraction(*_stirling_terms(beta, p.r, p.counts, p.m, falling))
 
 
 def _expected_value(

@@ -68,9 +68,6 @@ class HomogeneousPolynomial(_Record):
             d = max(sum(alpha) for alpha in merged)
         return cls(n=n, d=d, coeffs=merged)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
 
 def _size(n: int, d: int) -> "tuple[int, int]":
     """(n, d) as ints (_as_int), refused (ValueError) unless both are at least 1."""

@@ -31,6 +31,7 @@ from simplex_grid_opt import (
     evaluate,
     falling,
     fraction_str,
+    moment,
     multinomial,
     stirling2,
 )
@@ -629,6 +630,11 @@ def moment_bruteforce(
         if weight:
             num += weight * prod(map(pow, alpha, beta))
     return Fraction(num, binomial(p.m, p.r))
+
+
+def scaled_moment(p: HypergeomParams, beta: Sequence[int]) -> Fraction:
+    """E[prod X_i^beta_i] of the grid point X = Y/r, from the public moment."""
+    return moment(p, beta) / p.r ** sum(beta)
 
 
 def scaled_moment_bruteforce(

@@ -21,7 +21,6 @@ from simplex_grid_opt import (
     alpha_lower_bound,
     random_polynomial,
     run_default_sweeps,
-    scaled_moment,
     Graph,
     is_square_free,
 )
@@ -33,6 +32,7 @@ from strats import (
     cubic_moments_closed,
     petersen,
     quadratic_moments_closed,
+    scaled_moment,
     scaled_moment_bruteforce,
     strict_gap_poly,
     sum_of_squares,

@@ -387,10 +387,14 @@ def test_a_value_starting_with_a_dash_reads_as_after_an_equals_sign(capsys, argv
     assert spaced == joined == (EXIT_CONFIG, "", f"error: {error}\n")
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def _unique_prefixes(verb: str, option: str) -> "list[str]":
     """Every prefix of option, itself included, that argparse's allow_abbrev
     reads as option alone among the verb's option strings."""
-    options = cli._verb_parser(verb)._option_string_actions
+    options = _subparsers(cli._kept_parser()).choices[verb]._option_string_actions
     return [option[:end] for end in range(3, len(option) + 1)
             if [o for o in options if o.startswith(option[:end])] == [option]]
 
@@ -429,9 +433,10 @@ def test_a_double_dash_after_a_value_option_is_left_to_argparse(capsys):
 
 
 def _one_value_options() -> "list[tuple[str, str]]":
-    """(verb, option) for every option of every verb's parser that takes one value."""
-    return [(verb, action.option_strings[0]) for verb in cli._VERBS
-            for action in cli._verb_parser(verb)._actions if action.option_strings and action.nargs is None]
+    """(verb, option) for every option of every verb's subparser that takes one value."""
+    return [(verb, action.option_strings[0])
+            for verb, sub in _subparsers(cli._kept_parser()).choices.items()
+            for action in sub._actions if action.option_strings and action.nargs is None]
 
 
 @pytest.mark.parametrize("verb, option", _one_value_options())
@@ -455,7 +460,8 @@ def test_an_ambiguous_prefix_before_a_dash_leading_value_is_left_to_argparse(cap
     # --assume-m names two options: argparse's own error, byte for byte as the
     # full parser prints it, and no value is attached to either
     argv = ["converge", "--poly", GAP, "--r-range", "2", "--assume-m", "-3"]
-    assert list(cli._attach_values(cli._verb_parser("converge"), argv[1:])) == argv[1:]
+    converge = _subparsers(cli._kept_parser()).choices["converge"]
+    assert list(cli._attach_values(converge, argv[1:])) == argv[1:]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     err = capsys.readouterr().err
@@ -1750,7 +1756,7 @@ PUBLIC_NAMES = [
     "is_square_free", "load_graph", "load_polynomial", "moment",
     "multinomial", "parse_graph_text",
     "random_polynomial", "range_enclosures", "rho_interval",
-    "run_default_sweeps", "scaled_moment", "stirling2",
+    "run_default_sweeps", "stirling2",
 ]
 VERB_OPTIONS = [
     "bounds --d", "bounds --format", "bounds --m-range", "bounds --r-range",
@@ -1779,19 +1785,17 @@ def test_public_names_and_verb_options_are_pinned():
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
     assert _verb_options(cli.build_parser()) == VERB_OPTIONS
-    # each verb's own parser holds that verb's options alone, under its subparser's prog
+    # each verb's subparser in the kept parser holds that verb's options
+    # alone, under the prog of a fresh parser's subparser
     one_verb = []
+    kept = _subparsers(cli._kept_parser()).choices
     for verb, sub in _subparsers(cli.build_parser()).choices.items():
-        parser = cli._verb_parser(verb)
+        parser = kept[verb]
         assert parser.prog == sub.prog == f"sgo {verb}"
         one_verb += [f"{verb} {option}" for action in parser._actions
                      if not isinstance(action, argparse._HelpAction)
                      for option in action.option_strings]
     assert sorted(one_verb) == VERB_OPTIONS
-
-
-def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
 def _verb_options(parser: argparse.ArgumentParser) -> "list[str]":
@@ -1811,46 +1815,6 @@ ENTRY_POINT_ARGV = [
     ("stable-set", "--graph", PETERSEN, "--r", "2"),
     ("enclose", "--poly", SOS4, "--r", "3", "--format", "csv"),
 ]
-
-
-@pytest.mark.parametrize("argv", [*ENTRY_POINT_ARGV, ENTRY_POINT_ARGV[3] + ("--bogus",)],
-                         ids=[*cli._VERBS, "bogus"])
-def test_main_builds_only_the_called_verbs_parser(capsys, monkeypatch, argv):
-    # a run builds the verb's parser alone and no subparser, and the next run
-    # of that verb builds none; a leftover argument builds every verb's
-    # subparser, for the error, each time
-    cli._verb_parser.cache_clear()
-    added, built = [], []
-    add_parser = argparse._SubParsersAction.add_parser
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, name, **kwargs):
-        added.append(name)
-        return add_parser(self, name, **kwargs)
-
-    def recorded(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self.prog)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
-    verb_prog = f"sgo {argv[0]}"
-    full = ["sgo", *(f"sgo {verb}" for verb in cli._VERBS)]
-    if "--bogus" in argv:
-        with pytest.raises(SystemExit):
-            main(list(argv))
-        assert added == list(cli._VERBS)
-        assert built == [verb_prog, *full]
-        with pytest.raises(SystemExit):
-            main(list(argv))
-        assert added == list(cli._VERBS) * 2
-        assert built == [verb_prog, *full, *full]
-    else:
-        assert main(list(argv)) == EXIT_OK
-        assert added == [] and built == [verb_prog]
-        assert main(list(argv)) == EXIT_OK
-        assert added == [] and built == [verb_prog]
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", ENTRY_POINT_ARGV, ids=[argv[0] for argv in ENTRY_POINT_ARGV])
@@ -1928,7 +1892,7 @@ def _parse_exit(capsys, parse, argv) -> str:
 
 
 # SHA-256 of json.dumps([exit code, stdout, stderr]) of each case, at 80
-# columns, recorded under Python 3.11 while main still built every verb's parser
+# columns, recorded under Python 3.11
 PARSER_DIGESTS = {
     "bounds-bad-int": "fdbdd266bf61cfe342d69fb4be567e688b9a9825ae1f82c2e7ba0a5d8ca9d30c",
     "bounds-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
@@ -1936,7 +1900,7 @@ PARSER_DIGESTS = {
     "bounds-missing": "a21745c6fffad814bd83d7b685bc3e237ee03d7a5d98d7e3d0590c723d2ce692",
     "converge-bad-int": "4b763ee50d9d7edcbb34f291bc69d6ed4da44f023c4ce6dc7aff6ca36af3b951",
     "converge-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
-    "converge-help": "a5b8db2af4de8ffac6d6db787567fe0458e2bbb269328da716e150d3e0fe28a2",
+    "converge-help": "0f470c758e82766be221ee47e3c22ae3e757d615c34de33647c978b132be1550",
     "converge-missing": "e8dcce08ccd725db0755cc212e4dbf52cff6520895f691b4163eec41bf652301",
     "enclose-bad-int": "64025dea9d9705f7856d6cfcfdde7190512e10bd983e73221fd6df4dc9c9b4cd",
     "enclose-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
@@ -1959,7 +1923,7 @@ PARSER_DIGESTS = {
     "no-verb": "79e8f42599f716df215b81259a316699730c79a756ef5593491763dd61752bbf",
     "stable-set-bad-int": "fa2a9eada478da790b2ad5b25581bbe6be104f0af9537c832269258c14b88e14",
     "stable-set-bogus": "2263a151d455ce0fc3cb8033f0ff14bc9289d4b72ec22e9a5a0d18fc91b74aa8",
-    "stable-set-help": "d1a5620993d4643fd305f1f5f5cfe292e5077a32e300b3d957d4c93ab6f59208",
+    "stable-set-help": "c2a09762689eda7a3e576e3cc37ed53028691731dda558ce2e73f43c10a915af",
     "stable-set-missing": "211be616579e802e6679944d8b01c559390e593437f1d552f45a953dc32014ea",
     "unknown-verb": "d0b6a1ba8d6839396051683af4fceb075f698c46806502114dbfb2af9a49dee1",
     "verify-bad-int": "8414c18527b778195e8d654539cbc24bdcdfdb8d9c1228f9ee81b3eade2769b1",
@@ -1981,12 +1945,12 @@ def test_usage_and_parse_error_bytes_are_pinned(capsys, monkeypatch, case):
 
 @pytest.mark.parametrize("case", sorted(PARSER_CASES))
 def test_a_kept_verb_parser_prints_the_same_bytes_again(capsys, monkeypatch, case):
-    # each verb's parser is built once and kept (cli._verb_parser): a second
-    # run of a case, and a run after a parse that succeeded with the kept
-    # parser, print the bytes of the first run
+    # the parser is built once and kept (cli._kept_parser): a second run of a
+    # case, and a run after a parse that succeeded with the kept parser,
+    # print the bytes of the first run
     monkeypatch.setenv("COLUMNS", "80")
     argv = PARSER_CASES[case]
-    cli._verb_parser.cache_clear()
+    cli._kept_parser.cache_clear()
     first = _parse_exit(capsys, main, argv)
     assert _parse_exit(capsys, main, argv) == first
     if argv and argv[0] in _VERB_ARGS:
@@ -1995,6 +1959,46 @@ def test_a_kept_verb_parser_prints_the_same_bytes_again(capsys, monkeypatch, cas
         assert _parse_exit(capsys, main, argv) == first
     if sys.version_info[:2] == (3, 11):  # argparse's layout differs between versions
         assert first == PARSER_DIGESTS[case]
+
+
+# runs the calls of argv[1] (a JSON list) through main in one process, and
+# prints the exit codes and the prog of every ArgumentParser constructed
+_COUNT_PARSERS = """
+import argparse, io, json, sys
+built, init = [], argparse.ArgumentParser.__init__
+def recorded(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+argparse.ArgumentParser.__init__ = recorded
+from simplex_grid_opt.cli import main
+calls, out, codes = json.loads(sys.argv[1]), sys.stdout, []
+sys.stdout = sys.stderr = io.StringIO()
+for argv in calls:
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+out.write(json.dumps([codes, built]))
+"""
+
+
+@pytest.mark.parametrize("first", [*ENTRY_POINT_ARGV, ENTRY_POINT_ARGV[3] + ("--bogus",)],
+                         ids=[*cli._VERBS, "bogus"])
+def test_a_process_builds_the_parser_once_for_every_call(first):
+    # whichever call comes first, a run of any verb or a leftover-argument
+    # error, it builds sgo and its 8 subparsers, and no later run, help,
+    # usage or error of the process constructs a parser
+    calls = [list(first), *map(list, ENTRY_POINT_ARGV), *PARSER_CASES.values()]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _COUNT_PARSERS, json.dumps(calls)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, built = json.loads(proc.stdout)
+    assert codes == [EXIT_CONFIG if "--bogus" in first else EXIT_OK] + [
+        EXIT_OK] * len(ENTRY_POINT_ARGV) + [
+        EXIT_OK if "-h" in argv else EXIT_CONFIG for argv in PARSER_CASES.values()]
+    assert built == ["sgo", *(f"sgo {verb}" for verb in cli._VERBS)]
 
 
 def test_a_sweep_past_the_row_table_bound_exits_2_before_any_table(capsys, monkeypatch, tmp_path):

@@ -20,7 +20,6 @@ from simplex_grid_opt import (
     is_square_free,
     moment,
     random_polynomial,
-    scaled_moment,
 )
 from simplex_grid_opt.hypergeom import (
     _falling_quotients,
@@ -36,6 +35,7 @@ from strats import (
     pmf,
     polynomials,
     quadratic_moments_closed,
+    scaled_moment,
     scaled_moment_bruteforce,
     simplex_points,
     strict_gap_poly,

@@ -17,10 +17,9 @@ from simplex_grid_opt import (
     falling,
     fraction_str,
     multinomial,
-    scaled_moment,
     stirling2,
 )
-from strats import naive_a_beta
+from strats import naive_a_beta, scaled_moment
 from simplex_grid_opt import hypergeom, identities
 from simplex_grid_opt.combin import rate_constant
 from simplex_grid_opt.cli import EXIT_VERIFY_FAILED, main
@@ -101,7 +100,7 @@ def _a_beta_sum_reference(r, m, d, counts):
 
 
 def _moment_decomposition_reference(p, beta):
-    """MOMENT_DECOMPOSITION at one urn, from the public scaled_moment and a_beta."""
+    """MOMENT_DECOMPOSITION at one urn, from the public moment and a_beta."""
     d = sum(beta)
     lhs = scaled_moment(p, beta)
     point = math.prod(map(pow, p.counts, beta)) * falling(p.r, d)
@@ -327,7 +326,7 @@ def test_sweeps_report_the_a_beta_values_of_the_public_function():
 
 # --- every sweep against checks built one by one --------------------------------
 # The closed-form families call their evaluators one check at a time; A_beta and
-# the moment decomposition are rebuilt from the public a_beta and scaled_moment.
+# the moment decomposition are rebuilt from the public a_beta and moment.
 
 
 def _reference_stirling_sum(max_d, max_r):

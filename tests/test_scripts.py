@@ -56,6 +56,25 @@ def test_rate_study_shows_the_inverse_square_rate_of_an_anchored_cubic():
     assert max(Fraction(row[3]) for row in rows) == Fraction(19, 35)
 
 
+@pytest.mark.parametrize("n", [25, 26])
+def test_petersen_bound_prints_the_exact_stability_number_unless_exact_alpha_refuses(tmp_path, n):
+    # a path on n vertices has alpha = ceil(n / 2); past exact_alpha's vertex
+    # limit the script prints the grid bounds alone and still exits 0
+    graph = tmp_path / "path.edges"
+    graph.write_text("".join(f"{v} {v + 1}\n" for v in range(1, n)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "petersen_bound.py"), "--graph", str(graph),
+         "--r-max", "2"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"graph: {n} vertices, {n - 1} edges\n")
+    exact = [line for line in proc.stdout.splitlines() if line.startswith("exact")]
+    assert exact == (["exact stability number: 13"] if n == 25 else [])
+
+
 def test_every_audited_mutant_applies_once_to_existing_files():
     # the mutation audit's reviewed list stays in step with the sources: each
     # original text occurs exactly once in its file, each named test file
