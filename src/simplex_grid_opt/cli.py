@@ -431,7 +431,7 @@ _VERBS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The `sgo` parser: one subparser per verb of _VERBS, which takes the
-    verb's options and sets its `verb` and `func` defaults."""
+    verb's options and sets its `func` default."""
     parser = argparse.ArgumentParser(
         prog="sgo",
         description="Exact minimization of homogeneous polynomials over simplex grids, "
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(verb, help=help_text)
         for option in options.split():
             sub.add_argument(option, **_OPTIONS[option])
-        sub.set_defaults(verb=verb, func=func)
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -493,19 +493,12 @@ def _attach_values(parser: argparse.ArgumentParser, argv: "list[str]") -> "Itera
 
 
 def _parse(argv: "list[str]") -> argparse.Namespace:
-    """Parse with the one parser (_kept_parser).  The called verb's subparser
-    reads the arguments after the verb, each value that starts with "-"
-    attached to its option first (_attach_values).  Anything the subparser
-    cannot place, and any argv that does not start with a verb, goes to the
-    whole parser, which prints the usage, help and errors."""
+    """Parse with the one parser (_kept_parser), each value after the verb
+    that starts with "-" attached to its option first (_attach_values)."""
     parser = _kept_parser()
     if argv and argv[0] in _VERBS:
-        [subs] = parser._subparsers._group_actions
-        sub = subs.choices[argv[0]]
-        argv = [*argv[:1], *_attach_values(sub, argv[1:])]
-        args, extras = sub.parse_known_args(argv[1:])
-        if not extras:
-            return args
+        [subs] = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        argv = [argv[0], *_attach_values(subs.choices[argv[0]], argv[1:])]
     return parser.parse_args(argv)
 
 

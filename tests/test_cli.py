@@ -1818,9 +1818,12 @@ ENTRY_POINT_ARGV = [
 
 
 @pytest.mark.parametrize("argv", ENTRY_POINT_ARGV, ids=[argv[0] for argv in ENTRY_POINT_ARGV])
-def test_the_verb_parser_reads_what_the_full_parser_reads(argv):
-    # the same attributes with the same values, `verb` and `func` included
-    assert vars(cli._parse(list(argv))) == vars(cli.build_parser().parse_args(list(argv)))
+def test_the_kept_parser_reads_what_a_fresh_parser_reads(argv):
+    # the parser main keeps (cli._kept_parser), after the parses before this
+    # one and with _attach_values, gives the attributes and values of a fresh
+    # parser, `verb` and `func` included, and gives them again
+    fresh = vars(cli.build_parser().parse_args(list(argv)))
+    assert vars(cli._parse(list(argv))) == vars(cli._parse(list(argv))) == fresh
 
 
 @pytest.mark.parametrize("argv", ENTRY_POINT_ARGV, ids=[argv[0] for argv in ENTRY_POINT_ARGV])
