@@ -87,7 +87,7 @@ MUTANTS = (
            "islice(points, self.cap - len(self.points))", "islice(points, self.cap)",
            ("tests/test_grid.py",)),
     Mutant("quadratic-drops-the-tie-at-v-plus-1", GRID,
-           "hits = (v, v + 1) if v < s and t1 + t2 * v == 0 else (v,)", "hits = (v,)",
+           "hits = (v, v + 1) if v < hi and t1 + t2 * v == 0 else (v,)", "hits = (v,)",
            ("tests/test_grid.py",)),
     Mutant("packed-test-not-strict", GRID,
            "self.ones = ones - self.bias", "self.ones = -self.bias",
@@ -311,6 +311,23 @@ MUTANTS = (
     Mutant("quadratic-min-side-reads-the-greatest-edge", GRID,
            "not _diagonal_beats(lo, min(edges), vertices)",
            "not _diagonal_beats(lo, max(edges), vertices)",
+           ("tests/test_grid.py",)),
+    # orbit sweeps (grid._blocks, grid._scan): the blocks come from the
+    # coefficients, and the walk admits one nondecreasing point per orbit
+    Mutant("blocks-ignore-coefficients", GRID,
+           "alpha[i + 2:]) == c", "alpha[i + 2:]) is not None",
+           ("tests/test_grid.py",)),
+    Mutant("orbit-child-lower-bound-past-the-previous", GRID,
+           "enter(k + 1, child, rest, here, a if follow else 0, rest // part + 1)",
+           "enter(k + 1, child, rest, here, a + 1 if follow else 0, rest // part + 1)",
+           ("tests/test_grid.py",)),
+    Mutant("orbit-child-upper-bound-one-past", GRID,
+           "enter(k + 1, child, rest, here, a if follow else 0, rest // part + 1)",
+           "enter(k + 1, child, rest, here, a if follow else 0, rest // part + 2)",
+           ("tests/test_grid.py",)),
+    Mutant("orbit-row-upper-bound-whole-row", GRID,
+           "shape.rows[rest], a if follow else 0,\n                               rest // part)",
+           "shape.rows[rest], a if follow else 0,\n                               rest)",
            ("tests/test_grid.py",)),
     # equivalent mutants
     Mutant("sigma-strict", IDENTITIES,

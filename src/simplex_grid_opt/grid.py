@@ -112,6 +112,31 @@ extremes _bernstein_extrema reads as integer pairs.
   _BOUND_ENTRIES_PER_POINT entries are bounded, from their own coefficients or
   stepped ones; rows are bounded only when stepped, as the nodes of depth
   n - 2.  evaluations still counts every grid point, evaluated or certified.
+- Orbits.  When swapping coordinates i and i + 1 maps the integer
+  coefficient table of L*f onto itself, the swap leaves f unchanged, and the
+  runs of such neighbours form blocks (_blocks; at most n - 1 comparisons of
+  the table when the plan is built, each stopping at its first mismatch).
+  Every permutation inside a block leaves f unchanged, so a grid point and
+  its images, its orbit, share one value.  An orbit sweep (_Plan.extremes,
+  the one sweep that reads values only, through which converge, the
+  enclosures' grids and the bound witnesses go) walks only the points that
+  are nondecreasing inside each block, the lex-least member of each orbit
+  (Riener, Theobald, Andren and Lasserre, Math. Oper. Res. 38, 2013, on
+  symmetry in polynomial optimization).  A depth-k child runs from
+  alpha_{k-1}, when k - 1 is in k's block, up to floor(s / (the block's
+  coordinates left from k)); a row runs v from alpha_{n-3}, when n - 3 shares
+  the row's block, up to floor(s/2) when n - 2 and n - 1 share a block; the
+  closed-form and tabulated rows take that range, and the chunks cover only
+  the alpha_0 the walk admits (_scan, _alpha0_chunks).  With no blocks it is
+  the full walk, from 0 to s.  Stepped runs, node tests and Bernstein tables
+  stay as they are: they bound every point under a node, a superset of its
+  representatives.  The extremes are the full walk's, but ties counts
+  representatives, the points kept are the lex-first representatives, not
+  the lex-first points, and the pruned count, which counts whole subtrees,
+  is not read.  So grid_extrema
+  and its kin, whose minimizers and tie counts are reported, and direct
+  _sweep calls walk every point.  Blocks that are not contiguous and other
+  symmetries of f are not used.
 - The tables depend only on f's support, not on its coefficients, and are kept
   in one cache for the few most recently used supports (_shape).  A plan holds
   its shape for every denominator it sweeps, so the cache serves only later
@@ -148,7 +173,7 @@ from typing import Sequence
 
 from .combin import composition_count
 from .poly import HomogeneousPolynomial
-from .rational import _as_int, _Record, decimal_str
+from .rational import _as_int, _Record, _shown, decimal_str
 
 MINIMIZER_CAP = 16
 DEFAULT_GRID_GUARD = 10**8
@@ -290,34 +315,40 @@ class _Extreme:
         self.points: "list[tuple[int, ...]]" = []
         self.ties = 0
 
-    def add_row(self, values: "list[int]", prefix: "tuple[int, ...]", s: int) -> None:
-        """Take the row of points prefix + (v, s - v) with values[v], v = 0..s."""
+    def add_row(self, values: "list[int]", prefix: "tuple[int, ...]", s: int, lo: int = 0) -> None:
+        """Take the points prefix + (v, s - v) of a row with values[v - lo], v =
+        lo..lo + len(values) - 1: the whole row when lo = 0 and len(values) = s + 1."""
         v = self.pick(values)
         if not self.beats(self.value, v):
-            hits = compress(range(s + 1), map(v.__eq__, values))
+            hits = compress(count(lo), map(v.__eq__, values))
             self._take(v, values.count(v), (prefix + (i, s - i) for i in hits))
 
-    def add_quadratic(self, t0: int, t1: int, t2: int, prefix: "tuple[int, ...]", s: int) -> None:
-        """add_row for the row h(v) = t0 + t1 v + t2 v(v - 1)/2, v = 0..s, read
-        in closed form from its forward differences at 0.
+    def add_quadratic(self, t0: int, t1: int, t2: int, prefix: "tuple[int, ...]", s: int,
+                      lo: int = 0, hi: "int | None" = None) -> None:
+        """add_row for the points v = lo..hi (hi = s when None) of the row h(v)
+        = t0 + t1 v + t2 v(v - 1)/2, read in closed form from its forward
+        differences at 0.
 
         Delta h(v) = t1 + t2 v.  On the side where h is convex (t2 > 0 for min,
         t2 < 0 for max), the extreme is at the least v with t2 Delta h(v) >= 0,
-        ceil(-t1/t2) clamped to 0..s, and v + 1 ties with it exactly when
+        ceil(-t1/t2) clamped to lo..hi, and v + 1 ties with it exactly when
         Delta h(v) = 0.  Otherwise the extreme is at an end, or at both when
-        h(0) = h(s); a constant row ties at every v.  The points are listed in
+        h(lo) = h(hi); a constant row ties at every v.  The points are listed in
         ascending v, as add_row lists them.
         """
+        if hi is None:
+            hi = s
         if t2 and (t2 > 0) == (self.pick is min):
-            v = min(max(-(t1 // t2), 0), s)
+            v = min(max(-(t1 // t2), lo), hi)
             value = t0 + t1 * v + t2 * (v * (v - 1) // 2)
-            hits = (v, v + 1) if v < s and t1 + t2 * v == 0 else (v,)
+            hits = (v, v + 1) if v < hi and t1 + t2 * v == 0 else (v,)
         elif t1 or t2:
-            end = t0 + t1 * s + t2 * (s * (s - 1) // 2)
-            value = self.pick(t0, end)
-            hits = (0, s) if end == t0 else (0,) if value == t0 else (s,)
+            start = t0 + t1 * lo + t2 * (lo * (lo - 1) // 2)
+            end = t0 + t1 * hi + t2 * (hi * (hi - 1) // 2)
+            value = self.pick(start, end)
+            hits = (lo, hi) if end == start and lo < hi else (lo,) if value == start else (hi,)
         else:
-            value, hits = t0, range(s + 1)
+            value, hits = t0, range(lo, hi + 1)
         if not self.beats(self.value, value):
             self._take(value, len(hits), (prefix + (v, s - v) for v in hits))
 
@@ -584,41 +615,42 @@ class _Shape:
         self.packs = _Lazy(partial(_depth_packing, tables, n - 2, e))
 
     def feed_row(self, tracked: "list[_Extreme]", coeffs: "list[int]", prefix: "tuple[int, ...]",
-                 s: int, rows: "tuple[list[int], ...]") -> None:
-        """Give each tracked extreme the row of points prefix + (v, s - v), v =
-        0..s, on which L*f has the given row-suffix coefficients, from rows, the
-        row table of s (rows[s]).
+                 s: int, rows: "tuple[list[int], ...]", lo: int, hi: int) -> None:
+        """Give each tracked extreme the points prefix + (v, s - v), v =
+        lo..hi, of the row on which L*f has the given row-suffix coefficients,
+        from rows, the row table of s (rows[s]).
 
         A row longer than e + 1 has its forward differences at 0 there
         (feed_differences); a shorter one has its values.
         """
         table = [sum(map(mul, coeffs, w)) for w in rows]
         if s > self.e:
-            self.feed_differences(tracked, table, prefix, s)
+            self.feed_differences(tracked, table, prefix, s, lo, hi)
             return
         # a row no longer than e + 1 is read directly: differences of order
         # 0..min(s, e) for every s timed 1.14-1.50x slower over converge runs
+        values = table[lo:hi + 1]
         for ext in tracked:
-            ext.add_row(table, prefix, s)
+            ext.add_row(values, prefix, s, lo)
 
     def feed_differences(self, tracked: "list[_Extreme]", t: "list[int]", prefix: "tuple[int, ...]",
-                         s: int) -> None:
+                         s: int, lo: int, hi: int) -> None:
         """feed_row for a row longer than e + 1, from its forward differences
         t_0..t_e at v = 0.  For e <= 2 they are read in closed form
         (_Extreme.add_quadratic); otherwise e prefix-sum passes rebuild the
-        row's values."""
+        row's values up to v = hi."""
         e = self.e
         if e <= 2:
             t0, t1, t2 = t + [0] * (2 - e)
             for ext in tracked:
-                ext.add_quadratic(t0, t1, t2, prefix, s)
+                ext.add_quadratic(t0, t1, t2, prefix, s, lo, hi)
             return
         values = repeat(t[e], s + 1 - e)
         for k in range(e - 1, -1, -1):
             values = accumulate(values, initial=t[k])
-        table = list(values)
+        table = list(islice(values, lo, hi + 1))
         for ext in tracked:
-            ext.add_row(table, prefix, s)
+            ext.add_row(table, prefix, s, lo)
 
     def beaten(self, k: int, coeffs: "list[int]", s: int, low: "_Extreme | None",
                high: "_Extreme | None", w: int) -> bool:
@@ -912,10 +944,17 @@ def _gates(shape: _Shape, n: int, r: int) -> "list[int]":
 
 def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int, stop: int,
           cap: int, picks: tuple, starts: "list[int]", gates: "list[int] | None",
-          w: int) -> "tuple[list[_Extreme], int]":
+          w: int, left: "list[int]") -> "tuple[list[_Extreme], int]":
     """Running extremes (one per pick, min and/or max, each from its attained
-    start) of L*f over the grid points with first <= alpha_0 < stop, and the
-    number of points pruned.
+    start) of L*f over the grid points with first <= alpha_0 < stop that the
+    walk admits, and the number of points pruned.
+
+    left[k] is the number of coordinates from k to the end of k's block (see
+    Orbits), 1 for every k in a full walk.  A node of depth k with budget s
+    admits the children alpha_k = lo..s // left[k], lo = alpha_{k-1} when
+    left[k-1] > 1 and 0 otherwise, and a row (k = n - 2) the points v =
+    lo..s // left[n - 2]: so an orbit sweep walks the points nondecreasing
+    inside each block, and a full walk every point.
 
     root holds L*f's coefficients in shape.order; for n = 1 the one grid
     point r e_0 is the vertex each side starts from, so root is not read.  The
@@ -924,6 +963,9 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
     shape.beaten says no point below it can reach a tracked extreme, or
     shape.skip, from the stepped coefficients of a long run of siblings
     (shape.differences, packed in fields of w bits), which also skips rows.
+    Both bound every point under the node, so they stay valid in an orbit
+    sweep, whose ties count representatives and whose pruned count, which
+    counts every point under a skipped node, is not read.
     """
     tracked = [_Extreme(pick, cap, start) for pick, start in zip(picks, starts)]
     if n == 1:
@@ -931,12 +973,14 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
             ext.absorb(ext.value, 1, [(r,)])
         return tracked, 0
     if n == 2:  # the one row is the whole grid: its table is built for this sweep alone
-        shape.feed_row(tracked, root, (), r, shape.rows.build(r))
+        shape.feed_row(tracked, root, (), r, shape.rows.build(r), 0, r // left[0])
         return tracked, 0
 
     low = tracked[0] if picks[0] is min else None
     high = tracked[-1] if picks[-1] is max else None
-    frames = [level + (gates[k + 1],) for k, level in enumerate(shape.levels)]  # + children's gate
+    # + the children's gate, and what bounds their children: whether alpha_k
+    # is the least of them (follow) and the block coordinates left (part)
+    frames = [level + (gates[k + 1], left[k] > 1, left[k + 1]) for k, level in enumerate(shape.levels)]
     row_parent, pruned, d, e = n - 3, 0, shape.d, shape.e
     stack = []
 
@@ -958,7 +1002,7 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
     enter(0, root, r, (), first, stop)
     while stack:  # a level resumes from `alphas` once the child it descended into is done
         k, coeffs, s, prefix, alphas, steps, pack = stack[-1]
-        powers, width, extras, zero, gate = frames[k]
+        powers, width, extras, zero, gate, follow, part = frames[k]
         if steps is not None:  # stepped children: each takes d integer additions
             tested = bool(pack.columns)
             for a in alphas:
@@ -970,10 +1014,11 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
                 if skipped:
                     pruned += skipped
                 elif k == row_parent:  # a row longer than e + 1
-                    shape.feed_differences(tracked, pack.row(stepped), prefix + (a,), rest)
+                    shape.feed_differences(tracked, pack.row(stepped), prefix + (a,), rest,
+                                           a if follow else 0, rest // part)
                 else:
                     child = _child(coeffs, powers[a], width, extras)
-                    enter(k + 1, child, rest, prefix + (a,), 0, rest + 1)
+                    enter(k + 1, child, rest, prefix + (a,), a if follow else 0, rest // part + 1)
                     break
             else:
                 stack.pop()
@@ -990,28 +1035,54 @@ def _scan(shape: "_Shape | None", root: "list[int]", n: int, r: int, first: int,
                 continue
             child = _child(coeffs, power, width, extras)
             if k == row_parent:
-                shape.feed_row(tracked, child, here, rest, shape.rows[rest])
+                shape.feed_row(tracked, child, here, rest, shape.rows[rest], a if follow else 0,
+                               rest // part)
             elif rest >= gate and shape.beaten(k + 1, child, rest, low, high, w):
                 pruned += comb(rest + n - k - 2, n - k - 2)
             else:
-                enter(k + 1, child, rest, here, 0, rest + 1)
+                enter(k + 1, child, rest, here, a if follow else 0, rest // part + 1)
                 break
         else:
             stack.pop()
     return tracked, pruned
 
 
-def _alpha0_chunks(n: int, r: int, threads: int) -> "list[tuple[int, int]]":
-    """Split alpha_0 = 0..r into at most `threads` ranges of about equal point counts."""
+def _alpha0_chunks(n: int, r: int, threads: int, part: int = 1) -> "list[tuple[int, int]]":
+    """Split alpha_0 = 0..r // part, the values the walk admits when
+    coordinate 0 heads a block of `part` coordinates (1 in a full walk), into
+    at most `threads` ranges of about equal counts of the grid points under
+    them."""
+    top = r // part
     if n < 3 or threads <= 1:
-        return [(0, r + 1)]
-    count = min(threads, r + 1)
+        return [(0, top + 1)]
+    count = min(threads, top + 1)
     # cum[a] * count: points with alpha_0 <= a, scaled so the cut targets stay integral
-    cum = [c * count for c in accumulate(comb(r - a + n - 2, n - 2) for a in range(r + 1))]
+    cum = [c * count for c in accumulate(comb(r - a + n - 2, n - 2) for a in range(top + 1))]
     total = cum[-1] // count
-    cuts = sorted({bisect_left(cum, total * i) + 1 for i in range(1, count)} - {r + 1})
-    edges = [0, *cuts, r + 1]
+    cuts = sorted({bisect_left(cum, total * i) + 1 for i in range(1, count)} - {top + 1})
+    edges = [0, *cuts, top + 1]
     return list(zip(edges, edges[1:]))
+
+
+def _blocks(coeffs: "dict[tuple[int, ...], int]", n: int, d: int) -> "tuple[tuple[int, int], ...]":
+    """The blocks of interchangeable coordinates of the form of degree d with
+    these coefficients, as (first, stop) pairs, stop - first >= 2: the maximal
+    runs of coordinates i, i + 1 that swapping maps the table onto itself.
+    One comparison of the table per pair, stopping at its first mismatch; it
+    reads the pure powers x_i^d and x_{i+1}^d first, so a pair whose vertex
+    values differ, as in most forms without blocks, costs no pass over the
+    table."""
+    powers = [tuple(d * (j == i) for j in range(n)) for i in range(n)]
+    linked = [coeffs.get(powers[i]) == coeffs.get(powers[i + 1])
+              and all(coeffs.get(alpha[:i] + (alpha[i + 1], alpha[i]) + alpha[i + 2:]) == c
+                      for alpha, c in coeffs.items()) for i in range(n - 1)]
+    blocks, first = [], 0
+    for i, link in enumerate(linked + [False]):
+        if not link:
+            if i > first:
+                blocks.append((first, i + 1))
+            first = i + 1
+    return tuple(blocks)
 
 
 def _vertex_values(coeffs: "dict[tuple[int, ...], int]", n: int, d: int) -> "list[int]":
@@ -1028,12 +1099,17 @@ class _Plan:
     it that no denominator changes: L and the integer coefficients of L*f
     (_integer_form), the values of L*f at the vertices (_vertex_values), the
     shape of its support (_shape, None for n = 1) and the root's coefficients
-    in shape.order; its thread count; and `grids`, the grid extremes of each
-    denominator extremes has swept.  grid_extrema and its kin build one per
-    call; range_enclosures one for its grids; converge and the bound
-    witnesses one per polynomial, for every r and its enclosures.  Only
-    extremes writes to it, in the caller's thread once a sweep has returned,
-    so the sweep's worker threads only read it.
+    in shape.order; the blocks of interchangeable coordinates of L*f
+    (_blocks, see Orbits), kept here and not on the shape, which is cached by
+    support alone; its thread count; and `grids`, which maps each admitted
+    denominator to its grid extremes once extremes has swept it, None before.
+    grid_extrema and its kin build one per call; range_enclosures one for its
+    grids; converge and the bound witnesses one per polynomial, for every r
+    and its enclosures.  Only extremes writes to it, in the caller's thread
+    once a sweep has returned, so the sweep's worker threads only read it.
+    The sweeps of extremes are orbit sweeps (see Orbits), of which only the
+    extremes are read: their ties count representatives, and their pruned
+    count is not read.
 
     Admission is the one place a sweep is refused, before any table is built:
     a thread count that is not an integer (rational._as_int; TypeError) or is
@@ -1042,9 +1118,10 @@ class _Plan:
     (GridTooLargeError; None lifts the guard), then the degree bound
     (_check_degree), before the shape is built, and the row-table bound
     (_check_rows).  Both bounds grow with r, so they are checked once, at the
-    largest denominator.  The plan sweeps only denominators it admitted."""
+    largest denominator.  The plan sweeps only denominators it admitted:
+    extremes refuses any other (ValueError)."""
 
-    __slots__ = ("f", "threads", "scale", "coeffs", "vertices", "shape", "root", "grids")
+    __slots__ = ("f", "threads", "scale", "coeffs", "vertices", "shape", "root", "blocks", "grids")
 
     def __init__(self, f: HomogeneousPolynomial, denominators: "Sequence[int]", threads: int,
                  max_points: "int | None") -> None:
@@ -1066,41 +1143,52 @@ class _Plan:
         self.coeffs = coeffs
         self.vertices = _vertex_values(coeffs, f.n, f.d)
         self.root = [coeffs[alpha] for alpha in self.shape.order] if self.shape else []
-        self.grids: "dict[int, tuple[int, int, int]]" = {}
+        self.blocks = _blocks(coeffs, f.n, f.d)
+        self.grids: "dict[int, tuple[int, int, int] | None]" = dict.fromkeys(denominators)
 
     def extremes(self, r: int) -> "tuple[int, int, int]":
         """(L*min, L*max, L*r^d): the grid extremes of f at r, an admitted
-        denominator, as integer pairs over one denominator, from a sweep that
-        keeps no points, made on the first call at r and kept in grids for
-        every later one."""
-        if r not in self.grids:
-            (low, high), denominator, _ = _sweep(self, r, 0)
+        denominator (ValueError for any other), as integer pairs over one
+        denominator, from an orbit sweep that keeps no points (see Orbits),
+        made on the first call at r and kept in grids for every later one."""
+        if self.grids.get(r) is None:
+            if r not in self.grids:
+                raise ValueError(f"the sweep plan did not admit the denominator {_shown(r)}")
+            (low, high), denominator, _ = _sweep(self, r, 0, (min, max), self.blocks)
             self.grids[r] = (low.value, high.value, denominator)
         return self.grids[r]
 
 
 def _sweep(
-    plan: _Plan, r: int, cap: int, picks: tuple = (min, max)
+    plan: _Plan, r: int, cap: int, picks: tuple = (min, max), blocks: tuple = ()
 ) -> "tuple[list[_Extreme], int, int]":
     """Extremes of L*f over the grid from one lex-order pass, one per pick (min
     and/or max, in that order); L*r^d; and the number of points pruned.
 
-    Each side starts from its best vertex value, L*f(r e_i) = L*c_i*r^d, so
-    nodes are pruned from the first one on; every chunk starts from it.  All
-    that depends on r is made here: r^d, the starts, the gates, the field
-    width and the chunks."""
+    With blocks, (first, stop) pairs of interchangeable coordinates of f
+    (plan.blocks), it is an orbit sweep (see Orbits): it walks one point per
+    orbit, so its tie counts count representatives, its points are the
+    lex-first representatives, not the lex-first points, and its pruned
+    count is not read.  Without, the default,
+    it walks every point.  Each side starts from its best vertex value,
+    L*f(r e_i) = L*c_i*r^d, so nodes are pruned from the first one on; every
+    chunk starts from it.  All that depends on r is made here: r^d, the
+    starts, the gates, the field width and the chunks."""
     n, d, shape = plan.f.n, plan.f.d, plan.shape
     top = r**d
     starts = [pick(plan.vertices) * top for pick in picks]
+    left = [1] * n
+    for first, stop in blocks:
+        left[first:stop] = range(stop - first, 0, -1)
     gates = w = None
     if shape is not None:
         gates = _gates(shape, n, r)
         w = _field_width(plan.root, n, d, r)
-    chunks = _alpha0_chunks(n, r, plan.threads)
+    chunks = _alpha0_chunks(n, r, plan.threads, left[0])
     workers = min(len(chunks), os.cpu_count() or 1) if len(chunks) > 1 else 1
 
     def scan(chunk: "tuple[int, int]") -> "tuple[list[_Extreme], int]":
-        return _scan(shape, plan.root, n, r, *chunk, cap, picks, starts, gates, w)
+        return _scan(shape, plan.root, n, r, *chunk, cap, picks, starts, gates, w, left)
 
     if workers == 1:
         partials = [scan(chunk) for chunk in chunks]

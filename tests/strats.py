@@ -98,6 +98,74 @@ def polynomials(draw, max_n: int = 4, max_d: int = 3, coef_bound: int = 9):
     return HomogeneousPolynomial(n, d, coeffs)
 
 
+def orbit_key(alpha: "tuple[int, ...]", blocks) -> "tuple[int, ...]":
+    """The lex-least point of alpha's orbit under the permutations inside each
+    (first, stop) block: its entries sorted ascending inside each block."""
+    key = list(alpha)
+    for first, stop in blocks:
+        key[first:stop] = sorted(key[first:stop])
+    return tuple(key)
+
+
+def symmetrized(n: int, d: int, terms, blocks) -> "dict[tuple[int, ...], Fraction]":
+    """The coefficients of sum c * (the monomials of alpha's orbit) over the
+    (alpha, c) terms, the orbits taken inside the (first, stop) blocks: a form
+    that every permutation inside a block leaves unchanged."""
+    coeffs: "dict[tuple[int, ...], Fraction]" = {}
+    for alpha, c in terms:
+        key = orbit_key(alpha, blocks)
+        for beta in compositions(n, d):
+            if orbit_key(beta, blocks) == key:
+                coeffs[beta] = coeffs.get(beta, 0) + Fraction(c)
+    return {alpha: c for alpha, c in coeffs.items() if c}
+
+
+@st.composite
+def block_symmetric_forms(draw, max_n: int = 6, max_d: int = 4):
+    """(f, blocks, near): f made symmetric over random contiguous blocks,
+    (first, stop) pairs of at least two coordinates; blocks may be empty.
+
+    A near miss (near True) then keeps a support that the permutations
+    inside the blocks keep, but no swap of two coordinates keeps its
+    coefficients, so it has no blocks at all, in one of two ways.  Either
+    the coefficient of every pure power x_i^d becomes i + 1; or, where some
+    monomial that is not a pure power has two distinct exponents (n >= 3 and
+    d >= 2, or d >= 3), the pure powers keep theirs and every other monomial
+    of degree d, the one of rank k in lex order, gains 100 (k + 1), more
+    than twice any coefficient of the symmetric form, so no two of them are
+    equal.  A swap inside a block then keeps every vertex value, and only a
+    pass over the table finds the coefficients it moves."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(1, max_d))
+    blocks, first = [], 0
+    while first < n:
+        size = draw(st.integers(1, n - first))
+        if size > 1:
+            blocks.append((first, first + size))
+        first += size
+    terms = draw(st.lists(st.tuples(exponent_tuples(n, d), st.integers(-9, 9).filter(bool)),
+                          min_size=1, max_size=4))
+    coeffs = symmetrized(n, d, terms, blocks)  # each |coefficient| <= 36
+    near = draw(st.booleans())
+    if near and (d >= 3 or n >= 3 and d >= 2) and draw(st.booleans()):
+        for rank, alpha in enumerate(compositions(n, d)):
+            if d not in alpha:
+                coeffs[alpha] = coeffs.get(alpha, 0) + 100 * (rank + 1)
+    elif near:
+        coeffs.update({tuple(d * (j == i) for j in range(n)): i + 1 for i in range(n)})
+    scale = draw(st.sampled_from((1, Fraction(-2, 3))))
+    f = HomogeneousPolynomial(n, d, {alpha: c * scale for alpha, c in coeffs.items()})
+    return f, tuple(blocks), near
+
+
+def naive_orbit_ties(f, r, blocks) -> "tuple[int, int]":
+    """The number of distinct orbits, under the permutations inside each
+    (first, stop) block, among the points naive_extremes finds tied at the
+    minimum and at the maximum of f over the grid with denominator r."""
+    (_, low, _), (_, high, _) = naive_extremes(f, r, composition_count(f.n, r))
+    return tuple(len({orbit_key(alpha, blocks) for alpha in hits}) for hits in (low, high))
+
+
 @st.composite
 def simplex_points(draw, n: int):
     """A random rational point of the standard simplex with n coordinates."""

@@ -35,12 +35,15 @@ from strats import (
     anchored_form,
     anchored_points,
     bernstein_columns_oracle,
+    block_symmetric_forms,
     exponent_tuples,
     fixed_quartic,
     motzkin_straus_form,
     naive_extremes,
+    naive_orbit_ties,
     node_coefficients_oracle,
     node_loses_oracle,
+    orbit_key,
     petersen,
     poly_add,
     poly_scale,
@@ -362,6 +365,32 @@ def test_closed_form_row_matches_add_row_exhaustively():
     assert cases == 7**3 * 6 * 2 * 2 * 5
 
 
+def test_closed_form_row_matches_add_row_on_every_part_of_the_row():
+    # an orbit sweep reads the points v = lo..hi of a row: every part of every
+    # row with differences t in [-2, 2]^3 and s = 1..5, both sides, from starts
+    # below, at and above its extreme, against add_row on those values
+    ts = range(-2, 3)
+    cases = 0
+    for t0 in ts:
+        for t1 in ts:
+            for t2 in ts:
+                for s in range(1, 6):
+                    row = _quadratic_row(t0, t1, t2, s)
+                    for lo in range(s + 1):
+                        for hi in range(lo, s + 1):
+                            part = row[lo:hi + 1]
+                            for pick in (min, max):
+                                for start in (pick(part) - 1, pick(part), pick(part) + 1):
+                                    want = grid._Extreme(pick, 16, start)
+                                    got = grid._Extreme(pick, 16, start)
+                                    want.add_row(part, (0,), s, lo)
+                                    got.add_quadratic(t0, t1, t2, (0,), s, lo, hi)
+                                    assert (got.value, got.points, got.ties) == \
+                                        (want.value, want.points, want.ties)
+                                    cases += 1
+    assert cases == 5**3 * sum((s + 1) * (s + 2) // 2 for s in range(1, 6)) * 2 * 3
+
+
 @st.composite
 def row_quadratic_polynomials(draw):
     """(f, r) whose rows have degree e <= 2: any d <= 2, or n >= 3 and d 3-4 with
@@ -456,15 +485,15 @@ def _counted_sweep(f, r, threads, cap, picks, tests=None):
     add_row, absorb, scan = grid._Extreme.add_row, grid._Extreme.absorb, grid._scan
     add_quadratic = grid._Extreme.add_quadratic
 
-    def counted_row(ext, values, prefix, s):
+    def counted_row(ext, values, prefix, s, lo=0):
         if ext.pick is picks[0]:
             evaluated.append(len(values))
-        add_row(ext, values, prefix, s)
+        add_row(ext, values, prefix, s, lo)
 
-    def counted_quadratic(ext, t0, t1, t2, prefix, s):
+    def counted_quadratic(ext, t0, t1, t2, prefix, s, lo=0, hi=None):
         if ext.pick is picks[0]:
-            evaluated.append(s + 1)
-        add_quadratic(ext, t0, t1, t2, prefix, s)
+            evaluated.append((s if hi is None else hi) - lo + 1)
+        add_quadratic(ext, t0, t1, t2, prefix, s, lo, hi)
 
     def counted_point(ext, value, ties, points):
         if ext.pick is picks[0] and getattr(scanning, "on", False):
@@ -1420,6 +1449,123 @@ def test_a_sweep_builds_only_the_level_powers_it_reads():
     built = sum(len(powers) for powers, *_ in shape.levels)
     assert 0 < built <= len(shape.levels) * (r + 1) // 2
     _assert_eager(shape)
+
+
+# --- orbit sweeps ----------------------------------------------------------------
+
+
+def test_blocks_are_the_runs_of_interchangeable_neighbours():
+    u = lambda n, *powers: _unit(n, *powers)  # noqa: E731
+    cases = (
+        (sum_of_squares(4), ((0, 4),)),
+        (sum_of_squares_family(5, 3, -1), ((0, 5),)),
+        (HomogeneousPolynomial(3, 2, {u(3, (0, 2)): 1, u(3, (1, 2)): 1, u(3, (2, 2)): 2}), ((0, 2),)),
+        (HomogeneousPolynomial(3, 2, {u(3, (0, 2)): 2, u(3, (1, 2)): 1, u(3, (2, 2)): 1}), ((1, 3),)),
+        # x_0 and x_2 are interchangeable, but not neighbours: no block
+        (HomogeneousPolynomial(3, 2, {u(3, (0, 2)): 1, u(3, (1, 2)): 2, u(3, (2, 2)): 1}), ()),
+        # x_0 x_1 is fixed by the swap; x_2 x_3 - x_3^2 is not
+        (HomogeneousPolynomial(4, 2, {u(4, (0, 1), (1, 1)): 1, u(4, (2, 1), (3, 1)): 1,
+                                      u(4, (3, 2)): -1}), ((0, 2),)),
+        (HomogeneousPolynomial(3, 3, {}), ((0, 3),)),
+        (HomogeneousPolynomial(1, 3, {(3,): 2}), ()),
+        (motzkin_straus_form(petersen()), ()),
+        # the same support as sum x_i^2, one coefficient apart
+        (HomogeneousPolynomial(3, 2, {u(3, (0, 2)): 1, u(3, (1, 2)): 1, u(3, (2, 2)): Fraction(3, 2)}),
+         ((0, 2),)),
+    )
+    for f, blocks in cases:
+        assert grid._Plan(f, [], 1, None).blocks == blocks, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_symmetric_forms(max_n=6, max_d=4), st.data(), st.integers(1, 3), st.booleans())
+def test_orbit_sweeps_match_the_naive_values_and_count_orbits(case, data, threads, bounded):
+    # plan.extremes walks one point per orbit of the plan's blocks: its values
+    # are the naive grid extremes, and its tie counts the orbits among the
+    # naive tied points; a near miss has no blocks.  r is kept where the
+    # Fraction oracle stays fast, as in engine_cases
+    f, blocks, near = case
+    work = max(1, len(f.coeffs))
+    r = data.draw(st.integers(1, 12).filter(lambda r: composition_count(f.n, r) * work <= 20000))
+    plan = grid._Plan(f, [r], threads, None)
+    if near:
+        assert plan.blocks == ()
+    else:
+        assert all(any(a <= first < stop <= b for a, b in plan.blocks) for first, stop in blocks)
+    (low, _, _), (high, _, _) = naive_extremes(f, r, 0)
+    top = plan.scale * r**f.d
+    with pytest.MonkeyPatch.context() as patch:
+        if bounded:
+            patch.setattr(grid, "_BOUND_ENTRIES_PER_POINT", 10**9)
+        assert plan.extremes(r) == (low * top, high * top, top)
+        (lo, hi), denominator, _ = grid._sweep(plan, r, 0, (min, max), plan.blocks)
+    assert (lo.ties, hi.ties) == naive_orbit_ties(f, r, plan.blocks)
+
+
+def test_a_form_tied_everywhere_walks_one_point_per_orbit(monkeypatch):
+    # (x_1 + ... + x_4)^2 is r^2 at every grid point, so every orbit ties: its
+    # representatives are the partitions of r into at most 4 parts (OEIS
+    # A001400), 64 at r = 16 and 351 at r = 32, against C(r + 3, 3) points
+    f = power_of_sum(4, 2, 1)
+    sweeps, sweep = [], grid._sweep
+    monkeypatch.setattr(grid, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    for threads in (1, 2, 3):
+        plan = grid._Plan(f, [16, 32], threads, None)
+        assert plan.blocks == ((0, 4),)
+        for r, orbits in ((16, 64), (32, 351)):
+            assert plan.extremes(r) == (r * r, r * r, r * r)
+            assert sweeps[-1][1:] == (r, 0, (min, max), ((0, 4),))
+            assert [x.ties for x in grid._sweep(plan, r, 0, (min, max), plan.blocks)[0]] == [orbits] * 2
+        full = grid._sweep(plan, 32, 0)[0]
+        assert [x.ties for x in full] == [composition_count(4, 32)] * 2 == [6545] * 2
+
+
+@pytest.mark.parametrize("q, k, r", [
+    ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)), 1, 48),
+    ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)), 2, 40),
+    ((Fraction(1, 3), Fraction(1, 3), Fraction(1, 6), Fraction(1, 6)), 1, 40),
+    ((Fraction(1, 5),) * 5, 1, 20),
+    ((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)), 2, 90),
+])
+def test_orbit_sweeps_step_their_runs_and_count_orbits(q, k, r):
+    # anchored forms whose equal q_i make blocks, on grids long enough for the
+    # walk to step its siblings: the values are anchored_extremes', and the
+    # ties the orbits among all its tied points, for every thread count
+    f = anchored_form(q, k)
+    want = anchored_extremes(q, r, composition_count(f.n, r))
+    differences, stepped = grid._Shape.differences, []
+
+    def recorded(*args):
+        stepped.append(args[1])
+        return differences(*args)
+
+    for threads in (1, 2, 3):
+        plan = grid._Plan(f, [r], threads, None)
+        assert plan.blocks and all(q[a] == q[b - 1] for a, b in plan.blocks)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid._Shape, "differences", recorded)
+            (lo, hi), denominator, _ = grid._sweep(plan, r, 0, (min, max), plan.blocks)
+        got = [(Fraction(x.value, denominator), x.ties) for x in (lo, hi)]
+        assert got == [(value, len({orbit_key(alpha, plan.blocks) for alpha in points}))
+                       for value, points, _ in want]
+    assert stepped
+
+
+def test_plan_extremes_refuses_a_denominator_it_did_not_admit(monkeypatch):
+    # the plan admitted 3 and 5 alone (grid._Plan); 4 is refused before any
+    # sweep, and 3 is still swept once
+    f = sum_of_squares(3)
+    plan = grid._Plan(f, [3, 5], 1, None)
+    sweeps, sweep = [], grid._sweep
+    monkeypatch.setattr(grid, "_sweep", lambda *args: sweeps.append(args[1]) or sweep(*args))
+    for r in (4, 0, 10**400):
+        with pytest.raises(ValueError, match="did not admit the denominator"):
+            plan.extremes(r)
+    assert sweeps == []
+    assert plan.extremes(3) == plan.extremes(3) == (3, 9, 9)
+    assert sweeps == [3]
+    with pytest.raises(ValueError, match="did not admit the denominator 2"):
+        grid._Plan(f, [], 1, None).extremes(2)
 
 
 # --- workers and guards -----------------------------------------------------------
