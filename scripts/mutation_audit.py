@@ -329,6 +329,30 @@ MUTANTS = (
            "shape.rows[rest], a if follow else 0,\n                               rest // part)",
            "shape.rows[rest], a if follow else 0,\n                               rest)",
            ("tests/test_grid.py",)),
+    # orbit-keyed identity sweeps (identities._orbit, sweep_a_beta,
+    # sweep_moment_decomposition): the first two give wrong sides to some
+    # members of an orbit, killed by the sweeps' one-by-one oracles; the
+    # unsorted key gives the same sides from more builds, killed only by
+    # test_the_a_beta_sweeps_build_each_table_once_per_orbit
+    Mutant("moment-orbit-key-ignores-beta", IDENTITIES,
+           "key = m, d, _orbit(counts, beta)", "key = m, d, tuple(sorted(counts))",
+           ("tests/test_identities.py",)),
+    Mutant("a-beta-orbit-memo-kept-across-m", IDENTITIES,
+           "            for m in range(d, max_m + 1):\n"
+           "                tails = _falling_tails(m, d)\n"
+           "                # r^d (m falling d) - (r falling d) m^d per r = 1..m\n"
+           "                gaps = [_refined_gap(d, r, m)[0] for r in range(1, m + 1)]\n"
+           "                coeffs: \"dict[tuple[tuple[int, int], ...], list[int]]\" = {}  # per orbit\n",
+           "            coeffs: \"dict[tuple[tuple[int, int], ...], list[int]]\" = {}  # per orbit\n"
+           "            for m in range(d, max_m + 1):\n"
+           "                tails = _falling_tails(m, d)\n"
+           "                # r^d (m falling d) - (r falling d) m^d per r = 1..m\n"
+           "                gaps = [_refined_gap(d, r, m)[0] for r in range(1, m + 1)]\n",
+           ("tests/test_identities.py",)),
+    Mutant("orbit-key-unsorted", IDENTITIES,
+           "return tuple(sorted([(c, b) for c, b in zip(counts, beta) if b]))",
+           "return tuple([(c, b) for c, b in zip(counts, beta) if b])",
+           ("tests/test_identities.py",)),
     # equivalent mutants
     Mutant("sigma-strict", IDENTITIES,
            "num * rr <= m * c_d * den", "num * rr < m * c_d * den", (),

@@ -34,11 +34,13 @@ have at most 4300 digits (rational.MAX_INT_DIGITS).
 Tables (bounds, converge, verify) are lists of flat records, written one
 record at a time.  bounds and converge go through the C JSON encoder
 (_write_table) or the csv writer (_csv_writer).  cmd_verify has one loop over
-its checks: it renders each check once, writes it with one f-string (no text
-of a check needs escaping) or with the csv writer, and counts the checks and
-the failures.  verify writes each check as its sweep makes it, after every
-refusal and the few bound witnesses, and keeps none.  verify's seven cap
-defaults are those of identities.run_default_sweeps, read from it.
+its checks: it renders each distinct side once (a memo of at most
+_MAX_KEPT_TEXTS side texts, for one call), writes each check with one
+f-string (no text of a check needs escaping) or with the csv writer, and
+counts the checks and the failures.  verify writes each check as its sweep
+makes it, after every refusal and the few bound witnesses, and keeps none.
+verify's seven cap defaults are those of identities.run_default_sweeps, read
+from it.
 
 Exit codes: 0 success, 2 invalid configuration or parse failure, 3 grid size
 guard tripped, 4 verification failure.  A reader that closes stdout early
@@ -276,6 +278,15 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Side texts cmd_verify keeps: its memo is emptied, before a check is
+# rendered, once it holds this many.  A run at the benchmark's caps writes up
+# to 2.7e4 side texts of 4.6e3 distinct sides (KMR and SIGMA make 3.8e3 of
+# them and repeat few; the A_beta and moment checks repeat most); --max-m 20
+# has 1.2e4 distinct sides, and keeping them all took its peak RSS from 16-17
+# to 18-19 MB.
+_MAX_KEPT_TEXTS = 4096
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     for option in ("samples", "witness_polys", "max_k", "max_r"):
         if getattr(args, option) < 0:
@@ -298,8 +309,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         write('{\n  "checks": ')
     lead, total, failures = "[", 0, 0
+    texts: "dict[int | tuple[int, int], str]" = {}  # each distinct side, rendered once
     for column, check in checks:
-        lhs, rhs = check._texts()
+        if len(texts) >= _MAX_KEPT_TEXTS:
+            texts.clear()
+        lhs, rhs = check._texts(texts)
         holds = "true" if check.holds else "false"
         if writerow is None:
             write(f'{lead}\n    {{\n      "check": "{column}",\n      "name": "{check.name}",\n'

@@ -18,12 +18,12 @@ r is one dot product of the weights with the falling row of r (_falling_row,
 a running product), in integers and with no Fraction.  A single moment runs
 all three once (_stirling_terms), its quotients power(total, K) //
 power(total, k) for K = min(|beta|, r).  identities' MOMENT_DECOMPOSITION
-sweep calls _scaled_moments once per (counts, beta) with the quotients
-falling(m, d) // falling(m, k) (_falling_quotients, once per (m, d)), so its
-weights serve every r = 1..m over r^d * falling(m, d); it builds the falling
-rows once per (d, r), and passes one row dict to every call, so each row
-S(b, a) * falling(c, a) is built once per (c, b); that dict lives for one
-sweep.  Nothing else is kept across calls.
+sweep calls _scaled_moments once per color orbit of (counts, beta) with the
+quotients falling(m, d) // falling(m, k) (_falling_quotients, once per
+(m, d)), so its weights serve every r = 1..m over r^d * falling(m, d); it
+builds the falling rows once per (d, r), and passes one row dict to every
+call, so each row S(b, a) * falling(c, a) is built once per (c, b); that
+dict lives for one sweep.  Nothing else is kept across calls.
 
 Everything is exact; nothing is sampled.
 """

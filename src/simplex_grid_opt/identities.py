@@ -15,23 +15,35 @@ built by convolving one short row per coordinate,
 
   A_beta = sum_k c_k * (r falling k) * falling(m - k, d - k) - (r falling d) * prod counts_i^beta_i.
 
-Each family has one evaluator (_stirling_sum, _kmr, _a_beta_sum,
-_moment_decomposition, ...), called only by that family's sweep; the two
-integer-point families, Vandermonde-Chu and the multinomial theorem, are one
-expansion over falling and over ordinary powers and share _integer_point,
-which takes the power as hypergeom._stirling_terms does.  An evaluator takes
-parameters the sweep's loop bounds have already made valid, and the tables
-that do not depend on the one check, so a sweep builds each table once, in
-the loop that owns it:
+Each family has one evaluator (_stirling_sum, _kmr, _moment_sides, ...),
+called only by that family's sweep; the two integer-point families,
+Vandermonde-Chu and the multinomial theorem, are one expansion over falling
+and over ordinary powers and share _integer_point, which takes the power as
+hypergeom._stirling_terms does, and A_BETA_NONNEG and A_BETA_SUM, which read
+the same A_beta values, share _a_beta_sides.  An evaluator takes parameters
+the sweep's loop bounds have already made valid, and the tables that do not
+depend on the one check, so a sweep builds each table once, in the loop that
+owns it:
 
   - the rows falling(c, a) * S(b, a) of A_beta's convolution, once per
     (c, b) in a sweep;
   - falling(m - k, d - k), once per (m, d), and the falling row of r once
     per (d, r);
   - A_beta's coefficients in the falling-factorial basis of r (only the
-    falling factorials of r depend on r), once per (counts, beta);
+    falling factorials of r depend on r), once per color orbit of
+    (counts, beta): A_beta and E[X^beta] depend only on m, d and the
+    multiset of pairs (counts_i, beta_i) with beta_i > 0 (_orbit), which
+    permuting the colors of counts and beta together, or moving the balls of
+    colors with beta_i = 0, leaves as it is;
+  - each check's sides at every r, once per orbit: MOMENT_DECOMPOSITION's
+    (lhs, rhs, holds) once per (m, d, orbit) in a sweep (214 orbits for the
+    1,701 (counts, beta) pairs at its default caps), A_BETA_NONNEG's and
+    A_BETA_SUM's once per sorted counts in each (n, d, m), as a permutation
+    of the colors permutes I(n, d) and keeps the minimum and the weighted
+    sum; A_beta's memos live for one (n, d, m), so they stay small however
+    large max_m is;
   - MOMENT_DECOMPOSITION's left side from hypergeom's own tables: its
-    weights over r^d (m falling d), once per (counts, beta)
+    weights over r^d (m falling d), once per orbit
     (hypergeom._scaled_moments), its rows S(b, a) * falling(c, a) once per
     (c, b) in a sweep, its quotients (m falling d) // (m falling k) once per
     (m, d) (hypergeom._falling_quotients), and its falling row of r once per
@@ -56,7 +68,9 @@ pair (numerator, positive denominator), not necessarily reduced; holds is
 decided by cross-multiplying the pairs, and IdentityCheck stores them as
 they are.  Reading a side's lhs or rhs builds its Fraction, so the public
 values and types are those of exact rationals; `sgo verify` instead renders
-each stored side with one gcd (IdentityCheck._texts, rational._ratio_str).
+each distinct stored side once, with one gcd, into a memo of side texts that
+lives for one call (IdentityCheck._texts, rational._ratio_str; the memo is
+cmd_verify's, which bounds it).
 
 Sweeps are bounded by explicit caps so they can run exhaustively in CI.  Each
 sweep is a generator that makes one check at a time; run_default_sweeps chains
@@ -138,19 +152,25 @@ class IdentityCheck(_Record):
         made (this module's builders render them once per loop level)."""
         return self._rendered
 
-    def _texts(self) -> "tuple[str, str]":
-        """fraction_str(lhs) and fraction_str(rhs), rendered from the stored
-        sides with one gcd each; the two sides of an "eq" that holds reduce to
-        the same text, which is rendered once."""
-        lhs = _side_str(self._lhs)
+    def _texts(self, memo: "dict[int | tuple[int, int], str]") -> "tuple[str, str]":
+        """fraction_str(lhs) and fraction_str(rhs).  memo maps a stored side to
+        its text: a side memo lacks is rendered with one gcd and added, so a
+        caller that passes one dict to many checks renders each distinct side
+        once.  The two sides of an "eq" that holds reduce to the same text,
+        which is looked up once."""
+        lhs = _side_str(self._lhs, memo)
         if self.holds and self.relation == "eq":
             return lhs, lhs
-        return lhs, _side_str(self._rhs)
+        return lhs, _side_str(self._rhs, memo)
 
 
-def _side_str(side: "int | tuple[int, int]") -> str:
-    """fraction_str of a side as IdentityCheck stores it."""
-    return _ratio_str(*side) if type(side) is tuple else _ratio_str(side)
+def _side_str(side: "int | tuple[int, int]", memo: "dict[int | tuple[int, int], str]") -> str:
+    """fraction_str of a side as IdentityCheck stores it, read from memo or
+    rendered into it."""
+    text = memo.get(side)
+    if text is None:
+        text = memo[side] = _ratio_str(*side) if type(side) is tuple else _ratio_str(side)
+    return text
 
 
 def _check(
@@ -242,29 +262,6 @@ def _phi(k: int, m: int, r: int) -> IdentityCheck:
                   phi, 0, phi >= 0)
 
 
-def _a_beta_sum(
-    params: tuple, rendered: str, d: int, r: int, m: int,
-    values: "list[int]", multis: "list[int]",
-) -> IdentityCheck:
-    """A_BETA_SUM: values are the A_beta of every beta in I(n, d), in lex order,
-    at one urn and r, and multis holds d!/beta! in the same order."""
-    lhs = sum(map(mul, multis, values))
-    rhs = _refined_gap(d, r, m)[0]  # r^d (m falling d) - (r falling d) m^d
-    return _check("A_BETA_SUM", params, rendered, "eq", lhs, rhs, lhs == rhs)
-
-
-def _moment_decomposition(
-    m: int, counts: "tuple[int, ...]", r: int, beta: "tuple[int, ...]", rendered: str,
-    lhs: "tuple[int, int]", rhs: "tuple[int, int]",
-) -> IdentityCheck:
-    """Compare E[X^beta] (lhs, from hypergeom's kernel) with the point term plus
-    A_beta, (counts/m)^beta (r falling d) m^d + A_beta, over r^d (m falling d) (rhs);
-    each side is a (numerator, positive denominator) pair."""
-    params = (("m", m), ("counts", counts), ("r", r), ("beta", beta))
-    return _check("MOMENT_DECOMPOSITION", params, rendered, "eq", lhs, rhs,
-                  lhs[0] * rhs[1] == rhs[0] * lhs[1])
-
-
 # --- A_beta ---------------------------------------------------------------------
 
 
@@ -343,6 +340,68 @@ def a_beta(beta: Sequence[int], r: int, m: int, counts: Sequence[int]) -> int:
     return _a_beta_at(_a_beta_coeffs(beta, counts, _falling_tails(m, d), {}), _falling_row(r, d))
 
 
+# --- the two A_beta families, one evaluation per color orbit ---------------------
+
+
+def _orbit(counts: "tuple[int, ...]", beta: "tuple[int, ...]") -> "tuple[tuple[int, int], ...]":
+    """The pairs (counts_i, beta_i) with beta_i > 0, sorted: the color orbit of
+    (counts, beta).  A color with beta_i = 0 adds nothing to A_beta's
+    coefficients, to E[X^beta]'s weights or to the point term, and permuting
+    the colors of counts and beta together changes none of them, so at one
+    (m, d), d = |beta|, each is a function of the orbit."""
+    return tuple(sorted([(c, b) for c, b in zip(counts, beta) if b]))
+
+
+def _a_beta_sides(
+    m: int, d: int, counts: "tuple[int, ...]", weights: "list[tuple[tuple[int, ...], int]]",
+    tails: "list[int]", falls: "list[list[int]]", gaps: "list[int]",
+    coeffs: "dict[tuple, list[int]]", rows: "dict[tuple[int, int], list[int]]",
+) -> "list[tuple[int, int, int]]":
+    """A_BETA_NONNEG's and A_BETA_SUM's sides at the urn (m, counts), for
+    r = 1..m: (min over beta of A_beta, the sum of d!/beta! * A_beta, the
+    closed form gaps[r - 1]), beta over I(n, d) with its weight d!/beta! in
+    weights.  All three are unchanged when counts is permuted.  coeffs maps
+    an orbit at this (m, d) (_orbit) to A_beta's coefficients, built on its
+    first use; falls[r] is the falling row of r."""
+    table = []
+    for beta, _ in weights:
+        key = _orbit(counts, beta)
+        row = coeffs.get(key)
+        if row is None:
+            row = coeffs[key] = _a_beta_coeffs(beta, counts, tails, rows)
+        table.append(row)
+    multis = [w for _, w in weights]
+    sides = []
+    for r, gap in enumerate(gaps, 1):
+        values = [_a_beta_at(row, falls[r]) for row in table]
+        sides.append((min(values), sum(map(mul, multis, values)), gap))
+    return sides
+
+
+def _moment_sides(
+    m: int, d: int, counts: "tuple[int, ...]", beta: "tuple[int, ...]", tails: "list[int]",
+    quotients: "list[int]", falls: "list[tuple[list[int], list[int], int]]",
+    rows: "dict[tuple[int, int], list[int]]", moment_rows: "dict[tuple[int, int], list[int]]",
+) -> "list[tuple[tuple[int, int], tuple[int, int], bool]]":
+    """MOMENT_DECOMPOSITION's (lhs, rhs, holds) at the urn (m, counts) and beta,
+    for r = 1..m: E[X^beta] from hypergeom's kernel (lhs) against the point
+    term plus A_beta, (counts/m)^beta (r falling d) m^d + A_beta, over
+    r^d (m falling d) (rhs), each a (numerator, positive denominator) pair.
+    The two sides share no table: lhs reads hypergeom's weights and rows,
+    rhs A_beta's coefficients and rows.  falls[r] holds A_beta's and
+    hypergeom's falling rows of r and r^d."""
+    weights = hypergeom._scaled_moments(beta, counts, quotients, moment_rows)
+    coeffs = _a_beta_coeffs(beta, counts, tails, rows)
+    point = prod(map(pow, counts, beta))
+    sides = []
+    for r in range(1, m + 1):
+        a_falls, moment_falls, power = falls[r]
+        lhs = (sum(map(mul, weights, moment_falls)), power * quotients[0])
+        rhs = (point * a_falls[d] + _a_beta_at(coeffs, a_falls), power * tails[0])
+        sides.append((lhs, rhs, lhs[0] * rhs[1] == rhs[0] * lhs[1]))
+    return sides
+
+
 # --- bounded sweeps -----------------------------------------------------------
 # The loop bounds admit only valid parameters, so no check is validated on its own.
 
@@ -406,27 +465,36 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "Iterator[Id
     composition of m into n color counts, and every 1 <= r <= m: all A_beta
     over I(n, d) must be nonnegative (reported as one aggregated check via
     their minimum) and their weighted sum must match the closed form.  Both
-    checks read the same A_beta values, whose coefficients in r are built
-    once per (counts, beta).
+    checks read the same A_beta values.  In each (n, d, m), A_beta's
+    coefficients in r are built once per color orbit (_orbit), and both
+    checks' sides at every r once per sorted counts: the counts that permute
+    one another share them (_a_beta_sides).  Both memos live for one
+    (n, d, m), so the sweep holds a few hundred tables at most, whatever
+    max_m is.
     """
     rows: "dict[tuple[int, int], list[int]]" = {}
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
             weights = _multinomial_weights(n, d)
-            multis = [w for _, w in weights]
             falls = [_falling_row(r, d) for r in range(max_m + 1)]  # per r = 0..max_m
             for m in range(d, max_m + 1):
                 tails = _falling_tails(m, d)
+                # r^d (m falling d) - (r falling d) m^d per r = 1..m
+                gaps = [_refined_gap(d, r, m)[0] for r in range(1, m + 1)]
+                coeffs: "dict[tuple[tuple[int, int], ...], list[int]]" = {}  # per orbit
+                sides: "dict[tuple[int, ...], list[tuple[int, int, int]]]" = {}  # per sorted counts
                 for counts in compositions(n, m):
-                    table = [_a_beta_coeffs(beta, counts, tails, rows) for beta, _ in weights]
+                    key = tuple(sorted(counts))
+                    per_r = sides.get(key)
+                    if per_r is None:
+                        per_r = sides[key] = _a_beta_sides(m, d, counts, weights, tails, falls,
+                                                           gaps, coeffs, rows)
                     tail = f";m={m};counts={counts}"
-                    for r in range(1, m + 1):
-                        values = [_a_beta_at(coeffs, falls[r]) for coeffs in table]
+                    for r, (low, total, gap) in enumerate(per_r, 1):
                         params = (("n", n), ("d", d), ("r", r), ("m", m), ("counts", counts))
                         rendered = f"n={n};d={d};r={r}{tail}"
-                        low = min(values)
                         yield _check("A_BETA_NONNEG", params, rendered, "ge", low, 0, low >= 0)
-                        yield _a_beta_sum(params, rendered, d, r, m, values, multis)
+                        yield _check("A_BETA_SUM", params, rendered, "eq", total, gap, total == gap)
 
 
 def sweep_moment_decomposition(
@@ -434,11 +502,13 @@ def sweep_moment_decomposition(
 ) -> "Iterator[IdentityCheck]":
     """E[X^beta] against the point term plus A_beta for every urn with n <= max_n
     colors and m <= max_m balls, every 1 <= r <= m and every beta in I(n, d),
-    d <= max_d.  Per (counts, beta), hypergeom's weights (the left side) and
-    A_beta's coefficients (the right side) are each built once; at each r
-    either side is one dot product with its own falling row of r."""
+    d <= max_d.  Once per (m, d) and color orbit of (counts, beta) in the
+    sweep (_orbit), hypergeom's weights (the left side) and A_beta's
+    coefficients (the right side) are each built, and both sides and holds
+    made at every r (_moment_sides); every member of the orbit reads them."""
     rows: "dict[tuple[int, int], list[int]]" = {}  # A_beta's rows
     moment_rows: "dict[tuple[int, int], list[int]]" = {}  # hypergeom's rows
+    sides: "dict[tuple, list]" = {}  # (m, d, orbit) -> (lhs, rhs, holds) per r = 1..m
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
             betas = [(beta, f";beta={beta}") for beta in compositions(n, d)]
@@ -450,21 +520,21 @@ def sweep_moment_decomposition(
                 quotients = hypergeom._falling_quotients(m, d)  # quotients[0] = falling(m, d)
                 for counts in compositions(n, m):
                     head = f"m={m};counts={counts};r="
-                    table = [
-                        (beta, rendered, hypergeom._scaled_moments(beta, counts, quotients, moment_rows),
-                         _a_beta_coeffs(beta, counts, tails, rows), prod(map(pow, counts, beta)))
-                        for beta, rendered in betas
-                    ]
+                    table = []
+                    for beta, rendered in betas:
+                        key = m, d, _orbit(counts, beta)
+                        per_r = sides.get(key)
+                        if per_r is None:
+                            per_r = sides[key] = _moment_sides(m, d, counts, beta, tails, quotients,
+                                                               falls, rows, moment_rows)
+                        table.append((beta, rendered, per_r))
                     for r in range(1, m + 1):
-                        a_falls, moment_falls, power = falls[r]
-                        scale, moment_scale = power * tails[0], power * quotients[0]
                         start = f"{head}{r}"
-                        for beta, rendered, weights, coeffs, point in table:
-                            yield _moment_decomposition(
-                                m, counts, r, beta, start + rendered,
-                                (sum(map(mul, weights, moment_falls)), moment_scale),
-                                (point * a_falls[d] + _a_beta_at(coeffs, a_falls), scale),
-                            )
+                        for beta, rendered, per_r in table:
+                            lhs, rhs, holds = per_r[r - 1]
+                            yield _check("MOMENT_DECOMPOSITION",
+                                         (("m", m), ("counts", counts), ("r", r), ("beta", beta)),
+                                         start + rendered, "eq", lhs, rhs, holds)
 
 
 def run_default_sweeps(
@@ -552,9 +622,9 @@ def default_sweep_count(
 
 # Most checks `sgo verify` may run, counted before any check is made
 # (_verify_checks).  The default run makes about 2.3e4; --max-m 20 makes 2.5e5
-# in about 3.4 s on a 2-vCPU Xeon VM.  Each check is written as it is made, so
-# that run peaks at 18 MB RSS with stdout to a file, and at 88 MB in process
-# with its 52 MB of JSON held in a StringIO.
+# in 0.6-0.9 s on a 2-vCPU Xeon VM under Python 3.11.  Each check is written as
+# it is made, so that run peaks at 16-18 MB RSS with stdout to a file, and at
+# 82 MB in process with its 52 MB of JSON held in a StringIO.
 _MAX_VERIFY_CHECKS = 3 * 10**5
 
 

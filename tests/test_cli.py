@@ -1073,6 +1073,32 @@ def test_verify_parser_defaults_are_the_sweeps_defaults():
     assert {name: getattr(args, name) for name in defaults} == defaults
 
 
+def test_verify_renders_each_distinct_side_once_and_a_full_memo_changes_no_byte(
+        capsys, monkeypatch):
+    # a stored side is rendered the first time the run's memo meets it; where
+    # the memo is emptied, sides are rendered again and no byte changes
+    argv = ["verify", "--seed", "1", "--max-m", "6", "--max-d", "3"]
+    args = cli._parse(argv)
+    sides, texts = set(), 0  # the distinct sides, and the texts the run writes
+    for _, check in ident_mod._verify_checks(
+            args.max_n, args.max_d, args.max_m, args.max_k, args.max_r, args.samples, args.seed,
+            args.witness_polys, False):
+        shown = [check._lhs] if check.holds and check.relation == "eq" else [check._lhs, check._rhs]
+        sides.update(shown)
+        texts += len(shown)
+    rendered = count_calls(monkeypatch, ident_mod, "_ratio_str")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and cli._MAX_KEPT_TEXTS < len(sides)  # the memo was emptied
+    monkeypatch.setattr(cli, "_MAX_KEPT_TEXTS", len(sides) + 1)  # never emptied
+    rendered.clear()
+    assert run(capsys, *argv) == (EXIT_OK, out, "")
+    assert len(rendered) == len(sides) < texts // 4
+    monkeypatch.setattr(cli, "_MAX_KEPT_TEXTS", 7)  # emptied often
+    rendered.clear()
+    assert run(capsys, *argv) == (EXIT_OK, out, "")
+    assert len(rendered) > len(sides)
+
+
 # SHA-256 of the stdout of `sgo verify --seed 1 --max-m 5 --max-d 3`, recorded
 # before A_beta was grouped by |alpha|, moments were accumulated in integers
 # and the bound witnesses were swept once per polynomial
@@ -1222,7 +1248,7 @@ def test_verify_witnesses_from_the_shared_table_equal_check_bounds(seed, max_d, 
         assert tables.setdefault(f.d, table) is table  # one table per degree
         rows += [(w.kind.value, f"d={w.d};r={w.r};m={w.m}", fraction_str(w.lhs),
                   fraction_str(w.rhs), "le", w.holds) for w in bounds.check_bounds(f, pairs)]
-    assert [(c.name, c.params_str(), *c._texts(), c.relation, c.holds) for c in checks] == rows
+    assert [(c.name, c.params_str(), *c._texts({}), c.relation, c.holds) for c in checks] == rows
 
 
 # SHA-256 of the stdout of one invocation per verb, recorded before the verbs

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -437,6 +438,60 @@ def test_every_sweep_equals_its_checks_built_one_by_one(monkeypatch):
         ], (name, kw)
 
 
+def test_the_orbit_sweeps_at_four_colors_equal_their_checks_built_one_by_one():
+    # at n = 4 an orbit of (counts, beta), the two permuted together, has up
+    # to 4! = 24 members, and the reference builds each from the public a_beta
+    # and moment
+    for name, kw in (("sweep_a_beta", dict(max_n=4, max_d=3, max_m=6)),
+                     ("sweep_moment_decomposition", dict(max_n=4, max_d=3, max_m=5))):
+        checks = list(getattr(identities, name)(**kw))
+        reference = REFERENCES[name](**kw)
+        assert [_fields(c) for c in checks] == [_fields(c) for c in reference], name
+        assert [c.params_str() for c in checks] == [
+            ";".join(f"{k}={v}" for k, v in c.params) for c in reference
+        ], name
+
+
+def _orbits(n, d, m):
+    """The color orbits of (counts, beta), counts in I(n, m), beta in I(n, d),
+    counted as sorted multisets of k <= n pairs (c, b), b >= 1: the b sum to
+    d, and the c to m, or to less than m when a color with beta_i = 0 is left
+    (k < n) to hold the rest."""
+    pairs = [(c, b) for c in range(m + 1) for b in range(1, d + 1)]
+    count = 0
+    for k in range(1, min(n, d) + 1):
+        for orbit in combinations_with_replacement(pairs, k):
+            total = sum(c for c, _ in orbit)
+            if sum(b for _, b in orbit) == d and (total == m or k < n and total < m):
+                count += 1
+    return count
+
+
+def test_the_a_beta_sweeps_build_each_table_once_per_orbit(monkeypatch):
+    # sweep_a_beta builds A_beta's coefficients once per orbit in each (n, d, m);
+    # sweep_moment_decomposition builds them, and hypergeom's weights, once per
+    # (m, d, orbit) in the sweep, the orbits of fewer colors among those of max_n
+    builds = Counter()
+    for module, name in ((identities, "_a_beta_coeffs"), (hypergeom, "_scaled_moments")):
+        monkeypatch.setattr(module, name, lambda *args, _build=getattr(module, name), _name=name:
+                            builds.update([_name]) or _build(*args))
+    for caps in ({}, *({"max_m": max_m, "max_d": max_d} for max_m, max_d in BENCHMARK_VERIFY_CAPS)):
+        calls = dict(_default_sweep_calls(monkeypatch, **caps))
+        kw = calls["sweep_a_beta"]
+        builds.clear()
+        assert all(c.holds for c in sweep_a_beta(**kw))
+        assert builds == {"_a_beta_coeffs": sum(
+            _orbits(n, d, m) for n in range(1, kw["max_n"] + 1) for d in range(1, kw["max_d"] + 1)
+            for m in range(d, kw["max_m"] + 1))}, caps
+        kw = calls["sweep_moment_decomposition"]
+        builds.clear()
+        assert all(c.holds for c in sweep_moment_decomposition(**kw))
+        orbits = sum(_orbits(kw["max_n"], d, m)
+                     for d in range(1, kw["max_d"] + 1) for m in range(d, kw["max_m"] + 1))
+        assert builds == {"_a_beta_coeffs": orbits, "_scaled_moments": orbits}, caps
+    assert orbits == 214  # (max_n, max_d, max_m) = (3, 3, 6): 1,701 (counts, beta) pairs
+
+
 def test_params_str_is_the_params_joined_and_not_a_constructor_argument():
     for c in run_default_sweeps():
         assert c.params_str() == ";".join(f"{k}={v}" for k, v in c.params), c
@@ -513,11 +568,12 @@ SIDE_TYPES = {
 def test_checks_keep_the_record_semantics():
     checks = list(run_default_sweeps())
     assert {c.name for c in checks} == set(SIDE_TYPES)
+    memo = {}  # one render memo for the whole run, as `sgo verify` keeps it
     for c in checks:
         rebuilt = IdentityCheck(*_fields(c))
         assert rebuilt == c and hash(rebuilt) == hash(c) and repr(rebuilt) == repr(c)
         assert (type(c.lhs), type(c.rhs)) == SIDE_TYPES[c.name], c
-        assert rebuilt._texts() == c._texts() == (fraction_str(c.lhs), fraction_str(c.rhs))
+        assert rebuilt._texts({}) == c._texts(memo) == (fraction_str(c.lhs), fraction_str(c.rhs))
     kmr = identities._kmr(2, 3, 4)
     assert repr(kmr) == ("IdentityCheck(name='KMR', params=(('k', 2), ('m', 3), ('r', 4)), "
                          "lhs=Fraction(2, 5), rhs=Fraction(3, 4), relation='le', holds=True)")
