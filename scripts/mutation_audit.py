@@ -105,13 +105,19 @@ MUTANTS = (
     Mutant("row-bound-binary-form-one-list", GRID,
            "lists = min(r, e) + 1", "lists = 1",
            ("tests/test_grid.py",)),
-    # verify's one writing loop (cli.cmd_verify)
+    # verify's one writing loop (cli.cmd_verify), which writes each check from
+    # its row; verify-eq-reuses-the-lhs-text is killed by VERIFY_FAULT_DIGESTS
+    # (the injected fault is an "eq" that fails) and by
+    # test_failing_rows_render_the_sides_of_their_checks
     Mutant("verify-stops-counting-failures", CLI,
-           "failures += not check.holds", "failures += 0",
+           "failures += not holds", "failures += 0",
            ("tests/test_cli.py",)),
     Mutant("verify-csv-holds-inverted", CLI,
-           "check.relation, holds))", 'check.relation, "false" if check.holds else "true"))',
+           "relation, shown))", 'relation, "false" if holds else "true"))',
            ("tests/test_cli.py",)),
+    Mutant("verify-eq-reuses-the-lhs-text", CLI,
+           'rhs = lhs if holds and relation == "eq" else', 'rhs = lhs if relation == "eq" else',
+           ("tests/test_cli.py", "tests/test_identities.py")),
     Mutant("verify-json-lead-never-set", CLI,
            "}}')\n            lead = \",\"\n", "}}')\n",
            ("tests/test_cli.py",)),
@@ -352,6 +358,12 @@ MUTANTS = (
     Mutant("orbit-key-unsorted", IDENTITIES,
            "return tuple(sorted([(c, b) for c, b in zip(counts, beta) if b]))",
            "return tuple([(c, b) for c, b in zip(counts, beta) if b])",
+           ("tests/test_identities.py",)),
+    # the public view of a row (identities.run_default_sweeps): killed by
+    # test_checks_keep_the_record_semantics
+    Mutant("public-check-swaps-its-sides", IDENTITIES,
+           "yield IdentityCheck(name, params, lhs, rhs, relation, holds)",
+           "yield IdentityCheck(name, params, rhs, lhs, relation, holds)",
            ("tests/test_identities.py",)),
     # equivalent mutants
     Mutant("sigma-strict", IDENTITIES,

@@ -34,11 +34,12 @@ have at most 4300 digits (rational.MAX_INT_DIGITS).
 Tables (bounds, converge, verify) are lists of flat records, written one
 record at a time.  bounds and converge go through the C JSON encoder
 (_write_table) or the csv writer (_csv_writer).  cmd_verify has one loop over
-its checks: it renders each distinct side once (a memo of at most
-_MAX_KEPT_TEXTS side texts, for one call), writes each check with one
-f-string (no text of a check needs escaping) or with the csv writer, and
-counts the checks and the failures.  verify writes each check as its sweep
-makes it, after every refusal and the few bound witnesses, and keeps none.
+its checks, each a plain row (identities._Row), and makes no IdentityCheck:
+it renders each distinct side once (a memo of at most _MAX_KEPT_TEXTS side
+texts, for one call), writes each check with one f-string (no text of a
+check needs escaping) or with the csv writer, and counts the checks and the
+failures.  verify writes each row as its sweep makes it, after every refusal
+and the few bound witnesses, and keeps none.
 verify's seven cap defaults are those of identities.run_default_sweeps, read
 from it.
 
@@ -278,8 +279,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Side texts cmd_verify keeps: its memo is emptied, before a check is
-# rendered, once it holds this many.  A run at the benchmark's caps writes up
+# Side texts cmd_verify keeps: its memo, keyed by a row's side as it is
+# stored (an int or an integer pair), is emptied, before a row is rendered,
+# once it holds this many.  A run at the benchmark's caps writes up
 # to 2.7e4 side texts of 4.6e3 distinct sides (KMR and SIGMA make 3.8e3 of
 # them and repeat few; the A_beta and moment checks repeat most); --max-m 20
 # has 1.2e4 distinct sides, and keeping them all took its peak RSS from 16-17
@@ -292,39 +294,41 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if getattr(args, option) < 0:
             raise ValueError(f"--{option.replace('_', '-')} must be nonnegative")
     # the run is counted, refused or admitted, and its few witnesses made,
-    # before any byte is written; the identity checks are made one at a time,
-    # as they are written
-    checks = ident_mod._verify_checks(
+    # before any byte is written; the identity checks are made one row at a
+    # time, as they are written, and no IdentityCheck is made
+    rows = ident_mod._verify_checks(
         args.max_n, args.max_d, args.max_m, args.max_k, args.max_r, args.samples, args.seed,
         args.witness_polys, args.inject_fault,
     )
-    # one row per check, in the chosen format, as json.dumps(indent=2) or the
-    # csv writer lays it out; no JSON text is escaped, as none needs it: names
-    # and relations are letters and "_", params_str() is "key=value" pairs
-    # joined by ";" with int or int-tuple values, each side is digits with "-"
-    # and "/" (rational._ratio_str), and holds is "true" or "false"
-    writerow, write = None, sys.stdout.write
+    # one record per check, in the chosen format, as json.dumps(indent=2) or
+    # the csv writer lays it out; no JSON text is escaped, as none needs it:
+    # names and relations are letters and "_", the params text is "key=value"
+    # pairs joined by ";" with int or int-tuple values, each side is digits
+    # with "-" and "/" (rational._ratio_str), and holds is "true" or "false"
+    writerow, write, side_str = None, sys.stdout.write, ident_mod._side_str
     if args.format == "csv":
         writerow = _csv_writer(["check", "name", "params", "lhs", "rhs", "relation", "holds"]).writerow
     else:
         write('{\n  "checks": ')
     lead, total, failures = "[", 0, 0
     texts: "dict[int | tuple[int, int], str]" = {}  # each distinct side, rendered once
-    for column, check in checks:
+    for column, (name, _, lhs, rhs, relation, holds, params) in rows:
         if len(texts) >= _MAX_KEPT_TEXTS:
             texts.clear()
-        lhs, rhs = check._texts(texts)
-        holds = "true" if check.holds else "false"
+        lhs = side_str(lhs, texts)
+        # the two sides of an "eq" that holds reduce to the same text
+        rhs = lhs if holds and relation == "eq" else side_str(rhs, texts)
+        shown = "true" if holds else "false"
         if writerow is None:
-            write(f'{lead}\n    {{\n      "check": "{column}",\n      "name": "{check.name}",\n'
-                  f'      "params": "{check.params_str()}",\n      "lhs": "{lhs}",\n'
-                  f'      "rhs": "{rhs}",\n      "relation": "{check.relation}",\n'
-                  f'      "holds": "{holds}"\n    }}')
+            write(f'{lead}\n    {{\n      "check": "{column}",\n      "name": "{name}",\n'
+                  f'      "params": "{params}",\n      "lhs": "{lhs}",\n'
+                  f'      "rhs": "{rhs}",\n      "relation": "{relation}",\n'
+                  f'      "holds": "{shown}"\n    }}')
             lead = ","
         else:
-            writerow((column, check.name, check.params_str(), lhs, rhs, check.relation, holds))
+            writerow((column, name, params, lhs, rhs, relation, shown))
         total += 1
-        failures += not check.holds
+        failures += not holds
     if writerow is None:
         print(f'\n  ],\n  "total": {total},\n  "failures": {failures}\n}}')
     if failures:

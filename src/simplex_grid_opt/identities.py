@@ -51,8 +51,9 @@ owns it:
     product;
   - d!/beta! and STIRLING_MULTI's table of S(b, a), a, b <= d, per (n, d),
     and SIGMA's constant c_d = (d-1)(d!-1) per d;
-  - the rendered params: each loop level formats its own part of the
-    "key=value;..." text once, and a check joins the parts.
+  - the params and their "key=value;..." text: each loop level makes its
+    own part once, and a check joins the parts (the moment sweep's params
+    tuple too, its (m, counts, r) part once per (counts, r)).
 
 MOMENT_DECOMPOSITION compares two independent routes: its left side reads
 only hypergeom's kernel, its right side only A_beta's coefficients; no table
@@ -63,22 +64,25 @@ A_BETA_SUM are combin's _kls_gap and _refined_gap, the gap forms from which
 bounds builds KLS_GENERAL, SQFREE_KLS, SQFREE_REFINED and GENERAL_REFINED, so
 these checks read the same code as the coefficients `sgo bounds` prints.
 
-No evaluator builds a Fraction.  Each side of a check is an int or an exact
-pair (numerator, positive denominator), not necessarily reduced; holds is
-decided by cross-multiplying the pairs, and IdentityCheck stores them as
-they are.  Reading a side's lhs or rhs builds its Fraction, so the public
-values and types are those of exact rationals; `sgo verify` instead renders
-each distinct stored side once, with one gcd, into a memo of side texts that
-lives for one call (IdentityCheck._texts, rational._ratio_str; the memo is
-cmd_verify's, which bounds it).
+A check is made as a row, one plain tuple (_Row): (name, params, lhs, rhs,
+relation, holds, params text).  No evaluator builds a Fraction.  Each side of
+a row is an int or an exact pair (numerator, positive denominator), not
+necessarily reduced, and holds is decided by cross-multiplying the pairs.
+`sgo verify` writes the rows as they are made, and renders each distinct
+side once, with one gcd, into a memo of side texts that lives for one call
+(_side_str, rational._ratio_str; the memo is cmd_verify's, which bounds
+it).  Only run_default_sweeps, the public API, makes an IdentityCheck, one
+from each row as it is asked for: a frozen record whose sides are the
+exact rationals, a pair read as its Fraction.
 
 Sweeps are bounded by explicit caps so they can run exhaustively in CI.  Each
-sweep is a generator that makes one check at a time; run_default_sweeps chains
-all eight, and its keyword defaults are `sgo verify`'s.  What one `sgo verify`
-run checks is decided here, by _verify_checks: it counts the run before any
-check is made, refuses more than _MAX_VERIFY_CHECKS or none, makes the few
-bound witnesses (bounds' coefficient table and witness rows), and returns
-every check in output order; the CLI writes each as it is made.
+sweep is a generator that makes one row at a time; _sweep_rows chains all
+eight, and run_default_sweeps, whose keyword defaults are `sgo verify`'s,
+reads them.  What one `sgo verify` run checks is decided here, by
+_verify_checks: it counts the run before any check is made, refuses more
+than _MAX_VERIFY_CHECKS or none, makes the few bound witnesses (bounds'
+coefficient table and witness rows), and returns every row in output
+order; the CLI writes each as it is made.
 a_beta, the paper's correction term at one urn, is public and validates its
 own arguments; no sweep calls it.
 """
@@ -103,98 +107,75 @@ from .combin import (
     stirling2,
 )
 from .poly import random_polynomial
-from .rational import _as_int, _Record, _ratio_str
+from .rational import _as_int, _Record, _ratio_str, _shown
+
+# One check as a sweep makes it and `sgo verify` writes it: (name, params, lhs,
+# rhs, relation, holds, params_text).  The first six are IdentityCheck's
+# fields, each side an int or a (numerator, positive denominator) pair;
+# params_text is the params as "key=value;..." text.
+_Side = int | tuple[int, int]
+_Row = tuple[str, tuple, _Side, _Side, str, bool, str]
 
 
 class IdentityCheck(_Record):
     """One verified relation: lhs RELATION rhs, exactly.
 
-    A side is kept as given when it is an int or a pair (numerator, positive
-    denominator), not necessarily reduced, and as its (numerator, denominator)
-    when it is a Fraction: this module's evaluators, and bounds' witnesses,
-    make each side as such a pair and decide holds by cross-multiplying, so no
-    Fraction is built unless lhs or rhs is read.
+    A side is an int or a Fraction, given as such or as a pair of ints
+    (numerator, positive denominator), not necessarily reduced, which is
+    stored as its Fraction; any other side (a float, a bool, a str, a pair
+    with a denominator of 0 or below) is refused (TypeError or ValueError).
     Equality, hash and repr are those of the record (name, params, lhs, rhs,
-    relation, holds).  Treat a check as immutable.
+    relation, holds), and a check is frozen.
     """
 
-    __slots__ = ("name", "params", "relation", "holds", "_lhs", "_rhs", "_rendered")
-    __match_args__ = ("name", "params", "lhs", "rhs", "relation", "holds")
-    # not frozen: this module's builders fill the slots of a new check directly
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
+    __slots__ = __match_args__ = ("name", "params", "lhs", "rhs", "relation", "holds")
 
     def __init__(
         self, name: str, params: "tuple[tuple[str, object], ...]",
         lhs: "Fraction | int | tuple[int, int]", rhs: "Fraction | int | tuple[int, int]",
         relation: str, holds: bool,
     ) -> None:
-        self.name = name
-        self.params = params
-        self.relation = relation  # "eq", "le", or "ge"
-        self.holds = holds
-        self._lhs = (lhs.numerator, lhs.denominator) if isinstance(lhs, Fraction) else lhs
-        self._rhs = (rhs.numerator, rhs.denominator) if isinstance(rhs, Fraction) else rhs
-        self._rendered = ";".join([f"{k}={v}" for k, v in params])
-
-    @property
-    def lhs(self) -> "Fraction | int":
-        side = self._lhs
-        return Fraction(*side) if type(side) is tuple else side
-
-    @property
-    def rhs(self) -> "Fraction | int":
-        side = self._rhs
-        return Fraction(*side) if type(side) is tuple else side
+        # relation is "eq", "le", or "ge"
+        self._set(name, params, _exact_side(lhs), _exact_side(rhs), relation, holds)
 
     def params_str(self) -> str:
-        """The params as "key=value;..." text, rendered once, when the check is
-        made (this module's builders render them once per loop level)."""
-        return self._rendered
+        """The params as "key=value;..." text."""
+        return ";".join([f"{k}={v}" for k, v in self.params])
 
-    def _texts(self, memo: "dict[int | tuple[int, int], str]") -> "tuple[str, str]":
-        """fraction_str(lhs) and fraction_str(rhs).  memo maps a stored side to
-        its text: a side memo lacks is rendered with one gcd and added, so a
-        caller that passes one dict to many checks renders each distinct side
-        once.  The two sides of an "eq" that holds reduce to the same text,
-        which is looked up once."""
-        lhs = _side_str(self._lhs, memo)
-        if self.holds and self.relation == "eq":
-            return lhs, lhs
-        return lhs, _side_str(self._rhs, memo)
+
+def _exact_side(side: object) -> "Fraction | int":
+    """side as IdentityCheck stores it: an int or a Fraction as it is (an
+    integer type as its int, rational._as_int), and a pair of ints
+    (numerator, positive denominator) as its Fraction.  Anything else is
+    refused: a float, a bool or a str (TypeError), or a pair whose
+    denominator is not positive (ValueError)."""
+    if isinstance(side, Fraction):
+        return side
+    if isinstance(side, tuple):
+        if len(side) != 2:
+            raise ValueError(f"a side pair has two entries, got {_shown(side, repr)}")
+        num, den = map(_as_int, side)
+        if den <= 0:
+            raise ValueError(f"a side pair's denominator must be positive, got {_shown(side, repr)}")
+        return Fraction(num, den)
+    return _as_int(side)
 
 
 def _side_str(side: "int | tuple[int, int]", memo: "dict[int | tuple[int, int], str]") -> str:
-    """fraction_str of a side as IdentityCheck stores it, read from memo or
-    rendered into it."""
+    """fraction_str of a side as a row stores it (an int, or a (numerator,
+    positive denominator) pair), read from memo or rendered into it with one
+    gcd, so a caller that passes one dict to many rows renders each distinct
+    side once."""
     text = memo.get(side)
     if text is None:
         text = memo[side] = _ratio_str(*side) if type(side) is tuple else _ratio_str(side)
     return text
 
 
-def _check(
-    name: str, params: tuple, rendered: str, relation: str, lhs, rhs, holds: bool
-) -> IdentityCheck:
-    """The check lhs RELATION rhs, with each side given as IdentityCheck stores
-    it (an int, or a (numerator, positive denominator) pair) and holds decided
-    by the caller.  name is the family's name, such as "KMR"; rendered is the
-    params' "key=value;..." text."""
-    check = object.__new__(IdentityCheck)
-    check.name = name
-    check.params = params
-    check.relation = relation
-    check.holds = holds
-    check._lhs = lhs
-    check._rhs = rhs
-    check._rendered = rendered
-    return check
-
-
 # --- one evaluator per family; the integer-point families share one -------------
 
 
-def _integer_point(x: "tuple[int, ...]", d: int, power: "hypergeom.Power") -> IdentityCheck:
+def _integer_point(x: "tuple[int, ...]", d: int, power: "hypergeom.Power") -> _Row:
     """power(sum(x), d) against the sum over alpha in I(n, d) of d!/alpha! *
     prod power(x_i, alpha_i): VANDERMONDE_CHU when power is falling, the
     MULTINOMIAL theorem when it is pow."""
@@ -205,14 +186,14 @@ def _integer_point(x: "tuple[int, ...]", d: int, power: "hypergeom.Power") -> Id
             term *= power(xi, ai)
         rhs += term
     lhs = power(sum(x), d)
-    return _check("VANDERMONDE_CHU" if power is falling else "MULTINOMIAL",
-                  (("x", x), ("d", d)), f"x={x};d={d}", "eq", lhs, rhs, lhs == rhs)
+    return ("VANDERMONDE_CHU" if power is falling else "MULTINOMIAL", (("x", x), ("d", d)),
+            lhs, rhs, "eq", lhs == rhs, f"x={x};d={d}")
 
 
-def _stirling_sum(d: int, r: int) -> IdentityCheck:
+def _stirling_sum(d: int, r: int) -> _Row:
     lhs = sum(falling(r, k) * stirling2(d, k) for k in range(1, d))
     rhs = _kls_gap(d, r)[0]  # r^d - (r falling d)
-    return _check("STIRLING_SUM", (("d", d), ("r", r)), f"d={d};r={r}", "eq", lhs, rhs, lhs == rhs)
+    return "STIRLING_SUM", (("d", d), ("r", r)), lhs, rhs, "eq", lhs == rhs, f"d={d};r={r}"
 
 
 def _multinomial_weights(n: int, d: int) -> "list[tuple[tuple[int, ...], int]]":
@@ -223,7 +204,7 @@ def _multinomial_weights(n: int, d: int) -> "list[tuple[tuple[int, ...], int]]":
 def _stirling_multi(
     alpha: "tuple[int, ...]", d: int, weights: "list[tuple[tuple[int, ...], int]]",
     table: "list[list[int]]",
-) -> IdentityCheck:
+) -> _Row:
     """weights is _multinomial_weights(len(alpha), d), and table[b][a] is
     S(b, a) for a, b = 0..d."""
     k = sum(alpha)
@@ -233,33 +214,31 @@ def _stirling_multi(
             term *= table[bi][ai]
         rhs += term
     lhs, den = table[d][k], multinomial(k, alpha)
-    return _check("STIRLING_MULTI", (("alpha", alpha), ("d", d)), f"alpha={alpha};d={d}", "eq",
-                  lhs, (rhs, den), lhs * den == rhs)
+    return ("STIRLING_MULTI", (("alpha", alpha), ("d", d)), lhs, (rhs, den), "eq", lhs * den == rhs,
+            f"alpha={alpha};d={d}")
 
 
-def _kmr(k: int, m: int, r: int) -> IdentityCheck:
+def _kmr(k: int, m: int, r: int) -> _Row:
     km = k * m
     # (km - r)/(km - 1) <= m/r, cross-multiplied so km = 1 (where both sides
     # degenerate, and the left one is taken as 0) stays exact
     holds = r * (km - r) <= m * (km - 1)
     lhs = (km - r, km - 1) if km > 1 else (0, 1)
-    return _check("KMR", (("k", k), ("m", m), ("r", r)), f"k={k};m={m};r={r}", "le",
-                  lhs, (m, r), holds)
+    return "KMR", (("k", k), ("m", m), ("r", r)), lhs, (m, r), "le", holds, f"k={k};m={m};r={r}"
 
 
-def _sigma(d: int, m: int, k: int, r: int, c_d: int) -> IdentityCheck:
+def _sigma(d: int, m: int, k: int, r: int, c_d: int) -> _Row:
     """c_d is the rate constant (d-1)(d!-1) (combin.rate_constant)."""
     num, den = _refined_gap(d, r, k * m)  # den > 0, as km >= m >= d
     rr = r * r
-    return _check("SIGMA", (("d", d), ("m", m), ("k", k), ("r", r)), f"d={d};m={m};k={k};r={r}",
-                  "le", (num, den), (m * c_d, rr), num * rr <= m * c_d * den)
+    return ("SIGMA", (("d", d), ("m", m), ("k", k), ("r", r)), (num, den), (m * c_d, rr), "le",
+            num * rr <= m * c_d * den, f"d={d};m={m};k={k};r={r}")
 
 
-def _phi(k: int, m: int, r: int) -> IdentityCheck:
+def _phi(k: int, m: int, r: int) -> _Row:
     km = k * m
     phi = (2 * km - 1) * r * r + (4 - 6 * km) * r - km * km + 6 * km - 4
-    return _check("PHI", (("k", k), ("m", m), ("r", r)), f"k={k};m={m};r={r}", "ge",
-                  phi, 0, phi >= 0)
+    return "PHI", (("k", k), ("m", m), ("r", r)), phi, 0, "ge", phi >= 0, f"k={k};m={m};r={r}"
 
 
 # --- A_beta ---------------------------------------------------------------------
@@ -406,13 +385,13 @@ def _moment_sides(
 # The loop bounds admit only valid parameters, so no check is validated on its own.
 
 
-def sweep_stirling_sum(max_d: int = 6, max_r: int = 30) -> "Iterator[IdentityCheck]":
+def sweep_stirling_sum(max_d: int = 6, max_r: int = 30) -> "Iterator[_Row]":
     for d in range(1, max_d + 1):
         for r in range(1, max_r + 1):
             yield _stirling_sum(d, r)
 
 
-def sweep_stirling_multi(max_n: int = 3, max_d: int = 5) -> "Iterator[IdentityCheck]":
+def sweep_stirling_multi(max_n: int = 3, max_d: int = 5) -> "Iterator[_Row]":
     for n in range(1, max_n + 1):
         for d in range(2, max_d + 1):
             weights = _multinomial_weights(n, d)
@@ -424,7 +403,7 @@ def sweep_stirling_multi(max_n: int = 3, max_d: int = 5) -> "Iterator[IdentityCh
 
 def sweep_integer_point_identities(
     samples: int = 25, max_n: int = 4, max_d: int = 4, seed: int = 0
-) -> "Iterator[IdentityCheck]":
+) -> "Iterator[_Row]":
     """Vandermonde-Chu and the multinomial theorem at random integer points."""
     rng = random.Random(seed)
     for _ in range(samples):
@@ -435,14 +414,14 @@ def sweep_integer_point_identities(
         yield _integer_point(x, d, pow)
 
 
-def sweep_kmr(limit: int = 40) -> "Iterator[IdentityCheck]":
+def sweep_kmr(limit: int = 40) -> "Iterator[_Row]":
     for k in range(1, limit + 1):
         for m in range(1, limit + 1):
             for r in range((k - 1) * m + 1, min(k * m, limit) + 1):
                 yield _kmr(k, m, r)
 
 
-def sweep_sigma(max_d: int = 5, max_m: int = 12, max_k: int = 4) -> "Iterator[IdentityCheck]":
+def sweep_sigma(max_d: int = 5, max_m: int = 12, max_k: int = 4) -> "Iterator[_Row]":
     for d in range(2, max_d + 1):
         c_d = rate_constant(d)
         for m in range(d, max_m + 1):
@@ -451,14 +430,14 @@ def sweep_sigma(max_d: int = 5, max_m: int = 12, max_k: int = 4) -> "Iterator[Id
                     yield _sigma(d, m, k, r, c_d)
 
 
-def sweep_phi(max_k: int = 5, max_m: int = 10) -> "Iterator[IdentityCheck]":
+def sweep_phi(max_k: int = 5, max_m: int = 10) -> "Iterator[_Row]":
     for k in range(2, max_k + 1):
         for m in range(3, max_m + 1):
             for r in range((k - 1) * m + 1, k * m + 1):
                 yield _phi(k, m, r)
 
 
-def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "Iterator[IdentityCheck]":
+def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "Iterator[_Row]":
     """Exhaustive nonnegativity and sum checks over every admissible urn.
 
     For each n <= max_n, degree d <= max_d, m between d and max_m, every
@@ -492,14 +471,14 @@ def sweep_a_beta(max_n: int = 3, max_d: int = 4, max_m: int = 8) -> "Iterator[Id
                     tail = f";m={m};counts={counts}"
                     for r, (low, total, gap) in enumerate(per_r, 1):
                         params = (("n", n), ("d", d), ("r", r), ("m", m), ("counts", counts))
-                        rendered = f"n={n};d={d};r={r}{tail}"
-                        yield _check("A_BETA_NONNEG", params, rendered, "ge", low, 0, low >= 0)
-                        yield _check("A_BETA_SUM", params, rendered, "eq", total, gap, total == gap)
+                        text = f"n={n};d={d};r={r}{tail}"
+                        yield "A_BETA_NONNEG", params, low, 0, "ge", low >= 0, text
+                        yield "A_BETA_SUM", params, total, gap, "eq", total == gap, text
 
 
 def sweep_moment_decomposition(
     max_n: int = 3, max_d: int = 3, max_m: int = 6
-) -> "Iterator[IdentityCheck]":
+) -> "Iterator[_Row]":
     """E[X^beta] against the point term plus A_beta for every urn with n <= max_n
     colors and m <= max_m balls, every 1 <= r <= m and every beta in I(n, d),
     d <= max_d.  Once per (m, d) and color orbit of (counts, beta) in the
@@ -511,7 +490,8 @@ def sweep_moment_decomposition(
     sides: "dict[tuple, list]" = {}  # (m, d, orbit) -> (lhs, rhs, holds) per r = 1..m
     for n in range(1, max_n + 1):
         for d in range(1, max_d + 1):
-            betas = [(beta, f";beta={beta}") for beta in compositions(n, d)]
+            # per beta: its params item and its part of the params text
+            betas = [(beta, (("beta", beta),), f";beta={beta}") for beta in compositions(n, d)]
             # per r = 0..max_m: each side's falling row of r and r^d
             falls = [(_falling_row(r, d), hypergeom._falling_row(r, d), r**d)
                      for r in range(max_m + 1)]
@@ -519,22 +499,22 @@ def sweep_moment_decomposition(
                 tails = _falling_tails(m, d)  # tails[0] = falling(m, d)
                 quotients = hypergeom._falling_quotients(m, d)  # quotients[0] = falling(m, d)
                 for counts in compositions(n, m):
-                    head = f"m={m};counts={counts};r="
+                    start = f"m={m};counts={counts};r="
                     table = []
-                    for beta, rendered in betas:
+                    for beta, item, text in betas:
                         key = m, d, _orbit(counts, beta)
                         per_r = sides.get(key)
                         if per_r is None:
                             per_r = sides[key] = _moment_sides(m, d, counts, beta, tails, quotients,
                                                                falls, rows, moment_rows)
-                        table.append((beta, rendered, per_r))
+                        table.append((item, text, per_r))
                     for r in range(1, m + 1):
-                        start = f"{head}{r}"
-                        for beta, rendered, per_r in table:
+                        # the params and their text up to beta's, once per (counts, r)
+                        head, head_text = (("m", m), ("counts", counts), ("r", r)), f"{start}{r}"
+                        for item, text, per_r in table:
                             lhs, rhs, holds = per_r[r - 1]
-                            yield _check("MOMENT_DECOMPOSITION",
-                                         (("m", m), ("counts", counts), ("r", r), ("beta", beta)),
-                                         start + rendered, "eq", lhs, rhs, holds)
+                            yield ("MOMENT_DECOMPOSITION", head + item, lhs, rhs, "eq", holds,
+                                   head_text + text)
 
 
 def run_default_sweeps(
@@ -548,11 +528,18 @@ def run_default_sweeps(
     seed: int = 0,
 ) -> "Iterator[IdentityCheck]":
     """All identity sweeps at their default (CI-sized) caps, chained: each
-    check is made when it is asked for, and each sweep is looked up by name
-    when it starts."""
-    args = _default_sweep_args(max_n=max_n, max_d=max_d, max_m=max_m, max_k=max_k,
-                               max_r=max_r, samples=samples, seed=seed)
-    for name, kwargs in args.items():
+    check is made from its sweep's row when it is asked for (_sweep_rows)."""
+    for name, params, lhs, rhs, relation, holds, _ in _sweep_rows(
+            max_n=max_n, max_d=max_d, max_m=max_m, max_k=max_k, max_r=max_r, samples=samples,
+            seed=seed):
+        yield IdentityCheck(name, params, lhs, rhs, relation, holds)
+
+
+def _sweep_rows(**caps: int) -> "Iterator[_Row]":
+    """The rows of every default sweep at these caps (_default_sweep_args),
+    chained: each row is made when it is asked for, and each sweep is looked
+    up by name when it starts."""
+    for name, kwargs in _default_sweep_args(**caps).items():
         yield from globals()[name](**kwargs)
 
 
@@ -623,18 +610,19 @@ def default_sweep_count(
 # Most checks `sgo verify` may run, counted before any check is made
 # (_verify_checks).  The default run makes about 2.3e4; --max-m 20 makes 2.5e5
 # in 0.6-0.9 s on a 2-vCPU Xeon VM under Python 3.11.  Each check is written as
-# it is made, so that run peaks at 16-18 MB RSS with stdout to a file, and at
-# 82 MB in process with its 52 MB of JSON held in a StringIO.
+# its row is made, so that run peaks at 16-18 MB RSS with stdout to a file, and
+# at 82 MB in process with its 52 MB of JSON held in a StringIO.
 _MAX_VERIFY_CHECKS = 3 * 10**5
 
 
 def _verify_checks(
     max_n: int, max_d: int, max_m: int, max_k: int, max_r: int, samples: int, seed: int,
     witness_polys: int, inject_fault: bool,
-) -> "Iterator[tuple[str, IdentityCheck]]":
-    """The checks of one `sgo verify` run, in output order, each after its
-    "check" column: the identity sweeps (run_default_sweeps, each check made
-    as it is read), then the bound witnesses, then the injected fault.
+) -> "Iterator[tuple[str, _Row]]":
+    """The checks of one `sgo verify` run as rows (_Row), in output order,
+    each after its "check" column: the identity sweeps (_sweep_rows, each row
+    made as it is read), then the bound witnesses, then the injected fault.
+    No IdentityCheck is made.
 
     The run is counted before any check is made: the sweeps' exact count
     (default_sweep_count, 0 exactly when a cap is below 1, and then nothing
@@ -649,7 +637,7 @@ def _verify_checks(
     every pair 1 <= r <= m <= min(5, max_m), checked as lhs le rhs.  The
     coefficients are tabled once per degree (bounds._coefficient_table) and
     shared by the polynomials of that degree; each side is the integer pair
-    bounds._witness_rows makes, which the check renders with one gcd.
+    bounds._witness_rows makes.
     """
     caps = {"max_n": max_n, "max_d": max_d, "max_m": max_m, "max_k": max_k, "max_r": max_r,
             "samples": samples}
@@ -674,11 +662,11 @@ def _verify_checks(
                 tables[f.d] = bounds._coefficient_table(f.d, pairs)
             _, rows = bounds._witness_rows(f, tables[f.d])
             witnesses += [
-                ("bound-witness", IdentityCheck(name, (("d", f.d), ("r", r), ("m", m)), lhs, rhs,
-                                                "le", holds))
+                ("bound-witness", (name, (("d", f.d), ("r", r), ("m", m)), lhs, rhs, "le", holds,
+                                   f"d={f.d};r={r};m={m}"))
                 for (name, _, r, m, _, _), lhs, rhs, holds in rows
             ]
-        checks = run_default_sweeps(**caps, seed=seed)
-    fault = IdentityCheck("INJECTED_FAULT", (), 0, 1, "eq", False)
+        checks = _sweep_rows(**caps, seed=seed)
+    fault = ("INJECTED_FAULT", (), 0, 1, "eq", False, "")
     return chain(zip(repeat("identity"), checks), witnesses,
                  [("identity", fault)] if inject_fault else [])

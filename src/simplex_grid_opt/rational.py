@@ -176,8 +176,7 @@ class _Record:
     A subclass names its fields in order in __match_args__ (a value class
     stores exactly those, as its __slots__).  Its own __init__ takes those
     fields as its parameters, in that order, validates them, and stores them
-    with one call of _set (identities.IdentityCheck, which is not frozen,
-    sets its slots itself).  The rest is derived from the field tuple as a
+    with one call of _set.  The rest is derived from the field tuple as a
     frozen dataclass derives it: == holds only between instances of one class
     (another class gets NotImplemented), the hash is that of the tuple, the
     repr is QualName(field=value!r, ...), pickle and copy rebuild an instance

@@ -929,8 +929,16 @@ def test_verify_inject_fault_exits_4(capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_writes_each_check_as_it_is_made(monkeypatch, fmt):
-    built = count_calls(monkeypatch, ident_mod, "_check")
-    built_at_write = []  # identity checks built when each write reached stdout
+    built = []  # the identity rows the sweeps have made
+    sweep_rows = ident_mod._sweep_rows
+
+    def counted(**caps):
+        for row in sweep_rows(**caps):
+            built.append(row)
+            yield row
+
+    monkeypatch.setattr(ident_mod, "_sweep_rows", counted)
+    built_at_write = []  # identity rows made when each write reached stdout
 
     class Spy(io.StringIO):
         def write(self, text):
@@ -1006,7 +1014,7 @@ def _refuse_to_check(monkeypatch):
     def started(*args, **kwargs):
         raise _ChecksStarted
 
-    monkeypatch.setattr(ident_mod, "run_default_sweeps", started)
+    monkeypatch.setattr(ident_mod, "_sweep_rows", started)
     monkeypatch.setattr(bounds, "_coefficient_table", started)
 
 
@@ -1080,10 +1088,10 @@ def test_verify_renders_each_distinct_side_once_and_a_full_memo_changes_no_byte(
     argv = ["verify", "--seed", "1", "--max-m", "6", "--max-d", "3"]
     args = cli._parse(argv)
     sides, texts = set(), 0  # the distinct sides, and the texts the run writes
-    for _, check in ident_mod._verify_checks(
+    for _, (_, _, lhs, rhs, relation, holds, _) in ident_mod._verify_checks(
             args.max_n, args.max_d, args.max_m, args.max_k, args.max_r, args.samples, args.seed,
             args.witness_polys, False):
-        shown = [check._lhs] if check.holds and check.relation == "eq" else [check._lhs, check._rhs]
+        shown = [lhs] if holds and relation == "eq" else [lhs, rhs]
         sides.update(shown)
         texts += len(shown)
     rendered = count_calls(monkeypatch, ident_mod, "_ratio_str")
@@ -1149,6 +1157,29 @@ def test_verify_inject_fault_bytes_are_pinned(capsys, fmt):
                          "--inject-fault", "--format", fmt)
     assert code == EXIT_VERIFY_FAILED and "verification failed: 1 of" in err
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAULT_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize(
+    "argv", [()] + [("--max-m", str(m), "--max-d", str(d)) for m, d, fmt in VERIFY_CAP_DIGESTS
+                    if fmt == "json"],
+    ids=lambda argv: "-".join(argv).replace("--", "") or "defaults",
+)
+def test_verify_makes_no_identity_check(capsys, monkeypatch, argv):
+    # verify writes each check from its row (identities._verify_checks): it
+    # constructs no IdentityCheck, and hands its writer none
+    built = count_calls(monkeypatch, ident_mod.IdentityCheck, "__init__")
+    handed = []
+    verify_checks = ident_mod._verify_checks
+
+    def recorded(*args):
+        rows = list(verify_checks(*args))
+        handed.extend(type(row) for _, row in rows)
+        return rows
+
+    monkeypatch.setattr(ident_mod, "_verify_checks", recorded)
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == EXIT_OK and len(handed) == json.loads(out)["total"] > 10**4
+    assert built == [] and set(handed) == {tuple}
 
 
 def _assert_written_unescaped(out):
@@ -1236,8 +1267,8 @@ def test_verify_witnesses_from_the_shared_table_equal_check_bounds(seed, max_d, 
         return witness_rows(f, table, *rest)
 
     with mock.patch.object(bounds, "_witness_rows", recorded), \
-            mock.patch.object(ident_mod, "run_default_sweeps", lambda **caps: iter(())):
-        checks = [check for column, check in ident_mod._verify_checks(
+            mock.patch.object(ident_mod, "_sweep_rows", lambda **caps: iter(())):
+        checks = [row for column, row in ident_mod._verify_checks(
             args.max_n, args.max_d, args.max_m, args.max_k, args.max_r, args.samples, args.seed,
             args.witness_polys, False) if column == "bound-witness"]
     assert len(seen) == polys
@@ -1248,7 +1279,11 @@ def test_verify_witnesses_from_the_shared_table_equal_check_bounds(seed, max_d, 
         assert tables.setdefault(f.d, table) is table  # one table per degree
         rows += [(w.kind.value, f"d={w.d};r={w.r};m={w.m}", fraction_str(w.lhs),
                   fraction_str(w.rhs), "le", w.holds) for w in bounds.check_bounds(f, pairs)]
-    assert [(c.name, c.params_str(), *c._texts({}), c.relation, c.holds) for c in checks] == rows
+    side_str = ident_mod._side_str
+    assert [(name, text, side_str(lhs, {}), side_str(rhs, {}), relation, holds)
+            for name, _, lhs, rhs, relation, holds, text in checks] == rows
+    assert [text for *_, text in checks] == [
+        ";".join(f"{k}={v}" for k, v in params) for _, params, *_ in checks]
 
 
 # SHA-256 of the stdout of one invocation per verb, recorded before the verbs

@@ -38,6 +38,19 @@ from simplex_grid_opt.identities import (
 )
 
 
+def _public(row):
+    """The IdentityCheck of a sweep's row, as run_default_sweeps makes it; the
+    row's params text must be its params joined as params_str() joins them."""
+    *fields, text = row
+    assert text == ";".join(f"{k}={v}" for k, v in fields[1]), row
+    return IdentityCheck(*fields)
+
+
+def _rows(**caps):
+    """The rows of run_default_sweeps's sweeps at caps, its defaults for the rest."""
+    return identities._sweep_rows(**{**run_default_sweeps.__kwdefaults__, **caps})
+
+
 def test_a_beta_spec_example_value():
     # n=2, d=2, r=2, m=3, counts=(1,2), beta=(2,0):
     # 2*(falling(1,2) - 1) + falling(2,1)*falling(1,1)*falling(1,1)*S(2,1) = -2 + 4 = 2
@@ -124,17 +137,17 @@ def test_a_beta_sum_identity_cases():
 
 
 def test_vandermonde_chu_example():
-    check = identities._integer_point((2, 3), 2, falling)
+    check = _public(identities._integer_point((2, 3), 2, falling))
     assert check.holds and check.lhs == check.rhs == 20
 
 
 def test_multinomial_theorem_example():
-    check = identities._integer_point((2, -1, 3), 3, pow)
+    check = _public(identities._integer_point((2, -1, 3), 3, pow))
     assert check.holds and check.lhs == 64
 
 
 def test_stirling_sum_example():
-    check = identities._stirling_sum(3, 4)
+    check = _public(identities._stirling_sum(3, 4))
     assert check.holds and check.lhs == check.rhs == 40
 
 
@@ -144,8 +157,8 @@ def _stirling_table(d):
 
 
 def test_stirling_multi_small_case():
-    check = identities._stirling_multi((1, 0), 2, identities._multinomial_weights(2, 2),
-                                       _stirling_table(2))
+    check = _public(identities._stirling_multi((1, 0), 2, identities._multinomial_weights(2, 2),
+                                               _stirling_table(2)))
     assert check.holds and check.lhs == stirling2(2, 1)
 
 
@@ -154,37 +167,38 @@ def test_stirling_multi_sweep_tables_each_stirling_number_once_per_n_and_d(monke
     calls = []
     stirling = identities.stirling2
     monkeypatch.setattr(identities, "stirling2", lambda b, a: calls.append((b, a)) or stirling(b, a))
-    checks = list(sweep_stirling_multi(max_n=3, max_d=5))
+    checks = list(map(_public, sweep_stirling_multi(max_n=3, max_d=5)))
     assert checks and all(c.holds for c in checks)
     assert Counter(calls) == Counter((b, a) for n in range(1, 4) for d in range(2, 6)
                                      for b in range(d + 1) for a in range(d + 1))
 
 
 def test_kmr_example_and_degenerate_window():
-    check = identities._kmr(2, 3, 4)
+    check = _public(identities._kmr(2, 3, 4))
     assert check.holds
     assert check.lhs == Fraction(2, 5)
     assert check.rhs == Fraction(3, 4)
-    degenerate = identities._kmr(1, 1, 1)
+    degenerate = _public(identities._kmr(1, 1, 1))
     assert degenerate.holds and degenerate.lhs == 0
 
 
 def test_sigma_hand_value():
-    check = identities._sigma(2, 3, 2, 4, rate_constant(2))
+    check = _public(identities._sigma(2, 3, 2, 4, rate_constant(2)))
     assert check.holds
     assert check.lhs == Fraction(1, 10)
     assert check.rhs == Fraction(3, 16)
 
 
 def test_phi_hand_value():
-    check = identities._phi(2, 3, 4)
+    check = _public(identities._phi(2, 3, 4))
     assert check.holds and check.lhs == 44
 
 
 def test_moment_decomposition_matches_scaled_moment():
     p = HypergeomParams(m=16, counts=(7, 9), r=2)
     urn = (("m", 16), ("counts", (7, 9)), ("r", 2))
-    checks = {c.params[3][1]: c for c in sweep_moment_decomposition(max_n=2, max_d=2, max_m=16)
+    checks = {c.params[3][1]: c
+              for c in map(_public, sweep_moment_decomposition(max_n=2, max_d=2, max_m=16))
               if c.params[:3] == urn and sum(c.params[3][1]) == 2}
     assert sorted(checks) == [(0, 2), (1, 1), (2, 0)]
     for beta, check in checks.items():
@@ -204,7 +218,8 @@ def test_sweeps_all_hold_at_reduced_caps():
         sweep_a_beta(max_n=2, max_d=3, max_m=6),
         sweep_moment_decomposition(max_n=2, max_d=2, max_m=5),
     ]
-    for checks in map(list, groups):
+    for rows in groups:
+        checks = list(map(_public, rows))
         assert checks, "sweep produced no checks"
         assert all(c.holds for c in checks)
 
@@ -240,7 +255,7 @@ def test_run_default_sweeps_is_a_lazy_generator_function(monkeypatch):
     for name in list(REFERENCES)[1:]:
         monkeypatch.setattr(identities, name, started)
     checks = run_default_sweeps()
-    assert next(checks) == identities._stirling_sum(1, 1)
+    assert next(checks) == _public(identities._stirling_sum(1, 1))
     with pytest.raises(AssertionError, match="later sweep started"):
         list(checks)
 
@@ -311,7 +326,7 @@ def test_grouped_a_beta_equals_term_by_term(case):
 
 def test_sweeps_report_the_a_beta_values_of_the_public_function():
     # every A_BETA_NONNEG minimum and A_BETA_SUM lhs is the one a_beta gives
-    checks = list(sweep_a_beta(max_n=2, max_d=3, max_m=5))
+    checks = list(map(_public, sweep_a_beta(max_n=2, max_d=3, max_m=5)))
     for nonneg, total in zip(checks[::2], checks[1::2]):
         params = dict(nonneg.params)
         assert dict(total.params) == params
@@ -319,7 +334,7 @@ def test_sweeps_report_the_a_beta_values_of_the_public_function():
         values = [a_beta(beta, r, m, counts) for beta in compositions(n, d)]
         assert nonneg.lhs == min(values)
         assert total == _a_beta_sum_reference(r, m, d, counts)
-    for check in sweep_moment_decomposition(max_n=2, max_d=3, max_m=5):
+    for check in map(_public, sweep_moment_decomposition(max_n=2, max_d=3, max_m=5)):
         params = dict(check.params)
         p = HypergeomParams(m=params["m"], counts=params["counts"], r=params["r"])
         assert check == _moment_decomposition_reference(p, params["beta"])
@@ -331,13 +346,13 @@ def test_sweeps_report_the_a_beta_values_of_the_public_function():
 
 
 def _reference_stirling_sum(max_d, max_r):
-    return [identities._stirling_sum(d, r)
+    return [_public(identities._stirling_sum(d, r))
             for d in range(1, max_d + 1) for r in range(1, max_r + 1)]
 
 
 def _reference_stirling_multi(max_n, max_d):
-    return [identities._stirling_multi(alpha, d, identities._multinomial_weights(n, d),
-                                       _stirling_table(d))
+    return [_public(identities._stirling_multi(alpha, d, identities._multinomial_weights(n, d),
+                                               _stirling_table(d)))
             for n in range(1, max_n + 1) for d in range(2, max_d + 1)
             for k in range(1, d) for alpha in compositions(n, k)]
 
@@ -347,24 +362,25 @@ def _reference_integer_point_identities(samples, seed):
     for _ in range(samples):
         n, d = rng.randint(1, 4), rng.randint(1, 4)
         x = tuple(rng.randint(-6, 9) for _ in range(n))
-        out += [identities._integer_point(x, d, falling), identities._integer_point(x, d, pow)]
+        out += [_public(identities._integer_point(x, d, falling)),
+                _public(identities._integer_point(x, d, pow))]
     return out
 
 
 def _reference_kmr(limit):
-    return [identities._kmr(k, m, r)
+    return [_public(identities._kmr(k, m, r))
             for k in range(1, limit + 1) for m in range(1, limit + 1)
             for r in range((k - 1) * m + 1, min(k * m, limit) + 1)]
 
 
 def _reference_sigma(max_d, max_m, max_k):
-    return [identities._sigma(d, m, k, r, rate_constant(d))
+    return [_public(identities._sigma(d, m, k, r, rate_constant(d)))
             for d in range(2, max_d + 1) for m in range(d, max_m + 1)
             for k in range(1, max_k + 1) for r in range((k - 1) * m + 1, k * m + 1)]
 
 
 def _reference_phi(max_k, max_m):
-    return [identities._phi(k, m, r)
+    return [_public(identities._phi(k, m, r))
             for k in range(2, max_k + 1) for m in range(3, max_m + 1)
             for r in range((k - 1) * m + 1, k * m + 1)]
 
@@ -429,11 +445,11 @@ def test_every_sweep_equals_its_checks_built_one_by_one(monkeypatch):
             calls[name, tuple(sorted(kw.items()))] = kw
     assert {name for name, _ in calls} == set(REFERENCES)
     for (name, _), kw in calls.items():
-        checks = list(getattr(identities, name)(**kw))
+        rows = list(getattr(identities, name)(**kw))
         reference = REFERENCES[name](**kw)
-        assert checks, name
-        assert [_fields(c) for c in checks] == [_fields(c) for c in reference], (name, kw)
-        assert [c.params_str() for c in checks] == [
+        assert rows, name
+        assert [_fields(_public(row)) for row in rows] == [_fields(c) for c in reference], (name, kw)
+        assert [row[-1] for row in rows] == [
             ";".join(f"{k}={v}" for k, v in c.params) for c in reference
         ], (name, kw)
 
@@ -444,10 +460,10 @@ def test_the_orbit_sweeps_at_four_colors_equal_their_checks_built_one_by_one():
     # and moment
     for name, kw in (("sweep_a_beta", dict(max_n=4, max_d=3, max_m=6)),
                      ("sweep_moment_decomposition", dict(max_n=4, max_d=3, max_m=5))):
-        checks = list(getattr(identities, name)(**kw))
+        rows = list(getattr(identities, name)(**kw))
         reference = REFERENCES[name](**kw)
-        assert [_fields(c) for c in checks] == [_fields(c) for c in reference], name
-        assert [c.params_str() for c in checks] == [
+        assert [_fields(_public(row)) for row in rows] == [_fields(c) for c in reference], name
+        assert [row[-1] for row in rows] == [
             ";".join(f"{k}={v}" for k, v in c.params) for c in reference
         ], name
 
@@ -479,13 +495,13 @@ def test_the_a_beta_sweeps_build_each_table_once_per_orbit(monkeypatch):
         calls = dict(_default_sweep_calls(monkeypatch, **caps))
         kw = calls["sweep_a_beta"]
         builds.clear()
-        assert all(c.holds for c in sweep_a_beta(**kw))
+        assert all(_public(row).holds for row in sweep_a_beta(**kw))
         assert builds == {"_a_beta_coeffs": sum(
             _orbits(n, d, m) for n in range(1, kw["max_n"] + 1) for d in range(1, kw["max_d"] + 1)
             for m in range(d, kw["max_m"] + 1))}, caps
         kw = calls["sweep_moment_decomposition"]
         builds.clear()
-        assert all(c.holds for c in sweep_moment_decomposition(**kw))
+        assert all(_public(row).holds for row in sweep_moment_decomposition(**kw))
         orbits = sum(_orbits(kw["max_n"], d, m)
                      for d in range(1, kw["max_d"] + 1) for m in range(d, kw["max_m"] + 1))
         assert builds == {"_a_beta_coeffs": orbits, "_scaled_moments": orbits}, caps
@@ -495,7 +511,7 @@ def test_the_a_beta_sweeps_build_each_table_once_per_orbit(monkeypatch):
 def test_params_str_is_the_params_joined_and_not_a_constructor_argument():
     for c in run_default_sweeps():
         assert c.params_str() == ";".join(f"{k}={v}" for k, v in c.params), c
-    check = identities._kmr(2, 3, 4)
+    check = _public(identities._kmr(2, 3, 4))
     with pytest.raises(TypeError):
         IdentityCheck(*_fields(check), "k=9")
     assert IdentityCheck(*_fields(check)) == check
@@ -526,18 +542,18 @@ def _a_beta_coeffs_perturbed(monkeypatch):
 
 def test_moment_decomposition_compares_two_independent_routes(monkeypatch):
     caps = dict(max_n=2, max_d=3, max_m=5)
-    honest = list(sweep_moment_decomposition(**caps))
+    honest = list(map(_public, sweep_moment_decomposition(**caps)))
     assert all(c.holds for c in honest)
     with monkeypatch.context() as patch:
         _stirling_rows_off_by_one(patch)
-        assert not any(c.holds for c in sweep_moment_decomposition(**caps))
-        assert all(c.holds for c in sweep_a_beta(**caps))
+        assert not any(c.holds for c in map(_public, sweep_moment_decomposition(**caps)))
+        assert all(c.holds for c in map(_public, sweep_a_beta(**caps)))
     with monkeypatch.context() as patch:
         _a_beta_coeffs_perturbed(patch)
-        moments = list(sweep_moment_decomposition(**caps))
+        moments = list(map(_public, sweep_moment_decomposition(**caps)))
         assert not any(c.holds for c in moments)
         assert [c.lhs for c in moments] == [c.lhs for c in honest]  # the moment side never reads A_beta
-        checks = sweep_a_beta(**caps)
+        checks = map(_public, sweep_a_beta(**caps))
         assert not any(c.holds for c in checks if c.name == "A_BETA_SUM")
 
 
@@ -552,7 +568,8 @@ def test_moment_sweep_builds_each_stirling_row_once(monkeypatch):
              for c, b in zip(counts, beta) if b}
     for _ in range(2):
         calls.clear()
-        assert all(c.holds for c in sweep_moment_decomposition(max_n=3, max_d=3, max_m=6))
+        assert all(_public(row).holds
+                   for row in sweep_moment_decomposition(max_n=3, max_d=3, max_m=6))
         assert Counter(calls) == Counter(b for _, b in pairs for _ in range(b + 1))
 
 
@@ -565,16 +582,28 @@ SIDE_TYPES = {
 }
 
 
-def test_checks_keep_the_record_semantics():
-    checks = list(run_default_sweeps())
+@pytest.mark.parametrize(
+    "caps", [{}, *({"max_m": max_m, "max_d": max_d} for max_m, max_d in BENCHMARK_VERIFY_CAPS)],
+    ids=lambda caps: "-".join(f"{k}{v}" for k, v in caps.items()) or "defaults")
+def test_checks_keep_the_record_semantics(caps):
+    # run_default_sweeps's checks are the public view of the rows `sgo verify` writes
+    checks = list(run_default_sweeps(**caps))
+    rows = list(_rows(**caps))
+    assert len(rows) == len(checks)
     assert {c.name for c in checks} == set(SIDE_TYPES)
     memo = {}  # one render memo for the whole run, as `sgo verify` keeps it
-    for c in checks:
+    for row, c in zip(rows, checks):
         rebuilt = IdentityCheck(*_fields(c))
-        assert rebuilt == c and hash(rebuilt) == hash(c) and repr(rebuilt) == repr(c)
+        assert rebuilt == c == _public(row)
+        assert hash(rebuilt) == hash(c) and repr(rebuilt) == repr(c)
         assert (type(c.lhs), type(c.rhs)) == SIDE_TYPES[c.name], c
-        assert rebuilt._texts({}) == c._texts(memo) == (fraction_str(c.lhs), fraction_str(c.rhs))
-    kmr = identities._kmr(2, 3, 4)
+        name, params, lhs, rhs, relation, holds, text = row
+        assert (name, params, relation, holds, text) == (
+            c.name, c.params, c.relation, c.holds, c.params_str())
+        side_str = identities._side_str
+        assert (side_str(lhs, {}), side_str(rhs, {})) == (side_str(lhs, memo), side_str(rhs, memo)) \
+            == (fraction_str(c.lhs), fraction_str(c.rhs))
+    kmr = _public(identities._kmr(2, 3, 4))
     assert repr(kmr) == ("IdentityCheck(name='KMR', params=(('k', 2), ('m', 3), ('r', 4)), "
                          "lhs=Fraction(2, 5), rhs=Fraction(3, 4), relation='le', holds=True)")
     assert kmr != IdentityCheck(*_fields(kmr)[:-1], False)
@@ -584,13 +613,40 @@ def test_checks_keep_the_record_semantics():
 def test_every_side_a_family_makes_is_an_int_or_a_pair_with_positive_denominator():
     caps = [{}, *({"max_m": max_m, "max_d": max_d} for max_m, max_d in BENCHMARK_VERIFY_CAPS)]
     for kw in caps:
-        for c in run_default_sweeps(**kw):
-            for side, want in zip((c._lhs, c._rhs), SIDE_TYPES[c.name]):
+        for row in _rows(**kw):
+            name, _, lhs, rhs, *_ = row
+            assert type(row) is tuple and len(row) == 7, row
+            for side, want in zip((lhs, rhs), SIDE_TYPES[name]):
                 if want is int:
-                    assert type(side) is int, c
+                    assert type(side) is int, row
                 else:
                     num, den = side
-                    assert type(num) is type(den) is int and den > 0, c
+                    assert type(num) is type(den) is int and den > 0, row
+
+
+def test_checks_refuse_assignment_and_deletion():
+    # a check is frozen, as every other record, so its hash and repr cannot change
+    check = next(run_default_sweeps())
+    before = hash(check), repr(check)
+    for name in (*IdentityCheck.__match_args__, "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+            setattr(check, name, False)
+        with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+            delattr(check, name)
+    assert (hash(check), repr(check)) == before
+
+
+@pytest.mark.parametrize("side, error", [
+    (0.5, TypeError), (True, TypeError), ("1/2", TypeError), ((1, -2), ValueError),
+    ((1, 0), ValueError),
+], ids=["float", "bool", "str", "negative-denominator", "zero-denominator"])
+def test_a_check_refuses_a_side_it_cannot_render(side, error):
+    # as rational's conventions read an exact value: an int, a Fraction, or a
+    # pair of ints with a positive denominator
+    for sides in ((side, 1), (1, side)):
+        with pytest.raises(error):
+            IdentityCheck("X", (), *sides, "eq", False)
+
 
 
 @pytest.mark.parametrize("mutant", [_stirling_rows_off_by_one, _a_beta_coeffs_perturbed],
